@@ -63,30 +63,7 @@ func BenchmarkAblationMemoryPressure(b *testing.B) {
 			reportCycles(b, k.Meter)
 		})
 		b.Run(fmt.Sprintf("baseline/frames=%d", frames), func(b *testing.B) {
-			s := bootBase(b, func(c *BaselineConfig) { c.MemFrames = frames + 8; c.WiredFrames = 8 })
-			if err := s.Create("a.x", "hot", false); err != nil {
-				b.Fatal(err)
-			}
-			p := s.CreateProcess("a.x")
-			cpu := s.CPUs[0]
-			s.Attach(cpu, p)
-			segno, err := s.Open(p, "hot")
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < pages; i++ {
-				if err := s.Write(cpu, p, segno, i*hw.PageWords, hw.Word(i+1)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			s.Meter.Reset()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Read(cpu, p, segno, (i%pages)*hw.PageWords); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportCycles(b, s.Meter)
+			benchBaselineFaults(b, frames, pages)
 		})
 	}
 }
@@ -98,100 +75,13 @@ func BenchmarkAblationQuotaDirDensity(b *testing.B) {
 	const depth = 12
 	for _, every := range []int{12, 4, 1} {
 		b.Run(fmt.Sprintf("baseline/quota-every=%d", every), func(b *testing.B) {
-			s := bootBase(b, nil)
-			path := ""
-			for i := 0; i < depth; i++ {
-				name := fmt.Sprintf("d%d", i)
-				if path == "" {
-					path = name
-				} else {
-					path += ">" + name
-				}
-				if err := s.Create("a.x", path, true); err != nil {
-					b.Fatal(err)
-				}
-				// Quota directories at the top of each stride, so
-				// the nearest superior sits every/2 levels above
-				// the leaf on average: density controls walk
-				// length.
-				if i%every == 0 {
-					if err := s.SetQuota("a.x", path, 1<<20); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			if err := s.Create("a.x", path+">f", false); err != nil {
-				b.Fatal(err)
-			}
-			p := s.CreateProcess("a.x")
-			cpu := s.CPUs[0]
-			s.Attach(cpu, p)
-			segno, err := s.Open(p, path+">f")
-			if err != nil {
-				b.Fatal(err)
-			}
-			uid, err := s.UIDOf("a.x", path+">f")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			s.Meter.Reset()
-			for i := 0; i < b.N; i++ {
-				page := i % 60
-				if i > 0 && page == 0 {
-					b.StopTimer()
-					if err := s.Truncate(uid, 0); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-				}
-				if err := s.Write(cpu, p, segno, page*hw.PageWords, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportCycles(b, s.Meter)
+			// Quota directories at the top of each stride, so the
+			// nearest superior sits every/2 levels above the leaf on
+			// average: density controls walk length.
+			benchBaselineGrowth(b, depth, every)
 		})
 	}
-	b.Run("kernel/any-density", func(b *testing.B) {
-		k := bootKernel(b, nil)
-		p, err := k.CreateProcess("a.x", Bottom)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cpu := k.CPUs[0]
-		k.Attach(cpu, p)
-		var path []string
-		for i := 0; i < depth; i++ {
-			name := fmt.Sprintf("d%d", i)
-			if _, err := k.CreateDir(cpu, p, path, name, Public(Read|Write), Bottom); err != nil {
-				b.Fatal(err)
-			}
-			path = append(path, name)
-		}
-		if _, err := k.CreateFile(cpu, p, path, "f", nil, Bottom); err != nil {
-			b.Fatal(err)
-		}
-		segno, err := k.OpenPath(cpu, p, append(append([]string{}, path...), "f"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		k.Meter.Reset()
-		for i := 0; i < b.N; i++ {
-			page := i % 60
-			if i > 0 && page == 0 {
-				b.StopTimer()
-				if err := k.Truncate(cpu, p, segno, 0); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-			if err := k.Write(cpu, p, segno, page*hw.PageWords, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportCycles(b, k.Meter)
-	})
+	b.Run("kernel/any-density", func(b *testing.B) { benchKernelGrowth(b, depth) })
 }
 
 func BenchmarkAblationWiredFraction(b *testing.B) {

@@ -22,7 +22,6 @@ package multics
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"multics/internal/aim"
@@ -94,8 +93,8 @@ func BenchmarkDependencyGraphs(b *testing.B) {
 
 // --- kernel/baseline fixtures ---
 
-func bootKernel(b *testing.B, mutate func(*Config)) *Kernel {
-	b.Helper()
+func bootKernel(tb testing.TB, mutate func(*Config)) *Kernel {
+	tb.Helper()
 	cfg := DefaultConfig()
 	cfg.RootQuota = 100000
 	cfg.Packs = []PackSpec{{ID: "dska", Records: 8192}, {ID: "dskb", Records: 8192}}
@@ -104,29 +103,24 @@ func bootKernel(b *testing.B, mutate func(*Config)) *Kernel {
 	}
 	k, err := Boot(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return k
 }
 
-func bootBase(b *testing.B, mutate func(*BaselineConfig)) *Baseline {
-	b.Helper()
+func bootBase(tb testing.TB, mutate func(*BaselineConfig)) *Baseline {
+	tb.Helper()
 	cfg := DefaultBaselineConfig()
 	cfg.RootQuota = 100000
-	cfg.Packs = cfg.Packs[:0]
-	cfg.Packs = append(cfg.Packs, struct {
-		ID      string
-		Records int
-	}{"dska", 8192}, struct {
-		ID      string
-		Records int
-	}{"dskb", 8192})
+	for i := range cfg.Packs {
+		cfg.Packs[i].Records = 8192
+	}
 	if mutate != nil {
 		mutate(&cfg)
 	}
 	s, err := BootBaseline(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return s
 }
@@ -303,32 +297,7 @@ func BenchmarkPageFault(b *testing.B) {
 	// Working set of 32 pages against 16 pageable frames: every
 	// round-robin touch faults and evicts.
 	const pages, frames = 32, 16
-	b.Run("baseline-1974", func(b *testing.B) {
-		s := bootBase(b, func(c *BaselineConfig) { c.MemFrames = frames + 8; c.WiredFrames = 8 })
-		if err := s.Create("a.x", "hot", false); err != nil {
-			b.Fatal(err)
-		}
-		p := s.CreateProcess("a.x")
-		cpu := s.CPUs[0]
-		s.Attach(cpu, p)
-		segno, err := s.Open(p, "hot")
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < pages; i++ {
-			if err := s.Write(cpu, p, segno, i*hw.PageWords, hw.Word(i+1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		s.Meter.Reset()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Read(cpu, p, segno, (i%pages)*hw.PageWords); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportCycles(b, s.Meter)
-	})
+	b.Run("baseline-1974", func(b *testing.B) { benchBaselineFaults(b, frames, pages) })
 	b.Run("kernel-design", func(b *testing.B) {
 		k := bootKernel(b, func(c *Config) {
 			c.MemFrames = frames + 8
@@ -349,99 +318,145 @@ func BenchmarkPageFault(b *testing.B) {
 	})
 }
 
+// benchBaselineFaults times round-robin reads of a pages-page segment
+// on the 1974 supervisor with frames pageable frames.
+func benchBaselineFaults(b *testing.B, frames, pages int) {
+	s := bootBase(b, func(c *BaselineConfig) { c.MemFrames = frames + 8; c.WiredFrames = 8 })
+	if err := s.Create("a.x", "hot", false); err != nil {
+		b.Fatal(err)
+	}
+	p := s.CreateProcess("a.x")
+	cpu := s.CPUs[0]
+	s.Attach(cpu, p)
+	segno, err := s.Open(p, "hot")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < pages; i++ {
+		if err := s.Write(cpu, p, segno, i*hw.PageWords, hw.Word(i+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	s.Meter.Reset()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Read(cpu, p, segno, (i%pages)*hw.PageWords); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportCycles(b, s.Meter)
+}
+
 // --- P6: quota, static cell vs dynamic upward walk ---
 
 func BenchmarkQuotaGrowth(b *testing.B) {
 	for _, depth := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("kernel-static-cell/depth=%d", depth), func(b *testing.B) {
-			k := bootKernel(b, nil)
-			p, err := k.CreateProcess("a.x", Bottom)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cpu := k.CPUs[0]
-			k.Attach(cpu, p)
-			var path []string
-			for i := 0; i < depth; i++ {
-				name := fmt.Sprintf("d%d", i)
-				if _, err := k.CreateDir(cpu, p, path, name, Public(Read|Write), Bottom); err != nil {
-					b.Fatal(err)
-				}
-				path = append(path, name)
-			}
-			if _, err := k.CreateFile(cpu, p, path, "f", nil, Bottom); err != nil {
-				b.Fatal(err)
-			}
-			segno, err := k.OpenPath(cpu, p, append(append([]string{}, path...), "f"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			k.Meter.Reset()
-			for i := 0; i < b.N; i++ {
-				// Each iteration grows a fresh page (the charged
-				// path), truncating the segment empty when the
-				// architectural cycle wraps.
-				page := i % 60
-				if i > 0 && page == 0 {
-					b.StopTimer()
-					if err := k.Truncate(cpu, p, segno, 0); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-				}
-				if err := k.Write(cpu, p, segno, page*hw.PageWords, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportCycles(b, k.Meter)
+			benchKernelGrowth(b, depth)
 		})
 		b.Run(fmt.Sprintf("baseline-dynamic-walk/depth=%d", depth), func(b *testing.B) {
-			s := bootBase(b, nil)
-			path := ""
-			for i := 0; i < depth; i++ {
-				name := fmt.Sprintf("d%d", i)
-				if path == "" {
-					path = name
-				} else {
-					path += ">" + name
-				}
-				if err := s.Create("a.x", path, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := s.Create("a.x", path+">f", false); err != nil {
-				b.Fatal(err)
-			}
-			p := s.CreateProcess("a.x")
-			cpu := s.CPUs[0]
-			s.Attach(cpu, p)
-			segno, err := s.Open(p, path+">f")
-			if err != nil {
-				b.Fatal(err)
-			}
-			uid, err := s.UIDOf("a.x", path+">f")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			s.Meter.Reset()
-			for i := 0; i < b.N; i++ {
-				page := i % 60
-				if i > 0 && page == 0 {
-					b.StopTimer()
-					if err := s.Truncate(uid, 0); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-				}
-				if err := s.Write(cpu, p, segno, page*hw.PageWords, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportCycles(b, s.Meter)
+			benchBaselineGrowth(b, depth, 0)
 		})
 	}
+}
+
+// benchKernelGrowth times quota-charged growth of a file at the bottom
+// of a depth-deep directory tree. Each iteration grows a fresh page
+// (the charged path), truncating the segment empty when the
+// architectural cycle wraps.
+func benchKernelGrowth(b *testing.B, depth int) {
+	k := bootKernel(b, nil)
+	p, err := k.CreateProcess("a.x", Bottom)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cpu := k.CPUs[0]
+	k.Attach(cpu, p)
+	var path []string
+	for i := 0; i < depth; i++ {
+		name := fmt.Sprintf("d%d", i)
+		if _, err := k.CreateDir(cpu, p, path, name, Public(Read|Write), Bottom); err != nil {
+			b.Fatal(err)
+		}
+		path = append(path, name)
+	}
+	if _, err := k.CreateFile(cpu, p, path, "f", nil, Bottom); err != nil {
+		b.Fatal(err)
+	}
+	segno, err := k.OpenPath(cpu, p, append(append([]string{}, path...), "f"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	k.Meter.Reset()
+	for i := 0; i < b.N; i++ {
+		page := i % 60
+		if i > 0 && page == 0 {
+			b.StopTimer()
+			if err := k.Truncate(cpu, p, segno, 0); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if err := k.Write(cpu, p, segno, page*hw.PageWords, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportCycles(b, k.Meter)
+}
+
+// benchBaselineGrowth is benchKernelGrowth on the 1974 supervisor,
+// whose charge walks up to the nearest quota directory. With
+// quotaEvery > 0, every quotaEvery-th level from the top is one.
+func benchBaselineGrowth(b *testing.B, depth, quotaEvery int) {
+	s := bootBase(b, nil)
+	path := ""
+	for i := 0; i < depth; i++ {
+		name := fmt.Sprintf("d%d", i)
+		if path == "" {
+			path = name
+		} else {
+			path += ">" + name
+		}
+		if err := s.Create("a.x", path, true); err != nil {
+			b.Fatal(err)
+		}
+		if quotaEvery > 0 && i%quotaEvery == 0 {
+			if err := s.SetQuota("a.x", path, 1<<20); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := s.Create("a.x", path+">f", false); err != nil {
+		b.Fatal(err)
+	}
+	p := s.CreateProcess("a.x")
+	cpu := s.CPUs[0]
+	s.Attach(cpu, p)
+	segno, err := s.Open(p, path+">f")
+	if err != nil {
+		b.Fatal(err)
+	}
+	uid, err := s.UIDOf("a.x", path+">f")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	s.Meter.Reset()
+	for i := 0; i < b.N; i++ {
+		page := i % 60
+		if i > 0 && page == 0 {
+			b.StopTimer()
+			if err := s.Truncate(uid, 0); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if err := s.Write(cpu, p, segno, page*hw.PageWords, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportCycles(b, s.Meter)
 }
 
 // --- P7: network multiplexing ---
@@ -566,18 +581,14 @@ func BenchmarkConcurrentPageFaults(b *testing.B) {
 	b.ResetTimer()
 	k.Meter.Reset()
 	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
 		off := (i % 32) * hw.PageWords
-		for _, cpu := range []*hw.Processor{cpu0, cpu1} {
-			wg.Add(1)
-			go func(cpu *hw.Processor) {
-				defer wg.Done()
-				if _, err := k.Read(cpu, p, segno, off); err != nil {
-					b.Error(err)
-				}
-			}(cpu)
+		if err := (uproc.GoroutineExecutor{}).Run([]*hw.Processor{cpu0, cpu1}, func(cpu *hw.Processor) {
+			if _, err := k.Read(cpu, p, segno, off); err != nil {
+				b.Error(err)
+			}
+		}); err != nil {
+			b.Fatal(err)
 		}
-		wg.Wait()
 	}
 	reportCycles(b, k.Meter)
 }

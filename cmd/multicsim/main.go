@@ -21,8 +21,8 @@ import (
 	"multics/internal/hw"
 	"multics/internal/netmux"
 	"multics/internal/schedsim"
-	"multics/internal/trace"
 	"multics/internal/uproc"
+	"multics/internal/workload"
 )
 
 func main() {
@@ -122,10 +122,22 @@ func main() {
 	}
 
 	if *schedSeed != 0 {
-		if err := runSchedStorm(k, *schedSeed); err != nil {
-			fmt.Fprintln(os.Stderr, "multicsim: deterministic storm:", err)
-			os.Exit(1)
+		// One oscillating writer per processor under the deterministic
+		// executor: the seed fixes the interleaving, and a lost write
+		// or a deadlock is reported with the seed that replays it.
+		failed := fmt.Sprintf("deterministic storm (-sched-seed %d)", *schedSeed)
+		ws, err := workload.NewWorkers(k, len(k.CPUs), workload.Files{Prefix: "sched"})
+		if err != nil {
+			fatal(failed, err)
 		}
+		rec := schedsim.Record(schedsim.Random(*schedSeed))
+		if err := workload.Run(uproc.SimExecutor{Seed: *schedSeed, Strategy: rec}, ws, func(w *workload.Worker) error {
+			return workload.Oscillate(k, w, 4, 6)
+		}); err != nil {
+			fatal(failed, err)
+		}
+		fmt.Printf("\nDeterministic storm: %d processors, seed %d, %d scheduling decisions, no invariant violated.\n",
+			len(k.CPUs), *schedSeed, len(rec.Decisions()))
 	}
 
 	if *connections > 0 {
@@ -252,69 +264,6 @@ func runConnectionPlane(k *core.Kernel, conns, slow int) error {
 	fmt.Printf("    delivered / credited:     %d / %d\n", st.Delivered, st.Credits)
 	fmt.Printf("    delivery latency:         p50 %d cyc, p99 %d cyc\n", terms.LatencyPercentile(50), terms.LatencyPercentile(99))
 	fmt.Printf("    demux:                    %d delivered, %d protocol errors\n", ms.Delivered, ms.ProtocolErrors)
-	return nil
-}
-
-// runSchedStorm drives one oscillating writer per processor as
-// cooperative tasks of the deterministic executor: the seed fully
-// determines the interleaving, and any lost write or deadlock is
-// reported with the seed that replays it.
-func runSchedStorm(k *core.Kernel, seed int64) error {
-	type worker struct {
-		cpu   *hw.Processor
-		p     *uproc.Process
-		segno int
-	}
-	var ws []*worker
-	for i := range k.CPUs {
-		principal := fmt.Sprintf("sim%d.sched", i)
-		p, err := k.CreateProcess(principal, aim.Bottom)
-		if err != nil {
-			return err
-		}
-		cpu := k.CPUs[i]
-		k.Attach(cpu, p)
-		name := fmt.Sprintf("sched%d", i)
-		if _, err := k.CreateFile(cpu, p, nil, name, nil, aim.Bottom); err != nil {
-			return err
-		}
-		segno, err := k.OpenPath(cpu, p, []string{name})
-		if err != nil {
-			return err
-		}
-		ws = append(ws, &worker{cpu: cpu, p: p, segno: segno})
-	}
-	ex := schedsim.New(schedsim.Config{Name: "multicsim", Seed: seed})
-	for wi, w := range ws {
-		wi, w := wi, w
-		ex.Go(fmt.Sprintf("cpu%d", w.cpu.ID), func() {
-			defer trace.BindCPU(w.cpu.ID)()
-			for r := 0; r < 4; r++ {
-				for pg := 0; pg < 6; pg++ {
-					off := pg * hw.PageWords
-					v := hw.Word(1 + wi*100 + r)
-					if err := k.Write(w.cpu, w.p, w.segno, off, v); err != nil {
-						panic(fmt.Sprintf("write: %v", err))
-					}
-					got, err := k.Read(w.cpu, w.p, w.segno, off)
-					if err != nil {
-						panic(fmt.Sprintf("read: %v", err))
-					}
-					if got != v {
-						panic(fmt.Sprintf("lost write: page %d read %d, want %d", pg, got, v))
-					}
-					if err := k.Write(w.cpu, w.p, w.segno, off, 0); err != nil {
-						panic(fmt.Sprintf("re-zero: %v", err))
-					}
-				}
-			}
-		})
-	}
-	if err := ex.Run(); err != nil {
-		return err
-	}
-	fmt.Printf("\nDeterministic storm: %d processors, seed %d, %d scheduling decisions, no invariant violated.\n",
-		len(k.CPUs), seed, ex.Steps())
 	return nil
 }
 

@@ -14,44 +14,6 @@ import (
 // model regression fails loudly rather than silently changing the
 // story. The benchmarks in bench_test.go report the same quantities.
 
-// kernelFixture boots a kernel for shape tests.
-func kernelFixture(t *testing.T, mutate func(*Config)) *Kernel {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.RootQuota = 100000
-	cfg.Packs = []PackSpec{{ID: "dska", Records: 8192}, {ID: "dskb", Records: 8192}}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	k, err := Boot(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k
-}
-
-func baselineFixture(t *testing.T, mutate func(*BaselineConfig)) *Baseline {
-	t.Helper()
-	cfg := DefaultBaselineConfig()
-	cfg.RootQuota = 100000
-	cfg.Packs = cfg.Packs[:0]
-	cfg.Packs = append(cfg.Packs, struct {
-		ID      string
-		Records int
-	}{"dska", 8192}, struct {
-		ID      string
-		Records int
-	}{"dskb", 8192})
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	s, err := BootBaseline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 // P5: the redesigned memory manager's processor path is slightly
 // slower than the baseline's (PL/I recode plus daemon IPC) — the
 // paper's "negative, but not significant". End to end the comparison
@@ -65,7 +27,7 @@ func baselineFixture(t *testing.T, mutate func(*BaselineConfig)) *Baseline {
 func TestShapePageFaultPath(t *testing.T) {
 	const pages, frames = 32, 16
 	baselineCost := func() int64 {
-		s := baselineFixture(t, func(c *BaselineConfig) { c.MemFrames = frames + 8; c.WiredFrames = 8 })
+		s := bootBase(t, func(c *BaselineConfig) { c.MemFrames = frames + 8; c.WiredFrames = 8 })
 		if err := s.Create("a.x", "hot", false); err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +55,7 @@ func TestShapePageFaultPath(t *testing.T) {
 		// The associative memory is off: this experiment reproduces
 		// the paper's 1974-vs-kernel fault-path comparison, and the
 		// baseline models no translation cache either.
-		k := kernelFixture(t, func(c *Config) { c.MemFrames = frames + 8; c.WiredFrames = 8; c.AssocOff = true })
+		k := bootKernel(t, func(c *Config) { c.MemFrames = frames + 8; c.WiredFrames = 8; c.AssocOff = true })
 		k.Frames.FrameBatch = 1 // ungrouped write-back, as the 1976 system ran
 		p, err := k.CreateProcess("a.x", Bottom)
 		if err != nil {
@@ -134,7 +96,7 @@ func TestShapePageFaultPath(t *testing.T) {
 // O(depth) for the baseline's dynamic upward search.
 func TestShapeQuotaCost(t *testing.T) {
 	kernelCostAt := func(depth int) int64 {
-		k := kernelFixture(t, nil)
+		k := bootKernel(t, nil)
 		p, err := k.CreateProcess("a.x", Bottom)
 		if err != nil {
 			t.Fatal(err)
@@ -165,7 +127,7 @@ func TestShapeQuotaCost(t *testing.T) {
 		return k.Meter.Since(start)
 	}
 	baselineCostAt := func(depth int) int64 {
-		s := baselineFixture(t, nil)
+		s := bootBase(t, nil)
 		path := ""
 		for i := 0; i < depth; i++ {
 			name := fmt.Sprintf("d%d", i)
@@ -217,7 +179,7 @@ func TestShapeQuotaCost(t *testing.T) {
 // layers).
 func TestShapeTwoLevelScheduler(t *testing.T) {
 	oneLevel := func() int64 {
-		s := baselineFixture(t, nil)
+		s := bootBase(t, nil)
 		for i := 0; i < 4; i++ {
 			s.CreateProcess("u.x")
 		}
@@ -228,7 +190,7 @@ func TestShapeTwoLevelScheduler(t *testing.T) {
 		return s.Meter.Since(start)
 	}()
 	twoLevel := func() int64 {
-		k := kernelFixture(t, nil)
+		k := bootKernel(t, nil)
 		for i := 0; i < 4; i++ {
 			if _, err := k.CreateProcess("u.x", Bottom); err != nil {
 				t.Fatal(err)

@@ -35,9 +35,9 @@ type StormConfig struct {
 // the process plane — the process handles are opaque, exactly like
 // Session.Process).
 type StormOps struct {
-	// RunQuanta runs up to n scheduler quanta per worker, calling
+	// Quanta runs up to n scheduler quanta per worker, calling
 	// body with each dispatched process.
-	RunQuanta func(n int, body func(proc any)) (int, error)
+	Quanta func(n int, body func(proc any)) (int, error)
 	// Block parks the (running) process until a wakeup message
 	// addressed to it arrives.
 	Block func(proc any) error
@@ -84,7 +84,7 @@ func (s *Service) RunStorm(cfg StormConfig, ops StormOps) (StormStats, error) {
 	if cfg.Users <= 0 {
 		return st, fmt.Errorf("answering: storm of %d users", cfg.Users)
 	}
-	if ops.RunQuanta == nil || ops.Deliver == nil || ops.Block == nil || ops.Wake == nil {
+	if ops.Quanta == nil || ops.Deliver == nil || ops.Block == nil || ops.Wake == nil {
 		return st, fmt.Errorf("answering: storm ops incomplete")
 	}
 	wakeBatch := cfg.WakeBatch
@@ -125,7 +125,7 @@ func (s *Service) RunStorm(cfg StormConfig, ops StormOps) (StormStats, error) {
 		// parallel executor, so the block bookkeeping takes a lock.
 		var blockMu sync.Mutex
 		var blockErr error
-		ran, err := ops.RunQuanta(cfg.QuantaPerRound, func(proc any) {
+		ran, err := ops.Quanta(cfg.QuantaPerRound, func(proc any) {
 			blockMu.Lock()
 			mine := toBlock[proc]
 			if mine {

@@ -129,7 +129,7 @@ func TestStormChurnRace(t *testing.T) {
 		defer wg.Done()
 		var n atomic.Int64
 		for run := 0; run < schedRuns; run++ {
-			_, err := k.Procs.RunQuantumParallel(k.CPUs, 8, func(cpu *hw.Processor, p *uproc.Process) {
+			_, err := k.Procs.RunQuantumWith(uproc.GoroutineExecutor{}, k.CPUs, 8, func(cpu *hw.Processor, p *uproc.Process) {
 				if n.Add(1)%5 == 0 {
 					// Blocked processes are woken by the broadcast
 					// below — or destroyed blocked, which is legal.
@@ -175,15 +175,15 @@ func TestSweepNoLostWakeup(t *testing.T) {
 			return d.Point == schedsim.PointMark &&
 				(d.Detail == "uproc-block" || d.Detail == "uproc-deliver")
 		},
-	}, func(strat schedsim.Strategy) (*schedsim.Executor, error) {
+	}, func(strat schedsim.Strategy) error {
 		k := bootStormKernel(t, 8, 1)
 		svc := stormService(k)
 		if err := svc.Register("a.storm", "pw", aim.Top); err != nil {
-			return nil, err
+			return err
 		}
 		sess, err := svc.Login("a.storm", "pw", aim.Bottom)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		p := sess.Process.(*uproc.Process)
 		ex := schedsim.New(schedsim.Config{Name: "wakeup", Strategy: strat})
@@ -208,12 +208,12 @@ func TestSweepNoLostWakeup(t *testing.T) {
 			}
 		})
 		if err := ex.Run(); err != nil {
-			return ex, err
+			return err
 		}
 		if st := p.State(); st != uproc.Ready {
-			return ex, fmt.Errorf("process ended %v, want Ready: wakeup lost", st)
+			return fmt.Errorf("process ended %v, want Ready: wakeup lost", st)
 		}
-		return ex, nil
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"multics/internal/aim"
@@ -299,50 +298,6 @@ func TestZeroPageConfinementViolation(t *testing.T) {
 	}
 	if after <= before {
 		t.Fatalf("read of zero page did not change the quota count (%d -> %d); the confinement violation the paper describes should be observable", before, after)
-	}
-}
-
-func TestConcurrentFaultsOnOnePage(t *testing.T) {
-	// C4: two CPUs, one missing page. The descriptor-lock hardware
-	// lets exactly one service the fault; the other waits and then
-	// proceeds. No interpretive retranslation exists anywhere.
-	k := boot(t, nil)
-	cpu0, p := user(t, k, "alice.sys", aim.Bottom)
-	cpu1 := k.CPUs[1]
-	k.Attach(cpu1, p)
-	if _, err := k.CreateFile(cpu0, p, nil, "f", nil, aim.Bottom); err != nil {
-		t.Fatal(err)
-	}
-	segno, err := k.OpenPath(cpu0, p, []string{"f"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Write(cpu0, p, segno, 0, 42); err != nil {
-		t.Fatal(err)
-	}
-	// Evict the page by deactivating the segment, then reconnect.
-	e, err := p.KST().Entry(segno)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Segs.Deactivate(e.UID); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	vals := make([]hw.Word, 2)
-	errs := make([]error, 2)
-	for i, cpu := range []*hw.Processor{cpu0, cpu1} {
-		wg.Add(1)
-		go func(i int, cpu *hw.Processor) {
-			defer wg.Done()
-			vals[i], errs[i] = k.Read(cpu, p, segno, 0)
-		}(i, cpu)
-	}
-	wg.Wait()
-	for i := range vals {
-		if errs[i] != nil || vals[i] != 42 {
-			t.Errorf("cpu %d read = %d, %v", i, vals[i], errs[i])
-		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"multics/internal/hw"
 	"multics/internal/knownseg"
 	"multics/internal/segment"
+	"multics/internal/trace"
 	"multics/internal/uproc"
 )
 
@@ -219,5 +220,71 @@ func TestFailureBothPacksFull(t *testing.T) {
 		if err != nil || w != hw.Word(i+1) {
 			t.Fatalf("page %d after exhaustion = %d, %v", i, w, err)
 		}
+	}
+}
+
+// TestRetryBudgetObservability freezes the trap-vs-reclaim window in
+// its inconsistent intermediate state — quota trap raised while the
+// file map still names a stored record — so the reference's fault
+// service can never make progress. The retry budget must then become
+// visible twice: the half-budget trace event and counter while the
+// run is still diagnosable, and the distinct wrapped error at
+// exhaustion.
+func TestRetryBudgetObservability(t *testing.T) {
+	k := boot(t, func(c *Config) {
+		c.AssocOff = true // every reference walks the tables and sees the trap
+		c.TraceEvents = 1 << 12
+	})
+	cpu, p := user(t, k, "loop.x", aim.Bottom)
+	if _, err := k.CreateFile(cpu, p, nil, "f", nil, aim.Bottom); err != nil {
+		t.Fatal(err)
+	}
+	segno, err := k.OpenPath(cpu, p, []string{"f"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Materialize page 0: Grow charges quota, allocates its record,
+	// and marks the map stored.
+	if err := k.Write(cpu, p, segno, 0, 7); err != nil {
+		t.Fatal(err)
+	}
+	sdw, err := p.DT().Get(segno)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Freeze the window: not-present plus quota trap, map unchanged.
+	if _, err := sdw.Table.Update(0, func(d *hw.PTW) {
+		d.Present = false
+		d.Frame = 0
+		d.QuotaTrap = true
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = k.Read(cpu, p, segno, 0)
+	if !errors.Is(err, ErrRetryBudget) {
+		t.Fatalf("got %v, want ErrRetryBudget", err)
+	}
+	if !errors.Is(err, ErrFaultLoop) {
+		t.Errorf("ErrRetryBudget must wrap ErrFaultLoop for existing callers; got %v", err)
+	}
+	half, exhausted := k.RetryStats()
+	if half != 1 || exhausted != 1 {
+		t.Errorf("RetryStats = (%d, %d), want (1, 1)", half, exhausted)
+	}
+	if races := k.Cells.Stats().GrowRaces; races == 0 {
+		t.Error("every retry lost the grow race, but GrowRaces = 0: the counter is not wired to the ErrGrowRace site")
+	}
+	found := false
+	for _, e := range k.Trace.Events() {
+		if e.Kind == trace.EvRetryPressure {
+			found = true
+			if e.Arg2 != 128 {
+				t.Errorf("retry-pressure event at try %d, want 128 (half of the budget)", e.Arg2)
+			}
+		}
+	}
+	if !found {
+		t.Error("no retry-pressure event in the trace: the half-budget warning is not emitted")
 	}
 }

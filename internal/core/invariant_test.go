@@ -1,4 +1,4 @@
-package core
+package core_test
 
 // Randomized whole-system tests: a seeded pseudo-random workload runs
 // against the kernel, a shadow model checks data integrity, and the
@@ -11,52 +11,27 @@ import (
 	"testing"
 
 	"multics/internal/aim"
+	"multics/internal/core"
 	"multics/internal/directory"
-	"multics/internal/disk"
 	"multics/internal/hw"
-	"multics/internal/quota"
 )
-
-// accountingBalance returns (total pages charged across every quota
-// cell, total records allocated across every pack).
-func accountingBalance(t *testing.T, k *Kernel) (charged, allocated int) {
-	t.Helper()
-	for _, packID := range k.Vols.Packs() {
-		pack, err := k.Vols.Pack(packID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		allocated += pack.UsedRecords()
-		pack.EachEntry(func(idx disk.TOCIndex, e disk.TOCEntry) {
-			if !e.Quota.Valid {
-				return
-			}
-			cell := quota.CellName{Pack: packID, TOC: idx}
-			if k.Cells.Active(cell) {
-				_, used, err := k.Cells.Info(cell)
-				if err != nil {
-					t.Fatal(err)
-				}
-				charged += used
-			} else {
-				charged += e.Quota.Used
-			}
-		})
-	}
-	return charged, allocated
-}
 
 func TestGlobalAccountingInvariant(t *testing.T) {
 	const (
 		nFiles = 6
 		nOps   = 400
 	)
-	k := boot(t, func(c *Config) {
+	k := boot(t, func(c *core.Config) {
 		c.MemFrames = 24 // pressure: zero-page reclaim and eviction happen
 		c.WiredFrames = 8
 		c.RootQuota = 4096
 	})
-	cpu, p := user(t, k, "fuzz.x", aim.Bottom)
+	p, err := k.CreateProcess("fuzz.x", aim.Bottom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := k.CPUs[0]
+	k.Attach(cpu, p)
 	rng := rand.New(rand.NewSource(1977))
 
 	// A hierarchy with a couple of quota directories.
@@ -165,7 +140,7 @@ func TestGlobalAccountingInvariant(t *testing.T) {
 			f.open = true // segno stays known; reconnection is automatic
 		}
 		if op%50 == 49 {
-			charged, allocated := accountingBalance(t, k)
+			charged, allocated := balance(t, k)
 			if charged != allocated {
 				t.Fatalf("op %d: %d pages charged vs %d records allocated", op, charged, allocated)
 			}
@@ -186,7 +161,7 @@ func TestGlobalAccountingInvariant(t *testing.T) {
 			}
 		}
 	}
-	charged, allocated := accountingBalance(t, k)
+	charged, allocated := balance(t, k)
 	if charged != allocated {
 		t.Fatalf("final balance: %d charged vs %d allocated", charged, allocated)
 	}

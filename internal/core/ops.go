@@ -8,6 +8,7 @@ import (
 	"multics/internal/directory"
 	"multics/internal/hw"
 	"multics/internal/knownseg"
+	"multics/internal/segment"
 	"multics/internal/trace"
 	"multics/internal/uproc"
 )
@@ -206,8 +207,9 @@ func (k *Kernel) Truncate(cpu *hw.Processor, p *uproc.Process, segno, newPages i
 		}
 		if _, err := k.Segs.Lookup(e.UID); err != nil {
 			// Not active: activate through the standard machinery
-			// so truncation can proceed.
-			if _, err := k.Segs.Activate(e.UID, e.Addr, e.Cell, e.HasCell); err != nil {
+			// so truncation can proceed. A processor that activated
+			// it first leaves it active all the same.
+			if _, err := k.Segs.Activate(e.UID, e.Addr, e.Cell, e.HasCell); err != nil && !errors.Is(err, segment.ErrAlreadyActive) {
 				return err
 			}
 		}

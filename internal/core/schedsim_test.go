@@ -1,137 +1,49 @@
-package core
+package core_test
 
 // Whole-kernel tests under the deterministic virtual-time executor:
 // seeded random interleavings of a multiprocessor storm, and bounded
-// systematic sweeps that pin the two races previous PRs fixed — the
-// zero-reclaim lost-write window (PR 4) and the quota-growth
-// trap-vs-reclaim window (PR 6) — by deliberately scheduling around
-// their marked yield points instead of hoping a goroutine storm
-// happens to hit them.
+// systematic sweeps that pin the races earlier changes fixed — the
+// zero-reclaim lost-write window, the quota-growth trap-vs-reclaim
+// window and the disk pipeline's completion window — by deliberately
+// scheduling around their marked yield points instead of hoping a
+// goroutine storm happens to hit them.
 
 import (
-	"errors"
 	"flag"
 	"fmt"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"multics/internal/aim"
-	"multics/internal/disk"
+	"multics/internal/core"
 	"multics/internal/hw"
-	"multics/internal/quota"
 	"multics/internal/schedsim"
-	"multics/internal/trace"
 	"multics/internal/uproc"
+	"multics/internal/workload"
 )
 
 // schedSeed seeds the random-interleaving storms. A failing schedule
 // prints its seed; rerun with -sched-seed=<seed> to replay it exactly.
 var schedSeed = flag.Int64("sched-seed", 1977, "seed for deterministic schedule simulation; a failure prints the seed that reproduces it")
 
-type simWorker struct {
-	cpu   *hw.Processor
-	p     *uproc.Process
-	segno int
-}
-
-// simWorkers builds one process per processor, each attached to its
-// own CPU with its own root-directory file of pgs pages, materialized
-// and then zeroed so every page exists, holds a disk record, and has
-// its translation cached in its owner's associative memory.
-func simWorkers(t *testing.T, k *Kernel, n, pgs int) []*simWorker {
+// simStorm runs the oscillation storm of TestSMPZeroEvictionLosesNoWrite
+// on two processors as cooperative schedsim tasks under strat: every
+// worker writes, verifies and re-zeroes its own eight materialized
+// pages, so any interleaving that loses a write fails.
+func simStorm(t *testing.T, strat schedsim.Strategy, seed int64, rounds int) (*core.Kernel, error) {
 	t.Helper()
-	ws := make([]*simWorker, 0, n)
-	for i := 0; i < n; i++ {
-		p, err := k.CreateProcess(fmt.Sprintf("sim%d.x", i), aim.Bottom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cpu := k.CPUs[i]
-		k.Attach(cpu, p)
-		name := fmt.Sprintf("sim%d", i)
-		if _, err := k.CreateFile(cpu, p, nil, name, nil, aim.Bottom); err != nil {
-			t.Fatal(err)
-		}
-		segno, err := k.OpenPath(cpu, p, []string{name})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pg := 0; pg < pgs; pg++ {
-			if err := k.Write(cpu, p, segno, pg*hw.PageWords, 1); err != nil {
-				t.Fatal(err)
-			}
-			if err := k.Write(cpu, p, segno, pg*hw.PageWords, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ws = append(ws, &simWorker{cpu: cpu, p: p, segno: segno})
-	}
-	return ws
-}
-
-// simBalance is accountingBalance without the testing.T, so sweep
-// schedules can report imbalance as an error.
-func simBalance(k *Kernel) error {
-	charged, allocated := 0, 0
-	for _, packID := range k.Vols.Packs() {
-		pack, err := k.Vols.Pack(packID)
-		if err != nil {
-			return err
-		}
-		allocated += pack.UsedRecords()
-		pack.EachEntry(func(idx disk.TOCIndex, e disk.TOCEntry) {
-			if !e.Quota.Valid {
-				return
-			}
-			cell := quota.CellName{Pack: packID, TOC: idx}
-			if k.Cells.Active(cell) {
-				if _, used, err := k.Cells.Info(cell); err == nil {
-					charged += used
-				}
-			} else {
-				charged += e.Quota.Used
-			}
-		})
-	}
-	if charged != allocated {
-		return fmt.Errorf("accounting imbalance: %d pages charged, %d records allocated", charged, allocated)
-	}
-	return nil
-}
-
-// runSimStorm drives the oscillation storm of the -race harnesses
-// (smp_zero_test.go) as cooperative schedsim tasks: every worker
-// writes, verifies, and re-zeroes its own pages, so any interleaving
-// that loses a write panics — and the panic carries the seed.
-func runSimStorm(k *Kernel, ws []*simWorker, strat schedsim.Strategy, seed int64, rounds, pgs int) (*schedsim.Executor, error) {
-	ex := schedsim.New(schedsim.Config{Name: "core-storm", Seed: seed, Strategy: strat})
-	for wi, w := range ws {
-		wi, w := wi, w
-		ex.Go(fmt.Sprintf("cpu%d", w.cpu.ID), func() {
-			defer trace.BindCPU(w.cpu.ID)()
-			for r := 0; r < rounds; r++ {
-				for pg := 0; pg < pgs; pg++ {
-					off := pg * hw.PageWords
-					v := hw.Word(1 + wi*100 + r)
-					if err := k.Write(w.cpu, w.p, w.segno, off, v); err != nil {
-						panic(fmt.Sprintf("write seg %d page %d: %v", w.segno, pg, err))
-					}
-					schedsim.Yield(schedsim.PointYield, "post-write")
-					got, err := k.Read(w.cpu, w.p, w.segno, off)
-					if err != nil {
-						panic(fmt.Sprintf("read seg %d page %d: %v", w.segno, pg, err))
-					}
-					if got != v {
-						panic(fmt.Sprintf("lost write: seg %d page %d read %d, want %d", w.segno, pg, got, v))
-					}
-					if err := k.Write(w.cpu, w.p, w.segno, off, 0); err != nil {
-						panic(fmt.Sprintf("re-zero seg %d page %d: %v", w.segno, pg, err))
-					}
-				}
-			}
-		})
-	}
-	return ex, ex.Run()
+	k := boot(t, func(c *core.Config) {
+		c.Processors = 2
+		c.MemFrames = 24
+		c.WiredFrames = 8
+		c.RootQuota = 4096
+	})
+	ws := newWorkers(t, k, 2, workload.Files{Prefix: "sim", Pages: 8})
+	return k, workload.Run(uproc.SimExecutor{Seed: seed, Strategy: strat}, ws, func(w *workload.Worker) error {
+		return workload.Oscillate(k, w, rounds, 8)
+	})
 }
 
 // TestSimStormRandomInterleavings runs the storm under several seeded
@@ -141,27 +53,15 @@ func TestSimStormRandomInterleavings(t *testing.T) {
 	for i := int64(0); i < 4; i++ {
 		seed := *schedSeed + i
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			k := boot(t, func(c *Config) {
-				c.Processors = 2
-				c.MemFrames = 24
-				c.WiredFrames = 8
-				c.RootQuota = 4096
-			})
-			ws := simWorkers(t, k, 2, 8)
-			if _, err := runSimStorm(k, ws, schedsim.Random(seed), seed, 3, 8); err != nil {
+			k, err := simStorm(t, schedsim.Random(seed), seed, 3)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if st := k.Frames.Stats(); st.Evictions == 0 {
 				t.Error("storm produced no evictions: no memory pressure, nothing exercised")
 			}
-			if err := simBalance(k); err != nil {
+			if err := audited(k); err != nil {
 				t.Error(err)
-			}
-			if leaks := k.Frames.Audit(); len(leaks) != 0 {
-				t.Errorf("frame audit: %v", leaks)
-			}
-			if leaks := k.Segs.Audit(); len(leaks) != 0 {
-				t.Errorf("segment audit: %v", leaks)
 			}
 		})
 	}
@@ -172,20 +72,17 @@ func TestSimStormRandomInterleavings(t *testing.T) {
 // the same scheduling decisions, step for step.
 func TestSimStormIdenticalSeedsIdenticalSchedules(t *testing.T) {
 	run := func() []schedsim.Decision {
-		k := boot(t, func(c *Config) {
-			c.Processors = 2
-			c.MemFrames = 24
-			c.WiredFrames = 8
-			c.RootQuota = 4096
-		})
-		ws := simWorkers(t, k, 2, 8)
-		ex, err := runSimStorm(k, ws, schedsim.Random(*schedSeed), *schedSeed, 2, 8)
-		if err != nil {
+		rec := schedsim.Record(schedsim.Random(*schedSeed))
+		if _, err := simStorm(t, rec, *schedSeed, 2); err != nil {
 			t.Fatal(err)
 		}
-		return ex.Decisions()
+		return rec.Decisions()
 	}
-	d1, d2 := run(), run()
+	sameSchedule(t, run(), run())
+}
+
+func sameSchedule(t *testing.T, d1, d2 []schedsim.Decision) {
+	t.Helper()
 	if len(d1) != len(d2) {
 		t.Fatalf("schedule lengths differ: %d vs %d decisions", len(d1), len(d2))
 	}
@@ -197,109 +94,85 @@ func TestSimStormIdenticalSeedsIdenticalSchedules(t *testing.T) {
 }
 
 // sweepStorm is the two-task harness both window sweeps schedule
-// around. The evictor registers first, so the sticky baseline runs it
-// to completion while the toucher sits parked — runnable — at its
+// around. The evictor's task comes first, so the sticky baseline runs
+// it to completion while the toucher sits parked — runnable — at its
 // start; every zero-reclaim of the toucher's pages is then a marked
 // decision with a real alternative, and a single forced deviation
 // drops the toucher into the middle of the reclaim with its stale
 // cached translations intact.
-func sweepStorm(strat schedsim.Strategy, pgs int) (*schedsim.Executor, *Kernel, error) {
-	cfg := DefaultConfig()
+func sweepStorm(strat schedsim.Strategy, pgs int) (*core.Kernel, error) {
+	cfg := core.DefaultConfig()
 	cfg.Processors = 2
 	cfg.MemFrames = 32
 	cfg.WiredFrames = 8
 	cfg.RootQuota = 4096
-	k, err := Boot(cfg)
+	k, err := core.Boot(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	type worker struct {
-		cpu   *hw.Processor
-		p     *uproc.Process
-		segno int
-	}
-	mk := func(i int, pages int) (*worker, error) {
-		p, err := k.CreateProcess(fmt.Sprintf("sw%d.x", i), aim.Bottom)
-		if err != nil {
-			return nil, err
-		}
-		cpu := k.CPUs[i]
-		k.Attach(cpu, p)
-		name := fmt.Sprintf("sw%d", i)
-		if _, err := k.CreateFile(cpu, p, nil, name, nil, aim.Bottom); err != nil {
-			return nil, err
-		}
-		segno, err := k.OpenPath(cpu, p, []string{name})
-		if err != nil {
-			return nil, err
-		}
-		// Materialize and re-zero: every page exists, holds a record,
-		// reads zero, and has its translation cached in its owner's
-		// associative memory — the precondition of both windows.
-		for pg := 0; pg < pages; pg++ {
-			if err := k.Write(cpu, p, segno, pg*hw.PageWords, 1); err != nil {
-				return nil, err
-			}
-			if err := k.Write(cpu, p, segno, pg*hw.PageWords, 0); err != nil {
-				return nil, err
-			}
-		}
-		return &worker{cpu: cpu, p: p, segno: segno}, nil
-	}
-	toucher, err := mk(0, pgs)
+	// Only the toucher's pages are materialized and re-zeroed: every
+	// one exists, holds a record, reads zero, and has its translation
+	// cached in its owner's associative memory — the precondition of
+	// both windows.
+	touchers, err := workload.NewWorkers(k, 1, workload.Files{Prefix: "sw", Pages: pgs})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	evictor, err := mk(1, 0)
+	p, err := k.CreateProcess("sw1.x", aim.Bottom)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	toucher := touchers[0]
+	evictor := &workload.Worker{CPU: k.CPUs[1], Proc: p}
+	k.Attach(evictor.CPU, p)
+	if _, err := k.CreateFile(evictor.CPU, p, nil, "sw1", nil, aim.Bottom); err != nil {
+		return nil, err
+	}
+	if evictor.Segno, err = k.OpenPath(evictor.CPU, p, []string{"sw1"}); err != nil {
+		return nil, err
 	}
 
 	const evictPages = 24
-	ex := schedsim.New(schedsim.Config{Name: "sweep-storm", Strategy: strat})
-	ex.Go("evictor", func() {
-		defer trace.BindCPU(evictor.cpu.ID)()
-		for pg := 0; pg < evictPages; pg++ {
-			if err := k.Write(evictor.cpu, evictor.p, evictor.segno, pg*hw.PageWords, hw.Word(1000+pg)); err != nil {
-				panic(fmt.Sprintf("evictor write page %d: %v", pg, err))
+	err = workload.Run(uproc.SimExecutor{Strategy: strat}, []*workload.Worker{evictor, toucher}, func(w *workload.Worker) error {
+		if w == evictor {
+			for pg := 0; pg < evictPages; pg++ {
+				if err := k.Write(w.CPU, w.Proc, w.Segno, pg*hw.PageWords, hw.Word(1000+pg)); err != nil {
+					return fmt.Errorf("evictor write page %d: %w", pg, err)
+				}
 			}
+			return nil
 		}
-	})
-	ex.Go("toucher", func() {
-		defer trace.BindCPU(toucher.cpu.ID)()
 		for pg := 0; pg < pgs; pg++ {
 			off := pg * hw.PageWords
-			if err := k.Write(toucher.cpu, toucher.p, toucher.segno, off, 10); err != nil {
-				panic(fmt.Sprintf("toucher write page %d: %v", pg, err))
+			if err := k.Write(w.CPU, w.Proc, w.Segno, off, 10); err != nil {
+				return fmt.Errorf("toucher write page %d: %w", pg, err)
 			}
 			schedsim.Yield(schedsim.PointYield, "post-write")
-			got, err := k.Read(toucher.cpu, toucher.p, toucher.segno, off)
+			got, err := k.Read(w.CPU, w.Proc, w.Segno, off)
 			if err != nil {
-				panic(fmt.Sprintf("toucher read page %d: %v", pg, err))
+				return fmt.Errorf("toucher read page %d: %w", pg, err)
 			}
 			if got != 10 {
-				panic(fmt.Sprintf("toucher lost write: page %d read %d, want 10", pg, got))
+				return fmt.Errorf("toucher lost write: page %d read %d, want 10", pg, got)
 			}
 		}
+		return nil
 	})
-	if err := ex.Run(); err != nil {
-		return ex, k, err
+	if err != nil {
+		return k, err
 	}
 	// Durability: the toucher's values must survive whatever
 	// evictions the schedule produced.
 	for pg := 0; pg < pgs; pg++ {
-		got, err := k.Read(toucher.cpu, toucher.p, toucher.segno, pg*hw.PageWords)
+		got, err := k.Read(toucher.CPU, toucher.Proc, toucher.Segno, pg*hw.PageWords)
 		if err != nil {
-			return ex, k, fmt.Errorf("post-run read page %d: %w", pg, err)
+			return k, fmt.Errorf("post-run read page %d: %w", pg, err)
 		}
 		if got != 10 {
-			return ex, k, fmt.Errorf("post-run page %d reads %d, want 10: write lost to reclaim", pg, got)
+			return k, fmt.Errorf("post-run page %d reads %d, want 10: write lost to reclaim", pg, got)
 		}
 	}
-	if err := simBalance(k); err != nil {
-		return ex, k, err
-	}
-	return ex, k, nil
+	return k, audited(k)
 }
 
 // starved reports a schedule that ran a reference's whole retry budget
@@ -311,16 +184,40 @@ func starved(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "retry budget exhausted")
 }
 
+// A tally counts a sweep's schedules: those that completed — starved
+// ones are tolerated, not counted — and, of those, the ones that showed
+// the race at hand; hits sums its count over every schedule.
+type tally struct {
+	completed, completedWithHit int
+	hits                        int64
+}
+
+// note records one schedule's error and race count and returns the
+// error the sweep should see.
+func (c *tally) note(err error, hits int64) error {
+	c.hits += hits
+	if starved(err) {
+		return nil
+	}
+	if err == nil {
+		c.completed++
+		if hits > 0 {
+			c.completedWithHit++
+		}
+	}
+	return err
+}
+
 // TestSweepZeroReclaimWindow systematically explores preemptions
-// around the marked PR-4 window — the gap between the zero scan and
-// the shootdown broadcast in writeBackBatch. Every completed schedule
-// must preserve the toucher's writes and the storage accounting, and
-// at least one completed schedule must actually land a store in the
-// window (ZeroRescues fires), proving the sweep exercised the race
-// rather than passing vacuously.
+// around the marked zero-reclaim window — the gap between the zero
+// scan and the shootdown broadcast in writeBackBatch. Every completed
+// schedule must preserve the toucher's writes and the storage
+// accounting, and at least one completed schedule must actually land
+// a store in the window (ZeroRescues fires), proving the sweep
+// exercised the race rather than passing vacuously.
 func TestSweepZeroReclaimWindow(t *testing.T) {
-	var rescues, zeroEvictions int64
-	completed, completedWithRescue := 0, 0
+	var zeroEvictions int64
+	var c tally
 	maxSched, maxPre := schedsim.EnvBudget(48, 2)
 	rep, err := schedsim.Sweep(schedsim.SweepConfig{
 		MaxSchedules:   maxSched,
@@ -328,25 +225,15 @@ func TestSweepZeroReclaimWindow(t *testing.T) {
 		Window: func(d schedsim.Decision) bool {
 			return d.Point == schedsim.PointMark && d.Detail == "zero-reclaim"
 		},
-	}, func(strat schedsim.Strategy) (*schedsim.Executor, error) {
-		ex, k, err := sweepStorm(strat, 3)
-		var runRescues int64
+	}, func(strat schedsim.Strategy) error {
+		k, err := sweepStorm(strat, 3)
+		var rescues int64
 		if k != nil {
 			st := k.Frames.Stats()
-			runRescues = st.ZeroRescues
-			rescues += runRescues
+			rescues = st.ZeroRescues
 			zeroEvictions += st.ZeroEvictions
 		}
-		if starved(err) {
-			return ex, nil
-		}
-		if err == nil {
-			completed++
-			if runRescues > 0 {
-				completedWithRescue++
-			}
-		}
-		return ex, err
+		return c.note(err, rescues)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -355,18 +242,18 @@ func TestSweepZeroReclaimWindow(t *testing.T) {
 		t.Fatalf("sweep vacuous: no zero-reclaim decisions opened (%d schedules, %d in-window, %d zero evictions)",
 			rep.Schedules, rep.WindowDecisions, zeroEvictions)
 	}
-	if completed == 0 {
+	if c.completed == 0 {
 		t.Fatal("every schedule was starved: the sweep verified nothing")
 	}
-	if completedWithRescue == 0 {
-		t.Fatalf("no completed schedule landed a store in the zero-reclaim window (%d schedules, %d in-window, %d rescues total): the PR-4 race was not exercised",
-			rep.Schedules, rep.WindowDecisions, rescues)
+	if c.completedWithHit == 0 {
+		t.Fatalf("no completed schedule landed a store in the zero-reclaim window (%d schedules, %d in-window, %d rescues total): the race was not exercised",
+			rep.Schedules, rep.WindowDecisions, c.hits)
 	}
 	t.Logf("%d schedules (%d completed, %d with a rescue), %d in-window decisions, %d zero evictions, %d rescues, truncated=%v",
-		rep.Schedules, completed, completedWithRescue, rep.WindowDecisions, zeroEvictions, rescues, rep.Truncated)
+		rep.Schedules, c.completed, c.completedWithHit, rep.WindowDecisions, zeroEvictions, c.hits, rep.Truncated)
 }
 
-// TestSweepQuotaGrowthWindow explores the PR-6 trap-vs-reclaim window:
+// TestSweepQuotaGrowthWindow explores the trap-vs-reclaim window:
 // after the reclaim frees a zero page's record but before the file map
 // records it, a refault sees the quota trap while the map still names
 // a stored record — segment.Grow must refuse with ErrGrowRace and the
@@ -376,8 +263,7 @@ func TestSweepZeroReclaimWindow(t *testing.T) {
 // completes and the retry resolves). GrowRaces in a completed schedule
 // proves the window was entered and survived.
 func TestSweepQuotaGrowthWindow(t *testing.T) {
-	var races int64
-	completed, completedWithRace := 0, 0
+	var c tally
 	maxSched, maxPre := schedsim.EnvBudget(48, 2)
 	rep, err := schedsim.Sweep(schedsim.SweepConfig{
 		MaxSchedules:   maxSched,
@@ -385,23 +271,13 @@ func TestSweepQuotaGrowthWindow(t *testing.T) {
 		Window: func(d schedsim.Decision) bool {
 			return d.Point == schedsim.PointMark
 		},
-	}, func(strat schedsim.Strategy) (*schedsim.Executor, error) {
-		ex, k, err := sweepStorm(strat, 3)
-		var runRaces int64
+	}, func(strat schedsim.Strategy) error {
+		k, err := sweepStorm(strat, 3)
+		var races int64
 		if k != nil {
-			runRaces = k.Cells.Stats().GrowRaces
-			races += runRaces
+			races = k.Cells.Stats().GrowRaces
 		}
-		if starved(err) {
-			return ex, nil
-		}
-		if err == nil {
-			completed++
-			if runRaces > 0 {
-				completedWithRace++
-			}
-		}
-		return ex, err
+		return c.note(err, races)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -409,19 +285,126 @@ func TestSweepQuotaGrowthWindow(t *testing.T) {
 	if rep.WindowDecisions == 0 {
 		t.Fatal("sweep vacuous: no marked decisions in any schedule")
 	}
-	if races == 0 {
-		t.Fatalf("no schedule entered the quota-growth race window (%d schedules, %d in-window decisions): the PR-6 race was not exercised",
+	if c.hits == 0 {
+		t.Fatalf("no schedule entered the quota-growth race window (%d schedules, %d in-window decisions): the race was not exercised",
 			rep.Schedules, rep.WindowDecisions)
 	}
-	if completed == 0 {
+	if c.completed == 0 {
 		t.Fatal("every schedule was starved: the sweep verified nothing")
 	}
-	if completedWithRace == 0 {
+	if c.completedWithHit == 0 {
 		t.Fatalf("the grow race fired only in starved schedules (%d schedules, %d races): no schedule shows the retry resolving correctly",
-			rep.Schedules, races)
+			rep.Schedules, c.hits)
 	}
 	t.Logf("%d schedules (%d completed, %d with a race), %d in-window decisions, %d grow races, truncated=%v",
-		rep.Schedules, completed, completedWithRace, rep.WindowDecisions, races, rep.Truncated)
+		rep.Schedules, c.completed, c.completedWithHit, rep.WindowDecisions, c.hits, rep.Truncated)
+}
+
+// diskSweepStorm races two processors of one process through
+// sequential reads of the same freshly-deactivated file, so every
+// page is a demand read from disk and both tasks contend for every
+// record. It returns an error for any schedule that loses data,
+// double-loads a page, or unbalances the frame tables.
+//
+// The device queue brackets every transfer with two marked decisions —
+// PointDiskQueue when a request joins a pack's elevator queue and
+// PointDisk when its transfer completes. The descriptor-lock hardware
+// must let exactly one processor service each missing page: the loser
+// waits out the lock bit and rereferences, it never queues a second
+// read of the same record into a second frame.
+func diskSweepStorm(t *testing.T, strat schedsim.Strategy, pgs int) error {
+	k := boot(t, func(c *core.Config) {
+		c.Processors = 2
+		c.MemFrames = 64 // roomy: any eviction here would muddy the fault count
+		c.WiredFrames = 8
+		c.RootQuota = 4096
+	})
+	ws := sharedFile(t, k)
+	w0 := ws[0]
+	for pg := 0; pg < pgs; pg++ {
+		if err := k.Write(w0.CPU, w0.Proc, w0.Segno, pg*hw.PageWords, hw.Word(100+pg)); err != nil {
+			return err
+		}
+	}
+	// Force every page out to its disk record: the next touch of any
+	// page is a demand read on the pack's device queue.
+	e, err := w0.Proc.KST().Entry(w0.Segno)
+	if err != nil {
+		return err
+	}
+	if err := k.Segs.Deactivate(e.UID); err != nil {
+		return err
+	}
+	base := k.Frames.Stats()
+	if err := workload.Run(uproc.SimExecutor{Strategy: strat}, ws, func(w *workload.Worker) error {
+		return workload.Scan(k, w, pgs, 100)
+	}); err != nil {
+		return err
+	}
+	st := k.Frames.Stats()
+	if d := st.Evictions - base.Evictions; d != 0 {
+		return fmt.Errorf("unexpected evictions (%d) under a no-pressure configuration", d)
+	}
+	// The pin: pgs distinct pages went from stored to present, so
+	// exactly pgs fault services may have run. One more means a
+	// schedule slipped a second load of an already-serviced record
+	// past the descriptor lock.
+	if d := st.Faults - base.Faults; d != int64(pgs) {
+		return fmt.Errorf("%d fault services for %d distinct pages: a completion raced a second faulter into a double load", d, pgs)
+	}
+	return audited(k)
+}
+
+// diskDecision reports a decision taken at the device queue's enqueue or
+// completion yield point.
+func diskDecision(d schedsim.Decision) bool {
+	return d.Point == schedsim.PointDiskQueue || d.Point == schedsim.PointDisk
+}
+
+// TestSweepDiskCompletionWindow systematically deviates at the device
+// queue's enqueue and completion decisions. Every completed schedule
+// must read correct data with exactly one fault service per page —
+// no double-loads — and the sweep must actually open disk-window
+// decisions, or it verified nothing.
+func TestSweepDiskCompletionWindow(t *testing.T) {
+	var c tally
+	maxSched, maxPre := schedsim.EnvBudget(64, 2)
+	rep, err := schedsim.Sweep(schedsim.SweepConfig{
+		MaxSchedules:   maxSched,
+		MaxPreemptions: maxPre,
+		Window:         diskDecision,
+	}, func(strat schedsim.Strategy) error {
+		return c.note(diskSweepStorm(t, strat, 4), 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WindowDecisions == 0 {
+		t.Fatalf("sweep vacuous: no disk-queue or disk-completion decisions in %d schedules", rep.Schedules)
+	}
+	if c.completed == 0 {
+		t.Fatal("every schedule was starved: the sweep verified nothing")
+	}
+	t.Logf("%d schedules (%d completed), %d in-window decisions, truncated=%v",
+		rep.Schedules, c.completed, rep.WindowDecisions, rep.Truncated)
+}
+
+// TestSweepDiskWindowReplay is the determinism anchor for the disk
+// yield points: the same seeded schedule over the disk storm takes the
+// same decisions, step for step, both times.
+func TestSweepDiskWindowReplay(t *testing.T) {
+	run := func() []schedsim.Decision {
+		rec := schedsim.Record(schedsim.Random(*schedSeed))
+		if err := diskSweepStorm(t, rec, 4); err != nil && !starved(err) {
+			t.Fatal(err)
+		}
+		return rec.Decisions()
+	}
+	d1 := run()
+	sameSchedule(t, d1, run())
+	if !slices.ContainsFunc(d1, diskDecision) {
+		t.Error("no disk-queue or disk-completion decisions in the replayed schedule: the pipeline's yield points are not marked")
+	}
 }
 
 // TestSimExecutorQuantumLoop runs the scheduler's quantum loop under
@@ -429,18 +412,18 @@ func TestSweepQuotaGrowthWindow(t *testing.T) {
 // the work done; the deterministic one must also replay identically.
 func TestSimExecutorQuantumLoop(t *testing.T) {
 	run := func(ex uproc.Executor) (int, error) {
-		k := boot(t, func(c *Config) { c.Processors = 2 })
+		k := boot(t, func(c *core.Config) { c.Processors = 2 })
 		for i := 0; i < 4; i++ {
 			if _, err := k.CreateProcess(fmt.Sprintf("q%d.x", i), aim.Bottom); err != nil {
 				t.Fatal(err)
 			}
 		}
-		dispatched := 0
+		var dispatched atomic.Int64
 		total, err := k.Procs.RunQuantumWith(ex, k.CPUs, 10, func(cpu *hw.Processor, p *uproc.Process) {
-			dispatched++
+			dispatched.Add(1)
 		})
-		if total != dispatched {
-			t.Errorf("executor %s: %d quanta reported, %d bodies run", ex.Name(), total, dispatched)
+		if int64(total) != dispatched.Load() {
+			t.Errorf("executor %s: %d quanta reported, %d bodies run", ex.Name(), total, dispatched.Load())
 		}
 		return total, err
 	}
@@ -461,71 +444,5 @@ func TestSimExecutorQuantumLoop(t *testing.T) {
 	}
 	if again != simTotal {
 		t.Errorf("same seed, different quanta: %d then %d", simTotal, again)
-	}
-}
-
-// TestRetryBudgetObservability freezes the trap-vs-reclaim window in
-// its inconsistent intermediate state — quota trap raised while the
-// file map still names a stored record — so the reference's fault
-// service can never make progress. The retry budget must then become
-// visible twice: the half-budget trace event and counter while the
-// run is still diagnosable, and the distinct wrapped error at
-// exhaustion.
-func TestRetryBudgetObservability(t *testing.T) {
-	k := boot(t, func(c *Config) {
-		c.AssocOff = true // every reference walks the tables and sees the trap
-		c.TraceEvents = 1 << 12
-	})
-	cpu, p := user(t, k, "loop.x", aim.Bottom)
-	if _, err := k.CreateFile(cpu, p, nil, "f", nil, aim.Bottom); err != nil {
-		t.Fatal(err)
-	}
-	segno, err := k.OpenPath(cpu, p, []string{"f"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Materialize page 0: Grow charges quota, allocates its record,
-	// and marks the map stored.
-	if err := k.Write(cpu, p, segno, 0, 7); err != nil {
-		t.Fatal(err)
-	}
-	sdw, err := p.DT().Get(segno)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Freeze the window: not-present plus quota trap, map unchanged.
-	if _, err := sdw.Table.Update(0, func(d *hw.PTW) {
-		d.Present = false
-		d.Frame = 0
-		d.QuotaTrap = true
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	_, err = k.Read(cpu, p, segno, 0)
-	if !errors.Is(err, ErrRetryBudget) {
-		t.Fatalf("got %v, want ErrRetryBudget", err)
-	}
-	if !errors.Is(err, ErrFaultLoop) {
-		t.Errorf("ErrRetryBudget must wrap ErrFaultLoop for existing callers; got %v", err)
-	}
-	half, exhausted := k.RetryStats()
-	if half != 1 || exhausted != 1 {
-		t.Errorf("RetryStats = (%d, %d), want (1, 1)", half, exhausted)
-	}
-	if races := k.Cells.Stats().GrowRaces; races == 0 {
-		t.Error("every retry lost the grow race, but GrowRaces = 0: the counter is not wired to the ErrGrowRace site")
-	}
-	found := false
-	for _, e := range k.Trace.Events() {
-		if e.Kind == trace.EvRetryPressure {
-			found = true
-			if e.Arg2 != 128 {
-				t.Errorf("retry-pressure event at try %d, want 128 (half of the budget)", e.Arg2)
-			}
-		}
-	}
-	if !found {
-		t.Error("no retry-pressure event in the trace: the half-budget warning is not emitted")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // the one place where the handles are given back their type.
 func (k *Kernel) StormOps(ex uproc.Executor, cpus []*hw.Processor) answering.StormOps {
 	return answering.StormOps{
-		RunQuanta: func(n int, body func(proc any)) (int, error) {
+		Quanta: func(n int, body func(proc any)) (int, error) {
 			return k.Procs.RunQuantumWith(ex, cpus, n, func(_ *hw.Processor, p *uproc.Process) {
 				body(p)
 			})

@@ -342,10 +342,10 @@ func TestSweepNoLostWakeupCreditReturn(t *testing.T) {
 			return d.Point == schedsim.PointMark &&
 				(d.Detail == "fnp-deliver" || d.Detail == "fnp-credit")
 		},
-	}, func(strat schedsim.Strategy) (*schedsim.Executor, error) {
+	}, func(strat schedsim.Strategy) error {
 		f, err := New(Config{Connections: 2, Shards: 1})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		var got int
 		ex := schedsim.New(schedsim.Config{Name: "fnp-wakeup", Strategy: strat})
@@ -371,15 +371,15 @@ func TestSweepNoLostWakeupCreditReturn(t *testing.T) {
 			}
 		})
 		if err := ex.Run(); err != nil {
-			return ex, err
+			return err
 		}
 		if got != frames {
-			return ex, fmt.Errorf("consumer saw %d frames, want %d: wakeup lost", got, frames)
+			return fmt.Errorf("consumer saw %d frames, want %d: wakeup lost", got, frames)
 		}
 		if st := f.Stats(); st.Delivered != frames || st.Credits != frames {
-			return ex, fmt.Errorf("stats %+v after clean run", st)
+			return fmt.Errorf("stats %+v after clean run", st)
 		}
-		return ex, nil
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

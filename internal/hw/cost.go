@@ -94,7 +94,8 @@ const MeterCPUs = 64
 // concurrent use (the multiprocessor fault tests run two simulated
 // processors against one meter). Alongside the global total it keeps
 // a per-processor account: cycles accrued by a goroutine bound to a
-// simulated processor (trace.BindCPU) are also charged to that
+// simulated processor (a uproc.Executor binds each it runs) are also
+// charged to that
 // processor, so a parallel run's makespan — the busiest processor's
 // cycles — is measurable. Unbound accrual (the deterministic
 // single-processor mode never binds) costs one extra atomic load.

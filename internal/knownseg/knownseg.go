@@ -282,7 +282,9 @@ func (m *Manager) ServiceMissingSegment(k *KST, dt *hw.DescriptorTable, segno in
 		return err
 	}
 	if _, err := m.segs.Lookup(e.UID); errors.Is(err, segment.ErrNotActive) {
-		if _, err := m.segs.Activate(e.UID, e.Addr, e.Cell, e.HasCell); err != nil {
+		// Another processor may activate it between the lookup and
+		// here; the segment is then active all the same.
+		if _, err := m.segs.Activate(e.UID, e.Addr, e.Cell, e.HasCell); err != nil && !errors.Is(err, segment.ErrAlreadyActive) {
 			return err
 		}
 	} else if err != nil {

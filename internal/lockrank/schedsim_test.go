@@ -75,7 +75,7 @@ func TestSweepViolationFiresInEverySchedule(t *testing.T) {
 		Window: func(d schedsim.Decision) bool {
 			return d.Point == schedsim.PointLock
 		},
-	}, func(strat schedsim.Strategy) (*schedsim.Executor, error) {
+	}, func(strat schedsim.Strategy) error {
 		ex := schedsim.New(schedsim.Config{Name: "lockrank-sweep", Strategy: strat})
 		ex.Go("legal", func() {
 			var top, bot Mutex
@@ -91,16 +91,16 @@ func TestSweepViolationFiresInEverySchedule(t *testing.T) {
 		ex.Go("violator", violate)
 		err := ex.Run()
 		if err == nil {
-			return ex, errorString("schedule completed without the violation panicking")
+			return errorString("schedule completed without the violation panicking")
 		}
 		f, ok := err.(*schedsim.Failure)
 		if !ok || f.Task != "violator" || f.Panic == nil {
-			return ex, err
+			return err
 		}
 		if msg, ok := f.Panic.(string); !ok || !strings.Contains(msg, "must descend the certification order") {
-			return ex, err
+			return err
 		}
-		return ex, nil // the expected panic, in this schedule too
+		return nil // the expected panic, in this schedule too
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,6 +110,12 @@ func TestSweepViolationFiresInEverySchedule(t *testing.T) {
 	}
 	if rep.WindowDecisions == 0 {
 		t.Fatal("sweep vacuous: no lock-acquire decisions were eligible for deviation")
+	}
+	// The sweep reads each schedule's decisions from the strategy it
+	// hands out, not from the executor; the shape of the explored tree
+	// pins that the two logs agree.
+	if rep.Schedules != 17 || rep.WindowDecisions != 45 {
+		t.Errorf("sweep explored %d schedules over %d lock decisions, want 17 over 45", rep.Schedules, rep.WindowDecisions)
 	}
 	t.Logf("%d schedules, %d lock decisions, truncated=%v", rep.Schedules, rep.WindowDecisions, rep.Truncated)
 }

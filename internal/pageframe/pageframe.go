@@ -40,6 +40,7 @@ package pageframe
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -136,6 +137,11 @@ type descKey struct {
 	page int
 }
 
+type recKey struct {
+	pack *disk.Pack
+	rec  disk.RecordAddr
+}
+
 // DefaultFrameBatch is how many frames an allocation moves between the
 // global pool and a processor's local cache, and how many victims one
 // eviction pass gathers for a grouped write-back.
@@ -194,6 +200,14 @@ type Manager struct {
 	// cache mutex.
 	caches [hw.MeterCPUs + 1]frameCache
 
+	// inflight counts, per disk record, the evicted pages whose
+	// write-back has not reached the disk yet. Until it has, the record
+	// holds stale contents: a fault must not read it, and a truncation
+	// must not free it for reuse. wmu is a plain mutex, so the
+	// bookkeeping adds no scheduling decision to the eviction path.
+	wmu      sync.Mutex
+	inflight map[recKey]int
+
 	faults, evictions, zeroEvictions, writeErrors int64
 	zeroRescues                                   int64
 
@@ -242,14 +256,15 @@ func NewManager(mem *hw.Memory, firstFrame int, vps *vproc.Manager, meter *hw.Co
 		return nil, fmt.Errorf("pageframe: first frame %d of %d leaves no pageable memory", firstFrame, mem.Frames())
 	}
 	m := &Manager{
-		mem:     mem,
-		meter:   meter,
-		vps:     vps,
-		first:   firstFrame,
-		frames:  make([]frameInfo, mem.Frames()-firstFrame),
-		unlocks: make(map[descKey]*eventcount.Eventcount),
-		cached:  make(map[descKey]*cachedFrame),
-		Lang:    hw.PLI,
+		mem:      mem,
+		meter:    meter,
+		vps:      vps,
+		first:    firstFrame,
+		frames:   make([]frameInfo, mem.Frames()-firstFrame),
+		unlocks:  make(map[descKey]*eventcount.Eventcount),
+		cached:   make(map[descKey]*cachedFrame),
+		inflight: make(map[recKey]int),
+		Lang:     hw.PLI,
 	}
 	m.mu.Init(ModuleName)
 	for f := mem.Frames() - 1; f >= firstFrame; f-- {
@@ -358,6 +373,12 @@ func (m *Manager) LoadPage(req PageReq) ([]Evicted, error) {
 	if cur.Present {
 		m.finishService(req)
 		return nil, nil
+	}
+	if req.HasRecord {
+		// Another processor may have evicted this page with its
+		// write-back still on the way to the record; reading the record
+		// before it lands would resurrect the page's previous contents.
+		m.AwaitWrite(req.Pack, req.Record)
 	}
 
 	frame := -1
@@ -479,7 +500,16 @@ func (m *Manager) AddPage(req PageReq) (disk.RecordAddr, []Evicted, error) {
 		m.releaseFrame(frame)
 		return 0, ev, err
 	}
+	req.PT.Grow(req.Page + 1)
 	m.mu.Lock()
+	if req.KeepLocked {
+		// Claim the descriptor before the frame joins the in-use table:
+		// the quota path has no hardware-set lock, and an unlocked
+		// in-use frame is a candidate for another processor's eviction
+		// clock, which would disconnect a page not yet published and
+		// leave the publication below pointing at a reused frame.
+		_, _ = req.PT.Update(req.Page, func(d *hw.PTW) { d.Lock = true })
+	}
 	m.frames[frame-m.first] = frameInfo{
 		inUse: true, uid: req.UID, page: req.Page, pt: req.PT,
 		pack: req.Pack, record: rec, hasRecord: true,
@@ -493,9 +523,6 @@ func (m *Manager) AddPage(req PageReq) (disk.RecordAddr, []Evicted, error) {
 		})
 	}
 	m.mu.Unlock()
-	if req.Page >= req.PT.Len() {
-		req.PT.Grow(req.Page + 1)
-	}
 	schedsim.Yield(schedsim.PointPublish, "ptw-new-page")
 	if _, err := req.PT.Update(req.Page, func(d *hw.PTW) {
 		d.Present = true
@@ -757,10 +784,20 @@ type pendingWrite struct {
 // (descriptor made not-present and shot down) before the failure, so
 // the caller can put exactly those frames back in circulation and
 // reinstate the rest. Caller must not hold m.mu.
-func (m *Manager) writeBackBatch(victims []victim) ([]Evicted, int, error) {
-	var evs []Evicted
+func (m *Manager) writeBackBatch(victims []victim) (evs []Evicted, disconnected int, err error) {
 	var dirty []pendingWrite
-	disconnected := 0
+	// Each victim's record is marked in flight before its descriptor
+	// goes not-present, so no processor can fault the page back in from
+	// the record before the write-back lands. A zero page's mark goes
+	// with its record; a dirty page's once its write completes — or
+	// here, if the batch fails before handing the writes off.
+	var marked []recKey
+	handedOff := false
+	defer func() {
+		if !handedOff {
+			m.markWrites(marked, -1)
+		}
+	}()
 	for _, v := range victims {
 		info := v.info
 		// Scan for zeros before disconnecting: a zero page's trap
@@ -770,6 +807,12 @@ func (m *Manager) writeBackBatch(victims []victim) ([]Evicted, int, error) {
 		zero, err := m.mem.FrameIsZero(v.frame)
 		if err != nil {
 			return evs, disconnected, err
+		}
+		var key recKey
+		if info.hasRecord {
+			key = recKey{info.pack, info.record}
+			m.markWrites([]recKey{key}, 1)
+			marked = append(marked, key)
 		}
 		if _, err := info.pt.Update(info.page, func(d *hw.PTW) {
 			d.Present = false
@@ -830,6 +873,8 @@ func (m *Manager) writeBackBatch(victims []victim) ([]Evicted, int, error) {
 			m.zeroEvictions++
 			m.mu.Unlock()
 			if info.hasRecord {
+				marked = marked[:len(marked)-1]
+				m.markWrites([]recKey{key}, -1)
 				if err := info.pack.FreeRecord(info.record); err != nil {
 					return evs, disconnected, err
 				}
@@ -856,9 +901,11 @@ func (m *Manager) writeBackBatch(victims []victim) ([]Evicted, int, error) {
 			if err := m.flushWrites(dirty); err != nil {
 				m.noteWriteError(len(dirty), dirty[0].rec)
 			}
+			m.markWrites(marked, -1)
 		}); err != nil {
 			return evs, disconnected, err
 		}
+		handedOff = true
 		return evs, disconnected, nil
 	}
 	if err := m.flushWrites(dirty); err != nil {
@@ -866,6 +913,44 @@ func (m *Manager) writeBackBatch(victims []victim) ([]Evicted, int, error) {
 		return evs, disconnected, fmt.Errorf("pageframe: writing back %d evicted pages: %w", len(dirty), err)
 	}
 	return evs, disconnected, nil
+}
+
+// markWrites adds delta to each named record's count of evicted pages
+// whose write-back has yet to reach the disk.
+func (m *Manager) markWrites(ks []recKey, delta int) {
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	for _, k := range ks {
+		if m.inflight[k] += delta; m.inflight[k] <= 0 {
+			delete(m.inflight, k)
+		}
+	}
+}
+
+// writing reports whether an evicted page's write-back to the record
+// has yet to reach the disk.
+func (m *Manager) writing(pack *disk.Pack, rec disk.RecordAddr) bool {
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	return m.inflight[recKey{pack, rec}] > 0
+}
+
+// AwaitWrite returns once no evicted page's write-back to the record
+// is outstanding. Until then the record's contents are stale, so it
+// must be neither read nor freed for reuse. A write still queued for
+// the page-writer is run here; one another processor is performing is
+// waited out.
+func (m *Manager) AwaitWrite(pack *disk.Pack, rec disk.RecordAddr) {
+	for m.writing(pack, rec) {
+		if m.Daemons && m.vps != nil {
+			m.vps.RunPending()
+		}
+		if !m.writing(pack, rec) {
+			return
+		}
+		schedsim.Block("write-back in flight", func() bool { return !m.writing(pack, rec) })
+		runtime.Gosched()
+	}
 }
 
 // noteWriteError records a grouped write-back submission that failed

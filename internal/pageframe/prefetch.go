@@ -121,7 +121,7 @@ func (m *Manager) issueReadAhead(req PageReq) {
 		if err != nil {
 			break
 		}
-		if d.Present || d.Lock {
+		if d.Present || d.Lock || m.writing(req.Pack, ra.Record) {
 			continue
 		}
 		key := descKey{req.PT, ra.Page}

@@ -1,7 +1,7 @@
 // Package schedsim is a deterministic virtual-time executor for the
 // simulated multiprocessor.
 //
-// The real-goroutine executor (uproc.RunQuantumParallel) runs one
+// The real-goroutine executor (uproc.GoroutineExecutor) runs one
 // goroutine per hw.Processor and lets the Go scheduler interleave
 // them; that is the right tool for -race throughput, but the
 // interleaving it explores is accidental — the PR-4 zero-reclaim race
@@ -383,10 +383,6 @@ func (ex *Executor) Run() error {
 
 // Decisions returns the recorded schedule. Valid after Run.
 func (ex *Executor) Decisions() []Decision { return ex.decisions }
-
-// Steps returns the virtual time: the number of scheduling decisions
-// taken. Valid after Run.
-func (ex *Executor) Steps() int { return ex.step }
 
 // Seed returns the seed the executor reports in failures.
 func (ex *Executor) Seed() int64 { return ex.seed }

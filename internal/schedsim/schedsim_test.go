@@ -234,7 +234,7 @@ func TestSweepFindsLostUpdate(t *testing.T) {
 		MaxSchedules:   32,
 		MaxPreemptions: 2,
 		Window:         func(d Decision) bool { return d.Point == PointMark },
-	}, func(s Strategy) (*Executor, error) {
+	}, func(s Strategy) error {
 		counter := 0
 		ex := New(Config{Strategy: s})
 		for i := 0; i < 2; i++ {
@@ -245,12 +245,12 @@ func TestSweepFindsLostUpdate(t *testing.T) {
 			})
 		}
 		if err := ex.Run(); err != nil {
-			return ex, err
+			return err
 		}
 		if counter != 2 {
 			lost++
 		}
-		return ex, nil
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +267,9 @@ func TestSweepFindsLostUpdate(t *testing.T) {
 }
 
 // TestSweepReplayIsExact: re-running a deviation prefix must replay
-// the same schedule decisions up to the deviation point.
+// the same schedule decisions up to the deviation point, and the
+// Recorder a sweep reads them from must log exactly what the executor
+// did.
 func TestSweepReplayIsExact(t *testing.T) {
 	build := func(s Strategy) *Executor {
 		ex := New(Config{Strategy: s})
@@ -275,13 +277,17 @@ func TestSweepReplayIsExact(t *testing.T) {
 		ex.Go("b", chatter(5))
 		return ex
 	}
-	base := build(Replay(nil, Sticky()))
+	rec := Record(Replay(nil, Sticky()))
+	base := build(rec)
 	if err := base.Run(); err != nil {
 		t.Fatal(err)
 	}
 	ds := base.Decisions()
 	if len(ds) < 4 {
 		t.Fatalf("baseline too short: %d decisions", len(ds))
+	}
+	if fmt.Sprint(rec.Decisions()) != fmt.Sprint(ds) {
+		t.Fatalf("recorder logged %v, executor took %v", rec.Decisions(), ds)
 	}
 	// Replay the first three baseline choices and check they match.
 	prefix := []int{ds[0].Chosen, ds[1].Chosen, ds[2].Chosen}

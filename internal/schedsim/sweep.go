@@ -65,12 +65,12 @@ type SweepReport struct {
 }
 
 // Sweep explores interleavings around cfg.Window. run must build a
-// fresh system, execute one schedule under the given strategy, and
-// return the executor (for its decision log) plus any error — an
-// executor Failure or a caller assertion. The first error aborts the
-// sweep and is returned wrapped with the deviation prefix that
-// produced it.
-func Sweep(cfg SweepConfig, run func(Strategy) (*Executor, error)) (SweepReport, error) {
+// fresh system and execute one schedule under the given strategy,
+// returning any error — an executor Failure or a caller assertion. The
+// strategy records every decision it takes, so run must hand it to
+// exactly one executor. The first error aborts the sweep and is
+// returned wrapped with the deviation prefix that produced it.
+func Sweep(cfg SweepConfig, run func(Strategy) error) (SweepReport, error) {
 	maxSched := cfg.MaxSchedules
 	if maxSched == 0 {
 		maxSched = 64
@@ -93,12 +93,13 @@ func Sweep(cfg SweepConfig, run func(Strategy) (*Executor, error)) (SweepReport,
 		}
 		pfx := queue[0]
 		queue = queue[1:]
-		ex, err := run(Replay(pfx.choices, cfg.Fallback))
+		rec := Record(Replay(pfx.choices, cfg.Fallback))
+		err := run(rec)
 		rep.Schedules++
 		if err != nil {
 			return rep, fmt.Errorf("sweep schedule (deviation prefix %v): %w", pfx.choices, err)
 		}
-		ds := ex.Decisions()
+		ds := rec.Decisions()
 		if pfx.depth >= maxDev {
 			for i := len(pfx.choices); i < len(ds); i++ {
 				if cfg.Window == nil || cfg.Window(ds[i]) {
@@ -135,3 +136,28 @@ func Sweep(cfg SweepConfig, run func(Strategy) (*Executor, error)) (SweepReport,
 	}
 	return rep, nil
 }
+
+// A Recorder is a Strategy that keeps the log of every decision its
+// inner strategy takes — the same log Executor.Decisions returns — for
+// callers that hand the strategy to an executor they do not hold.
+type Recorder struct {
+	inner     Strategy
+	decisions []Decision
+}
+
+// Record wraps inner in a Recorder.
+func Record(inner Strategy) *Recorder { return &Recorder{inner: inner} }
+
+// Choose implements Strategy.
+func (r *Recorder) Choose(d Decision) int {
+	c := r.inner.Choose(d)
+	if c < 0 || c >= len(d.Runnable) {
+		c = 0
+	}
+	d.Chosen = c
+	r.decisions = append(r.decisions, d)
+	return c
+}
+
+// Decisions returns the recorded schedule.
+func (r *Recorder) Decisions() []Decision { return r.decisions }

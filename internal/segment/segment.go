@@ -58,6 +58,13 @@ var ErrASTFull = errors.New("segment: active segment table full")
 // the active segment table.
 var ErrNotActive = errors.New("segment: not active")
 
+// ErrAlreadyActive is returned by Activate when the segment is already
+// in the active segment table. Two processors that take a
+// missing-segment fault together both find the segment inactive, and
+// the loser of the activation gets this error: the segment it wanted
+// is active, so it goes on as if it had activated it.
+var ErrAlreadyActive = errors.New("segment: already active")
+
 // ErrNoQuotaCell is returned when a segment with no governing quota
 // cell tries to grow.
 var ErrNoQuotaCell = errors.New("segment: no governing quota cell")
@@ -272,7 +279,7 @@ func (m *Manager) Activate(uid uint64, addr disk.SegAddr, cell quota.CellName, h
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.byUID[uid]; ok {
-		return nil, fmt.Errorf("segment: %d already active", uid)
+		return nil, fmt.Errorf("%w: segment %d", ErrAlreadyActive, uid)
 	}
 	slot := -1
 	for i, taken := range m.slots {
@@ -960,6 +967,8 @@ func (m *Manager) Truncate(uid uint64, newPages int) error {
 		return err
 	}
 	for _, rec := range toFree {
+		// A late write-back must not land on the record's next owner.
+		m.frames.AwaitWrite(pack, rec)
 		if err := pack.FreeRecord(rec); err != nil {
 			return err
 		}
@@ -1021,6 +1030,11 @@ func (m *Manager) Delete(uid uint64, addr disk.SegAddr) error {
 		return err
 	}
 	stored := e.Records()
+	for _, fm := range e.Map {
+		if fm.State == disk.PageStored {
+			m.frames.AwaitWrite(pack, fm.Record)
+		}
+	}
 	if err := pack.DeleteEntry(addr.TOC); err != nil {
 		return err
 	}

@@ -114,23 +114,17 @@ func (r *inversionRig) worker(wi, budget int) (err error) {
 }
 
 // run executes the rig's two processors under the given strategy and
-// returns the executor and the first worker error.
-func (r *inversionRig) run(strat schedsim.Strategy, budget int) (*schedsim.Executor, error) {
+// returns the first error.
+func (r *inversionRig) run(strat schedsim.Strategy, budget int) error {
 	ex := schedsim.New(schedsim.Config{Name: "inversion", Strategy: strat})
 	errs := make([]error, 2)
 	for wi := 0; wi < 2; wi++ {
-		wi := wi
 		ex.Go(fmt.Sprintf("cpu%d", wi), func() { errs[wi] = r.worker(wi, budget) })
 	}
 	if err := ex.Run(); err != nil {
-		return ex, err
+		return err
 	}
-	for _, e := range errs {
-		if e != nil {
-			return ex, e
-		}
-	}
-	return ex, nil
+	return errors.Join(errs...)
 }
 
 // TestPriorityInversionWithoutDonation demonstrates the inversion the
@@ -139,7 +133,7 @@ func (r *inversionRig) run(strat schedsim.Strategy, budget int) (*schedsim.Execu
 // holder chain is starved behind the CPU-bound middle priority.
 func TestPriorityInversionWithoutDonation(t *testing.T) {
 	r := newInversionRig(t, false)
-	if _, err := r.run(schedsim.Random(1977), 24); err != nil {
+	if err := r.run(schedsim.Random(1977), 24); err != nil {
 		t.Fatal(err)
 	}
 	if r.hGotB {
@@ -171,24 +165,23 @@ func TestSweepDonationResolvesInversion(t *testing.T) {
 			return d.Point == schedsim.PointMark && d.Detail == "uproc-donate" ||
 				d.Point == schedsim.PointQuantum
 		},
-	}, func(strat schedsim.Strategy) (*schedsim.Executor, error) {
+	}, func(strat schedsim.Strategy) error {
 		r := newInversionRig(t, true)
-		ex, err := r.run(strat, 24)
-		if err != nil {
-			return ex, err
+		if err := r.run(strat, 24); err != nil {
+			return err
 		}
 		if !r.hGotB {
-			return ex, fmt.Errorf("high-priority process never acquired lock B: inversion unresolved")
+			return fmt.Errorf("high-priority process never acquired lock B: inversion unresolved")
 		}
 		st := r.f.m.SchedStats()
 		if st.Donations == 0 {
-			return ex, fmt.Errorf("H acquired lock B with zero donations: scenario degenerated")
+			return fmt.Errorf("H acquired lock B with zero donations: scenario degenerated")
 		}
 		totalDonations += st.Donations
 		if st.MaxDonationDepth > maxDepth {
 			maxDepth = st.MaxDonationDepth
 		}
-		return ex, nil
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

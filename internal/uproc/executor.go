@@ -1,18 +1,23 @@
 package uproc
 
 import (
+	"slices"
+	"strconv"
+	"sync"
+
 	"multics/internal/hw"
 	"multics/internal/schedsim"
 	"multics/internal/trace"
 )
 
-// An Executor runs the per-processor quantum loop: each simulated
-// processor repeatedly dispatches a ready process, runs body with the
-// process bound, and preempts. Two implementations exist:
+// An Executor runs one body per simulated processor, with the
+// goroutine that runs it bound to that processor, so the trace events
+// and cycles of the body are attributed to it. It is the one place a
+// processor is bound. Two implementations exist:
 //
-//   - GoroutineExecutor, the original RunQuantumParallel model — one
-//     real goroutine per hw.Processor, interleaved by the Go runtime.
-//     It exercises real memory orderings and is what -race storms run.
+//   - GoroutineExecutor — one real goroutine per hw.Processor,
+//     interleaved by the Go runtime. It exercises real memory orderings
+//     and is what -race storms run.
 //   - SimExecutor, the deterministic virtual-time model — one
 //     cooperative schedsim task per processor, interleaved by a seeded
 //     strategy at the kernel's yield points. Identical seeds replay
@@ -20,28 +25,37 @@ import (
 type Executor interface {
 	// Name labels the executor in test output and failure reports.
 	Name() string
-	// RunQuanta runs up to n quanta on each processor, returning the
-	// total quanta completed and the first error.
-	RunQuanta(m *Manager, cpus []*hw.Processor, n int, body func(cpu *hw.Processor, p *Process)) (int, error)
+	// Run runs body once per processor and returns when every body
+	// has. Its error is the executor's own (a schedsim Failure); the
+	// bodies report theirs by their own means.
+	Run(cpus []*hw.Processor, body func(cpu *hw.Processor)) error
 }
 
-// GoroutineExecutor is the real-goroutine executor; see
-// RunQuantumParallel.
+// GoroutineExecutor is the real-goroutine executor.
 type GoroutineExecutor struct{}
 
 // Name implements Executor.
 func (GoroutineExecutor) Name() string { return "goroutines" }
 
-// RunQuanta implements Executor.
-func (GoroutineExecutor) RunQuanta(m *Manager, cpus []*hw.Processor, n int, body func(cpu *hw.Processor, p *Process)) (int, error) {
-	return m.RunQuantumParallel(cpus, n, body)
+// Run implements Executor.
+func (GoroutineExecutor) Run(cpus []*hw.Processor, body func(cpu *hw.Processor)) error {
+	var wg sync.WaitGroup
+	for _, cpu := range cpus {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			onCPU(cpu, body)
+		}()
+	}
+	wg.Wait()
+	return nil
 }
 
 // SimExecutor is the deterministic virtual-time executor: the
-// processors run as cooperative schedsim tasks under Strategy
-// (Random(Seed) when nil), yielding at every instrumented kernel
-// point and at each quantum boundary. Any invariant panic or
-// deadlock surfaces as a *schedsim.Failure carrying Seed.
+// processors run as cooperative schedsim tasks named cpu<id> under
+// Strategy (Random(Seed) when nil), yielding at every instrumented
+// kernel point. Any invariant panic or deadlock surfaces as a
+// *schedsim.Failure carrying Seed.
 type SimExecutor struct {
 	Seed     int64
 	Strategy schedsim.Strategy
@@ -50,46 +64,50 @@ type SimExecutor struct {
 // Name implements Executor.
 func (SimExecutor) Name() string { return "schedsim" }
 
-// RunQuanta implements Executor.
-func (e SimExecutor) RunQuanta(m *Manager, cpus []*hw.Processor, n int, body func(cpu *hw.Processor, p *Process)) (int, error) {
+// Run implements Executor.
+func (e SimExecutor) Run(cpus []*hw.Processor, body func(cpu *hw.Processor)) error {
 	ex := schedsim.New(schedsim.Config{
 		Name:     "uproc",
 		Seed:     e.Seed,
 		Strategy: e.Strategy,
 	})
-	// The tasks are serialized by the schedsim token, so the shared
-	// counters need no further synchronization; the token hand-off
-	// orders every access.
-	total := 0
-	var first error
-	for wi, cpu := range cpus {
-		wi, cpu := wi, cpu
-		ex.Go(cpuTaskName(cpu.ID), func() {
-			defer trace.BindCPU(cpu.ID)()
-			ran, err := m.workerLoop(wi, cpu, n, body, true)
-			total += ran
-			if err != nil && first == nil {
-				first = err
-			}
-		})
+	for _, cpu := range cpus {
+		ex.Go("cpu"+strconv.Itoa(cpu.ID), func() { onCPU(cpu, body) })
 	}
-	if err := ex.Run(); err != nil {
-		return total, err
-	}
-	return total, first
+	return ex.Run()
 }
 
-func cpuTaskName(id int) string {
-	// Avoid fmt on the executor setup path; ids are small.
-	const digits = "0123456789"
-	if id < 10 {
-		return "cpu" + digits[id:id+1]
-	}
-	return "cpu" + digits[id/10%10:id/10%10+1] + digits[id%10:id%10+1]
+// onCPU runs body with the calling goroutine bound to cpu.
+func onCPU(cpu *hw.Processor, body func(cpu *hw.Processor)) {
+	defer trace.BindCPU(cpu.ID)()
+	body(cpu)
 }
 
-// RunQuantumWith runs the quantum loop under the given executor; it
-// is RunQuantumParallel with the execution model made pluggable.
+// RunQuantumWith is the true-multiprocessor form of RunQuantum: it
+// runs the quantum loop on every processor under the given executor,
+// each dispatching from its own run queue (stealing when it drains),
+// running body with the process bound to that processor, and
+// preempting. Each processor runs at most n processes; it stops when
+// the ready set drains, and sleeps on the free-pool eventcount when
+// the virtual processors are all busy. The total across processors is
+// returned with the first error, if any.
 func (m *Manager) RunQuantumWith(ex Executor, cpus []*hw.Processor, n int, body func(cpu *hw.Processor, p *Process)) (int, error) {
-	return ex.RunQuanta(m, cpus, n, body)
+	var (
+		mu    sync.Mutex
+		total int
+		first error
+	)
+	err := ex.Run(cpus, func(cpu *hw.Processor) {
+		ran, err := m.workerLoop(slices.Index(cpus, cpu), cpu, n, body)
+		mu.Lock()
+		defer mu.Unlock()
+		total += ran
+		if first == nil {
+			first = err
+		}
+	})
+	if err == nil {
+		err = first
+	}
+	return total, err
 }

@@ -39,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"multics/internal/aim"
@@ -1145,58 +1144,20 @@ func (m *Manager) RunQuantum(n int, body func(*Process)) (int, error) {
 	return ran, nil
 }
 
-// RunQuantumParallel is the true-multiprocessor form of RunQuantum:
-// one goroutine per processor, each dispatching from its own run
-// queue (stealing when it drains), running body with the process
-// bound to that processor, and preempting. Each goroutine runs at
-// most n processes; a goroutine stops when the ready set drains, and
-// sleeps on the free-pool eventcount when the virtual processors are
-// all busy. Trace events emitted inside body are attributed to the
-// running processor. The total across processors is returned with the
-// first real error, if any.
-func (m *Manager) RunQuantumParallel(cpus []*hw.Processor, n int, body func(cpu *hw.Processor, p *Process)) (int, error) {
-	var (
-		wg    sync.WaitGroup
-		total atomic.Int64
-		errMu sync.Mutex
-		first error
-	)
-	for wi, cpu := range cpus {
-		wg.Add(1)
-		go func(wi int, cpu *hw.Processor) {
-			defer wg.Done()
-			defer trace.BindCPU(cpu.ID)()
-			ran, err := m.workerLoop(wi, cpu, n, body, false)
-			total.Add(int64(ran))
-			if err != nil {
-				errMu.Lock()
-				if first == nil {
-					first = err
-				}
-				errMu.Unlock()
-			}
-		}(wi, cpu)
-	}
-	wg.Wait()
-	errMu.Lock()
-	defer errMu.Unlock()
-	return int(total.Load()), first
-}
-
 // workerLoop is one scheduler worker's quantum loop, shared by both
 // executors: dispatch from the worker's run queue, run the body,
-// preempt-if-current. When every virtual processor is busy the worker
-// parks on the free-pool eventcount — but only if some process is
-// running, which proves a release (and advance) is coming; otherwise
-// the pool is exhausted for good and the worker exits.
-func (m *Manager) workerLoop(wi int, cpu *hw.Processor, n int, body func(cpu *hw.Processor, p *Process), sim bool) (int, error) {
+// preempt-if-current. Each quantum boundary is a scheduling decision
+// under the deterministic executor and a no-op otherwise. When every
+// virtual processor is busy the worker parks on the free-pool
+// eventcount — but only if some process is running, which proves a
+// release (and advance) is coming; otherwise the pool is exhausted for
+// good and the worker exits.
+func (m *Manager) workerLoop(wi int, cpu *hw.Processor, n int, body func(cpu *hw.Processor, p *Process)) (int, error) {
 	ss := m.spanSink()
 	qi := wi % len(m.queues)
 	ran := 0
 	for i := 0; i < n; i++ {
-		if sim {
-			schedsim.Yield(schedsim.PointQuantum, "dispatch")
-		}
+		schedsim.Yield(schedsim.PointQuantum, "dispatch")
 		if ss != nil {
 			ss.BeginSpan(trace.SpanQuantum, ModuleName, int64(i))
 		}

@@ -18,9 +18,9 @@ import (
 	"multics/internal/fnp"
 	"multics/internal/hw"
 	"multics/internal/netmux"
-	"multics/internal/schedsim"
 	"multics/internal/trace"
 	"multics/internal/uproc"
+	"multics/internal/workload"
 )
 
 // traceWorkloads drive every instrumented subsystem. The single-CPU
@@ -266,12 +266,12 @@ var traceWorkloads = []struct {
 		// shootdowns must produce byte-identical streams run over run.
 		name: "smp2-sim-storm",
 		cfg:  func(c *Config) { c.Processors = 2; c.MemFrames = 24; c.WiredFrames = 8 },
-		run:  func(t *testing.T, k *Kernel) { simTraceStorm(t, k, 2) },
+		run:  simOscillation,
 	},
 	{
 		name: "smp4-sim-storm",
 		cfg:  func(c *Config) { c.Processors = 4; c.MemFrames = 28; c.WiredFrames = 8 },
-		run:  func(t *testing.T, k *Kernel) { simTraceStorm(t, k, 4) },
+		run:  simOscillation,
 	},
 	{
 		// A miniature login storm through the answering service on
@@ -313,60 +313,17 @@ var traceWorkloads = []struct {
 	},
 }
 
-// simTraceStorm drives one oscillating writer per processor as
-// cooperative tasks of a seeded deterministic executor.
-func simTraceStorm(t *testing.T, k *Kernel, nCPU int) {
+// simOscillation drives one oscillating writer per processor under
+// the seeded deterministic executor.
+func simOscillation(t *testing.T, k *Kernel) {
 	t.Helper()
-	type worker struct {
-		cpu   *hw.Processor
-		p     *uproc.Process
-		segno int
+	ws, err := workload.NewWorkers(k, len(k.CPUs), workload.Files{Prefix: "det"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var ws []*worker
-	for i := 0; i < nCPU; i++ {
-		p, err := k.CreateProcess(fmt.Sprintf("det%d.x", i), Bottom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cpu := k.CPUs[i]
-		k.Attach(cpu, p)
-		name := fmt.Sprintf("det%d", i)
-		if _, err := k.CreateFile(cpu, p, nil, name, nil, Bottom); err != nil {
-			t.Fatal(err)
-		}
-		segno, err := k.OpenPath(cpu, p, []string{name})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws = append(ws, &worker{cpu: cpu, p: p, segno: segno})
-	}
-	ex := schedsim.New(schedsim.Config{Name: "trace-storm", Seed: 1977})
-	for wi, w := range ws {
-		wi, w := wi, w
-		ex.Go(fmt.Sprintf("cpu%d", w.cpu.ID), func() {
-			defer trace.BindCPU(w.cpu.ID)()
-			for r := 0; r < 3; r++ {
-				for pg := 0; pg < 6; pg++ {
-					off := pg * hw.PageWords
-					v := hw.Word(1 + wi*100 + r)
-					if err := k.Write(w.cpu, w.p, w.segno, off, v); err != nil {
-						panic(fmt.Sprintf("write: %v", err))
-					}
-					got, err := k.Read(w.cpu, w.p, w.segno, off)
-					if err != nil {
-						panic(fmt.Sprintf("read: %v", err))
-					}
-					if got != v {
-						panic(fmt.Sprintf("lost write: page %d read %d, want %d", pg, got, v))
-					}
-					if err := k.Write(w.cpu, w.p, w.segno, off, 0); err != nil {
-						panic(fmt.Sprintf("re-zero: %v", err))
-					}
-				}
-			}
-		})
-	}
-	if err := ex.Run(); err != nil {
+	if err := workload.Run(uproc.SimExecutor{Seed: 1977}, ws, func(w *workload.Worker) error {
+		return workload.Oscillate(k, w, 3, 6)
+	}); err != nil {
 		t.Fatal(err)
 	}
 }
