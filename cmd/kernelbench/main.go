@@ -24,6 +24,7 @@
 // -compare OLD.json the run diffs its cycle figures against a previous
 // report and exits non-zero when any has regressed by more than 10%,
 // so a committed baseline turns the benchmark into a gate.
+// -cpuprofile and -memprofile write host-clock profiles of the run.
 package main
 
 import (
@@ -48,6 +49,7 @@ import (
 	"multics/internal/lockrank"
 	"multics/internal/netmux"
 	"multics/internal/pageframe"
+	"multics/internal/profile"
 	"multics/internal/trace"
 	"multics/internal/uproc"
 	"multics/internal/workload"
@@ -69,7 +71,11 @@ func record(name string, metrics map[string]any) {
 func main() {
 	jsonPath := flag.String("json", "BENCH_kernel.json", "write machine-readable results to this path (empty disables)")
 	comparePath := flag.String("compare", "", "diff cycle figures against this previous report; exit non-zero on a >10% regression")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of P1..P16 to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile taken after P16 to this file")
 	flag.Parse()
+	stopProfile, err := profile.Start(*cpuProfile, *memProfile)
+	check(err)
 	fmt.Println("kernelbench: deterministic simulated-cycle comparisons")
 	fmt.Println()
 	p1()
@@ -88,6 +94,7 @@ func main() {
 	p14()
 	p15()
 	p16()
+	check(stopProfile())
 	if *jsonPath != "" {
 		out, err := json.MarshalIndent(map[string]any{"benchmarks": results}, "", "  ")
 		check(err)

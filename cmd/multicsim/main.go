@@ -20,6 +20,7 @@ import (
 	"multics/internal/fnp"
 	"multics/internal/hw"
 	"multics/internal/netmux"
+	"multics/internal/profile"
 	"multics/internal/schedsim"
 	"multics/internal/uproc"
 	"multics/internal/workload"
@@ -38,7 +39,13 @@ func main() {
 	storm := flag.Bool("storm", false, "drive a login/timesharing storm of -users users through the answering service instead of the scripted file workload")
 	connections := flag.Int("connections", 0, "when positive, attach the front-end communications processor and storm this many terminal connections through the demultiplexer")
 	slowConsumers := flag.Int("slow-consumers", 0, "connections (of -connections) whose consumers never return credits: their lines throttle and drop, everyone else keeps a full window")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run, up to the audit, to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile taken before the audit to this file")
 	flag.Parse()
+	stopProfile, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fatal("profile", err)
+	}
 
 	cfg := core.DefaultConfig()
 	cfg.MemFrames = *frames
@@ -184,6 +191,9 @@ func main() {
 	fmt.Printf("    simulated cycles:         %d\n", k.Meter.Cycles())
 
 	topTalkers(k)
+	if err := stopProfile(); err != nil {
+		fatal("profile", err)
+	}
 
 	if *runAudit {
 		fmt.Println("\nPost-workload audit:")

@@ -111,11 +111,31 @@ type Service struct {
 	meter  *hw.CostMeter
 	create CreateProcess
 
-	mu      sync.Mutex
-	users   map[string]user
-	records []SessionRecord
+	mu    sync.Mutex
+	users map[string]user
+	// records is the accounting log, one entry per login in login
+	// order. An entry names its principal and label by their index in
+	// accounts, so the log grows by a fixed 24 bytes per login.
+	records  []record
+	accounts []account
+	byAcct   map[account]int32
 	// Salt for password hashing; fixed per system.
 	salt uint64
+}
+
+// An account is a (principal, label) pair sessions are logged under.
+type account struct {
+	principal string
+	label     aim.Label
+}
+
+// A record is one accounting log entry; Records expands it into a
+// SessionRecord.
+type record struct {
+	acct        int32
+	open        bool
+	loginCycles int64
+	cpuUsed     int64
 }
 
 // New returns an answering service in the given configuration.
@@ -125,6 +145,7 @@ func New(mode Mode, meter *hw.CostMeter, create CreateProcess) *Service {
 		meter:  meter,
 		create: create,
 		users:  make(map[string]user),
+		byAcct: make(map[account]int32),
 		salt:   0x6180a13,
 	}
 }
@@ -185,12 +206,14 @@ func (s *Service) Login(principal, password string, label aim.Label) (*Session, 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.records = append(s.records, SessionRecord{
-		Principal:   principal,
-		Label:       label,
-		LoginCycles: s.meter.Since(start),
-		Open:        true,
-	})
+	a := account{principal, label}
+	id, ok := s.byAcct[a]
+	if !ok {
+		id = int32(len(s.accounts))
+		s.accounts = append(s.accounts, a)
+		s.byAcct[a] = id
+	}
+	s.records = append(s.records, record{acct: id, open: true, loginCycles: s.meter.Since(start)})
 	return &Session{Principal: principal, Label: label, Process: proc, record: len(s.records) - 1}, nil
 }
 
@@ -198,11 +221,11 @@ func (s *Service) Login(principal, password string, label aim.Label) (*Session, 
 func (s *Service) Logout(sess *Session, cpuUsed int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sess == nil || sess.record < 0 || sess.record >= len(s.records) || !s.records[sess.record].Open {
+	if sess == nil || sess.record < 0 || sess.record >= len(s.records) || !s.records[sess.record].open {
 		return errors.New("answering: no such open session")
 	}
-	s.records[sess.record].CPUUsed = cpuUsed
-	s.records[sess.record].Open = false
+	s.records[sess.record].cpuUsed = cpuUsed
+	s.records[sess.record].open = false
 	return nil
 }
 
@@ -210,5 +233,13 @@ func (s *Service) Logout(sess *Session, cpuUsed int64) error {
 func (s *Service) Records() []SessionRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]SessionRecord(nil), s.records...)
+	out := make([]SessionRecord, len(s.records))
+	for i, r := range s.records {
+		a := s.accounts[r.acct]
+		out[i] = SessionRecord{
+			Principal: a.principal, Label: a.label,
+			LoginCycles: r.loginCycles, CPUUsed: r.cpuUsed, Open: r.open,
+		}
+	}
+	return out
 }

@@ -446,3 +446,84 @@ func TestSimExecutorQuantumLoop(t *testing.T) {
 		t.Errorf("same seed, different quanta: %d then %d", simTotal, again)
 	}
 }
+
+// dropSweepStorm races a truncation against demand faults on one
+// freshly-deactivated file: one processor scans the file back in while
+// the other truncates it to nothing, so a truncation's DropPage can
+// land between a fault's frame going in use and its descriptor going
+// present. The scan stops once the truncation has begun: a reference
+// racing the truncation of its own page is not under test, the
+// in-flight fault is.
+func dropSweepStorm(t *testing.T, strat schedsim.Strategy, pgs int) (inFlight int64, err error) {
+	k := boot(t, func(c *core.Config) {
+		c.Processors = 2
+		c.MemFrames = 64
+		c.WiredFrames = 8
+		c.RootQuota = 4096
+	})
+	ws := sharedFile(t, k)
+	w0 := ws[0]
+	for pg := 0; pg < pgs; pg++ {
+		if err := k.Write(w0.CPU, w0.Proc, w0.Segno, pg*hw.PageWords, hw.Word(100+pg)); err != nil {
+			return 0, err
+		}
+	}
+	e, err := w0.Proc.KST().Entry(w0.Segno)
+	if err != nil {
+		return 0, err
+	}
+	if err := k.Segs.Deactivate(e.UID); err != nil {
+		return 0, err
+	}
+	// The token orders every access to truncating. inFlight counts the
+	// reads the truncation began under.
+	truncating := false
+	if err := workload.Run(uproc.SimExecutor{Strategy: strat}, ws, func(w *workload.Worker) error {
+		if w != w0 {
+			truncating = true
+			return k.Truncate(w.CPU, w.Proc, w.Segno, 0)
+		}
+		for pg := 0; pg < pgs && !truncating; pg++ {
+			if _, err := k.Read(w.CPU, w.Proc, w.Segno, pg*hw.PageWords); err != nil {
+				return err
+			}
+			if truncating {
+				inFlight++
+			}
+		}
+		return nil
+	}); err != nil {
+		return inFlight, err
+	}
+	return inFlight, audited(k)
+}
+
+// TestSweepDropPageInPublishWindow sweeps preemptions at the
+// ptw-present publication point, where a fault's frame is in use but
+// its descriptor not yet present: a truncation dropping the page there
+// must leave every audit clean.
+func TestSweepDropPageInPublishWindow(t *testing.T) {
+	var c tally
+	maxSched, maxPre := schedsim.EnvBudget(48, 2)
+	rep, err := schedsim.Sweep(schedsim.SweepConfig{
+		MaxSchedules:   maxSched,
+		MaxPreemptions: maxPre,
+		Window: func(d schedsim.Decision) bool {
+			return d.Point == schedsim.PointPublish && d.Detail == "ptw-present"
+		},
+	}, func(strat schedsim.Strategy) error {
+		inFlight, err := dropSweepStorm(t, strat, 4)
+		return c.note(err, inFlight)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WindowDecisions == 0 {
+		t.Fatalf("sweep vacuous: no ptw-present decisions in %d schedules", rep.Schedules)
+	}
+	if c.completedWithHit == 0 {
+		t.Fatalf("no completed schedule began the truncation under an in-flight fault (%d schedules): the window was not exercised", rep.Schedules)
+	}
+	t.Logf("%d schedules (%d completed, %d truncating under a fault), %d in-window decisions, truncated=%v",
+		rep.Schedules, c.completed, c.completedWithHit, rep.WindowDecisions, rep.Truncated)
+}

@@ -1,20 +1,20 @@
 // Package goid identifies the current goroutine.
 //
-// Go deliberately provides no goroutine-local storage, but two kernel
-// mechanisms need to know "which execution context am I in": the
-// ranked-lock checker keeps a per-goroutine stack of held locks, and
-// the trace recorder attributes events to the simulated processor a
-// goroutine is driving. Both key their side tables by the goroutine
-// id parsed from the runtime's stack header — the standard trick,
-// confined to this one package so the rest of the kernel never sees
-// it.
+// Go deliberately provides no goroutine-local storage. The kernel asks
+// "which execution context am I in?" through schedsim.Self, which
+// answers from the deterministic executor's token when the caller is
+// one of its tasks, and only off-task — the goroutine executor's
+// goroutines and raw goroutines in tests, the truly concurrent callers
+// — falls back to the goroutine id parsed here from the runtime's
+// stack header. That off-task branch is this package's one caller.
 package goid
 
 import "runtime"
 
-// ID returns the current goroutine's id. It costs one shallow
-// runtime.Stack call (a few hundred nanoseconds), so callers on hot
-// paths should provide a way to switch themselves off.
+// ID returns the current goroutine's id. It is not cheap:
+// runtime.Stack walks and formats every frame of the calling goroutine
+// whatever the buffer size, so the cost grows with the depth of the
+// call — deep kernel paths pay microseconds per call.
 func ID() uint64 {
 	var buf [32]byte
 	n := runtime.Stack(buf[:], false)

@@ -93,12 +93,12 @@ const MeterCPUs = 64
 // A CostMeter accumulates simulated machine cycles. It is safe for
 // concurrent use (the multiprocessor fault tests run two simulated
 // processors against one meter). Alongside the global total it keeps
-// a per-processor account: cycles accrued by a goroutine bound to a
+// a per-processor account: cycles accrued by a context bound to a
 // simulated processor (a uproc.Executor binds each it runs) are also
 // charged to that
 // processor, so a parallel run's makespan — the busiest processor's
 // cycles — is measurable. Unbound accrual (the deterministic
-// single-processor mode never binds) costs one extra atomic load.
+// single-processor mode never binds) costs two extra atomic loads.
 type CostMeter struct {
 	cycles atomic.Int64
 	percpu [MeterCPUs]atomic.Int64

@@ -31,7 +31,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"multics/internal/goid"
 	"multics/internal/schedsim"
 )
 
@@ -182,24 +181,43 @@ func Table() []Entry {
 	return out
 }
 
-// held tracks, per goroutine, the ranked locks currently held. The
-// table is sharded so the checker does not itself serialize the
+// held tracks, per execution context, the ranked locks currently
+// held. A task of the deterministic executor keeps its stack on the
+// task (schedsim.Local); off-task, stacks live in a table keyed by
+// goroutine id, sharded so the checker does not itself serialize the
 // processors it is checking.
 const heldShards = 64
 
-type holder struct {
-	rank Rank
-	name string
-}
-
 type shard struct {
 	mu   sync.Mutex
-	held map[uint64][]holder
+	held map[uint64][]schedsim.HeldLock
 }
 
 var shards [heldShards]shard
 
 func shardFor(g uint64) *shard { return &shards[g%heldShards] }
+
+// withHeld runs fn on the calling context's held stack and stores the
+// stack fn returns.
+func withHeld(fn func([]schedsim.HeldLock) []schedsim.HeldLock) {
+	if l := schedsim.Current(); l != nil {
+		l.Held = fn(l.Held)
+		return
+	}
+	g := schedsim.Self().Goroutine()
+	s := shardFor(g)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	stack := fn(s.held[g])
+	if len(stack) == 0 {
+		delete(s.held, g)
+		return
+	}
+	if s.held == nil {
+		s.held = make(map[uint64][]schedsim.HeldLock)
+	}
+	s.held[g] = stack
+}
 
 // A Mutex is a mutual-exclusion lock ranked by its owning module's
 // certification layer. The zero value is usable as an unranked plain
@@ -263,7 +281,7 @@ func (m *Mutex) Rank() Rank {
 }
 
 // pushHeld checks the acquisition order and records the lock on the
-// calling goroutine's held stack. It reports whether an entry was
+// calling context's held stack. It reports whether an entry was
 // pushed (checking on and the lock ranked); a rank violation panics.
 func (m *Mutex) pushHeld() bool {
 	if !checking.Load() {
@@ -273,45 +291,31 @@ func (m *Mutex) pushHeld() bool {
 	if r == Unranked {
 		return false
 	}
-	g := goid.ID()
-	s := shardFor(g)
-	s.mu.Lock()
-	for _, h := range s.held[g] {
-		if h.rank <= r {
-			violation := fmt.Sprintf(
-				"lockrank: acquiring %s (rank %d) while holding %s (rank %d): lock acquisition must descend the certification order",
-				m.Name(), r, h.name, h.rank)
-			s.mu.Unlock()
-			panic(violation)
+	name := m.Name()
+	withHeld(func(stack []schedsim.HeldLock) []schedsim.HeldLock {
+		for _, h := range stack {
+			if Rank(h.Rank) <= r {
+				panic(fmt.Sprintf(
+					"lockrank: acquiring %s (rank %d) while holding %s (rank %d): lock acquisition must descend the certification order",
+					name, r, h.Name, h.Rank))
+			}
 		}
-	}
-	if s.held == nil {
-		s.held = make(map[uint64][]holder)
-	}
-	s.held[g] = append(s.held[g], holder{rank: r, name: m.Name()})
-	s.mu.Unlock()
+		return append(stack, schedsim.HeldLock{Rank: int(r), Name: name})
+	})
 	return true
 }
 
-// popHeld removes the lock's entry from the calling goroutine's held
+// popHeld removes the lock's entry from the calling context's held
 // stack, innermost first.
 func popHeld(name string) {
-	g := goid.ID()
-	s := shardFor(g)
-	s.mu.Lock()
-	stack := s.held[g]
-	for i := len(stack) - 1; i >= 0; i-- {
-		if stack[i].name == name {
-			stack = append(stack[:i], stack[i+1:]...)
-			break
+	withHeld(func(stack []schedsim.HeldLock) []schedsim.HeldLock {
+		for i := len(stack) - 1; i >= 0; i-- {
+			if stack[i].Name == name {
+				return append(stack[:i], stack[i+1:]...)
+			}
 		}
-	}
-	if len(stack) == 0 {
-		delete(s.held, g)
-	} else {
-		s.held[g] = stack
-	}
-	s.mu.Unlock()
+		return stack
+	})
 }
 
 // Lock acquires the mutex. With checking on, acquiring while the
@@ -359,15 +363,14 @@ func (m *Mutex) Unlock() {
 }
 
 // HeldByCaller returns the names of the ranked locks the calling
-// goroutine currently holds, innermost last — a debugging aid.
+// context currently holds, innermost last — a debugging aid.
 func HeldByCaller() []string {
-	g := goid.ID()
-	s := shardFor(g)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var out []string
-	for _, h := range s.held[g] {
-		out = append(out, h.name)
-	}
+	withHeld(func(stack []schedsim.HeldLock) []schedsim.HeldLock {
+		for _, h := range stack {
+			out = append(out, h.Name)
+		}
+		return stack
+	})
 	return out
 }

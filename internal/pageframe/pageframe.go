@@ -186,6 +186,11 @@ type Manager struct {
 	clock   int
 	unlocks map[descKey]*eventcount.Eventcount
 
+	// resident indexes the in-use frames by the page they hold:
+	// (pt, page) to index into frames. setFrameLocked keeps it in
+	// step with every frame table write.
+	resident map[descKey]int
+
 	// The speculative read-ahead cache (see prefetch.go): cached
 	// indexes prefetched-but-unclaimed frames by descriptor, cacheRing
 	// is the same entries in Clock order, and cacheHand is the
@@ -194,7 +199,7 @@ type Manager struct {
 	cacheRing []*cachedFrame
 	cacheHand int
 
-	// caches[i] belongs to the goroutine bound to simulated
+	// caches[i] belongs to the context bound to simulated
 	// processor i-1; slot 0 serves unbound callers. The lock order
 	// is m.mu before any cache mutex; the fast path takes only the
 	// cache mutex.
@@ -261,6 +266,7 @@ func NewManager(mem *hw.Memory, firstFrame int, vps *vproc.Manager, meter *hw.Co
 		vps:      vps,
 		first:    firstFrame,
 		frames:   make([]frameInfo, mem.Frames()-firstFrame),
+		resident: make(map[descKey]int),
 		unlocks:  make(map[descKey]*eventcount.Eventcount),
 		cached:   make(map[descKey]*cachedFrame),
 		inflight: make(map[recKey]int),
@@ -422,10 +428,10 @@ func (m *Manager) LoadPage(req PageReq) ([]Evicted, error) {
 	// the sequence.
 	m.issueReadAhead(req)
 	m.mu.Lock()
-	m.frames[frame-m.first] = frameInfo{
+	m.setFrameLocked(frame-m.first, frameInfo{
 		inUse: true, uid: req.UID, page: req.Page, pt: req.PT,
 		pack: req.Pack, record: req.Record, hasRecord: req.HasRecord,
-	}
+	})
 	m.faults++
 	if m.sink != nil {
 		from := int64(0) // zero page
@@ -510,10 +516,10 @@ func (m *Manager) AddPage(req PageReq) (disk.RecordAddr, []Evicted, error) {
 		// leave the publication below pointing at a reused frame.
 		_, _ = req.PT.Update(req.Page, func(d *hw.PTW) { d.Lock = true })
 	}
-	m.frames[frame-m.first] = frameInfo{
+	m.setFrameLocked(frame-m.first, frameInfo{
 		inUse: true, uid: req.UID, page: req.Page, pt: req.PT,
 		pack: req.Pack, record: rec, hasRecord: true,
-	}
+	})
 	m.faults++
 	if m.sink != nil {
 		m.sink.Emit(trace.Event{
@@ -614,7 +620,7 @@ func (m *Manager) batch() int {
 	return DefaultFrameBatch
 }
 
-// cache returns the calling goroutine's frame cache: the one of the
+// cache returns the calling context's frame cache: the one of the
 // simulated processor it is bound to, or slot 0 when unbound.
 func (m *Manager) cache() *frameCache {
 	return &m.caches[int(trace.BoundCPU())%len(m.caches)]
@@ -695,7 +701,7 @@ func (m *Manager) obtainFrame() (int, []Evicted, error) {
 			break
 		}
 		victims = append(victims, victim{frame: vf, info: m.frames[vf-m.first]})
-		m.frames[vf-m.first] = frameInfo{}
+		m.setFrameLocked(vf-m.first, frameInfo{})
 		m.evictions++
 	}
 	m.mu.Unlock()
@@ -1010,7 +1016,7 @@ func (m *Manager) flushWrites(dirty []pendingWrite) error {
 func (m *Manager) releaseFrame(frame int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.frames[frame-m.first] = frameInfo{}
+	m.setFrameLocked(frame-m.first, frameInfo{})
 	m.free = append(m.free, frame)
 }
 
@@ -1028,10 +1034,23 @@ func (m *Manager) recoverVictims(victims []victim, disconnected int) {
 		if i < disconnected {
 			m.free = append(m.free, v.frame)
 		} else {
-			m.frames[v.frame-m.first] = v.info
+			m.setFrameLocked(v.frame-m.first, v.info)
 			m.evictions--
 		}
 	}
+}
+
+// setFrameLocked writes entry i of the frame table and keeps the
+// resident index in step with it. Every frame table write goes through
+// it. Caller holds m.mu.
+func (m *Manager) setFrameLocked(i int, fi frameInfo) {
+	if old := m.frames[i]; old.inUse {
+		delete(m.resident, descKey{old.pt, old.page})
+	}
+	if fi.inUse {
+		m.resident[descKey{fi.pt, fi.page}] = i
+	}
+	m.frames[i] = fi
 }
 
 // ReleaseSegment evicts every resident page belonging to pt, writing
@@ -1044,12 +1063,15 @@ func (m *Manager) ReleaseSegment(pt *hw.PageTable) ([]Evicted, error) {
 	m.purgeCached(pt, 0, true)
 	var out []Evicted
 	for {
+		// Release in frame order, lowest first: each pass looks up
+		// pt's pages in the resident index, so it costs O(pages)
+		// whatever the size of memory.
+		pages := pt.Len()
 		m.mu.Lock()
 		idx := -1
-		for i := range m.frames {
-			if m.frames[i].inUse && m.frames[i].pt == pt {
+		for page := 0; page < pages; page++ {
+			if i, ok := m.resident[descKey{pt, page}]; ok && (idx < 0 || i < idx) {
 				idx = i
-				break
 			}
 		}
 		if idx < 0 {
@@ -1057,7 +1079,7 @@ func (m *Manager) ReleaseSegment(pt *hw.PageTable) ([]Evicted, error) {
 			return out, nil
 		}
 		info := m.frames[idx]
-		m.frames[idx] = frameInfo{}
+		m.setFrameLocked(idx, frameInfo{})
 		m.evictions++
 		m.mu.Unlock()
 
@@ -1117,9 +1139,10 @@ func (m *Manager) SampleWorkingSets() (map[uint64]int, int) {
 
 // Audit checks the manager's own invariants and returns a description
 // of every violation: the free list and the in-use frame table must
-// partition the pageable frames exactly, and every in-use frame's page
-// descriptor must point back at that frame. It is one module's share
-// of the paper's audit prong.
+// partition the pageable frames exactly, every in-use frame's page
+// descriptor must point back at that frame, and the resident index
+// must name exactly the in-use frames. It is one module's share of the
+// paper's audit prong.
 func (m *Manager) Audit() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -1180,6 +1203,7 @@ func (m *Manager) Audit() []string {
 			bad = append(bad, fmt.Sprintf("cached frame %d carries the reference bit but no queued read", frame))
 		}
 	}
+	inUse := 0
 	for i, fi := range m.frames {
 		frame := m.first + i
 		if !fi.inUse {
@@ -1187,6 +1211,10 @@ func (m *Manager) Audit() []string {
 				bad = append(bad, fmt.Sprintf("frame %d neither free nor in use", frame))
 			}
 			continue
+		}
+		inUse++
+		if got, ok := m.resident[descKey{fi.pt, fi.page}]; !ok || got != i {
+			bad = append(bad, fmt.Sprintf("frame %d holds page %d of segment %d but the resident index does not name it", frame, fi.page, fi.uid))
 		}
 		if _, ok := seen[frame]; ok {
 			continue // already reported as both
@@ -1201,6 +1229,9 @@ func (m *Manager) Audit() []string {
 			bad = append(bad, fmt.Sprintf("frame %d holds page %d of segment %d but its descriptor says present=%v frame=%d", frame, fi.page, fi.uid, d.Present, d.Frame))
 		}
 	}
+	if len(m.resident) != inUse {
+		bad = append(bad, fmt.Sprintf("resident index holds %d pages but %d frames are in use", len(m.resident), inUse))
+	}
 	return bad
 }
 
@@ -1213,17 +1244,25 @@ func (m *Manager) DropPage(pt *hw.PageTable, page int) {
 	// page is resident: its record goes back to the pack's free pool
 	// and may be reallocated immediately.
 	m.purgeCached(pt, page, false)
+	key := descKey{pt, page}
 	m.mu.Lock()
-	found := -1
-	for i := range m.frames {
-		if m.frames[i].inUse && m.frames[i].pt == pt && m.frames[i].page == page {
-			m.frames[i] = frameInfo{}
-			found = i
-			break
-		}
+	found, ok := m.resident[key]
+	for ok && !published(pt, page, m.first+found) {
+		// A fault service has put the frame in use and not yet made
+		// the descriptor present (LoadPage and AddPage yield between
+		// the two). Dropping the frame now would let that publication
+		// map a free frame; wait for it, then drop the published page.
+		m.mu.Unlock()
+		schedsim.Block("ptw publication", func() bool { return published(pt, page, -1) })
+		runtime.Gosched()
+		m.mu.Lock()
+		found, ok = m.resident[key]
+	}
+	if ok {
+		m.setFrameLocked(found, frameInfo{})
 	}
 	m.mu.Unlock()
-	if found < 0 {
+	if !ok {
 		return
 	}
 	_, _ = pt.Update(page, func(d *hw.PTW) { *d = hw.PTW{} })
@@ -1231,4 +1270,11 @@ func (m *Manager) DropPage(pt *hw.PageTable, page int) {
 	m.mu.Lock()
 	m.free = append(m.free, m.first+found)
 	m.mu.Unlock()
+}
+
+// published reports whether the page's descriptor is present and, for
+// a frame other than -1, maps that frame.
+func published(pt *hw.PageTable, page, frame int) bool {
+	d, err := pt.Get(page)
+	return err == nil && d.Present && (frame < 0 || d.Frame == frame)
 }

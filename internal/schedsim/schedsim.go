@@ -31,11 +31,25 @@
 //     alternative decision around a marked critical window,
 //     model-checking style, within configured bounds.
 //
-// Kernel code never imports an executor instance: the hooks (Yield,
-// Block, LockAcquire) look up the calling goroutine in the active
-// executor's task registry and are no-ops — one atomic load — for
-// ordinary goroutines. The same kernel binary therefore runs
-// identically under real goroutines and under the simulator.
+// Kernel code never imports an executor instance. Each task records
+// itself as the active executor's running task when it takes the
+// token, so "which execution context am I?" is one atomic load and a
+// field read: the hooks (Yield, Block, LockAcquire) act for the token
+// holder, and with no executor running they are no-ops. The same
+// kernel binary therefore runs identically under real goroutines and
+// under the simulator.
+//
+// The precondition is that while an executor runs, only its tasks
+// enter hooked code: a goroutine that is not the token holder would
+// be taken for it. uproc.GoroutineExecutor, the kernel's only other
+// source of goroutines, refuses to start while an executor runs, and
+// under -race any other goroutine that reads the holder is reported.
+//
+// A task also carries the kernel's per-processor state (Local): the
+// processor binding trace attribution reads and the held-lock stack
+// lockrank checks, the simulation's counterpart of the paper's
+// per-processor wired table. Self names the calling context for the
+// consumers that must also serve real goroutines.
 package schedsim
 
 import (
@@ -271,6 +285,25 @@ type task struct {
 	state taskState
 	ready func() bool
 	why   string
+	local Local
+}
+
+// Local is the per-processor state kernel packages keep on the task
+// that runs a processor. Only the task itself reads or writes it, so
+// it needs no lock.
+type Local struct {
+	// CPU is the processor the task is bound to for attribution
+	// (trace.BindCPU), as its id plus one; zero when unbound.
+	CPU int32
+	// Held is the task's stack of held ranked locks (package
+	// lockrank), innermost last.
+	Held []HeldLock
+}
+
+// A HeldLock is one entry of a held-lock stack.
+type HeldLock struct {
+	Rank int
+	Name string
 }
 
 // An Executor runs a set of tasks — simulated processors — under a
@@ -285,12 +318,11 @@ type Executor struct {
 
 	tasks []*task
 
-	regMu  sync.Mutex
-	byGoid map[uint64]*task
-
 	// The fields below are only touched by the token holder (or by
 	// Run while every task is parked), so token hand-off over the
-	// gate channels orders all access.
+	// gate channels orders all access. holder is the task that holds
+	// the token, set by each task as it takes it.
+	holder    *task
 	step      int
 	decisions []Decision
 	aborting  bool
@@ -329,7 +361,6 @@ func New(cfg Config) *Executor {
 		seed:     cfg.Seed,
 		strategy: st,
 		maxSteps: maxSteps,
-		byGoid:   make(map[uint64]*task),
 		done:     make(chan struct{}),
 	}
 }
@@ -389,12 +420,8 @@ func (ex *Executor) Seed() int64 { return ex.seed }
 
 func (t *task) run(ready *sync.WaitGroup) {
 	ex := t.ex
-	g := goid.ID()
-	ex.regMu.Lock()
-	ex.byGoid[g] = t
-	ex.regMu.Unlock()
 	ready.Done()
-	<-t.gate
+	t.await()
 	func() {
 		defer func() {
 			if r := recover(); r != nil && r != errAborted {
@@ -414,9 +441,6 @@ func (t *task) run(ready *sync.WaitGroup) {
 			t.fn()
 		}
 	}()
-	ex.regMu.Lock()
-	delete(ex.byGoid, g)
-	ex.regMu.Unlock()
 	t.state = taskDone
 	if next := ex.choose(t, PointDone, t.name); next != nil {
 		next.gate <- struct{}{}
@@ -519,6 +543,13 @@ func taskName(t *task) string {
 	return t.name
 }
 
+// await parks t until it is handed the token, then records it as the
+// running task.
+func (t *task) await() {
+	<-t.gate
+	t.ex.holder = t
+}
+
 // yield offers a scheduling decision at point p. The token may move
 // to another task; yield returns when this task is scheduled again.
 func (ex *Executor) yield(t *task, p Point, detail string) {
@@ -533,7 +564,7 @@ func (ex *Executor) yield(t *task, p Point, detail string) {
 		panic(errAborted)
 	}
 	next.gate <- struct{}{}
-	<-t.gate
+	t.await()
 	if ex.aborting {
 		panic(errAborted)
 	}
@@ -560,39 +591,66 @@ func (ex *Executor) block(t *task, why string, ready func() bool) {
 		panic(errAborted)
 	}
 	next.gate <- struct{}{}
-	<-t.gate
+	t.await()
 	if ex.aborting {
 		panic(errAborted)
 	}
 }
 
-func current() (*Executor, *task) {
-	ex := active.Load()
-	if ex == nil {
-		return nil, nil
+// current returns the active executor's token holder, nil when no
+// executor runs. Under the package precondition the caller is that
+// task.
+func current() *task {
+	if ex := active.Load(); ex != nil {
+		return ex.holder
 	}
-	ex.regMu.Lock()
-	t := ex.byGoid[goid.ID()]
-	ex.regMu.Unlock()
-	return ex, t
+	return nil
 }
 
-// OnTask reports whether the calling goroutine is a task of the
-// active executor.
-func OnTask() bool {
-	_, t := current()
-	return t != nil
+// OnTask reports whether the caller is a task of the active executor.
+func OnTask() bool { return current() != nil }
+
+// Running reports whether an executor is running.
+func Running() bool { return active.Load() != nil }
+
+// Current returns the calling task's per-processor state, nil off-task.
+func Current() *Local {
+	if t := current(); t != nil {
+		return &t.local
+	}
+	return nil
 }
+
+// A Context names an execution context: a task of the active executor
+// or, off-task, a goroutine. Contexts compare with ==; the zero
+// Context names none.
+type Context struct {
+	t *task
+	g uint64
+}
+
+// Self returns the caller's execution context. On a task it is the
+// token holder, an O(1) read; off-task — a goroutine executor's
+// goroutines and raw goroutines, the only truly concurrent callers —
+// it falls back to the goroutine id.
+func Self() Context {
+	if t := current(); t != nil {
+		return Context{t: t}
+	}
+	return Context{g: goid.ID()}
+}
+
+// Goroutine returns the off-task context's goroutine id, zero on a
+// task.
+func (c Context) Goroutine() uint64 { return c.g }
 
 // Yield offers a scheduling decision at point p. A no-op for
 // goroutines that are not tasks of the active executor, so kernel
 // code may call it unconditionally.
 func Yield(p Point, detail string) {
-	ex, t := current()
-	if t == nil {
-		return
+	if t := current(); t != nil {
+		t.ex.yield(t, p, detail)
 	}
-	ex.yield(t, p, detail)
 }
 
 // Block parks the calling task until ready() reports true; the true
@@ -600,11 +658,9 @@ func Yield(p Point, detail string) {
 // returns). A no-op for goroutines that are not tasks — such callers
 // must block by their own means.
 func Block(why string, ready func() bool) {
-	ex, t := current()
-	if t == nil {
-		return
+	if t := current(); t != nil {
+		t.ex.block(t, why, ready)
 	}
-	ex.block(t, why, ready)
 }
 
 // LockAcquire cooperatively acquires mu on behalf of the calling
@@ -612,14 +668,14 @@ func Block(why string, ready func() bool) {
 // Returns false when the caller is not a task, in which case the
 // caller must acquire mu itself.
 func LockAcquire(mu *sync.Mutex, name string) bool {
-	ex, t := current()
+	t := current()
 	if t == nil {
 		return false
 	}
-	ex.yield(t, PointLock, name)
+	t.ex.yield(t, PointLock, name)
 	if mu.TryLock() {
 		return true
 	}
-	ex.block(t, "lock "+name, mu.TryLock)
+	t.ex.block(t, "lock "+name, mu.TryLock)
 	return true
 }

@@ -30,12 +30,14 @@ package segment
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"multics/internal/disk"
 	"multics/internal/hw"
 	"multics/internal/lockrank"
 	"multics/internal/pageframe"
 	"multics/internal/quota"
+	"multics/internal/schedsim"
 )
 
 // ModuleName is this manager's name in the kernel dependency graph;
@@ -784,8 +786,23 @@ func (m *Manager) DiskEntry(addr disk.SegAddr) (disk.TOCEntry, error) {
 // descriptor demands — the same triage the hardware exceptions
 // perform for user references, available to kernel modules writing
 // their own objects. A non-nil disk address reports a relocation the
-// caller must record.
+// caller must record. Like a user reference, it retries a growth that
+// lost the race with a zero-page reclaim (ErrGrowRace).
 func (m *Manager) EnsureResident(uid uint64, page int) (*disk.SegAddr, error) {
+	for {
+		addr, err := m.ensureResident(uid, page)
+		if !errors.Is(err, ErrGrowRace) {
+			return addr, err
+		}
+		// Nothing was charged or allocated. The marked yield hands the
+		// token to the reclaiming task under the deterministic
+		// executor; the retry finds the reclaim finished.
+		schedsim.Yield(schedsim.PointMark, "grow-race-retry")
+		runtime.Gosched()
+	}
+}
+
+func (m *Manager) ensureResident(uid uint64, page int) (*disk.SegAddr, error) {
 	a, err := m.Lookup(uid)
 	if err != nil {
 		return nil, err

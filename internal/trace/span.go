@@ -262,7 +262,7 @@ type ProcessBinder interface {
 }
 
 // spanSlots is one per-processor span stack per possible BindCPU
-// binding, plus slot 0 for unbound goroutines.
+// binding, plus slot 0 for unbound contexts.
 const spanSlots = 65
 
 // MaxSpanDepth bounds span nesting per processor; a begin past the
@@ -310,7 +310,7 @@ func (s *spanState) init(capacity int) {
 	s.procs = make(map[uint64]*ProcStats)
 }
 
-// BeginSpan opens a span of the given kind on the calling goroutine's
+// BeginSpan opens a span of the given kind on the calling context's
 // processor slot. A nil recorder drops the mark.
 func (r *Recorder) BeginSpan(kind SpanKind, module string, arg int64) {
 	if r == nil {
@@ -334,7 +334,7 @@ func (r *Recorder) BeginSpan(kind SpanKind, module string, arg int64) {
 	r.mu.Unlock()
 }
 
-// EndSpan closes the innermost open span on the calling goroutine's
+// EndSpan closes the innermost open span on the calling context's
 // processor slot, which must be of the given kind: the duration is
 // charged to the (module, kind) histogram, to the enclosing span's
 // child time, and — self-time only — to the running user process. A
@@ -409,7 +409,7 @@ func (r *Recorder) EndSpan(kind SpanKind) {
 }
 
 // SetRunningProcess records which user process the calling
-// goroutine's processor is running; span self-time is attributed to
+// context's processor is running; span self-time is attributed to
 // it until the next call. Zero means none.
 func (r *Recorder) SetRunningProcess(pid uint64) {
 	if r == nil {

@@ -1,6 +1,7 @@
 package uproc
 
 import (
+	"errors"
 	"slices"
 	"strconv"
 	"sync"
@@ -11,7 +12,7 @@ import (
 )
 
 // An Executor runs one body per simulated processor, with the
-// goroutine that runs it bound to that processor, so the trace events
+// context that runs it bound to that processor, so the trace events
 // and cycles of the body are attributed to it. It is the one place a
 // processor is bound. Two implementations exist:
 //
@@ -37,8 +38,17 @@ type GoroutineExecutor struct{}
 // Name implements Executor.
 func (GoroutineExecutor) Name() string { return "goroutines" }
 
-// Run implements Executor.
+// ErrInsideSim refuses a GoroutineExecutor run while a sim executor
+// runs: schedsim names the running context by its token holder, so a
+// goroutine of its own would be taken for the holder.
+var ErrInsideSim = errors.New("uproc: goroutine executor started while a sim executor runs")
+
+// Run implements Executor. It is the kernel's only go statement, and
+// it refuses to start while a sim executor runs (ErrInsideSim).
 func (GoroutineExecutor) Run(cpus []*hw.Processor, body func(cpu *hw.Processor)) error {
+	if schedsim.Running() {
+		return ErrInsideSim
+	}
 	var wg sync.WaitGroup
 	for _, cpu := range cpus {
 		wg.Add(1)
@@ -77,7 +87,7 @@ func (e SimExecutor) Run(cpus []*hw.Processor, body func(cpu *hw.Processor)) err
 	return ex.Run()
 }
 
-// onCPU runs body with the calling goroutine bound to cpu.
+// onCPU runs body with the calling context bound to cpu.
 func onCPU(cpu *hw.Processor, body func(cpu *hw.Processor)) {
 	defer trace.BindCPU(cpu.ID)()
 	body(cpu)

@@ -18,7 +18,7 @@ import (
 	"fmt"
 	"sync"
 
-	"multics/internal/goid"
+	"multics/internal/schedsim"
 	"multics/internal/trace"
 )
 
@@ -39,12 +39,12 @@ type Dispatcher struct {
 	mu       sync.Mutex
 	handlers map[string]Handler
 	pending  []Signal
-	// dispatcher is the goroutine id currently running Dispatch;
-	// it guards against a handler being run re-entrantly from
-	// inside its own lower-level call chain. Dispatch calls from
+	// dispatcher is the execution context currently running
+	// Dispatch; it guards against a handler being run re-entrantly
+	// from inside its own lower-level call chain. Dispatch calls from
 	// other processors are not re-entrance — they serialize on
 	// dispatchMu instead.
-	dispatcher uint64
+	dispatcher schedsim.Context
 	raised     int64
 	handled    int64
 	sink       trace.Sink
@@ -127,20 +127,20 @@ func (d *Dispatcher) Stats() (raised, handled int64) {
 // modules under the upper handler. Concurrent Dispatch calls from
 // other processors are legal and simply wait their turn.
 func (d *Dispatcher) Dispatch() (int, error) {
-	g := goid.ID()
+	self := schedsim.Self()
 	d.mu.Lock()
-	if d.dispatcher == g {
+	if d.dispatcher == self {
 		d.mu.Unlock()
 		panic("upsignal: re-entrant Dispatch — a lower module is waiting on an upper handler")
 	}
 	d.mu.Unlock()
 	d.dispatchMu.Lock()
 	d.mu.Lock()
-	d.dispatcher = g
+	d.dispatcher = self
 	d.mu.Unlock()
 	defer func() {
 		d.mu.Lock()
-		d.dispatcher = 0
+		d.dispatcher = schedsim.Context{}
 		d.mu.Unlock()
 		d.dispatchMu.Unlock()
 	}()
