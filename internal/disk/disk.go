@@ -551,6 +551,24 @@ func (p *Pack) Entry(idx TOCIndex) (TOCEntry, error) {
 	return cp, nil
 }
 
+// MapEntries copies file-map entries page, page+1, ... of
+// table-of-contents entry idx into dst, as many as the map holds and
+// dst has room for, and reports how many it copied and the map's
+// length. A fault reads the few entries it needs this way instead of
+// copying the whole map.
+func (p *Pack) MapEntries(idx TOCIndex, page int, dst []FileMapEntry) (n, mapLen int, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	e, err := p.entry(idx)
+	if err != nil {
+		return 0, 0, err
+	}
+	if page >= 0 && page < len(e.Map) {
+		n = copy(dst, e.Map[page:])
+	}
+	return n, len(e.Map), nil
+}
+
 // UpdateEntry applies fn to table-of-contents entry idx under the pack
 // lock. If fn returns an error the entry keeps any changes fn already
 // made; callers use this only for atomic read-modify-write.

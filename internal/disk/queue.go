@@ -69,11 +69,15 @@ func seekDelta(from, to RecordAddr) int64 {
 }
 
 // A request is one queued transfer. recs[0] is its elevator position.
+// A read names its record and destination in rec and dst, so it needs
+// no slices of its own; the transfer lands in the caller's dst.
 type request struct {
 	op          Op
 	recs        []RecordAddr
 	bufs        [][]hw.Word // OpRead: bufs[0] is the destination
 	speculative bool
+	rec         [1]RecordAddr
+	dst         [1][]hw.Word
 
 	// Guarded by the owning device's mutex.
 	inflight bool
@@ -93,13 +97,52 @@ type device struct {
 	cycles   int64 // device-account cycles, under mu
 	maxDepth int
 	enqueued int64
+
+	// spare holds the tickets of finished demand transfers for reuse,
+	// so a blocking transfer allocates nothing. Guarded by mu.
+	spare []*Ticket
 }
 
 // A Ticket names one queued request; the holder of a speculative
 // read-ahead claims it with Wait or abandons it with Cancel.
 type Ticket struct {
 	p *Pack
-	r *request
+	r request
+}
+
+// ticket returns a ticket for a new request, reusing a spare one when
+// the device has it.
+func (p *Pack) ticket() *Ticket {
+	d := &p.dev
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if n := len(d.spare); n > 0 {
+		t := d.spare[n-1]
+		d.spare = d.spare[:n-1]
+		return t
+	}
+	return &Ticket{p: p}
+}
+
+// read fills t's request in as a read of record r into dst.
+func (t *Ticket) read(r RecordAddr, dst []hw.Word, speculative bool) *Ticket {
+	t.r = request{op: OpRead, speculative: speculative, rec: [1]RecordAddr{r}, dst: [1][]hw.Word{dst}}
+	t.r.recs, t.r.bufs = t.r.rec[:], t.r.dst[:]
+	return t
+}
+
+// waitAndRecycle waits out a demand request and puts its ticket back
+// on the spare list. Only the submitter holds a demand ticket, and the
+// driver that completed it touches it no more, so it is free for the
+// next request once Wait returns.
+func (t *Ticket) waitAndRecycle() error {
+	err := t.Wait()
+	d := &t.p.dev
+	d.mu.Lock()
+	t.r = request{}
+	d.spare = append(d.spare, t)
+	d.mu.Unlock()
+	return err
 }
 
 // QueueRead reads record r into dst through the pack's device queue,
@@ -111,7 +154,7 @@ func (p *Pack) QueueRead(r RecordAddr, dst []hw.Word) error {
 	if err := p.checkQueueable(r, dst); err != nil {
 		return err
 	}
-	return p.enqueue(&request{op: OpRead, recs: []RecordAddr{r}, bufs: [][]hw.Word{dst}}).Wait()
+	return p.enqueue(p.ticket().read(r, dst, false)).waitAndRecycle()
 }
 
 // QueueReadAhead queues a speculative read of record r into dst and
@@ -122,7 +165,7 @@ func (p *Pack) QueueReadAhead(r RecordAddr, dst []hw.Word) (*Ticket, error) {
 	if err := p.checkQueueable(r, dst); err != nil {
 		return nil, err
 	}
-	return p.enqueue(&request{op: OpRead, recs: []RecordAddr{r}, bufs: [][]hw.Word{dst}, speculative: true}), nil
+	return p.enqueue(p.ticket().read(r, dst, true)), nil
 }
 
 // QueueWriteBatch writes a group of records through the device queue
@@ -142,7 +185,9 @@ func (p *Pack) QueueWriteBatch(recs []RecordAddr, bufs [][]hw.Word) error {
 			return err
 		}
 	}
-	return p.enqueue(&request{op: OpWrite, recs: recs, bufs: bufs}).Wait()
+	t := p.ticket()
+	t.r = request{op: OpWrite, recs: recs, bufs: bufs}
+	return p.enqueue(t).waitAndRecycle()
 }
 
 // checkQueueable validates one record/buffer pair before it joins the
@@ -162,8 +207,9 @@ func (p *Pack) checkQueueable(r RecordAddr, buf []hw.Word) error {
 	return nil
 }
 
-// enqueue appends r to the device queue and returns its ticket.
-func (p *Pack) enqueue(r *request) *Ticket {
+// enqueue appends t's request to the device queue and returns t.
+func (p *Pack) enqueue(t *Ticket) *Ticket {
+	r := &t.r
 	// Joining the queue is a schedule decision point: sweeps put
 	// windows around the submission/completion races.
 	schedsim.Yield(schedsim.PointDiskQueue, "enqueue")
@@ -192,7 +238,7 @@ func (p *Pack) enqueue(r *request) *Ticket {
 			Arg0: int64(r.recs[0]), Arg1: int64(depth), Arg2: spec,
 		})
 	}
-	return &Ticket{p: p, r: r}
+	return t
 }
 
 // Wait blocks until the request completes and returns its error. If
@@ -210,7 +256,7 @@ func (t *Ticket) Wait() error {
 		if !d.driving {
 			d.driving = true
 			d.mu.Unlock()
-			t.p.drive(t.r)
+			t.p.drive(&t.r)
 			continue
 		}
 		// Someone else is driving: block on the completion eventcount.
@@ -232,7 +278,7 @@ func (t *Ticket) Cancel() bool {
 	d.mu.Lock()
 	if !t.r.done && !t.r.inflight {
 		for i, r := range d.pending {
-			if r == t.r {
+			if r == &t.r {
 				d.pending = append(d.pending[:i], d.pending[i+1:]...)
 				break
 			}

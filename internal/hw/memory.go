@@ -45,6 +45,17 @@ func (m *Memory) Write(addr int, w Word) error {
 // FrameBase returns the absolute address of the first word of frame f.
 func (m *Memory) FrameBase(f int) int { return f * PageWords }
 
+// Frame returns frame f's own words, not a copy: a transfer that
+// fills the slice fills the frame, as the 6180's I/O channel moved a
+// record straight into core. The slice's capacity ends with the frame,
+// so an append cannot run into the next one.
+func (m *Memory) Frame(f int) ([]Word, error) {
+	if err := m.checkFrame(f); err != nil {
+		return nil, err
+	}
+	return m.words[f*PageWords : (f+1)*PageWords : (f+1)*PageWords], nil
+}
+
 // ReadFrame copies the contents of frame f into dst, which must have
 // PageWords elements.
 func (m *Memory) ReadFrame(f int, dst []Word) error {

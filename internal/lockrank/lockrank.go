@@ -226,6 +226,9 @@ type Mutex struct {
 	mu     sync.Mutex
 	module string
 	sub    int
+	// name is the rendered Name, set once by InitSub so an acquisition
+	// formats nothing.
+	name string
 	// rank caches the resolved rank plus one; zero means not yet
 	// resolved (ranks are static once the layer table is
 	// installed, so the cache never invalidates).
@@ -248,18 +251,16 @@ func (m *Mutex) InitSub(module string, sub int) {
 	}
 	m.module = module
 	m.sub = sub
+	m.name = Entry{Module: module, Sub: sub}.Name()
 	noteLock(module, sub)
 }
 
 // Name renders the lock's name for diagnostics.
 func (m *Mutex) Name() string {
-	if m.module == "" {
+	if m.name == "" {
 		return "(unranked)"
 	}
-	if m.sub == 0 {
-		return m.module
-	}
-	return fmt.Sprintf("%s#%d", m.module, m.sub)
+	return m.name
 }
 
 // Rank returns the lock's current rank, Unranked while its module has

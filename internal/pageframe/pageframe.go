@@ -35,13 +35,22 @@
 // costs an inter-process message per write-back but lets the work run
 // at low priority. With Daemons false the write-backs run inline, as
 // the 1974 design did.
+//
+// Records move between disk and frame without a staging copy: demand
+// and speculative reads are queued with the frame's own words as their
+// destination (hw.Memory.Frame), as the 6180's I/O moved a record
+// straight into core. A write-back still snapshots the victim, because
+// in daemon mode the page-writer runs after the frame has been reused;
+// the snapshot buffers and their batches are recycled through free
+// lists the manager keeps, so a warm fault allocates next to nothing
+// on the host.
 package pageframe
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"multics/internal/disk"
@@ -185,11 +194,17 @@ type Manager struct {
 	free    []int       // absolute frame numbers
 	clock   int
 	unlocks map[descKey]*eventcount.Eventcount
+	// unwatched stands in for the unlock eventcount of a descriptor
+	// nobody has waited on; no one awaits it.
+	unwatched eventcount.Eventcount
 
 	// resident indexes the in-use frames by the page they hold:
 	// (pt, page) to index into frames. setFrameLocked keeps it in
 	// step with every frame table write.
 	resident map[descKey]int
+	// admits counts frame table writes that put a page in a frame;
+	// ReleaseSegment reads it to tell when its frame list is stale.
+	admits int64
 
 	// The speculative read-ahead cache (see prefetch.go): cached
 	// indexes prefetched-but-unclaimed frames by descriptor, cacheRing
@@ -212,6 +227,10 @@ type Manager struct {
 	// bookkeeping adds no scheduling decision to the eviction path.
 	wmu      sync.Mutex
 	inflight map[recKey]int
+	// spareBatches and spareSnaps are the write-back free lists (see
+	// writeBatch), under wmu.
+	spareBatches []*writeBatch
+	spareSnaps   [][]hw.Word
 
 	faults, evictions, zeroEvictions, writeErrors int64
 	zeroRescues                                   int64
@@ -401,19 +420,23 @@ func (m *Manager) LoadPage(req PageReq) ([]Evicted, error) {
 			return ev, err
 		}
 		if req.HasRecord {
-			buf := make([]hw.Word, hw.PageWords)
-			// The demand read rides the pack's device queue: the faulter
-			// drives the elevator itself when the seat is free and blocks
-			// on the completion eventcount when another faulter holds it.
+			dst, err := m.mem.Frame(frame)
+			if err != nil {
+				m.releaseFrame(frame)
+				return ev, err
+			}
+			// The demand read rides the pack's device queue straight into
+			// the frame: the faulter drives the elevator itself when the
+			// seat is free and blocks on the completion eventcount when
+			// another faulter holds it. The frame is neither free nor in
+			// use until it is published below, so nothing else can see it
+			// while the transfer fills it.
+			pack, rec := req.Pack, req.Record
 			if err := disk.Retry(m.meter, func() error {
-				return req.Pack.QueueRead(req.Record, buf)
+				return pack.QueueRead(rec, dst)
 			}); err != nil {
 				m.releaseFrame(frame)
 				return ev, fmt.Errorf("pageframe: fetching page %d of segment %d: %w", req.Page, req.UID, err)
-			}
-			if err := m.mem.WriteFrame(frame, buf); err != nil {
-				m.releaseFrame(frame)
-				return ev, err
 			}
 		} else {
 			if err := m.mem.ZeroFrame(frame); err != nil {
@@ -571,8 +594,7 @@ func (m *Manager) finishService(req PageReq) {
 		m.vps.Notify(ec, req.NotifySeg, req.NotifyPage)
 	} else if m.vps != nil {
 		// Still cover a processor between fault and wait.
-		var dummy eventcount.Eventcount
-		m.vps.Notify(&dummy, req.NotifySeg, req.NotifyPage)
+		m.vps.Notify(&m.unwatched, req.NotifySeg, req.NotifyPage)
 	}
 }
 
@@ -667,16 +689,16 @@ func (m *Manager) obtainFrame() (int, []Evicted, error) {
 		if take > len(m.free) {
 			take = len(m.free)
 		}
-		grabbed := make([]int, take)
-		copy(grabbed, m.free[len(m.free)-take:])
-		m.free = m.free[:len(m.free)-take]
-		m.mu.Unlock()
+		n := len(m.free)
+		f := m.free[n-1]
 		if take > 1 {
 			c.mu.Lock()
-			c.frames = append(c.frames, grabbed[:take-1]...)
+			c.frames = append(c.frames, m.free[n-take:n-1]...)
 			c.mu.Unlock()
 		}
-		return grabbed[take-1], nil, nil
+		m.free = m.free[:n-take]
+		m.mu.Unlock()
+		return f, nil, nil
 	}
 	// Nothing on the free side: before running the eviction clock over
 	// resident pages, consult the speculative cache's second-chance
@@ -690,7 +712,8 @@ func (m *Manager) obtainFrame() (int, []Evicted, error) {
 	}
 	// Nothing free anywhere: gather up to a batch of victims in one
 	// pass over the clock.
-	var victims []victim
+	var scratch [2 * DefaultFrameBatch]victim
+	victims := scratch[:0]
 	for len(victims) < batch {
 		vf, err := m.chooseVictimLocked()
 		if err != nil {
@@ -706,7 +729,7 @@ func (m *Manager) obtainFrame() (int, []Evicted, error) {
 	}
 	m.mu.Unlock()
 
-	evs, done, err := m.writeBackBatch(victims)
+	evs, done, err := m.writeBackBatch(nil, victims)
 	if err != nil {
 		m.recoverVictims(victims, done)
 		return 0, evs, err
@@ -780,28 +803,96 @@ type pendingWrite struct {
 	buf  []hw.Word
 }
 
+// A writeBatch carries one eviction pass's dirty pages to the disk:
+// their snapshots, the records they hold in flight, and the per-pack
+// scratch flushWrites submits from. The page-writer runs after the
+// victims' frames are back in circulation, so the snapshots cannot be
+// the frames themselves; instead batches and snapshot buffers come
+// from free lists the manager keeps under wmu, and a warm write-back
+// allocates nothing.
+type writeBatch struct {
+	writes []pendingWrite
+	marked []recKey
+	recs   []disk.RecordAddr
+	bufs   [][]hw.Word
+	// flush is the page-writer's work item for this batch, bound once
+	// when the batch is made.
+	flush func()
+}
+
+// newBatch returns an empty write batch, reusing a retired one when
+// there is one.
+func (m *Manager) newBatch() *writeBatch {
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	if n := len(m.spareBatches); n > 0 {
+		b := m.spareBatches[n-1]
+		m.spareBatches = m.spareBatches[:n-1]
+		return b
+	}
+	b := &writeBatch{}
+	b.flush = func() {
+		if err := m.flushWrites(b); err != nil {
+			m.noteWriteError(len(b.writes), b.writes[0].rec)
+		}
+		m.retire(b)
+	}
+	return b
+}
+
+// snapshot returns a page-sized buffer for a dirty victim's contents.
+func (m *Manager) snapshot() []hw.Word {
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	if n := len(m.spareSnaps); n > 0 {
+		buf := m.spareSnaps[n-1]
+		m.spareSnaps = m.spareSnaps[:n-1]
+		return buf
+	}
+	return make([]hw.Word, hw.PageWords)
+}
+
+// retire ends a write batch once its writes have reached the disk (or
+// were abandoned): its records are no longer in flight, and it and its
+// snapshot buffers go back on the free lists.
+func (m *Manager) retire(b *writeBatch) {
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	for _, k := range b.marked {
+		m.markWriteLocked(k, -1)
+	}
+	for _, w := range b.writes {
+		m.spareSnaps = append(m.spareSnaps, w.buf)
+	}
+	b.writes, b.marked, b.recs, b.bufs = b.writes[:0], b.marked[:0], b.recs[:0], b.bufs[:0]
+	m.spareBatches = append(m.spareBatches, b)
+}
+
 // writeBackBatch disconnects each victim's descriptor and persists the
 // group: zeros free their records (the zero-page optimization), and
 // every dirty page is gathered into one grouped disk submission per
 // pack — queued to the page-writer daemon when the multi-process
 // organization is on — instead of one positioning operation per page.
-// Eviction reports are returned for every victim processed, even when
-// a later one fails, along with how many victims were disconnected
+// Eviction reports are appended to out for every victim processed, even
+// when a later one fails, along with how many victims were disconnected
 // (descriptor made not-present and shot down) before the failure, so
 // the caller can put exactly those frames back in circulation and
 // reinstate the rest. Caller must not hold m.mu.
-func (m *Manager) writeBackBatch(victims []victim) (evs []Evicted, disconnected int, err error) {
-	var dirty []pendingWrite
+func (m *Manager) writeBackBatch(out []Evicted, victims []victim) (evs []Evicted, disconnected int, err error) {
+	evs = out
+	if evs == nil {
+		evs = make([]Evicted, 0, len(victims))
+	}
+	b := m.newBatch()
 	// Each victim's record is marked in flight before its descriptor
 	// goes not-present, so no processor can fault the page back in from
 	// the record before the write-back lands. A zero page's mark goes
 	// with its record; a dirty page's once its write completes — or
 	// here, if the batch fails before handing the writes off.
-	var marked []recKey
 	handedOff := false
 	defer func() {
 		if !handedOff {
-			m.markWrites(marked, -1)
+			m.retire(b)
 		}
 	}()
 	for _, v := range victims {
@@ -817,8 +908,8 @@ func (m *Manager) writeBackBatch(victims []victim) (evs []Evicted, disconnected 
 		var key recKey
 		if info.hasRecord {
 			key = recKey{info.pack, info.record}
-			m.markWrites([]recKey{key}, 1)
-			marked = append(marked, key)
+			m.markWrite(key, 1)
+			b.marked = append(b.marked, key)
 		}
 		if _, err := info.pt.Update(info.page, func(d *hw.PTW) {
 			d.Present = false
@@ -879,8 +970,8 @@ func (m *Manager) writeBackBatch(victims []victim) (evs []Evicted, disconnected 
 			m.zeroEvictions++
 			m.mu.Unlock()
 			if info.hasRecord {
-				marked = marked[:len(marked)-1]
-				m.markWrites([]recKey{key}, -1)
+				b.marked = b.marked[:len(b.marked)-1]
+				m.markWrite(key, -1)
 				if err := info.pack.FreeRecord(info.record); err != nil {
 					return evs, disconnected, err
 				}
@@ -892,44 +983,42 @@ func (m *Manager) writeBackBatch(victims []victim) (evs []Evicted, disconnected 
 		if !info.hasRecord {
 			return evs, disconnected, fmt.Errorf("pageframe: dirty page %d of segment %d has no record", info.page, info.uid)
 		}
-		buf := make([]hw.Word, hw.PageWords)
+		buf := m.snapshot()
+		b.writes = append(b.writes, pendingWrite{pack: info.pack, rec: info.record, buf: buf})
 		if err := m.mem.ReadFrame(v.frame, buf); err != nil {
 			return evs, disconnected, err
 		}
-		dirty = append(dirty, pendingWrite{pack: info.pack, rec: info.record, buf: buf})
 		evs = append(evs, ev)
 	}
-	if len(dirty) == 0 {
+	if len(b.writes) == 0 {
 		return evs, disconnected, nil
 	}
 	if m.Daemons && m.vps != nil {
-		if err := m.vps.Enqueue(PageWriterModule, func() {
-			if err := m.flushWrites(dirty); err != nil {
-				m.noteWriteError(len(dirty), dirty[0].rec)
-			}
-			m.markWrites(marked, -1)
-		}); err != nil {
+		if err := m.vps.Enqueue(PageWriterModule, b.flush); err != nil {
 			return evs, disconnected, err
 		}
 		handedOff = true
 		return evs, disconnected, nil
 	}
-	if err := m.flushWrites(dirty); err != nil {
-		m.noteWriteError(len(dirty), dirty[0].rec)
-		return evs, disconnected, fmt.Errorf("pageframe: writing back %d evicted pages: %w", len(dirty), err)
+	if err := m.flushWrites(b); err != nil {
+		m.noteWriteError(len(b.writes), b.writes[0].rec)
+		return evs, disconnected, fmt.Errorf("pageframe: writing back %d evicted pages: %w", len(b.writes), err)
 	}
 	return evs, disconnected, nil
 }
 
-// markWrites adds delta to each named record's count of evicted pages
-// whose write-back has yet to reach the disk.
-func (m *Manager) markWrites(ks []recKey, delta int) {
+// markWrite adds delta to the record's count of evicted pages whose
+// write-back has yet to reach the disk.
+func (m *Manager) markWrite(k recKey, delta int) {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
-	for _, k := range ks {
-		if m.inflight[k] += delta; m.inflight[k] <= 0 {
-			delete(m.inflight, k)
-		}
+	m.markWriteLocked(k, delta)
+}
+
+// markWriteLocked is markWrite for a caller holding m.wmu.
+func (m *Manager) markWriteLocked(k recKey, delta int) {
+	if m.inflight[k] += delta; m.inflight[k] <= 0 {
+		delete(m.inflight, k)
 	}
 }
 
@@ -974,41 +1063,48 @@ func (m *Manager) noteWriteError(pages int, first disk.RecordAddr) {
 	})
 }
 
-// flushWrites submits the gathered dirty pages, one queued batch per
+// flushWrites submits the batch's dirty pages, one queued batch per
 // pack in first-seen order. Each pack's records are sorted into
 // ascending elevator order first, so the device pays the short-seek
 // tier between neighbors instead of the full average seek the
 // eviction clock's arbitrary order would cost.
-func (m *Manager) flushWrites(dirty []pendingWrite) error {
-	var packs []*disk.Pack
-	byPack := make(map[*disk.Pack]int)
-	for _, w := range dirty {
-		if _, ok := byPack[w.pack]; !ok {
-			byPack[w.pack] = len(packs)
-			packs = append(packs, w.pack)
+func (m *Manager) flushWrites(b *writeBatch) error {
+	for i, w := range b.writes {
+		if packSeen(b.writes[:i], w.pack) {
+			continue
 		}
-	}
-	for _, pack := range packs {
-		var group []pendingWrite
-		for _, w := range dirty {
-			if w.pack == pack {
-				group = append(group, w)
+		b.recs, b.bufs = b.recs[:0], b.bufs[:0]
+		for _, g := range b.writes[i:] {
+			if g.pack != w.pack {
+				continue
 			}
+			// Insertion into record order: a batch is a handful of pages.
+			j := len(b.recs)
+			b.recs = append(b.recs, g.rec)
+			b.bufs = append(b.bufs, g.buf)
+			for ; j > 0 && b.recs[j-1] > g.rec; j-- {
+				b.recs[j], b.bufs[j] = b.recs[j-1], b.bufs[j-1]
+			}
+			b.recs[j], b.bufs[j] = g.rec, g.buf
 		}
-		sort.Slice(group, func(i, j int) bool { return group[i].rec < group[j].rec })
-		recs := make([]disk.RecordAddr, len(group))
-		bufs := make([][]hw.Word, len(group))
-		for i, w := range group {
-			recs[i] = w.rec
-			bufs[i] = w.buf
-		}
+		pack := w.pack
 		if err := disk.Retry(m.meter, func() error {
-			return pack.QueueWriteBatch(recs, bufs)
+			return pack.QueueWriteBatch(b.recs, b.bufs)
 		}); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// packSeen reports whether any of ws is bound for pack.
+func packSeen(ws []pendingWrite, pack *disk.Pack) bool {
+	for _, w := range ws {
+		if w.pack == pack {
+			return true
+		}
+	}
+	return false
 }
 
 // releaseFrame returns a frame obtained by obtainFrame that could not
@@ -1049,6 +1145,7 @@ func (m *Manager) setFrameLocked(i int, fi frameInfo) {
 	}
 	if fi.inUse {
 		m.resident[descKey{fi.pt, fi.page}] = i
+		m.admits++
 	}
 	m.frames[i] = fi
 }
@@ -1062,31 +1159,48 @@ func (m *Manager) ReleaseSegment(pt *hw.PageTable) ([]Evicted, error) {
 	// outlive the file map that named it.
 	m.purgeCached(pt, 0, true)
 	var out []Evicted
+	var order []int
+	next, admits := 0, int64(-1)
 	for {
-		// Release in frame order, lowest first: each pass looks up
-		// pt's pages in the resident index, so it costs O(pages)
-		// whatever the size of memory.
+		// Release in frame order, lowest first. One pass over pt's pages
+		// in the resident index lists their frames in that order, so a
+		// release costs O(pages) in all. The pass is repeated only when
+		// a frame was admitted since the last one: only then can a page
+		// of pt have become resident ahead of those listed.
 		pages := pt.Len()
 		m.mu.Lock()
-		idx := -1
-		for page := 0; page < pages; page++ {
-			if i, ok := m.resident[descKey{pt, page}]; ok && (idx < 0 || i < idx) {
-				idx = i
+		if admits != m.admits {
+			order = order[:0]
+			for page := 0; page < pages; page++ {
+				if i, ok := m.resident[descKey{pt, page}]; ok {
+					order = append(order, i)
+				}
+			}
+			slices.Sort(order)
+			next, admits = 0, m.admits
+			if out == nil && len(order) > 0 {
+				out = make([]Evicted, 0, len(order))
 			}
 		}
-		if idx < 0 {
+		for next < len(order) && !m.holdsLocked(order[next], pt, pages) {
+			next++
+		}
+		if next == len(order) {
 			m.mu.Unlock()
 			return out, nil
 		}
+		idx := order[next]
+		next++
 		info := m.frames[idx]
 		m.setFrameLocked(idx, frameInfo{})
 		m.evictions++
 		m.mu.Unlock()
 
-		evs, done, err := m.writeBackBatch([]victim{{frame: m.first + idx, info: info}})
-		out = append(out, evs...)
-		if err != nil {
-			m.recoverVictims([]victim{{frame: m.first + idx, info: info}}, done)
+		v := []victim{{frame: m.first + idx, info: info}}
+		var done int
+		var err error
+		if out, done, err = m.writeBackBatch(out, v); err != nil {
+			m.recoverVictims(v, done)
 			return out, err
 		}
 		m.mu.Lock()
@@ -1096,6 +1210,13 @@ func (m *Manager) ReleaseSegment(pt *hw.PageTable) ([]Evicted, error) {
 			m.vps.RunPending()
 		}
 	}
+}
+
+// holdsLocked reports whether entry i of the frame table holds a page
+// of pt numbered below pages. Caller holds m.mu.
+func (m *Manager) holdsLocked(i int, pt *hw.PageTable, pages int) bool {
+	fi := &m.frames[i]
+	return fi.inUse && fi.pt == pt && fi.page < pages
 }
 
 // SampleWorkingSets implements the usage estimation of Gifford's

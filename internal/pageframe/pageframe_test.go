@@ -349,6 +349,89 @@ func TestDaemonWriteBack(t *testing.T) {
 	}
 }
 
+// TestDaemonWriteBackSnapshotSurvivesFrameReuse pins why a daemon
+// write-back copies the victim's contents: the page-writer runs only
+// after the victim's frame has been filled with another page. With one
+// pageable frame, faulting in page B evicts dirty page A and reads B's
+// record into A's old frame before the page-writer runs; A must still
+// fault back with its own value.
+func TestDaemonWriteBackSnapshotSurvivesFrameReuse(t *testing.T) {
+	f := newFixture(t, 1)
+	f.m.Daemons = true
+	ptA := hw.NewPageTable(0, false)
+	recA, _, err := f.m.AddPage(PageReq{UID: 1, PT: ptA, Page: 0, Pack: f.pack})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := ptA.Get(0)
+	frame := d.Frame
+	if err := f.mem.Write(f.mem.FrameBase(frame), 55); err != nil {
+		t.Fatal(err)
+	}
+	recB := f.storedPage(t, 66)
+	ptB := hw.NewPageTable(1, false)
+	ev, err := f.m.LoadPage(PageReq{UID: 2, PT: ptB, Page: 0, Pack: f.pack, Record: recB, HasRecord: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ev) != 1 || ev[0].UID != 1 || ev[0].Zero {
+		t.Fatalf("evictions = %+v, want page A written back", ev)
+	}
+	if d, _ := ptB.Get(0); d.Frame != frame {
+		t.Fatalf("page B in frame %d, want A's old frame %d", d.Frame, frame)
+	}
+	if _, err := f.m.LoadPage(PageReq{UID: 1, PT: ptA, Page: 0, Pack: f.pack, Record: recA, HasRecord: true}); err != nil {
+		t.Fatal(err)
+	}
+	if got := frameWord(t, f.mem, ptA, 0, 0); got != 55 {
+		t.Errorf("page A faulted back with %d, want its own 55", got)
+	}
+}
+
+// TestWarmFaultAllocatesLittle pins the host cost of the fault path: a
+// warm cycle of demand reads, each evicting a dirty page whose
+// write-back goes through the page-writer, allocates under 1 KiB per
+// fault. Records move straight between disk and frame, and write-back
+// batches and their snapshots are recycled.
+func TestWarmFaultAllocatesLittle(t *testing.T) {
+	const frames, pages = 8, 16
+	f := newFixture(t, frames)
+	f.m.Daemons = true
+	pt := hw.NewPageTable(pages, false)
+	recs := make([]disk.RecordAddr, pages)
+	for i := range recs {
+		recs[i] = f.storedPage(t, hw.Word(i+1))
+	}
+	fault := func(page int) {
+		if d, _ := pt.Get(page); d.Present {
+			return
+		}
+		if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: page, Pack: f.pack, Record: recs[page], HasRecord: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4*pages; i++ { // warm up
+		fault(i % pages)
+	}
+	const n = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		fault(i % pages)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 1024 {
+		t.Errorf("a warm fault allocated %d bytes, want under 1024", per)
+	}
+	for page := range recs {
+		if d, _ := pt.Get(page); d.Present {
+			if got := frameWord(t, f.mem, pt, page, 0); got != hw.Word(page+1) {
+				t.Errorf("page %d holds %d, want %d", page, got, page+1)
+			}
+		}
+	}
+}
+
 func TestDaemonModeCostsMore(t *testing.T) {
 	// The paper: using dedicated processes required memory
 	// management to call process management, a small but

@@ -36,8 +36,11 @@ const (
 )
 
 // A cachedFrame is one prefetched-but-unclaimed page: a reserved
-// frame, the buffer its queued read fills, and the ticket that claims
-// or cancels that read. ref is the second-chance bit, set at issue;
+// frame, which its queued read fills directly, and the ticket that
+// claims or cancels that read. Every path that gives the frame back
+// (stale, steal, purge) cancels the ticket first, and Cancel dequeues
+// the read or waits out one in flight, so no transfer lands in a frame
+// after it has been reused. ref is the second-chance bit, set at issue;
 // entries are immutable after insertion except for ref, which the
 // steal hand clears under m.mu.
 type cachedFrame struct {
@@ -47,7 +50,6 @@ type cachedFrame struct {
 	pt     *hw.PageTable
 	pack   *disk.Pack
 	record disk.RecordAddr
-	buf    []hw.Word
 	ticket *disk.Ticket
 	ref    bool
 }
@@ -76,8 +78,8 @@ func (m *Manager) takeCached(req PageReq) *cachedFrame {
 }
 
 // claimPrefetch tries to satisfy a demand fault from the speculative
-// cache. On a hit it waits out the queued read and fills the reserved
-// frame, returning it; a speculative transfer fault is dropped
+// cache. On a hit it waits out the queued read, which has filled the
+// reserved frame, and returns the frame; a speculative transfer fault is dropped
 // silently — the demand path below re-reads under its own retry
 // budget, so speculation can never fail a fault it meant to serve.
 func (m *Manager) claimPrefetch(req PageReq) (int, bool) {
@@ -86,11 +88,6 @@ func (m *Manager) claimPrefetch(req PageReq) (int, bool) {
 		return -1, false
 	}
 	if err := cf.ticket.Wait(); err != nil {
-		m.noteDrop(cf, dropFault)
-		m.releaseFrame(cf.frame)
-		return -1, false
-	}
-	if err := m.mem.WriteFrame(cf.frame, cf.buf); err != nil {
 		m.noteDrop(cf, dropFault)
 		m.releaseFrame(cf.frame)
 		return -1, false
@@ -135,15 +132,19 @@ func (m *Manager) issueReadAhead(req PageReq) {
 		if !ok {
 			break
 		}
-		buf := make([]hw.Word, hw.PageWords)
-		tk, err := req.Pack.QueueReadAhead(ra.Record, buf)
+		dst, err := m.mem.Frame(frame)
+		if err != nil {
+			m.releaseFrame(frame)
+			break
+		}
+		tk, err := req.Pack.QueueReadAhead(ra.Record, dst)
 		if err != nil {
 			m.releaseFrame(frame)
 			break
 		}
 		cf := &cachedFrame{
 			frame: frame, uid: req.UID, page: ra.Page, pt: req.PT,
-			pack: req.Pack, record: ra.Record, buf: buf, ticket: tk, ref: true,
+			pack: req.Pack, record: ra.Record, ticket: tk, ref: true,
 		}
 		m.mu.Lock()
 		if _, dup := m.cached[key]; dup {

@@ -31,6 +31,12 @@
 //     alternative decision around a marked critical window,
 //     model-checking style, within configured bounds.
 //
+// A decision allocates nothing on the host. The executor keeps no
+// decision log and builds each Decision's Runnable set in scratch
+// space it reuses at the next decision, so the set is valid only while
+// the strategy's Choose runs. A Recorder wrapped around the strategy
+// is the one decision log; it copies each set it keeps.
+//
 // Kernel code never imports an executor instance. Each task records
 // itself as the active executor's running task when it takes the
 // token, so "which execution context am I?" is one atomic load and a
@@ -111,7 +117,8 @@ func (p Point) String() string {
 
 // A Decision records one scheduling choice: who yielded, where, which
 // tasks were runnable, and which was chosen. The decision log is the
-// schedule — replaying the same choices reproduces the same run.
+// schedule — replaying the same choices reproduces the same run. The
+// executor keeps no log of its own: a Recorder is the one log.
 type Decision struct {
 	// Step is the decision's index in the schedule; it is the
 	// executor's virtual clock.
@@ -122,7 +129,10 @@ type Decision struct {
 	// Task is the task that yielded the token ("" for the initial
 	// dispatch).
 	Task string
-	// Runnable names the tasks eligible to run, in task order.
+	// Runnable names the tasks eligible to run, in task order. The
+	// executor builds it in scratch space it reuses at the next
+	// decision, so it is valid only while Choose runs; a strategy that
+	// keeps it must copy it, as Recorder does.
 	Runnable []string
 	// Chosen indexes Runnable.
 	Chosen int
@@ -139,7 +149,8 @@ func (d Decision) String() string {
 
 // A Strategy chooses, at each decision, which runnable task runs
 // next. Choose returns an index into d.Runnable (d.Chosen is not yet
-// set); out-of-range returns are clamped to 0.
+// set); out-of-range returns are clamped to 0. d.Runnable is scratch,
+// valid only for the duration of the call.
 type Strategy interface {
 	Choose(d Decision) int
 }
@@ -321,12 +332,15 @@ type Executor struct {
 	// The fields below are only touched by the token holder (or by
 	// Run while every task is parked), so token hand-off over the
 	// gate channels orders all access. holder is the task that holds
-	// the token, set by each task as it takes it.
-	holder    *task
-	step      int
-	decisions []Decision
-	aborting  bool
-	failure   *Failure
+	// the token, set by each task as it takes it. run and names are
+	// choose's scratch: the runnable tasks and their names, rebuilt at
+	// every decision so a decision allocates nothing.
+	holder   *task
+	step     int
+	aborting bool
+	failure  *Failure
+	run      []*task
+	names    []string
 
 	done    chan struct{}
 	running bool
@@ -412,8 +426,11 @@ func (ex *Executor) Run() error {
 	return nil
 }
 
-// Decisions returns the recorded schedule. Valid after Run.
-func (ex *Executor) Decisions() []Decision { return ex.decisions }
+// Decisions returns nil. The executor keeps no decision log, so that a
+// decision costs no allocation; wrap the strategy in a Recorder to log
+// the schedule. The method remains for callers that report the size
+// of the executor's log, which is now always zero.
+func (ex *Executor) Decisions() []Decision { return nil }
 
 // Seed returns the seed the executor reports in failures.
 func (ex *Executor) Seed() int64 { return ex.seed }
@@ -481,19 +498,23 @@ func (ex *Executor) choose(from *task, p Point, detail string) *task {
 	// acquires and keeps), so a true return transitions the task to
 	// runnable exactly once. Evaluation is in task order, which keeps
 	// the runnable set — and therefore the schedule — deterministic.
-	var run []*task
+	run, names := ex.run[:0], ex.names[:0]
 	for _, t := range ex.tasks {
 		switch t.state {
 		case taskRunnable:
-			run = append(run, t)
 		case taskBlocked:
-			if t.ready() {
-				t.state = taskRunnable
-				t.ready = nil
-				run = append(run, t)
+			if !t.ready() {
+				continue
 			}
+			t.state = taskRunnable
+			t.ready = nil
+		default:
+			continue
 		}
+		run = append(run, t)
+		names = append(names, t.name)
 	}
+	ex.run, ex.names = run, names
 	if len(run) == 0 {
 		var reasons []string
 		for _, t := range ex.tasks {
@@ -516,22 +537,16 @@ func (ex *Executor) choose(from *task, p Point, detail string) *task {
 		ex.aborting = true
 		return ex.choose(from, p, detail)
 	}
-	d := Decision{
+	c := ex.strategy.Choose(Decision{
 		Step:     ex.step,
 		Point:    p,
 		Detail:   detail,
 		Task:     taskName(from),
-		Runnable: make([]string, len(run)),
-	}
-	for i, t := range run {
-		d.Runnable[i] = t.name
-	}
-	c := ex.strategy.Choose(d)
+		Runnable: names,
+	})
 	if c < 0 || c >= len(run) {
 		c = 0
 	}
-	d.Chosen = c
-	ex.decisions = append(ex.decisions, d)
 	ex.step++
 	return run[c]
 }

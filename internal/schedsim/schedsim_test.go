@@ -3,20 +3,22 @@ package schedsim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// schedule runs tasks under the given strategy and returns the
-// decision log rendered one decision per line.
+// schedule runs tasks under the seed's random strategy and returns the
+// decision log, as a Recorder kept it, rendered one decision per line.
 func schedule(t *testing.T, seed int64, build func(ex *Executor)) (string, error) {
 	t.Helper()
-	ex := New(Config{Seed: seed})
+	rec := Record(Random(seed))
+	ex := New(Config{Seed: seed, Strategy: rec})
 	build(ex)
 	err := ex.Run()
 	var b strings.Builder
-	for _, d := range ex.Decisions() {
+	for _, d := range rec.Decisions() {
 		fmt.Fprintln(&b, d)
 	}
 	return b.String(), err
@@ -267,9 +269,8 @@ func TestSweepFindsLostUpdate(t *testing.T) {
 }
 
 // TestSweepReplayIsExact: re-running a deviation prefix must replay
-// the same schedule decisions up to the deviation point, and the
-// Recorder a sweep reads them from must log exactly what the executor
-// did.
+// the same schedule decisions up to the deviation point, as the
+// Recorders a sweep reads them from log them.
 func TestSweepReplayIsExact(t *testing.T) {
 	build := func(s Strategy) *Executor {
 		ex := New(Config{Strategy: s})
@@ -278,28 +279,82 @@ func TestSweepReplayIsExact(t *testing.T) {
 		return ex
 	}
 	rec := Record(Replay(nil, Sticky()))
-	base := build(rec)
-	if err := base.Run(); err != nil {
+	if err := build(rec).Run(); err != nil {
 		t.Fatal(err)
 	}
-	ds := base.Decisions()
+	ds := rec.Decisions()
 	if len(ds) < 4 {
 		t.Fatalf("baseline too short: %d decisions", len(ds))
 	}
-	if fmt.Sprint(rec.Decisions()) != fmt.Sprint(ds) {
-		t.Fatalf("recorder logged %v, executor took %v", rec.Decisions(), ds)
-	}
 	// Replay the first three baseline choices and check they match.
 	prefix := []int{ds[0].Chosen, ds[1].Chosen, ds[2].Chosen}
-	re := build(Replay(prefix, Sticky()))
-	if err := re.Run(); err != nil {
+	re := Record(Replay(prefix, Sticky()))
+	if err := build(re).Run(); err != nil {
 		t.Fatal(err)
+	}
+	if len(re.Decisions()) != len(ds) {
+		t.Fatalf("replay took %d decisions, baseline %d", len(re.Decisions()), len(ds))
 	}
 	for i := range ds {
 		got, want := re.Decisions()[i], ds[i]
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("replay diverged at step %d: got %v, want %v", i, got, want)
 		}
+	}
+}
+
+// TestRecorderCopiesRunnable: the executor hands each decision's
+// runnable set over in scratch space it reuses, so the Recorder must
+// keep copies. Three tasks of different lengths under RoundRobin make
+// the set shrink from three names to two to one; every logged set must
+// still read as it was when the decision was taken.
+func TestRecorderCopiesRunnable(t *testing.T) {
+	rec := Record(RoundRobin())
+	ex := New(Config{Strategy: rec})
+	ex.Go("a", chatter(1))
+	ex.Go("b", chatter(3))
+	ex.Go("c", chatter(5))
+	if err := ex.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range rec.Decisions() {
+		got = append(got, fmt.Sprint(d.Runnable))
+	}
+	// The last task's finish leaves nobody to choose, so it takes no
+	// decision.
+	want := []string{
+		"[a b c]",                       // start
+		"[a b c]", "[a b c]", "[a b c]", // a, b, c yield
+		"[b c]",                            // a finishes
+		"[b c]", "[b c]", "[b c]", "[b c]", // b, c, b, c yield
+		"[c]",        // b finishes
+		"[c]", "[c]", // c's last two yields
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("logged runnable sets\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestYieldAllocatesNothing pins the executor's decision path: once
+// warm, a yield under a running executor builds its decision in
+// reused scratch space and logs nothing.
+func TestYieldAllocatesNothing(t *testing.T) {
+	const yields = 10000
+	var before, after runtime.MemStats
+	ex := New(Config{Seed: 1})
+	ex.Go("a", func() {
+		chatter(100)() // warm the scratch space
+		runtime.ReadMemStats(&before)
+		chatter(yields)()
+		runtime.ReadMemStats(&after)
+	})
+	ex.Go("b", chatter(yields+100))
+	if err := ex.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := after.Mallocs - before.Mallocs; n >= 100 {
+		t.Errorf("%d yields allocated %d objects, want fewer than 100", yields, n)
 	}
 }
 

@@ -138,8 +138,9 @@ func Sweep(cfg SweepConfig, run func(Strategy) error) (SweepReport, error) {
 }
 
 // A Recorder is a Strategy that keeps the log of every decision its
-// inner strategy takes — the same log Executor.Decisions returns — for
-// callers that hand the strategy to an executor they do not hold.
+// inner strategy takes. It is the one decision log: the executor keeps
+// none, and hands each decision's Runnable set over in scratch space,
+// so the Recorder copies it.
 type Recorder struct {
 	inner     Strategy
 	decisions []Decision
@@ -155,6 +156,7 @@ func (r *Recorder) Choose(d Decision) int {
 		c = 0
 	}
 	d.Chosen = c
+	d.Runnable = append([]string(nil), d.Runnable...)
 	r.decisions = append(r.decisions, d)
 	return c
 }

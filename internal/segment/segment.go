@@ -414,14 +414,16 @@ func (m *Manager) ServiceMissingPage(uid uint64, page, notifySeg, notifyPage int
 	if err != nil {
 		return err
 	}
-	e, err := pack.Entry(a.addr.TOC)
+	// The faulting page's entry and the read-ahead window behind it.
+	var window [1 + ReadAheadWindow]disk.FileMapEntry
+	n, mapLen, err := pack.MapEntries(a.addr.TOC, page, window[:])
 	if err != nil {
 		return err
 	}
-	if page < 0 || page >= len(e.Map) {
-		return fmt.Errorf("segment: page %d outside file map of %d pages", page, len(e.Map))
+	if page < 0 || page >= mapLen {
+		return fmt.Errorf("segment: page %d outside file map of %d pages", page, mapLen)
 	}
-	fm := e.Map[page]
+	fm := window[0]
 	if fm.State != disk.PageStored {
 		return fmt.Errorf("segment: page %d of %d is %v, not stored; growth must take the quota path", page, uid, fm.State)
 	}
@@ -434,12 +436,13 @@ func (m *Manager) ServiceMissingPage(uid uint64, page, notifySeg, notifyPage int
 	a.lastFault = page
 	m.mu.Unlock()
 	var ahead []pageframe.ReadAheadPage
-	if seq {
-		for next := page + 1; next <= page+ReadAheadWindow && next < len(e.Map); next++ {
-			if e.Map[next].State != disk.PageStored {
+	if seq && n > 1 {
+		ahead = make([]pageframe.ReadAheadPage, 0, n-1)
+		for i := 1; i < n; i++ {
+			if window[i].State != disk.PageStored {
 				break
 			}
-			ahead = append(ahead, pageframe.ReadAheadPage{Page: next, Record: e.Map[next].Record})
+			ahead = append(ahead, pageframe.ReadAheadPage{Page: page + i, Record: window[i].Record})
 		}
 	}
 	ev, err := m.frames.LoadPage(pageframe.PageReq{

@@ -403,8 +403,10 @@ func (m *Manager) Wait(proc *hw.Processor, ec *eventcount.Eventcount, v uint64) 
 // register names (seg, page) — covering a processor that faulted but
 // has not yet reached the wait primitive.
 func (m *Manager) Notify(ec *eventcount.Eventcount, seg, page int) uint64 {
+	// Registration only appends, so the slice read under the lock stays
+	// valid after it is released.
 	m.mu.Lock()
-	procs := append([]*hw.Processor(nil), m.procs...)
+	procs := m.procs
 	m.mu.Unlock()
 	for _, p := range procs {
 		if s, pg := p.LockedDescriptor(); s == seg && pg == page {
