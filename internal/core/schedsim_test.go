@@ -447,14 +447,13 @@ func TestSimExecutorQuantumLoop(t *testing.T) {
 	}
 }
 
-// dropSweepStorm races a truncation against demand faults on one
-// freshly-deactivated file: one processor scans the file back in while
-// the other truncates it to nothing, so a truncation's DropPage can
+// dropSweepStorm races a cut — a truncation or a deletion — against
+// demand faults on one freshly-deactivated file: one processor scans
+// the file back in while the other cuts it, so the cut's DropPages can
 // land between a fault's frame going in use and its descriptor going
-// present. The scan stops once the truncation has begun: a reference
-// racing the truncation of its own page is not under test, the
-// in-flight fault is.
-func dropSweepStorm(t *testing.T, strat schedsim.Strategy, pgs int) (inFlight int64, err error) {
+// present. The scan stops once the cut has begun: a reference racing
+// the cut of its own page is not under test, the in-flight fault is.
+func dropSweepStorm(t *testing.T, strat schedsim.Strategy, pgs int, cut func(*core.Kernel, *workload.Worker) error) (inFlight int64, err error) {
 	k := boot(t, func(c *core.Config) {
 		c.Processors = 2
 		c.MemFrames = 64
@@ -475,19 +474,19 @@ func dropSweepStorm(t *testing.T, strat schedsim.Strategy, pgs int) (inFlight in
 	if err := k.Segs.Deactivate(e.UID); err != nil {
 		return 0, err
 	}
-	// The token orders every access to truncating. inFlight counts the
-	// reads the truncation began under.
-	truncating := false
+	// The token orders every access to cutting. inFlight counts the
+	// reads the cut began under.
+	cutting := false
 	if err := workload.Run(uproc.SimExecutor{Strategy: strat}, ws, func(w *workload.Worker) error {
 		if w != w0 {
-			truncating = true
-			return k.Truncate(w.CPU, w.Proc, w.Segno, 0)
+			cutting = true
+			return cut(k, w)
 		}
-		for pg := 0; pg < pgs && !truncating; pg++ {
+		for pg := 0; pg < pgs && !cutting; pg++ {
 			if _, err := k.Read(w.CPU, w.Proc, w.Segno, pg*hw.PageWords); err != nil {
 				return err
 			}
-			if truncating {
+			if cutting {
 				inFlight++
 			}
 		}
@@ -498,11 +497,20 @@ func dropSweepStorm(t *testing.T, strat schedsim.Strategy, pgs int) (inFlight in
 	return inFlight, audited(k)
 }
 
-// TestSweepDropPageInPublishWindow sweeps preemptions at the
-// ptw-present publication point, where a fault's frame is in use but
-// its descriptor not yet present: a truncation dropping the page there
-// must leave every audit clean.
-func TestSweepDropPageInPublishWindow(t *testing.T) {
+// truncateAll and deleteFile are dropSweepStorm's two cuts.
+func truncateAll(k *core.Kernel, w *workload.Worker) error {
+	return k.Truncate(w.CPU, w.Proc, w.Segno, 0)
+}
+
+func deleteFile(k *core.Kernel, w *workload.Worker) error {
+	return k.Delete(w.CPU, w.Proc, nil, "f")
+}
+
+// sweepDropPublishWindow sweeps preemptions at the ptw-present
+// publication point, where a fault's frame is in use but its
+// descriptor not yet present, under dropSweepStorm with the given cut.
+func sweepDropPublishWindow(t *testing.T, cut func(*core.Kernel, *workload.Worker) error) {
+	t.Helper()
 	var c tally
 	maxSched, maxPre := schedsim.EnvBudget(48, 2)
 	rep, err := schedsim.Sweep(schedsim.SweepConfig{
@@ -512,7 +520,7 @@ func TestSweepDropPageInPublishWindow(t *testing.T) {
 			return d.Point == schedsim.PointPublish && d.Detail == "ptw-present"
 		},
 	}, func(strat schedsim.Strategy) error {
-		inFlight, err := dropSweepStorm(t, strat, 4)
+		inFlight, err := dropSweepStorm(t, strat, 4, cut)
 		return c.note(err, inFlight)
 	})
 	if err != nil {
@@ -522,8 +530,20 @@ func TestSweepDropPageInPublishWindow(t *testing.T) {
 		t.Fatalf("sweep vacuous: no ptw-present decisions in %d schedules", rep.Schedules)
 	}
 	if c.completedWithHit == 0 {
-		t.Fatalf("no completed schedule began the truncation under an in-flight fault (%d schedules): the window was not exercised", rep.Schedules)
+		t.Fatalf("no completed schedule began the cut under an in-flight fault (%d schedules): the window was not exercised", rep.Schedules)
 	}
-	t.Logf("%d schedules (%d completed, %d truncating under a fault), %d in-window decisions, truncated=%v",
+	t.Logf("%d schedules (%d completed, %d cutting under a fault), %d in-window decisions, truncated=%v",
 		rep.Schedules, c.completed, c.completedWithHit, rep.WindowDecisions, rep.Truncated)
+}
+
+// TestSweepDropPageInPublishWindow: a truncation dropping a page in
+// the publish window must leave every audit clean.
+func TestSweepDropPageInPublishWindow(t *testing.T) {
+	sweepDropPublishWindow(t, truncateAll)
+}
+
+// TestSweepDeleteInPublishWindow: so must a deletion, which drops every
+// page of the segment and then discards its page table.
+func TestSweepDeleteInPublishWindow(t *testing.T) {
+	sweepDropPublishWindow(t, deleteFile)
 }

@@ -18,9 +18,12 @@ import (
 //     descriptor of a never-before-used page, so that first touch
 //     raises a quota exception above page control instead of a plain
 //     missing-page fault inside it.
+//
+// Frame comes first so the five bits pack behind it: a PTW is 16 bytes,
+// and a segment's 256-entry table 4 KiB.
 type PTW struct {
-	Present   bool
 	Frame     int
+	Present   bool
 	Lock      bool
 	QuotaTrap bool
 	Used      bool
@@ -44,6 +47,13 @@ type PageTable struct {
 // NewPageTable returns a page table of n descriptors, all not-present.
 func NewPageTable(n int, wired bool) *PageTable {
 	return &PageTable{ptws: make([]PTW, n), wired: wired}
+}
+
+// NewPageTableOf returns a page table holding the given descriptors,
+// built in one pass instead of a Set per entry. The table takes
+// ownership of ptws.
+func NewPageTableOf(ptws []PTW, wired bool) *PageTable {
+	return &PageTable{ptws: ptws, wired: wired}
 }
 
 // Len reports the number of page descriptors.
@@ -85,6 +95,20 @@ func (t *PageTable) Grow(n int) {
 	for len(t.ptws) < n {
 		t.ptws = append(t.ptws, PTW{})
 	}
+}
+
+// ResetFrom replaces every descriptor from page from to the end of the
+// table with w, under one acquisition of the table lock.
+func (t *PageTable) ResetFrom(from int, w PTW) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if from < 0 {
+		return fmt.Errorf("hw: page %d outside page table of %d entries", from, len(t.ptws))
+	}
+	for p := from; p < len(t.ptws); p++ {
+		t.ptws[p] = w
+	}
+	return nil
 }
 
 // Update applies fn to descriptor p under the table lock and reports

@@ -84,6 +84,9 @@ type KST struct {
 	base    int
 	entries []*Entry
 	byUID   map[uint64]int
+	// pos is the table's index in the manager's list of live tables,
+	// under the manager lock; -1 once dropped.
+	pos int
 }
 
 // Base reports the first user segment number.
@@ -126,12 +129,18 @@ func (k *KST) Each(fn func(Entry)) {
 }
 
 // Audit checks every known segment table's invariant: the segment
-// number index and the uid index are a bijection.
+// number index and the uid index are a bijection, and the table knows
+// its own position in the manager's list.
 func (m *Manager) Audit() []string {
+	var bad []string
 	m.mu.Lock()
 	ksts := append([]*KST(nil), m.ksts...)
+	for ki, k := range ksts {
+		if k.pos != ki {
+			bad = append(bad, fmt.Sprintf("KST %d records list position %d", ki, k.pos))
+		}
+	}
 	m.mu.Unlock()
-	var bad []string
 	for ki, k := range ksts {
 		k.mu.Lock()
 		for uid, i := range k.byUID {
@@ -187,20 +196,27 @@ func (m *Manager) NewKST(base, capacity int) (*KST, error) {
 	k.mu.InitSub(ModuleName, 0)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	k.pos = len(m.ksts)
 	m.ksts = append(m.ksts, k)
 	return k, nil
 }
 
-// DropKST forgets a process's table (process destruction).
+// DropKST forgets a process's table (process destruction). The last
+// table moves into the dropped one's place, so the cost does not grow
+// with the number of processes.
 func (m *Manager) DropKST(k *KST) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i, other := range m.ksts {
-		if other == k {
-			m.ksts = append(m.ksts[:i], m.ksts[i+1:]...)
-			return
-		}
+	i := k.pos
+	if i < 0 || i >= len(m.ksts) || m.ksts[i] != k {
+		return
 	}
+	last := len(m.ksts) - 1
+	m.ksts[i] = m.ksts[last]
+	m.ksts[i].pos = i
+	m.ksts[last] = nil
+	m.ksts = m.ksts[:last]
+	k.pos = -1
 }
 
 // MakeKnown binds a segment into the process's address space, using

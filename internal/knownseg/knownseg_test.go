@@ -322,3 +322,43 @@ func TestUpdateAddrReachesAllKSTs(t *testing.T) {
 		t.Errorf("addr after second update = %v", e1.Addr)
 	}
 }
+
+// Dropping the middle of three KSTs moves the last into its place:
+// the audit stays clean and relocation updates still reach both
+// survivors, while the dropped table is left alone. Dropping it again
+// is a no-op.
+func TestDropMiddleKST(t *testing.T) {
+	f := newFixture(t, 8, 64)
+	uid, addr := f.newFile(t)
+	ksts := make([]*KST, 3)
+	segnos := make([]int, 3)
+	for i := range ksts {
+		k, err := f.m.NewKST(8, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if segnos[i], err = f.m.MakeKnown(k, entryFor(uid, addr, f.cell)); err != nil {
+			t.Fatal(err)
+		}
+		ksts[i] = k
+	}
+	f.m.DropKST(ksts[1])
+	f.m.DropKST(ksts[1])
+	if bad := f.m.Audit(); len(bad) != 0 {
+		t.Fatalf("audit after dropping the middle KST: %v", bad)
+	}
+	newAddr := disk.SegAddr{Pack: "dskb", TOC: 7}
+	f.m.UpdateAddr(uid, newAddr)
+	newCell := quota.CellName{Pack: "dskb", TOC: disk.TOCIndex(42)}
+	f.m.UpdateCell(f.cell, newCell)
+	for i, k := range ksts {
+		e, err := k.Entry(segnos[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := i != 1
+		if (e.Addr == newAddr) != live || (e.Cell == newCell) != live {
+			t.Errorf("KST %d (live %v): addr %v cell %v", i, live, e.Addr, e.Cell)
+		}
+	}
+}

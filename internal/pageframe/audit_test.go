@@ -40,6 +40,43 @@ func TestAuditCleanThenCorrupt(t *testing.T) {
 	}
 }
 
+// The per-table resident index must list every in-use frame under its
+// own table: Audit catches a frame missing from its table's list, and a
+// list naming a frame of another table.
+func TestAuditDetectsResidentIndexCorruption(t *testing.T) {
+	f := newFixture(t, 4)
+	ptA := hw.NewPageTable(0, false)
+	ptB := hw.NewPageTable(0, false)
+	for _, pt := range []*hw.PageTable{ptA, ptA, ptB} {
+		if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: pt.Len(), Pack: f.pack}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bad := f.m.Audit(); len(bad) != 0 {
+		t.Fatalf("clean manager audits dirty: %v", bad)
+	}
+	f.m.mu.Lock()
+	headA, headB := f.m.tables[ptA], f.m.tables[ptB]
+	f.m.tables[ptA] = f.m.frames[headA].next // unlist A's newest page
+	f.m.mu.Unlock()
+	if bad := f.m.Audit(); len(bad) == 0 {
+		t.Error("audit missed an in-use frame absent from its table's list")
+	}
+	f.m.mu.Lock()
+	f.m.tables[ptA] = headA
+	f.m.tables[ptB] = headA // B's list now names A's frames
+	f.m.mu.Unlock()
+	if bad := f.m.Audit(); len(bad) == 0 {
+		t.Error("audit missed a table's list naming another table's frames")
+	}
+	f.m.mu.Lock()
+	f.m.tables[ptB] = headB
+	f.m.mu.Unlock()
+	if bad := f.m.Audit(); len(bad) != 0 {
+		t.Errorf("restored index audits dirty: %v", bad)
+	}
+}
+
 func TestAuditDetectsFreeListCorruption(t *testing.T) {
 	f := newFixture(t, 3)
 	pt := hw.NewPageTable(0, false)

@@ -139,6 +139,11 @@ type frameInfo struct {
 	pack      *disk.Pack
 	record    disk.RecordAddr
 	hasRecord bool
+	// prev and next thread the in-use frames holding pages of one page
+	// table into a list, as the Multics core map threads its entries;
+	// -1 ends it. setFrameLocked maintains them, and they mean nothing
+	// while the frame is not in use.
+	prev, next int
 }
 
 type descKey struct {
@@ -198,12 +203,15 @@ type Manager struct {
 	// nobody has waited on; no one awaits it.
 	unwatched eventcount.Eventcount
 
-	// resident indexes the in-use frames by the page they hold:
-	// (pt, page) to index into frames. setFrameLocked keeps it in
+	// tables is the per-table resident index: it maps each page table
+	// with a resident page to the head of the list its in-use frames
+	// are threaded on (frameInfo.prev/next), so one table's frames are
+	// listed without probing its page slots. setFrameLocked keeps it in
 	// step with every frame table write.
-	resident map[descKey]int
+	tables map[*hw.PageTable]int
 	// admits counts frame table writes that put a page in a frame;
-	// ReleaseSegment reads it to tell when its frame list is stale.
+	// ReleaseSegment and DropPages read it to tell when their frame
+	// list is stale.
 	admits int64
 
 	// The speculative read-ahead cache (see prefetch.go): cached
@@ -285,7 +293,7 @@ func NewManager(mem *hw.Memory, firstFrame int, vps *vproc.Manager, meter *hw.Co
 		vps:      vps,
 		first:    firstFrame,
 		frames:   make([]frameInfo, mem.Frames()-firstFrame),
-		resident: make(map[descKey]int),
+		tables:   make(map[*hw.PageTable]int),
 		unlocks:  make(map[descKey]*eventcount.Eventcount),
 		cached:   make(map[descKey]*cachedFrame),
 		inflight: make(map[recKey]int),
@@ -1137,17 +1145,59 @@ func (m *Manager) recoverVictims(victims []victim, disconnected int) {
 }
 
 // setFrameLocked writes entry i of the frame table and keeps the
-// resident index in step with it. Every frame table write goes through
-// it. Caller holds m.mu.
+// per-table resident index in step with it: the entry leaves its old
+// table's list and joins the head of its new one. Every frame table
+// write goes through it. Caller holds m.mu.
 func (m *Manager) setFrameLocked(i int, fi frameInfo) {
-	if old := m.frames[i]; old.inUse {
-		delete(m.resident, descKey{old.pt, old.page})
+	if old := &m.frames[i]; old.inUse {
+		if old.prev >= 0 {
+			m.frames[old.prev].next = old.next
+		} else if old.next >= 0 {
+			m.tables[old.pt] = old.next
+		} else {
+			delete(m.tables, old.pt)
+		}
+		if old.next >= 0 {
+			m.frames[old.next].prev = old.prev
+		}
 	}
+	fi.prev, fi.next = -1, -1
 	if fi.inUse {
-		m.resident[descKey{fi.pt, fi.page}] = i
+		if head, ok := m.tables[fi.pt]; ok {
+			fi.next = head
+			m.frames[head].prev = i
+		}
+		m.tables[fi.pt] = i
 		m.admits++
 	}
 	m.frames[i] = fi
+}
+
+// residentLocked appends to order the frames that hold pages of pt
+// numbered from or above, sorted by page number when byPage is set and
+// by frame number otherwise. It reads them off the per-table resident
+// index, so it costs O(resident pages of pt) however long the table
+// is. Caller holds m.mu.
+func (m *Manager) residentLocked(order []int, pt *hw.PageTable, from int, byPage bool) []int {
+	i, ok := m.tables[pt]
+	for ; ok && i >= 0; i = m.frames[i].next {
+		if m.frames[i].page >= from {
+			order = append(order, i)
+		}
+	}
+	if byPage {
+		slices.SortFunc(order, func(a, b int) int { return m.frames[a].page - m.frames[b].page })
+	} else {
+		slices.Sort(order)
+	}
+	return order
+}
+
+// holdsLocked reports whether entry i of the frame table holds a page
+// of pt numbered from or above. Caller holds m.mu.
+func (m *Manager) holdsLocked(i int, pt *hw.PageTable, from int) bool {
+	fi := &m.frames[i]
+	return fi.inUse && fi.pt == pt && fi.page >= from
 }
 
 // ReleaseSegment evicts every resident page belonging to pt, writing
@@ -1157,32 +1207,22 @@ func (m *Manager) ReleaseSegment(pt *hw.PageTable) ([]Evicted, error) {
 	// Withdraw outstanding speculations first: a deactivated segment's
 	// records may be freed and reused, and a parked prefetch must not
 	// outlive the file map that named it.
-	m.purgeCached(pt, 0, true)
+	m.purgeCached(pt, 0)
 	var out []Evicted
-	var order []int
-	next, admits := 0, int64(-1)
+	var buf [8]int
+	order, next, admits := buf[:0], 0, int64(-1)
 	for {
-		// Release in frame order, lowest first. One pass over pt's pages
-		// in the resident index lists their frames in that order, so a
-		// release costs O(pages) in all. The pass is repeated only when
-		// a frame was admitted since the last one: only then can a page
-		// of pt have become resident ahead of those listed.
-		pages := pt.Len()
+		// Release in frame order, lowest first. The listing is repeated
+		// only when a frame was admitted since the last one: only then
+		// can a page of pt have become resident ahead of those listed.
 		m.mu.Lock()
 		if admits != m.admits {
-			order = order[:0]
-			for page := 0; page < pages; page++ {
-				if i, ok := m.resident[descKey{pt, page}]; ok {
-					order = append(order, i)
-				}
-			}
-			slices.Sort(order)
-			next, admits = 0, m.admits
+			order, next, admits = m.residentLocked(order[:0], pt, 0, false), 0, m.admits
 			if out == nil && len(order) > 0 {
 				out = make([]Evicted, 0, len(order))
 			}
 		}
-		for next < len(order) && !m.holdsLocked(order[next], pt, pages) {
+		for next < len(order) && !m.holdsLocked(order[next], pt, 0) {
 			next++
 		}
 		if next == len(order) {
@@ -1210,13 +1250,6 @@ func (m *Manager) ReleaseSegment(pt *hw.PageTable) ([]Evicted, error) {
 			m.vps.RunPending()
 		}
 	}
-}
-
-// holdsLocked reports whether entry i of the frame table holds a page
-// of pt numbered below pages. Caller holds m.mu.
-func (m *Manager) holdsLocked(i int, pt *hw.PageTable, pages int) bool {
-	fi := &m.frames[i]
-	return fi.inUse && fi.pt == pt && fi.page < pages
 }
 
 // SampleWorkingSets implements the usage estimation of Gifford's
@@ -1261,9 +1294,9 @@ func (m *Manager) SampleWorkingSets() (map[uint64]int, int) {
 // Audit checks the manager's own invariants and returns a description
 // of every violation: the free list and the in-use frame table must
 // partition the pageable frames exactly, every in-use frame's page
-// descriptor must point back at that frame, and the resident index
-// must name exactly the in-use frames. It is one module's share of the
-// paper's audit prong.
+// descriptor must point back at that frame, and the per-table resident
+// lists must name exactly the in-use frames, each under its own table.
+// It is one module's share of the paper's audit prong.
 func (m *Manager) Audit() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -1324,6 +1357,28 @@ func (m *Manager) Audit() []string {
 			bad = append(bad, fmt.Sprintf("cached frame %d carries the reference bit but no queued read", frame))
 		}
 	}
+	// Walk every table's resident list: each entry must be an in-use
+	// frame of that table, linked back to its predecessor, listed once.
+	listed := make([]bool, len(m.frames))
+	listedN := 0
+	for pt, head := range m.tables {
+		prev := -1
+		for i := head; i >= 0; prev, i = i, m.frames[i].next {
+			fi := &m.frames[i]
+			if listed[i] {
+				bad = append(bad, fmt.Sprintf("frame %d listed twice in the resident index", m.first+i))
+				break
+			}
+			listed[i] = true
+			listedN++
+			if !fi.inUse || fi.pt != pt {
+				bad = append(bad, fmt.Sprintf("frame %d is on a page table's resident list but does not hold one of its pages", m.first+i))
+			}
+			if fi.prev != prev {
+				bad = append(bad, fmt.Sprintf("frame %d's resident-list back link names %d, want %d", m.first+i, fi.prev, prev))
+			}
+		}
+	}
 	inUse := 0
 	for i, fi := range m.frames {
 		frame := m.first + i
@@ -1334,8 +1389,8 @@ func (m *Manager) Audit() []string {
 			continue
 		}
 		inUse++
-		if got, ok := m.resident[descKey{fi.pt, fi.page}]; !ok || got != i {
-			bad = append(bad, fmt.Sprintf("frame %d holds page %d of segment %d but the resident index does not name it", frame, fi.page, fi.uid))
+		if !listed[i] {
+			bad = append(bad, fmt.Sprintf("frame %d holds page %d of segment %d but its table's resident list does not name it", frame, fi.page, fi.uid))
 		}
 		if _, ok := seen[frame]; ok {
 			continue // already reported as both
@@ -1350,47 +1405,61 @@ func (m *Manager) Audit() []string {
 			bad = append(bad, fmt.Sprintf("frame %d holds page %d of segment %d but its descriptor says present=%v frame=%d", frame, fi.page, fi.uid, d.Present, d.Frame))
 		}
 	}
-	if len(m.resident) != inUse {
-		bad = append(bad, fmt.Sprintf("resident index holds %d pages but %d frames are in use", len(m.resident), inUse))
+	if listedN != inUse {
+		bad = append(bad, fmt.Sprintf("resident index lists %d pages but %d frames are in use", listedN, inUse))
 	}
 	return bad
 }
 
-// DropPage discards a resident page without write-back (used when the
-// whole segment is being deleted). The frame returns to the free pool
-// only after the descriptor is cleared and the shootdown broadcast has
-// retired every cached translation of it.
-func (m *Manager) DropPage(pt *hw.PageTable, page int) {
-	// A truncated page's speculation is withdrawn whether or not the
-	// page is resident: its record goes back to the pack's free pool
-	// and may be reallocated immediately.
-	m.purgeCached(pt, page, false)
-	key := descKey{pt, page}
-	m.mu.Lock()
-	found, ok := m.resident[key]
-	for ok && !published(pt, page, m.first+found) {
-		// A fault service has put the frame in use and not yet made
-		// the descriptor present (LoadPage and AddPage yield between
-		// the two). Dropping the frame now would let that publication
-		// map a free frame; wait for it, then drop the published page.
-		m.mu.Unlock()
-		schedsim.Block("ptw publication", func() bool { return published(pt, page, -1) })
-		runtime.Gosched()
+// DropPages discards every resident page of pt numbered from or above
+// without write-back: deletion drops from 0, truncation from the new
+// length. It withdraws those pages' speculations, resident or not,
+// keeps the rest, and costs O(resident pages of pt), not O(table
+// length). Pages are dropped in page order, and each frame returns to
+// the free pool only after its descriptor is cleared and the shootdown
+// broadcast has retired every cached translation of it.
+func (m *Manager) DropPages(pt *hw.PageTable, from int) {
+	// A dropped page's speculation is withdrawn whether or not the page
+	// is resident: its record goes back to the pack's free pool and may
+	// be reallocated immediately.
+	m.purgeCached(pt, from)
+	var buf [8]int
+	order, next, admits := buf[:0], 0, int64(-1)
+	for {
+		// As in ReleaseSegment, list again only when a frame was
+		// admitted since the last listing.
 		m.mu.Lock()
-		found, ok = m.resident[key]
+		if admits != m.admits {
+			order, next, admits = m.residentLocked(order[:0], pt, from, true), 0, m.admits
+		}
+		for next < len(order) && !m.holdsLocked(order[next], pt, from) {
+			next++
+		}
+		if next == len(order) {
+			m.mu.Unlock()
+			return
+		}
+		idx := order[next]
+		page := m.frames[idx].page
+		if !published(pt, page, m.first+idx) {
+			// A fault service has put the frame in use and not yet made
+			// the descriptor present (LoadPage and AddPage yield between
+			// the two). Dropping the frame now would let that publication
+			// map a free frame; wait for it, then drop the published page.
+			m.mu.Unlock()
+			schedsim.Block("ptw publication", func() bool { return published(pt, page, -1) })
+			runtime.Gosched()
+			continue
+		}
+		next++
+		m.setFrameLocked(idx, frameInfo{})
+		m.mu.Unlock()
+		_, _ = pt.Update(page, func(d *hw.PTW) { *d = hw.PTW{} })
+		m.Bus.InvalidatePTW(ModuleName, pt, page)
+		m.mu.Lock()
+		m.free = append(m.free, m.first+idx)
+		m.mu.Unlock()
 	}
-	if ok {
-		m.setFrameLocked(found, frameInfo{})
-	}
-	m.mu.Unlock()
-	if !ok {
-		return
-	}
-	_, _ = pt.Update(page, func(d *hw.PTW) { *d = hw.PTW{} })
-	m.Bus.InvalidatePTW(ModuleName, pt, page)
-	m.mu.Lock()
-	m.free = append(m.free, m.first+found)
-	m.mu.Unlock()
 }
 
 // published reports whether the page's descriptor is present and, for

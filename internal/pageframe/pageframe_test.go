@@ -555,16 +555,70 @@ func TestDropPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	free := f.m.FreeFrames()
-	f.m.DropPage(pt, 0)
+	f.m.DropPages(pt, 0)
 	if f.m.FreeFrames() != free+1 {
-		t.Error("DropPage did not free the frame")
+		t.Error("DropPages did not free the frame")
 	}
 	d, _ := pt.Get(0)
 	if d.Present {
 		t.Error("dropped page still present")
 	}
-	// Dropping a non-resident page is a no-op.
-	f.m.DropPage(pt, 0)
+	// Dropping a table with nothing resident is a no-op.
+	f.m.DropPages(pt, 0)
+}
+
+// DropPages(pt, k) is truncation to k pages: it drops the resident
+// pages and speculations numbered k or above, and leaves every page
+// below k, resident or speculative, where it was.
+func TestDropPagesFrom(t *testing.T) {
+	f := newFixture(t, 8)
+	pt := hw.NewPageTable(5, false)
+	other := hw.NewPageTable(0, false)
+	recs := []disk.RecordAddr{f.storedPage(t, 50), f.storedPage(t, 51), f.storedPage(t, 52)}
+	// Page 0 resident, pages 1 and 2 parked in the read-ahead cache.
+	if _, err := f.m.LoadPage(PageReq{
+		UID: 1, PT: pt, Page: 0, Pack: f.pack, Record: recs[0], HasRecord: true,
+		ReadAhead: []ReadAheadPage{{Page: 1, Record: recs[1]}, {Page: 2, Record: recs[2]}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Pages 3 and 4 resident, and one page of another table.
+	for _, page := range []int{4, 3} {
+		if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: page, Pack: f.pack}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := f.m.AddPage(PageReq{UID: 2, PT: other, Page: 0, Pack: f.pack}); err != nil {
+		t.Fatal(err)
+	}
+	free := f.m.FreeFrames()
+	f.m.DropPages(pt, 2)
+	// Two resident pages and one speculation gave their frames back.
+	if got := f.m.FreeFrames(); got != free+3 {
+		t.Errorf("FreeFrames = %d, want %d", got, free+3)
+	}
+	for page := 0; page < 5; page++ {
+		d, _ := pt.Get(page)
+		if want := page == 0; d.Present != want {
+			t.Errorf("page %d present = %v, want %v", page, d.Present, want)
+		}
+	}
+	if d, _ := other.Get(0); !d.Present {
+		t.Error("another table's page was dropped")
+	}
+	if st := f.m.Stats(); st.PrefetchDrops != 1 {
+		t.Errorf("prefetch drops = %d, want 1 (page 2 only)", st.PrefetchDrops)
+	}
+	if bad := f.m.Audit(); len(bad) != 0 {
+		t.Errorf("audit after DropPages: %v", bad)
+	}
+	// Page 1's speculation survived: its fault is a hit.
+	if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: 1, Pack: f.pack, Record: recs[1], HasRecord: true}); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.m.Stats(); st.PrefetchHits != 1 {
+		t.Errorf("prefetch hits = %d, want 1: the speculation below the cut was withdrawn", st.PrefetchHits)
+	}
 }
 
 func TestClockGivesSecondChance(t *testing.T) {

@@ -236,15 +236,15 @@ func (m *Manager) removeCachedLocked(cf *cachedFrame) {
 	}
 }
 
-// purgeCached drops every cache entry for pt (one page, or all of
-// them) — truncation, deletion and deactivation must not leave
+// purgeCached drops every cache entry for a page of pt numbered from
+// or above — truncation, deletion and deactivation must not leave
 // speculations pointing at records that may be freed and reused. The
 // ring gives the victims a deterministic order.
-func (m *Manager) purgeCached(pt *hw.PageTable, page int, all bool) {
+func (m *Manager) purgeCached(pt *hw.PageTable, from int) {
 	m.mu.Lock()
 	var victims []*cachedFrame
 	for _, cf := range m.cacheRing {
-		if cf.pt == pt && (all || cf.page == page) {
+		if cf.pt == pt && cf.page >= from {
 			victims = append(victims, cf)
 		}
 	}

@@ -108,7 +108,7 @@ func TestPrefetchPurgedOnDropPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	free := f.m.FreeFrames()
-	f.m.DropPage(pt, 1) // page 1 is not resident — only its speculation exists
+	f.m.DropPages(pt, 1) // page 1 is not resident — only its speculation exists
 	st := f.m.Stats()
 	if st.PrefetchDrops != 1 || st.PrefetchHits != 0 {
 		t.Errorf("drops %d hits %d, want 1, 0", st.PrefetchDrops, st.PrefetchHits)

@@ -298,14 +298,11 @@ func (m *Manager) Activate(uid uint64, addr disk.SegAddr, cell quota.CellName, h
 	// it) carries the exception-causing bit, so its first touch
 	// raises a quota fault above page control instead of a plain
 	// missing-page fault. Stored pages fault missing-page.
-	pt := hw.NewPageTable(MaxPages, false)
-	for i := 0; i < MaxPages; i++ {
-		if i < len(e.Map) && e.Map[i].State == disk.PageStored {
-			_ = pt.Set(i, hw.PTW{})
-		} else {
-			_ = pt.Set(i, hw.PTW{QuotaTrap: true})
-		}
+	ptws := make([]hw.PTW, MaxPages)
+	for i := range ptws {
+		ptws[i].QuotaTrap = i >= len(e.Map) || e.Map[i].State != disk.PageStored
 	}
+	pt := hw.NewPageTableOf(ptws, false)
 	a := &ASTE{uid: uid, addr: addr, pt: pt, cell: cell, hasCell: hasCell, dir: e.Dir, slot: slot, mapLen: len(e.Map), lastFault: -2}
 	m.slots[slot] = true
 	m.byUID[uid] = a
@@ -996,13 +993,9 @@ func (m *Manager) Truncate(uid uint64, newPages int) error {
 	freed := len(toFree)
 	// Drop resident frames and restore the quota-trap bits so the
 	// truncated region grows through the charged path again.
-	for page := newPages; page < MaxPages; page++ {
-		m.frames.DropPage(a.pt, page)
-		if _, err := a.pt.Update(page, func(d *hw.PTW) {
-			*d = hw.PTW{QuotaTrap: true}
-		}); err != nil {
-			return err
-		}
+	m.frames.DropPages(a.pt, newPages)
+	if err := a.pt.ResetFrom(newPages, hw.PTW{QuotaTrap: true}); err != nil {
+		return err
 	}
 	m.mu.Lock()
 	if a.mapLen > newPages {
@@ -1029,9 +1022,7 @@ func (m *Manager) Delete(uid uint64, addr disk.SegAddr) error {
 	if active {
 		addr = a.addr
 		cell, hasCell = a.cell, a.hasCell
-		for i := 0; i < a.pt.Len(); i++ {
-			m.frames.DropPage(a.pt, i)
-		}
+		m.frames.DropPages(a.pt, 0)
 		if err := m.Disconnect(uid); err != nil {
 			return err
 		}

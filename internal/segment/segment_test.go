@@ -615,6 +615,36 @@ func TestDelete(t *testing.T) {
 	}
 }
 
+// Deleting an active segment gives back the frames of its resident
+// pages, and only those: another segment's resident page stays put.
+func TestDeleteDropsResidentPages(t *testing.T) {
+	f := newFixture(t, 8, 64)
+	_, cell := f.quotaDir(t, 10)
+	uid, a := f.newSeg(t, cell)
+	other, b := f.newSeg(t, cell)
+	for i := 0; i < 3; i++ {
+		if _, err := f.m.Grow(uid, i, 8, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.m.Grow(other, 0, 9, 0); err != nil {
+		t.Fatal(err)
+	}
+	free := f.frames.FreeFrames()
+	if err := f.m.Delete(uid, a.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.frames.FreeFrames(); got != free+3 {
+		t.Errorf("FreeFrames = %d after delete, want %d", got, free+3)
+	}
+	if d, _ := b.PageTable().Get(0); !d.Present {
+		t.Error("deleting one segment dropped another's page")
+	}
+	if bad := f.frames.Audit(); len(bad) != 0 {
+		t.Errorf("page frame audit after delete: %v", bad)
+	}
+}
+
 func TestASTCapacity(t *testing.T) {
 	f := newFixture(t, 4, 64)
 	_, cell := f.quotaDir(t, 1000)

@@ -174,9 +174,17 @@ func TestTruncate(t *testing.T) {
 	if err != nil || w != 1 {
 		t.Fatalf("page 0 word = %d, %v", w, err)
 	}
-	d, _ := a.PageTable().Get(3)
-	if d.Present || !d.QuotaTrap {
-		t.Errorf("truncated page descriptor = %+v", d)
+	for page := 1; page < MaxPages; page++ {
+		d, _ := a.PageTable().Get(page)
+		if page < 2 && (!d.Present || d.QuotaTrap) {
+			t.Errorf("surviving page %d descriptor = %+v", page, d)
+		}
+		if page >= 2 && (d.Present || !d.QuotaTrap) {
+			t.Errorf("truncated page %d descriptor = %+v", page, d)
+		}
+	}
+	if bad := f.frames.Audit(); len(bad) != 0 {
+		t.Errorf("page frame audit after truncate: %v", bad)
 	}
 	if _, err := f.m.Grow(uid, 3, 8, 3); err != nil {
 		t.Fatal(err)
