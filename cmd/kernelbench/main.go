@@ -19,11 +19,14 @@
 //	P15 disk pipeline fault storm        (1/2/4 CPUs x 1/2/4 packs; gated)
 //	P16 connection storm                 (10k/100k/1M lines; O(1) cyc/conn)
 //
-// Every comparison is also written machine-readable to the path named
-// by -json (default BENCH_kernel.json; empty disables). With
-// -compare OLD.json the run diffs its cycle figures against a previous
-// report and exits non-zero when any has regressed by more than 10%,
-// so a committed baseline turns the benchmark into a gate.
+// Every multiprocessor row runs under the deterministic executor with
+// one schedule seed, so every figure is byte-reproducible. Every
+// comparison is also written machine-readable to the path named by
+// -json (default BENCH_kernel.json; empty disables). With -compare
+// OLD.json the run diffs its cycle figures against a previous report
+// and exits non-zero when any has regressed by more than 10% or is
+// missing from the run, so a committed baseline turns the benchmark
+// into a gate.
 // -cpuprofile and -memprofile write host-clock profiles of the run.
 package main
 
@@ -35,8 +38,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"multics/internal/aim"
 	"multics/internal/answering"
@@ -54,6 +55,14 @@ import (
 	"multics/internal/uproc"
 	"multics/internal/workload"
 )
+
+// schedSeed seeds the deterministic executor that runs every
+// multiprocessor row.
+const schedSeed = 1977
+
+// sim is the executor of every multiprocessor row: cooperative tasks
+// under a seeded schedule, so each row's figures reproduce exactly.
+var sim = uproc.SimExecutor{Seed: schedSeed}
 
 // A benchResult is one comparison's machine-readable form.
 type benchResult struct {
@@ -110,8 +119,9 @@ func main() {
 
 // compare diffs every cycle-denominated figure of this run against the
 // report at path and reports whether the run is free of regressions
-// beyond 10%. Figures are matched by benchmark name and metric path,
-// so reordering or adding benchmarks does not misalign the diff.
+// beyond 10% and produced every figure of the report. Figures are
+// matched by benchmark name and metric path, so reordering or adding
+// benchmarks does not misalign the diff.
 func compare(path string) bool {
 	oldRaw, err := os.ReadFile(path)
 	check(err)
@@ -128,11 +138,21 @@ func compare(path string) bool {
 	cycleLeaves("", oldDoc, oldCyc)
 	cycleLeaves("", newDoc, newCyc)
 	const tolerance = 1.10
-	regressed := 0
-	compared := 0
-	for key, old := range oldCyc {
+	keys := make([]string, 0, len(oldCyc))
+	for key := range oldCyc {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	regressed, compared, missing := 0, 0, 0
+	for _, key := range keys {
+		old := oldCyc[key]
 		now, ok := newCyc[key]
-		if !ok || old <= 0 {
+		if !ok {
+			fmt.Printf("MISSING %s: %.0f cycles in the baseline, absent from this run\n", key, old)
+			missing++
+			continue
+		}
+		if old <= 0 {
 			continue
 		}
 		compared++
@@ -141,24 +161,18 @@ func compare(path string) bool {
 			regressed++
 		}
 	}
-	if regressed > 0 {
-		fmt.Printf("kernelbench: %d of %d cycle figures regressed more than 10%% vs %s\n", regressed, compared, path)
+	fmt.Printf("compared %d cycle figures against %s, %d missing from this run\n", compared, path, missing)
+	if regressed > 0 || missing > 0 {
+		fmt.Printf("kernelbench: %d of %d cycle figures regressed more than 10%%, %d missing\n", regressed, compared, missing)
 		return false
 	}
-	fmt.Printf("compared %d cycle figures against %s: no regression beyond 10%%\n", compared, path)
+	fmt.Println("no regression beyond 10%")
 	return true
 }
 
 // cycleLeaves collects every numeric leaf whose key mentions cycles,
 // keyed by its path. Array elements carrying a "name" field (the
 // benchmark list) are keyed by that name instead of their index.
-// Makespan figures and leaves suffixed _smp are skipped:
-// multiprocessor storms run on real goroutines, so which processor
-// pays a grouped write-back (and hence the per-processor maximum or a
-// latency tail) varies a few percent run to run — gating on them
-// would make the comparison flaky. Every serial cycle figure,
-// including the P11 translation-cycle pair and the P13 1-processor
-// latency percentiles, is deterministic and kept.
 func cycleLeaves(path string, v any, out map[string]float64) {
 	switch x := v.(type) {
 	case map[string]any:
@@ -178,7 +192,7 @@ func cycleLeaves(path string, v any, out map[string]float64) {
 	case float64:
 		parts := strings.Split(path, "/")
 		leaf := strings.ToLower(parts[len(parts)-1])
-		if strings.Contains(leaf, "cycles") && !strings.Contains(leaf, "makespan") && !strings.HasSuffix(leaf, "_smp") {
+		if strings.Contains(leaf, "cycles") {
 			out[path] = x
 		}
 	}
@@ -219,15 +233,6 @@ func check(err error) {
 
 func ratio(a, b int64) string {
 	return fmt.Sprintf("%+.1f%%", 100*float64(a-b)/float64(b))
-}
-
-// gated names a figure for the -compare gate: a multiprocessor row run
-// on real goroutines carries the _smp suffix the gate skips.
-func gated(nCPU int, key string) string {
-	if nCPU > 1 {
-		return key + "_smp"
-	}
-	return key
 }
 
 // user gives a fresh process to processor 0.
@@ -477,11 +482,11 @@ func p9() {
 // p10 measures true-multiprocessor throughput on a paging- and
 // quota-heavy workload. A fixed amount of work — rounds of growing a
 // file page by page under quota, reading it back, and truncating it —
-// is divided among 1, 2 and 4 simulated processors running on real
-// goroutines; the figure of merit is the simulated makespan: the
-// busiest processor's cycle account (lock waits cost no simulated
-// cycles, so this is the ideal-hardware speedup; the rank checker is
-// off, as a release build would have it).
+// is divided among 1, 2 and 4 simulated processors under the
+// deterministic executor; the figure of merit is the simulated
+// makespan: the busiest processor's cycle account (lock waits cost no
+// simulated cycles, so this is the ideal-hardware speedup; the rank
+// checker is off, as a release build would have it).
 func p10() {
 	prev := lockrank.SetChecking(false)
 	defer lockrank.SetChecking(prev)
@@ -490,7 +495,7 @@ func p10() {
 	var base int64
 	var rows []map[string]any
 	for _, nCPU := range []int{1, 2, 4} {
-		makespan, ops := pagingStorm(uproc.GoroutineExecutor{}, nCPU, totalRounds, false)
+		makespan, ops := pagingStorm(sim, nCPU, totalRounds, false)
 		speedup := 1.0
 		if base == 0 {
 			base = makespan
@@ -541,7 +546,7 @@ func pagingStorm(ex uproc.Executor, nCPU, totalRounds int, assocOff bool) (int64
 // translation meter shows the cycles saved. Second, the P10 fault
 // storm reruns on 1, 2 and 4 processors with the cache on and off: the
 // on-configuration pays the shootdown broadcasts but keeps the fast
-// path, and the makespans show the net effect under real contention.
+// path, and the makespans show the net effect under contention.
 func p11() {
 	fmt.Println("P11 associative memory (per-processor SDW/PTW cache):")
 	prev := lockrank.SetChecking(false)
@@ -576,8 +581,8 @@ func p11() {
 	}
 	var rows []map[string]any
 	for _, nCPU := range []int{1, 2, 4} {
-		on, _ := pagingStorm(uproc.GoroutineExecutor{}, nCPU, 192, false)
-		off, _ := pagingStorm(uproc.GoroutineExecutor{}, nCPU, 192, true)
+		on, _ := pagingStorm(sim, nCPU, 192, false)
+		off, _ := pagingStorm(sim, nCPU, 192, true)
 		fmt.Printf("    %d-processor fault-storm makespan: cache on %9d cyc, off %9d cyc (%s)\n",
 			nCPU, on, off, ratio(on, off))
 		rows = append(rows, map[string]any{
@@ -597,9 +602,8 @@ func p11() {
 // per-login cycle cost, the dispatch cost per quantum — which stays
 // flat as the user count grows tenfold, the O(1) run-queue claim —
 // and the time-to-first-quantum tail, each process's creation to its
-// first dispatch. The 1-processor runs are single goroutines and
-// hence deterministic; their figures feed the -compare gate, while
-// the multiprocessor rows carry _smp keys the gate skips.
+// first dispatch. The quanta run under the deterministic executor, so
+// every row, multiprocessor ones included, feeds the -compare gate.
 func p12() {
 	prev := lockrank.SetChecking(false)
 	defer lockrank.SetChecking(prev)
@@ -634,7 +638,7 @@ func loginStorm(users, nCPU int) map[string]any {
 		procs = append(procs, p)
 		return p, nil
 	})
-	ops := k.StormOps(uproc.GoroutineExecutor{}, k.CPUs)
+	ops := k.StormOps(sim, k.CPUs)
 	inner := ops.Quanta
 	var quantaCycles int64
 	ops.Quanta = func(n int, body func(any)) (int, error) {
@@ -675,29 +679,27 @@ func loginStorm(users, nCPU int) map[string]any {
 	}
 	fmt.Printf("    %5d users %d cpu: login %5d cyc/user, dispatch %4d cyc/quantum, ttfq p50 %9d p99 %9d max %9d cyc, %5d steals, depth %d\n",
 		users, nCPU, loginPer, perQuantum, pct(0.50), pct(0.99), ttfq[len(ttfq)-1], stats.Steals, stats.MaxQueueDepth)
-	row := map[string]any{
+	return map[string]any{
 		"users": users, "processors": nCPU,
 		"dispatches": stats.Dispatches, "first_quanta": len(ttfq),
 		"steals": stats.Steals, "migrations": stats.Migrations,
 		"donations": stats.Donations, "wakeups": stats.Wakeups,
 		"blocked": st.Blocked, "woken": st.Woken,
-		"max_queue_depth": stats.MaxQueueDepth,
+		"max_queue_depth":             stats.MaxQueueDepth,
+		"login_cycles_per_user":       loginPer,
+		"dispatch_cycles_per_quantum": perQuantum,
+		"ttfq_p50_cycles":             pct(0.50),
+		"ttfq_p99_cycles":             pct(0.99),
+		"ttfq_max_cycles":             ttfq[len(ttfq)-1],
 	}
-	row[gated(nCPU, "login_cycles_per_user")] = loginPer
-	row[gated(nCPU, "dispatch_cycles_per_quantum")] = perQuantum
-	row[gated(nCPU, "ttfq_p50_cycles")] = pct(0.50)
-	row[gated(nCPU, "ttfq_p99_cycles")] = pct(0.99)
-	row[gated(nCPU, "ttfq_max_cycles")] = ttfq[len(ttfq)-1]
-	return row
 }
 
 // p13 measures fault-service latency with the span tracer on: the P10
 // fault storm reruns at 1, 2 and 4 processors, and the page frame
-// manager's fault-service histogram yields p50/p99/max. The
-// 1-processor figures are byte-deterministic (spans are stamped from
-// the simulated cycle clock) and feed the -compare regression gate;
-// the multiprocessor tails depend on real goroutine interleaving and
-// are recorded under _smp keys the gate skips, like the makespans.
+// manager's fault-service histogram yields p50/p99/max. Spans are
+// stamped from the simulated cycle clock and the storm runs under the
+// deterministic executor, so every figure is byte-reproducible and
+// feeds the -compare regression gate.
 func p13() {
 	prev := lockrank.SetChecking(false)
 	defer lockrank.SetChecking(prev)
@@ -712,12 +714,10 @@ func p13() {
 			nCPU, p50, p99, h.Max, h.Count)
 		rows = append(rows, map[string]any{
 			"processors": nCPU, "services": h.Count,
-			gated(nCPU, "p50_cycles"): p50,
-			gated(nCPU, "p99_cycles"): p99,
-			gated(nCPU, "max_cycles"): h.Max,
+			"p50_cycles": p50, "p99_cycles": p99, "max_cycles": h.Max,
 		})
 	}
-	fmt.Println("    [percentiles are log2 bucket upper bounds; the 1-processor figures are deterministic and gated]")
+	fmt.Println("    [percentiles are log2 bucket upper bounds; every figure is deterministic and gated]")
 	record("P13 fault-service latency", map[string]any{"per_processors": rows})
 }
 
@@ -764,7 +764,7 @@ func latencyStorm(nCPU int) *core.Kernel {
 			return err
 		}
 	}
-	check(workload.Run(uproc.GoroutineExecutor{}, ws, func(w *workload.Worker) error {
+	check(workload.Run(sim, ws, func(w *workload.Worker) error {
 		for i := 0; i < filePages; i++ {
 			if err := retry(func() error {
 				return k.Write(w.CPU, w.Proc, w.Segno, i*hw.PageWords, hw.Word(i+1))
@@ -785,21 +785,18 @@ func latencyStorm(nCPU int) *core.Kernel {
 	return k
 }
 
-// p14 reruns the P10 parallel storm under the deterministic executor:
-// the same paging+quota workload, but the workers are cooperative
-// tasks interleaved by a seeded schedule instead of real goroutines.
-// The busiest processor's cycle account is therefore byte-reproducible
-// run over run, so — unlike the goroutine makespans, which cycleLeaves
-// skips — these multiprocessor figures are named to feed the -compare
-// regression gate.
+// p14 reruns the P10 parallel storm at half the rounds: the same
+// paging+quota workload on cooperative tasks interleaved by the seeded
+// schedule, so the busiest processor's cycle account is
+// byte-reproducible run over run and feeds the -compare regression
+// gate.
 func p14() {
 	prev := lockrank.SetChecking(false)
 	defer lockrank.SetChecking(prev)
-	const schedSeed = 1977
 	fmt.Printf("P14 deterministic parallel storm (sim executor, seed %d):\n", schedSeed)
 	var rows []map[string]any
 	for _, nCPU := range []int{1, 2, 4} {
-		busiest, ops := pagingStorm(uproc.SimExecutor{Seed: schedSeed}, nCPU, 96, false)
+		busiest, ops := pagingStorm(sim, nCPU, 96, false)
 		fmt.Printf("    %d processors: busiest processor %9d cyc over %d rounds\n", nCPU, busiest, ops)
 		rows = append(rows, map[string]any{"processors": nCPU, "busiest_cpu_cycles": busiest, "rounds": ops})
 	}
@@ -817,18 +814,17 @@ func p14() {
 // busiest device account: the makespan of the overlapped pipeline,
 // since a faulter blocks on its pack's completion eventcount while
 // the other packs' elevators and the other processors keep running.
-// Every row is produced under the sim executor, so — like P14 — the
-// figures are named to feed the -compare gate, 1-CPU rows included.
+// Every row is produced under the sim executor, so the figures feed
+// the -compare gate.
 func p15() {
 	prev := lockrank.SetChecking(false)
 	defer lockrank.SetChecking(prev)
-	const schedSeed = 1977
 	fmt.Println("P15 disk pipeline fault storm (sequential scans; bottleneck = max of busiest CPU and busiest device):")
 	var rows []map[string]any
 	for _, nCPU := range []int{1, 2, 4} {
 		var onePack int64
 		for _, nPack := range []int{1, 2, 4} {
-			r := diskStorm(nCPU, nPack, schedSeed)
+			r := diskStorm(nCPU, nPack)
 			gain := ""
 			if nPack == 1 {
 				onePack = r.bottleneck
@@ -866,7 +862,7 @@ type diskStormResult struct {
 // diskStorm runs one P15 configuration and returns the scan phase's
 // deltas: busiest processor account, busiest pack device account,
 // fault count and read-ahead hits.
-func diskStorm(nCPU, nPacks int, seed int64) diskStormResult {
+func diskStorm(nCPU, nPacks int) diskStormResult {
 	const filePages = 24
 	k := bootKernel(func(c *core.Config) {
 		c.Processors = nCPU
@@ -905,7 +901,7 @@ func diskStorm(nCPU, nPacks int, seed int64) diskStormResult {
 	}
 	st0 := k.Frames.Stats()
 
-	check(workload.Run(uproc.SimExecutor{Seed: seed}, ws, func(w *workload.Worker) error {
+	check(workload.Run(sim, ws, func(w *workload.Worker) error {
 		return workload.Scan(k, w, filePages, 1)
 	}))
 
@@ -936,9 +932,8 @@ func diskStorm(nCPU, nPacks int, seed int64) diskStormResult {
 // subset of lines runs the real dialog — login frames through the
 // answering service — and every row re-proves isolation: a line
 // flooded past its credit window drops its own frames while a
-// neighbor on the same shard loses nothing. The 1-processor rows are
-// single-goroutine and deterministic; their figures feed the -compare
-// gate, while the multiprocessor rows carry _smp keys the gate skips.
+// neighbor on the same shard loses nothing. The storm runs under the
+// deterministic executor, so every row feeds the -compare gate.
 func p16() {
 	prev := lockrank.SetChecking(false)
 	defer lockrank.SetChecking(prev)
@@ -988,56 +983,33 @@ func connStorm(conns, nCPU int) map[string]any {
 		check(fmt.Errorf("p16: %d logins, want %d", got, loginUsers))
 	}
 
-	// The storm: one frame per connection. Single-processor rows
-	// deliver and drain in bursts of 64 frames on one goroutine, so the
-	// figures are deterministic and a frame waits for at most one
-	// burst; multiprocessor rows run one producer per processor against
-	// a read-drain-await consumer per shard.
+	// The storm: one frame per connection. Each processor delivers its
+	// range of connections in bursts of 64 frames and after each burst
+	// drains the shards it owns, so a frame waits for at most one burst
+	// of each processor; with one processor that is a single deliver,
+	// drain, deliver loop. The storm is split at burst boundaries into
+	// executor runs of burstsPerRun bursts each, keeping every run well
+	// inside the executor's step backstop, and the frames delivered
+	// after their shard's last drain are drained at the end.
+	const burst, burstsPerRun = 64, 1024
 	start := k.Meter.Snapshot()
 	payload := []hw.Word{0o101, 0o777}
-	if nCPU == 1 {
-		const batch = 64
-		cpu := k.CPUs[0]
-		for lo := 0; lo < conns; lo += batch {
-			for id := lo; id < min(lo+batch, conns); id++ {
-				check(node.Mux.Deliver(cpu, "front-end", netmux.Frame{Channel: id, Payload: payload}))
-			}
-			for sh := 0; sh < terms.Shards(); sh++ {
-				terms.Drain(sh, nil)
-			}
-		}
-	} else {
-		var consumers sync.WaitGroup
-		var done atomic.Bool
-		for sh := 0; sh < terms.Shards(); sh++ {
-			sh := sh
-			consumers.Add(1)
-			go func() {
-				defer consumers.Done()
-				ec := terms.DeliveryEC(sh)
-				for {
-					seen := ec.Read()
-					if terms.Drain(sh, nil) > 0 {
-						continue
-					}
-					if done.Load() {
-						return
-					}
-					ec.Await(seen + 1)
+	per := (conns + nCPU - 1) / nCPU
+	for lo := 0; lo < per; lo += burst * burstsPerRun {
+		check(sim.Run(k.CPUs, func(cpu *hw.Processor) {
+			first, last := cpu.ID*per, min((cpu.ID+1)*per, conns)
+			for b := first + lo; b < min(first+lo+burst*burstsPerRun, last); b += burst {
+				for id := b; id < min(b+burst, last); id++ {
+					check(node.Mux.Deliver(cpu, "front-end", netmux.Frame{Channel: id, Payload: payload}))
 				}
-			}()
-		}
-		per := (conns + nCPU - 1) / nCPU
-		check(uproc.GoroutineExecutor{}.Run(k.CPUs, func(cpu *hw.Processor) {
-			for id := cpu.ID * per; id < min((cpu.ID+1)*per, conns); id++ {
-				check(node.Mux.Deliver(cpu, "front-end", netmux.Frame{Channel: id, Payload: payload}))
+				for sh := cpu.ID; sh < terms.Shards(); sh += nCPU {
+					terms.Drain(sh, nil)
+				}
 			}
 		}))
-		done.Store(true)
-		for sh := 0; sh < terms.Shards(); sh++ {
-			terms.DeliveryEC(sh).Advance()
-		}
-		consumers.Wait()
+	}
+	for sh := 0; sh < terms.Shards(); sh++ {
+		terms.Drain(sh, nil)
 	}
 	perConn := k.Meter.Since(start) / int64(conns)
 	p50, p99 := terms.LatencyPercentile(50), terms.LatencyPercentile(99)
@@ -1058,15 +1030,14 @@ func connStorm(conns, nCPU int) map[string]any {
 	st := terms.Stats()
 	fmt.Printf("    %7d conns %d cpu: %4d cyc/conn, delivery p50 %7d p99 %7d cyc, %7d frames, slow-line drops %d, healthy neighbor %d\n",
 		conns, nCPU, perConn, p50, p99, st.Frames, slowSt.Drops, healthySt.Drops)
-	row := map[string]any{
+	return map[string]any{
 		"connections": conns, "processors": nCPU,
 		"frames": st.Frames, "delivered": st.Delivered,
 		"logins":          loginUsers,
 		"slow_conn_drops": slowSt.Drops, "healthy_conn_drops": healthySt.Drops,
-		"mux_dropped": node.Mux.MuxStats().Dropped,
+		"mux_dropped":           node.Mux.MuxStats().Dropped,
+		"cycles_per_connection": perConn,
+		"delivery_p50_cycles":   p50,
+		"delivery_p99_cycles":   p99,
 	}
-	row[gated(nCPU, "cycles_per_connection")] = perConn
-	row[gated(nCPU, "delivery_p50_cycles")] = p50
-	row[gated(nCPU, "delivery_p99_cycles")] = p99
-	return row
 }

@@ -35,7 +35,7 @@ func main() {
 	pages := flag.Int("pages", 6, "pages written per file")
 	packs := flag.Int("packs", 2, "mounted disk packs; more than one spreads new files round-robin so their faults ride separate device queues")
 	runAudit := flag.Bool("audit", true, "run the invariant audit after the workload")
-	schedSeed := flag.Int64("sched-seed", 0, "when nonzero, run a multiprocessor storm under the deterministic executor with this schedule seed; a failure prints the seed that replays it")
+	schedSeed := flag.Int64("sched-seed", 0, "when nonzero, run a multiprocessor storm under the deterministic executor with this schedule seed; a failure prints the seed that replays it. It also seeds the -storm quanta schedule")
 	storm := flag.Bool("storm", false, "drive a login/timesharing storm of -users users through the answering service instead of the scripted file workload")
 	connections := flag.Int("connections", 0, "when positive, attach the front-end communications processor and storm this many terminal connections through the demultiplexer")
 	slowConsumers := flag.Int("slow-consumers", 0, "connections (of -connections) whose consumers never return credits: their lines throttle and drop, everyone else keeps a full window")
@@ -84,7 +84,7 @@ func main() {
 	}
 
 	if *storm {
-		if err := runLoginStorm(k, *users); err != nil {
+		if err := runLoginStorm(k, *users, *schedSeed); err != nil {
 			fatal("login storm", err)
 		}
 	}
@@ -210,8 +210,11 @@ func main() {
 // runLoginStorm registers and logs in users simulated users through
 // the answering service, timeshares them through rounds of quanta
 // with block/wake churn over the real-memory queue on the sharded
-// run queues, and logs them all out.
-func runLoginStorm(k *core.Kernel, users int) error {
+// run queues, and logs them all out. The quanta run under the
+// deterministic executor with the given schedule seed, which binds
+// each processor's task so the per-process spans of the top-talkers
+// table nest per processor.
+func runLoginStorm(k *core.Kernel, users int, seed int64) error {
 	svc := answering.New(answering.Split, k.Meter, func(principal string, label aim.Label) (any, error) {
 		return k.CreateProcess(principal, label)
 	})
@@ -220,7 +223,7 @@ func runLoginStorm(k *core.Kernel, users int) error {
 		Rounds:         2,
 		QuantaPerRound: 2*users/len(k.CPUs) + 32,
 		BlockEvery:     97,
-	}, k.StormOps(uproc.GoroutineExecutor{}, k.CPUs))
+	}, k.StormOps(uproc.SimExecutor{Seed: seed}, k.CPUs))
 	if err != nil {
 		return err
 	}

@@ -455,8 +455,8 @@ func TestSMPShootdownNoStaleTranslation(t *testing.T) {
 // TestRunQuantumWithGoroutines proves the scheduler dispatches
 // distinct processes to distinct processors concurrently: every
 // processor's goroutine must be inside the quantum body at the same
-// instant for the barrier to release, and the swap events must carry
-// both processors' identities.
+// instant for the barrier to release, each processor must run one of
+// the processes, and every dispatch must load a process state.
 func TestRunQuantumWithGoroutines(t *testing.T) {
 	const nCPU = 2
 	k := boot(t, func(c *core.Config) { c.Processors = nCPU })
@@ -468,8 +468,10 @@ func TestRunQuantumWithGoroutines(t *testing.T) {
 	}
 	var barrier sync.WaitGroup
 	barrier.Add(nCPU)
+	var ranOn [nCPU]uint64
 	ran, err := k.Procs.RunQuantumWith(uproc.GoroutineExecutor{}, k.CPUs, 1, func(cpu *hw.Processor, p *uproc.Process) {
 		k.Attach(cpu, p)
+		ranOn[cpu.ID] = p.ID()
 		barrier.Done()
 		barrier.Wait() // releases only when every processor is in its body
 	})
@@ -479,16 +481,17 @@ func TestRunQuantumWithGoroutines(t *testing.T) {
 	if ran != nCPU {
 		t.Fatalf("ran %d processes, want %d", ran, nCPU)
 	}
-	cpus := make(map[int32]bool)
+	if ranOn[0] == 0 || ranOn[1] == 0 || ranOn[0] == ranOn[1] {
+		t.Errorf("processes run per processor = %v, want a distinct process on each", ranOn)
+	}
+	loads := 0
 	for _, e := range rec.Events() {
-		if e.Kind == trace.EvProcessSwap && e.CPU > 0 {
-			cpus[e.CPU-1] = true
+		if e.Kind == trace.EvProcessSwap && e.Arg1 == 0 {
+			loads++
 		}
 	}
-	for i := int32(0); i < nCPU; i++ {
-		if !cpus[i] {
-			t.Errorf("no process-swap event attributed to processor %d; got %v", i, cpus)
-		}
+	if loads != nCPU {
+		t.Errorf("%d process-state loads traced, want %d", loads, nCPU)
 	}
 	if bad := k.Procs.Audit(); len(bad) != 0 {
 		t.Errorf("process audit: %v", bad)

@@ -4,9 +4,12 @@
 // "which execution context am I in?" through schedsim.Self, which
 // answers from the deterministic executor's token when the caller is
 // one of its tasks, and only off-task — the goroutine executor's
-// goroutines and raw goroutines in tests, the truly concurrent callers
-// — falls back to the goroutine id parsed here from the runtime's
-// stack header. That off-task branch is this package's one caller.
+// goroutines, raw goroutines in tests and single-processor code —
+// falls back to the goroutine id parsed here from the runtime's stack
+// header. Processor binding needs no such fallback (it exists only on
+// a task), so that off-task branch is this package's one caller, and
+// its remaining users are lockrank's off-task held-lock stacks and
+// upsignal's re-entrance guard.
 package goid
 
 import "runtime"

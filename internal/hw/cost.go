@@ -93,12 +93,12 @@ const MeterCPUs = 64
 // A CostMeter accumulates simulated machine cycles. It is safe for
 // concurrent use (the multiprocessor fault tests run two simulated
 // processors against one meter). Alongside the global total it keeps
-// a per-processor account: cycles accrued by a context bound to a
-// simulated processor (a uproc.Executor binds each it runs) are also
-// charged to that
-// processor, so a parallel run's makespan — the busiest processor's
-// cycles — is measurable. Unbound accrual (the deterministic
-// single-processor mode never binds) costs two extra atomic loads.
+// a per-processor account: cycles accrued by a schedsim task bound to
+// a simulated processor (uproc.SimExecutor binds each it runs) are
+// also charged to that processor, so a parallel run's makespan — the
+// busiest processor's cycles — is measurable. Unbound accrual (the
+// single-processor mode and the goroutine executor's goroutines) goes
+// to the total only, for one extra atomic load.
 type CostMeter struct {
 	cycles atomic.Int64
 	percpu [MeterCPUs]atomic.Int64

@@ -1,6 +1,9 @@
 package hw
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Memory is the simulated primary ("core") memory: a fixed number of
 // page frames of PageWords words each. Frame ownership and allocation
@@ -33,12 +36,15 @@ func (m *Memory) Read(addr int) (Word, error) {
 	return m.words[addr], nil
 }
 
-// Write stores w at absolute address addr.
+// Write stores w at absolute address addr. The store is atomic: a
+// user store through a cached translation may land while the zero-page
+// scan of an eviction on another processor reads the frame
+// (FrameIsZero), which re-validates its verdict after the shootdown.
 func (m *Memory) Write(addr int, w Word) error {
 	if addr < 0 || addr >= len(m.words) {
 		return fmt.Errorf("hw: write of absolute address %d outside memory of %d words", addr, len(m.words))
 	}
-	m.words[addr] = w.Masked()
+	atomic.StoreUint64((*uint64)(&m.words[addr]), uint64(w.Masked()))
 	return nil
 }
 
@@ -95,13 +101,15 @@ func (m *Memory) ZeroFrame(f int) error {
 // removal algorithm of the storage system must scan page contents this
 // way to implement the zero-page storage optimization -- the paper
 // notes this gives the removal algorithm otherwise unnecessary access
-// to the data of every page in the system.
+// to the data of every page in the system. The scan loads each word
+// atomically, pairing with Write's atomic store.
 func (m *Memory) FrameIsZero(f int) (bool, error) {
 	if err := m.checkFrame(f); err != nil {
 		return false, err
 	}
-	for _, w := range m.words[f*PageWords : (f+1)*PageWords] {
-		if w != 0 {
+	words := m.words[f*PageWords : (f+1)*PageWords]
+	for i := range words {
+		if atomic.LoadUint64((*uint64)(&words[i])) != 0 {
 			return false, nil
 		}
 	}

@@ -1,8 +1,11 @@
 package trace
 
 import (
+	"fmt"
 	"sync"
 	"testing"
+
+	"multics/internal/schedsim"
 )
 
 // TestConcurrentEmitGapFreeSeq drives the recorder from many
@@ -92,28 +95,37 @@ func TestConcurrentRingWrap(t *testing.T) {
 	}
 }
 
-// TestConcurrentSpans closes spans from several bound goroutines at
-// once under the race detector and requires the aggregate accounting
-// to come out exact.
+// runBound runs n schedsim tasks under strategy, task i bound to
+// processor i, and fails the test on an executor failure.
+func runBound(t *testing.T, n int, strategy schedsim.Strategy, body func(i int)) {
+	t.Helper()
+	ex := schedsim.New(schedsim.Config{Name: "trace", Strategy: strategy})
+	for i := 0; i < n; i++ {
+		ex.Go(fmt.Sprintf("cpu%d", i), func() {
+			defer BindCPU(i)()
+			body(i)
+		})
+	}
+	if err := ex.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentSpans closes spans from several bound tasks,
+// switching task at a seeded choice after every begin, and requires
+// the aggregate accounting to come out exact.
 func TestConcurrentSpans(t *testing.T) {
 	const workers, perWorker = 6, 300
 	r := NewRecorder(workers*perWorker, nil)
 	r.Register("m")
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			unbind := BindCPU(i)
-			defer unbind()
-			r.SetRunningProcess(uint64(i + 1))
-			for j := 0; j < perWorker; j++ {
-				r.BeginSpan(SpanVPDispatch, "m", int64(j))
-				r.EndSpan(SpanVPDispatch)
-			}
-		}(i)
-	}
-	wg.Wait()
+	runBound(t, workers, schedsim.Random(1), func(i int) {
+		r.SetRunningProcess(uint64(i + 1))
+		for j := 0; j < perWorker; j++ {
+			r.BeginSpan(SpanVPDispatch, "m", int64(j))
+			schedsim.Yield(schedsim.PointYield, "span open")
+			r.EndSpan(SpanVPDispatch)
+		}
+	})
 
 	if m := r.SpanMismatches(); m != 0 {
 		t.Errorf("SpanMismatches = %d, want 0", m)
@@ -138,32 +150,35 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 }
 
-// TestBindCPUAttribution checks that events emitted by a goroutine
-// bound to a processor carry that processor's id, that unbound
-// emission stays unattributed, and that an emitter's own stamp wins.
+// TestBindCPUAttribution checks that events emitted by a task bound
+// to a processor carry that processor's id, that emission off a task
+// or after unbinding stays unattributed, that bindings nest, and that
+// an emitter's own stamp wins.
 func TestBindCPUAttribution(t *testing.T) {
 	r := NewRecorder(64, nil)
 	r.Register("m")
 
-	r.Emit(Event{Kind: EvIPC, Module: "m"})
+	r.Emit(Event{Kind: EvIPC, Module: "m"}) // off a task
 
-	var wg sync.WaitGroup
-	for cpu := 0; cpu < 3; cpu++ {
-		wg.Add(1)
-		go func(cpu int) {
-			defer wg.Done()
-			unbind := BindCPU(cpu)
-			defer unbind()
-			r.Emit(Event{Kind: EvDispatch, Module: "m", Arg0: int64(cpu)})
-		}(cpu)
+	runBound(t, 3, schedsim.RoundRobin(), func(cpu int) {
+		schedsim.Yield(schedsim.PointYield, "before emit")
+		r.Emit(Event{Kind: EvDispatch, Module: "m", Arg0: int64(cpu)})
+		if cpu != 0 {
+			return
+		}
+		unbind := BindCPU(5)
+		r.Emit(Event{Kind: EvFault, Module: "m", CPU: 2}) // hardware stamped CPU 1 itself
+		r.Emit(Event{Kind: EvDispatch, Module: "m", Arg0: 5})
+		unbind()
+		r.Emit(Event{Kind: EvDispatch, Module: "m", Arg0: 0}) // the outer binding again
+	})
+	ex := schedsim.New(schedsim.Config{Name: "unbound"})
+	ex.Go("task", func() { r.Emit(Event{Kind: EvIPC, Module: "m"}) }) // on a task, never bound
+	if err := ex.Run(); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
 
-	unbind := BindCPU(5)
-	r.Emit(Event{Kind: EvFault, Module: "m", CPU: 2}) // hardware stamped CPU 1 itself
-	unbind()
-	r.Emit(Event{Kind: EvIPC, Module: "m"}) // unbound again
-
+	var dispatches int
 	for _, e := range r.Events() {
 		switch e.Kind {
 		case EvIPC:
@@ -171,6 +186,7 @@ func TestBindCPUAttribution(t *testing.T) {
 				t.Errorf("unbound event attributed to cpu %d", e.CPU-1)
 			}
 		case EvDispatch:
+			dispatches++
 			if e.CPU != int32(e.Arg0)+1 {
 				t.Errorf("bound event for cpu %d carries cpu stamp %d", e.Arg0, e.CPU)
 			}
@@ -180,4 +196,24 @@ func TestBindCPUAttribution(t *testing.T) {
 			}
 		}
 	}
+	if dispatches != 5 {
+		t.Errorf("%d bound events recorded, want 5", dispatches)
+	}
+	if BoundCPU() != 0 {
+		t.Errorf("off-task BoundCPU = %d, want 0", BoundCPU())
+	}
+}
+
+// TestBindCPUOffTaskPanics: off a schedsim task there is no
+// per-processor state to hold a binding, so BindCPU refuses.
+func TestBindCPUOffTaskPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("BindCPU off a task did not panic")
+		}
+		if BoundCPU() != 0 {
+			t.Errorf("BoundCPU = %d after the refused bind, want 0", BoundCPU())
+		}
+	}()
+	BindCPU(1)
 }

@@ -316,7 +316,7 @@ func (r *Recorder) BeginSpan(kind SpanKind, module string, arg int64) {
 	if r == nil {
 		return
 	}
-	slot := int(boundCPU()) % spanSlots
+	slot := int(BoundCPU()) % spanSlots
 	r.mu.Lock()
 	st := &r.sp.stacks[slot]
 	if st.depth >= MaxSpanDepth {
@@ -343,7 +343,7 @@ func (r *Recorder) EndSpan(kind SpanKind) {
 	if r == nil {
 		return
 	}
-	slot := int(boundCPU()) % spanSlots
+	slot := int(BoundCPU()) % spanSlots
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := &r.sp.stacks[slot]
@@ -415,7 +415,7 @@ func (r *Recorder) SetRunningProcess(pid uint64) {
 	if r == nil {
 		return
 	}
-	slot := int(boundCPU()) % spanSlots
+	slot := int(BoundCPU()) % spanSlots
 	r.mu.Lock()
 	r.sp.curProc[slot] = pid
 	r.mu.Unlock()

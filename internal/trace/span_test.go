@@ -2,8 +2,9 @@ package trace
 
 import (
 	"strings"
-	"sync"
 	"testing"
+
+	"multics/internal/schedsim"
 )
 
 // TestSpanNestingAndLinkage drives one fault-service span with a
@@ -378,30 +379,24 @@ func TestSpanSinkOf(t *testing.T) {
 	}
 }
 
-// TestSpanPerCPUStacks binds goroutines to distinct processors and
+// TestSpanPerCPUStacks binds tasks to distinct processors and
 // requires their spans to nest per processor, not across: each span
 // carries its own CPU stamp and roots its own stack.
 func TestSpanPerCPUStacks(t *testing.T) {
 	r := NewRecorder(64, &fakeClock{})
 	r.Register("m")
-	var ready, done sync.WaitGroup
-	release := make(chan struct{})
-	for cpu := 0; cpu < 3; cpu++ {
-		ready.Add(1)
-		done.Add(1)
-		go func(cpu int) {
-			defer done.Done()
-			unbind := BindCPU(cpu)
-			defer unbind()
-			r.BeginSpan(SpanQuantum, "m", int64(cpu))
-			ready.Done()
-			<-release
-			r.EndSpan(SpanQuantum)
-		}(cpu)
-	}
-	ready.Wait() // all three spans open at once, one per processor
-	close(release)
-	done.Wait()
+	open := 0
+	runBound(t, 3, schedsim.RoundRobin(), func(cpu int) {
+		r.BeginSpan(SpanQuantum, "m", int64(cpu))
+		open++
+		// Round-robin runs every other task before this one returns,
+		// so all three spans are open at once, one per processor.
+		schedsim.Yield(schedsim.PointYield, "span open")
+		if open != 3 {
+			t.Errorf("cpu %d: %d spans open at the switch, want 3", cpu, open)
+		}
+		r.EndSpan(SpanQuantum)
+	})
 
 	spans := r.Spans()
 	if len(spans) != 3 {

@@ -219,7 +219,7 @@ type Event struct {
 	// one; zero means the event was emitted outside any processor's
 	// dispatch (boot, daemons not bound to a CPU, tests). The
 	// hardware stamps its own events; manager events are stamped
-	// from the goroutine's BindCPU binding by the recorder.
+	// from the emitting task's BindCPU binding by the recorder.
 	CPU int32
 	// Kind classifies the event.
 	Kind Kind
@@ -366,7 +366,7 @@ func (r *Recorder) Emit(e Event) {
 		return
 	}
 	if e.CPU == 0 {
-		e.CPU = boundCPU()
+		e.CPU = BoundCPU()
 	}
 	r.mu.Lock()
 	r.seq++

@@ -11,18 +11,20 @@ import (
 	"multics/internal/trace"
 )
 
-// An Executor runs one body per simulated processor, with the
-// context that runs it bound to that processor, so the trace events
-// and cycles of the body are attributed to it. It is the one place a
-// processor is bound. Two implementations exist:
+// An Executor runs one body per simulated processor. Two
+// implementations exist:
 //
-//   - GoroutineExecutor — one real goroutine per hw.Processor,
-//     interleaved by the Go runtime. It exercises real memory orderings
-//     and is what -race storms run.
 //   - SimExecutor, the deterministic virtual-time model — one
 //     cooperative schedsim task per processor, interleaved by a seeded
-//     strategy at the kernel's yield points. Identical seeds replay
-//     identical schedules, byte-for-byte identical traces.
+//     strategy at the kernel's yield points. Each task is bound to its
+//     processor, so the trace events, spans and cycles of the body are
+//     attributed to it. Identical seeds replay identical schedules,
+//     byte-for-byte identical traces. Every measured or traced
+//     multiprocessor run uses it.
+//   - GoroutineExecutor — one real goroutine per hw.Processor,
+//     interleaved by the Go runtime. It exercises real memory orderings
+//     and is what -race storms run. Its goroutines are not bound: they
+//     charge the meter's total only and share frame cache 0.
 type Executor interface {
 	// Name labels the executor in test output and failure reports.
 	Name() string
@@ -54,7 +56,7 @@ func (GoroutineExecutor) Run(cpus []*hw.Processor, body func(cpu *hw.Processor))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			onCPU(cpu, body)
+			body(cpu)
 		}()
 	}
 	wg.Wait()
@@ -62,10 +64,11 @@ func (GoroutineExecutor) Run(cpus []*hw.Processor, body func(cpu *hw.Processor))
 }
 
 // SimExecutor is the deterministic virtual-time executor: the
-// processors run as cooperative schedsim tasks named cpu<id> under
-// Strategy (Random(Seed) when nil), yielding at every instrumented
-// kernel point. Any invariant panic or deadlock surfaces as a
-// *schedsim.Failure carrying Seed.
+// processors run as cooperative schedsim tasks named cpu<id>, each
+// bound to its processor (trace.BindCPU), under Strategy (Random(Seed)
+// when nil), yielding at every instrumented kernel point. Any
+// invariant panic or deadlock surfaces as a *schedsim.Failure carrying
+// Seed.
 type SimExecutor struct {
 	Seed     int64
 	Strategy schedsim.Strategy
@@ -82,15 +85,12 @@ func (e SimExecutor) Run(cpus []*hw.Processor, body func(cpu *hw.Processor)) err
 		Strategy: e.Strategy,
 	})
 	for _, cpu := range cpus {
-		ex.Go("cpu"+strconv.Itoa(cpu.ID), func() { onCPU(cpu, body) })
+		ex.Go("cpu"+strconv.Itoa(cpu.ID), func() {
+			defer trace.BindCPU(cpu.ID)()
+			body(cpu)
+		})
 	}
 	return ex.Run()
-}
-
-// onCPU runs body with the calling context bound to cpu.
-func onCPU(cpu *hw.Processor, body func(cpu *hw.Processor)) {
-	defer trace.BindCPU(cpu.ID)()
-	body(cpu)
 }
 
 // RunQuantumWith is the true-multiprocessor form of RunQuantum: it

@@ -88,3 +88,30 @@ func TestGoroutineExecutorRefusedInsideSim(t *testing.T) {
 		t.Errorf("goroutine executor after the sim run: err %v, ran %v", err, ran)
 	}
 }
+
+// TestGoroutineExecutorBindsNothing: the goroutine executor's bodies
+// run off any schedsim task, so they carry no processor binding and
+// their cycles reach the meter's total only.
+func TestGoroutineExecutorBindsNothing(t *testing.T) {
+	meter := new(hw.CostMeter)
+	cpus := []*hw.Processor{hw.NewProcessor(0, nil, meter), hw.NewProcessor(1, nil, meter)}
+	var bound [2]int32
+	err := GoroutineExecutor{}.Run(cpus, func(cpu *hw.Processor) {
+		bound[cpu.ID] = trace.BoundCPU()
+		meter.Add(10)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, b := range bound {
+		if b != 0 {
+			t.Errorf("cpu%d body bound to %d, want unbound", id, b-1)
+		}
+		if got := meter.CPUCycles(id); got != 0 {
+			t.Errorf("cpu%d account = %d cycles, want 0", id, got)
+		}
+	}
+	if got := meter.Cycles(); got != 20 {
+		t.Errorf("meter total = %d cycles, want 20", got)
+	}
+}
