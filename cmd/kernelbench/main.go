@@ -485,11 +485,8 @@ func p9() {
 // is divided among 1, 2 and 4 simulated processors under the
 // deterministic executor; the figure of merit is the simulated
 // makespan: the busiest processor's cycle account (lock waits cost no
-// simulated cycles, so this is the ideal-hardware speedup; the rank
-// checker is off, as a release build would have it).
+// simulated cycles, so this is the ideal-hardware speedup).
 func p10() {
-	prev := lockrank.SetChecking(false)
-	defer lockrank.SetChecking(prev)
 	fmt.Println("P10 parallel speedup (fixed work, simulated makespan = busiest processor's cycles):")
 	const totalRounds = 192
 	var base int64
@@ -549,8 +546,6 @@ func pagingStorm(ex uproc.Executor, nCPU, totalRounds int, assocOff bool) (int64
 // path, and the makespans show the net effect under contention.
 func p11() {
 	fmt.Println("P11 associative memory (per-processor SDW/PTW cache):")
-	prev := lockrank.SetChecking(false)
-	defer lockrank.SetChecking(prev)
 	reReference := func(assocOff bool) (xlatCycles int64, stats pageframe.Stats) {
 		k := bootKernel(func(c *core.Config) { c.AssocOff = assocOff })
 		const pages = 16 // resident throughout: re-references, not faults
@@ -595,7 +590,7 @@ func p11() {
 	record("P11 associative memory", metrics)
 }
 
-// p12 drives the answering service's login storm through the sharded
+// p12 drives the login storm (workload.LoginStorm) through the sharded
 // scheduler: 1k and 10k users register, log in, timeshare through
 // rounds of quanta with block/wake churn over the real-memory queue,
 // and log out, on 1, 2 and 4 processors. The figures of merit are the
@@ -605,6 +600,9 @@ func p11() {
 // first dispatch. The quanta run under the deterministic executor, so
 // every row, multiprocessor ones included, feeds the -compare gate.
 func p12() {
+	// The rank checker is off here alone: the login floods run off any
+	// schedsim task, where the checker would ask goid for the held-lock
+	// stack on every lock.
 	prev := lockrank.SetChecking(false)
 	defer lockrank.SetChecking(prev)
 	fmt.Println("P12 login storm (sharded run queues, work stealing, eventcount wakeups):")
@@ -638,21 +636,12 @@ func loginStorm(users, nCPU int) map[string]any {
 		procs = append(procs, p)
 		return p, nil
 	})
-	ops := k.StormOps(sim, k.CPUs)
-	inner := ops.Quanta
-	var quantaCycles int64
-	ops.Quanta = func(n int, body func(any)) (int, error) {
-		start := k.Meter.Snapshot()
-		ran, err := inner(n, body)
-		quantaCycles += k.Meter.Since(start)
-		return ran, err
-	}
-	st, err := svc.RunStorm(answering.StormConfig{
+	st, err := workload.LoginStorm{
 		Users:          users,
 		Rounds:         2,
 		QuantaPerRound: 2*users/nCPU + 32,
 		BlockEvery:     97,
-	}, ops)
+	}.Run(k, sim, svc)
 	check(err)
 	stats := k.Procs.SchedStats()
 	var loginSum int64
@@ -675,7 +664,7 @@ func loginStorm(users, nCPU int) map[string]any {
 	}
 	var perQuantum int64
 	if stats.Dispatches > 0 {
-		perQuantum = quantaCycles / stats.Dispatches
+		perQuantum = st.QuantaCycles / stats.Dispatches
 	}
 	fmt.Printf("    %5d users %d cpu: login %5d cyc/user, dispatch %4d cyc/quantum, ttfq p50 %9d p99 %9d max %9d cyc, %5d steals, depth %d\n",
 		users, nCPU, loginPer, perQuantum, pct(0.50), pct(0.99), ttfq[len(ttfq)-1], stats.Steals, stats.MaxQueueDepth)
@@ -701,8 +690,6 @@ func loginStorm(users, nCPU int) map[string]any {
 // deterministic executor, so every figure is byte-reproducible and
 // feeds the -compare regression gate.
 func p13() {
-	prev := lockrank.SetChecking(false)
-	defer lockrank.SetChecking(prev)
 	fmt.Println("P13 fault-service latency (log2-bucketed span histograms over the fault storm):")
 	var rows []map[string]any
 	for _, nCPU := range []int{1, 2, 4} {
@@ -791,8 +778,6 @@ func latencyStorm(nCPU int) *core.Kernel {
 // byte-reproducible run over run and feeds the -compare regression
 // gate.
 func p14() {
-	prev := lockrank.SetChecking(false)
-	defer lockrank.SetChecking(prev)
 	fmt.Printf("P14 deterministic parallel storm (sim executor, seed %d):\n", schedSeed)
 	var rows []map[string]any
 	for _, nCPU := range []int{1, 2, 4} {
@@ -817,8 +802,6 @@ func p14() {
 // Every row is produced under the sim executor, so the figures feed
 // the -compare gate.
 func p15() {
-	prev := lockrank.SetChecking(false)
-	defer lockrank.SetChecking(prev)
 	fmt.Println("P15 disk pipeline fault storm (sequential scans; bottleneck = max of busiest CPU and busiest device):")
 	var rows []map[string]any
 	for _, nCPU := range []int{1, 2, 4} {
@@ -935,8 +918,6 @@ func diskStorm(nCPU, nPacks int) diskStormResult {
 // neighbor on the same shard loses nothing. The storm runs under the
 // deterministic executor, so every row feeds the -compare gate.
 func p16() {
-	prev := lockrank.SetChecking(false)
-	defer lockrank.SetChecking(prev)
 	fmt.Println("P16 connection storm (front-end processor: sharded table, credit flow control, eventcount delivery):")
 	var rows []map[string]any
 	for _, conns := range []int{10_000, 100_000, 1_000_000} {

@@ -218,12 +218,12 @@ func runLoginStorm(k *core.Kernel, users int, seed int64) error {
 	svc := answering.New(answering.Split, k.Meter, func(principal string, label aim.Label) (any, error) {
 		return k.CreateProcess(principal, label)
 	})
-	st, err := svc.RunStorm(answering.StormConfig{
+	st, err := workload.LoginStorm{
 		Users:          users,
 		Rounds:         2,
 		QuantaPerRound: 2*users/len(k.CPUs) + 32,
 		BlockEvery:     97,
-	}, k.StormOps(uproc.SimExecutor{Seed: seed}, k.CPUs))
+	}.Run(k, uproc.SimExecutor{Seed: seed}, svc)
 	if err != nil {
 		return err
 	}

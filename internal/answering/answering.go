@@ -163,6 +163,9 @@ func hashPassword(salt uint64, principal, password string) uint64 {
 	return h.Sum64()
 }
 
+// StormPrincipal names the i-th synthetic storm user.
+func StormPrincipal(i int) string { return fmt.Sprintf("u%05d.storm", i) }
+
 // Register adds a user with a password and a clearance: the highest
 // label at which the user may log in.
 func (s *Service) Register(principal, password string, clearance aim.Label) error {

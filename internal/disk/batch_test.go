@@ -6,10 +6,11 @@ import (
 	"multics/internal/hw"
 )
 
-// A grouped submission writes every record and prices each
-// positioning movement by distance: an adjacent run transfers back to
-// back with no seek at all, so elevator-ordered batches are rewarded.
-func TestWriteRecordBatch(t *testing.T) {
+// A grouped submission through the device queue writes every record
+// and prices each positioning movement by distance on the pack's
+// device account: an adjacent run transfers back to back with no seek
+// at all, so elevator-ordered batches are rewarded.
+func TestQueueWriteBatch(t *testing.T) {
 	meter := &hw.CostMeter{}
 	p := NewPack("dska", 8, meter)
 	var recs []RecordAddr
@@ -24,13 +25,12 @@ func TestWriteRecordBatch(t *testing.T) {
 		recs = append(recs, r)
 		bufs = append(bufs, buf)
 	}
-	before := meter.Cycles()
-	if err := p.WriteRecordBatch(recs, bufs); err != nil {
+	if err := p.QueueWriteBatch(recs, bufs); err != nil {
 		t.Fatal(err)
 	}
 	// Records 0,1,2 from a head parked at 0: three back-to-back
 	// transfers, no positioning.
-	if got, want := meter.Cycles()-before, int64(3*hw.CycDiskRecord); got != want {
+	if got, want := p.DeviceCycles(), int64(3*hw.CycDiskRecord); got != want {
 		t.Errorf("adjacent batch of 3 cost %d cycles, want %d (three back-to-back transfers)", got, want)
 	}
 	dst := make([]hw.Word, hw.PageWords)
@@ -47,7 +47,7 @@ func TestWriteRecordBatch(t *testing.T) {
 // The two seek tiers: a hop within ShortSeekSpan records pays the
 // short tier, a hop beyond it the full average seek. A scattered
 // batch is therefore measurably dearer than the same records sorted.
-func TestWriteRecordBatchSeekTiers(t *testing.T) {
+func TestQueueWriteBatchSeekTiers(t *testing.T) {
 	meter := &hw.CostMeter{}
 	p := NewPack("dska", 512, meter)
 	buf := make([]hw.Word, hw.PageWords)
@@ -55,20 +55,19 @@ func TestWriteRecordBatchSeekTiers(t *testing.T) {
 	if err := p.WriteRecord(2, buf); err != nil {
 		t.Fatal(err)
 	}
-	before := meter.Cycles()
 	// 2 -> 10 short, 10 -> 12 short, 12 -> 400 long.
-	if err := p.WriteRecordBatch([]RecordAddr{10, 12, 400}, [][]hw.Word{buf, buf, buf}); err != nil {
+	if err := p.QueueWriteBatch([]RecordAddr{10, 12, 400}, [][]hw.Word{buf, buf, buf}); err != nil {
 		t.Fatal(err)
 	}
 	want := int64(2*hw.CycDiskSeekShort + hw.CycDiskSeek + 3*hw.CycDiskRecord)
-	if got := meter.Cycles() - before; got != want {
+	if got := p.DeviceCycles(); got != want {
 		t.Errorf("tiered batch cost %d cycles, want %d (two short seeks, one long, three transfers)", got, want)
 	}
 }
 
-// Validation happens before any transfer: a bad entry anywhere in the
-// batch leaves every record untouched.
-func TestWriteRecordBatchValidatesUpFront(t *testing.T) {
+// Validation happens before the batch joins the queue: a bad entry
+// anywhere in it leaves every record untouched and the device idle.
+func TestQueueWriteBatchValidatesUpFront(t *testing.T) {
 	meter := &hw.CostMeter{}
 	p := NewPack("dska", 4, meter)
 	r, err := p.AllocRecord()
@@ -81,14 +80,17 @@ func TestWriteRecordBatchValidatesUpFront(t *testing.T) {
 		t.Fatal(err)
 	}
 	good[0] = 99
-	if err := p.WriteRecordBatch([]RecordAddr{r, RecordAddr(9)}, [][]hw.Word{good, good}); err == nil {
+	if err := p.QueueWriteBatch([]RecordAddr{r, RecordAddr(9)}, [][]hw.Word{good, good}); err == nil {
 		t.Error("out-of-range record in batch accepted")
 	}
-	if err := p.WriteRecordBatch([]RecordAddr{r, r}, [][]hw.Word{good, good[:5]}); err == nil {
+	if err := p.QueueWriteBatch([]RecordAddr{r, r}, [][]hw.Word{good, good[:5]}); err == nil {
 		t.Error("short buffer in batch accepted")
 	}
-	if err := p.WriteRecordBatch([]RecordAddr{r}, [][]hw.Word{good, good}); err == nil {
+	if err := p.QueueWriteBatch([]RecordAddr{r}, [][]hw.Word{good, good}); err == nil {
 		t.Error("mismatched batch lengths accepted")
+	}
+	if enq, _ := p.QueueStats(); enq != 0 {
+		t.Errorf("%d rejected batches reached the device queue", enq)
 	}
 	dst := make([]hw.Word, hw.PageWords)
 	if err := p.ReadRecord(r, dst); err != nil {

@@ -404,60 +404,6 @@ func (p *Pack) WriteRecord(r RecordAddr, src []hw.Word) error {
 	return nil
 }
 
-// WriteRecordBatch stores several records in one submission, pricing
-// each positioning movement by distance: adjacent records transfer
-// back to back for free, short hops within ShortSeekSpan records pay
-// the CycDiskSeekShort tier, and long hops pay the full CycDiskSeek —
-// so a sorted (elevator-ordered) batch is measurably cheaper than the
-// same records scattered. Each record passes the same fault-plane
-// check as an individual WriteRecord, in order, so crash-point sweeps
-// observe the same mutation sequence; on an injected fault the
-// earlier records of the batch are already on the pack, exactly as if
-// they had been written singly.
-func (p *Pack) WriteRecordBatch(recs []RecordAddr, bufs [][]hw.Word) error {
-	schedsim.Yield(schedsim.PointDisk, "write-batch")
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.checkMounted(); err != nil {
-		return err
-	}
-	if len(recs) != len(bufs) {
-		return fmt.Errorf("disk: WriteRecordBatch with %d records but %d buffers", len(recs), len(bufs))
-	}
-	for i, r := range recs {
-		if len(bufs[i]) != hw.PageWords {
-			return fmt.Errorf("disk: WriteRecordBatch buffer of %d words, want %d", len(bufs[i]), hw.PageWords)
-		}
-		if r < 0 || int(r) >= p.capacity {
-			return fmt.Errorf("disk: record %d outside pack %s", r, p.id)
-		}
-	}
-	if p.spans != nil {
-		p.spans.BeginSpan(trace.SpanDiskWrite, ModuleName, int64(len(recs)))
-		defer p.spans.EndSpan(trace.SpanDiskWrite)
-	}
-	for i, r := range recs {
-		if err := p.faults.checkOp(OpWrite, p.id, true); err != nil {
-			p.noteInjected(int64(OpWrite), err)
-			return err
-		}
-		p.dirty = true
-		cost := seekDelta(p.head, r) + hw.CycDiskRecord
-		p.meter.Add(cost)
-		p.head = r
-		if p.sink != nil {
-			p.sink.Emit(trace.Event{Kind: trace.EvDiskWrite, Module: ModuleName, Cost: cost, Arg0: int64(r)})
-		}
-		d, ok := p.data[r]
-		if !ok {
-			d = make([]hw.Word, hw.PageWords)
-			p.data[r] = d
-		}
-		copy(d, bufs[i])
-	}
-	return nil
-}
-
 // CreateEntry allocates a table-of-contents entry for a new segment
 // with the given unique identifier. gov names, by unique identifier,
 // the quota directory whose cell the segment's pages will charge

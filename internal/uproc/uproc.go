@@ -762,6 +762,11 @@ func (m *Manager) DispatchOn(qi int) (*Process, uint64, error) {
 		// charge the swap cost.
 		if _, err := m.segs.EnsureResident(p.stateUID, 0); err != nil {
 			_ = m.vps.ReleaseUser(vp)
+			if p.State() == Dead {
+				// A concurrent Destroy deleted the state segment
+				// after the claim: skip the process.
+				continue
+			}
 			m.requeueFront(p)
 			return nil, 0, err
 		}
@@ -894,6 +899,11 @@ func (m *Manager) unbind(p *Process, to State) error {
 func (m *Manager) finishUnbind(p *Process, vp *vproc.VP, to State) error {
 	m.running.Add(-1)
 	if err := m.segs.WriteWord(p.stateUID, 1, hw.Word(to)); err != nil {
+		if p.State() == Dead {
+			// A concurrent Destroy deleted the state segment after
+			// the unbind: there is no state left to store.
+			return m.vps.ReleaseUser(vp)
+		}
 		return err
 	}
 	m.swaps.Add(1)

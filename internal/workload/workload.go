@@ -8,6 +8,12 @@
 // A scenario stays plain Go: it boots a kernel, builds its workers
 // with NewWorkers, and calls Run with a body, usually one of the
 // bodies below that several storms share.
+//
+// LoginStorm is the other kind of storm: many users' processes, not
+// one per processor. It logs users in through the answering service
+// and timeshares them with the process plane's own quantum loop,
+// RunQuantumWith, under the same executors. It lives here, above the
+// kernel, so the kernel never imports the answering service.
 package workload
 
 import (

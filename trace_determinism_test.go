@@ -284,12 +284,12 @@ var traceWorkloads = []struct {
 			svc := answering.New(answering.Split, k.Meter, func(principal string, label aim.Label) (any, error) {
 				return k.CreateProcess(principal, label)
 			})
-			_, err := svc.RunStorm(answering.StormConfig{
+			_, err := workload.LoginStorm{
 				Users:          12,
 				Rounds:         2,
 				QuantaPerRound: 16,
 				BlockEvery:     3,
-			}, k.StormOps(uproc.SimExecutor{Seed: 1977}, k.CPUs))
+			}.Run(k, uproc.SimExecutor{Seed: 1977}, svc)
 			if err != nil {
 				t.Fatal(err)
 			}
