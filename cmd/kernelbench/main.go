@@ -15,7 +15,6 @@
 //	P11 associative memory               (translation cache on/off)
 //	P12 login storm                      (1k/10k users; O(1) dispatch)
 //	P13 fault-service latency            (span p50/p99/max, 1/2/4 CPUs)
-//	P14 deterministic parallel storm     (sim executor; gated SMP cycles)
 //	P15 disk pipeline fault storm        (1/2/4 CPUs x 1/2/4 packs; gated)
 //	P16 connection storm                 (10k/100k/1M lines; O(1) cyc/conn)
 //
@@ -47,7 +46,6 @@ import (
 	"multics/internal/fnp"
 	"multics/internal/hw"
 	"multics/internal/linker"
-	"multics/internal/lockrank"
 	"multics/internal/netmux"
 	"multics/internal/pageframe"
 	"multics/internal/profile"
@@ -100,7 +98,6 @@ func main() {
 	p11()
 	p12()
 	p13()
-	p14()
 	p15()
 	p16()
 	check(stopProfile())
@@ -597,14 +594,9 @@ func p11() {
 // per-login cycle cost, the dispatch cost per quantum — which stays
 // flat as the user count grows tenfold, the O(1) run-queue claim —
 // and the time-to-first-quantum tail, each process's creation to its
-// first dispatch. The quanta run under the deterministic executor, so
-// every row, multiprocessor ones included, feeds the -compare gate.
+// first dispatch. Every phase runs under the deterministic executor,
+// so every row, multiprocessor ones included, feeds the -compare gate.
 func p12() {
-	// The rank checker is off here alone: the login floods run off any
-	// schedsim task, where the checker would ask goid for the held-lock
-	// stack on every lock.
-	prev := lockrank.SetChecking(false)
-	defer lockrank.SetChecking(prev)
 	fmt.Println("P12 login storm (sharded run queues, work stealing, eventcount wakeups):")
 	var rows []map[string]any
 	for _, users := range []int{1000, 10000} {
@@ -770,23 +762,6 @@ func latencyStorm(nCPU int) *core.Kernel {
 		return nil
 	}))
 	return k
-}
-
-// p14 reruns the P10 parallel storm at half the rounds: the same
-// paging+quota workload on cooperative tasks interleaved by the seeded
-// schedule, so the busiest processor's cycle account is
-// byte-reproducible run over run and feeds the -compare regression
-// gate.
-func p14() {
-	fmt.Printf("P14 deterministic parallel storm (sim executor, seed %d):\n", schedSeed)
-	var rows []map[string]any
-	for _, nCPU := range []int{1, 2, 4} {
-		busiest, ops := pagingStorm(sim, nCPU, 96, false)
-		fmt.Printf("    %d processors: busiest processor %9d cyc over %d rounds\n", nCPU, busiest, ops)
-		rows = append(rows, map[string]any{"processors": nCPU, "busiest_cpu_cycles": busiest, "rounds": ops})
-	}
-	fmt.Println("    [the seeded schedule pins the interleaving, so the gate holds the SMP figures too]")
-	record("P14 deterministic parallel storm", map[string]any{"per_processors": rows})
 }
 
 // p15 measures the async disk pipeline: per-CPU workers each write a

@@ -3,6 +3,8 @@ package main
 import (
 	"reflect"
 	"testing"
+
+	"multics/internal/lockrank"
 )
 
 // TestPagingStormRepeats: the multiprocessor paging storm runs under
@@ -15,6 +17,24 @@ func TestPagingStormRepeats(t *testing.T) {
 	}
 	if busiest <= 0 || rounds != 16 {
 		t.Errorf("storm measured %d cycles over %d rounds, want a positive makespan over 16", busiest, rounds)
+	}
+}
+
+// TestLoginStormRepeats: every phase of the login storm, the serial
+// login, wake-up and logout floods too, runs under the seeded
+// executor with the rank checker on, so its row is the same run over
+// run.
+func TestLoginStormRepeats(t *testing.T) {
+	if !lockrank.Checking() {
+		t.Fatal("the rank checker is off")
+	}
+	first := loginStorm(200, 2)
+	second := loginStorm(200, 2)
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("two runs of one storm differ:\n%v\n%v", first, second)
+	}
+	if first["woken"] != first["blocked"] || first["blocked"] == 0 {
+		t.Errorf("blocked %v woken %v: every blocked process must be woken", first["blocked"], first["woken"])
 	}
 }
 

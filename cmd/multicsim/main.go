@@ -210,7 +210,7 @@ func main() {
 // runLoginStorm registers and logs in users simulated users through
 // the answering service, timeshares them through rounds of quanta
 // with block/wake churn over the real-memory queue on the sharded
-// run queues, and logs them all out. The quanta run under the
+// run queues, and logs them all out. Every phase runs under the
 // deterministic executor with the given schedule seed, which binds
 // each processor's task so the per-process spans of the top-talkers
 // table nest per processor.

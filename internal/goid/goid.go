@@ -1,15 +1,11 @@
 // Package goid identifies the current goroutine.
 //
-// Go deliberately provides no goroutine-local storage. The kernel asks
-// "which execution context am I in?" through schedsim.Self, which
-// answers from the deterministic executor's token when the caller is
-// one of its tasks, and only off-task — the goroutine executor's
-// goroutines, raw goroutines in tests and single-processor code —
-// falls back to the goroutine id parsed here from the runtime's stack
-// header. Processor binding needs no such fallback (it exists only on
-// a task), so that off-task branch is this package's one caller, and
-// its remaining users are lockrank's off-task held-lock stacks and
-// upsignal's re-entrance guard.
+// Go deliberately provides no goroutine-local storage. A task of the
+// deterministic executor carries its per-processor state on the task
+// (schedsim.Local); off a task — the goroutine executor's goroutines,
+// raw goroutines in tests and single-processor code — lockrank keys
+// each held-lock stack by the goroutine id parsed here from the
+// runtime's stack header. lockrank is this package's only importer.
 package goid
 
 import "runtime"

@@ -31,6 +31,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"multics/internal/goid"
 	"multics/internal/schedsim"
 )
 
@@ -204,7 +205,7 @@ func withHeld(fn func([]schedsim.HeldLock) []schedsim.HeldLock) {
 		l.Held = fn(l.Held)
 		return
 	}
-	g := schedsim.Self().Goroutine()
+	g := goid.ID()
 	s := shardFor(g)
 	s.mu.Lock()
 	defer s.mu.Unlock()

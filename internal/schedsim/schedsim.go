@@ -54,8 +54,9 @@
 // A task also carries the kernel's per-processor state (Local): the
 // processor binding trace attribution reads and the held-lock stack
 // lockrank checks, the simulation's counterpart of the paper's
-// per-processor wired table. Self names the calling context for the
-// consumers that must also serve real goroutines.
+// per-processor wired table. Off a task the package names no context:
+// code that must also serve real goroutines keeps its own state for
+// them.
 package schedsim
 
 import (
@@ -63,8 +64,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"multics/internal/goid"
 )
 
 // Point classifies a yield point: where in the kernel the scheduling
@@ -635,29 +634,6 @@ func Current() *Local {
 	}
 	return nil
 }
-
-// A Context names an execution context: a task of the active executor
-// or, off-task, a goroutine. Contexts compare with ==; the zero
-// Context names none.
-type Context struct {
-	t *task
-	g uint64
-}
-
-// Self returns the caller's execution context. On a task it is the
-// token holder, an O(1) read; off-task — a goroutine executor's
-// goroutines and raw goroutines, the only truly concurrent callers —
-// it falls back to the goroutine id.
-func Self() Context {
-	if t := current(); t != nil {
-		return Context{t: t}
-	}
-	return Context{g: goid.ID()}
-}
-
-// Goroutine returns the off-task context's goroutine id, zero on a
-// task.
-func (c Context) Goroutine() uint64 { return c.g }
 
 // Yield offers a scheduling decision at point p. A no-op for
 // goroutines that are not tasks of the active executor, so kernel

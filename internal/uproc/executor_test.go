@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"multics/internal/aim"
 	"multics/internal/hw"
 	"multics/internal/schedsim"
 	"multics/internal/trace"
@@ -113,5 +114,35 @@ func TestGoroutineExecutorBindsNothing(t *testing.T) {
 	}
 	if got := meter.Cycles(); got != 20 {
 		t.Errorf("meter total = %d cycles, want 20", got)
+	}
+}
+
+// TestWorkerUnbindsItsProcessor: once a quanta run returns, its
+// processors run no process, so a span they record afterwards (the
+// next run's pre-dispatch work, a serial phase) is charged to none
+// rather than to the last process dispatched there.
+func TestWorkerUnbindsItsProcessor(t *testing.T) {
+	f := newFixture(t, 3)
+	rec := trace.NewRecorder(0, f.meter)
+	f.m.SetTrace(rec)
+	p, err := f.m.Create("u.x", aim.Bottom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpus := []*hw.Processor{hw.NewProcessor(0, nil, f.meter)}
+	ex := SimExecutor{Seed: 1}
+	if n, err := f.m.RunQuantumWith(ex, cpus, 1, nil); err != nil || n != 1 {
+		t.Fatalf("RunQuantumWith = %d, %v", n, err)
+	}
+	before := rec.Snapshot().Procs[p.ID()]
+	if err := ex.Run(cpus, func(*hw.Processor) {
+		rec.BeginSpan(trace.SpanFaultService, "pageframe", 0)
+		f.meter.Add(100)
+		rec.EndSpan(trace.SpanFaultService)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if after := rec.Snapshot().Procs[p.ID()]; after != before {
+		t.Errorf("pid %d charged %+v after its quanta run returned (had %+v)", p.ID(), after, before)
 	}
 }

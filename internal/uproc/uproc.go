@@ -1161,9 +1161,14 @@ func (m *Manager) RunQuantum(n int, body func(*Process)) (int, error) {
 // virtual processor is busy the worker parks on the free-pool
 // eventcount — but only if some process is running, which proves a
 // release (and advance) is coming; otherwise the pool is exhausted for
-// good and the worker exits.
+// good and the worker exits. On return the processor is bound to no
+// process, so its later spans are charged to none.
 func (m *Manager) workerLoop(wi int, cpu *hw.Processor, n int, body func(cpu *hw.Processor, p *Process)) (int, error) {
-	ss := m.spanSink()
+	sinks := m.sinks.Load()
+	if sinks.binder != nil {
+		defer sinks.binder.SetRunningProcess(0)
+	}
+	ss := sinks.spans
 	qi := wi % len(m.queues)
 	ran := 0
 	for i := 0; i < n; i++ {

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sync"
 
-	"multics/internal/schedsim"
 	"multics/internal/trace"
 )
 
@@ -39,21 +38,14 @@ type Dispatcher struct {
 	mu       sync.Mutex
 	handlers map[string]Handler
 	pending  []Signal
-	// dispatcher is the execution context currently running
-	// Dispatch; it guards against a handler being run re-entrantly
-	// from inside its own lower-level call chain. Dispatch calls from
-	// other processors are not re-entrance — they serialize on
-	// dispatchMu instead.
-	dispatcher schedsim.Context
-	raised     int64
-	handled    int64
-	sink       trace.Sink
-	spans      trace.SpanSink
-
-	// dispatchMu serializes Dispatch across processors, so handlers
-	// run one at a time even when several CPUs unwind fault chains
-	// concurrently.
-	dispatchMu sync.Mutex
+	// dispatching is set while Dispatch runs. Callers serialize
+	// Dispatch, so finding it set means a handler called Dispatch from
+	// inside its own call chain.
+	dispatching bool
+	raised      int64
+	handled     int64
+	sink        trace.Sink
+	spans       trace.SpanSink
 }
 
 // NewDispatcher returns an empty dispatcher.
@@ -121,28 +113,23 @@ func (d *Dispatcher) Stats() (raised, handled int64) {
 // (handlers may raise further signals) and returns the number handled.
 // The kernel calls it after every downward call chain has unwound. A
 // handler error stops dispatch and is returned; remaining signals stay
-// queued. Dispatch is not re-entrant within one call chain: a nested
-// call (a handler signalling and then dispatching) is a structural
-// error and panics, because it would put activation records of lower
-// modules under the upper handler. Concurrent Dispatch calls from
-// other processors are legal and simply wait their turn.
+// queued. Callers must serialize Dispatch (the kernel holds its gate
+// lock around it), so handlers run one at a time. Dispatch is not
+// re-entrant: a nested call (a handler signalling and then
+// dispatching) is a structural error and panics, because it would put
+// activation records of lower modules under the upper handler.
 func (d *Dispatcher) Dispatch() (int, error) {
-	self := schedsim.Self()
 	d.mu.Lock()
-	if d.dispatcher == self {
+	if d.dispatching {
 		d.mu.Unlock()
 		panic("upsignal: re-entrant Dispatch — a lower module is waiting on an upper handler")
 	}
-	d.mu.Unlock()
-	d.dispatchMu.Lock()
-	d.mu.Lock()
-	d.dispatcher = self
+	d.dispatching = true
 	d.mu.Unlock()
 	defer func() {
 		d.mu.Lock()
-		d.dispatcher = schedsim.Context{}
+		d.dispatching = false
 		d.mu.Unlock()
-		d.dispatchMu.Unlock()
 	}()
 
 	n := 0

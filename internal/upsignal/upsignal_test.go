@@ -122,12 +122,48 @@ func TestReentrantDispatchPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = d.Raise(Signal{Target: "a"})
-	defer func() {
-		if recover() == nil {
-			t.Error("re-entrant Dispatch did not panic")
+	if !panics(func() { _, _ = d.Dispatch() }) {
+		t.Error("re-entrant Dispatch did not panic")
+	}
+}
+
+// panics reports whether f panicked, recovering the panic.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+// TestDispatchGuardClearsAfterPanic: a handler panic that the caller
+// recovers, a re-entrant call's included, leaves the dispatcher free,
+// so the next Dispatch runs the remaining signals.
+func TestDispatchGuardClearsAfterPanic(t *testing.T) {
+	d := NewDispatcher()
+	calls := 0
+	if err := d.Register("a", func(Signal) error {
+		calls++
+		switch calls {
+		case 1:
+			panic("handler failed")
+		case 2:
+			_, _ = d.Dispatch() // structural error
 		}
-	}()
-	_, _ = d.Dispatch()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		_ = d.Raise(Signal{Target: "a"})
+	}
+	for i := 0; i < 2; i++ {
+		if !panics(func() { _, _ = d.Dispatch() }) {
+			t.Fatalf("Dispatch %d did not panic", i+1)
+		}
+	}
+	n, err := d.Dispatch()
+	if err != nil || n != 1 {
+		t.Errorf("Dispatch after recovered panics = %d, %v; want the last signal handled", n, err)
+	}
 }
 
 func TestFIFOOrder(t *testing.T) {

@@ -47,7 +47,10 @@ const wakeBatch = 128
 
 // Run drives the storm on k's processors under ex: register, login
 // flood, timesharing rounds with block/wake churn, logout flood. svc
-// must create its sessions' processes with k.CreateProcess.
+// must create its sessions' processes with k.CreateProcess. The
+// quanta run on every processor; each serial phase (the login flood,
+// a round's wake-ups, the logout flood) runs as one body on the first
+// processor, so no kernel code runs outside the executor.
 // Everything iterates over index-ordered slices, so two identical
 // runs make identical calls in identical order.
 func (s LoginStorm) Run(k *core.Kernel, ex uproc.Executor, svc *answering.Service) (LoginStats, error) {
@@ -55,22 +58,34 @@ func (s LoginStorm) Run(k *core.Kernel, ex uproc.Executor, svc *answering.Servic
 	if s.Users <= 0 {
 		return st, fmt.Errorf("workload: login storm of %d users", s.Users)
 	}
+	serial := func(phase func() error) error {
+		var err error
+		if xerr := ex.Run(k.CPUs[:1], func(*hw.Processor) { err = phase() }); xerr != nil {
+			return xerr
+		}
+		return err
+	}
 
 	// Registration and the login flood.
 	sessions := make([]*answering.Session, 0, s.Users)
 	procs := make([]*uproc.Process, 0, s.Users)
-	for i := 0; i < s.Users; i++ {
-		principal := answering.StormPrincipal(i)
-		if err := svc.Register(principal, stormPassword, aim.Top); err != nil {
-			return st, err
+	if err := serial(func() error {
+		for i := 0; i < s.Users; i++ {
+			principal := answering.StormPrincipal(i)
+			if err := svc.Register(principal, stormPassword, aim.Top); err != nil {
+				return err
+			}
+			sess, err := svc.Login(principal, stormPassword, aim.Bottom)
+			if err != nil {
+				return fmt.Errorf("login %s: %w", principal, err)
+			}
+			sessions = append(sessions, sess)
+			procs = append(procs, sess.Process.(*uproc.Process))
+			st.Logins++
 		}
-		sess, err := svc.Login(principal, stormPassword, aim.Bottom)
-		if err != nil {
-			return st, fmt.Errorf("login %s: %w", principal, err)
-		}
-		sessions = append(sessions, sess)
-		procs = append(procs, sess.Process.(*uproc.Process))
-		st.Logins++
+		return nil
+	}); err != nil {
+		return st, err
 	}
 
 	// Timesharing rounds: some sessions block inside their quantum,
@@ -122,54 +137,62 @@ func (s LoginStorm) Run(k *core.Kernel, ex uproc.Executor, svc *answering.Servic
 		}
 		// Wake whoever actually blocked (sessions never dispatched
 		// this round are still ready and need no wakeup).
-		pending := 0
-		for _, p := range blocked {
-			if toBlock[p] {
-				continue // never dispatched, never blocked
-			}
-			st.Blocked++
-			if err := k.Procs.Wakeup(p.ID(), 0); err != nil {
-				// The bounded queue filled: drain it, then repost.
-				st.WakeRetries++
-				woke, derr := k.Procs.DeliverEvents()
-				st.Woken += woke
-				if derr != nil {
-					return st, derr
+		if err := serial(func() error {
+			pending := 0
+			for _, p := range blocked {
+				if toBlock[p] {
+					continue // never dispatched, never blocked
 				}
-				pending = 0
+				st.Blocked++
 				if err := k.Procs.Wakeup(p.ID(), 0); err != nil {
-					return st, fmt.Errorf("storm round %d wake: %w", r, err)
+					// The bounded queue filled: drain it, then repost.
+					st.WakeRetries++
+					woke, derr := k.Procs.DeliverEvents()
+					st.Woken += woke
+					if derr != nil {
+						return derr
+					}
+					pending = 0
+					if err := k.Procs.Wakeup(p.ID(), 0); err != nil {
+						return fmt.Errorf("storm round %d wake: %w", r, err)
+					}
+				}
+				pending++
+				if pending >= wakeBatch {
+					woke, err := k.Procs.DeliverEvents()
+					if err != nil {
+						return err
+					}
+					st.Woken += woke
+					pending = 0
 				}
 			}
-			pending++
-			if pending >= wakeBatch {
+			if pending > 0 {
 				woke, err := k.Procs.DeliverEvents()
 				if err != nil {
-					return st, err
+					return err
 				}
 				st.Woken += woke
-				pending = 0
 			}
-		}
-		if pending > 0 {
-			woke, err := k.Procs.DeliverEvents()
-			if err != nil {
-				return st, err
-			}
-			st.Woken += woke
+			return nil
+		}); err != nil {
+			return st, err
 		}
 	}
 
 	// The logout flood.
-	for i, sess := range sessions {
-		p := procs[i]
-		if err := svc.Logout(sess, p.CPU()); err != nil {
-			return st, err
+	err := serial(func() error {
+		for i, sess := range sessions {
+			p := procs[i]
+			if err := svc.Logout(sess, p.CPU()); err != nil {
+				return err
+			}
+			if err := k.Procs.Destroy(p); err != nil {
+				return err
+			}
+			st.Logouts++
 		}
-		if err := k.Procs.Destroy(p); err != nil {
-			return st, err
-		}
-		st.Logouts++
-	}
-	return st, nil
+		return nil
+	})
+	return st, err
 }

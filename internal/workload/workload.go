@@ -12,8 +12,9 @@
 // LoginStorm is the other kind of storm: many users' processes, not
 // one per processor. It logs users in through the answering service
 // and timeshares them with the process plane's own quantum loop,
-// RunQuantumWith, under the same executors. It lives here, above the
-// kernel, so the kernel never imports the answering service.
+// RunQuantumWith, under the same executors; its serial phases run on
+// the first processor through the executor too. It lives here, above
+// the kernel, so the kernel never imports the answering service.
 package workload
 
 import (
