@@ -94,8 +94,7 @@ func main() {
 	p7()
 	p8()
 	p9()
-	p10()
-	p11()
+	p11(p10())
 	p12()
 	p13()
 	p15()
@@ -482,14 +481,17 @@ func p9() {
 // is divided among 1, 2 and 4 simulated processors under the
 // deterministic executor; the figure of merit is the simulated
 // makespan: the busiest processor's cycle account (lock waits cost no
-// simulated cycles, so this is the ideal-hardware speedup).
-func p10() {
+// simulated cycles, so this is the ideal-hardware speedup). It returns
+// the makespans by processor count, which P11 reuses as its cache-on
+// rows.
+func p10() map[int]int64 {
 	fmt.Println("P10 parallel speedup (fixed work, simulated makespan = busiest processor's cycles):")
-	const totalRounds = 192
 	var base int64
 	var rows []map[string]any
+	makespans := make(map[int]int64)
 	for _, nCPU := range []int{1, 2, 4} {
-		makespan, ops := pagingStorm(sim, nCPU, totalRounds, false)
+		makespan, ops := pagingStorm(sim, nCPU, stormRounds, false)
+		makespans[nCPU] = makespan
 		speedup := 1.0
 		if base == 0 {
 			base = makespan
@@ -501,7 +503,11 @@ func p10() {
 	}
 	fmt.Println("    [design: distinct processes on distinct processors under lattice-ranked locks]")
 	record("P10 parallel speedup", map[string]any{"per_processors": rows})
+	return makespans
 }
+
+// stormRounds is the fixed work of P10's and P11's paging storms.
+const stormRounds = 192
 
 // pagingStorm boots an nCPU kernel and drives totalRounds rounds of
 // the paging+quota workload under ex, split evenly across the
@@ -538,10 +544,11 @@ func pagingStorm(ex uproc.Executor, nCPU, totalRounds int, assocOff bool) (int64
 // every reference walks the descriptor tables (CycTableWalk); with it
 // on the re-references hit (CycAssocHit), and the processor's own
 // translation meter shows the cycles saved. Second, the P10 fault
-// storm reruns on 1, 2 and 4 processors with the cache on and off: the
+// storm runs on 1, 2 and 4 processors with the cache off, against
+// P10's makespans (cacheOn, by processor count) with it on: the
 // on-configuration pays the shootdown broadcasts but keeps the fast
 // path, and the makespans show the net effect under contention.
-func p11() {
+func p11(cacheOn map[int]int64) {
 	fmt.Println("P11 associative memory (per-processor SDW/PTW cache):")
 	reReference := func(assocOff bool) (xlatCycles int64, stats pageframe.Stats) {
 		k := bootKernel(func(c *core.Config) { c.AssocOff = assocOff })
@@ -573,8 +580,8 @@ func p11() {
 	}
 	var rows []map[string]any
 	for _, nCPU := range []int{1, 2, 4} {
-		on, _ := pagingStorm(sim, nCPU, 192, false)
-		off, _ := pagingStorm(sim, nCPU, 192, true)
+		on := cacheOn[nCPU]
+		off, _ := pagingStorm(sim, nCPU, stormRounds, true)
 		fmt.Printf("    %d-processor fault-storm makespan: cache on %9d cyc, off %9d cyc (%s)\n",
 			nCPU, on, off, ratio(on, off))
 		rows = append(rows, map[string]any{

@@ -138,7 +138,8 @@ type Kernel struct {
 	// AssocBus is the connect-fault plane carrying translation-cache
 	// shootdowns between processors; nil when Config.AssocOff.
 	AssocBus *hw.ShootdownBus
-	// Trace is the kernel event recorder, nil until StartTrace.
+	// Trace is the kernel event recorder, nil unless the kernel booted
+	// with Config.TraceEvents.
 	Trace *trace.Recorder
 	// Salvage is the boot-time salvager's report: what the volume
 	// salvager repaired on packs that were mounted dirty. Clean when
@@ -362,28 +363,15 @@ func Boot(cfg Config) (*Kernel, error) {
 
 	cm.Seal()
 	if k.Trace != nil {
-		k.wireTrace(k.Trace)
+		k.wireTrace()
 	}
 	return k, nil
 }
 
-// StartTrace turns on kernel-wide event tracing: it creates a
-// recorder retaining capacity events (non-positive selects
-// trace.DefaultCapacity) stamped by the kernel's cycle meter,
-// registers every module of the dependency graph as a legal event
-// source, and threads the sink through the hardware and every
-// instrumented manager. The recorder is returned and kept as
-// k.Trace.
-func (k *Kernel) StartTrace(capacity int) *trace.Recorder {
-	rec := trace.NewRecorder(capacity, k.Meter)
-	rec.Register(k.Graph.Modules()...)
-	k.wireTrace(rec)
-	return rec
-}
-
-// wireTrace threads an existing recorder through the hardware and
-// every instrumented manager and keeps it as k.Trace.
-func (k *Kernel) wireTrace(rec *trace.Recorder) {
+// wireTrace threads k.Trace through the hardware and every
+// instrumented manager.
+func (k *Kernel) wireTrace() {
+	rec := k.Trace
 	// Each fault kind is charged to the module that services it.
 	// Access, bounds and gate violations have no kernel service —
 	// they are returned to the process that erred — so they are
@@ -408,7 +396,6 @@ func (k *Kernel) wireTrace(rec *trace.Recorder) {
 	k.Cells.SetTrace(rec)
 	k.Procs.SetTrace(rec)
 	k.Signals.SetTrace(rec)
-	k.Trace = rec
 }
 
 // AssocFingerprint renders every processor's associative-memory state

@@ -36,11 +36,9 @@ var ErrRetryBudget = fmt.Errorf("%w (retry budget exhausted)", ErrFaultLoop)
 func (k *Kernel) Attach(cpu *hw.Processor, p *uproc.Process) {
 	cpu.SwitchUserDT(p.DT())
 	cpu.Ring = hw.UserRing
-	if k.Trace != nil {
-		// Span self-time on this processor is attributed to p from
-		// here on.
-		k.Trace.SetRunningProcess(p.ID())
-	}
+	// Span self-time on this processor is attributed to p from here
+	// on.
+	k.Trace.SetRunningProcess(p.ID())
 }
 
 // CreateProcess makes a user process for an authenticated principal.

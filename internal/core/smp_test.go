@@ -459,8 +459,10 @@ func TestSMPShootdownNoStaleTranslation(t *testing.T) {
 // the processes, and every dispatch must load a process state.
 func TestRunQuantumWithGoroutines(t *testing.T) {
 	const nCPU = 2
-	k := boot(t, func(c *core.Config) { c.Processors = nCPU })
-	rec := k.StartTrace(4096)
+	k := boot(t, func(c *core.Config) {
+		c.Processors = nCPU
+		c.TraceEvents = 4096
+	})
 	for i := 0; i < nCPU; i++ {
 		if _, err := k.CreateProcess(fmt.Sprintf("par%d.x", i), aim.Bottom); err != nil {
 			t.Fatal(err)
@@ -485,7 +487,7 @@ func TestRunQuantumWithGoroutines(t *testing.T) {
 		t.Errorf("processes run per processor = %v, want a distinct process on each", ranOn)
 	}
 	loads := 0
-	for _, e := range rec.Events() {
+	for _, e := range k.Trace.Events() {
 		if e.Kind == trace.EvProcessSwap && e.Arg1 == 0 {
 			loads++
 		}

@@ -145,8 +145,7 @@ type Pack struct {
 	data    map[RecordAddr][]hw.Word
 	toc     []TOCEntry
 	meter   *hw.CostMeter
-	sink    trace.Sink
-	spans   trace.SpanSink
+	trace   *trace.Recorder
 	faults  *FaultPlan
 	// head is the record the heads are positioned over after the last
 	// transfer; distance from it prices the next seek.
@@ -156,12 +155,11 @@ type Pack struct {
 	dev device
 }
 
-// SetTrace routes this pack's record transfers to s (nil turns
+// SetTrace routes this pack's record transfers to rec (nil turns
 // tracing off).
-func (p *Pack) SetTrace(s trace.Sink) {
+func (p *Pack) SetTrace(rec *trace.Recorder) {
 	p.mu.Lock()
-	p.sink = s
-	p.spans = trace.SpanSinkOf(s)
+	p.trace = rec
 	p.mu.Unlock()
 }
 
@@ -194,7 +192,7 @@ func (p *Pack) MarkClean() {
 // noteInjected emits a trace event for an injected fault; called with
 // p.mu held.
 func (p *Pack) noteInjected(op int64, err error) {
-	if p.sink == nil {
+	if p.trace == nil {
 		return
 	}
 	var class int64
@@ -204,7 +202,7 @@ func (p *Pack) noteInjected(op int64, err error) {
 	case errors.Is(err, ErrPermanent):
 		class = 1
 	}
-	p.sink.Emit(trace.Event{Kind: trace.EvFaultInjected, Module: ModuleName, Arg0: op, Arg1: class})
+	p.trace.Emit(trace.Event{Kind: trace.EvFaultInjected, Module: ModuleName, Arg0: op, Arg1: class})
 }
 
 // NewPack returns a mounted pack with the given identifier and record
@@ -346,18 +344,16 @@ func (p *Pack) ReadRecord(r RecordAddr, dst []hw.Word) error {
 	if r < 0 || int(r) >= p.capacity {
 		return fmt.Errorf("disk: record %d outside pack %s", r, p.id)
 	}
-	if p.spans != nil {
-		p.spans.BeginSpan(trace.SpanDiskRead, ModuleName, int64(r))
-		defer p.spans.EndSpan(trace.SpanDiskRead)
-	}
+	p.trace.BeginSpan(trace.SpanDiskRead, ModuleName, int64(r))
+	defer p.trace.EndSpan(trace.SpanDiskRead)
 	if err := p.faults.checkOp(OpRead, p.id, false); err != nil {
 		p.noteInjected(int64(OpRead), err)
 		return err
 	}
 	p.meter.Add(hw.CycDiskSeek + hw.CycDiskRecord)
 	p.head = r
-	if p.sink != nil {
-		p.sink.Emit(trace.Event{Kind: trace.EvDiskRead, Module: ModuleName, Cost: hw.CycDiskSeek + hw.CycDiskRecord, Arg0: int64(r)})
+	if p.trace != nil {
+		p.trace.Emit(trace.Event{Kind: trace.EvDiskRead, Module: ModuleName, Cost: hw.CycDiskSeek + hw.CycDiskRecord, Arg0: int64(r)})
 	}
 	if d, ok := p.data[r]; ok {
 		copy(dst, d)
@@ -381,10 +377,8 @@ func (p *Pack) WriteRecord(r RecordAddr, src []hw.Word) error {
 	if r < 0 || int(r) >= p.capacity {
 		return fmt.Errorf("disk: record %d outside pack %s", r, p.id)
 	}
-	if p.spans != nil {
-		p.spans.BeginSpan(trace.SpanDiskWrite, ModuleName, int64(r))
-		defer p.spans.EndSpan(trace.SpanDiskWrite)
-	}
+	p.trace.BeginSpan(trace.SpanDiskWrite, ModuleName, int64(r))
+	defer p.trace.EndSpan(trace.SpanDiskWrite)
 	if err := p.faults.checkOp(OpWrite, p.id, true); err != nil {
 		p.noteInjected(int64(OpWrite), err)
 		return err
@@ -392,8 +386,8 @@ func (p *Pack) WriteRecord(r RecordAddr, src []hw.Word) error {
 	p.dirty = true
 	p.meter.Add(hw.CycDiskSeek + hw.CycDiskRecord)
 	p.head = r
-	if p.sink != nil {
-		p.sink.Emit(trace.Event{Kind: trace.EvDiskWrite, Module: ModuleName, Cost: hw.CycDiskSeek + hw.CycDiskRecord, Arg0: int64(r)})
+	if p.trace != nil {
+		p.trace.Emit(trace.Event{Kind: trace.EvDiskWrite, Module: ModuleName, Cost: hw.CycDiskSeek + hw.CycDiskRecord, Arg0: int64(r)})
 	}
 	d, ok := p.data[r]
 	if !ok {
@@ -568,22 +562,22 @@ type Volumes struct {
 	mu     sync.Mutex
 	packs  map[string]*Pack
 	meter  *hw.CostMeter
-	sink   trace.Sink
+	trace  *trace.Recorder
 	faults *FaultPlan
 }
 
 // SetTrace routes record transfers on every pack — mounted now or
-// added later — to s.
-func (v *Volumes) SetTrace(s trace.Sink) {
+// added later — to rec.
+func (v *Volumes) SetTrace(rec *trace.Recorder) {
 	v.mu.Lock()
-	v.sink = s
+	v.trace = rec
 	packs := make([]*Pack, 0, len(v.packs))
 	for _, p := range v.packs {
 		packs = append(packs, p)
 	}
 	v.mu.Unlock()
 	for _, p := range packs {
-		p.SetTrace(s)
+		p.SetTrace(rec)
 	}
 }
 
@@ -616,7 +610,7 @@ func (v *Volumes) AddPack(id string, capacity int) (*Pack, error) {
 		return nil, fmt.Errorf("disk: pack %s already mounted", id)
 	}
 	p := NewPack(id, capacity, v.meter)
-	p.SetTrace(v.sink)
+	p.SetTrace(v.trace)
 	p.SetFaultPlan(v.faults)
 	v.packs[id] = p
 	return p, nil
@@ -644,8 +638,7 @@ func (v *Volumes) Mount(p *Pack) error {
 	}
 	p.mu.Lock()
 	p.mounted = true
-	p.sink = v.sink
-	p.spans = trace.SpanSinkOf(v.sink)
+	p.trace = v.trace
 	p.faults = v.faults
 	p.mu.Unlock()
 	v.packs[p.ID()] = p

@@ -226,14 +226,14 @@ func (p *Pack) enqueue(t *Ticket) *Ticket {
 	// itself is device work.
 	p.meter.Add(hw.CycDiskQueue)
 	p.mu.Lock()
-	sink := p.sink
+	tr := p.trace
 	p.mu.Unlock()
-	if sink != nil {
+	if tr != nil {
 		var spec int64
 		if r.speculative {
 			spec = 1
 		}
-		sink.Emit(trace.Event{
+		tr.Emit(trace.Event{
 			Kind: trace.EvDiskQueue, Module: ModuleName, Cost: hw.CycDiskQueue,
 			Arg0: int64(r.recs[0]), Arg1: int64(depth), Arg2: spec,
 		})
@@ -380,10 +380,8 @@ func (p *Pack) service(r *request) error {
 	switch r.op {
 	case OpRead:
 		rec := r.recs[0]
-		if p.spans != nil {
-			p.spans.BeginSpan(trace.SpanDiskRead, ModuleName, int64(rec))
-			defer p.spans.EndSpan(trace.SpanDiskRead)
-		}
+		p.trace.BeginSpan(trace.SpanDiskRead, ModuleName, int64(rec))
+		defer p.trace.EndSpan(trace.SpanDiskRead)
 		if err := p.faults.checkOp(OpRead, p.id, false); err != nil {
 			p.noteInjected(int64(OpRead), err)
 			return err
@@ -391,8 +389,8 @@ func (p *Pack) service(r *request) error {
 		cost := seekDelta(p.head, rec) + hw.CycDiskRecord
 		p.head = rec
 		p.chargeDevice(cost)
-		if p.sink != nil {
-			p.sink.Emit(trace.Event{Kind: trace.EvDiskRead, Module: ModuleName, Cost: cost, Arg0: int64(rec)})
+		if p.trace != nil {
+			p.trace.Emit(trace.Event{Kind: trace.EvDiskRead, Module: ModuleName, Cost: cost, Arg0: int64(rec)})
 		}
 		if d, ok := p.data[rec]; ok {
 			copy(r.bufs[0], d)
@@ -401,10 +399,8 @@ func (p *Pack) service(r *request) error {
 		}
 		return nil
 	case OpWrite:
-		if p.spans != nil {
-			p.spans.BeginSpan(trace.SpanDiskWrite, ModuleName, int64(len(r.recs)))
-			defer p.spans.EndSpan(trace.SpanDiskWrite)
-		}
+		p.trace.BeginSpan(trace.SpanDiskWrite, ModuleName, int64(len(r.recs)))
+		defer p.trace.EndSpan(trace.SpanDiskWrite)
 		for i, rec := range r.recs {
 			if err := p.faults.checkOp(OpWrite, p.id, true); err != nil {
 				p.noteInjected(int64(OpWrite), err)
@@ -414,8 +410,8 @@ func (p *Pack) service(r *request) error {
 			cost := seekDelta(p.head, rec) + hw.CycDiskRecord
 			p.head = rec
 			p.chargeDevice(cost)
-			if p.sink != nil {
-				p.sink.Emit(trace.Event{Kind: trace.EvDiskWrite, Module: ModuleName, Cost: cost, Arg0: int64(rec)})
+			if p.trace != nil {
+				p.trace.Emit(trace.Event{Kind: trace.EvDiskWrite, Module: ModuleName, Cost: cost, Arg0: int64(rec)})
 			}
 			d, ok := p.data[rec]
 			if !ok {

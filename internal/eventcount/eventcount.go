@@ -27,19 +27,19 @@ type Eventcount struct {
 	count   uint64
 	changed chan struct{}
 
-	// sink and module route await/advance operations into the
+	// trace and module route await/advance operations into the
 	// kernel trace when the owning manager calls Trace; the zero
 	// value emits nothing.
-	sink   trace.Sink
+	trace  *trace.Recorder
 	module string
 }
 
-// Trace routes this eventcount's await and advance operations to s,
+// Trace routes this eventcount's await and advance operations to rec,
 // attributed to module (the owning manager's dependency-graph name).
-// A nil s turns tracing off.
-func (e *Eventcount) Trace(s trace.Sink, module string) {
+// A nil rec turns tracing off.
+func (e *Eventcount) Trace(rec *trace.Recorder, module string) {
 	e.mu.Lock()
-	e.sink = s
+	e.trace = rec
 	e.module = module
 	e.mu.Unlock()
 }
@@ -58,8 +58,8 @@ func (e *Eventcount) Advance() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.count++
-	if e.sink != nil {
-		e.sink.Emit(trace.Event{Kind: trace.EvAdvance, Module: e.module, Arg0: int64(e.count)})
+	if e.trace != nil {
+		e.trace.Emit(trace.Event{Kind: trace.EvAdvance, Module: e.module, Arg0: int64(e.count)})
 	}
 	if e.changed != nil {
 		close(e.changed)
@@ -81,8 +81,8 @@ func (e *Eventcount) Await(v uint64) uint64 {
 		if e.changed == nil {
 			e.changed = make(chan struct{})
 		}
-		if e.sink != nil {
-			e.sink.Emit(trace.Event{Kind: trace.EvAwait, Module: e.module, Arg0: int64(v), Arg1: int64(e.count)})
+		if e.trace != nil {
+			e.trace.Emit(trace.Event{Kind: trace.EvAwait, Module: e.module, Arg0: int64(v), Arg1: int64(e.count)})
 		}
 		ch := e.changed
 		e.mu.Unlock()

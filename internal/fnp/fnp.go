@@ -143,7 +143,7 @@ type FNP struct {
 	conns     []conn
 	shards    []shard
 	shardMask uint32
-	trace     trace.Sink
+	trace     *trace.Recorder
 }
 
 // New builds the connection table.
@@ -171,11 +171,11 @@ func New(cfg Config) (*FNP, error) {
 }
 
 // SetTrace routes frame, drop and credit events — and the delivery
-// eventcounts' await/advance — to s, attributed to ModuleName.
-func (f *FNP) SetTrace(s trace.Sink) {
-	f.trace = s
+// eventcounts' await/advance — to rec, attributed to ModuleName.
+func (f *FNP) SetTrace(rec *trace.Recorder) {
+	f.trace = rec
 	for i := range f.shards {
-		f.shards[i].ec.Trace(s, ModuleName)
+		f.shards[i].ec.Trace(rec, ModuleName)
 	}
 }
 

@@ -211,45 +211,33 @@ func TestLatencyPercentiles(t *testing.T) {
 
 func TestTraceEvents(t *testing.T) {
 	f, _ := newFNP(t, 4, 1)
-	sink := &recordSink{}
-	f.SetTrace(sink)
+	rec := trace.NewRecorder(0, nil)
+	f.SetTrace(rec)
 	for i := 0; i < RingSlots+1; i++ {
 		f.Enqueue(0, []hw.Word{hw.Word(i)})
 	}
 	f.Drain(0, nil)
-	if n := len(sink.byKind(trace.EvNetFrame)); n != RingSlots {
+	if n := len(eventsOf(rec, trace.EvNetFrame)); n != RingSlots {
 		t.Errorf("EvNetFrame = %d, want %d", n, RingSlots)
 	}
-	drops := sink.byKind(trace.EvNetDrop)
+	drops := eventsOf(rec, trace.EvNetDrop)
 	if len(drops) != 1 || drops[0].Arg1 != netmux.DropNoCredit {
 		t.Errorf("drops = %+v", drops)
 	}
-	if n := len(sink.byKind(trace.EvNetCredit)); n != RingSlots {
+	if n := len(eventsOf(rec, trace.EvNetCredit)); n != RingSlots {
 		t.Errorf("EvNetCredit = %d, want %d", n, RingSlots)
 	}
-	for _, e := range sink.events {
+	for _, e := range rec.Events() {
 		if e.Module != ModuleName && e.Kind != trace.EvAdvance && e.Kind != trace.EvAwait {
 			t.Errorf("event %v from module %q", e.Kind, e.Module)
 		}
 	}
 }
 
-type recordSink struct {
-	mu     sync.Mutex
-	events []trace.Event
-}
-
-func (r *recordSink) Emit(e trace.Event) {
-	r.mu.Lock()
-	r.events = append(r.events, e)
-	r.mu.Unlock()
-}
-
-func (r *recordSink) byKind(k trace.Kind) []trace.Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// eventsOf returns the recorded events of kind k, oldest first.
+func eventsOf(rec *trace.Recorder, k trace.Kind) []trace.Event {
 	var out []trace.Event
-	for _, e := range r.events {
+	for _, e := range rec.Events() {
 		if e.Kind == k {
 			out = append(out, e)
 		}

@@ -242,7 +242,7 @@ func (a *AssociativeMemory) Fingerprint() string {
 type ShootdownBus struct {
 	mu         sync.Mutex
 	mems       []*AssociativeMemory
-	sink       trace.Sink
+	trace      *trace.Recorder
 	shootdowns atomic.Int64
 }
 
@@ -259,14 +259,14 @@ func (b *ShootdownBus) Attach(a *AssociativeMemory) {
 	b.mems = append(b.mems, a)
 }
 
-// SetTrace directs the bus's clear events to s.
-func (b *ShootdownBus) SetTrace(s trace.Sink) {
+// SetTrace directs the bus's clear events and shootdown spans to rec.
+func (b *ShootdownBus) SetTrace(rec *trace.Recorder) {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.sink = s
+	b.trace = rec
 }
 
 // Shootdowns reports the broadcasts sent so far.
@@ -277,10 +277,10 @@ func (b *ShootdownBus) Shootdowns() int64 {
 	return b.shootdowns.Load()
 }
 
-func (b *ShootdownBus) targets() ([]*AssociativeMemory, trace.Sink) {
+func (b *ShootdownBus) targets() ([]*AssociativeMemory, *trace.Recorder) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.mems, b.sink
+	return b.mems, b.trace
 }
 
 // InvalidatePTW broadcasts a page shootdown: every processor forgets
@@ -296,25 +296,20 @@ func (b *ShootdownBus) InvalidatePTW(module string, pt *PageTable, page int) {
 	// the invalidation reaching its cache — the stale-translation
 	// window the shootdown protocol exists to close.
 	schedsim.Yield(schedsim.PointShootdown, module)
-	mems, sink := b.targets()
-	ss := trace.SpanSinkOf(sink)
-	if ss != nil {
-		ss.BeginSpan(trace.SpanShootdown, module, int64(page))
-	}
+	mems, tr := b.targets()
+	tr.BeginSpan(trace.SpanShootdown, module, int64(page))
 	n := 0
 	for _, a := range mems {
 		n += a.invalidatePTW(pt, page)
 	}
 	b.shootdowns.Add(1)
-	if sink != nil {
-		sink.Emit(trace.Event{
+	if tr != nil {
+		tr.Emit(trace.Event{
 			Kind: trace.EvAssocClear, Module: module,
 			Arg0: 0, Arg1: int64(page), Arg2: int64(n),
 		})
 	}
-	if ss != nil {
-		ss.EndSpan(trace.SpanShootdown)
-	}
+	tr.EndSpan(trace.SpanShootdown)
 }
 
 // InvalidateSDW broadcasts a segment shootdown: every processor
@@ -325,23 +320,18 @@ func (b *ShootdownBus) InvalidateSDW(module string, dt *DescriptorTable, segno i
 		return
 	}
 	schedsim.Yield(schedsim.PointShootdown, module)
-	mems, sink := b.targets()
-	ss := trace.SpanSinkOf(sink)
-	if ss != nil {
-		ss.BeginSpan(trace.SpanShootdown, module, int64(segno))
-	}
+	mems, tr := b.targets()
+	tr.BeginSpan(trace.SpanShootdown, module, int64(segno))
 	n := 0
 	for _, a := range mems {
 		n += a.invalidateSDW(dt, segno)
 	}
 	b.shootdowns.Add(1)
-	if sink != nil {
-		sink.Emit(trace.Event{
+	if tr != nil {
+		tr.Emit(trace.Event{
 			Kind: trace.EvAssocClear, Module: module,
 			Arg0: 1, Arg1: int64(segno), Arg2: int64(n),
 		})
 	}
-	if ss != nil {
-		ss.EndSpan(trace.SpanShootdown)
-	}
+	tr.EndSpan(trace.SpanShootdown)
 }

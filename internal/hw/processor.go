@@ -73,7 +73,7 @@ type Processor struct {
 	lockedPage atomic.Int64
 
 	// Trace receives fault and ring-crossing events when non-nil.
-	Trace trace.Sink
+	Trace *trace.Recorder
 	// FaultModules attributes each fault kind to the module that
 	// services it; the kernel fills it from its dependency graph.
 	FaultModules map[FaultKind]string
@@ -362,15 +362,12 @@ func (p *Processor) GateCall(to int, gate bool, fn func() error) error {
 	from := p.Ring
 	// The gate span covers both crossings and the kernel body between
 	// them, attributed like the crossing events.
-	var ss trace.SpanSink
 	if to != from {
-		if ss = trace.SpanSinkOf(p.Trace); ss != nil {
-			mod := p.GateModule
-			if mod == "" {
-				mod = UnattributedModule
-			}
-			ss.BeginSpan(trace.SpanGate, mod, int64(to))
+		mod := p.GateModule
+		if mod == "" {
+			mod = UnattributedModule
 		}
+		p.Trace.BeginSpan(trace.SpanGate, mod, int64(to))
 		p.Meter.Add(CycRingCross)
 		p.emitCross(from, to)
 	}
@@ -380,9 +377,7 @@ func (p *Processor) GateCall(to int, gate bool, fn func() error) error {
 	if to != from {
 		p.Meter.Add(CycRingCross)
 		p.emitCross(to, from)
-		if ss != nil {
-			ss.EndSpan(trace.SpanGate)
-		}
+		p.Trace.EndSpan(trace.SpanGate)
 	}
 	return err
 }

@@ -152,7 +152,7 @@ type Mux struct {
 	delivered int64
 	dropped   int64
 	protoErrs int64
-	trace     trace.Sink
+	trace     *trace.Recorder
 }
 
 // New returns a mux in the given organization.
@@ -167,13 +167,13 @@ func New(mode Mode, meter *hw.CostMeter) *Mux {
 	}
 }
 
-// SetTrace routes the mux's frame and drop events to s (nil turns
+// SetTrace routes the mux's frame and drop events to rec (nil turns
 // tracing off). Events carry ModuleName; register it with the
 // recorder.
-func (m *Mux) SetTrace(s trace.Sink) {
+func (m *Mux) SetTrace(rec *trace.Recorder) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.trace = s
+	m.trace = rec
 }
 
 // SetQueueCap rebounds the per-channel delivery queues (non-positive
@@ -279,10 +279,10 @@ func (m *Mux) Deliver(cpu *hw.Processor, network string, f Frame) error {
 		// rather than vanishing with the error return.
 		m.mu.Lock()
 		m.protoErrs++
-		sink := m.trace
+		tr := m.trace
 		m.mu.Unlock()
-		if sink != nil {
-			sink.Emit(trace.Event{
+		if tr != nil {
+			tr.Emit(trace.Event{
 				Kind: trace.EvNetDrop, Module: ModuleName, Cost: kernelCost,
 				Arg0: int64(f.Channel), Arg1: DropProtocol, Arg2: int64(len(f.Payload)),
 			})
@@ -292,7 +292,7 @@ func (m *Mux) Deliver(cpu *hw.Processor, network string, f Frame) error {
 	d := Delivery{Network: network, Channel: f.Channel, Data: data}
 	m.mu.Lock()
 	sub := m.subs[network]
-	sink := m.trace
+	tr := m.trace
 	if sub == nil {
 		q := m.queues[network]
 		if len(q[f.Channel]) >= m.queueCap {
@@ -302,8 +302,8 @@ func (m *Mux) Deliver(cpu *hw.Processor, network string, f Frame) error {
 			m.dropped++
 			depth := len(q[f.Channel])
 			m.mu.Unlock()
-			if sink != nil {
-				sink.Emit(trace.Event{
+			if tr != nil {
+				tr.Emit(trace.Event{
 					Kind: trace.EvNetDrop, Module: ModuleName, Cost: kernelCost,
 					Arg0: int64(f.Channel), Arg1: DropQueueFull, Arg2: int64(depth),
 				})
@@ -314,12 +314,12 @@ func (m *Mux) Deliver(cpu *hw.Processor, network string, f Frame) error {
 	}
 	m.delivered++
 	m.mu.Unlock()
-	if sink != nil {
+	if tr != nil {
 		consumed := int64(0)
 		if sub != nil {
 			consumed = 1
 		}
-		sink.Emit(trace.Event{
+		tr.Emit(trace.Event{
 			Kind: trace.EvNetFrame, Module: ModuleName, Cost: kernelCost,
 			Arg0: int64(f.Channel), Arg1: int64(len(data)), Arg2: consumed,
 		})

@@ -164,23 +164,10 @@ func TestModeNames(t *testing.T) {
 	}
 }
 
-// recordSink collects emitted events for assertions.
-type recordSink struct {
-	mu     sync.Mutex
-	events []trace.Event
-}
-
-func (r *recordSink) Emit(e trace.Event) {
-	r.mu.Lock()
-	r.events = append(r.events, e)
-	r.mu.Unlock()
-}
-
-func (r *recordSink) byKind(k trace.Kind) []trace.Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// eventsOf returns the recorded events of kind k, oldest first.
+func eventsOf(rec *trace.Recorder, k trace.Kind) []trace.Event {
 	var out []trace.Event
-	for _, e := range r.events {
+	for _, e := range rec.Events() {
 		if e.Kind == k {
 			out = append(out, e)
 		}
@@ -192,8 +179,8 @@ func TestErrorPathsAreCountedAndTraced(t *testing.T) {
 	for _, mode := range []Mode{PerNetworkKernel, GenericKernel} {
 		t.Run(mode.String(), func(t *testing.T) {
 			m, _ := newMux(t, mode)
-			sink := &recordSink{}
-			m.SetTrace(sink)
+			rec := trace.NewRecorder(0, nil)
+			m.SetTrace(rec)
 			// ErrBadChannel: rejected before any protocol work, so no
 			// protocol-error counter moves.
 			if err := m.Deliver(nil, "arpanet", arpaFrame(99, 1)); !errors.Is(err, ErrBadChannel) {
@@ -217,7 +204,7 @@ func TestErrorPathsAreCountedAndTraced(t *testing.T) {
 			if st.Delivered != 0 || st.Dropped != 0 {
 				t.Fatalf("stats moved unexpectedly: %+v", st)
 			}
-			drops := sink.byKind(trace.EvNetDrop)
+			drops := eventsOf(rec, trace.EvNetDrop)
 			if len(drops) != 2 {
 				t.Fatalf("EvNetDrop events = %d, want 2", len(drops))
 			}
@@ -254,8 +241,8 @@ func TestGenericProtocolFailureIsMetered(t *testing.T) {
 
 func TestBoundedQueueDropsAreCounted(t *testing.T) {
 	m, _ := newMux(t, GenericKernel)
-	sink := &recordSink{}
-	m.SetTrace(sink)
+	rec := trace.NewRecorder(0, nil)
+	m.SetTrace(rec)
 	m.SetQueueCap(3)
 	for i := 0; i < 5; i++ {
 		if err := m.Deliver(nil, "front-end", feFrame(1, hw.Word(i))); err != nil {
@@ -274,10 +261,10 @@ func TestBoundedQueueDropsAreCounted(t *testing.T) {
 	if _, ok := m.Receive("front-end", 2); !ok {
 		t.Fatal("healthy channel starved by a neighbor's overflow")
 	}
-	if got := len(sink.byKind(trace.EvNetDrop)); got != 2 {
+	if got := len(eventsOf(rec, trace.EvNetDrop)); got != 2 {
 		t.Fatalf("EvNetDrop events = %d, want 2", got)
 	}
-	for _, e := range sink.byKind(trace.EvNetDrop) {
+	for _, e := range eventsOf(rec, trace.EvNetDrop) {
 		if e.Arg1 != DropQueueFull {
 			t.Errorf("drop class = %d, want DropQueueFull", e.Arg1)
 		}

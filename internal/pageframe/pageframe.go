@@ -192,8 +192,7 @@ type Manager struct {
 	FrameBatch int
 
 	mu      lockrank.Mutex
-	sink    trace.Sink
-	spans   trace.SpanSink
+	trace   *trace.Recorder
 	first   int
 	frames  []frameInfo // index 0 is absolute frame `first`
 	free    []int       // absolute frame numbers
@@ -247,36 +246,31 @@ type Manager struct {
 	prefetchDrops, prefetchSteals int64
 }
 
-// SetTrace routes page fetch/evict and lock-wait events to s, and
+// SetTrace routes page fetch/evict and lock-wait events to rec, and
 // retraces the unlock eventcounts so their await/advance operations
 // are attributed to this manager.
-func (m *Manager) SetTrace(s trace.Sink) {
+func (m *Manager) SetTrace(rec *trace.Recorder) {
 	m.mu.Lock()
-	m.sink = s
-	m.spans = trace.SpanSinkOf(s)
+	m.trace = rec
 	for _, ec := range m.unlocks {
-		ec.Trace(s, ModuleName)
+		ec.Trace(rec, ModuleName)
 	}
 	m.mu.Unlock()
 }
 
-// spanSink reads the span sink under the manager lock, mirroring
-// emit.
-func (m *Manager) spanSink() trace.SpanSink {
+// tracer reads the recorder under the manager lock, mirroring emit.
+func (m *Manager) tracer() *trace.Recorder {
 	m.mu.Lock()
-	s := m.spans
+	tr := m.trace
 	m.mu.Unlock()
-	return s
+	return tr
 }
 
-// emit sends e when tracing is on; the sink is read under the
+// emit sends e when tracing is on; the recorder is read under the
 // manager lock.
 func (m *Manager) emit(e trace.Event) {
-	m.mu.Lock()
-	s := m.sink
-	m.mu.Unlock()
-	if s != nil {
-		s.Emit(e)
+	if tr := m.tracer(); tr != nil {
+		tr.Emit(e)
 	}
 }
 
@@ -393,10 +387,9 @@ func (m *Manager) LoadPage(req PageReq) ([]Evicted, error) {
 	}
 	// The fault-service span closes after the daemon drain below, so
 	// the write-backs a fault's evictions queued nest inside it.
-	if ss := m.spanSink(); ss != nil {
-		ss.BeginSpan(trace.SpanFaultService, ModuleName, int64(req.Page))
-		defer ss.EndSpan(trace.SpanFaultService)
-	}
+	tr := m.tracer()
+	tr.BeginSpan(trace.SpanFaultService, ModuleName, int64(req.Page))
+	defer tr.EndSpan(trace.SpanFaultService)
 	m.meter.AddBody(bodyFaultService, m.Lang)
 
 	cur, err := req.PT.Get(req.Page)
@@ -464,12 +457,12 @@ func (m *Manager) LoadPage(req PageReq) ([]Evicted, error) {
 		pack: req.Pack, record: req.Record, hasRecord: req.HasRecord,
 	})
 	m.faults++
-	if m.sink != nil {
+	if m.trace != nil {
 		from := int64(0) // zero page
 		if req.HasRecord {
 			from = 1 // disk record
 		}
-		m.sink.Emit(trace.Event{
+		m.trace.Emit(trace.Event{
 			Kind: trace.EvPageFetch, Module: ModuleName,
 			Cost: hw.BodyCycles(bodyFaultService, m.Lang),
 			Arg0: int64(req.UID), Arg1: int64(req.Page), Arg2: from,
@@ -514,10 +507,9 @@ func (m *Manager) AddPage(req PageReq) (disk.RecordAddr, []Evicted, error) {
 	if req.PT == nil {
 		return 0, nil, errors.New("pageframe: AddPage with nil page table")
 	}
-	if ss := m.spanSink(); ss != nil {
-		ss.BeginSpan(trace.SpanFaultService, ModuleName, int64(req.Page))
-		defer ss.EndSpan(trace.SpanFaultService)
-	}
+	tr := m.tracer()
+	tr.BeginSpan(trace.SpanFaultService, ModuleName, int64(req.Page))
+	defer tr.EndSpan(trace.SpanFaultService)
 	m.meter.AddBody(bodyFaultService, m.Lang)
 	var rec disk.RecordAddr
 	if err := disk.Retry(m.meter, func() error {
@@ -552,8 +544,8 @@ func (m *Manager) AddPage(req PageReq) (disk.RecordAddr, []Evicted, error) {
 		pack: req.Pack, record: rec, hasRecord: true,
 	})
 	m.faults++
-	if m.sink != nil {
-		m.sink.Emit(trace.Event{
+	if m.trace != nil {
+		m.trace.Emit(trace.Event{
 			Kind: trace.EvPageFetch, Module: ModuleName,
 			Cost: hw.BodyCycles(bodyFaultService, m.Lang),
 			Arg0: int64(req.UID), Arg1: int64(req.Page), Arg2: 2, // never-before-used
@@ -616,11 +608,11 @@ func (m *Manager) WaitUnlock(proc *hw.Processor, pt *hw.PageTable, page int) err
 	ec := m.unlocks[key]
 	if ec == nil {
 		ec = new(eventcount.Eventcount)
-		ec.Trace(m.sink, ModuleName)
+		ec.Trace(m.trace, ModuleName)
 		m.unlocks[key] = ec
 	}
 	target := ec.Read() + 1
-	ss := m.spans
+	tr := m.trace
 	m.mu.Unlock()
 
 	d, err := pt.Get(page)
@@ -632,13 +624,9 @@ func (m *Manager) WaitUnlock(proc *hw.Processor, pt *hw.PageTable, page int) err
 	}
 	m.meter.Add(hw.CycLockWait)
 	m.emit(trace.Event{Kind: trace.EvLockSpin, Module: ModuleName, Cost: hw.CycLockWait, Arg0: int64(page)})
-	if ss != nil {
-		ss.BeginSpan(trace.SpanLockWait, ModuleName, int64(page))
-	}
+	tr.BeginSpan(trace.SpanLockWait, ModuleName, int64(page))
 	m.vps.Wait(proc, ec, target)
-	if ss != nil {
-		ss.EndSpan(trace.SpanLockWait)
-	}
+	tr.EndSpan(trace.SpanLockWait)
 	return nil
 }
 

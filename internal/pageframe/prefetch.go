@@ -94,10 +94,10 @@ func (m *Manager) claimPrefetch(req PageReq) (int, bool) {
 	}
 	m.mu.Lock()
 	m.prefetchHits++
-	sink := m.sink
+	tr := m.trace
 	m.mu.Unlock()
-	if sink != nil {
-		sink.Emit(trace.Event{
+	if tr != nil {
+		tr.Emit(trace.Event{
 			Kind: trace.EvPrefetchHit, Module: ModuleName,
 			Arg0: int64(cf.record), Arg1: int64(cf.page),
 		})
@@ -158,10 +158,10 @@ func (m *Manager) issueReadAhead(req PageReq) {
 		m.cached[key] = cf
 		m.cacheRing = append(m.cacheRing, cf)
 		m.prefetchIssued++
-		sink := m.sink
+		tr := m.trace
 		m.mu.Unlock()
-		if sink != nil {
-			sink.Emit(trace.Event{
+		if tr != nil {
+			tr.Emit(trace.Event{
 				Kind: trace.EvPrefetchIssue, Module: ModuleName,
 				Arg0: int64(ra.Record), Arg1: int64(ra.Page),
 			})
@@ -268,10 +268,10 @@ func (m *Manager) noteDrop(cf *cachedFrame, class int64) {
 	} else {
 		m.prefetchDrops++
 	}
-	sink := m.sink
+	tr := m.trace
 	m.mu.Unlock()
-	if sink != nil {
-		sink.Emit(trace.Event{
+	if tr != nil {
+		tr.Emit(trace.Event{
 			Kind: trace.EvPrefetchDrop, Module: ModuleName,
 			Arg0: int64(cf.record), Arg1: int64(cf.page), Arg2: class,
 		})

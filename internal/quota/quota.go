@@ -63,7 +63,7 @@ type Manager struct {
 	meter *hw.CostMeter
 
 	mu    lockrank.Mutex
-	sink  trace.Sink
+	trace *trace.Recorder
 	cells map[CellName]*cell
 	slots []bool // slot occupancy in the core-segment table
 
@@ -90,10 +90,10 @@ func (m *Manager) Stats() Stats {
 // race. The segment manager calls it where it returns ErrGrowRace.
 func (m *Manager) NoteGrowRace() { m.growRaces.Add(1) }
 
-// SetTrace routes quota-check events to s (nil turns tracing off).
-func (m *Manager) SetTrace(s trace.Sink) {
+// SetTrace routes quota-check events to rec (nil turns tracing off).
+func (m *Manager) SetTrace(rec *trace.Recorder) {
 	m.mu.Lock()
-	m.sink = s
+	m.trace = rec
 	m.mu.Unlock()
 }
 
@@ -265,8 +265,8 @@ func (m *Manager) Charge(name CellName, n int) error {
 		return ErrNotActive
 	}
 	m.meter.Add(hw.CycMemRef) // one table probe: the O(1) the redesign buys
-	if m.sink != nil {
-		m.sink.Emit(trace.Event{
+	if m.trace != nil {
+		m.trace.Emit(trace.Event{
 			Kind: trace.EvQuotaCheck, Module: ModuleName, Cost: hw.CycMemRef,
 			Arg0: int64(n), Arg1: int64(c.used), Arg2: int64(c.limit),
 		})

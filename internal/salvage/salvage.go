@@ -144,9 +144,9 @@ func (r Report) String() string {
 //
 // The recount of quota cells assumes the full configuration is
 // mounted: a cell's governed segments are found by the Gov uid in
-// their entries, wherever they live. Repair events are emitted to sink
+// their entries, wherever they live. Repair events are emitted to tr
 // (which may be nil) as trace.EvSalvageRepair.
-func Run(vols *disk.Volumes, sink trace.Sink, force bool) (Report, error) {
+func Run(vols *disk.Volumes, tr *trace.Recorder, force bool) (Report, error) {
 	var r Report
 	inSet := make(map[string]bool)
 	for _, id := range vols.Packs() {
@@ -164,8 +164,8 @@ func Run(vols *disk.Volumes, sink trace.Sink, force bool) (Report, error) {
 
 	emit := func(kind RepairKind, pack string, a1, a2 int64, format string, args ...any) {
 		r.Findings = append(r.Findings, Finding{Pack: pack, Kind: kind, Detail: fmt.Sprintf(format, args...)})
-		if sink != nil {
-			sink.Emit(trace.Event{Kind: trace.EvSalvageRepair, Module: ModuleName, Arg0: int64(kind), Arg1: a1, Arg2: a2})
+		if tr != nil {
+			tr.Emit(trace.Event{Kind: trace.EvSalvageRepair, Module: ModuleName, Arg0: int64(kind), Arg1: a1, Arg2: a2})
 		}
 	}
 

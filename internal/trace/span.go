@@ -7,13 +7,14 @@
 // stream supports a critical-path decomposition and a folded-stack
 // (flamegraph) export.
 //
-// The hot-path discipline matches events: instrumented code guards
-// every site with a nil check on a SpanSink obtained once via
-// SpanSinkOf, and Begin/End write into preallocated fixed-size
-// structures — per-slot stacks of fixed depth, a preallocated span
-// ring, and 64-bucket log₂ histograms whose stat blocks are allocated
-// once per (module, kind). Durations are simulated cycles, so
-// single-processor runs are byte-deterministic.
+// Instrumented code calls BeginSpan, EndSpan and SetRunningProcess
+// on its *Recorder directly: they are nil-safe, so an untraced
+// manager (nil recorder) pays one branch inside the call. Begin/End
+// write into preallocated fixed-size structures — per-slot stacks of
+// fixed depth, a preallocated span ring, and 64-bucket log₂
+// histograms whose stat blocks are allocated once per (module, kind).
+// Durations are simulated cycles, so single-processor runs are
+// byte-deterministic.
 package trace
 
 import (
@@ -226,39 +227,6 @@ type ProcStats struct {
 
 func (p ProcStats) sub(prev ProcStats) ProcStats {
 	return ProcStats{Cycles: p.Cycles - prev.Cycles, Spans: p.Spans - prev.Spans}
-}
-
-// A SpanSink consumes begin/end span marks in addition to events.
-// *Recorder satisfies it. Instrumented modules obtain one with
-// SpanSinkOf and guard every site with a nil check, mirroring the
-// event discipline.
-type SpanSink interface {
-	Sink
-	BeginSpan(kind SpanKind, module string, arg int64)
-	EndSpan(kind SpanKind)
-}
-
-// SpanSinkOf reports s as a SpanSink, nil when s is nil, not
-// span-capable, or a typed-nil *Recorder.
-func SpanSinkOf(s Sink) SpanSink {
-	if r, ok := s.(*Recorder); ok {
-		if r == nil {
-			return nil
-		}
-		return r
-	}
-	ss, ok := s.(SpanSink)
-	if !ok {
-		return nil
-	}
-	return ss
-}
-
-// A ProcessBinder learns which user process a processor is running,
-// for per-process cycle attribution. *Recorder satisfies it; the
-// scheduler calls it at dispatch time.
-type ProcessBinder interface {
-	SetRunningProcess(pid uint64)
 }
 
 // spanSlots is one per-processor span stack per possible BindCPU

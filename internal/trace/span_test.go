@@ -349,36 +349,6 @@ func TestNilRecorderSpansSafe(t *testing.T) {
 	}
 }
 
-type eventOnlySink struct{}
-
-func (eventOnlySink) Emit(Event) {}
-
-// TestSpanSinkOf checks the typed-nil hazard and the capability
-// check: a nil interface, a typed-nil *Recorder, and a Sink without
-// span support all come back nil; a live recorder comes back itself.
-func TestSpanSinkOf(t *testing.T) {
-	if ss := SpanSinkOf(nil); ss != nil {
-		t.Error("SpanSinkOf(nil) != nil")
-	}
-	var nilRec *Recorder
-	if ss := SpanSinkOf(nilRec); ss != nil {
-		t.Error("SpanSinkOf(typed-nil *Recorder) != nil")
-	}
-	if ss := SpanSinkOf(eventOnlySink{}); ss != nil {
-		t.Error("SpanSinkOf(event-only sink) != nil")
-	}
-	r := NewRecorder(8, nil)
-	ss := SpanSinkOf(r)
-	if ss == nil {
-		t.Fatal("SpanSinkOf(live recorder) == nil")
-	}
-	ss.BeginSpan(SpanGate, "m", 0)
-	ss.EndSpan(SpanGate)
-	if len(r.Spans()) != 1 {
-		t.Error("span through SpanSinkOf not recorded")
-	}
-}
-
 // TestSpanPerCPUStacks binds tasks to distinct processors and
 // requires their spans to nest per processor, not across: each span
 // carries its own CPU stamp and roots its own stack.

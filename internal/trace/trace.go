@@ -10,8 +10,9 @@
 // module that spent them.
 //
 // The discipline is deliberately cheap. Instrumented code holds a
-// Sink field that is nil when tracing is off, and every emission site
-// guards with a single predictable branch:
+// *Recorder that is nil when tracing is off, and every emission site
+// guards with a single predictable branch, so the untraced path
+// builds no event:
 //
 //	if m.trace != nil {
 //		m.trace.Emit(trace.Event{...})
@@ -242,14 +243,6 @@ func (e Event) String() string {
 		e.Seq, e.Cycle, cpu, e.Kind, e.Module, e.Cost, e.Arg0, e.Arg1, e.Arg2)
 }
 
-// A Sink consumes kernel events. Instrumented modules hold a Sink
-// that is nil when tracing is off; every emission site must guard
-// with a nil check so the uninstrumented path costs one predictable
-// branch and nothing else.
-type Sink interface {
-	Emit(e Event)
-}
-
 // A Clock supplies the simulated cycle stamp for events. The
 // hardware cost meter satisfies it.
 type Clock interface {
@@ -298,8 +291,8 @@ func (m ModuleStats) sub(prev ModuleStats) ModuleStats {
 	return out
 }
 
-// A Recorder is the concrete Sink: a fixed-capacity ring of events
-// plus the per-module meters. It is safe for concurrent use by
+// A Recorder is the kernel's one trace destination: a fixed-capacity
+// ring of events plus the per-module meters. It is safe for concurrent use by
 // multiple simulated processors.
 type Recorder struct {
 	clock Clock
@@ -359,8 +352,7 @@ func (r *Recorder) Register(names ...string) {
 }
 
 // Emit records one event, stamping its sequence number and simulated
-// cycle clock. A nil recorder drops the event, so a *Recorder is a
-// usable Sink even before tracing is wired up.
+// cycle clock. A nil recorder drops the event.
 func (r *Recorder) Emit(e Event) {
 	if r == nil {
 		return

@@ -200,8 +200,8 @@ func (m *Manager) donate(donor *Process, l *PLock) {
 		if d := int64(depth); d > m.maxDonationDepth.Load() {
 			m.maxDonationDepth.Store(d)
 		}
-		if ss := m.sinks.Load(); ss.sink != nil {
-			ss.sink.Emit(trace.Event{Kind: trace.EvSchedDonate, Module: ModuleName, Arg0: int64(donorID), Arg1: int64(hid), Arg2: int64(pri)})
+		if tr := m.trace.Load(); tr != nil {
+			tr.Emit(trace.Event{Kind: trace.EvSchedDonate, Module: ModuleName, Arg0: int64(donorID), Arg1: int64(hid), Arg2: int64(pri)})
 		}
 		schedsim.Yield(schedsim.PointMark, "uproc-donate")
 		lock = next

@@ -255,16 +255,16 @@ type Queue struct {
 	n      int
 	posted eventcount.Eventcount
 	meter  *hw.CostMeter
-	sink   trace.Sink
+	trace  *trace.Recorder
 }
 
 // SetTrace routes queue posts (and the posted eventcount's advances)
-// to s.
-func (q *Queue) SetTrace(s trace.Sink) {
+// to rec.
+func (q *Queue) SetTrace(rec *trace.Recorder) {
 	q.mu.Lock()
-	q.sink = s
+	q.trace = rec
 	q.mu.Unlock()
-	q.posted.Trace(s, ModuleName)
+	q.posted.Trace(rec, ModuleName)
 }
 
 // ErrQueueFull is returned when the fixed-size real-memory queue
@@ -315,8 +315,8 @@ func (q *Queue) Post(m Message) error {
 	}
 	q.n++
 	q.meter.Add(hw.CycIPC)
-	if q.sink != nil {
-		q.sink.Emit(trace.Event{Kind: trace.EvIPC, Module: ModuleName, Cost: hw.CycIPC, Arg0: int64(m.Kind), Arg1: int64(m.Process)})
+	if q.trace != nil {
+		q.trace.Emit(trace.Event{Kind: trace.EvIPC, Module: ModuleName, Cost: hw.CycIPC, Arg0: int64(m.Kind), Arg1: int64(m.Process)})
 	}
 	q.posted.Advance()
 	return nil
@@ -360,14 +360,6 @@ type procShard struct {
 	procs map[uint64]*Process
 }
 
-// sinkSet bundles the trace destinations so the dispatch hot path
-// loads them with one atomic read instead of taking the manager lock.
-type sinkSet struct {
-	sink   trace.Sink
-	spans  trace.SpanSink
-	binder trace.ProcessBinder
-}
-
 // SchedStats is the scheduler's own meter block.
 type SchedStats struct {
 	// Dispatches counts successful process dispatches.
@@ -405,9 +397,10 @@ type Manager struct {
 	StateCell segment.CellRef
 
 	// mu serializes reconfiguration (trace wiring, run-queue count);
-	// it is never on the dispatch path.
+	// it is never on the dispatch path, which loads the recorder with
+	// one atomic read instead.
 	mu    lockrank.Mutex
-	sinks atomic.Pointer[sinkSet]
+	trace atomic.Pointer[trace.Recorder]
 
 	nextPID atomic.Uint64
 	shards  [numShards]procShard
@@ -439,22 +432,15 @@ type Manager struct {
 }
 
 // SetTrace routes process-swap events (and the real-memory queue's
-// posts) to s.
-func (m *Manager) SetTrace(s trace.Sink) {
+// posts) to rec.
+func (m *Manager) SetTrace(rec *trace.Recorder) {
 	m.mu.Lock()
-	ss := &sinkSet{sink: s, spans: trace.SpanSinkOf(s)}
-	ss.binder, _ = s.(trace.ProcessBinder)
-	m.sinks.Store(ss)
+	m.trace.Store(rec)
 	m.mu.Unlock()
 	if m.queue != nil {
-		m.queue.SetTrace(s)
+		m.queue.SetTrace(rec)
 	}
-	m.readyEC.Trace(s, ModuleName)
-}
-
-// spanSink reads the span sink without taking any lock.
-func (m *Manager) spanSink() trace.SpanSink {
-	return m.sinks.Load().spans
+	m.readyEC.Trace(rec, ModuleName)
 }
 
 // NewManager returns a user process manager multiplexing vps and
@@ -476,7 +462,6 @@ func NewManager(vps *vproc.Manager, segs *segment.Manager, ksm *knownseg.Manager
 		m.shards[i].procs = make(map[uint64]*Process)
 	}
 	m.queues = []*runQueue{newRunQueue(0)}
-	m.sinks.Store(&sinkSet{})
 	m.donation.Store(true)
 	return m
 }
@@ -728,11 +713,11 @@ func (m *Manager) DispatchOn(qi int) (*Process, uint64, error) {
 		if p == nil {
 			return nil, 0, ErrNoReady
 		}
-		ss := m.sinks.Load()
+		tr := m.trace.Load()
 		if from != qi {
 			m.steals.Add(1)
-			if ss.sink != nil {
-				ss.sink.Emit(trace.Event{Kind: trace.EvSchedSteal, Module: ModuleName, Arg0: int64(qi), Arg1: int64(from), Arg2: int64(p.id)})
+			if tr != nil {
+				tr.Emit(trace.Event{Kind: trace.EvSchedSteal, Module: ModuleName, Arg0: int64(qi), Arg1: int64(from), Arg2: int64(p.id)})
 			}
 			schedsim.Yield(schedsim.PointMark, "uproc-steal")
 		}
@@ -747,8 +732,8 @@ func (m *Manager) DispatchOn(qi int) (*Process, uint64, error) {
 			old := p.home
 			p.home = qi
 			m.migrations.Add(1)
-			if ss.sink != nil {
-				ss.sink.Emit(trace.Event{Kind: trace.EvSchedMigrate, Module: ModuleName, Arg0: int64(old), Arg1: int64(qi), Arg2: int64(p.id)})
+			if tr != nil {
+				tr.Emit(trace.Event{Kind: trace.EvSchedMigrate, Module: ModuleName, Arg0: int64(old), Arg1: int64(qi), Arg2: int64(p.id)})
 			}
 		}
 		p.pmu.Unlock()
@@ -789,16 +774,14 @@ func (m *Manager) DispatchOn(qi int) (*Process, uint64, error) {
 		p.pmu.Unlock()
 		m.running.Add(1)
 		m.dispatches.Add(1)
-		if ss.sink != nil {
+		if tr != nil {
 			// Arg1 = 0: a state load through the virtual memory.
-			ss.sink.Emit(trace.Event{Kind: trace.EvProcessSwap, Module: ModuleName, Cost: hw.CycProcessSwap, Arg0: int64(p.id)})
+			tr.Emit(trace.Event{Kind: trace.EvProcessSwap, Module: ModuleName, Cost: hw.CycProcessSwap, Arg0: int64(p.id)})
 		}
-		if ss.binder != nil {
-			// Span self-time is now attributed to p; the binding is left
-			// in place at preemption, so the tail of a quantum span still
-			// charges the process that ran it.
-			ss.binder.SetRunningProcess(p.id)
-		}
+		// Span self-time is now attributed to p; the binding is left in
+		// place at preemption, so the tail of a quantum span still
+		// charges the process that ran it.
+		tr.SetRunningProcess(p.id)
 		return p, epoch, nil
 	}
 }
@@ -908,9 +891,9 @@ func (m *Manager) finishUnbind(p *Process, vp *vproc.VP, to State) error {
 	}
 	m.swaps.Add(1)
 	m.meter.Add(hw.CycProcessSwap)
-	if ss := m.sinks.Load(); ss.sink != nil {
+	if tr := m.trace.Load(); tr != nil {
 		// Arg1 = 1: a state store through the virtual memory.
-		ss.sink.Emit(trace.Event{Kind: trace.EvProcessSwap, Module: ModuleName, Cost: hw.CycProcessSwap, Arg0: int64(p.id), Arg1: 1})
+		tr.Emit(trace.Event{Kind: trace.EvProcessSwap, Module: ModuleName, Cost: hw.CycProcessSwap, Arg0: int64(p.id), Arg1: 1})
 	}
 	return m.vps.ReleaseUser(vp)
 }
@@ -1123,17 +1106,13 @@ func (m *Manager) Destroy(p *Process) error {
 // processor pool drains. Being a single worker standing in for every
 // CPU, it rotates its preferred run queue so no queue starves.
 func (m *Manager) RunQuantum(n int, body func(*Process)) (int, error) {
-	ss := m.spanSink()
+	tr := m.trace.Load()
 	ran := 0
 	for i := 0; i < n; i++ {
-		if ss != nil {
-			ss.BeginSpan(trace.SpanQuantum, ModuleName, int64(i))
-		}
+		tr.BeginSpan(trace.SpanQuantum, ModuleName, int64(i))
 		p, epoch, err := m.DispatchOn(i % len(m.queues))
 		if err != nil {
-			if ss != nil {
-				ss.EndSpan(trace.SpanQuantum)
-			}
+			tr.EndSpan(trace.SpanQuantum)
 			if errors.Is(err, ErrNoReady) || errors.Is(err, vproc.ErrNoFreeVP) {
 				break
 			}
@@ -1143,9 +1122,7 @@ func (m *Manager) RunQuantum(n int, body func(*Process)) (int, error) {
 			body(p)
 		}
 		err = m.preemptIfCurrent(p, epoch)
-		if ss != nil {
-			ss.EndSpan(trace.SpanQuantum)
-		}
+		tr.EndSpan(trace.SpanQuantum)
 		if err != nil {
 			return ran, err
 		}
@@ -1164,24 +1141,17 @@ func (m *Manager) RunQuantum(n int, body func(*Process)) (int, error) {
 // good and the worker exits. On return the processor is bound to no
 // process, so its later spans are charged to none.
 func (m *Manager) workerLoop(wi int, cpu *hw.Processor, n int, body func(cpu *hw.Processor, p *Process)) (int, error) {
-	sinks := m.sinks.Load()
-	if sinks.binder != nil {
-		defer sinks.binder.SetRunningProcess(0)
-	}
-	ss := sinks.spans
+	tr := m.trace.Load()
+	defer tr.SetRunningProcess(0)
 	qi := wi % len(m.queues)
 	ran := 0
 	for i := 0; i < n; i++ {
 		schedsim.Yield(schedsim.PointQuantum, "dispatch")
-		if ss != nil {
-			ss.BeginSpan(trace.SpanQuantum, ModuleName, int64(i))
-		}
+		tr.BeginSpan(trace.SpanQuantum, ModuleName, int64(i))
 		freeSeen := m.vps.FreeEC().Read()
 		p, epoch, err := m.DispatchOn(qi)
 		if err != nil {
-			if ss != nil {
-				ss.EndSpan(trace.SpanQuantum)
-			}
+			tr.EndSpan(trace.SpanQuantum)
 			if errors.Is(err, vproc.ErrNoFreeVP) {
 				if m.running.Load() > 0 {
 					// A bound process exists, so a ReleaseUser —
@@ -1200,9 +1170,7 @@ func (m *Manager) workerLoop(wi int, cpu *hw.Processor, n int, body func(cpu *hw
 			body(cpu, p)
 		}
 		err = m.preemptIfCurrent(p, epoch)
-		if ss != nil {
-			ss.EndSpan(trace.SpanQuantum)
-		}
+		tr.EndSpan(trace.SpanQuantum)
 		if err != nil {
 			return ran, err
 		}

@@ -44,8 +44,7 @@ type Dispatcher struct {
 	dispatching bool
 	raised      int64
 	handled     int64
-	sink        trace.Sink
-	spans       trace.SpanSink
+	trace       *trace.Recorder
 }
 
 // NewDispatcher returns an empty dispatcher.
@@ -53,13 +52,12 @@ func NewDispatcher() *Dispatcher {
 	return &Dispatcher{handlers: make(map[string]Handler)}
 }
 
-// SetTrace routes raise and handle events to s, each attributed to
+// SetTrace routes raise and handle events to rec, each attributed to
 // the signal's target module (targets are dependency-graph module
-// names). A nil s turns tracing off.
-func (d *Dispatcher) SetTrace(s trace.Sink) {
+// names). A nil rec turns tracing off.
+func (d *Dispatcher) SetTrace(rec *trace.Recorder) {
 	d.mu.Lock()
-	d.sink = s
-	d.spans = trace.SpanSinkOf(s)
+	d.trace = rec
 	d.mu.Unlock()
 }
 
@@ -89,8 +87,8 @@ func (d *Dispatcher) Raise(sig Signal) error {
 	}
 	d.pending = append(d.pending, sig)
 	d.raised++
-	if d.sink != nil {
-		d.sink.Emit(trace.Event{Kind: trace.EvSignalRaise, Module: sig.Target, Arg0: int64(len(d.pending))})
+	if d.trace != nil {
+		d.trace.Emit(trace.Event{Kind: trace.EvSignalRaise, Module: sig.Target, Arg0: int64(len(d.pending))})
 	}
 	return nil
 }
@@ -142,23 +140,19 @@ func (d *Dispatcher) Dispatch() (int, error) {
 		sig := d.pending[0]
 		d.pending = d.pending[1:]
 		h := d.handlers[sig.Target]
-		ss := d.spans
+		tr := d.trace
 		d.mu.Unlock()
 
-		if ss != nil {
-			ss.BeginSpan(trace.SpanSignal, sig.Target, int64(n))
-		}
+		tr.BeginSpan(trace.SpanSignal, sig.Target, int64(n))
 		err := h(sig)
-		if ss != nil {
-			ss.EndSpan(trace.SpanSignal)
-		}
+		tr.EndSpan(trace.SpanSignal)
 		if err != nil {
 			return n, fmt.Errorf("upsignal: handler for %s: %w", sig.Target, err)
 		}
 		d.mu.Lock()
 		d.handled++
-		if d.sink != nil {
-			d.sink.Emit(trace.Event{Kind: trace.EvSignalHandle, Module: sig.Target, Arg0: d.handled})
+		if d.trace != nil {
+			d.trace.Emit(trace.Event{Kind: trace.EvSignalHandle, Module: sig.Target, Arg0: d.handled})
 		}
 		d.mu.Unlock()
 		n++

@@ -98,8 +98,7 @@ type Manager struct {
 	states *coreseg.Segment
 	meter  *hw.CostMeter
 	procs  []*hw.Processor
-	sink   trace.Sink
-	spans  trace.SpanSink
+	trace  *trace.Recorder
 	// free is the multiplexable processors as a LIFO stack, so
 	// acquire and release are O(1) however many processors exist.
 	free []*VP
@@ -111,14 +110,13 @@ type Manager struct {
 	dispatches int64
 }
 
-// SetTrace routes dispatch and queue-message events to s (nil turns
-// tracing off).
-func (m *Manager) SetTrace(s trace.Sink) {
+// SetTrace routes dispatch and queue-message events to rec (nil
+// turns tracing off).
+func (m *Manager) SetTrace(rec *trace.Recorder) {
 	m.mu.Lock()
-	m.sink = s
-	m.spans = trace.SpanSinkOf(s)
+	m.trace = rec
 	m.mu.Unlock()
-	m.freeEC.Trace(s, ModuleName)
+	m.freeEC.Trace(rec, ModuleName)
 }
 
 // FreeEC returns the eventcount advanced every time a virtual
@@ -221,8 +219,8 @@ func (m *Manager) Enqueue(module string, work func()) error {
 		return fmt.Errorf("vproc: no virtual processor bound to module %s", module)
 	}
 	m.meter.Add(hw.CycIPC)
-	if m.sink != nil {
-		m.sink.Emit(trace.Event{Kind: trace.EvIPC, Module: ModuleName, Cost: hw.CycIPC, Arg0: int64(v.id)})
+	if m.trace != nil {
+		m.trace.Emit(trace.Event{Kind: trace.EvIPC, Module: ModuleName, Cost: hw.CycIPC, Arg0: int64(v.id)})
 	}
 	v.queue = append(v.queue, work)
 	return m.saveState(v)
@@ -258,12 +256,12 @@ func (m *Manager) RunPending() int {
 				break
 			}
 		}
-		ss := m.spans
+		tr := m.trace
 		if owner != nil {
 			m.meter.Add(hw.CycDispatch)
 			m.dispatches++
-			if m.sink != nil {
-				m.sink.Emit(trace.Event{Kind: trace.EvDispatch, Module: ModuleName, Cost: hw.CycDispatch, Arg0: int64(owner.id)})
+			if m.trace != nil {
+				m.trace.Emit(trace.Event{Kind: trace.EvDispatch, Module: ModuleName, Cost: hw.CycDispatch, Arg0: int64(owner.id)})
 			}
 			_ = m.saveState(owner)
 		}
@@ -271,13 +269,9 @@ func (m *Manager) RunPending() int {
 		if work == nil {
 			return ran
 		}
-		if ss != nil {
-			ss.BeginSpan(trace.SpanVPDispatch, ModuleName, int64(owner.id))
-		}
+		tr.BeginSpan(trace.SpanVPDispatch, ModuleName, int64(owner.id))
 		work()
-		if ss != nil {
-			ss.EndSpan(trace.SpanVPDispatch)
-		}
+		tr.EndSpan(trace.SpanVPDispatch)
 		ran++
 	}
 }
@@ -301,8 +295,8 @@ func (m *Manager) AcquireUser(user uint64) (*VP, error) {
 	v.binding = UserBound
 	v.user = user
 	m.meter.Add(hw.CycDispatch)
-	if m.sink != nil {
-		m.sink.Emit(trace.Event{Kind: trace.EvDispatch, Module: ModuleName, Cost: hw.CycDispatch, Arg0: int64(v.id), Arg1: int64(user)})
+	if m.trace != nil {
+		m.trace.Emit(trace.Event{Kind: trace.EvDispatch, Module: ModuleName, Cost: hw.CycDispatch, Arg0: int64(v.id), Arg1: int64(user)})
 	}
 	return v, m.saveState(v)
 }

@@ -354,14 +354,17 @@ func traceFile(t *testing.T, k *Kernel, p *uproc.Process, dir []string, name str
 
 // TestTraceDeterminism boots each workload twice from identical
 // configurations and requires byte-identical event streams and deeply
-// equal snapshots.
+// equal snapshots. It then boots the workload once more untraced and
+// requires the same cycle meter, in total and per processor: tracing
+// is free, so a nil recorder and a live one drive the same seeded
+// schedule.
 func TestTraceDeterminism(t *testing.T) {
 	for _, w := range traceWorkloads {
 		t.Run(w.name, func(t *testing.T) {
-			runOnce := func() (string, string, string, trace.Snapshot) {
+			boot := func(traceEvents int) *Kernel {
 				cfg := DefaultConfig()
 				cfg.RootQuota = 10000
-				cfg.TraceEvents = 1 << 14
+				cfg.TraceEvents = traceEvents
 				if w.cfg != nil {
 					w.cfg(&cfg)
 				}
@@ -370,6 +373,10 @@ func TestTraceDeterminism(t *testing.T) {
 					t.Fatal(err)
 				}
 				w.run(t, k)
+				return k
+			}
+			runOnce := func() (*Kernel, string, string, string, trace.Snapshot) {
+				k := boot(1 << 14)
 				if unknown := k.Trace.Unknown(); len(unknown) > 0 {
 					t.Errorf("events from modules outside the dependency graph: %v", unknown)
 				}
@@ -379,10 +386,10 @@ func TestTraceDeterminism(t *testing.T) {
 				// The associative-memory contents are part of the
 				// determinism surface: identical runs must leave
 				// byte-identical cache state, not just event streams.
-				return trace.FormatEvents(k.Trace.Events()), trace.FormatSpans(k.Trace.Spans()), k.AssocFingerprint(), k.Trace.Snapshot()
+				return k, trace.FormatEvents(k.Trace.Events()), trace.FormatSpans(k.Trace.Spans()), k.AssocFingerprint(), k.Trace.Snapshot()
 			}
-			events1, spans1, assoc1, snap1 := runOnce()
-			events2, spans2, assoc2, snap2 := runOnce()
+			traced, events1, spans1, assoc1, snap1 := runOnce()
+			_, events2, spans2, assoc2, snap2 := runOnce()
 			if events1 == "" {
 				t.Fatal("workload emitted no events")
 			}
@@ -400,6 +407,16 @@ func TestTraceDeterminism(t *testing.T) {
 			}
 			if !reflect.DeepEqual(snap1, snap2) {
 				t.Errorf("snapshots differ between identical runs:\nrun1:\n%srun2:\n%s", snap1.PromText(), snap2.PromText())
+			}
+
+			untraced := boot(0)
+			if got, want := untraced.Meter.Cycles(), traced.Meter.Cycles(); got != want {
+				t.Errorf("untraced run spent %d cycles, traced %d", got, want)
+			}
+			for _, cpu := range traced.CPUs {
+				if got, want := untraced.Meter.CPUCycles(cpu.ID), traced.Meter.CPUCycles(cpu.ID); got != want {
+					t.Errorf("processor %d: untraced run spent %d cycles, traced %d", cpu.ID, got, want)
+				}
 			}
 		})
 	}
