@@ -102,3 +102,131 @@ func BenchmarkAblationWiredFraction(b *testing.B) {
 		})
 	}
 }
+
+// benchBaselineFaults times round-robin reads of a pages-page segment
+// on the 1974 supervisor with frames pageable frames.
+func benchBaselineFaults(b *testing.B, frames, pages int) {
+	s := bootBase(b, func(c *BaselineConfig) { c.MemFrames = frames + 8; c.WiredFrames = 8 })
+	if err := s.Create("a.x", "hot", false); err != nil {
+		b.Fatal(err)
+	}
+	p := s.CreateProcess("a.x")
+	cpu := s.CPUs[0]
+	s.Attach(cpu, p)
+	segno, err := s.Open(p, "hot")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < pages; i++ {
+		if err := s.Write(cpu, p, segno, i*hw.PageWords, hw.Word(i+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	s.Meter.Reset()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Read(cpu, p, segno, (i%pages)*hw.PageWords); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportCycles(b, s.Meter)
+}
+
+// benchKernelGrowth times quota-charged growth of a file at the bottom
+// of a depth-deep directory tree. Each iteration grows a fresh page
+// (the charged path), truncating the segment empty when the
+// architectural cycle wraps.
+func benchKernelGrowth(b *testing.B, depth int) {
+	k := bootKernel(b, nil)
+	p, err := k.CreateProcess("a.x", Bottom)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cpu := k.CPUs[0]
+	k.Attach(cpu, p)
+	var path []string
+	for i := 0; i < depth; i++ {
+		name := fmt.Sprintf("d%d", i)
+		if _, err := k.CreateDir(cpu, p, path, name, Public(Read|Write), Bottom); err != nil {
+			b.Fatal(err)
+		}
+		path = append(path, name)
+	}
+	if _, err := k.CreateFile(cpu, p, path, "f", nil, Bottom); err != nil {
+		b.Fatal(err)
+	}
+	segno, err := k.OpenPath(cpu, p, append(append([]string{}, path...), "f"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	k.Meter.Reset()
+	for i := 0; i < b.N; i++ {
+		page := i % 60
+		if i > 0 && page == 0 {
+			b.StopTimer()
+			if err := k.Truncate(cpu, p, segno, 0); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if err := k.Write(cpu, p, segno, page*hw.PageWords, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportCycles(b, k.Meter)
+}
+
+// benchBaselineGrowth is benchKernelGrowth on the 1974 supervisor,
+// whose charge walks up to the nearest quota directory. With
+// quotaEvery > 0, every quotaEvery-th level from the top is one.
+func benchBaselineGrowth(b *testing.B, depth, quotaEvery int) {
+	s := bootBase(b, nil)
+	path := ""
+	for i := 0; i < depth; i++ {
+		name := fmt.Sprintf("d%d", i)
+		if path == "" {
+			path = name
+		} else {
+			path += ">" + name
+		}
+		if err := s.Create("a.x", path, true); err != nil {
+			b.Fatal(err)
+		}
+		if quotaEvery > 0 && i%quotaEvery == 0 {
+			if err := s.SetQuota("a.x", path, 1<<20); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := s.Create("a.x", path+">f", false); err != nil {
+		b.Fatal(err)
+	}
+	p := s.CreateProcess("a.x")
+	cpu := s.CPUs[0]
+	s.Attach(cpu, p)
+	segno, err := s.Open(p, path+">f")
+	if err != nil {
+		b.Fatal(err)
+	}
+	uid, err := s.UIDOf("a.x", path+">f")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	s.Meter.Reset()
+	for i := 0; i < b.N; i++ {
+		page := i % 60
+		if i > 0 && page == 0 {
+			b.StopTimer()
+			if err := s.Truncate(uid, 0); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if err := s.Write(cpu, p, segno, page*hw.PageWords, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportCycles(b, s.Meter)
+}

@@ -332,22 +332,61 @@ func p3() {
 
 func p4() {
 	factor := float64(hw.BodyCycles(1000, hw.PLI)) / 1000
+	asm, pli := langFaultStorm(hw.ASM)/faultReads, langFaultStorm(hw.PLI)/faultReads
 	fmt.Printf("P4 PL/I recode:        algorithm body x%.1f instructions (hw.BodyCycles model)  [paper: somewhat more than a factor of two]\n",
 		factor)
-	record("P4 PL/I recode", map[string]any{"instruction_factor": factor})
+	fmt.Printf("    fault path:        asm %5d cyc, PL/I %5d cyc (%s)  [disk transfers dominate the fault]\n",
+		asm, pli, ratio(pli, asm))
+	record("P4 PL/I recode", map[string]any{"instruction_factor": factor, "asm_fault_cycles": asm, "pli_fault_cycles": pli})
 }
 
+// faultReads is the length of the fault storms of P4, P5 and P9.
+const faultReads = 200
+
+// faultKernel boots the fault storms' kernel, shaped further by mutate:
+// 16 pageable frames against faultStorm's 32-page file, so every
+// round-robin read faults and evicts.
+func faultKernel(mutate func(*core.Config)) *core.Kernel {
+	return bootKernel(func(c *core.Config) {
+		c.MemFrames = 24
+		c.WiredFrames = 8
+		if mutate != nil {
+			mutate(c)
+		}
+	})
+}
+
+// faultStorm writes a 32-page file on k and returns the meter delta of
+// faultReads round-robin reads over it.
 func faultStorm(k *core.Kernel) int64 {
 	cpu, p, segno := hotFile(k, 32)
 	start := k.Meter.Snapshot()
-	for i := 0; i < 200; i++ {
+	for i := 0; i < faultReads; i++ {
 		_, err := k.Read(cpu, p, segno, (i%32)*hw.PageWords)
 		check(err)
 	}
-	return k.Meter.Since(start) / 200
+	return k.Meter.Since(start)
 }
 
-func p5() {
+// langFaultStorm is the fault storm with the page frame manager's body
+// coded in lang.
+func langFaultStorm(lang hw.Language) int64 {
+	k := faultKernel(nil)
+	k.Frames.Lang = lang
+	return faultStorm(k)
+}
+
+// ungroupedFaultStorm is the fault storm on the kernel as the 1976
+// system ran it: no associative memory (the 1974 baseline models no
+// translation cache either) and write-back one frame at a time.
+func ungroupedFaultStorm() int64 {
+	k := faultKernel(func(c *core.Config) { c.AssocOff = true })
+	k.Frames.FrameBatch = 1
+	return faultStorm(k)
+}
+
+// baselineFaultStorm is the fault storm on the 1974 supervisor.
+func baselineFaultStorm() int64 {
 	s := bootBase(func(c *baseline.Config) { c.MemFrames = 24; c.WiredFrames = 8 })
 	check(s.Create("u.x", "hot", false))
 	p := s.CreateProcess("u.x")
@@ -358,68 +397,109 @@ func p5() {
 	for i := 0; i < 32; i++ {
 		check(s.Write(cpu, p, segno, i*hw.PageWords, hw.Word(i+1)))
 	}
-	s.Meter.Reset()
-	for i := 0; i < 200; i++ {
+	start := s.Meter.Snapshot()
+	for i := 0; i < faultReads; i++ {
 		_, err := s.Read(cpu, p, segno, (i%32)*hw.PageWords)
 		check(err)
 	}
-	base := s.Meter.Cycles() / 200
-	kern := faultStorm(bootKernel(func(c *core.Config) { c.MemFrames = 24; c.WiredFrames = 8 }))
+	return s.Meter.Since(start)
+}
+
+func p5() {
+	base, kern := baselineFaultStorm()/faultReads, faultStorm(faultKernel(nil))/faultReads
+	ungrouped := ungroupedFaultStorm() / faultReads
 	fmt.Printf("P5 page-fault path:    1974 %5d cyc, kernel %5d cyc (%s)  [paper: negative, not significant]\n",
 		base, kern, ratio(kern, base))
-	record("P5 page-fault path", map[string]any{"baseline_cycles": base, "kernel_cycles": kern})
+	fmt.Printf("    as run in 1976:    no associative memory, ungrouped write-back %5d cyc (%s)\n",
+		ungrouped, ratio(ungrouped, base))
+	record("P5 page-fault path", map[string]any{"baseline_cycles": base, "kernel_cycles": kern, "kernel_ungrouped_cycles": ungrouped})
+}
+
+// quotaPages is how many pages P6's growth charges.
+const quotaPages = 50
+
+// quotaGrowth returns the meter deltas of quotaPages charged page
+// growths of a file depth directories deep: on the kernel, charged to
+// the statically bound cell, and on the 1974 supervisor, whose charge
+// walks up the hierarchy to the nearest quota directory.
+func quotaGrowth(depth int) (kernel, base int64) {
+	k := bootKernel(nil)
+	cpu, p := user(k)
+	var path []string
+	for i := 0; i < depth; i++ {
+		name := fmt.Sprintf("d%d", i)
+		_, err := k.CreateDir(cpu, p, path, name, directory.Public(hw.Read|hw.Write), aim.Bottom)
+		check(err)
+		path = append(path, name)
+	}
+	_, err := k.CreateFile(cpu, p, path, "f", nil, aim.Bottom)
+	check(err)
+	segno, err := k.OpenPath(cpu, p, append(path, "f"))
+	check(err)
+	start := k.Meter.Snapshot()
+	for i := 0; i < quotaPages; i++ {
+		check(k.Write(cpu, p, segno, i*hw.PageWords, 1))
+	}
+	kernel = k.Meter.Since(start)
+
+	s := bootBase(nil)
+	bp := ""
+	for i := 0; i < depth; i++ {
+		name := fmt.Sprintf("d%d", i)
+		if bp == "" {
+			bp = name
+		} else {
+			bp += ">" + name
+		}
+		check(s.Create("u.x", bp, true))
+	}
+	check(s.Create("u.x", bp+">f", false))
+	proc := s.CreateProcess("u.x")
+	bcpu := s.CPUs[0]
+	s.Attach(bcpu, proc)
+	bsegno, err := s.Open(proc, bp+">f")
+	check(err)
+	start = s.Meter.Snapshot()
+	for i := 0; i < quotaPages; i++ {
+		check(s.Write(bcpu, proc, bsegno, i*hw.PageWords, 1))
+	}
+	return kernel, s.Meter.Since(start)
 }
 
 func p6() {
 	fmt.Println("P6 quota growth (cycles per charged page):")
 	var rows []map[string]any
 	for _, depth := range []int{1, 2, 4, 8, 16} {
-		k := bootKernel(nil)
-		cpu, p := user(k)
-		var path []string
-		for i := 0; i < depth; i++ {
-			name := fmt.Sprintf("d%d", i)
-			_, err := k.CreateDir(cpu, p, path, name, directory.Public(hw.Read|hw.Write), aim.Bottom)
-			check(err)
-			path = append(path, name)
-		}
-		_, err := k.CreateFile(cpu, p, path, "f", nil, aim.Bottom)
-		check(err)
-		segno, err := k.OpenPath(cpu, p, append(append([]string{}, path...), "f"))
-		check(err)
-		k.Meter.Reset()
-		for i := 0; i < 50; i++ {
-			check(k.Write(cpu, p, segno, i*hw.PageWords, 1))
-		}
-		kern := k.Meter.Cycles() / 50
-
-		s := bootBase(nil)
-		bp := ""
-		for i := 0; i < depth; i++ {
-			name := fmt.Sprintf("d%d", i)
-			if bp == "" {
-				bp = name
-			} else {
-				bp += ">" + name
-			}
-			check(s.Create("u.x", bp, true))
-		}
-		check(s.Create("u.x", bp+">f", false))
-		proc := s.CreateProcess("u.x")
-		bcpu := s.CPUs[0]
-		s.Attach(bcpu, proc)
-		bsegno, err := s.Open(proc, bp+">f")
-		check(err)
-		s.Meter.Reset()
-		for i := 0; i < 50; i++ {
-			check(s.Write(bcpu, proc, bsegno, i*hw.PageWords, 1))
-		}
-		base := s.Meter.Cycles() / 50
+		kern, base := quotaGrowth(depth)
+		kern, base = kern/quotaPages, base/quotaPages
 		fmt.Printf("    depth %2d: static cell %5d cyc, dynamic walk %5d cyc\n", depth, kern, base)
 		rows = append(rows, map[string]any{"depth": depth, "static_cell_cycles": kern, "dynamic_walk_cycles": base})
 	}
 	fmt.Println("    [paper: the static binding removes the upward search entirely]")
 	record("P6 quota growth", map[string]any{"per_depth": rows})
+}
+
+// netFrames is how many frames P7's per-frame cost averages over.
+const netFrames = 100
+
+// frameCost returns the meter delta of netFrames deliver-and-receive
+// round trips through a mode demultiplexer with a 4-link ARPANET
+// attached.
+func frameCost(mode netmux.Mode) int64 {
+	meter := &hw.CostMeter{}
+	m := netmux.New(mode, meter)
+	check(m.Attach(netmux.Arpanet{Links: 4}))
+	cpu := hw.NewProcessor(0, hw.NewMemory(1), meter)
+	cpu.Ring = hw.UserRing
+	frame := netmux.Frame{Channel: 1, Payload: []hw.Word{0, 2, 4, 6}}
+	start := meter.Snapshot()
+	for i := 0; i < netFrames; i++ {
+		check(m.Deliver(cpu, "arpanet", frame))
+		if _, ok := m.Receive("arpanet", 1); !ok {
+			check(errors.New("p7: a delivered frame was not received"))
+		}
+	}
+	return meter.Since(start)
 }
 
 func p7() {
@@ -431,28 +511,45 @@ func p7() {
 		rows = append(rows, map[string]any{"networks": n, "per_network_lines": per, "generic_lines": gen})
 	}
 	fmt.Println("    [paper: 7,000 lines shrink below 1,000 and grow only slightly per network]")
-	record("P7 network kernel bulk", map[string]any{"per_networks": rows})
+	per, gen := frameCost(netmux.PerNetworkKernel)/netFrames, frameCost(netmux.GenericKernel)/netFrames
+	fmt.Printf("    per frame (4-link ARPANET): per-network-in-kernel %4d cyc, generic %4d cyc (%s)\n", per, gen, ratio(gen, per))
+	record("P7 network kernel bulk", map[string]any{
+		"per_networks":             rows,
+		"per_network_frame_cycles": per,
+		"generic_frame_cycles":     gen,
+	})
 }
 
-func p8() {
+// schedQuanta is the length of P8's quantum runs.
+const schedQuanta = 100
+
+// schedulerQuanta returns the meter deltas of schedQuanta quanta over
+// four processes: on the 1974 one-level scheduler and on the kernel's
+// two-level one.
+func schedulerQuanta() (oneLevel, twoLevel int64) {
 	s := bootBase(nil)
 	for i := 0; i < 4; i++ {
 		s.CreateProcess("u.x")
 	}
-	s.Meter.Reset()
-	_, err := s.RunQuantum(100, func(*baseline.Process) {})
+	start := s.Meter.Snapshot()
+	_, err := s.RunQuantum(schedQuanta, func(*baseline.Process) {})
 	check(err)
-	one := s.Meter.Cycles() / 100
+	oneLevel = s.Meter.Since(start)
 
 	k := bootKernel(nil)
 	for i := 0; i < 4; i++ {
 		_, err := k.CreateProcess("u.x", aim.Bottom)
 		check(err)
 	}
-	k.Meter.Reset()
-	_, err = k.Procs.RunQuantum(100, func(*uproc.Process) {})
+	start = k.Meter.Snapshot()
+	_, err = k.Procs.RunQuantum(schedQuanta, func(*uproc.Process) {})
 	check(err)
-	two := k.Meter.Cycles() / 100
+	return oneLevel, k.Meter.Since(start)
+}
+
+func p8() {
+	one, two := schedulerQuanta()
+	one, two = one/schedQuanta, two/schedQuanta
 	fmt.Printf("P8 scheduler quantum:  one-level %4d cyc, two-level %4d cyc (%s)  [paper: about the same]\n",
 		one, two, ratio(two, one))
 	record("P8 scheduler quantum", map[string]any{"one_level_cycles": one, "two_level_cycles": two})
@@ -463,11 +560,7 @@ func p8() {
 // actually spends its time.
 func p9() {
 	fmt.Println("P9 fault-storm cycle attribution (event tracing on):")
-	k := bootKernel(func(c *core.Config) {
-		c.MemFrames = 24
-		c.WiredFrames = 8
-		c.TraceEvents = 1 << 14
-	})
+	k := faultKernel(func(c *core.Config) { c.TraceEvents = 1 << 14 })
 	before := k.Trace.Snapshot()
 	faultStorm(k)
 	diff := k.Trace.Snapshot().Since(before)
@@ -616,14 +709,10 @@ func p12() {
 }
 
 // loginStorm runs one P12 configuration and returns its report row.
-// Primary memory is sized so the process states stay resident: the
-// figures measure the scheduler, not the pager.
 func loginStorm(users, nCPU int) map[string]any {
 	k := bootKernel(func(c *core.Config) {
 		c.Processors = nCPU
-		c.ASTPages = (users+256)/128 + 2 // an ASTE per resident process state
-		c.WiredFrames = c.ASTPages + 6
-		c.MemFrames = users + 512 + c.WiredFrames
+		workload.SizeForLogins(c, users)
 		c.Packs = []core.PackSpec{{ID: "dska", Records: 16384}, {ID: "dskb", Records: 16384}}
 	})
 	var procs []*uproc.Process
@@ -635,12 +724,7 @@ func loginStorm(users, nCPU int) map[string]any {
 		procs = append(procs, p)
 		return p, nil
 	})
-	st, err := workload.LoginStorm{
-		Users:          users,
-		Rounds:         2,
-		QuantaPerRound: 2*users/nCPU + 32,
-		BlockEvery:     97,
-	}.Run(k, sim, svc)
+	st, err := workload.TimesharingStorm(users, nCPU).Run(k, sim, svc)
 	check(err)
 	stats := k.Procs.SchedStats()
 	var loginSum int64

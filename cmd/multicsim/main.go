@@ -59,13 +59,7 @@ func main() {
 	cfg.Packs = packSpecs(*packs, 8192)
 	cfg.SpreadPacks = *packs > 1
 	if *storm {
-		// Scale the machine to the storm: an active-segment entry and
-		// a resident state page per logged-in user.
-		cfg.ASTPages = (*users+256)/128 + 2
-		cfg.WiredFrames = cfg.ASTPages + 6
-		if need := *users + 512 + cfg.WiredFrames; cfg.MemFrames < need {
-			cfg.MemFrames = need
-		}
+		workload.SizeForLogins(&cfg, *users)
 		cfg.Packs = packSpecs(*packs, 16384)
 	}
 	// Tracing on: the span layer attributes kernel cycles to the
@@ -218,12 +212,7 @@ func runLoginStorm(k *core.Kernel, users int, seed int64) error {
 	svc := answering.New(answering.Split, k.Meter, func(principal string, label aim.Label) (any, error) {
 		return k.CreateProcess(principal, label)
 	})
-	st, err := workload.LoginStorm{
-		Users:          users,
-		Rounds:         2,
-		QuantaPerRound: 2*users/len(k.CPUs) + 32,
-		BlockEvery:     97,
-	}.Run(k, uproc.SimExecutor{Seed: seed}, svc)
+	st, err := workload.TimesharingStorm(users, len(k.CPUs)).Run(k, uproc.SimExecutor{Seed: seed}, svc)
 	if err != nil {
 		return err
 	}

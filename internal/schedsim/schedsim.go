@@ -431,9 +431,6 @@ func (ex *Executor) Run() error {
 // of the executor's log, which is now always zero.
 func (ex *Executor) Decisions() []Decision { return nil }
 
-// Seed returns the seed the executor reports in failures.
-func (ex *Executor) Seed() int64 { return ex.seed }
-
 func (t *task) run(ready *sync.WaitGroup) {
 	ex := t.ex
 	ready.Done()

@@ -21,6 +21,23 @@ type LoginStorm struct {
 	Users, Rounds, QuantaPerRound, BlockEvery int
 }
 
+// TimesharingStorm is the login storm kernelbench P12 and multicsim
+// -storm run for users users on nCPU processors: two rounds of enough
+// quanta per processor to dispatch every session twice, with every
+// 97th session blocking.
+func TimesharingStorm(users, nCPU int) LoginStorm {
+	return LoginStorm{Users: users, Rounds: 2, QuantaPerRound: 2*users/nCPU + 32, BlockEvery: 97}
+}
+
+// SizeForLogins scales cfg to users logged-in users: an active-segment
+// entry and a resident state page per user, so the process states stay
+// resident and a storm measures the scheduler, not the pager.
+func SizeForLogins(cfg *core.Config, users int) {
+	cfg.ASTPages = (users+256)/128 + 2
+	cfg.WiredFrames = cfg.ASTPages + 6
+	cfg.MemFrames = max(cfg.MemFrames, users+512+cfg.WiredFrames)
+}
+
 // LoginStats summarizes a login storm.
 type LoginStats struct {
 	Logins  int
