@@ -22,6 +22,7 @@ import (
 	"multics/internal/eventcount"
 	"multics/internal/hw"
 	"multics/internal/uproc"
+	"multics/internal/workload"
 )
 
 // reportCycles attaches the simulated-cycle metric.
@@ -104,25 +105,11 @@ func bootBase(tb testing.TB, mutate func(*BaselineConfig)) *Baseline {
 // storms.
 func kernelHotSegment(b *testing.B, k *Kernel, pages int) (*hw.Processor, *uproc.Process, int) {
 	b.Helper()
-	p, err := k.CreateProcess("alice.sys", Bottom)
+	w, err := workload.HotFile(k, "alice.sys", pages)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cpu := k.CPUs[0]
-	k.Attach(cpu, p)
-	if _, err := k.CreateFile(cpu, p, nil, "hot", nil, Bottom); err != nil {
-		b.Fatal(err)
-	}
-	segno, err := k.OpenPath(cpu, p, []string{"hot"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < pages; i++ {
-		if err := k.Write(cpu, p, segno, i*hw.PageWords, hw.Word(i+1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return cpu, p, segno
+	return w.CPU, w.Proc, w.Segno
 }
 
 // --- C3: full-pack relocation via upward signal ---

@@ -18,10 +18,13 @@
 //	P15 disk pipeline fault storm        (1/2/4 CPUs x 1/2/4 packs; gated)
 //	P16 connection storm                 (10k/100k/1M lines; O(1) cyc/conn)
 //
-// Every multiprocessor row runs under the deterministic executor with
-// one schedule seed, so every figure is byte-reproducible. Every
-// comparison is also written machine-readable to the path named by
-// -json (default BENCH_kernel.json; empty disables). With -compare
+// The storms of P4, P5, P9, P10–P13, P15 and P16 are scenarios of the
+// internal/workload catalogue; the other rows pair a kernel half with
+// the 1974 baseline or a model. Every row runs its kernel calls under
+// the deterministic executor with one schedule seed, the single-
+// processor ones on processor 0, so every figure is byte-reproducible.
+// Every comparison is also written machine-readable to the path named
+// by -json (default BENCH_kernel.json; empty disables). With -compare
 // OLD.json the run diffs its cycle figures against a previous report
 // and exits non-zero when any has regressed by more than 10% or is
 // missing from the run, so a committed baseline turns the benchmark
@@ -43,7 +46,6 @@ import (
 	"multics/internal/baseline"
 	"multics/internal/core"
 	"multics/internal/directory"
-	"multics/internal/fnp"
 	"multics/internal/hw"
 	"multics/internal/linker"
 	"multics/internal/netmux"
@@ -227,6 +229,51 @@ func check(err error) {
 	}
 }
 
+// serial runs f on processor 0 under sim: the rows outside the
+// catalogue run their kernel calls on a task, as the storms do.
+func serial(k *core.Kernel, f func()) {
+	check(sim.Run(k.CPUs[:1], func(*hw.Processor) { f() }))
+}
+
+// run boots kernelbench's machine, shaped by mutate and then by the
+// scenario's own configuration, and drives s on it under sim: tune sees
+// the booted kernel before Setup, mark sees it after, just before the
+// measured Run. Any of the three may be nil.
+func run(s workload.Scenario, mutate func(*core.Config), tune, mark func(*core.Kernel)) *core.Kernel {
+	k := bootKernel(func(c *core.Config) {
+		if mutate != nil {
+			mutate(c)
+		}
+		s.Configure(c)
+	})
+	if tune != nil {
+		tune(k)
+	}
+	if s.Setup != nil {
+		check(s.Setup(k, sim))
+	}
+	if mark != nil {
+		mark(k)
+	}
+	check(s.Run(k, sim))
+	return k
+}
+
+// busiestSince snapshots k's processor accounts and returns a function
+// that reports the largest advance of any of them since.
+func busiestSince(k *core.Kernel) func() int64 {
+	base := make([]int64, len(k.CPUs))
+	for i := range base {
+		base[i] = k.Meter.CPUCycles(i)
+	}
+	return func() (busiest int64) {
+		for i, c := range base {
+			busiest = max(busiest, k.Meter.CPUCycles(i)-c)
+		}
+		return busiest
+	}
+}
+
 func ratio(a, b int64) string {
 	return fmt.Sprintf("%+.1f%%", 100*float64(a-b)/float64(b))
 }
@@ -239,41 +286,30 @@ func user(k *core.Kernel) (*hw.Processor, *uproc.Process) {
 	return k.CPUs[0], p
 }
 
-// hotFile gives a fresh process on processor 0 a file whose first
-// pages pages hold 1, 2, ...
-func hotFile(k *core.Kernel, pages int) (*hw.Processor, *uproc.Process, int) {
-	cpu, p := user(k)
-	_, err := k.CreateFile(cpu, p, nil, "hot", nil, aim.Bottom)
-	check(err)
-	segno, err := k.OpenPath(cpu, p, []string{"hot"})
-	check(err)
-	for i := 0; i < pages; i++ {
-		check(k.Write(cpu, p, segno, i*hw.PageWords, hw.Word(i+1)))
-	}
-	return cpu, p, segno
-}
-
 func p1() {
-	cost := func(mode linker.Mode) int64 {
+	cost := func(mode linker.Mode) (perRef int64) {
 		k := bootKernel(nil)
-		cpu, p := user(k)
-		_, err := k.CreateDir(cpu, p, nil, "lib", directory.Public(hw.Read|hw.Write), aim.Bottom)
-		check(err)
-		for i := 0; i < 32; i++ {
-			_, err = k.CreateFile(cpu, p, []string{"lib"}, fmt.Sprintf("s%d_", i), directory.Public(hw.Read|hw.Execute), aim.Bottom)
+		serial(k, func() {
+			cpu, p := user(k)
+			_, err := k.CreateDir(cpu, p, nil, "lib", directory.Public(hw.Read|hw.Write), aim.Bottom)
 			check(err)
-		}
-		l := linker.New(mode, k.Meter, func(sym string) (linker.Target, error) {
-			segno, err := k.OpenPath(cpu, p, []string{"lib", sym})
-			return linker.Target{Segno: segno}, err
+			for i := 0; i < 32; i++ {
+				_, err = k.CreateFile(cpu, p, []string{"lib"}, fmt.Sprintf("s%d_", i), directory.Public(hw.Read|hw.Execute), aim.Bottom)
+				check(err)
+			}
+			l := linker.New(mode, k.Meter, func(sym string) (linker.Target, error) {
+				segno, err := k.OpenPath(cpu, p, []string{"lib", sym})
+				return linker.Target{Segno: segno}, err
+			})
+			k.Meter.Reset()
+			lk := linker.NewLinkage()
+			for i := 0; i < 32; i++ {
+				_, err := l.Reference(cpu, lk, fmt.Sprintf("s%d_", i))
+				check(err)
+			}
+			perRef = k.Meter.Cycles() / 32
 		})
-		k.Meter.Reset()
-		lk := linker.NewLinkage()
-		for i := 0; i < 32; i++ {
-			_, err := l.Reference(cpu, lk, fmt.Sprintf("s%d_", i))
-			check(err)
-		}
-		return k.Meter.Cycles() / 32
+		return perRef
 	}
 	in, out := cost(linker.InKernel), cost(linker.UserRing)
 	fmt.Printf("P1 linker snap:        in-kernel %6d cyc, user-ring %6d cyc (%s)  [paper: somewhat slower when removed]\n",
@@ -282,30 +318,33 @@ func p1() {
 }
 
 func p2() {
+	var walk, buried int64
 	k := bootKernel(nil)
-	cpu, p := user(k)
-	var path []string
-	for i := 0; i < 3; i++ {
-		name := fmt.Sprintf("d%d", i)
-		_, err := k.CreateDir(cpu, p, path, name, directory.Public(hw.Read|hw.Write), aim.Bottom)
+	serial(k, func() {
+		cpu, p := user(k)
+		var path []string
+		for i := 0; i < 3; i++ {
+			name := fmt.Sprintf("d%d", i)
+			_, err := k.CreateDir(cpu, p, path, name, directory.Public(hw.Read|hw.Write), aim.Bottom)
+			check(err)
+			path = append(path, name)
+		}
+		_, err := k.CreateFile(cpu, p, path, "leaf", directory.Public(hw.Read), aim.Bottom)
 		check(err)
-		path = append(path, name)
-	}
-	_, err := k.CreateFile(cpu, p, path, "leaf", directory.Public(hw.Read), aim.Bottom)
-	check(err)
-	full := append(path, "leaf")
-	k.Meter.Reset()
-	for i := 0; i < 100; i++ {
-		_, err := k.WalkPath(cpu, p, full)
-		check(err)
-	}
-	walk := k.Meter.Cycles() / 100
-	k.Meter.Reset()
-	for i := 0; i < 100; i++ {
-		_, err := k.ResolveKernel(cpu, p, full)
-		check(err)
-	}
-	buried := k.Meter.Cycles() / 100
+		full := append(path, "leaf")
+		k.Meter.Reset()
+		for i := 0; i < 100; i++ {
+			_, err := k.WalkPath(cpu, p, full)
+			check(err)
+		}
+		walk = k.Meter.Cycles() / 100
+		k.Meter.Reset()
+		for i := 0; i < 100; i++ {
+			_, err := k.ResolveKernel(cpu, p, full)
+			check(err)
+		}
+		buried = k.Meter.Cycles() / 100
+	})
 	fmt.Printf("P2 pathname resolve:   in-kernel %6d cyc, user-ring %6d cyc (%s)  [paper: somewhat faster when removed]\n",
 		buried, walk, ratio(walk, buried))
 	record("P2 pathname resolve", map[string]any{"in_kernel_cycles": buried, "user_ring_cycles": walk})
@@ -332,7 +371,8 @@ func p3() {
 
 func p4() {
 	factor := float64(hw.BodyCycles(1000, hw.PLI)) / 1000
-	asm, pli := langFaultStorm(hw.ASM)/faultReads, langFaultStorm(hw.PLI)/faultReads
+	lang := func(l hw.Language) func(*core.Kernel) { return func(k *core.Kernel) { k.Frames.Lang = l } }
+	asm, pli := faultStorm(nil, lang(hw.ASM))/faultReads, faultStorm(nil, lang(hw.PLI))/faultReads
 	fmt.Printf("P4 PL/I recode:        algorithm body x%.1f instructions (hw.BodyCycles model)  [paper: somewhat more than a factor of two]\n",
 		factor)
 	fmt.Printf("    fault path:        asm %5d cyc, PL/I %5d cyc (%s)  [disk transfers dominate the fault]\n",
@@ -343,46 +383,20 @@ func p4() {
 // faultReads is the length of the fault storms of P4, P5 and P9.
 const faultReads = 200
 
-// faultKernel boots the fault storms' kernel, shaped further by mutate:
-// 16 pageable frames against faultStorm's 32-page file, so every
-// round-robin read faults and evicts.
-func faultKernel(mutate func(*core.Config)) *core.Kernel {
-	return bootKernel(func(c *core.Config) {
-		c.MemFrames = 24
-		c.WiredFrames = 8
-		if mutate != nil {
-			mutate(c)
-		}
-	})
-}
-
-// faultStorm writes a 32-page file on k and returns the meter delta of
-// faultReads round-robin reads over it.
-func faultStorm(k *core.Kernel) int64 {
-	cpu, p, segno := hotFile(k, 32)
-	start := k.Meter.Snapshot()
-	for i := 0; i < faultReads; i++ {
-		_, err := k.Read(cpu, p, segno, (i%32)*hw.PageWords)
-		check(err)
-	}
+// faultStorm boots the fault storm's kernel (workload.FaultStorm over
+// a 32-page file), shaped further by mutate and tuned by tune once
+// booted, and returns the meter delta of its faultReads reads.
+func faultStorm(mutate func(*core.Config), tune func(*core.Kernel)) int64 {
+	var start hw.MeterSnapshot
+	k := run(workload.FaultStorm(32, faultReads), mutate, tune, func(k *core.Kernel) { start = k.Meter.Snapshot() })
 	return k.Meter.Since(start)
-}
-
-// langFaultStorm is the fault storm with the page frame manager's body
-// coded in lang.
-func langFaultStorm(lang hw.Language) int64 {
-	k := faultKernel(nil)
-	k.Frames.Lang = lang
-	return faultStorm(k)
 }
 
 // ungroupedFaultStorm is the fault storm on the kernel as the 1976
 // system ran it: no associative memory (the 1974 baseline models no
 // translation cache either) and write-back one frame at a time.
 func ungroupedFaultStorm() int64 {
-	k := faultKernel(func(c *core.Config) { c.AssocOff = true })
-	k.Frames.FrameBatch = 1
-	return faultStorm(k)
+	return faultStorm(func(c *core.Config) { c.AssocOff = true }, func(k *core.Kernel) { k.Frames.FrameBatch = 1 })
 }
 
 // baselineFaultStorm is the fault storm on the 1974 supervisor.
@@ -406,7 +420,7 @@ func baselineFaultStorm() int64 {
 }
 
 func p5() {
-	base, kern := baselineFaultStorm()/faultReads, faultStorm(faultKernel(nil))/faultReads
+	base, kern := baselineFaultStorm()/faultReads, faultStorm(nil, nil)/faultReads
 	ungrouped := ungroupedFaultStorm() / faultReads
 	fmt.Printf("P5 page-fault path:    1974 %5d cyc, kernel %5d cyc (%s)  [paper: negative, not significant]\n",
 		base, kern, ratio(kern, base))
@@ -424,23 +438,25 @@ const quotaPages = 50
 // walks up the hierarchy to the nearest quota directory.
 func quotaGrowth(depth int) (kernel, base int64) {
 	k := bootKernel(nil)
-	cpu, p := user(k)
-	var path []string
-	for i := 0; i < depth; i++ {
-		name := fmt.Sprintf("d%d", i)
-		_, err := k.CreateDir(cpu, p, path, name, directory.Public(hw.Read|hw.Write), aim.Bottom)
+	serial(k, func() {
+		cpu, p := user(k)
+		var path []string
+		for i := 0; i < depth; i++ {
+			name := fmt.Sprintf("d%d", i)
+			_, err := k.CreateDir(cpu, p, path, name, directory.Public(hw.Read|hw.Write), aim.Bottom)
+			check(err)
+			path = append(path, name)
+		}
+		_, err := k.CreateFile(cpu, p, path, "f", nil, aim.Bottom)
 		check(err)
-		path = append(path, name)
-	}
-	_, err := k.CreateFile(cpu, p, path, "f", nil, aim.Bottom)
-	check(err)
-	segno, err := k.OpenPath(cpu, p, append(path, "f"))
-	check(err)
-	start := k.Meter.Snapshot()
-	for i := 0; i < quotaPages; i++ {
-		check(k.Write(cpu, p, segno, i*hw.PageWords, 1))
-	}
-	kernel = k.Meter.Since(start)
+		segno, err := k.OpenPath(cpu, p, append(path, "f"))
+		check(err)
+		start := k.Meter.Snapshot()
+		for i := 0; i < quotaPages; i++ {
+			check(k.Write(cpu, p, segno, i*hw.PageWords, 1))
+		}
+		kernel = k.Meter.Since(start)
+	})
 
 	s := bootBase(nil)
 	bp := ""
@@ -459,7 +475,7 @@ func quotaGrowth(depth int) (kernel, base int64) {
 	s.Attach(bcpu, proc)
 	bsegno, err := s.Open(proc, bp+">f")
 	check(err)
-	start = s.Meter.Snapshot()
+	start := s.Meter.Snapshot()
 	for i := 0; i < quotaPages; i++ {
 		check(s.Write(bcpu, proc, bsegno, i*hw.PageWords, 1))
 	}
@@ -537,14 +553,17 @@ func schedulerQuanta() (oneLevel, twoLevel int64) {
 	oneLevel = s.Meter.Since(start)
 
 	k := bootKernel(nil)
-	for i := 0; i < 4; i++ {
-		_, err := k.CreateProcess("u.x", aim.Bottom)
+	serial(k, func() {
+		for i := 0; i < 4; i++ {
+			_, err := k.CreateProcess("u.x", aim.Bottom)
+			check(err)
+		}
+		start = k.Meter.Snapshot()
+		_, err = k.Procs.RunQuantum(schedQuanta, func(*uproc.Process) {})
 		check(err)
-	}
-	start = k.Meter.Snapshot()
-	_, err = k.Procs.RunQuantum(schedQuanta, func(*uproc.Process) {})
-	check(err)
-	return oneLevel, k.Meter.Since(start)
+		twoLevel = k.Meter.Since(start)
+	})
+	return oneLevel, twoLevel
 }
 
 func p8() {
@@ -560,9 +579,9 @@ func p8() {
 // actually spends its time.
 func p9() {
 	fmt.Println("P9 fault-storm cycle attribution (event tracing on):")
-	k := faultKernel(func(c *core.Config) { c.TraceEvents = 1 << 14 })
-	before := k.Trace.Snapshot()
-	faultStorm(k)
+	var before trace.Snapshot
+	k := run(workload.FaultStorm(32, faultReads), func(c *core.Config) { c.TraceEvents = 1 << 14 },
+		func(k *core.Kernel) { before = k.Trace.Snapshot() }, nil)
 	diff := k.Trace.Snapshot().Since(before)
 	fmt.Print(diff.Table(k.CertificationOrder()))
 	record("P9 fault-storm attribution", map[string]any{"table": diff.Table(k.CertificationOrder())})
@@ -583,7 +602,7 @@ func p10() map[int]int64 {
 	var rows []map[string]any
 	makespans := make(map[int]int64)
 	for _, nCPU := range []int{1, 2, 4} {
-		makespan, ops := pagingStorm(sim, nCPU, stormRounds, false)
+		makespan, ops := pagingStorm(nCPU, stormRounds, false)
 		makespans[nCPU] = makespan
 		speedup := 1.0
 		if base == 0 {
@@ -602,34 +621,16 @@ func p10() map[int]int64 {
 // stormRounds is the fixed work of P10's and P11's paging storms.
 const stormRounds = 192
 
-// pagingStorm boots an nCPU kernel and drives totalRounds rounds of
-// the paging+quota workload under ex, split evenly across the
-// processors, each worker growing, reading back and truncating an
-// 8-page file in its own quota directory. It returns the busiest
-// processor's cycle account — the makespan — and the rounds run.
-func pagingStorm(ex uproc.Executor, nCPU, totalRounds int, assocOff bool) (int64, int) {
-	k := bootKernel(func(c *core.Config) {
+// pagingStorm boots an nCPU kernel and drives workload.PagingStorm's
+// totalRounds rounds on it. It returns the busiest processor's cycle
+// account across the storm (the makespan) and the rounds run.
+func pagingStorm(nCPU, totalRounds int, assocOff bool) (int64, int) {
+	var span func() int64
+	run(workload.PagingStorm(totalRounds), func(c *core.Config) {
 		c.Processors = nCPU
-		c.MemFrames = 48 // pressure enough that pages cycle through disk
-		c.WiredFrames = 8
 		c.AssocOff = assocOff
-	})
-	ws, err := workload.NewWorkers(k, nCPU, workload.Files{Prefix: "par", Quota: 4096})
-	check(err)
-	rounds := totalRounds / nCPU
-	check(workload.Run(ex, ws, func(w *workload.Worker) error {
-		for r := 0; r < rounds; r++ {
-			if err := workload.GrowReadTruncate(k, w, r, 8); err != nil {
-				return err
-			}
-		}
-		return nil
-	}))
-	var busiest int64
-	for i := 0; i < nCPU; i++ {
-		busiest = max(busiest, k.Meter.CPUCycles(i))
-	}
-	return busiest, rounds * nCPU
+	}, nil, func(k *core.Kernel) { span = busiestSince(k) })
+	return span(), totalRounds / nCPU * nCPU
 }
 
 // p11 measures the associative memory two ways. First, a single
@@ -646,14 +647,18 @@ func p11(cacheOn map[int]int64) {
 	reReference := func(assocOff bool) (xlatCycles int64, stats pageframe.Stats) {
 		k := bootKernel(func(c *core.Config) { c.AssocOff = assocOff })
 		const pages = 16 // resident throughout: re-references, not faults
-		cpu, p, segno := hotFile(k, pages)
-		_, start := cpu.TranslationStats()
-		for r := 0; r < 400; r++ {
-			_, err := k.Read(cpu, p, segno, (r%pages)*hw.PageWords+r%hw.PageWords)
+		serial(k, func() {
+			w, err := workload.HotFile(k, "u.x", pages)
 			check(err)
-		}
-		_, end := cpu.TranslationStats()
-		return end - start, k.Frames.Stats()
+			_, start := w.CPU.TranslationStats()
+			for r := 0; r < 400; r++ {
+				_, err := k.Read(w.CPU, w.Proc, w.Segno, (r%pages)*hw.PageWords+r%hw.PageWords)
+				check(err)
+			}
+			_, end := w.CPU.TranslationStats()
+			xlatCycles = end - start
+		})
+		return xlatCycles, k.Frames.Stats()
 	}
 	onCycles, onStats := reReference(false)
 	offCycles, _ := reReference(true)
@@ -674,7 +679,7 @@ func p11(cacheOn map[int]int64) {
 	var rows []map[string]any
 	for _, nCPU := range []int{1, 2, 4} {
 		on := cacheOn[nCPU]
-		off, _ := pagingStorm(sim, nCPU, stormRounds, true)
+		off, _ := pagingStorm(nCPU, stormRounds, true)
 		fmt.Printf("    %d-processor fault-storm makespan: cache on %9d cyc, off %9d cyc (%s)\n",
 			nCPU, on, off, ratio(on, off))
 		rows = append(rows, map[string]any{
@@ -687,7 +692,7 @@ func p11(cacheOn map[int]int64) {
 	record("P11 associative memory", metrics)
 }
 
-// p12 drives the login storm (workload.LoginStorm) through the sharded
+// p12 drives the login storm (workload.Logins) through the sharded
 // scheduler: 1k and 10k users register, log in, timeshare through
 // rounds of quanta with block/wake churn over the real-memory queue,
 // and log out, on 1, 2 and 4 processors. The figures of merit are the
@@ -710,35 +715,10 @@ func p12() {
 
 // loginStorm runs one P12 configuration and returns its report row.
 func loginStorm(users, nCPU int) map[string]any {
-	k := bootKernel(func(c *core.Config) {
-		c.Processors = nCPU
-		workload.SizeForLogins(c, users)
-		c.Packs = []core.PackSpec{{ID: "dska", Records: 16384}, {ID: "dskb", Records: 16384}}
-	})
-	var procs []*uproc.Process
-	svc := answering.New(answering.Split, k.Meter, func(principal string, label aim.Label) (any, error) {
-		p, err := k.CreateProcess(principal, label)
-		if err != nil {
-			return nil, err
-		}
-		procs = append(procs, p)
-		return p, nil
-	})
-	st, err := workload.TimesharingStorm(users, nCPU).Run(k, sim, svc)
-	check(err)
-	stats := k.Procs.SchedStats()
-	var loginSum int64
-	for _, r := range svc.Records() {
-		loginSum += r.LoginCycles
-	}
-	loginPer := loginSum / int64(st.Logins)
-	var ttfq []int64
-	for _, p := range procs {
-		if fr := p.FirstRunCycle(); fr >= 0 {
-			ttfq = append(ttfq, fr-p.CreatedCycle())
-		}
-	}
-	sort.Slice(ttfq, func(i, j int) bool { return ttfq[i] < ttfq[j] })
+	s, res := workload.Logins(users, 97)
+	stats := run(s, func(c *core.Config) { c.Processors = nCPU }, nil, nil).Procs.SchedStats()
+	loginPer := res.LoginCycles / int64(res.Logins)
+	ttfq := res.FirstQuanta
 	pct := func(q float64) int64 {
 		if len(ttfq) == 0 {
 			return 0
@@ -747,7 +727,7 @@ func loginStorm(users, nCPU int) map[string]any {
 	}
 	var perQuantum int64
 	if stats.Dispatches > 0 {
-		perQuantum = st.QuantaCycles / stats.Dispatches
+		perQuantum = res.QuantaCycles / stats.Dispatches
 	}
 	fmt.Printf("    %5d users %d cpu: login %5d cyc/user, dispatch %4d cyc/quantum, ttfq p50 %9d p99 %9d max %9d cyc, %5d steals, depth %d\n",
 		users, nCPU, loginPer, perQuantum, pct(0.50), pct(0.99), ttfq[len(ttfq)-1], stats.Steals, stats.MaxQueueDepth)
@@ -756,7 +736,7 @@ func loginStorm(users, nCPU int) map[string]any {
 		"dispatches": stats.Dispatches, "first_quanta": len(ttfq),
 		"steals": stats.Steals, "migrations": stats.Migrations,
 		"donations": stats.Donations, "wakeups": stats.Wakeups,
-		"blocked": st.Blocked, "woken": st.Woken,
+		"blocked": res.Blocked, "woken": res.Woken,
 		"max_queue_depth":             stats.MaxQueueDepth,
 		"login_cycles_per_user":       loginPer,
 		"dispatch_cycles_per_quantum": perQuantum,
@@ -776,7 +756,10 @@ func p13() {
 	fmt.Println("P13 fault-service latency (log2-bucketed span histograms over the fault storm):")
 	var rows []map[string]any
 	for _, nCPU := range []int{1, 2, 4} {
-		k := latencyStorm(nCPU)
+		k := run(workload.LatencyStorm(200), func(c *core.Config) {
+			c.Processors = nCPU
+			c.TraceEvents = 1 << 15
+		}, nil, nil)
 		snap := k.Trace.Snapshot()
 		h := snap.Spans[trace.SpanKey{Module: pageframe.ModuleName, Kind: trace.SpanFaultService}]
 		p50, p99 := h.Percentile(0.50), h.Percentile(0.99)
@@ -789,70 +772,6 @@ func p13() {
 	}
 	fmt.Println("    [percentiles are log2 bucket upper bounds; every figure is deterministic and gated]")
 	record("P13 fault-service latency", map[string]any{"per_processors": rows})
-}
-
-// latencyStorm boots an nCPU kernel with span tracing on and drives
-// the P5-shaped fault storm per processor: each worker writes a file
-// larger than its share of primary memory, then cycles reads over it,
-// so every service in the steady state fetches from disk and the
-// fault-service histogram shows the full path — disk read, eviction
-// write-back batches, shootdowns.
-func latencyStorm(nCPU int) *core.Kernel {
-	const (
-		filePages = 32
-		reads     = 200
-	)
-	k := bootKernel(func(c *core.Config) {
-		c.Processors = nCPU
-		// The pageable pool grows with the processors — keeping the
-		// overcommit ratio moderate enough that a fetched page
-		// normally survives until the faulter's rereference — but is
-		// clamped below a single worker's file, so the steady-state
-		// reads always fetch from disk even when one worker runs far
-		// ahead of the others.
-		c.MemFrames = 16 + 8*nCPU
-		if c.MemFrames > 8+filePages-2 {
-			c.MemFrames = 8 + filePages - 2
-		}
-		c.WiredFrames = 8
-		c.TraceEvents = 1 << 15
-	})
-	ws, err := workload.NewWorkers(k, nCPU, workload.Files{Prefix: "lat", Quota: 4096})
-	check(err)
-	// Under the deliberate overcommit the kernel can report a
-	// fault loop: the faulter's page was evicted by the other
-	// processors before every one of its rereferences. That is the
-	// thrashing condition a real user program retries, so the
-	// workload does too — the retried services all land in the
-	// histograms, which is the point.
-	retry := func(f func() error) error {
-		for tries := 0; ; tries++ {
-			err := f()
-			if errors.Is(err, core.ErrFaultLoop) && tries < 25 {
-				continue
-			}
-			return err
-		}
-	}
-	check(workload.Run(sim, ws, func(w *workload.Worker) error {
-		for i := 0; i < filePages; i++ {
-			if err := retry(func() error {
-				return k.Write(w.CPU, w.Proc, w.Segno, i*hw.PageWords, hw.Word(i+1))
-			}); err != nil {
-				return err
-			}
-		}
-		for r := 0; r < reads; r++ {
-			if err := retry(func() error {
-				_, err := k.Read(w.CPU, w.Proc, w.Segno, (r%filePages)*hw.PageWords)
-				return err
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}))
-	return k
 }
 
 // p15 measures the async disk pipeline: per-CPU workers each write a
@@ -873,27 +792,28 @@ func p15() {
 	for _, nCPU := range []int{1, 2, 4} {
 		var onePack int64
 		for _, nPack := range []int{1, 2, 4} {
-			r := diskStorm(nCPU, nPack)
+			cpu, device, faults, hits := diskStorm(nCPU, nPack)
+			bottleneck := max(cpu, device)
 			gain := ""
 			if nPack == 1 {
-				onePack = r.bottleneck
-			} else if r.bottleneck > 0 {
-				gain = fmt.Sprintf("  x%.2f vs 1 pack", float64(onePack)/float64(r.bottleneck))
+				onePack = bottleneck
+			} else if bottleneck > 0 {
+				gain = fmt.Sprintf("  x%.2f vs 1 pack", float64(onePack)/float64(bottleneck))
 			}
 			hitRate := 0.0
-			if r.faults > 0 {
-				hitRate = float64(r.hits) / float64(r.faults)
+			if faults > 0 {
+				hitRate = float64(hits) / float64(faults)
 			}
 			fmt.Printf("    %d CPU %d pack: bottleneck %8d cyc (cpu %8d, device %8d)  read-ahead %3.0f%% of %d faults%s\n",
-				nCPU, nPack, r.bottleneck, r.cpu, r.device, 100*hitRate, r.faults, gain)
+				nCPU, nPack, bottleneck, cpu, device, 100*hitRate, faults, gain)
 			rows = append(rows, map[string]any{
 				"processors":            nCPU,
 				"packs":                 nPack,
-				"bottleneck_cycles":     r.bottleneck,
-				"busiest_cpu_cycles":    r.cpu,
-				"busiest_device_cycles": r.device,
-				"faults":                r.faults,
-				"prefetch_hits":         r.hits,
+				"bottleneck_cycles":     bottleneck,
+				"busiest_cpu_cycles":    cpu,
+				"busiest_device_cycles": device,
+				"faults":                faults,
+				"prefetch_hits":         hits,
 				"readahead_hit_rate":    hitRate,
 			})
 		}
@@ -902,72 +822,34 @@ func p15() {
 	record("P15 disk pipeline fault storm", map[string]any{"per_config": rows})
 }
 
-// A diskStormResult is one P15 configuration's scan-phase figures.
-type diskStormResult struct {
-	bottleneck, cpu, device int64
-	faults, hits            int64
-}
-
 // diskStorm runs one P15 configuration and returns the scan phase's
 // deltas: busiest processor account, busiest pack device account,
 // fault count and read-ahead hits.
-func diskStorm(nCPU, nPacks int) diskStormResult {
-	const filePages = 24
-	k := bootKernel(func(c *core.Config) {
+func diskStorm(nCPU, nPacks int) (cpu, device, faults, hits int64) {
+	devices := func(k *core.Kernel) map[string]int64 {
+		cycles := make(map[string]int64)
+		for _, id := range k.Vols.Packs() {
+			p, err := k.Vols.Pack(id)
+			check(err)
+			cycles[id] = p.DeviceCycles()
+		}
+		return cycles
+	}
+	var span func() int64
+	var dev0 map[string]int64
+	var st0 pageframe.Stats
+	k := run(workload.DiskScan(24), func(c *core.Config) {
 		c.Processors = nCPU
 		c.Packs = nil
 		for i := 0; i < nPacks; i++ {
 			c.Packs = append(c.Packs, core.PackSpec{ID: fmt.Sprintf("dsk%c", 'a'+i), Records: 8192})
 		}
-		c.SpreadPacks = nPacks > 1
-		// Memory holds every file plus read-ahead slack: the storm
-		// measures the disk pipeline, not eviction thrash.
-		c.MemFrames = nCPU*filePages + 64
-		c.WiredFrames = 8
-	})
-	ws, err := workload.NewWorkers(k, nCPU, workload.Files{Prefix: "par", Quota: 4096})
-	check(err)
-	// Populate: each worker writes its file, then the segment is
-	// deactivated so every page lives only on its disk record.
-	for _, w := range ws {
-		for pg := 0; pg < filePages; pg++ {
-			check(k.Write(w.CPU, w.Proc, w.Segno, pg*hw.PageWords, hw.Word(pg+1)))
-		}
-		e, err := w.Proc.KST().Entry(w.Segno)
-		check(err)
-		check(k.Segs.Deactivate(e.UID))
-	}
-	// Snapshot the accounts so only the scan phase is measured.
-	cpu0 := make([]int64, nCPU)
-	for i := range cpu0 {
-		cpu0[i] = k.Meter.CPUCycles(i)
-	}
-	dev0 := make(map[string]int64)
-	for _, id := range k.Vols.Packs() {
-		p, err := k.Vols.Pack(id)
-		check(err)
-		dev0[id] = p.DeviceCycles()
-	}
-	st0 := k.Frames.Stats()
-
-	check(workload.Run(sim, ws, func(w *workload.Worker) error {
-		return workload.Scan(k, w, filePages, 1)
-	}))
-
-	var res diskStormResult
-	for i := 0; i < nCPU; i++ {
-		res.cpu = max(res.cpu, k.Meter.CPUCycles(i)-cpu0[i])
-	}
-	for _, id := range k.Vols.Packs() {
-		p, err := k.Vols.Pack(id)
-		check(err)
-		res.device = max(res.device, p.DeviceCycles()-dev0[id])
+	}, nil, func(k *core.Kernel) { span, dev0, st0 = busiestSince(k), devices(k), k.Frames.Stats() })
+	for id, cyc := range devices(k) {
+		device = max(device, cyc-dev0[id])
 	}
 	st := k.Frames.Stats()
-	res.faults = st.Faults - st0.Faults
-	res.hits = st.PrefetchHits - st0.PrefetchHits
-	res.bottleneck = max(res.cpu, res.device)
-	return res
+	return span(), device, st.Faults - st0.Faults, st.PrefetchHits - st0.PrefetchHits
 }
 
 // p16 scales the front-end connection plane: one terminal frame per
@@ -997,92 +879,20 @@ func p16() {
 
 // connStorm runs one P16 configuration and returns its report row.
 func connStorm(conns, nCPU int) map[string]any {
-	const loginUsers = 32
-	k := bootKernel(func(c *core.Config) {
-		c.Processors = nCPU
-		c.ASTPages = (loginUsers+256)/128 + 2
-		c.WiredFrames = c.ASTPages + 6
-		c.MemFrames = loginUsers + 256 + c.WiredFrames
-	})
-	node, err := k.AttachFNP(conns, 0)
-	check(err)
-	terms := node.Terminals
-
-	// The dialog subset: real logins arrive as terminal frames and run
-	// the answering service's full admission path.
-	svc := answering.New(answering.Split, k.Meter, func(principal string, label aim.Label) (any, error) {
-		return k.CreateProcess(principal, label)
-	})
-	connector := answering.NewConnector(svc, func(proc any) error {
-		return k.Procs.Destroy(proc.(*uproc.Process))
-	})
-	for i := 0; i < loginUsers; i++ {
-		check(svc.Register(answering.StormPrincipal(i), "storm-pw", aim.Top))
-	}
-	for i := 0; i < loginUsers; i++ {
-		line := append(answering.EncodeLine("login "+answering.StormPrincipal(i)+" storm-pw"), 0o777)
-		check(node.Mux.Deliver(k.CPUs[0], "front-end", netmux.Frame{Channel: i, Payload: line}))
-	}
-	for sh := 0; sh < terms.Shards(); sh++ {
-		terms.Drain(sh, func(d fnp.Delivery) { check(connector.HandleFrame(d.Conn, d.Data)) })
-	}
-	if got := connector.Stats().Logins; got != loginUsers {
-		check(fmt.Errorf("p16: %d logins, want %d", got, loginUsers))
-	}
-
-	// The storm: one frame per connection. Each processor delivers its
-	// range of connections in bursts of 64 frames and after each burst
-	// drains the shards it owns, so a frame waits for at most one burst
-	// of each processor; with one processor that is a single deliver,
-	// drain, deliver loop. The storm is split at burst boundaries into
-	// executor runs of burstsPerRun bursts each, keeping every run well
-	// inside the executor's step backstop, and the frames delivered
-	// after their shard's last drain are drained at the end.
-	const burst, burstsPerRun = 64, 1024
-	start := k.Meter.Snapshot()
-	payload := []hw.Word{0o101, 0o777}
-	per := (conns + nCPU - 1) / nCPU
-	for lo := 0; lo < per; lo += burst * burstsPerRun {
-		check(sim.Run(k.CPUs, func(cpu *hw.Processor) {
-			first, last := cpu.ID*per, min((cpu.ID+1)*per, conns)
-			for b := first + lo; b < min(first+lo+burst*burstsPerRun, last); b += burst {
-				for id := b; id < min(b+burst, last); id++ {
-					check(node.Mux.Deliver(cpu, "front-end", netmux.Frame{Channel: id, Payload: payload}))
-				}
-				for sh := cpu.ID; sh < terms.Shards(); sh += nCPU {
-					terms.Drain(sh, nil)
-				}
-			}
-		}))
-	}
-	for sh := 0; sh < terms.Shards(); sh++ {
-		terms.Drain(sh, nil)
-	}
-	perConn := k.Meter.Since(start) / int64(conns)
+	s, res := workload.ConnectionStorm(conns)
+	run(s, func(c *core.Config) { c.Processors = nCPU }, nil, nil)
+	terms := res.Node.Terminals
+	perConn := res.StormCycles / int64(conns)
 	p50, p99 := terms.LatencyPercentile(50), terms.LatencyPercentile(99)
-
-	// Isolation: flood one line past its credit window without
-	// returning credits; its frames drop, counted on it alone, while a
-	// neighbor on the same shard keeps its full window.
-	slow := loginUsers + 1
-	healthy := slow + terms.Shards()
-	for i := 0; i < fnp.RingSlots+2; i++ {
-		check(node.Mux.Deliver(k.CPUs[0], "front-end", netmux.Frame{Channel: slow, Payload: payload}))
-	}
-	check(node.Mux.Deliver(k.CPUs[0], "front-end", netmux.Frame{Channel: healthy, Payload: payload}))
-	slowSt, healthySt := terms.ConnStats(slow), terms.ConnStats(healthy)
-	if slowSt.Drops == 0 || healthySt.Drops != 0 {
-		check(fmt.Errorf("p16: isolation broken: slow line dropped %d, healthy neighbor %d", slowSt.Drops, healthySt.Drops))
-	}
 	st := terms.Stats()
 	fmt.Printf("    %7d conns %d cpu: %4d cyc/conn, delivery p50 %7d p99 %7d cyc, %7d frames, slow-line drops %d, healthy neighbor %d\n",
-		conns, nCPU, perConn, p50, p99, st.Frames, slowSt.Drops, healthySt.Drops)
+		conns, nCPU, perConn, p50, p99, st.Frames, res.SlowDrops, res.HealthyDrops)
 	return map[string]any{
 		"connections": conns, "processors": nCPU,
 		"frames": st.Frames, "delivered": st.Delivered,
-		"logins":          loginUsers,
-		"slow_conn_drops": slowSt.Drops, "healthy_conn_drops": healthySt.Drops,
-		"mux_dropped":           node.Mux.MuxStats().Dropped,
+		"logins":          res.Logins,
+		"slow_conn_drops": res.SlowDrops, "healthy_conn_drops": res.HealthyDrops,
+		"mux_dropped":           res.Node.Mux.MuxStats().Dropped,
 		"cycles_per_connection": perConn,
 		"delivery_p50_cycles":   p50,
 		"delivery_p99_cycles":   p99,

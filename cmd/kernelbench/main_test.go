@@ -10,8 +10,8 @@ import (
 // TestPagingStormRepeats: the multiprocessor paging storm runs under
 // the seeded executor, so its makespan is the same run over run.
 func TestPagingStormRepeats(t *testing.T) {
-	busiest, rounds := pagingStorm(sim, 2, 16, false)
-	again, roundsAgain := pagingStorm(sim, 2, 16, false)
+	busiest, rounds := pagingStorm(2, 16, false)
+	again, roundsAgain := pagingStorm(2, 16, false)
 	if busiest != again || rounds != roundsAgain {
 		t.Errorf("two runs of one storm: %d cycles over %d rounds, then %d over %d", busiest, rounds, again, roundsAgain)
 	}

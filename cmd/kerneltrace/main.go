@@ -1,7 +1,8 @@
 // Command kerneltrace boots a Kernel/Multics instance with event
-// tracing on, runs a representative workload (directory building,
-// pathname walks, a page-fault storm heavy enough to force eviction,
-// scheduling, truncation, and an audit pass), and prints the meters:
+// tracing on, runs the scenario catalogue's trace tour (directory
+// building, pathname walks, a page-fault storm heavy enough to force
+// eviction, truncation, scheduling) and an audit pass, and prints the
+// meters:
 // a sample of the kernel event stream, the per-module
 // cycle-attribution table in certification order, and the
 // Prometheus-style exposition lines.
@@ -31,13 +32,10 @@ import (
 	"sort"
 	"strings"
 
-	"multics/internal/aim"
 	"multics/internal/audit"
 	"multics/internal/core"
-	"multics/internal/directory"
-	"multics/internal/hw"
 	"multics/internal/trace"
-	"multics/internal/uproc"
+	"multics/internal/workload"
 )
 
 // eventSample is how many trailing events of the stream are printed.
@@ -108,9 +106,11 @@ func main() {
 	k, err := core.Boot(cfg)
 	check(err)
 	rec := k.Trace
+	// The tour is a script: it runs on this goroutine and takes no
+	// executor.
 
 	if *flame {
-		workload(k)
+		check(workload.TraceTour().Drive(k, nil))
 		fmt.Print(trace.FoldedStacks(rec.Spans()))
 		failOnUnknown(rec)
 		return
@@ -119,7 +119,7 @@ func main() {
 	fmt.Println("kerneltrace: kernel-wide event tracing and per-module meters")
 	fmt.Println()
 
-	workload(k)
+	check(workload.TraceTour().Drive(k, nil))
 
 	report := audit.Run(k)
 	fmt.Printf("audit: clean=%v, %d findings, audit pass itself cost %d cycles\n\n", report.Clean(), len(report.Findings), report.Cycles)
@@ -242,61 +242,6 @@ func printSpans(rec *trace.Recorder, snap trace.Snapshot) {
 		}
 		fmt.Printf("    %s %s = %s\n", key.Module, key.Kind, strings.Join(parts, " + "))
 	}
-}
-
-// workload exercises every instrumented path: gates and pathname
-// walks, quota-charged growth, enough paging pressure to evict,
-// rereads that fetch from disk, the two-level scheduler, truncation,
-// and eventcount/IPC traffic.
-func workload(k *core.Kernel) {
-	cpu := k.CPUs[0]
-	p, err := k.CreateProcess("tracer.sys", aim.Bottom)
-	check(err)
-	k.Attach(cpu, p)
-
-	// A small tree, walked in the user ring: gate crossings per
-	// component.
-	var path []string
-	for i := 0; i < 3; i++ {
-		name := fmt.Sprintf("d%d", i)
-		_, err := k.CreateDir(cpu, p, path, name, directory.Public(hw.Read|hw.Write), aim.Bottom)
-		check(err)
-		path = append(path, name)
-	}
-
-	// Three segments grown past primary memory: quota checks on
-	// every added page, then evictions with disk write-backs.
-	var segnos []int
-	for f := 0; f < 3; f++ {
-		name := fmt.Sprintf("f%d", f)
-		_, err := k.CreateFile(cpu, p, path, name, nil, aim.Bottom)
-		check(err)
-		segno, err := k.OpenPath(cpu, p, append(append([]string{}, path...), name))
-		check(err)
-		segnos = append(segnos, segno)
-		for i := 0; i < 40; i++ {
-			check(k.Write(cpu, p, segno, i*hw.PageWords, hw.Word(f*100+i+1)))
-		}
-	}
-	// Reread everything: missing-page faults served from disk.
-	for _, segno := range segnos {
-		for i := 0; i < 40; i++ {
-			_, err := k.Read(cpu, p, segno, i*hw.PageWords)
-			check(err)
-		}
-	}
-
-	// Truncate one segment: quota released.
-	check(k.Truncate(cpu, p, segnos[0], 5))
-
-	// The two-level scheduler: dispatches, process swaps, queue
-	// messages.
-	for i := 0; i < 3; i++ {
-		_, err := k.CreateProcess(fmt.Sprintf("user%d.x", i), aim.Bottom)
-		check(err)
-	}
-	_, err = k.Procs.RunQuantum(20, func(*uproc.Process) {})
-	check(err)
 }
 
 // parseKinds resolves a comma-separated kind list to a filter set; an

@@ -12,14 +12,8 @@ import (
 	"sort"
 	"strings"
 
-	"multics/internal/aim"
-	"multics/internal/answering"
 	"multics/internal/audit"
 	"multics/internal/core"
-	"multics/internal/directory"
-	"multics/internal/fnp"
-	"multics/internal/hw"
-	"multics/internal/netmux"
 	"multics/internal/profile"
 	"multics/internal/schedsim"
 	"multics/internal/uproc"
@@ -58,9 +52,9 @@ func main() {
 	}
 	cfg.Packs = packSpecs(*packs, 8192)
 	cfg.SpreadPacks = *packs > 1
+	logins, loginRes := workload.Logins(*users, 97)
 	if *storm {
-		workload.SizeForLogins(&cfg, *users)
-		cfg.Packs = packSpecs(*packs, 16384)
+		logins.Configure(&cfg)
 	}
 	// Tracing on: the span layer attributes kernel cycles to the
 	// running process for the top-talkers table.
@@ -77,65 +71,32 @@ func main() {
 		fmt.Printf("    layer %d: %s\n", i, strings.Join(layer, ", "))
 	}
 
+	// The login storm runs every phase under the seeded executor, which
+	// binds each processor's task so the top-talkers spans nest per
+	// processor. The scripted users and the connection plane are
+	// scripts: they run on this goroutine and take no executor.
 	if *storm {
-		if err := runLoginStorm(k, *users, *schedSeed); err != nil {
+		if err := logins.Drive(k, uproc.SimExecutor{Seed: *schedSeed}); err != nil {
 			fatal("login storm", err)
 		}
-	}
-
-	for u := 0; !*storm && u < *users; u++ {
-		principal := fmt.Sprintf("user%d.proj", u)
-		p, err := k.CreateProcess(principal, aim.Bottom)
-		if err != nil {
-			fatal("create process", err)
+		fmt.Printf("\nLogin storm: %d logins, %d logouts, %d quanta run, %d blocked, %d woken.\n",
+			loginRes.Logins, loginRes.Logouts, loginRes.Quanta, loginRes.Blocked, loginRes.Woken)
+	} else {
+		if err := workload.FileUsers(*users, *files, *pages).Drive(k, nil); err != nil {
+			fatal("scripted users", err)
 		}
-		cpu := k.CPUs[u%len(k.CPUs)]
-		k.Attach(cpu, p)
-		home := fmt.Sprintf("user%d", u)
-		if _, err := k.CreateDir(cpu, p, nil, home, directory.Public(hw.Read|hw.Write), aim.Bottom); err != nil {
-			fatal("create home", err)
+		for u := 0; u < *users; u++ {
+			fmt.Printf("user %-12s wrote and verified %d files x %d pages\n", fmt.Sprintf("user%d.proj", u), *files, *pages)
 		}
-		for f := 0; f < *files; f++ {
-			name := fmt.Sprintf("file%d", f)
-			if _, err := k.CreateFile(cpu, p, []string{home}, name, nil, aim.Bottom); err != nil {
-				fatal("create file", err)
-			}
-			segno, err := k.OpenPath(cpu, p, []string{home, name})
-			if err != nil {
-				fatal("open", err)
-			}
-			for pg := 0; pg < *pages; pg++ {
-				if err := k.Write(cpu, p, segno, pg*hw.PageWords+pg, hw.Word(u*100+f*10+pg)); err != nil {
-					fatal("write", err)
-				}
-			}
-			for pg := 0; pg < *pages; pg++ {
-				w, err := k.Read(cpu, p, segno, pg*hw.PageWords+pg)
-				if err != nil {
-					fatal("read", err)
-				}
-				if w != hw.Word(u*100+f*10+pg) {
-					fatal("verify", fmt.Errorf("user %d file %d page %d: got %d", u, f, pg, w))
-				}
-			}
-		}
-		fmt.Printf("user %-12s wrote and verified %d files x %d pages\n", principal, *files, *pages)
 	}
 
 	if *schedSeed != 0 {
 		// One oscillating writer per processor under the deterministic
 		// executor: the seed fixes the interleaving, and a lost write
 		// or a deadlock is reported with the seed that replays it.
-		failed := fmt.Sprintf("deterministic storm (-sched-seed %d)", *schedSeed)
-		ws, err := workload.NewWorkers(k, len(k.CPUs), workload.Files{Prefix: "sched"})
-		if err != nil {
-			fatal(failed, err)
-		}
 		rec := schedsim.Record(schedsim.Random(*schedSeed))
-		if err := workload.Run(uproc.SimExecutor{Seed: *schedSeed, Strategy: rec}, ws, func(w *workload.Worker) error {
-			return workload.Oscillate(k, w, 4, 6)
-		}); err != nil {
-			fatal(failed, err)
+		if err := workload.Oscillation(4, 6).Drive(k, uproc.SimExecutor{Seed: *schedSeed, Strategy: rec}); err != nil {
+			fatal(fmt.Sprintf("deterministic storm (-sched-seed %d)", *schedSeed), err)
 		}
 		fmt.Printf("\nDeterministic storm: %d processors, seed %d, %d scheduling decisions, no invariant violated.\n",
 			len(k.CPUs), *schedSeed, len(rec.Decisions()))
@@ -146,9 +107,22 @@ func main() {
 			fmt.Fprintln(os.Stderr, "multicsim: -slow-consumers must be between 0 and -connections")
 			os.Exit(2)
 		}
-		if err := runConnectionPlane(k, *connections, *slowConsumers); err != nil {
+		// Every line gets a frame per round; the first -slow-consumers
+		// lines never return credits, so they throttle and drop while
+		// every other line rides through untouched.
+		plane, res := workload.ConnectionPlane(*connections, *slowConsumers)
+		if err := plane.Drive(k, nil); err != nil {
 			fatal("connection plane", err)
 		}
+		terms := res.Node.Terminals
+		st, ms := terms.Stats(), res.Node.Mux.MuxStats()
+		fmt.Println("\nConnection plane (front-end processor):")
+		fmt.Printf("    connections:              %d over %d shards (%d slow consumers)\n", *connections, terms.Shards(), *slowConsumers)
+		fmt.Printf("    frames accepted:          %d of %d offered\n", st.Frames, res.Offered)
+		fmt.Printf("    frames dropped:           %d no-credit (%d on the slow lines), %d demux queue-full\n", st.Drops, res.SlowDrops, ms.Dropped)
+		fmt.Printf("    delivered / credited:     %d / %d\n", st.Delivered, st.Credits)
+		fmt.Printf("    delivery latency:         p50 %d cyc, p99 %d cyc\n", terms.LatencyPercentile(50), terms.LatencyPercentile(99))
+		fmt.Printf("    demux:                    %d delivered, %d protocol errors\n", ms.Delivered, ms.ProtocolErrors)
 	}
 
 	st := k.Frames.Stats()
@@ -199,74 +173,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// runLoginStorm registers and logs in users simulated users through
-// the answering service, timeshares them through rounds of quanta
-// with block/wake churn over the real-memory queue on the sharded
-// run queues, and logs them all out. Every phase runs under the
-// deterministic executor with the given schedule seed, which binds
-// each processor's task so the per-process spans of the top-talkers
-// table nest per processor.
-func runLoginStorm(k *core.Kernel, users int, seed int64) error {
-	svc := answering.New(answering.Split, k.Meter, func(principal string, label aim.Label) (any, error) {
-		return k.CreateProcess(principal, label)
-	})
-	st, err := workload.TimesharingStorm(users, len(k.CPUs)).Run(k, uproc.SimExecutor{Seed: seed}, svc)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nLogin storm: %d logins, %d logouts, %d quanta run, %d blocked, %d woken.\n",
-		st.Logins, st.Logouts, st.Quanta, st.Blocked, st.Woken)
-	return nil
-}
-
-// runConnectionPlane attaches the front-end communications processor
-// and storms frames through it: every connection receives a frame per
-// round, consumers drain the sharded table and return credits — except
-// the first `slow` lines, whose consumers never credit. Those lines
-// exhaust their windows and drop; every other line rides through
-// untouched. The statistics block shows the accounting.
-func runConnectionPlane(k *core.Kernel, conns, slow int) error {
-	node, err := k.AttachFNP(conns, 0)
-	if err != nil {
-		return err
-	}
-	terms := node.Terminals
-	const rounds = fnp.RingSlots + 2 // enough to overflow an uncredited window
-	for r := 0; r < rounds; r++ {
-		for id := 0; id < conns; id++ {
-			f := netmux.Frame{Channel: id, Payload: []hw.Word{hw.Word(r + 1), 0o777}}
-			if err := node.Mux.Deliver(k.CPUs[0], "front-end", f); err != nil {
-				return err
-			}
-		}
-		for sh := 0; sh < terms.Shards(); sh++ {
-			for {
-				d, ok := terms.Next(sh)
-				if !ok {
-					break
-				}
-				if d.Conn >= slow {
-					terms.Credit(d.Conn)
-				}
-			}
-		}
-	}
-	st := terms.Stats()
-	ms := node.Mux.MuxStats()
-	var slowDrops int64
-	for id := 0; id < slow; id++ {
-		slowDrops += terms.ConnStats(id).Drops
-	}
-	fmt.Println("\nConnection plane (front-end processor):")
-	fmt.Printf("    connections:              %d over %d shards (%d slow consumers)\n", conns, terms.Shards(), slow)
-	fmt.Printf("    frames accepted:          %d of %d offered\n", st.Frames, int64(conns)*rounds)
-	fmt.Printf("    frames dropped:           %d no-credit (%d on the slow lines), %d demux queue-full\n", st.Drops, slowDrops, ms.Dropped)
-	fmt.Printf("    delivered / credited:     %d / %d\n", st.Delivered, st.Credits)
-	fmt.Printf("    delivery latency:         p50 %d cyc, p99 %d cyc\n", terms.LatencyPercentile(50), terms.LatencyPercentile(99))
-	fmt.Printf("    demux:                    %d delivered, %d protocol errors\n", ms.Delivered, ms.ProtocolErrors)
-	return nil
 }
 
 // topTalkers prints the processes that cost the kernel the most,

@@ -334,6 +334,7 @@ func (m *Mux) gate(cpu *hw.Processor, fn func() error) error {
 	if cpu == nil {
 		return fn()
 	}
+	cpu.GateModule = ModuleName
 	return cpu.GateCall(hw.KernelRing, true, fn)
 }
 

@@ -163,9 +163,10 @@ type Process struct {
 
 	// createdCycle and firstRunCycle bracket the time-to-first-
 	// quantum latency the storm benchmark reports; firstRunCycle is
-	// -1 until the first dispatch.
+	// -1 until the first dispatch, which stores it under pmu. It is
+	// atomic so a report can read it without the lock.
 	createdCycle  int64
-	firstRunCycle int64
+	firstRunCycle atomic.Int64
 
 	// cpu accumulates simulated cycles consumed, for accounting.
 	cpu int64
@@ -222,11 +223,7 @@ func (p *Process) Effective() int {
 // FirstRunCycle reports the simulated cycle of the process's first
 // dispatch, -1 if it has never run; CreatedCycle the cycle it was
 // created. Their difference is the time to first quantum.
-func (p *Process) FirstRunCycle() int64 {
-	p.pmu.Lock()
-	defer p.pmu.Unlock()
-	return p.firstRunCycle
-}
+func (p *Process) FirstRunCycle() int64 { return p.firstRunCycle.Load() }
 
 // CreatedCycle reports the simulated cycle the process was created.
 func (p *Process) CreatedCycle() int64 { return p.createdCycle }
@@ -495,10 +492,6 @@ func (m *Manager) SetRunQueues(n int) {
 // RunQueues reports the configured run-queue count.
 func (m *Manager) RunQueues() int { return len(m.queues) }
 
-// ReadyEC returns the eventcount advanced on every enqueue to a run
-// queue; an idle scheduler awaits it instead of polling Dispatch.
-func (m *Manager) ReadyEC() *eventcount.Eventcount { return &m.readyEC }
-
 // SetDonation turns priority donation on or off (on by default). The
 // inversion regression tests turn it off to demonstrate starvation.
 func (m *Manager) SetDonation(on bool) { m.donation.Store(on) }
@@ -537,19 +530,19 @@ func (m *Manager) Create(principal string, label aim.Label) (*Process, error) {
 		return nil, err
 	}
 	p := &Process{
-		id:            pid,
-		principal:     principal,
-		label:         label,
-		state:         Ready,
-		dt:            hw.NewDescriptorTable(m.KSTBase + m.KSTSize),
-		kst:           kst,
-		stateUID:      stateUID,
-		base:          DefaultPriority,
-		eff:           DefaultPriority,
-		home:          int((m.nextHome.Add(1) - 1) % uint64(len(m.queues))),
-		createdCycle:  m.meter.Cycles(),
-		firstRunCycle: -1,
+		id:           pid,
+		principal:    principal,
+		label:        label,
+		state:        Ready,
+		dt:           hw.NewDescriptorTable(m.KSTBase + m.KSTSize),
+		kst:          kst,
+		stateUID:     stateUID,
+		base:         DefaultPriority,
+		eff:          DefaultPriority,
+		home:         int((m.nextHome.Add(1) - 1) % uint64(len(m.queues))),
+		createdCycle: m.meter.Cycles(),
 	}
+	p.firstRunCycle.Store(-1)
 	p.pmu.InitSub(ModuleName, subProc)
 	sh := m.shard(pid)
 	sh.mu.Lock()
@@ -768,8 +761,8 @@ func (m *Manager) DispatchOn(qi int) (*Process, uint64, error) {
 		p.vp = vp
 		p.epoch++
 		epoch := p.epoch
-		if p.firstRunCycle < 0 {
-			p.firstRunCycle = m.meter.Cycles()
+		if p.firstRunCycle.Load() < 0 {
+			p.firstRunCycle.Store(m.meter.Cycles())
 		}
 		p.pmu.Unlock()
 		m.running.Add(1)

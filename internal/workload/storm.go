@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"multics/internal/aim"
@@ -21,23 +23,6 @@ type LoginStorm struct {
 	Users, Rounds, QuantaPerRound, BlockEvery int
 }
 
-// TimesharingStorm is the login storm kernelbench P12 and multicsim
-// -storm run for users users on nCPU processors: two rounds of enough
-// quanta per processor to dispatch every session twice, with every
-// 97th session blocking.
-func TimesharingStorm(users, nCPU int) LoginStorm {
-	return LoginStorm{Users: users, Rounds: 2, QuantaPerRound: 2*users/nCPU + 32, BlockEvery: 97}
-}
-
-// SizeForLogins scales cfg to users logged-in users: an active-segment
-// entry and a resident state page per user, so the process states stay
-// resident and a storm measures the scheduler, not the pager.
-func SizeForLogins(cfg *core.Config, users int) {
-	cfg.ASTPages = (users+256)/128 + 2
-	cfg.WiredFrames = cfg.ASTPages + 6
-	cfg.MemFrames = max(cfg.MemFrames, users+512+cfg.WiredFrames)
-}
-
 // LoginStats summarizes a login storm.
 type LoginStats struct {
 	Logins  int
@@ -53,6 +38,19 @@ type LoginStats struct {
 	// WakeRetries counts wakeups that found the bounded queue full
 	// and had to drain it before reposting.
 	WakeRetries int
+	// LoginCycles sums the answering service's per-login cycles, and
+	// FirstQuanta holds, sorted, each dispatched process's cycles from
+	// creation to its first quantum.
+	LoginCycles int64
+	FirstQuanta []int64
+}
+
+// Service returns an answering service whose sessions run as
+// processes of k.
+func Service(k *core.Kernel) *answering.Service {
+	return answering.New(answering.Split, k.Meter, func(principal string, label aim.Label) (any, error) {
+		return k.CreateProcess(principal, label)
+	})
 }
 
 // stormPassword is the shared password of the synthetic principals.
@@ -75,32 +73,21 @@ func (s LoginStorm) Run(k *core.Kernel, ex uproc.Executor, svc *answering.Servic
 	if s.Users <= 0 {
 		return st, fmt.Errorf("workload: login storm of %d users", s.Users)
 	}
-	serial := func(phase func() error) error {
-		var err error
-		if xerr := ex.Run(k.CPUs[:1], func(*hw.Processor) { err = phase() }); xerr != nil {
-			return xerr
-		}
-		return err
-	}
-
 	// Registration and the login flood.
 	sessions := make([]*answering.Session, 0, s.Users)
 	procs := make([]*uproc.Process, 0, s.Users)
-	if err := serial(func() error {
+	if err := serial(k, ex, func(must func(error)) {
 		for i := 0; i < s.Users; i++ {
 			principal := answering.StormPrincipal(i)
-			if err := svc.Register(principal, stormPassword, aim.Top); err != nil {
-				return err
-			}
+			must(svc.Register(principal, stormPassword, aim.Top))
 			sess, err := svc.Login(principal, stormPassword, aim.Bottom)
 			if err != nil {
-				return fmt.Errorf("login %s: %w", principal, err)
+				must(fmt.Errorf("login %s: %w", principal, err))
 			}
 			sessions = append(sessions, sess)
 			procs = append(procs, sess.Process.(*uproc.Process))
 			st.Logins++
 		}
-		return nil
 	}); err != nil {
 		return st, err
 	}
@@ -138,9 +125,7 @@ func (s LoginStorm) Run(k *core.Kernel, ex uproc.Executor, svc *answering.Servic
 			// addressed to the process arrives.
 			if err := k.Procs.Block(p, nil, 0); err != nil {
 				blockMu.Lock()
-				if blockErr == nil {
-					blockErr = err
-				}
+				blockErr = cmp.Or(blockErr, err)
 				blockMu.Unlock()
 			}
 		})
@@ -154,7 +139,12 @@ func (s LoginStorm) Run(k *core.Kernel, ex uproc.Executor, svc *answering.Servic
 		}
 		// Wake whoever actually blocked (sessions never dispatched
 		// this round are still ready and need no wakeup).
-		if err := serial(func() error {
+		if err := serial(k, ex, func(must func(error)) {
+			deliver := func() {
+				woke, err := k.Procs.DeliverEvents()
+				st.Woken += woke
+				must(err)
+			}
 			pending := 0
 			for _, p := range blocked {
 				if toBlock[p] {
@@ -164,52 +154,42 @@ func (s LoginStorm) Run(k *core.Kernel, ex uproc.Executor, svc *answering.Servic
 				if err := k.Procs.Wakeup(p.ID(), 0); err != nil {
 					// The bounded queue filled: drain it, then repost.
 					st.WakeRetries++
-					woke, derr := k.Procs.DeliverEvents()
-					st.Woken += woke
-					if derr != nil {
-						return derr
-					}
+					deliver()
 					pending = 0
 					if err := k.Procs.Wakeup(p.ID(), 0); err != nil {
-						return fmt.Errorf("storm round %d wake: %w", r, err)
+						must(fmt.Errorf("storm round %d wake: %w", r, err))
 					}
 				}
 				pending++
 				if pending >= wakeBatch {
-					woke, err := k.Procs.DeliverEvents()
-					if err != nil {
-						return err
-					}
-					st.Woken += woke
+					deliver()
 					pending = 0
 				}
 			}
 			if pending > 0 {
-				woke, err := k.Procs.DeliverEvents()
-				if err != nil {
-					return err
-				}
-				st.Woken += woke
+				deliver()
 			}
-			return nil
 		}); err != nil {
 			return st, err
 		}
 	}
 
 	// The logout flood.
-	err := serial(func() error {
+	err := serial(k, ex, func(must func(error)) {
 		for i, sess := range sessions {
-			p := procs[i]
-			if err := svc.Logout(sess, p.CPU()); err != nil {
-				return err
-			}
-			if err := k.Procs.Destroy(p); err != nil {
-				return err
-			}
+			must(svc.Logout(sess, procs[i].CPU()))
+			must(k.Procs.Destroy(procs[i]))
 			st.Logouts++
 		}
-		return nil
 	})
+	for _, r := range svc.Records() {
+		st.LoginCycles += r.LoginCycles
+	}
+	for _, p := range procs {
+		if fr := p.FirstRunCycle(); fr >= 0 {
+			st.FirstQuanta = append(st.FirstQuanta, fr-p.CreatedCycle())
+		}
+	}
+	slices.Sort(st.FirstQuanta)
 	return st, err
 }

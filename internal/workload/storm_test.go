@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"multics/internal/aim"
-	"multics/internal/answering"
 	"multics/internal/audit"
 	"multics/internal/core"
 	"multics/internal/hw"
@@ -35,12 +34,6 @@ func bootStormKernel(t *testing.T, users, nCPU int) *core.Kernel {
 	return k
 }
 
-func stormService(k *core.Kernel) *answering.Service {
-	return answering.New(answering.Split, k.Meter, func(principal string, label aim.Label) (any, error) {
-		return k.CreateProcess(principal, label)
-	})
-}
-
 // TestRunStorm drives a full login/timesharing/logout storm through
 // the kernel on the goroutine executor (the -race storm) and checks
 // its books: every login logs out, every
@@ -49,7 +42,7 @@ func stormService(k *core.Kernel) *answering.Service {
 func TestRunStorm(t *testing.T) {
 	const users = 300
 	k := bootStormKernel(t, users, 2)
-	svc := stormService(k)
+	svc := workload.Service(k)
 	st, err := workload.LoginStorm{
 		Users:          users,
 		Rounds:         3,
@@ -97,7 +90,7 @@ func TestStormChurnRace(t *testing.T) {
 		schedRuns = 40
 	)
 	k := bootStormKernel(t, churners*perChurn+8, 2)
-	svc := stormService(k)
+	svc := workload.Service(k)
 	var wg sync.WaitGroup
 	errc := make(chan error, churners+1)
 	// The churners: register, login, immediately log out and destroy.
@@ -183,7 +176,7 @@ func TestSweepNoLostWakeup(t *testing.T) {
 		},
 	}, func(strat schedsim.Strategy) error {
 		k := bootStormKernel(t, 8, 1)
-		svc := stormService(k)
+		svc := workload.Service(k)
 		if err := svc.Register("a.storm", "pw", aim.Top); err != nil {
 			return err
 		}
@@ -245,7 +238,7 @@ func TestSweepDispatchDestroy(t *testing.T) {
 		MaxPreemptions: maxPre,
 	}, func(strat schedsim.Strategy) error {
 		k := bootStormKernel(t, 8, 1)
-		svc := stormService(k)
+		svc := workload.Service(k)
 		if err := svc.Register("a.storm", "pw", aim.Top); err != nil {
 			return err
 		}

@@ -1,13 +1,16 @@
-// Package workload is the way to write a multiprocessor storm: one
+// Package workload holds the scenario catalogue: every workload the
+// root module's harnesses run, registered once as a Scenario. The
+// trace determinism test, the goroutine storm test, kernelbench,
+// kerneltrace and multicsim select from Catalogue or the size-taking
+// constructors, so a new scenario reaches every harness by one
+// registration.
+//
+// The storms are written with the multiprocessor engine below: one
 // worker per processor, each with one attached process and a private
 // file, every worker running the same body on its own processor
-// through a uproc.Executor. The real-goroutine executor gives a -race
+// through the executor. The real-goroutine executor gives a -race
 // storm, the deterministic one a seeded, replayable schedule; the
 // storm itself is written once.
-//
-// A scenario stays plain Go: it boots a kernel, builds its workers
-// with NewWorkers, and calls Run with a body, usually one of the
-// bodies below that several storms share.
 //
 // LoginStorm is the other kind of storm: many users' processes, not
 // one per processor. It logs users in through the answering service
@@ -18,6 +21,7 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -54,45 +58,33 @@ type Files struct {
 // NewWorkers gives each of the first n processors of k one attached
 // process with a private file shaped by f. The set-up runs serially
 // on the caller's goroutine.
-func NewWorkers(k *core.Kernel, n int, f Files) ([]*Worker, error) {
-	ws := make([]*Worker, 0, n)
-	for i := 0; i < n; i++ {
-		cpu := k.CPUs[i]
-		p, err := k.CreateProcess(fmt.Sprintf("%s%d.x", f.Prefix, i), aim.Bottom)
-		if err != nil {
-			return nil, err
-		}
-		k.Attach(cpu, p)
-		name := fmt.Sprintf("%s%d", f.Prefix, i)
-		path := []string{name}
-		if f.Quota > 0 {
-			id, err := k.CreateDir(cpu, p, nil, name, directory.Public(hw.Read|hw.Write), aim.Bottom)
-			if err != nil {
-				return nil, err
+func NewWorkers(k *core.Kernel, n int, f Files) (ws []*Worker, err error) {
+	err = script(func(must func(error)) {
+		for i := 0; i < n; i++ {
+			cpu := k.CPUs[i]
+			p, err := k.CreateProcess(fmt.Sprintf("%s%d.x", f.Prefix, i), aim.Bottom)
+			must(err)
+			k.Attach(cpu, p)
+			name := fmt.Sprintf("%s%d", f.Prefix, i)
+			path := []string{name}
+			if f.Quota > 0 {
+				id, err := k.CreateDir(cpu, p, nil, name, directory.Public(hw.Read|hw.Write), aim.Bottom)
+				must(err)
+				must(k.DesignateQuota(cpu, p, id, f.Quota))
+				path = append(path, "f")
 			}
-			if err := k.DesignateQuota(cpu, p, id, f.Quota); err != nil {
-				return nil, err
+			_, err = k.CreateFile(cpu, p, path[:len(path)-1], path[len(path)-1], nil, aim.Bottom)
+			must(err)
+			segno, err := k.OpenPath(cpu, p, path)
+			must(err)
+			for pg := 0; pg < f.Pages; pg++ {
+				must(k.Write(cpu, p, segno, pg*hw.PageWords, 1))
+				must(k.Write(cpu, p, segno, pg*hw.PageWords, 0))
 			}
-			path = append(path, "f")
+			ws = append(ws, &Worker{CPU: cpu, Proc: p, Segno: segno})
 		}
-		if _, err := k.CreateFile(cpu, p, path[:len(path)-1], path[len(path)-1], nil, aim.Bottom); err != nil {
-			return nil, err
-		}
-		segno, err := k.OpenPath(cpu, p, path)
-		if err != nil {
-			return nil, err
-		}
-		for pg := 0; pg < f.Pages; pg++ {
-			if err := k.Write(cpu, p, segno, pg*hw.PageWords, 1); err != nil {
-				return nil, err
-			}
-			if err := k.Write(cpu, p, segno, pg*hw.PageWords, 0); err != nil {
-				return nil, err
-			}
-		}
-		ws = append(ws, &Worker{CPU: cpu, Proc: p, Segno: segno})
-	}
-	return ws, nil
+	})
+	return ws, err
 }
 
 // Run runs body once per worker, each on its worker's processor, under
@@ -106,17 +98,22 @@ func Run(ex uproc.Executor, ws []*Worker, body func(w *Worker) error) error {
 		cpus[i] = w.CPU
 		byCPU[w.CPU] = w
 	}
+	return onEach(ex, cpus, func(cpu *hw.Processor) error { return body(byCPU[cpu]) })
+}
+
+// onEach runs body once per processor of cpus under ex. It returns the
+// executor's error if there is one, else the first error a body
+// returned, naming its processor.
+func onEach(ex uproc.Executor, cpus []*hw.Processor, body func(cpu *hw.Processor) error) error {
 	var (
 		mu    sync.Mutex
 		first error
 	)
 	err := ex.Run(cpus, func(cpu *hw.Processor) {
-		if err := body(byCPU[cpu]); err != nil {
+		if err := body(cpu); err != nil {
 			mu.Lock()
 			defer mu.Unlock()
-			if first == nil {
-				first = fmt.Errorf("cpu %d: %w", cpu.ID, err)
-			}
+			first = cmp.Or(first, fmt.Errorf("cpu %d: %w", cpu.ID, err))
 		}
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"multics/internal/audit"
 	"multics/internal/core"
 	"multics/internal/hw"
 	"multics/internal/schedsim"
@@ -117,5 +118,32 @@ func TestBodyErrorComesBackFromRun(t *testing.T) {
 		if !ran[0] || !ran[1] {
 			t.Errorf("%s: bodies ran on %v, want both processors", ex.Name(), ran)
 		}
+	}
+}
+
+// TestCatalogueOnGoroutines runs every catalogue scenario at its test
+// size under the goroutine executor and requires a clean audit
+// afterwards: the storms the sim executor gates must hold up under
+// true concurrency too, one goroutine per processor, and show no data
+// race under -race. The scripts (RemoteSegment, TraceTour, FileUsers,
+// ConnectionPlane) run on the test's goroutine whatever executor they
+// are given; they are here for the audit alone.
+func TestCatalogueOnGoroutines(t *testing.T) {
+	for _, s := range workload.Catalogue() {
+		t.Run(s.Name, func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			cfg.RootQuota = 10000
+			s.Configure(&cfg)
+			k, err := core.Boot(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Drive(k, uproc.GoroutineExecutor{}); err != nil {
+				t.Fatal(err)
+			}
+			if r := audit.Run(k); !r.Clean() {
+				t.Errorf("audit after the storm:\n%s", r)
+			}
+		})
 	}
 }

@@ -10,369 +10,121 @@ package multics
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
-	"multics/internal/aim"
-	"multics/internal/answering"
-	"multics/internal/directory"
-	"multics/internal/fnp"
-	"multics/internal/hw"
-	"multics/internal/netmux"
 	"multics/internal/trace"
 	"multics/internal/uproc"
 	"multics/internal/workload"
 )
 
-// traceWorkloads drive every instrumented subsystem. The single-CPU
-// workloads run single-goroutine so the event order is fully
-// determined; the smp workloads run several simulated processors under
-// the deterministic executor, whose seeded schedule makes the
-// multi-CPU event order just as reproducible.
-var traceWorkloads = []struct {
-	name string
-	cfg  func(*Config)
-	run  func(t *testing.T, k *Kernel)
-}{
-	{
-		name: "fault-storm",
-		cfg:  func(c *Config) { c.MemFrames = 24; c.WiredFrames = 8 },
-		run: func(t *testing.T, k *Kernel) {
-			cpu, p := traceProcess(t, k)
-			segno := traceFile(t, k, p, nil, "hot")
-			for i := 0; i < 24; i++ {
-				if err := k.Write(cpu, p, segno, i*hw.PageWords, hw.Word(i+1)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 100; i++ {
-				if _, err := k.Read(cpu, p, segno, (i%24)*hw.PageWords); err != nil {
-					t.Fatal(err)
-				}
-			}
-		},
-	},
-	{
-		// A sequential scan of a freshly-deactivated file: the disk
-		// pipeline's queue/issue/hit events, the elevator's seek-cost
-		// attribution, and the second-chance cache's bookkeeping must
-		// replay byte-identically — with read-ahead actually firing,
-		// or the workload exercises nothing.
-		name: "sequential-readahead",
-		cfg:  func(c *Config) { c.MemFrames = 64; c.WiredFrames = 8 },
-		run: func(t *testing.T, k *Kernel) {
-			cpu, p := traceProcess(t, k)
-			segno := traceFile(t, k, p, nil, "scan")
-			for i := 0; i < 24; i++ {
-				if err := k.Write(cpu, p, segno, i*hw.PageWords, hw.Word(i+1)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			e, err := p.KST().Entry(segno)
+// traceCoverage pins what the catalogue's scenarios reach together:
+// per module, the event kinds with a nonzero count, then after the
+// bar the span kinds that completed. A key lost means a scenario no
+// longer drives a path the trace once covered; a key gained means the
+// table is out of date.
+var traceCoverage = map[string]string{
+	"active-segment-manager":    "assoc-clear gate-cross | gate shootdown",
+	"directory-manager":         "gate-cross | gate",
+	"disk-record-manager":       "disk-queue disk-read disk-write | disk-read disk-write",
+	"front-end-processor":       "advance net-credit net-drop net-frame |",
+	"internode-channel":         "remote-seg |",
+	"known-segment-manager":     "fault gate-cross | gate",
+	"net-demux":                 "gate-cross net-frame | gate",
+	"page-frame-manager":        "assoc-clear assoc-hit assoc-miss fault page-evict page-fetch prefetch-drop prefetch-hit prefetch-issue | fault-service shootdown",
+	"quota-cell-manager":        "fault quota-check |",
+	"user-process-manager":      "advance ipc process-swap | quantum",
+	"virtual-processor-manager": "advance dispatch ipc | vp-dispatch",
+}
+
+// traceScenarios is what TestTraceDeterminism runs: the catalogue,
+// with its oscillation storm on two processors and again on four, so
+// the seeded schedule is shown to replay on more than one processor
+// count, plus two scenarios only this test runs: a walk of a deep
+// pathname, and the scheduler's quantum loop on its own, on one
+// processor and on two.
+func traceScenarios() []workload.Scenario {
+	ss := workload.Catalogue()
+	for i, s := range ss {
+		if s.Name == "oscillation" {
+			ss[i].Name = "smp2-sim-storm"
+			smp4 := s
+			smp4.Name = "smp4-sim-storm"
+			// The processor count first, so the storm sizes its
+			// memory from it.
+			smp4.Config = func(c *Config) { c.Processors = 4; s.Configure(c) }
+			ss = append(ss, smp4)
+		}
+	}
+	walks := workload.Scenario{
+		Name: "directory-tree-walks",
+		Run: func(k *Kernel, _ uproc.Executor) error {
+			p, err := k.CreateProcess("walk.x", Bottom)
 			if err != nil {
-				t.Fatal(err)
+				return err
 			}
-			if err := k.Segs.Deactivate(e.UID); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 24; i++ {
-				got, err := k.Read(cpu, p, segno, i*hw.PageWords)
+			cpu, path := k.CPUs[0], []string{"d0", "d1", "d2", "d3", "leaf"}
+			k.Attach(cpu, p)
+			for i, name := range path {
+				if i < len(path)-1 {
+					_, err = k.CreateDir(cpu, p, path[:i], name, Public(Read|Write), Bottom)
+				} else {
+					_, err = k.CreateFile(cpu, p, path[:i], name, nil, Bottom)
+				}
 				if err != nil {
-					t.Fatal(err)
-				}
-				if got != hw.Word(i+1) {
-					t.Fatalf("page %d reads %d, want %d", i, got, i+1)
+					return err
 				}
 			}
-			if st := k.Frames.Stats(); st.PrefetchHits == 0 {
-				t.Fatal("sequential scan produced no read-ahead hits")
+			for i := 0; i < 20 && err == nil; i++ {
+				_, err = k.WalkPath(cpu, p, path)
 			}
+			return err
 		},
-	},
-	{
-		name: "directory-tree-walks",
-		run: func(t *testing.T, k *Kernel) {
-			cpu, p := traceProcess(t, k)
-			var path []string
-			for i := 0; i < 4; i++ {
-				name := fmt.Sprintf("d%d", i)
-				if _, err := k.CreateDir(cpu, p, path, name, directory.Public(hw.Read|hw.Write), Bottom); err != nil {
-					t.Fatal(err)
-				}
-				path = append(path, name)
-			}
-			traceFile(t, k, p, path, "leaf")
-			for i := 0; i < 20; i++ {
-				if _, err := k.WalkPath(cpu, p, append(append([]string{}, path...), "leaf")); err != nil {
-					t.Fatal(err)
-				}
-			}
-		},
-	},
-	{
-		name: "scheduler-quanta",
-		run: func(t *testing.T, k *Kernel) {
-			for i := 0; i < 4; i++ {
-				if _, err := k.CreateProcess(fmt.Sprintf("u%d.x", i), Bottom); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := k.Procs.RunQuantum(30, func(*uproc.Process) {}); err != nil {
-				t.Fatal(err)
-			}
-		},
-	},
-	{
-		// Re-references served by the associative memory, then enough
-		// growth to force evictions and their shootdown clears: the
-		// hit/miss/clear events and the cache contents themselves must
-		// replay identically.
-		name: "assoc-re-reference",
-		cfg:  func(c *Config) { c.MemFrames = 24; c.WiredFrames = 8 },
-		run: func(t *testing.T, k *Kernel) {
-			cpu, p := traceProcess(t, k)
-			segno := traceFile(t, k, p, nil, "warm")
-			for i := 0; i < 8; i++ {
-				if err := k.Write(cpu, p, segno, i*hw.PageWords, hw.Word(i+1)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for r := 0; r < 40; r++ {
-				for i := 0; i < 8; i++ {
-					if _, err := k.Read(cpu, p, segno, i*hw.PageWords+r%hw.PageWords); err != nil {
-						t.Fatal(err)
+	}
+	quanta := func(name string, cpus int) workload.Scenario {
+		return workload.Scenario{
+			Name:   name,
+			Config: func(c *Config) { c.Processors = cpus },
+			Run: func(k *Kernel, ex uproc.Executor) error {
+				for i := 0; i < 4; i++ {
+					if _, err := k.CreateProcess(fmt.Sprintf("u%d.x", i), Bottom); err != nil {
+						return err
 					}
 				}
-			}
-			cold := traceFile(t, k, p, nil, "cold")
-			for i := 0; i < 24; i++ {
-				if err := k.Write(cpu, p, cold, i*hw.PageWords, hw.Word(i+1)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		},
-	},
-	{
-		name: "quota-growth-truncate",
-		run: func(t *testing.T, k *Kernel) {
-			cpu, p := traceProcess(t, k)
-			segno := traceFile(t, k, p, nil, "grow")
-			for i := 0; i < 30; i++ {
-				if err := k.Write(cpu, p, segno, i*hw.PageWords, hw.Word(i+1)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := k.Truncate(cpu, p, segno, 4); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 10; i++ {
-				if err := k.Write(cpu, p, segno, i*hw.PageWords, hw.Word(i+100)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		},
-	},
-	{
-		// Two booted kernels joined by the inter-node channel. The
-		// traced kernel's side of a remote segment read and copy — the
-		// demux crossings, the internode connection table's frame and
-		// credit events, and the local write faults of the copy — must
-		// replay byte-identically, as must a burst of terminal frames
-		// through the front-end connection plane.
-		name: "remote-segment",
-		run: func(t *testing.T, k *Kernel) {
-			node, err := k.AttachFNP(16, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The second node is untraced scaffolding: it publishes a
-			// file the traced node pulls across the link.
-			rcfg := DefaultConfig()
-			rcfg.RootQuota = 10000
-			rk, err := Boot(rcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			remote, err := rk.AttachFNP(16, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			link, err := Connect(node, remote)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rp, err := rk.CreateProcess("pub.x", Bottom)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rcpu := rk.CPUs[0]
-			rk.Attach(rcpu, rp)
-			if _, err := rk.CreateFile(rcpu, rp, nil, "published", Public(Read|Write), Bottom); err != nil {
-				t.Fatal(err)
-			}
-			rseg, err := rk.OpenPath(rcpu, rp, []string{"published"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const n = 32
-			for i := 0; i < n; i++ {
-				if err := rk.Write(rcpu, rp, rseg, i, hw.Word(0o400*i+3)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, err := link.RemoteRead([]string{"published"}, 0, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range got {
-				if got[i] != hw.Word(0o400*i+3) {
-					t.Fatalf("remote read word %d = %o, want %o", i, got[i], 0o400*i+3)
-				}
-			}
-			cpu, p := traceProcess(t, k)
-			segno := traceFile(t, k, p, nil, "mirror")
-			moved, err := link.RemoteCopy(cpu, p, []string{"published"}, 0, n, segno, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if moved != n {
-				t.Fatalf("copied %d words, want %d", moved, n)
-			}
-			for i := 0; i < n; i++ {
-				w, err := k.Read(cpu, p, segno, i)
-				if err != nil || w != hw.Word(0o400*i+3) {
-					t.Fatalf("copied word %d = %o (%v), want %o", i, w, err, 0o400*i+3)
-				}
-			}
-			// A burst of terminal frames through the traced node's
-			// front-end plane: frame, delivery and credit events.
-			for i := 0; i < 6; i++ {
-				f := netmux.Frame{Channel: i, Payload: []hw.Word{hw.Word(i + 1), 0o777}}
-				if err := node.Mux.Deliver(nil, "front-end", f); err != nil {
-					t.Fatal(err)
-				}
-			}
-			seen := 0
-			for sh := 0; sh < node.Terminals.Shards(); sh++ {
-				node.Terminals.Drain(sh, func(fnp.Delivery) { seen++ })
-			}
-			if seen != 6 {
-				t.Fatalf("drained %d terminal frames, want 6", seen)
-			}
-		},
-	},
-	{
-		// Two simulated processors running the paging storm under the
-		// deterministic executor: cross-CPU faults, evictions and
-		// shootdowns must produce byte-identical streams run over run.
-		name: "smp2-sim-storm",
-		cfg:  func(c *Config) { c.Processors = 2; c.MemFrames = 24; c.WiredFrames = 8 },
-		run:  simOscillation,
-	},
-	{
-		name: "smp4-sim-storm",
-		cfg:  func(c *Config) { c.Processors = 4; c.MemFrames = 28; c.WiredFrames = 8 },
-		run:  simOscillation,
-	},
-	{
-		// A miniature login storm through the answering service on
-		// two processors under the deterministic executor: the
-		// sharded run queues, block/wake churn over the real-memory
-		// queue, and the logout flood must replay byte-identically.
-		name: "login-storm",
-		cfg:  func(c *Config) { c.Processors = 2; c.RootQuota = 10000 },
-		run: func(t *testing.T, k *Kernel) {
-			svc := answering.New(answering.Split, k.Meter, func(principal string, label aim.Label) (any, error) {
-				return k.CreateProcess(principal, label)
-			})
-			_, err := workload.LoginStorm{
-				Users:          12,
-				Rounds:         2,
-				QuantaPerRound: 16,
-				BlockEvery:     3,
-			}.Run(k, uproc.SimExecutor{Seed: 1977}, svc)
-			if err != nil {
-				t.Fatal(err)
-			}
-		},
-	},
-	{
-		// The scheduler's quantum loop on two processors under the
-		// pluggable deterministic executor.
-		name: "smp2-sim-quanta",
-		cfg:  func(c *Config) { c.Processors = 2 },
-		run: func(t *testing.T, k *Kernel) {
-			for i := 0; i < 4; i++ {
-				if _, err := k.CreateProcess(fmt.Sprintf("u%d.x", i), Bottom); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := k.Procs.RunQuantumWith(uproc.SimExecutor{Seed: 1977}, k.CPUs, 15, nil); err != nil {
-				t.Fatal(err)
-			}
-		},
-	},
+				_, err := k.Procs.RunQuantumWith(ex, k.CPUs, 15, nil)
+				return err
+			},
+		}
+	}
+	return append(ss, walks, quanta("scheduler-quanta", 1), quanta("smp2-sim-quanta", 2))
 }
 
-// simOscillation drives one oscillating writer per processor under
-// the seeded deterministic executor.
-func simOscillation(t *testing.T, k *Kernel) {
-	t.Helper()
-	ws, err := workload.NewWorkers(k, len(k.CPUs), workload.Files{Prefix: "det"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := workload.Run(uproc.SimExecutor{Seed: 1977}, ws, func(w *workload.Worker) error {
-		return workload.Oscillate(k, w, 3, 6)
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func traceProcess(t *testing.T, k *Kernel) (*hw.Processor, *uproc.Process) {
-	t.Helper()
-	p, err := k.CreateProcess("det.x", Bottom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu := k.CPUs[0]
-	k.Attach(cpu, p)
-	return cpu, p
-}
-
-func traceFile(t *testing.T, k *Kernel, p *uproc.Process, dir []string, name string) int {
-	t.Helper()
-	cpu := k.CPUs[0]
-	if _, err := k.CreateFile(cpu, p, dir, name, nil, Bottom); err != nil {
-		t.Fatal(err)
-	}
-	segno, err := k.OpenPath(cpu, p, append(append([]string{}, dir...), name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return segno
-}
-
-// TestTraceDeterminism boots each workload twice from identical
-// configurations and requires byte-identical event streams and deeply
-// equal snapshots. It then boots the workload once more untraced and
-// requires the same cycle meter, in total and per processor: tracing
-// is free, so a nil recorder and a live one drive the same seeded
-// schedule.
+// TestTraceDeterminism boots each of traceScenarios twice from
+// identical configurations, under the seeded deterministic executor,
+// and requires byte-identical event and span streams, associative
+// memories and deeply equal snapshots. It then boots the scenario once
+// more untraced and requires the same cycle meter, in total and per
+// processor: tracing is free, so a nil recorder and a live one drive
+// the same seeded schedule. Together the scenarios must reach exactly
+// the modules and kinds of traceCoverage.
 func TestTraceDeterminism(t *testing.T) {
-	for _, w := range traceWorkloads {
-		t.Run(w.name, func(t *testing.T) {
+	scenarios := traceScenarios()
+	reached := make(map[string]bool) // "module event kind", "module span kind"
+	ran := 0
+	for _, s := range scenarios {
+		t.Run(s.Name, func(t *testing.T) {
 			boot := func(traceEvents int) *Kernel {
 				cfg := DefaultConfig()
 				cfg.RootQuota = 10000
+				s.Configure(&cfg)
 				cfg.TraceEvents = traceEvents
-				if w.cfg != nil {
-					w.cfg(&cfg)
-				}
 				k, err := Boot(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				w.run(t, k)
+				if err := s.Drive(k, uproc.SimExecutor{Seed: 1977}); err != nil {
+					t.Fatal(err)
+				}
 				return k
 			}
 			runOnce := func() (*Kernel, string, string, string, trace.Snapshot) {
@@ -391,10 +143,10 @@ func TestTraceDeterminism(t *testing.T) {
 			traced, events1, spans1, assoc1, snap1 := runOnce()
 			_, events2, spans2, assoc2, snap2 := runOnce()
 			if events1 == "" {
-				t.Fatal("workload emitted no events")
+				t.Fatal("scenario emitted no events")
 			}
 			if spans1 == "" {
-				t.Fatal("workload completed no spans")
+				t.Fatal("scenario completed no spans")
 			}
 			if events1 != events2 {
 				t.Errorf("event streams differ between identical runs:\nrun1:\n%srun2:\n%s", events1, events2)
@@ -408,6 +160,18 @@ func TestTraceDeterminism(t *testing.T) {
 			if !reflect.DeepEqual(snap1, snap2) {
 				t.Errorf("snapshots differ between identical runs:\nrun1:\n%srun2:\n%s", snap1.PromText(), snap2.PromText())
 			}
+			for module, st := range snap1.Modules {
+				for kind, n := range st.Ops {
+					if n > 0 {
+						reached[module+" event "+trace.Kind(kind).String()] = true
+					}
+				}
+			}
+			for key, h := range snap1.Spans {
+				if h.Count > 0 {
+					reached[key.Module+" span "+key.Kind.String()] = true
+				}
+			}
 
 			untraced := boot(0)
 			if got, want := untraced.Meter.Cycles(), traced.Meter.Cycles(); got != want {
@@ -418,6 +182,30 @@ func TestTraceDeterminism(t *testing.T) {
 					t.Errorf("processor %d: untraced run spent %d cycles, traced %d", cpu.ID, got, want)
 				}
 			}
+			ran++
 		})
+	}
+	if ran < len(scenarios) {
+		return // a -run filter or a failure: the union is partial
+	}
+	pinned := make(map[string]bool)
+	for module, kinds := range traceCoverage {
+		events, spans, _ := strings.Cut(kinds, "|")
+		for _, kind := range strings.Fields(events) {
+			pinned[module+" event "+kind] = true
+		}
+		for _, kind := range strings.Fields(spans) {
+			pinned[module+" span "+kind] = true
+		}
+	}
+	for key := range pinned {
+		if !reached[key] {
+			t.Errorf("no scenario reaches %s any more", key)
+		}
+	}
+	for key := range reached {
+		if !pinned[key] {
+			t.Errorf("the scenarios reach %s, which traceCoverage does not pin", key)
+		}
 	}
 }
