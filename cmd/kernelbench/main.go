@@ -17,18 +17,25 @@
 //	P13 fault-service latency            (span p50/p99/max, 1/2/4 CPUs)
 //	P15 disk pipeline fault storm        (1/2/4 CPUs x 1/2/4 packs; gated)
 //	P16 connection storm                 (10k/100k/1M lines; O(1) cyc/conn)
+//	A1 page-writer daemon off/on         (the daemon's IPC in isolation)
+//	A2 memory pressure                   (48/32/16/8 pageable frames)
+//	A3 quota-directory density           (1974 walk vs static cell)
+//	A4 wired fraction                    (6/12/24 of 48 frames wired)
+//	C2 search primitive                  (real vs mythical probe cost)
+//	C3 full-pack relocation              (one upward-signalled event)
 //
-// The storms of P4, P5, P9, P10–P13, P15 and P16 are scenarios of the
-// internal/workload catalogue; the other rows pair a kernel half with
-// the 1974 baseline or a model. Every row runs its kernel calls under
-// the deterministic executor with one schedule seed, the single-
-// processor ones on processor 0, so every figure is byte-reproducible.
-// Every comparison is also written machine-readable to the path named
-// by -json (default BENCH_kernel.json; empty disables). With -compare
-// OLD.json the run diffs its cycle figures against a previous report
-// and exits non-zero when any has regressed by more than 10% or is
-// missing from the run, so a committed baseline turns the benchmark
-// into a gate.
+// The storms of P4, P5, P9–P13, P15, P16, A1, A2 and A4 are scenarios
+// of the internal/workload catalogue; the other rows pair a kernel half
+// with the 1974 baseline or a model, or script one kernel event. Each
+// row fixes its own length, so no figure depends on how long the run
+// is. Every row runs its kernel calls under the deterministic executor
+// with one schedule seed, the single-processor ones on processor 0, so
+// every figure is byte-reproducible. Every comparison is also written
+// machine-readable to the path named by -json (default
+// BENCH_kernel.json; empty disables). With -compare OLD.json the run
+// diffs its cycle figures against a previous report and exits non-zero
+// when any has regressed by more than 10% or is missing from the run,
+// so a committed baseline turns the benchmark into a gate.
 // -cpuprofile and -memprofile write host-clock profiles of the run.
 package main
 
@@ -80,8 +87,8 @@ func record(name string, metrics map[string]any) {
 func main() {
 	jsonPath := flag.String("json", "BENCH_kernel.json", "write machine-readable results to this path (empty disables)")
 	comparePath := flag.String("compare", "", "diff cycle figures against this previous report; exit non-zero on a >10% regression")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of P1..P16 to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile taken after P16 to this file")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of every row to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile taken after the last row to this file")
 	flag.Parse()
 	stopProfile, err := profile.Start(*cpuProfile, *memProfile)
 	check(err)
@@ -91,7 +98,7 @@ func main() {
 	p2()
 	p3()
 	p4()
-	p5()
+	p5Base, p5Kern := p5()
 	p6()
 	p7()
 	p8()
@@ -101,6 +108,12 @@ func main() {
 	p13()
 	p15()
 	p16()
+	a1()
+	a2(p5Base, p5Kern)
+	a3()
+	a4()
+	c2()
+	c3()
 	check(stopProfile())
 	if *jsonPath != "" {
 		out, err := json.MarshalIndent(map[string]any{"benchmarks": results}, "", "  ")
@@ -372,7 +385,7 @@ func p3() {
 func p4() {
 	factor := float64(hw.BodyCycles(1000, hw.PLI)) / 1000
 	lang := func(l hw.Language) func(*core.Kernel) { return func(k *core.Kernel) { k.Frames.Lang = l } }
-	asm, pli := faultStorm(nil, lang(hw.ASM))/faultReads, faultStorm(nil, lang(hw.PLI))/faultReads
+	asm, pli := faultStorm(p5Storm(), nil, lang(hw.ASM))/faultReads, faultStorm(p5Storm(), nil, lang(hw.PLI))/faultReads
 	fmt.Printf("P4 PL/I recode:        algorithm body x%.1f instructions (hw.BodyCycles model)  [paper: somewhat more than a factor of two]\n",
 		factor)
 	fmt.Printf("    fault path:        asm %5d cyc, PL/I %5d cyc (%s)  [disk transfers dominate the fault]\n",
@@ -380,63 +393,76 @@ func p4() {
 	record("P4 PL/I recode", map[string]any{"instruction_factor": factor, "asm_fault_cycles": asm, "pli_fault_cycles": pli})
 }
 
-// faultReads is the length of the fault storms of P4, P5 and P9.
+// faultReads is the length of the fault storms of P4, P5, P9 and the
+// ablations A1, A2 and A4.
 const faultReads = 200
 
-// faultStorm boots the fault storm's kernel (workload.FaultStorm over
-// a 32-page file), shaped further by mutate and tuned by tune once
-// booted, and returns the meter delta of its faultReads reads.
-func faultStorm(mutate func(*core.Config), tune func(*core.Kernel)) int64 {
+// p5Storm is the fault storm of P4, P5 and P9: reads of a 32-page file
+// in 16 pageable frames.
+func p5Storm() workload.Scenario { return workload.FaultStorm(16, 32, faultReads, false) }
+
+// faultStorm boots kernelbench's machine for the fault storm s, shaped
+// further by mutate and tuned by tune once booted, and returns the
+// meter delta of its run.
+func faultStorm(s workload.Scenario, mutate func(*core.Config), tune func(*core.Kernel)) int64 {
 	var start hw.MeterSnapshot
-	k := run(workload.FaultStorm(32, faultReads), mutate, tune, func(k *core.Kernel) { start = k.Meter.Snapshot() })
+	k := run(s, mutate, tune, func(k *core.Kernel) { start = k.Meter.Snapshot() })
 	return k.Meter.Since(start)
 }
 
-// ungroupedFaultStorm is the fault storm on the kernel as the 1976
+// ungroupedFaultStorm is P5's fault storm on the kernel as the 1976
 // system ran it: no associative memory (the 1974 baseline models no
 // translation cache either) and write-back one frame at a time.
 func ungroupedFaultStorm() int64 {
-	return faultStorm(func(c *core.Config) { c.AssocOff = true }, func(k *core.Kernel) { k.Frames.FrameBatch = 1 })
+	return faultStorm(p5Storm(), func(c *core.Config) { c.AssocOff = true }, func(k *core.Kernel) { k.Frames.FrameBatch = 1 })
 }
 
-// baselineFaultStorm is the fault storm on the 1974 supervisor.
-func baselineFaultStorm() int64 {
-	s := bootBase(func(c *baseline.Config) { c.MemFrames = 24; c.WiredFrames = 8 })
+// baselineFaultStorm is the read fault storm on the 1974 supervisor:
+// faultReads round-robin reads of a pages-page file in frames pageable
+// frames.
+func baselineFaultStorm(frames, pages int) int64 {
+	s := bootBase(func(c *baseline.Config) { c.MemFrames = frames + 8; c.WiredFrames = 8 })
 	check(s.Create("u.x", "hot", false))
 	p := s.CreateProcess("u.x")
 	cpu := s.CPUs[0]
 	s.Attach(cpu, p)
 	segno, err := s.Open(p, "hot")
 	check(err)
-	for i := 0; i < 32; i++ {
+	for i := 0; i < pages; i++ {
 		check(s.Write(cpu, p, segno, i*hw.PageWords, hw.Word(i+1)))
 	}
 	start := s.Meter.Snapshot()
 	for i := 0; i < faultReads; i++ {
-		_, err := s.Read(cpu, p, segno, (i%32)*hw.PageWords)
+		_, err := s.Read(cpu, p, segno, (i%pages)*hw.PageWords)
 		check(err)
 	}
 	return s.Meter.Since(start)
 }
 
-func p5() {
-	base, kern := baselineFaultStorm()/faultReads, faultStorm(nil, nil)/faultReads
+// p5 returns its 1974 and kernel cycles per fault, which A2 reuses as
+// its 16-frame point.
+func p5() (base, kern int64) {
+	base, kern = baselineFaultStorm(16, 32)/faultReads, faultStorm(p5Storm(), nil, nil)/faultReads
 	ungrouped := ungroupedFaultStorm() / faultReads
 	fmt.Printf("P5 page-fault path:    1974 %5d cyc, kernel %5d cyc (%s)  [paper: negative, not significant]\n",
 		base, kern, ratio(kern, base))
 	fmt.Printf("    as run in 1976:    no associative memory, ungrouped write-back %5d cyc (%s)\n",
 		ungrouped, ratio(ungrouped, base))
 	record("P5 page-fault path", map[string]any{"baseline_cycles": base, "kernel_cycles": kern, "kernel_ungrouped_cycles": ungrouped})
+	return base, kern
 }
 
-// quotaPages is how many pages P6's growth charges.
+// quotaPages is how many pages P6's and A3's growth charges.
 const quotaPages = 50
 
 // quotaGrowth returns the meter deltas of quotaPages charged page
 // growths of a file depth directories deep: on the kernel, charged to
 // the statically bound cell, and on the 1974 supervisor, whose charge
-// walks up the hierarchy to the nearest quota directory.
-func quotaGrowth(depth int) (kernel, base int64) {
+// walks up the hierarchy to the nearest quota directory. With
+// quotaEvery > 0 every quotaEvery-th directory from the top is a quota
+// directory on the 1974 side; with 0 (P6) none is, and the walk climbs
+// to the root.
+func quotaGrowth(depth, quotaEvery int) (kernel, base int64) {
 	k := bootKernel(nil)
 	serial(k, func() {
 		cpu, p := user(k)
@@ -468,6 +494,9 @@ func quotaGrowth(depth int) (kernel, base int64) {
 			bp += ">" + name
 		}
 		check(s.Create("u.x", bp, true))
+		if quotaEvery > 0 && i%quotaEvery == 0 {
+			check(s.SetQuota("u.x", bp, 1<<20))
+		}
 	}
 	check(s.Create("u.x", bp+">f", false))
 	proc := s.CreateProcess("u.x")
@@ -486,7 +515,7 @@ func p6() {
 	fmt.Println("P6 quota growth (cycles per charged page):")
 	var rows []map[string]any
 	for _, depth := range []int{1, 2, 4, 8, 16} {
-		kern, base := quotaGrowth(depth)
+		kern, base := quotaGrowth(depth, 0)
 		kern, base = kern/quotaPages, base/quotaPages
 		fmt.Printf("    depth %2d: static cell %5d cyc, dynamic walk %5d cyc\n", depth, kern, base)
 		rows = append(rows, map[string]any{"depth": depth, "static_cell_cycles": kern, "dynamic_walk_cycles": base})
@@ -580,7 +609,7 @@ func p8() {
 func p9() {
 	fmt.Println("P9 fault-storm cycle attribution (event tracing on):")
 	var before trace.Snapshot
-	k := run(workload.FaultStorm(32, faultReads), func(c *core.Config) { c.TraceEvents = 1 << 14 },
+	k := run(p5Storm(), func(c *core.Config) { c.TraceEvents = 1 << 14 },
 		func(k *core.Kernel) { before = k.Trace.Snapshot() }, nil)
 	diff := k.Trace.Snapshot().Since(before)
 	fmt.Print(diff.Table(k.CertificationOrder()))
@@ -897,4 +926,128 @@ func connStorm(conns, nCPU int) map[string]any {
 		"delivery_p50_cycles":   p50,
 		"delivery_p99_cycles":   p99,
 	}
+}
+
+// a1 isolates the cost of the multi-process memory manager (Huber's
+// page-writer daemon): P5's storm writing instead of reading, with
+// write-back inline and handed to the daemon.
+func a1() {
+	cost := func(daemons bool) int64 {
+		s := workload.FaultStorm(16, 32, faultReads, true)
+		return faultStorm(s, func(c *core.Config) { c.Daemons = daemons }, nil) / faultReads
+	}
+	inline, daemon := cost(false), cost(true)
+	fmt.Printf("A1 page-writer daemon: inline write-back %5d cyc, daemon %5d cyc per write (%s)  [paper: a small but unavoidable cost]\n",
+		inline, daemon, ratio(daemon, inline))
+	record("A1 page-writer daemon", map[string]any{"inline_writeback_cycles": inline, "daemon_cycles": daemon})
+}
+
+// a2 sweeps pageable memory under P5's 32-page working set, from
+// comfortable to cramped. Its 16-frame point is P5's storm, measured
+// there and passed in.
+func a2(p5Base, p5Kern int64) {
+	fmt.Println("A2 memory pressure (cycles per reference, 32-page working set):")
+	var rows []map[string]any
+	for _, frames := range []int{48, 32, 16, 8} {
+		base, kern := p5Base, p5Kern
+		if frames != 16 {
+			base = baselineFaultStorm(frames, 32) / faultReads
+			kern = faultStorm(workload.FaultStorm(frames, 32, faultReads, false), nil, nil) / faultReads
+		}
+		fmt.Printf("    %2d frames: 1974 %5d cyc, kernel %5d cyc\n", frames, base, kern)
+		rows = append(rows, map[string]any{"frames": frames, "baseline_cycles": base, "kernel_cycles": kern})
+	}
+	fmt.Println("    [paper: not significant unless the system were cramped for memory and thrashing]")
+	record("A2 memory pressure", map[string]any{"per_frames": rows})
+}
+
+// a3 puts a quota directory every 12, 4 and 1 levels of a depth-12
+// tree on the 1974 side, shortening its upward walk; the kernel's
+// static cell does not depend on them.
+func a3() {
+	fmt.Println("A3 quota-directory density (cycles per charged page, depth 12):")
+	var rows []map[string]any
+	for _, every := range []int{12, 4, 1} {
+		kern, base := quotaGrowth(12, every)
+		kern, base = kern/quotaPages, base/quotaPages
+		fmt.Printf("    quota directory every %2d levels: static cell %5d cyc, dynamic walk %5d cyc\n", every, kern, base)
+		rows = append(rows, map[string]any{"quota_every": every, "static_cell_cycles": kern, "dynamic_walk_cycles": base})
+	}
+	record("A3 quota-directory density", map[string]any{"per_stride": rows})
+}
+
+// a4 wires 6, 12 and 24 of a 48-frame machine's frames under a 40-page
+// working set: the core-segment discipline is paid in pageable frames.
+func a4() {
+	fmt.Println("A4 wired fraction (cycles per reference, 48 frames, 40-page working set):")
+	var rows []map[string]any
+	for _, wired := range []int{6, 12, 24} {
+		s := workload.FaultStorm(48-wired, 40, faultReads, false)
+		s.Config = func(c *core.Config) { c.MemFrames, c.WiredFrames = 48, wired }
+		cyc := faultStorm(s, nil, nil) / faultReads
+		fmt.Printf("    %2d wired: %5d cyc\n", wired, cyc)
+		rows = append(rows, map[string]any{"wired_frames": wired, "reference_cycles": cyc})
+	}
+	record("A4 wired fraction", map[string]any{"per_wired": rows})
+}
+
+// searchProbes is the length of C2's probe runs.
+const searchProbes = 100
+
+// searchProbe returns the cycles of one probe for an entry of a real
+// directory and of a mythical one.
+func searchProbe() (real, mythical int64) {
+	k := bootKernel(nil)
+	serial(k, func() {
+		cpu, p := user(k)
+		_, err := k.CreateDir(cpu, p, nil, "d", directory.Public(hw.Read|hw.Write), aim.Bottom)
+		check(err)
+		_, err = k.CreateFile(cpu, p, []string{"d"}, "f", directory.Public(hw.Read), aim.Bottom)
+		check(err)
+		dir, err := k.WalkPath(cpu, p, []string{"d"})
+		check(err)
+		probe := func(dir directory.Identifier) int64 {
+			start := k.Meter.Snapshot()
+			for i := 0; i < searchProbes; i++ {
+				_, err := k.Search(cpu, p, dir, "f")
+				check(err)
+			}
+			return k.Meter.Since(start) / searchProbes
+		}
+		real, mythical = probe(dir), probe(directory.Identifier(0xdead))
+	})
+	return real, mythical
+}
+
+func c2() {
+	real, mythical := searchProbe()
+	fmt.Printf("C2 search primitive:   real directory %4d cyc, mythical %4d cyc  [paper: the caller cannot tell them apart]\n",
+		real, mythical)
+	record("C2 search primitive", map[string]any{"real_probe_cycles": real, "mythical_probe_cycles": mythical})
+}
+
+// c3 prices one full-pack relocation: a file grows page by page on a
+// 24-record pack until a write overflows it, and that write's upward
+// signal moves the segment to the large pack.
+func c3() {
+	k := bootKernel(func(c *core.Config) {
+		c.Packs = []core.PackSpec{{ID: "p0", Records: 24}, {ID: "p1", Records: 1 << 20}}
+		c.MemFrames, c.WiredFrames = 64, 8
+	})
+	var pages int
+	var cycles int64
+	serial(k, func() {
+		cpu, p := user(k)
+		_, err := k.CreateFile(cpu, p, nil, "victim", nil, aim.Bottom)
+		check(err)
+		segno, err := k.OpenPath(cpu, p, []string{"victim"})
+		check(err)
+		for restores := k.Restores(); k.Restores() == restores; pages++ {
+			start := k.Meter.Snapshot()
+			check(k.Write(cpu, p, segno, pages*hw.PageWords, hw.Word(pages+1)))
+			cycles = k.Meter.Since(start)
+		}
+	})
+	fmt.Printf("C3 full-pack relocation: write %d overflows the pack and relocates the segment in %d cyc\n", pages, cycles)
+	record("C3 full-pack relocation", map[string]any{"pages": pages, "relocation_cycles": cycles})
 }

@@ -69,7 +69,7 @@ func TestConnStormRepeats(t *testing.T) {
 // The test pins both halves: the kernel wins overall, and the win stays
 // modest, so a runaway cost-model change in either direction fails.
 func TestShapePageFaultPath(t *testing.T) {
-	baselineCost, kernelCost := baselineFaultStorm(), ungroupedFaultStorm()
+	baselineCost, kernelCost := baselineFaultStorm(16, 32), ungroupedFaultStorm()
 	if kernelCost >= baselineCost {
 		t.Errorf("kernel fault path %d cycles >= baseline %d; the elevator's positioning savings should outweigh the recode", kernelCost, baselineCost)
 	}
@@ -83,8 +83,8 @@ func TestShapePageFaultPath(t *testing.T) {
 // statically bound cell and O(depth) for the baseline's dynamic upward
 // search.
 func TestShapeQuotaCost(t *testing.T) {
-	k1, b1 := quotaGrowth(1)
-	k8, b8 := quotaGrowth(8)
+	k1, b1 := quotaGrowth(1, 0)
+	k8, b8 := quotaGrowth(8, 0)
 	// Static cell: depth-independent (identical, not merely close).
 	if k1 != k8 {
 		t.Errorf("kernel growth cost varies with depth: %d at 1, %d at 8", k1, k8)
@@ -110,5 +110,15 @@ func TestShapeTwoLevelScheduler(t *testing.T) {
 	}
 	if 100*diff > 10*oneLevel {
 		t.Errorf("scheduler costs diverge more than 10%%: one-level %d, two-level %d", oneLevel, twoLevel)
+	}
+}
+
+// TestShapeSearchPrimitive: C2's probe of a mythical directory costs
+// exactly what a probe of a real one does, so not even the cycle meter
+// tells the caller which identifier it holds.
+func TestShapeSearchPrimitive(t *testing.T) {
+	real, mythical := searchProbe()
+	if real != mythical || real <= 0 {
+		t.Errorf("probe costs %d cycles for a real directory, %d for a mythical one; they must be equal and positive", real, mythical)
 	}
 }

@@ -36,7 +36,8 @@ type Connector struct {
 
 // ConnectorStats counts the connection-driven dialog.
 type ConnectorStats struct {
-	// Logins and Logouts count completed session transitions.
+	// Logins counts sessions opened, Logouts sessions closed on the
+	// line, even when ending the session's process then failed.
 	Logins  int64
 	Logouts int64
 	// LoginFailures counts rejected login lines (bad credentials,
@@ -104,23 +105,26 @@ func (c *Connector) HandleFrame(conn int, data []hw.Word) error {
 		return nil
 	}
 	if len(fields) == 1 && fields[0] == "logout" {
+		// The session leaves the table and is counted together, so a
+		// failure to close it below cannot unbalance Logins - Logouts.
 		c.mu.Lock()
 		sess, on := c.sessions[conn]
 		delete(c.sessions, conn)
+		if on {
+			c.st.Logouts++
+		} else {
+			c.st.Orphans++
+		}
 		c.mu.Unlock()
 		if !on {
-			c.count(func(st *ConnectorStats) { st.Orphans++ })
 			return fmt.Errorf("answering: logout on idle connection %d", conn)
 		}
 		if err := c.svc.Logout(sess, 0); err != nil {
 			return err
 		}
 		if c.destroy != nil && sess.Process != nil {
-			if err := c.destroy(sess.Process); err != nil {
-				return err
-			}
+			return c.destroy(sess.Process)
 		}
-		c.count(func(st *ConnectorStats) { st.Logouts++ })
 		return nil
 	}
 	// Session IO: anything on a logged-in line is traffic.

@@ -324,16 +324,6 @@ func splitPath(path string) []string {
 	return parts
 }
 
-// UIDOf resolves a path and returns the segment unique identifier
-// behind it.
-func (s *Supervisor) UIDOf(principal, path string) (uint64, error) {
-	e, err := s.ResolvePath(principal, path)
-	if err != nil {
-		return 0, err
-	}
-	return e.uid, nil
-}
-
 // Create makes a file or directory at path (all but the last
 // component must exist). The caller needs write access to the
 // containing directory.

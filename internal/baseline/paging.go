@@ -503,76 +503,6 @@ func (s *Supervisor) relocate(a *aste) error {
 	return nil
 }
 
-// Truncate discards every page of an active segment at or beyond
-// newPages, freeing records and decrementing the quota count found by
-// the usual upward walk.
-func (s *Supervisor) Truncate(uid uint64, newPages int) error {
-	if newPages < 0 {
-		return fmt.Errorf("baseline: truncate to %d pages", newPages)
-	}
-	s.mu.Lock()
-	a, ok := s.ast[uid]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("baseline: segment %d not active", uid)
-	}
-	// Drop resident frames in the truncated region.
-	s.mu.Lock()
-	for i := range s.frames {
-		fi := &s.frames[i]
-		if fi.inUse && fi.a == a && fi.page >= newPages {
-			_, _ = fi.a.pt.Update(fi.page, func(d *hw.PTW) { *d = hw.PTW{} })
-			s.free = append(s.free, s.firstFrame+i)
-			*fi = frameInfo{}
-		}
-	}
-	s.mu.Unlock()
-	pack, err := s.Vols.Pack(a.ent.addr.Pack)
-	if err != nil {
-		return err
-	}
-	var toFree []disk.RecordAddr
-	if err := pack.UpdateEntry(a.ent.addr.TOC, func(e *disk.TOCEntry) error {
-		for page := newPages; page < len(e.Map); page++ {
-			if e.Map[page].State == disk.PageStored {
-				toFree = append(toFree, e.Map[page].Record)
-			}
-			e.Map[page] = disk.FileMapEntry{State: disk.PageUnallocated}
-		}
-		if len(e.Map) > newPages {
-			e.Map = e.Map[:newPages]
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	for _, rec := range toFree {
-		if err := pack.FreeRecord(rec); err != nil {
-			return err
-		}
-	}
-	for page := newPages; page < MaxPages; page++ {
-		if _, err := a.pt.Update(page, func(d *hw.PTW) { *d = hw.PTW{} }); err != nil {
-			return err
-		}
-	}
-	s.mu.Lock()
-	if a.mapLen > newPages {
-		a.mapLen = newPages
-	}
-	qd, hops := s.findQuotaDir(a)
-	s.QuotaWalkHops += int64(hops)
-	s.mu.Unlock()
-	s.Meter.AddBody(int64(hops)*bodyQuotaHop, hw.ASM)
-	if qd != nil {
-		qd.quotaUsed -= len(toFree)
-		if qd.quotaUsed < 0 {
-			qd.quotaUsed = 0
-		}
-	}
-	return nil
-}
-
 // Dispatch runs the one-level scheduler: pop the longest-waiting
 // ready process and bind it (state swap through the paged store).
 func (s *Supervisor) Dispatch() (*Process, error) {

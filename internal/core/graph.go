@@ -72,10 +72,13 @@ func BuildGraph() *deps.Graph {
 
 	g.MustDepend(ModKnownSeg, ModSegment, deps.Component, "known segments bind segment numbers to segments")
 	g.MustDepend(ModKnownSeg, ModCoreSeg, deps.Map, "known segment tables live in wired storage")
+	g.MustDepend(ModKnownSeg, ModDisk, deps.Component, "an entry records its segment's disk address, which relocation rewrites")
+	g.MustDepend(ModKnownSeg, ModQuota, deps.Component, "an entry names its segment's statically bound quota cell")
 
 	g.MustDepend(ModDir, ModSegment, deps.Component, "directory representations are stored in segments")
 	g.MustDepend(ModDir, ModKnownSeg, deps.Component, "initiation hands bindings to known segment tables")
 	g.MustDepend(ModDir, ModQuota, deps.Component, "quota designation creates and removes cells")
+	g.MustDepend(ModDir, ModDisk, deps.Component, "a branch records its segment's disk address")
 
 	g.MustDepend(ModUProc, ModVProc, deps.Interpreter, "user processes are multiplexed onto virtual processors")
 	g.MustDepend(ModUProc, ModSegment, deps.Component, "user process states are stored in segments")

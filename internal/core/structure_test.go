@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -104,6 +105,54 @@ func TestOnlyLockrankNamesGoroutines(t *testing.T) {
 		for _, imp := range imps {
 			if imp == goid && pkg != "multics/internal/lockrank" {
 				t.Errorf("%s imports %s; only lockrank's off-task held-lock stacks may name a goroutine", pkg, goid)
+			}
+		}
+	}
+}
+
+// TestImportsFollowFigure4 certifies the reproduction's own structure
+// against the lattice it claims: every non-test Go import from one
+// manager package to another must be an edge BuildGraph declares. The
+// infrastructure packages sit below the lattice: any manager may import
+// them, and none of them may import a manager.
+func TestImportsFollowFigure4(t *testing.T) {
+	const prefix = "multics/internal/"
+	managers := map[string]string{
+		"coreseg": ModCoreSeg, "vproc": ModVProc, "disk": ModDisk, "pageframe": ModFrame,
+		"quota": ModQuota, "segment": ModSegment, "knownseg": ModKnownSeg, "directory": ModDir,
+		"uproc": ModUProc, "salvage": ModSalvage,
+	}
+	infrastructure := []string{"hw", "trace", "schedsim", "lockrank", "eventcount", "upsignal", "aim", "deps"}
+	g := BuildGraph()
+	if len(managers) != len(g.Modules()) {
+		t.Fatalf("%d manager packages mapped for the graph's %d modules", len(managers), len(g.Modules()))
+	}
+	declared := make(map[[2]string]bool)
+	for _, e := range g.Edges() {
+		declared[[2]string{e.From, e.To}] = true
+	}
+	imports := moduleImports(t, false)
+	for pkg, mod := range managers {
+		if _, ok := imports[prefix+pkg]; !ok {
+			t.Errorf("parsed no imports for manager package %s", pkg)
+		}
+		for _, imp := range imports[prefix+pkg] {
+			name := strings.TrimPrefix(imp, prefix)
+			if slices.Contains(infrastructure, name) {
+				continue
+			}
+			to, ok := managers[name]
+			if !ok {
+				t.Errorf("manager package %s imports %s, which is neither a manager nor named infrastructure", pkg, name)
+			} else if !declared[[2]string{mod, to}] {
+				t.Errorf("%s imports %s, but Figure 4 declares no dependency %s -> %s", pkg, name, mod, to)
+			}
+		}
+	}
+	for _, pkg := range infrastructure {
+		for _, imp := range imports[prefix+pkg] {
+			if _, ok := managers[strings.TrimPrefix(imp, prefix)]; ok {
+				t.Errorf("infrastructure package %s imports manager %s; it must sit below the lattice", pkg, imp)
 			}
 		}
 	}

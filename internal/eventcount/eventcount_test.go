@@ -221,3 +221,33 @@ func TestNoBackwardsReads(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+func BenchmarkEventcount(b *testing.B) {
+	b.Run("advance", func(b *testing.B) {
+		var ec Eventcount
+		for i := 0; i < b.N; i++ {
+			ec.Advance()
+		}
+	})
+	b.Run("read", func(b *testing.B) {
+		var ec Eventcount
+		ec.Advance()
+		for i := 0; i < b.N; i++ {
+			_ = ec.Read()
+		}
+	})
+	b.Run("ticket-mutex", func(b *testing.B) {
+		var m Mutex
+		for i := 0; i < b.N; i++ {
+			m.Lock()
+			m.Unlock()
+		}
+	})
+	b.Run("await-satisfied", func(b *testing.B) {
+		var ec Eventcount
+		ec.Advance()
+		for i := 0; i < b.N; i++ {
+			ec.Await(1)
+		}
+	})
+}

@@ -60,7 +60,7 @@ func Catalogue() []Scenario {
 	// workers' files, so the writers evict each other's pages.
 	osc.Config = func(c *core.Config) { c.MemFrames = 20 + 2*c.Processors; c.WiredFrames = 8 }
 	return []Scenario{
-		FaultStorm(32, 100), PagingStorm(16), LatencyStorm(50), DiskScan(24), logins, conns, osc,
+		FaultStorm(16, 32, 100, false), PagingStorm(16), LatencyStorm(50), DiskScan(24), logins, conns, osc,
 		RemoteSegment(), TraceTour(), FileUsers(3, 4, 6), plane,
 	}
 }
@@ -107,15 +107,21 @@ func workers(ws *[]*Worker, f Files) func(*core.Kernel, uproc.Executor) error {
 	}
 }
 
-// FaultStorm is kernelbench's fault storm (P4, P5, P9): one process on
-// the first processor writes a pages-page file, then reads its pages
-// round-robin reads times. Sixteen pageable frames hold less than the
-// file, so every read faults and evicts.
-func FaultStorm(pages, reads int) Scenario {
+// FaultStorm is kernelbench's fault storm (P4, P5, P9 and the
+// ablations): one process on the first processor writes a pages-page
+// file, then references its pages round-robin refs times, writing them
+// when write is set and reading them otherwise. The machine has frames
+// pageable frames; fewer than pages, and every reference faults and
+// evicts.
+func FaultStorm(frames, pages, refs int, write bool) Scenario {
 	var w *Worker
+	name := "fault-storm"
+	if write {
+		name = "write-fault-storm"
+	}
 	return Scenario{
-		Name:   "fault-storm",
-		Config: func(c *core.Config) { c.MemFrames = 24; c.WiredFrames = 8 },
+		Name:   name,
+		Config: func(c *core.Config) { c.MemFrames = frames + 8; c.WiredFrames = 8 },
 		Setup: func(k *core.Kernel, ex uproc.Executor) error {
 			return serial(k, ex, func(must func(error)) {
 				var err error
@@ -125,9 +131,14 @@ func FaultStorm(pages, reads int) Scenario {
 		},
 		Run: func(k *core.Kernel, ex uproc.Executor) error {
 			return serial(k, ex, func(must func(error)) {
-				for i := 0; i < reads; i++ {
-					_, err := k.Read(w.CPU, w.Proc, w.Segno, (i%pages)*hw.PageWords)
-					must(err)
+				for i := 0; i < refs; i++ {
+					off := (i % pages) * hw.PageWords
+					if write {
+						must(k.Write(w.CPU, w.Proc, w.Segno, off, hw.Word(i)))
+					} else {
+						_, err := k.Read(w.CPU, w.Proc, w.Segno, off)
+						must(err)
+					}
 				}
 			})
 		},
