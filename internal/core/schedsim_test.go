@@ -1,9 +1,8 @@
 package core_test
 
 // Whole-kernel tests under the deterministic virtual-time executor:
-// seeded random interleavings of a multiprocessor storm, and bounded
-// systematic sweeps that pin the races earlier changes fixed — the
-// zero-reclaim lost-write window, the quota-growth trap-vs-reclaim
+// bounded systematic sweeps that pin the races earlier changes fixed —
+// the zero-reclaim lost-write window, the quota-growth trap-vs-reclaim
 // window and the disk pipeline's completion window — by deliberately
 // scheduling around their marked yield points instead of hoping a
 // goroutine storm happens to hit them.
@@ -24,74 +23,9 @@ import (
 	"multics/internal/workload"
 )
 
-// schedSeed seeds the random-interleaving storms. A failing schedule
+// schedSeed seeds the random schedules below. A failing schedule
 // prints its seed; rerun with -sched-seed=<seed> to replay it exactly.
 var schedSeed = flag.Int64("sched-seed", 1977, "seed for deterministic schedule simulation; a failure prints the seed that reproduces it")
-
-// simStorm runs the oscillation storm of TestSMPZeroEvictionLosesNoWrite
-// on two processors as cooperative schedsim tasks under strat: every
-// worker writes, verifies and re-zeroes its own eight materialized
-// pages, so any interleaving that loses a write fails.
-func simStorm(t *testing.T, strat schedsim.Strategy, seed int64, rounds int) (*core.Kernel, error) {
-	t.Helper()
-	k := boot(t, func(c *core.Config) {
-		c.Processors = 2
-		c.MemFrames = 24
-		c.WiredFrames = 8
-		c.RootQuota = 4096
-	})
-	ws := newWorkers(t, k, 2, workload.Files{Prefix: "sim", Pages: 8})
-	return k, workload.Run(uproc.SimExecutor{Seed: seed, Strategy: strat}, ws, func(w *workload.Worker) error {
-		return workload.Oscillate(k, w, rounds, 8)
-	})
-}
-
-// TestSimStormRandomInterleavings runs the storm under several seeded
-// random schedules. Each run is a pure function of its seed: a failure
-// names the seed, and -sched-seed replays it.
-func TestSimStormRandomInterleavings(t *testing.T) {
-	for i := int64(0); i < 4; i++ {
-		seed := *schedSeed + i
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			k, err := simStorm(t, schedsim.Random(seed), seed, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st := k.Frames.Stats(); st.Evictions == 0 {
-				t.Error("storm produced no evictions: no memory pressure, nothing exercised")
-			}
-			if err := audited(k); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-}
-
-// TestSimStormIdenticalSeedsIdenticalSchedules is the replay property
-// at whole-kernel scale: the same seed over the same workload takes
-// the same scheduling decisions, step for step.
-func TestSimStormIdenticalSeedsIdenticalSchedules(t *testing.T) {
-	run := func() []schedsim.Decision {
-		rec := schedsim.Record(schedsim.Random(*schedSeed))
-		if _, err := simStorm(t, rec, *schedSeed, 2); err != nil {
-			t.Fatal(err)
-		}
-		return rec.Decisions()
-	}
-	sameSchedule(t, run(), run())
-}
-
-func sameSchedule(t *testing.T, d1, d2 []schedsim.Decision) {
-	t.Helper()
-	if len(d1) != len(d2) {
-		t.Fatalf("schedule lengths differ: %d vs %d decisions", len(d1), len(d2))
-	}
-	for i := range d1 {
-		if d1[i].String() != d2[i].String() {
-			t.Fatalf("schedules diverge at step %d:\n%v\n%v", i, d1[i], d2[i])
-		}
-	}
-}
 
 // sweepStorm is the two-task harness both window sweeps schedule
 // around. The evictor's task comes first, so the sticky baseline runs
@@ -400,8 +334,10 @@ func TestSweepDiskWindowReplay(t *testing.T) {
 		}
 		return rec.Decisions()
 	}
-	d1 := run()
-	sameSchedule(t, d1, run())
+	d1, d2 := run(), run()
+	if !slices.EqualFunc(d1, d2, func(a, b schedsim.Decision) bool { return a.String() == b.String() }) {
+		t.Fatalf("the same seed took different schedules: %d vs %d decisions", len(d1), len(d2))
+	}
 	if !slices.ContainsFunc(d1, diskDecision) {
 		t.Error("no disk-queue or disk-completion decisions in the replayed schedule: the pipeline's yield points are not marked")
 	}
@@ -546,4 +482,137 @@ func TestSweepDropPageInPublishWindow(t *testing.T) {
 // page of the segment and then discards its page table.
 func TestSweepDeleteInPublishWindow(t *testing.T) {
 	sweepDropPublishWindow(t, deleteFile)
+}
+
+// inFlightWord is what page 0 of sweepInFlightWriteBack's file holds
+// when the storm starts; the page's record holds nothing yet.
+const inFlightWord = 4242
+
+// sweepInFlightWriteBack races use, which the owner of a file runs on
+// it, against the eviction write-back of the file's page 0. One
+// process runs on both processors. The owner, on the first, writes
+// pressure pages of another file, big, so one of its faults evicts
+// page 0 and hands the write-back to the page-writer; then it runs
+// use. The flusher, on the second, drains the page-writer's queue and
+// performs what it took off, as every fault service does at its end,
+// on whichever processor it runs. The owner's task
+// comes first, so the sticky baseline finishes it before the flusher
+// starts. The sweep deviates where the owner's faults publish their
+// new pages (after an eviction, before the owner drains the
+// page-writer) and where the flusher's write joins the disk queue,
+// which reaches the schedule where the owner goes on while the
+// write-back is off the queue but not yet on the disk. Every schedule
+// must read back what was written, and in some the owner must wait
+// the write-back out, or the window never opened.
+func sweepInFlightWriteBack(t *testing.T, use func(k *core.Kernel, w *workload.Worker, big int) error) {
+	t.Helper()
+	waits := 0
+	maxSched, maxPre := schedsim.EnvBudget(64, 2)
+	rep, err := schedsim.Sweep(schedsim.SweepConfig{
+		MaxSchedules:   maxSched,
+		MaxPreemptions: maxPre,
+		Window: func(d schedsim.Decision) bool {
+			return d.Task == "cpu0" && d.Point == schedsim.PointPublish && d.Detail == "ptw-new-page" ||
+				d.Task == "cpu1" && d.Point == schedsim.PointDiskQueue
+		},
+	}, func(strat schedsim.Strategy) error {
+		k := boot(t, func(c *core.Config) {
+			c.MemFrames = 32
+			c.WiredFrames = 8
+			c.RootQuota = 4096
+		})
+		ws := sharedFile(t, k)
+		owner := ws[0]
+		if err := k.Write(owner.CPU, owner.Proc, owner.Segno, 0, inFlightWord); err != nil {
+			return err
+		}
+		if _, err := k.CreateFile(owner.CPU, owner.Proc, nil, "big", nil, aim.Bottom); err != nil {
+			return err
+		}
+		big, err := k.OpenPath(owner.CPU, owner.Proc, []string{"big"})
+		if err != nil {
+			return err
+		}
+		rec := schedsim.Record(strat)
+		err = workload.Run(uproc.SimExecutor{Strategy: rec}, ws, func(w *workload.Worker) error {
+			if w != owner {
+				k.VProcs.RunPending()
+				return nil
+			}
+			for pg := 0; pg < pressure; pg++ {
+				if err := k.Write(w.CPU, w.Proc, big, pg*hw.PageWords, hw.Word(1000+pg)); err != nil {
+					return fmt.Errorf("pressure page %d: %w", pg, err)
+				}
+			}
+			return use(k, w, big)
+		})
+		for _, d := range rec.Decisions() {
+			if d.Task == "cpu0" && d.Point == schedsim.PointBlock && d.Detail == "write-back in flight" {
+				waits++
+			}
+		}
+		if err != nil {
+			return err
+		}
+		return audited(k)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WindowDecisions == 0 || waits == 0 {
+		t.Fatalf("sweep vacuous: %d schedules, %d in-window decisions, %d waits for an in-flight write-back", rep.Schedules, rep.WindowDecisions, waits)
+	}
+	t.Logf("%d schedules, %d in-window decisions, %d waits for an in-flight write-back, truncated=%v",
+		rep.Schedules, rep.WindowDecisions, waits, rep.Truncated)
+}
+
+// pressure is how many pages it takes to evict the first of them: the
+// pageable frames of sweepInFlightWriteBack's machine.
+const pressure = 24
+
+// refill writes 1000+pg into each page pg of segno from from up to to,
+// as the owner's pressure wrote big's first pages, and then reads back
+// every page below to. The first page refill adds takes the record
+// freed last, and the pages after it evict it to that record: a
+// write-back still in flight when the record was freed lands on it
+// late, and the page reads the old word back.
+func refill(k *core.Kernel, w *workload.Worker, segno, from, to int) error {
+	for pg := from; pg < to; pg++ {
+		if err := k.Write(w.CPU, w.Proc, segno, pg*hw.PageWords, hw.Word(1000+pg)); err != nil {
+			return fmt.Errorf("page %d: write: %w", pg, err)
+		}
+	}
+	return workload.Scan(k, &workload.Worker{CPU: w.CPU, Proc: w.Proc, Segno: segno}, to, 1000)
+}
+
+// TestSweepFaultAwaitsWriteBack: a fault on a page whose eviction
+// write-back has not landed waits for it, rather than read the
+// record's previous contents.
+func TestSweepFaultAwaitsWriteBack(t *testing.T) {
+	sweepInFlightWriteBack(t, func(k *core.Kernel, w *workload.Worker, _ int) error {
+		return workload.Scan(k, w, 1, inFlightWord)
+	})
+}
+
+// TestSweepTruncateAwaitsWriteBack: a truncation frees a record only
+// once the write-back to it has landed, or the record's next owner
+// reads the late write.
+func TestSweepTruncateAwaitsWriteBack(t *testing.T) {
+	sweepInFlightWriteBack(t, func(k *core.Kernel, w *workload.Worker, _ int) error {
+		if err := k.Truncate(w.CPU, w.Proc, w.Segno, 0); err != nil {
+			return err
+		}
+		return refill(k, w, w.Segno, 0, pressure)
+	})
+}
+
+// TestSweepDeleteAwaitsWriteBack: so does a deletion; big's next page
+// takes the freed record.
+func TestSweepDeleteAwaitsWriteBack(t *testing.T) {
+	sweepInFlightWriteBack(t, func(k *core.Kernel, w *workload.Worker, big int) error {
+		if err := k.Delete(w.CPU, w.Proc, nil, "f"); err != nil {
+			return err
+		}
+		return refill(k, w, big, pressure, 2*pressure)
+	})
 }

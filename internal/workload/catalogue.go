@@ -9,6 +9,7 @@ import (
 	"multics/internal/aim"
 	"multics/internal/answering"
 	"multics/internal/core"
+	"multics/internal/directory"
 	"multics/internal/fnp"
 	"multics/internal/hw"
 	"multics/internal/netmux"
@@ -61,7 +62,8 @@ func Catalogue() []Scenario {
 	osc.Config = func(c *core.Config) { c.MemFrames = 20 + 2*c.Processors; c.WiredFrames = 8 }
 	return []Scenario{
 		FaultStorm(16, 32, 100, false), PagingStorm(16), LatencyStorm(50), DiskScan(24), logins, conns, osc,
-		RemoteSegment(), TraceTour(), FileUsers(3, 4, 6), plane,
+		WriteReadStorm(), GateStorm(), ZeroReclaimStorm(2), ZeroReclaimStorm(4), ShootdownStorm(), SharedPageFaults(),
+		TreeWalks(), Quanta(), RemoteSegment(), TraceTour(), FileUsers(3, 4, 6), plane,
 	}
 }
 
@@ -404,6 +406,54 @@ func Oscillation(rounds, pages int) Scenario {
 		Setup: workers(&ws, Files{Prefix: "sched"}),
 		Run: func(k *core.Kernel, ex uproc.Executor) error {
 			return Run(ex, ws, func(w *Worker) error { return Oscillate(k, w, rounds, pages) })
+		},
+	}
+}
+
+// TreeWalks has one process create a pathname four directories deep
+// and walk it twenty times: directory search and the known-segment
+// machinery, with no paging pressure.
+func TreeWalks() Scenario {
+	return Scenario{
+		Name: "directory-tree-walks",
+		Run: func(k *core.Kernel, ex uproc.Executor) error {
+			return serial(k, ex, func(must func(error)) {
+				p, err := k.CreateProcess("walk.x", aim.Bottom)
+				must(err)
+				cpu, path := k.CPUs[0], []string{"d0", "d1", "d2", "d3", "leaf"}
+				k.Attach(cpu, p)
+				for i, name := range path[:len(path)-1] {
+					_, err := k.CreateDir(cpu, p, path[:i], name, directory.Public(hw.Read|hw.Write), aim.Bottom)
+					must(err)
+				}
+				_, err = k.CreateFile(cpu, p, path[:len(path)-1], path[len(path)-1], nil, aim.Bottom)
+				must(err)
+				for i := 0; i < 20; i++ {
+					_, err := k.WalkPath(cpu, p, path)
+					must(err)
+				}
+			})
+		},
+	}
+}
+
+// Quanta is the scheduler's quantum loop on its own: four processes
+// and fifteen quanta per processor, on one processor.
+func Quanta() Scenario {
+	return Scenario{
+		Name:   "scheduler-quanta",
+		Config: func(c *core.Config) { c.Processors = 1 },
+		Setup: func(k *core.Kernel, ex uproc.Executor) error {
+			return serial(k, ex, func(must func(error)) {
+				for i := 0; i < 4; i++ {
+					_, err := k.CreateProcess(fmt.Sprintf("u%d.x", i), aim.Bottom)
+					must(err)
+				}
+			})
+		},
+		Run: func(k *core.Kernel, ex uproc.Executor) error {
+			_, err := k.Procs.RunQuantumWith(ex, k.CPUs, 15, nil)
+			return err
 		},
 	}
 }

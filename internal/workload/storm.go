@@ -67,7 +67,9 @@ const wakeBatch = 128
 // a round's wake-ups, the logout flood) runs as one body on the first
 // processor, so no kernel code runs outside the executor.
 // Everything iterates over index-ordered slices, so two identical
-// runs make identical calls in identical order.
+// runs make identical calls in identical order. Run fails unless the
+// books close: every login logged out, every blocked session woken,
+// no session record left open.
 func (s LoginStorm) Run(k *core.Kernel, ex uproc.Executor, svc *answering.Service) (LoginStats, error) {
 	var st LoginStats
 	if s.Users <= 0 {
@@ -184,6 +186,12 @@ func (s LoginStorm) Run(k *core.Kernel, ex uproc.Executor, svc *answering.Servic
 	})
 	for _, r := range svc.Records() {
 		st.LoginCycles += r.LoginCycles
+		if r.Open {
+			err = cmp.Or(err, fmt.Errorf("login storm: %s's session record is still open", r.Principal))
+		}
+	}
+	if st.Logouts != st.Logins || st.Woken != st.Blocked {
+		err = cmp.Or(err, fmt.Errorf("login storm: %d logins, %d logouts, %d blocked, %d woken", st.Logins, st.Logouts, st.Blocked, st.Woken))
 	}
 	for _, p := range procs {
 		if fr := p.FirstRunCycle(); fr >= 0 {

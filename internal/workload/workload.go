@@ -1,9 +1,10 @@
 // Package workload holds the scenario catalogue: every workload the
 // root module's harnesses run, registered once as a Scenario. The
-// trace determinism test, the goroutine storm test, kernelbench,
-// kerneltrace and multicsim select from Catalogue or the size-taking
-// constructors, so a new scenario reaches every harness by one
-// registration.
+// trace determinism test and the catalogue loops (goroutines under
+// -race, the deterministic executor at four seeds) run all of
+// Catalogue; kernelbench, kerneltrace and multicsim select from it
+// through the size-taking constructors. A new scenario reaches every
+// test harness by one registration.
 //
 // The storms are written with the multiprocessor engine below: one
 // worker per processor, each with one attached process and a private

@@ -121,28 +121,46 @@ func TestBodyErrorComesBackFromRun(t *testing.T) {
 	}
 }
 
+// drive boots a kernel shaped by s, drives s on it under ex and
+// requires a clean audit afterwards.
+func drive(t *testing.T, s workload.Scenario, ex uproc.Executor) {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	cfg.RootQuota = 10000
+	s.Configure(&cfg)
+	k, err := core.Boot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Drive(k, ex); err != nil {
+		t.Fatal(err)
+	}
+	if r := audit.Run(k); !r.Clean() {
+		t.Errorf("audit after the storm:\n%s", r)
+	}
+}
+
 // TestCatalogueOnGoroutines runs every catalogue scenario at its test
-// size under the goroutine executor and requires a clean audit
-// afterwards: the storms the sim executor gates must hold up under
-// true concurrency too, one goroutine per processor, and show no data
-// race under -race. The scripts (RemoteSegment, TraceTour, FileUsers,
-// ConnectionPlane) run on the test's goroutine whatever executor they
-// are given; they are here for the audit alone.
+// size on real goroutines, one per processor, and requires a clean
+// audit afterwards: the storms must hold up under true concurrency and
+// show no data race under -race. The scripts (RemoteSegment,
+// TraceTour, FileUsers, ConnectionPlane) ignore their executor; they
+// are here for the audit alone.
 func TestCatalogueOnGoroutines(t *testing.T) {
 	for _, s := range workload.Catalogue() {
+		t.Run(s.Name, func(t *testing.T) { drive(t, s, uproc.GoroutineExecutor{}) })
+	}
+}
+
+// TestCatalogueSimSeeds runs every catalogue scenario under the
+// deterministic executor at four seeds, each a different interleaving
+// of the processors at the kernel's yield points, and requires a clean
+// audit after each. A failure names its seed; the run replays exactly.
+func TestCatalogueSimSeeds(t *testing.T) {
+	for _, s := range workload.Catalogue() {
 		t.Run(s.Name, func(t *testing.T) {
-			cfg := core.DefaultConfig()
-			cfg.RootQuota = 10000
-			s.Configure(&cfg)
-			k, err := core.Boot(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Drive(k, uproc.GoroutineExecutor{}); err != nil {
-				t.Fatal(err)
-			}
-			if r := audit.Run(k); !r.Clean() {
-				t.Errorf("audit after the storm:\n%s", r)
+			for seed := int64(1977); seed <= 1980; seed++ {
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { drive(t, s, uproc.SimExecutor{Seed: seed}) })
 			}
 		})
 	}

@@ -8,7 +8,6 @@
 package multics
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -31,7 +30,7 @@ var traceCoverage = map[string]string{
 	"internode-channel":         "remote-seg |",
 	"known-segment-manager":     "fault gate-cross | gate",
 	"net-demux":                 "gate-cross net-frame | gate",
-	"page-frame-manager":        "assoc-clear assoc-hit assoc-miss fault page-evict page-fetch prefetch-drop prefetch-hit prefetch-issue | fault-service shootdown",
+	"page-frame-manager":        "advance assoc-clear assoc-hit assoc-miss await fault gate-cross lock-spin page-evict page-fetch prefetch-drop prefetch-hit prefetch-issue | fault-service gate lock-wait shootdown",
 	"quota-cell-manager":        "fault quota-check |",
 	"user-process-manager":      "advance ipc process-swap | quantum",
 	"virtual-processor-manager": "advance dispatch ipc | vp-dispatch",
@@ -40,13 +39,12 @@ var traceCoverage = map[string]string{
 // traceScenarios is what TestTraceDeterminism runs: the catalogue,
 // with its oscillation storm on two processors and again on four, so
 // the seeded schedule is shown to replay on more than one processor
-// count, plus two scenarios only this test runs: a walk of a deep
-// pathname, and the scheduler's quantum loop on its own, on one
-// processor and on two.
+// count, and its quantum loop on one processor and again on two.
 func traceScenarios() []workload.Scenario {
 	ss := workload.Catalogue()
 	for i, s := range ss {
-		if s.Name == "oscillation" {
+		switch s.Name {
+		case "oscillation":
 			ss[i].Name = "smp2-sim-storm"
 			smp4 := s
 			smp4.Name = "smp4-sim-storm"
@@ -54,49 +52,14 @@ func traceScenarios() []workload.Scenario {
 			// memory from it.
 			smp4.Config = func(c *Config) { c.Processors = 4; s.Configure(c) }
 			ss = append(ss, smp4)
+		case "scheduler-quanta":
+			smp2 := s
+			smp2.Name = "smp2-sim-quanta"
+			smp2.Config = func(c *Config) { c.Processors = 2 }
+			ss = append(ss, smp2)
 		}
 	}
-	walks := workload.Scenario{
-		Name: "directory-tree-walks",
-		Run: func(k *Kernel, _ uproc.Executor) error {
-			p, err := k.CreateProcess("walk.x", Bottom)
-			if err != nil {
-				return err
-			}
-			cpu, path := k.CPUs[0], []string{"d0", "d1", "d2", "d3", "leaf"}
-			k.Attach(cpu, p)
-			for i, name := range path {
-				if i < len(path)-1 {
-					_, err = k.CreateDir(cpu, p, path[:i], name, Public(Read|Write), Bottom)
-				} else {
-					_, err = k.CreateFile(cpu, p, path[:i], name, nil, Bottom)
-				}
-				if err != nil {
-					return err
-				}
-			}
-			for i := 0; i < 20 && err == nil; i++ {
-				_, err = k.WalkPath(cpu, p, path)
-			}
-			return err
-		},
-	}
-	quanta := func(name string, cpus int) workload.Scenario {
-		return workload.Scenario{
-			Name:   name,
-			Config: func(c *Config) { c.Processors = cpus },
-			Run: func(k *Kernel, ex uproc.Executor) error {
-				for i := 0; i < 4; i++ {
-					if _, err := k.CreateProcess(fmt.Sprintf("u%d.x", i), Bottom); err != nil {
-						return err
-					}
-				}
-				_, err := k.Procs.RunQuantumWith(ex, k.CPUs, 15, nil)
-				return err
-			},
-		}
-	}
-	return append(ss, walks, quanta("scheduler-quanta", 1), quanta("smp2-sim-quanta", 2))
+	return ss
 }
 
 // TestTraceDeterminism boots each of traceScenarios twice from
