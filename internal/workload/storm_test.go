@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"multics/internal/aim"
+	"multics/internal/audit"
 	"multics/internal/core"
 	"multics/internal/hw"
 	"multics/internal/schedsim"
@@ -31,6 +32,51 @@ func bootStormKernel(t *testing.T, users, nCPU int) *core.Kernel {
 		t.Fatal(err)
 	}
 	return k
+}
+
+// TestRunStorm drives a full login/timesharing/logout storm through
+// the kernel on the goroutine executor (the -race storm) and checks
+// its books: every login logs out, every
+// blocked process is woken, the scheduler dispatched work, and the
+// post-storm kernel audit is clean.
+func TestRunStorm(t *testing.T) {
+	const users = 300
+	k := bootStormKernel(t, users, 2)
+	svc := workload.Service(k)
+	st, err := workload.LoginStorm{
+		Users:          users,
+		Rounds:         3,
+		QuantaPerRound: users + 16,
+		BlockEvery:     7,
+	}.Run(k, uproc.GoroutineExecutor{}, svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Logins != users || st.Logouts != users {
+		t.Errorf("logins %d logouts %d, want %d each", st.Logins, st.Logouts, users)
+	}
+	if st.Quanta == 0 || st.QuantaCycles <= 0 {
+		t.Errorf("%d quanta in %d cycles: the storm ran no timesharing", st.Quanta, st.QuantaCycles)
+	}
+	if st.Blocked == 0 || st.Blocked != st.Woken {
+		t.Errorf("blocked %d woken %d: every blocked process must be woken", st.Blocked, st.Woken)
+	}
+	ss := k.Procs.SchedStats()
+	if ss.Dispatches == 0 || ss.Wakeups == 0 {
+		t.Errorf("dispatches %d wakeups %d: the storm did not exercise the scheduler", ss.Dispatches, ss.Wakeups)
+	}
+	open := 0
+	for _, rec := range svc.Records() {
+		if rec.Open {
+			open++
+		}
+	}
+	if open != 0 {
+		t.Errorf("%d session records still open after the storm", open)
+	}
+	if rep := audit.Run(k); !rep.Clean() {
+		t.Errorf("post-storm audit dirty:\n%s", rep)
+	}
 }
 
 // TestStormChurnRace hammers the process plane from real goroutines:
