@@ -764,7 +764,7 @@ func loginStorm(users, nCPU int) map[string]any {
 		"users": users, "processors": nCPU,
 		"dispatches": stats.Dispatches, "first_quanta": len(ttfq),
 		"steals": stats.Steals, "migrations": stats.Migrations,
-		"donations": stats.Donations, "wakeups": stats.Wakeups,
+		"wakeups": stats.Wakeups,
 		"blocked": res.Blocked, "woken": res.Woken,
 		"max_queue_depth":             stats.MaxQueueDepth,
 		"login_cycles_per_user":       loginPer,

@@ -151,10 +151,8 @@ type Kernel struct {
 	// while dispatching upward signals, so relocation handlers —
 	// which walk down from the directory manager — run one at a time
 	// even with several processors faulting concurrently. Ranked one
-	// layer above the whole lattice (GateModule), and priority-
-	// donating: a high-priority process waiting here boosts the
-	// holder so a low-priority holder cannot be starved mid-dispatch.
-	gateLock *uproc.PLock
+	// layer above the whole lattice (GateModule).
+	gateLock lockrank.Mutex
 	// restores counts processes resumed after relocation notices.
 	restores atomic.Int64
 	// retryPressure counts references that crossed half their
@@ -326,9 +324,7 @@ func Boot(cfg Config) (*Kernel, error) {
 	// One run queue per simulated processor, so each CPU's scheduler
 	// worker dispatches from its own queue and steals when it drains.
 	k.Procs.SetRunQueues(cfg.Processors)
-	// The gate lock donates priority through the process manager: a
-	// waiter at the gate boosts whoever holds it.
-	k.gateLock = uproc.NewPLock(k.Procs, GateModule)
+	k.gateLock.Init(GateModule)
 	k.Procs.StatePack = rootPack
 	rootEntry, err := k.Dirs.Status("initializer.sys", aim.Top, k.Dirs.RootID())
 	if err != nil {

@@ -277,7 +277,7 @@ func (k *Kernel) access(cpu *hw.Processor, p *uproc.Process, segno, off int, wri
 		}
 		// The faulting call chain has unwound; run any upward
 		// signals (relocation notices) and daemon work.
-		if derr := k.dispatchSignals(p); derr != nil {
+		if derr := k.dispatchSignals(); derr != nil {
 			return 0, derr
 		}
 		k.VProcs.RunPending()
@@ -291,14 +291,13 @@ func (k *Kernel) access(cpu *hw.Processor, p *uproc.Process, segno, off int, wri
 // manager holds the top-ranked lock while it acquires module locks
 // below — the acquisition order the rank checker certifies. The
 // pending check keeps the common no-signal rereference from
-// serializing the processors. Acquiring on behalf of p donates p's
-// priority to whatever process currently holds the gate.
-func (k *Kernel) dispatchSignals(p *uproc.Process) error {
+// serializing the processors.
+func (k *Kernel) dispatchSignals() error {
 	if k.Signals.Pending() == 0 {
 		return nil
 	}
-	k.gateLock.Acquire(p)
-	defer k.gateLock.Release()
+	k.gateLock.Lock()
+	defer k.gateLock.Unlock()
 	_, err := k.Signals.Dispatch()
 	return err
 }

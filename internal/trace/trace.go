@@ -128,10 +128,6 @@ const (
 	// EvSchedMigrate: a process's home run queue changed at dispatch
 	// (Arg0 the old queue, Arg1 the new queue, Arg2 the process id).
 	EvSchedMigrate
-	// EvSchedDonate: a waiter donated its priority to a lock holder
-	// (Arg0 the donor process id, Arg1 the holder process id, Arg2
-	// the holder's new effective priority).
-	EvSchedDonate
 	// EvDiskQueue: a request joined a pack's device queue (Arg0 the
 	// request's first record address, Arg1 the queue depth after the
 	// enqueue, Arg2 1 for a speculative read-ahead request).
@@ -178,9 +174,9 @@ var kindNames = [NumKinds]string{
 	"quota-check", "signal-raise", "signal-handle", "await", "advance",
 	"fault-injected", "salvage-repair", "assoc-hit", "assoc-miss",
 	"assoc-clear", "write-error", "retry-pressure", "sched-steal",
-	"sched-migrate", "sched-donate", "disk-queue", "prefetch-issue",
-	"prefetch-hit", "prefetch-drop", "net-frame", "net-drop",
-	"net-credit", "remote-seg",
+	"sched-migrate", "disk-queue", "prefetch-issue", "prefetch-hit",
+	"prefetch-drop", "net-frame", "net-drop", "net-credit",
+	"remote-seg",
 }
 
 func (k Kind) String() string {

@@ -50,12 +50,22 @@ func TestAuditCleanThenCorrupt(t *testing.T) {
 	a.pmu.Lock()
 	a.vp = vp
 	a.pmu.Unlock()
-	// Corrupt: a ready process vanishes from its run queue.
 	b, err := f.m.Lookup(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rq := f.m.queues[b.home]
+	// Corrupt: the queue's recorded size disagrees with its list.
+	rq.mu.Lock()
+	rq.size++
+	rq.mu.Unlock()
+	if bad := f.m.Audit(); len(bad) != 1 {
+		t.Errorf("audit of a run queue whose walk falls short of its size = %v, want one finding", bad)
+	}
+	rq.mu.Lock()
+	rq.size--
+	rq.mu.Unlock()
+	// Corrupt: a ready process vanishes from its run queue.
 	rq.mu.Lock()
 	rq.remove(b)
 	rq.mu.Unlock()

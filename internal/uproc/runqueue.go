@@ -1,36 +1,11 @@
 package uproc
 
-import (
-	"math/bits"
+import "multics/internal/lockrank"
 
-	"multics/internal/lockrank"
-)
-
-// NumPriorities is the number of strict priority levels; higher
-// numbers run first.
-const NumPriorities = 32
-
-// DefaultPriority is the priority a process is created with.
-const DefaultPriority = 16
-
-// clampPriority folds an arbitrary priority into a valid bucket.
-func clampPriority(pri int) int {
-	if pri < 0 {
-		return 0
-	}
-	if pri >= NumPriorities {
-		return NumPriorities - 1
-	}
-	return pri
-}
-
-// A runQueue is one per-CPU ready queue: an array of intrusive
-// doubly-linked FIFO lists, one per priority level, plus a bitmask of
-// the non-empty levels. Enqueue, dequeue and priority requeue are all
-// O(1): the links live in the Process itself, and the highest
-// non-empty bucket is one bits.Len32 away. The queue's lock protects
-// every link field (next, prev, queued, bucket) of the processes on
-// it.
+// A runQueue is one per-CPU ready queue: an intrusive doubly-linked
+// FIFO list. Enqueue, dequeue and removal are all O(1): the links
+// live in the Process itself. The queue's lock protects every link
+// field (next, prev, queued) of the processes on it.
 type runQueue struct {
 	// mu takes the layer's sub-rank below the per-process lock, so a
 	// holder of p.pmu may enqueue p without violating the
@@ -38,11 +13,8 @@ type runQueue struct {
 	mu lockrank.Mutex
 	id int
 
-	heads [NumPriorities]*Process
-	tails [NumPriorities]*Process
-	// mask has bit b set when bucket b is non-empty.
-	mask uint32
-	size int
+	head, tail *Process
+	size       int
 	// maxDepth is the high-water mark of size, for the scheduler
 	// statistics.
 	maxDepth int
@@ -54,63 +26,52 @@ func newRunQueue(id int) *runQueue {
 	return rq
 }
 
-// push appends p to its effective-priority bucket (front prepends —
-// used to return a process whose dispatch failed without sending it
-// to the back of the line). Caller holds rq.mu and p.pmu (the latter
-// pins p.eff and p.home).
+// push appends p to the queue (front prepends — used to return a
+// process whose dispatch failed without sending it to the back of the
+// line). Caller holds rq.mu and p.pmu (the latter pins p.home).
 func (rq *runQueue) push(p *Process, front bool) {
-	b := clampPriority(p.eff)
-	p.bucket = b
 	p.queued = true
 	p.next, p.prev = nil, nil
-	if rq.heads[b] == nil {
-		rq.heads[b], rq.tails[b] = p, p
+	if rq.head == nil {
+		rq.head, rq.tail = p, p
 	} else if front {
-		p.next = rq.heads[b]
-		rq.heads[b].prev = p
-		rq.heads[b] = p
+		p.next = rq.head
+		rq.head.prev = p
+		rq.head = p
 	} else {
-		p.prev = rq.tails[b]
-		rq.tails[b].next = p
-		rq.tails[b] = p
+		p.prev = rq.tail
+		rq.tail.next = p
+		rq.tail = p
 	}
-	rq.mask |= 1 << uint(b)
 	rq.size++
 	if rq.size > rq.maxDepth {
 		rq.maxDepth = rq.size
 	}
 }
 
-// remove unlinks p from its bucket. Caller holds rq.mu and p must be
-// queued here.
+// remove unlinks p. Caller holds rq.mu and p must be queued here.
 func (rq *runQueue) remove(p *Process) {
-	b := p.bucket
 	if p.prev != nil {
 		p.prev.next = p.next
 	} else {
-		rq.heads[b] = p.next
+		rq.head = p.next
 	}
 	if p.next != nil {
 		p.next.prev = p.prev
 	} else {
-		rq.tails[b] = p.prev
-	}
-	if rq.heads[b] == nil {
-		rq.mask &^= 1 << uint(b)
+		rq.tail = p.prev
 	}
 	p.next, p.prev = nil, nil
 	p.queued = false
 	rq.size--
 }
 
-// popMax removes and returns the head of the highest non-empty
-// bucket, nil when the queue is empty. Caller holds rq.mu.
-func (rq *runQueue) popMax() *Process {
-	if rq.mask == 0 {
-		return nil
+// pop removes and returns the head of the queue, nil when it is
+// empty. Caller holds rq.mu.
+func (rq *runQueue) pop() *Process {
+	p := rq.head
+	if p != nil {
+		rq.remove(p)
 	}
-	b := bits.Len32(rq.mask) - 1
-	p := rq.heads[b]
-	rq.remove(p)
 	return p
 }

@@ -21,16 +21,16 @@
 //
 // The scheduling plane is built to survive storms of tens of
 // thousands of processes: the process table is sharded, the ready
-// set is per-CPU intrusive priority run queues with O(1)
-// enqueue/dequeue and work stealing when a queue drains, dispatch is
-// strict-priority with chained priority donation against inversion
-// (see PLock), and idle schedulers block on eventcounts instead of
-// polling. The locks split the manager's certification layer into
+// set is per-CPU intrusive FIFO run queues with O(1)
+// enqueue/dequeue and work stealing when a queue drains, and idle
+// schedulers block on eventcounts instead of polling. As in the
+// paper's design there are no priorities: every ready process waits
+// its turn. The locks split the manager's certification layer into
 // sub-ranks, acquired strictly downward:
 //
 //	manager (trace wiring, queue reconfiguration)
 //	> process-table shard (pid -> process map)
-//	> per-process lock (state, bindings, priorities)
+//	> per-process lock (state, bindings, home queue)
 //	> per-CPU run queue (intrusive ready links)
 //	> real-memory message queue
 package uproc
@@ -143,23 +143,14 @@ type Process struct {
 	// parking forever.
 	wakePending bool
 
-	// base is the assigned priority; donated is the highest priority
-	// donated by a waiter on a lock this process holds; eff is the
-	// max of the two and is what the run queues sort by.
-	base, donated, eff int
 	// home is the index of the run queue this process is enqueued on;
 	// it changes only when a stealing CPU claims the process.
 	home int
-	// held and waitingOn drive the donation chain: the priority locks
-	// this process holds, and the one it is currently waiting for.
-	held      []*PLock
-	waitingOn *PLock
 
-	// next/prev/queued/bucket are the intrusive run-queue links,
-	// protected by the run queue's lock, not pmu.
+	// next/prev/queued are the intrusive run-queue links, protected by
+	// the run queue's lock, not pmu.
 	next, prev *Process
 	queued     bool
-	bucket     int
 
 	// createdCycle and firstRunCycle bracket the time-to-first-
 	// quantum latency the storm benchmark reports; firstRunCycle is
@@ -204,21 +195,6 @@ func (p *Process) AddCPU(n int64) { p.cpu += n }
 
 // CPU reports accumulated simulated cycles.
 func (p *Process) CPU() int64 { return p.cpu }
-
-// Priority returns the assigned (base) priority.
-func (p *Process) Priority() int {
-	p.pmu.Lock()
-	defer p.pmu.Unlock()
-	return p.base
-}
-
-// Effective returns the effective priority: the base priority or the
-// highest donation against it, whichever is higher.
-func (p *Process) Effective() int {
-	p.pmu.Lock()
-	defer p.pmu.Unlock()
-	return p.eff
-}
 
 // FirstRunCycle reports the simulated cycle of the process's first
 // dispatch, -1 if it has never run; CreatedCycle the cycle it was
@@ -365,10 +341,6 @@ type SchedStats struct {
 	// CPU's run queue; Migrations counts the re-homings that result.
 	Steals     int64
 	Migrations int64
-	// Donations counts priority donations; MaxDonationDepth is the
-	// longest donation chain walked.
-	Donations        int64
-	MaxDonationDepth int64
 	// Wakeups counts blocked processes made ready by event delivery.
 	Wakeups int64
 	// MaxQueueDepth is the deepest any run queue has been.
@@ -410,22 +382,17 @@ type Manager struct {
 	// readyEC is advanced on every enqueue, so idle schedulers can
 	// await work instead of polling.
 	readyEC eventcount.Eventcount
-	// donation gates priority donation, so the inversion tests can
-	// demonstrate the failure mode donation exists to prevent.
-	donation atomic.Bool
 
 	// running counts processes currently bound to virtual
 	// processors; the idle-wait path uses it to prove a future
 	// free-pool advance exists before sleeping.
 	running atomic.Int64
 
-	swaps            atomic.Int64
-	dispatches       atomic.Int64
-	steals           atomic.Int64
-	migrations       atomic.Int64
-	donations        atomic.Int64
-	maxDonationDepth atomic.Int64
-	wakeups          atomic.Int64
+	swaps      atomic.Int64
+	dispatches atomic.Int64
+	steals     atomic.Int64
+	migrations atomic.Int64
+	wakeups    atomic.Int64
 }
 
 // SetTrace routes process-swap events (and the real-memory queue's
@@ -459,7 +426,6 @@ func NewManager(vps *vproc.Manager, segs *segment.Manager, ksm *knownseg.Manager
 		m.shards[i].procs = make(map[uint64]*Process)
 	}
 	m.queues = []*runQueue{newRunQueue(0)}
-	m.donation.Store(true)
 	return m
 }
 
@@ -492,18 +458,14 @@ func (m *Manager) SetRunQueues(n int) {
 // RunQueues reports the configured run-queue count.
 func (m *Manager) RunQueues() int { return len(m.queues) }
 
-// SetDonation turns priority donation on or off (on by default). The
-// inversion regression tests turn it off to demonstrate starvation.
-func (m *Manager) SetDonation(on bool) { m.donation.Store(on) }
-
 func (m *Manager) shard(pid uint64) *procShard {
 	return &m.shards[pid%numShards]
 }
 
 // Create makes a new user process for the authenticated principal at
 // the given AIM label. Its state segment lives in the virtual memory,
-// charged like any other segment. The process starts Ready at
-// DefaultPriority, homed round-robin across the run queues.
+// charged like any other segment. The process starts Ready at the
+// back of its run queue, homed round-robin across the run queues.
 func (m *Manager) Create(principal string, label aim.Label) (*Process, error) {
 	if principal == "" {
 		return nil, errors.New("uproc: empty principal")
@@ -537,8 +499,6 @@ func (m *Manager) Create(principal string, label aim.Label) (*Process, error) {
 		dt:           hw.NewDescriptorTable(m.KSTBase + m.KSTSize),
 		kst:          kst,
 		stateUID:     stateUID,
-		base:         DefaultPriority,
-		eff:          DefaultPriority,
 		home:         int((m.nextHome.Add(1) - 1) % uint64(len(m.queues))),
 		createdCycle: m.meter.Cycles(),
 	}
@@ -555,44 +515,13 @@ func (m *Manager) Create(principal string, label aim.Label) (*Process, error) {
 }
 
 // enqueue puts p on its home run queue (front prepends). Caller holds
-// p.pmu, which pins p.home and p.eff.
+// p.pmu, which pins p.home.
 func (m *Manager) enqueue(p *Process, front bool) {
 	rq := m.queues[p.home]
 	rq.mu.Lock()
 	rq.push(p, front)
 	rq.mu.Unlock()
 	m.readyEC.Advance()
-}
-
-// requeuePriority moves a queued process to its new effective-
-// priority bucket, O(1). Caller holds p.pmu (pinning home and eff);
-// the queued check runs under the run-queue lock, so a concurrent pop
-// simply wins and the move becomes a no-op.
-func (m *Manager) requeuePriority(p *Process) {
-	rq := m.queues[p.home]
-	rq.mu.Lock()
-	if p.queued && p.bucket != clampPriority(p.eff) {
-		rq.remove(p)
-		rq.push(p, false)
-	}
-	rq.mu.Unlock()
-}
-
-// SetPriority assigns p's base priority and repositions it in its run
-// queue if it is waiting.
-func (m *Manager) SetPriority(p *Process, pri int) {
-	pri = clampPriority(pri)
-	p.pmu.Lock()
-	p.base = pri
-	eff := p.base
-	if p.donated > eff {
-		eff = p.donated
-	}
-	if eff != p.eff {
-		p.eff = eff
-		m.requeuePriority(p)
-	}
-	p.pmu.Unlock()
 }
 
 // Lookup returns the process with the given id.
@@ -641,16 +570,14 @@ func (m *Manager) allPIDs() []uint64 {
 func (m *Manager) Swaps() int64 { return m.swaps.Load() }
 
 // SchedStats returns the scheduler's counters: dispatch volume, work
-// stealing, donation, wakeups, and queue depth.
+// stealing, wakeups, and queue depth.
 func (m *Manager) SchedStats() SchedStats {
 	st := SchedStats{
-		Dispatches:       m.dispatches.Load(),
-		Steals:           m.steals.Load(),
-		Migrations:       m.migrations.Load(),
-		Donations:        m.donations.Load(),
-		MaxDonationDepth: m.maxDonationDepth.Load(),
-		Wakeups:          m.wakeups.Load(),
-		RunQueues:        len(m.queues),
+		Dispatches: m.dispatches.Load(),
+		Steals:     m.steals.Load(),
+		Migrations: m.migrations.Load(),
+		Wakeups:    m.wakeups.Load(),
+		RunQueues:  len(m.queues),
 	}
 	for _, rq := range m.queues {
 		rq.mu.Lock()
@@ -662,7 +589,7 @@ func (m *Manager) SchedStats() SchedStats {
 	return st
 }
 
-// take pops the highest-priority ready process, preferring run queue
+// take pops the longest-waiting ready process, preferring run queue
 // qi and stealing from the others in ring order when it is empty. It
 // returns the process and the queue it came from. One queue lock is
 // held at a time.
@@ -672,7 +599,7 @@ func (m *Manager) take(qi int) (*Process, int) {
 		vi := (qi + i) % n
 		rq := m.queues[vi]
 		rq.mu.Lock()
-		p := rq.popMax()
+		p := rq.pop()
 		rq.mu.Unlock()
 		if p != nil {
 			return p, vi
@@ -681,8 +608,9 @@ func (m *Manager) take(qi int) (*Process, int) {
 	return nil, -1
 }
 
-// Dispatch binds the highest-priority ready process to a free virtual
-// processor and returns it; processes of equal priority run FIFO.
+// Dispatch binds the longest-waiting ready process on run queue 0 (or,
+// when it is empty, a sibling queue) to a free virtual processor and
+// returns it; each queue runs FIFO.
 // Loading the process state goes through the virtual memory — the
 // expensive top-level half of the design.
 func (m *Manager) Dispatch() (*Process, error) {
@@ -989,27 +917,22 @@ func (m *Manager) DeliverEvents() (int, error) {
 	return woken, nil
 }
 
-// Audit checks the manager's invariants: running processes hold
-// exactly one user-bound virtual processor, ready processes appear on
-// a run queue, effective priorities are consistent, and nothing dead
-// lingers.
+// Audit checks the manager's invariants: each run queue's list holds
+// exactly its recorded size, running processes hold exactly one
+// user-bound virtual processor, ready processes appear on a run
+// queue, and nothing dead lingers.
 func (m *Manager) Audit() []string {
 	var bad []string
 	onQueue := make(map[uint64]bool)
 	for _, rq := range m.queues {
 		rq.mu.Lock()
-		for b := 0; b < NumPriorities; b++ {
-			n := 0
-			for p := rq.heads[b]; p != nil; p = p.next {
-				onQueue[p.id] = true
-				n++
-			}
-			if n > 0 && rq.mask&(1<<uint(b)) == 0 {
-				bad = append(bad, fmt.Sprintf("run queue %d bucket %d populated but mask clear", rq.id, b))
-			}
-			if n == 0 && rq.mask&(1<<uint(b)) != 0 {
-				bad = append(bad, fmt.Sprintf("run queue %d bucket %d empty but mask set", rq.id, b))
-			}
+		n := 0
+		for p := rq.head; p != nil && n <= rq.size; p = p.next {
+			onQueue[p.id] = true
+			n++
+		}
+		if n != rq.size {
+			bad = append(bad, fmt.Sprintf("run queue %d walk reaches %d processes, size %d", rq.id, n, rq.size))
 		}
 		rq.mu.Unlock()
 	}
@@ -1018,13 +941,6 @@ func (m *Manager) Audit() []string {
 		sh.mu.Lock()
 		for pid, p := range sh.procs {
 			p.pmu.Lock()
-			eff := p.base
-			if p.donated > eff {
-				eff = p.donated
-			}
-			if p.eff != eff {
-				bad = append(bad, fmt.Sprintf("process %d effective priority %d, want max(base %d, donated %d)", pid, p.eff, p.base, p.donated))
-			}
 			switch p.state {
 			case Running:
 				if p.vp == nil {
@@ -1092,7 +1008,7 @@ func (m *Manager) Destroy(p *Process) error {
 	return nil
 }
 
-// RunQuantum dispatches up to n ready processes in priority order,
+// RunQuantum dispatches up to n ready processes in FIFO order,
 // running body for each with the process bound to a virtual
 // processor, then preempting. It is the simple scheduling mix used by
 // the benchmarks; it stops early when the ready set or the virtual-

@@ -177,6 +177,47 @@ func TestDispatchPreemptCycle(t *testing.T) {
 	}
 }
 
+// TestFailedDispatchKeepsPlaceInLine pins requeueFront: a process
+// popped by a dispatch that then finds no free virtual processor goes
+// back to the front of its queue, ahead of the processes that were
+// behind it and of any process preempted meanwhile.
+func TestFailedDispatchKeepsPlaceInLine(t *testing.T) {
+	f := newFixture(t, 4) // 2 kernel + 2 multiplexable
+	var ps []*Process
+	for i := 0; i < 4; i++ {
+		p, err := f.m.Create("user.proj", aim.Bottom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
+	for _, want := range ps[:2] {
+		got, err := f.m.Dispatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("dispatched %d, want %d", got.ID(), want.ID())
+		}
+	}
+	if _, _, err := f.m.DispatchOn(0); !errors.Is(err, vproc.ErrNoFreeVP) {
+		t.Fatalf("dispatch with both virtual processors bound: %v, want ErrNoFreeVP", err)
+	}
+	if err := f.m.Preempt(ps[0]); err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.m.Dispatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != ps[2] {
+		t.Errorf("after a failed dispatch the next dispatch ran %d, want %d", got.ID(), ps[2].ID())
+	}
+	if bad := f.m.Audit(); len(bad) != 0 {
+		t.Errorf("audit: %v", bad)
+	}
+}
+
 func TestBlockWakeupDeliver(t *testing.T) {
 	f := newFixture(t, 3)
 	p, err := f.m.Create("a.x", aim.Bottom)
