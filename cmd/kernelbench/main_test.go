@@ -25,7 +25,7 @@ func TestPagingStormRepeats(t *testing.T) {
 // executor with the rank checker on, so its row is the same run over
 // run.
 func TestLoginStormRepeats(t *testing.T) {
-	if !lockrank.Checking() {
+	if on := lockrank.SetChecking(true); !on {
 		t.Fatal("the rank checker is off")
 	}
 	first := loginStorm(200, 2)

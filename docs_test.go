@@ -19,11 +19,10 @@ import (
 // prose; a trailing * cites every function with that prefix.
 var citedTest = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z0-9_]\w*\*?`)
 
-// TestDocsNameRealTests: every test, benchmark, fuzz target or example
-// the documents cite is declared by some Go file of the repository, so
-// a document cannot point a reader at a check that does not exist.
-func TestDocsNameRealTests(t *testing.T) {
-	declared := make(map[string]bool)
+// walkFuncDecls hands fn every function and method declaration of the
+// repository's Go files, with whether its file is a test file.
+func walkFuncDecls(t *testing.T, fn func(decl *ast.FuncDecl, test bool)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -43,8 +42,8 @@ func TestDocsNameRealTests(t *testing.T) {
 			return err
 		}
 		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
-				declared[fn.Name.Name] = true
+			if decl, ok := decl.(*ast.FuncDecl); ok {
+				fn(decl, strings.HasSuffix(path, "_test.go"))
 			}
 		}
 		return nil
@@ -52,6 +51,18 @@ func TestDocsNameRealTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDocsNameRealTests: every test, benchmark, fuzz target or example
+// the documents cite is declared by some Go file of the repository, so
+// a document cannot point a reader at a check that does not exist.
+func TestDocsNameRealTests(t *testing.T) {
+	declared := make(map[string]bool)
+	walkFuncDecls(t, func(fn *ast.FuncDecl, _ bool) {
+		if fn.Recv == nil {
+			declared[fn.Name.Name] = true
+		}
+	})
 	isDeclared := func(name string) bool {
 		prefix, ok := strings.CutSuffix(name, "*")
 		if !ok {
@@ -72,6 +83,41 @@ func TestDocsNameRealTests(t *testing.T) {
 		for _, name := range citedTest.FindAllString(string(text), -1) {
 			if !isDeclared(name) {
 				t.Errorf("%s cites %s, which no Go file declares", doc, name)
+			}
+		}
+	}
+}
+
+// operations matches a SPEC.md "**Operations**:" paragraph, up to the
+// blank line that ends it.
+var operations = regexp.MustCompile(`(?m)^\*\*Operations\*\*:(?:.+\n)+`)
+
+// backquoted matches a backquoted span.
+var backquoted = regexp.MustCompile("`([^`]+)`")
+
+// TestSpecNamesRealOperations: every backquoted name on a SPEC.md
+// Operations line is a function or method some non-test Go file
+// declares, so the specification cannot list an operation that was
+// deleted.
+func TestSpecNamesRealOperations(t *testing.T) {
+	declared := make(map[string]bool)
+	walkFuncDecls(t, func(fn *ast.FuncDecl, test bool) {
+		if !test {
+			declared[fn.Name.Name] = true
+		}
+	})
+	text, err := os.ReadFile("SPEC.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paragraphs := operations.FindAllString(string(text), -1)
+	if len(paragraphs) == 0 {
+		t.Fatal("SPEC.md has no Operations line")
+	}
+	for _, para := range paragraphs {
+		for _, m := range backquoted.FindAllStringSubmatch(para, -1) {
+			if !declared[m[1]] {
+				t.Errorf("SPEC.md lists the operation %s, which no non-test Go file declares", m[1])
 			}
 		}
 	}

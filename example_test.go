@@ -38,7 +38,7 @@ func Example() {
 		log.Fatal(err)
 	}
 	fmt.Println("read back:", w)
-	fmt.Println("loop-free:", k.Graph.LoopFree())
+	fmt.Println("loop-free:", len(k.Graph.Cycles()) == 0)
 	fmt.Println("bottom of the certification order:", k.CertificationOrder()[0][0])
 	// Output:
 	// read back: 42

@@ -16,7 +16,6 @@ package aim
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
 )
@@ -72,15 +71,6 @@ func Compartment(i int) Compartments {
 // Contains reports whether c includes every compartment in sub.
 func (c Compartments) Contains(sub Compartments) bool { return c&sub == sub }
 
-// Union returns the compartments in either set.
-func (c Compartments) Union(o Compartments) Compartments { return c | o }
-
-// Intersect returns the compartments in both sets.
-func (c Compartments) Intersect(o Compartments) Compartments { return c & o }
-
-// Count reports the number of compartments in the set.
-func (c Compartments) Count() int { return bits.OnesCount64(uint64(c)) }
-
 func (c Compartments) String() string {
 	if c == 0 {
 		return "{}"
@@ -121,33 +111,6 @@ func (l Label) Dominates(o Label) bool {
 	return l.Level >= o.Level && l.Cats.Contains(o.Cats)
 }
 
-// Equal reports label equality.
-func (l Label) Equal(o Label) bool { return l == o }
-
-// Comparable reports whether the two labels are ordered either way;
-// incomparable labels (disjoint compartments) permit no flow in either
-// direction.
-func (l Label) Comparable(o Label) bool { return l.Dominates(o) || o.Dominates(l) }
-
-// Join returns the least upper bound: the label of information
-// derived from sources labelled l and o.
-func (l Label) Join(o Label) Label {
-	lv := l.Level
-	if o.Level > lv {
-		lv = o.Level
-	}
-	return Label{Level: lv, Cats: l.Cats.Union(o.Cats)}
-}
-
-// Meet returns the greatest lower bound.
-func (l Label) Meet(o Label) Label {
-	lv := l.Level
-	if o.Level < lv {
-		lv = o.Level
-	}
-	return Label{Level: lv, Cats: l.Cats.Intersect(o.Cats)}
-}
-
 // A FlowError reports a forbidden information flow, naming the rule
 // violated.
 type FlowError struct {
@@ -178,10 +141,4 @@ func CheckWrite(subject, object Label) error {
 		return nil
 	}
 	return &FlowError{Op: "write", Subject: subject, Object: object, Rule: "*-property: no write down"}
-}
-
-// IsFlowError reports whether err is a forbidden-flow error.
-func IsFlowError(err error) bool {
-	_, ok := err.(*FlowError)
-	return ok
 }

@@ -36,7 +36,7 @@ func (s *Supervisor) activate(e *entry) (*aste, error) {
 	// No exception-causing bit on this hardware: every non-resident
 	// page is a plain missing-page fault, and page control reads the
 	// file map to discover whether the touch is really a growth.
-	pt := hw.NewPageTable(MaxPages, false)
+	pt := hw.NewPageTable(MaxPages)
 	a := &aste{uid: e.uid, ent: e, pt: pt, parent: parent, mapLen: len(te.Map)}
 	if parent != nil {
 		parent.inferior++

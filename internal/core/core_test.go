@@ -38,7 +38,7 @@ func user(t *testing.T, k *Kernel, principal string, label aim.Label) (*hw.Proce
 
 func TestBootVerifiesStructure(t *testing.T) {
 	k := boot(t, nil)
-	if !k.Graph.LoopFree() {
+	if len(k.Graph.Cycles()) != 0 {
 		t.Fatal("booted kernel has dependency loops")
 	}
 	if len(k.Graph.Undisciplined()) != 0 {
@@ -140,7 +140,7 @@ func TestTwoProcessesShareAFile(t *testing.T) {
 	// Bob's grant is read-only: the store traps as an access
 	// violation, not a serviceable fault.
 	err = k.Write(cpu2, bob, sb, 0, 1)
-	if !hw.IsFault(err, hw.FaultAccess) {
+	if !isFault(err, hw.FaultAccess) {
 		t.Errorf("bob write = %v, want access fault", err)
 	}
 }
@@ -509,4 +509,10 @@ func mustID(t *testing.T, k *Kernel, cpu *hw.Processor, p *uproc.Process, name s
 		t.Fatal(err)
 	}
 	return id
+}
+
+// isFault reports whether err is a *hw.Fault of the given kind.
+func isFault(err error, kind hw.FaultKind) bool {
+	f, ok := hw.AsFault(err)
+	return ok && f.Kind == kind
 }

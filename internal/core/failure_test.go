@@ -57,23 +57,13 @@ func TestFailureDemountedPackUnderActiveSegment(t *testing.T) {
 func TestFailureASTExhaustion(t *testing.T) {
 	k := boot(t, nil)
 	cpu, p := user(t, k, "a.x", aim.Bottom)
-	capacity := k.Segs.Capacity()
-	// Fill the AST: directories stay active, so create enough of
-	// them. Leave the already-active count in place.
-	made := 0
+	// Fill the AST: directories stay active, so create them until an
+	// activation fails. It must fail with the typed error, reaching
+	// the user as an error, not a hang. The bound is far above the
+	// default AST's entries.
 	var lastErr error
-	for i := 0; k.Segs.ActiveCount() < capacity; i++ {
+	for i := 0; lastErr == nil && i < 1<<12; i++ {
 		_, lastErr = k.CreateDir(cpu, p, nil, namegen(i), directory.Public(hw.Read|hw.Write), aim.Bottom)
-		if lastErr != nil {
-			break
-		}
-		made++
-	}
-	if lastErr == nil {
-		// AST now full: the next activation must fail with the
-		// typed error, reaching the user as an error, not a hang.
-		_, err := k.CreateDir(cpu, p, nil, "straw", directory.Public(hw.Read|hw.Write), aim.Bottom)
-		lastErr = err
 	}
 	if !errors.Is(lastErr, segment.ErrASTFull) {
 		t.Fatalf("AST exhaustion surfaced as %v, want ErrASTFull", lastErr)
@@ -85,7 +75,6 @@ func TestFailureASTExhaustion(t *testing.T) {
 	if _, err := k.Dirs.List("a.x", aim.Bottom, k.Dirs.RootID()); err != nil {
 		t.Errorf("system unhealthy after AST exhaustion: %v", err)
 	}
-	_ = made
 }
 
 func namegen(i int) string {
@@ -128,7 +117,7 @@ func TestFailureMessageQueueOverflow(t *testing.T) {
 	// Fill the real-memory queue without draining.
 	var err error
 	n := 0
-	for ; err == nil && n <= k.Queue.Cap()+1; n++ {
+	for ; err == nil && n <= hw.PageWords/uproc.MsgWords+1; n++ {
 		err = k.Procs.Wakeup(1, 0)
 	}
 	if !errors.Is(err, uproc.ErrQueueFull) {

@@ -17,7 +17,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"multics/internal/aim"
@@ -392,19 +391,6 @@ func (k *Kernel) wireTrace() {
 	k.Cells.SetTrace(rec)
 	k.Procs.SetTrace(rec)
 	k.Signals.SetTrace(rec)
-}
-
-// AssocFingerprint renders every processor's associative-memory state
-// in a fixed format. It is part of the determinism surface: two
-// identical single-processor runs must yield byte-identical
-// fingerprints, cache contents included.
-func (k *Kernel) AssocFingerprint() string {
-	var b strings.Builder
-	for _, cpu := range k.CPUs {
-		fmt.Fprintf(&b, "cpu%d %s", cpu.ID, cpu.Assoc.Fingerprint())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // buildSystemDT wires one processor's system descriptor table over

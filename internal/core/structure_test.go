@@ -1,24 +1,25 @@
 package core
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"path"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// moduleImports parses the imports of every Go file of the module
-// (test files too when tests is set) and returns each package's
-// imports from within the module, keyed by import path.
-func moduleImports(t *testing.T, tests bool) map[string][]string {
+// walkModule parses every Go file of the module, bench/ included (test
+// files too when tests is set), and hands each to fn with its package's
+// import path.
+func walkModule(t *testing.T, tests bool, mode parser.Mode, fn func(pkg, file string, f *ast.File)) {
 	t.Helper()
 	const root = "../.."
-	imports := make(map[string][]string)
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(file string, d fs.DirEntry, err error) error {
 		if err == nil && d.IsDir() && file != root && strings.HasPrefix(d.Name(), ".") {
@@ -27,7 +28,7 @@ func moduleImports(t *testing.T, tests bool) map[string][]string {
 		if err != nil || d.IsDir() || !strings.HasSuffix(file, ".go") || !tests && strings.HasSuffix(file, "_test.go") {
 			return err
 		}
-		f, err := parser.ParseFile(fset, file, nil, parser.ImportsOnly)
+		f, err := parser.ParseFile(fset, file, nil, mode)
 		if err != nil {
 			return err
 		}
@@ -35,21 +36,31 @@ func moduleImports(t *testing.T, tests bool) map[string][]string {
 		if err != nil {
 			return err
 		}
-		pkg := path.Join("multics", filepath.ToSlash(dir))
-		for _, spec := range f.Imports {
-			imp, err := strconv.Unquote(spec.Path.Value)
-			if err != nil {
-				return err
-			}
-			if strings.HasPrefix(imp, "multics/") {
-				imports[pkg] = append(imports[pkg], imp)
-			}
-		}
+		fn(path.Join("multics", filepath.ToSlash(dir)), file, f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// moduleImports parses the imports of every Go file of the module
+// (test files too when tests is set) and returns each package's
+// imports from within the module, keyed by import path.
+func moduleImports(t *testing.T, tests bool) map[string][]string {
+	t.Helper()
+	imports := make(map[string][]string)
+	walkModule(t, tests, parser.ImportsOnly, func(pkg, file string, f *ast.File) {
+		for _, spec := range f.Imports {
+			imp, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+			if strings.HasPrefix(imp, "multics/") {
+				imports[pkg] = append(imports[pkg], imp)
+			}
+		}
+	})
 	return imports
 }
 
@@ -128,8 +139,10 @@ func TestImportsFollowFigure4(t *testing.T) {
 		t.Fatalf("%d manager packages mapped for the graph's %d modules", len(managers), len(g.Modules()))
 	}
 	declared := make(map[[2]string]bool)
-	for _, e := range g.Edges() {
-		declared[[2]string{e.From, e.To}] = true
+	for _, m := range g.Modules() {
+		for _, e := range g.EdgesFrom(m) {
+			declared[[2]string{e.From, e.To}] = true
+		}
 	}
 	imports := moduleImports(t, false)
 	for pkg, mod := range managers {
@@ -153,6 +166,131 @@ func TestImportsFollowFigure4(t *testing.T) {
 		for _, imp := range imports[prefix+pkg] {
 			if _, ok := managers[strings.TrimPrefix(imp, prefix)]; ok {
 				t.Errorf("infrastructure package %s imports manager %s; it must sit below the lattice", pkg, imp)
+			}
+		}
+	}
+}
+
+// entryPointsWithoutCallers keeps the exported entry points under
+// internal/ that no non-test code calls, each with what justifies it:
+// a test that uses it as a seam, or as a check that Audit, Stats,
+// audit.Balance and trace.Snapshot do not give, or the README, DESIGN
+// or EXPERIMENTS sentence that cites it as reproducing part of the
+// paper. Keys are package.Func or package.Type.Method.
+var entryPointsWithoutCallers = map[string]string{
+	"baseline.Supervisor.ResolvePath":     "the 1974 supervisor's buried resolver, README.md's \"pathname resolution buried in the supervisor\"; TestPathResolutionBuriedInKernel",
+	"core.Kernel.Rename":                  "user gate (SPEC.md directory-manager Operations); TestRenameAndTruncateGates",
+	"core.Kernel.SetACL":                  "user gate (SPEC.md directory-manager Operations); TestSetACLGate",
+	"hw.AssociativeMemory.Fingerprint":    "cache contents in the determinism surface: TestTraceDeterminism, TestAssocFingerprintDeterministic",
+	"hw.AssociativeMemory.HoldReference":  "seam pinning a reference across a shootdown: TestZeroEvictionRevalidatesAfterShootdown",
+	"pageframe.Manager.FreeFrames":        "frames returned to the free pool, which Stats does not count: TestLoadPageAlreadyPresent, TestPrefetchPurgedOnDropPage, TestDemountMountRoundTrip",
+	"pageframe.Manager.SampleWorkingSets": "EXPERIMENTS.md's Gifford section; TestSampleWorkingSets",
+	"quota.Manager.SetLimit":              "seam raising a wedged process's quota: TestFailureQuotaExhaustionIsRecoverable",
+	"schedsim.EnvBudget":                  "budget of the schedule sweeps: TestSweepZeroReclaimWindow, TestSweepDispatchDestroy",
+	"schedsim.RoundRobin":                 "DESIGN.md's schedsim strategies; TestSweepReplayIsExact, TestSpanPerCPUStacks",
+	"schedsim.Sweep":                      "DESIGN.md's systematic schedule sweeps; TestSweepFindsLostUpdate, TestSweepDispatchDestroy",
+	"segment.Manager.ReadWord":            "reads a word back without a processor: TestWriteReadWord, TestDemountMountRoundTrip",
+	"sysinit.Plan.RunKernelPhase":         "DESIGN.md's Luniewski row; TestTwoPhaseBoot",
+	"sysinit.Plan.RunUserPhase":           "DESIGN.md's Luniewski row; TestTwoPhaseBoot",
+	"trace.FormatSpans":                   "byte-identical span streams: TestTraceDeterminism",
+	"trace.Recorder.SpanMismatches":       "instrumentation check Snapshot does not give: TestTraceDeterminism, TestSpanMismatchCounting",
+	"trace.Recorder.SpansDropped":         "span-ring overwrites, which Snapshot does not count: TestSpanRingWrap, TestConcurrentSpans",
+	"uproc.Process.StateSegment":          "process state in virtual memory: TestProcessStateInVirtualMemory",
+	"vproc.Manager.FreeVPs":               "a leaked virtual processor: TestSweepDispatchDestroy, TestDestroyReleasesEverything",
+	"workload.Catalogue":                  "DESIGN.md's scenario catalogue; TestCatalogueOnGoroutines, TestTraceDeterminism",
+}
+
+// TestExportedEntryPointsHaveCallers certifies the reproduction's own
+// interface as the paper certifies the kernel's: an exported function
+// or method declared in a non-test file under internal/ must be
+// referenced by name from some non-test file of the module, bench/
+// included, outside its own declaration. Methods named by an
+// interface of the module, String and Error are exempt; the rest need
+// an entry in entryPointsWithoutCallers naming a test that exists or a
+// document.
+func TestExportedEntryPointsHaveCallers(t *testing.T) {
+	type decl struct {
+		key, name, file string
+		method          bool
+		pos, end        token.Pos // one file set: positions are module-wide
+	}
+	var decls []decl
+	uses := make(map[string][]token.Pos)
+	exempt := map[string]bool{"String": true, "Error": true}
+	tests := make(map[string]bool)
+	walkModule(t, true, 0, func(pkg, file string, f *ast.File) {
+		if strings.HasSuffix(file, "_test.go") {
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+					tests[fn.Name.Name] = true
+				}
+			}
+			return
+		}
+		declName := make(map[*ast.Ident]bool)
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, name := range m.Names {
+						exempt[name.Name] = true
+					}
+				}
+			case *ast.FuncDecl:
+				declName[n.Name] = true
+				if !n.Name.IsExported() || !strings.HasPrefix(pkg, "multics/internal/") {
+					return true
+				}
+				key := path.Base(pkg) + "."
+				if n.Recv != nil {
+					typ := n.Recv.List[0].Type
+					if star, ok := typ.(*ast.StarExpr); ok {
+						typ = star.X
+					}
+					key += typ.(*ast.Ident).Name + "."
+				}
+				decls = append(decls, decl{key + n.Name.Name, n.Name.Name, file, n.Recv != nil, n.Pos(), n.End()})
+			case *ast.Ident:
+				if !declName[n] {
+					uses[n.Name] = append(uses[n.Name], n.Pos())
+				}
+			}
+			return true
+		})
+	})
+	if len(decls) == 0 {
+		t.Fatal("found no exported declarations under internal/")
+	}
+	orphans := make(map[string]bool)
+	for _, d := range decls {
+		if d.method && exempt[d.name] {
+			continue
+		}
+		called := false
+		for _, pos := range uses[d.name] {
+			called = called || pos < d.pos || pos >= d.end
+		}
+		if called {
+			continue
+		}
+		orphans[d.key] = true
+		if entryPointsWithoutCallers[d.key] == "" {
+			t.Errorf("%s (%s) has no caller outside tests: give it one the paper motivates, delete it, or justify it in entryPointsWithoutCallers",
+				d.key, strings.TrimPrefix(d.file, "../../"))
+		}
+	}
+	testName := regexp.MustCompile(`\bTest[A-Z]\w*`)
+	for key, why := range entryPointsWithoutCallers {
+		if !orphans[key] {
+			t.Errorf("entryPointsWithoutCallers lists %s, which is gone or has a caller now: drop the entry", key)
+		}
+		names := testName.FindAllString(why, -1)
+		if len(names) == 0 && !strings.Contains(why, ".md") {
+			t.Errorf("entryPointsWithoutCallers[%s] names neither a test nor a document: %q", key, why)
+		}
+		for _, name := range names {
+			if !tests[name] {
+				t.Errorf("entryPointsWithoutCallers[%s] cites %s, which no test file declares", key, name)
 			}
 		}
 	}

@@ -171,7 +171,7 @@ func TestTigerReadUpThroughSharedSegment(t *testing.T) {
 	}
 	// If opened (blind append granted by the *-property), reading
 	// must still fault.
-	if _, err := k.Read(cpu2, mallory, segno, 0); !hw.IsFault(err, hw.FaultAccess) {
+	if _, err := k.Read(cpu2, mallory, segno, 0); !isFault(err, hw.FaultAccess) {
 		t.Errorf("read up through permissive ACL: %v", err)
 	}
 	// Blind write up is permitted — and must not be readable back.
@@ -188,7 +188,7 @@ func TestTigerGateDiscipline(t *testing.T) {
 	k := boot(t, nil)
 	cpu, _ := user(t, k, "mallory.x", aim.Bottom)
 	err := cpu.GateCall(hw.KernelRing, false, func() error { return nil })
-	if !hw.IsFault(err, hw.FaultGate) {
+	if !isFault(err, hw.FaultGate) {
 		t.Errorf("non-gate inward transfer: %v", err)
 	}
 }
@@ -300,7 +300,7 @@ func TestTigerBoundsAndNegativeOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.Read(cpu, p, segno, -1); !hw.IsFault(err, hw.FaultBounds) {
+	if _, err := k.Read(cpu, p, segno, -1); !isFault(err, hw.FaultBounds) {
 		t.Errorf("negative offset: %v", err)
 	}
 	// Beyond the architectural maximum: bounds, not growth.

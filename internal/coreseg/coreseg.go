@@ -46,15 +46,8 @@ type Segment struct {
 	pt     *hw.PageTable
 }
 
-// Name returns the segment's name (for diagnostics and the dependency
-// graph).
-func (s *Segment) Name() string { return s.name }
-
 // Words reports the segment's fixed size in words.
 func (s *Segment) Words() int { return s.frames * hw.PageWords }
-
-// Frames reports the segment's fixed size in page frames.
-func (s *Segment) Frames() int { return s.frames }
 
 // Read returns the word at offset off.
 func (s *Segment) Read(off int) (hw.Word, error) {
@@ -123,7 +116,7 @@ func (m *Manager) Allocate(name string, words int) (*Segment, error) {
 	if m.next+frames > m.limit {
 		return nil, fmt.Errorf("coreseg: out of wired memory: %s needs %d frames, %d remain", name, frames, m.limit-m.next)
 	}
-	pt := hw.NewPageTable(frames, true)
+	pt := hw.NewPageTable(frames)
 	for i := 0; i < frames; i++ {
 		if err := pt.Set(i, hw.PTW{Present: true, Frame: m.next + i}); err != nil {
 			return nil, err
@@ -174,11 +167,3 @@ func (m *Manager) Segments() []string {
 // limit regardless of how much of the reserve was used, so the split
 // is fixed at configuration time.
 func (m *Manager) FirstPageableFrame() int { return m.limit }
-
-// WiredFramesUsed reports how many reserved frames have been
-// allocated.
-func (m *Manager) WiredFramesUsed() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.next
-}

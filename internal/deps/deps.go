@@ -113,9 +113,6 @@ func (g *Graph) Modules() []string {
 	return append([]string(nil), g.names...)
 }
 
-// Description returns the registered description of a module.
-func (g *Graph) Description(name string) string { return g.modules[name] }
-
 // Depend records that from depends on to, with the given kind and
 // explanatory note. Both modules must be registered and distinct:
 // a module participating in the implementation of its own execution
@@ -141,11 +138,6 @@ func (g *Graph) MustDepend(from, to string, kind Kind, note string) {
 	if err := g.Depend(from, to, kind, note); err != nil {
 		panic(err)
 	}
-}
-
-// Edges returns all edges in insertion order.
-func (g *Graph) Edges() []Edge {
-	return append([]Edge(nil), g.edges...)
 }
 
 // EdgesFrom returns the edges leaving module name.
@@ -243,10 +235,6 @@ func (g *Graph) Cycles() [][]string {
 	}
 	return sccs
 }
-
-// LoopFree reports whether the dependency structure is a lattice (no
-// cycles).
-func (g *Graph) LoopFree() bool { return len(g.Cycles()) == 0 }
 
 // Layers assigns each module its certification layer: a module with no
 // dependencies is layer 0, and otherwise a module's layer is one more

@@ -74,7 +74,7 @@ func TestMustDependPanics(t *testing.T) {
 
 func TestLoopFreeChain(t *testing.T) {
 	g := chain(t, "dir", "seg", "page")
-	if !g.LoopFree() {
+	if len(g.Cycles()) != 0 {
 		t.Errorf("chain reported loops: %v", g.Cycles())
 	}
 	layers, err := g.Layers()
@@ -114,7 +114,7 @@ func TestCycleDetection(t *testing.T) {
 	if len(cycles[0]) != 3 {
 		t.Errorf("cycle = %v, want all three modules", cycles[0])
 	}
-	if g.LoopFree() {
+	if len(g.Cycles()) == 0 {
 		t.Error("LoopFree on cyclic graph")
 	}
 	if _, err := g.Layers(); err == nil {
@@ -154,7 +154,7 @@ func TestUndisciplinedEdges(t *testing.T) {
 	}
 	// Loop-free but undisciplined still fails Verify: the goal is
 	// elimination of such dependencies.
-	if g.LoopFree() != true {
+	if len(g.Cycles()) != 0 {
 		t.Error("graph with one edge is not loop-free?")
 	}
 	if err := g.Verify(); err == nil {
@@ -190,8 +190,8 @@ func TestModuleBookkeeping(t *testing.T) {
 	if got := g.Modules(); len(got) != 1 {
 		t.Errorf("Modules = %v", got)
 	}
-	if g.Description("m") != "second" {
-		t.Errorf("Description = %q", g.Description("m"))
+	if text := g.Text(); !strings.Contains(text, "m — second") || strings.Contains(text, "first") {
+		t.Errorf("Text() does not carry the updated description:\n%s", text)
 	}
 	if !g.HasModule("m") || g.HasModule("x") {
 		t.Error("HasModule wrong")
@@ -217,10 +217,10 @@ func TestTextAndDOT(t *testing.T) {
 
 func TestEdgesReturnsCopy(t *testing.T) {
 	g := chain(t, "a", "b")
-	es := g.Edges()
+	es := g.EdgesFrom("a")
 	es[0].To = "corrupted"
-	if g.Edges()[0].To != "b" {
-		t.Error("Edges returned aliased slice")
+	if g.EdgesFrom("a")[0].To != "b" {
+		t.Error("EdgesFrom returned aliased slice")
 	}
 	ms := g.Modules()
 	ms[0] = "corrupted"
@@ -246,7 +246,7 @@ func TestRandomDAGLoopFree(t *testing.T) {
 				}
 			}
 		}
-		if !g.LoopFree() {
+		if len(g.Cycles()) != 0 {
 			return false
 		}
 		layers, err := g.Layers()

@@ -15,9 +15,9 @@
 //     had no right to see exists.
 //
 //   - The quota-directory semantics change: a directory may be
-//     designated a quota directory (or undesignated) only while it has
-//     no children, which makes the binding between every segment and
-//     its governing quota cell static.
+//     designated a quota directory only while it has no children,
+//     which makes the binding between every segment and its governing
+//     quota cell static.
 //
 //   - The relocation-notice handler: the known segment manager signals
 //     upward after a full-pack relocation, and the handler here
@@ -730,80 +730,6 @@ func (m *Manager) DesignateQuota(p Principal, plabel aim.Label, id Identifier, l
 	return nil
 }
 
-// UndesignateQuota reverses DesignateQuota, again only for a childless
-// directory, moving the charge back to the containing directory's
-// cell.
-func (m *Manager) UndesignateQuota(p Principal, plabel aim.Label, id Identifier) error {
-	m.mu.Lock()
-	entry, ok := m.byID[id]
-	if !ok {
-		m.mu.Unlock()
-		return ErrNoAccess
-	}
-	node := m.nodeFor(entry)
-	parent := m.parentOf[id]
-	if node == nil || parent == nil {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNotDir, entry.Name)
-	}
-	if !modifiable(p, plabel, parent) {
-		m.mu.Unlock()
-		return ErrNoAccess
-	}
-	if len(node.children) > 0 {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %s has %d", ErrHasChildren, entry.Name, len(node.children))
-	}
-	if !node.quotaDir {
-		m.mu.Unlock()
-		return fmt.Errorf("directory: %s is not a quota directory", entry.Name)
-	}
-	parentCell := parent.cell
-	parentCellUID := parent.cellUID
-	addr := entry.Addr
-	uid := entry.UID
-	m.mu.Unlock()
-
-	pack, err := m.packEntry(addr)
-	if err != nil {
-		return err
-	}
-	stored := pack.Records()
-	if err := m.segs.Deactivate(uid); err != nil && !errors.Is(err, segment.ErrNotActive) {
-		return err
-	}
-	if stored > 0 {
-		if err := m.chargeTo(parentCell, stored); err != nil {
-			return err
-		}
-		if err := m.releaseFrom(addr, stored); err != nil {
-			return err
-		}
-	}
-	if m.cells.Active(addr) {
-		if err := m.cells.Deactivate(addr); err != nil {
-			return err
-		}
-	}
-	if err := m.cells.RemoveCell(addr); err != nil {
-		return err
-	}
-	if _, err := m.segs.Activate(uid, addr, parentCell, true); err != nil {
-		return err
-	}
-	// The directory's pages charge the containing directory's cell
-	// again; rebind the on-disk governing uid to match.
-	if err := m.segs.SetGov(addr, parentCellUID); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	node.quotaDir = false
-	node.cell = parentCell
-	node.cellUID = parentCellUID
-	m.mu.Unlock()
-	return nil
-}
-
 // QuotaInfo reports the limit and use of a quota directory's cell.
 func (m *Manager) QuotaInfo(id Identifier) (limit, used int, err error) {
 	m.mu.Lock()
@@ -832,16 +758,6 @@ func (m *Manager) packEntry(addr disk.SegAddr) (disk.TOCEntry, error) {
 	// directory manager carries its own handle in cfg? Instead the
 	// segment manager exposes the read below.
 	return m.segs.DiskEntry(addr)
-}
-
-// chargeTo charges n pages to a cell, activating it if needed.
-func (m *Manager) chargeTo(cell quota.CellName, n int) error {
-	if !m.cells.Active(cell) {
-		if err := m.cells.Activate(cell); err != nil {
-			return err
-		}
-	}
-	return m.cells.Charge(cell, n)
 }
 
 // releaseFrom releases n pages from a cell, activating it if needed.

@@ -441,19 +441,6 @@ func TestDesignateQuotaChildlessRule(t *testing.T) {
 	if g.Cell != dirEntry.Addr {
 		t.Errorf("governing cell = %v, want %v", g.Cell, dirEntry.Addr)
 	}
-	// Undesignation also requires childlessness.
-	if err := f.m.UndesignateQuota(alice, aim.Bottom, dirID); !errors.Is(err, ErrHasChildren) {
-		t.Errorf("undesignation with children = %v", err)
-	}
-	if err := f.m.Delete(alice, aim.Bottom, dirID, "data"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.m.UndesignateQuota(alice, aim.Bottom, dirID); err != nil {
-		t.Fatalf("undesignation of childless dir: %v", err)
-	}
-	if _, _, err := f.m.QuotaInfo(dirID); err == nil {
-		t.Error("QuotaInfo after undesignation succeeded")
-	}
 }
 
 func TestQuotaChargeTransferOnDesignation(t *testing.T) {

@@ -543,19 +543,6 @@ func (p *Pack) EachEntry(fn func(TOCIndex, TOCEntry)) {
 	}
 }
 
-// Entries reports the number of live table-of-contents entries.
-func (p *Pack) Entries() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for i := range p.toc {
-		if p.toc[i].live {
-			n++
-		}
-	}
-	return n
-}
-
 // Volumes is the disk volume control module: the registry of mounted
 // packs. It is the lowest module of the file system proper.
 type Volumes struct {

@@ -426,29 +426,6 @@ func (p *Pack) service(r *request) error {
 	}
 }
 
-// DrainQueue services every pending request (taking the seat if it is
-// free) and returns when the queue is empty; tests and shutdown paths
-// use it to quiesce the device.
-func (p *Pack) DrainQueue() {
-	d := &p.dev
-	for {
-		d.mu.Lock()
-		if len(d.pending) == 0 {
-			d.mu.Unlock()
-			return
-		}
-		if !d.driving {
-			d.driving = true
-			d.mu.Unlock()
-			p.drive(nil)
-			continue
-		}
-		target := d.completions.Read() + 1
-		d.mu.Unlock()
-		d.completions.Await(target)
-	}
-}
-
 // DeviceCycles reports the transfer cycles the pack's device has
 // performed from its queue: the pack's share of a storm's makespan.
 func (p *Pack) DeviceCycles() int64 {

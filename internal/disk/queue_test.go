@@ -56,17 +56,18 @@ func TestQueueElevatorOrder(t *testing.T) {
 	if got := p.DeviceCycles(); got != hw.CycDiskSeekShort+hw.CycDiskRecord {
 		t.Errorf("device cycles after demand = %d, want %d", got, hw.CycDiskSeekShort+hw.CycDiskRecord)
 	}
-	p.DrainQueue()
+	// Waiting for record 300, the last in elevator order, drives the
+	// whole queue.
+	for _, tk := range tickets {
+		if err := tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// CSCAN from 40: 50 (short), 60 (short), 300 (long).
 	want := int64(hw.CycDiskSeekShort+hw.CycDiskRecord) + // demand 0 -> 40
 		int64(2*hw.CycDiskSeekShort+hw.CycDiskSeek+3*hw.CycDiskRecord)
 	if got := p.DeviceCycles(); got != want {
 		t.Errorf("device cycles after drain = %d, want %d (CSCAN order)", got, want)
-	}
-	for _, tk := range tickets {
-		if err := tk.Wait(); err != nil {
-			t.Fatal(err)
-		}
 	}
 	for r, buf := range specBufs {
 		if buf[0] != hw.Word(1000+r) {

@@ -108,7 +108,8 @@ func (e *Eventcount) TryAwait(v uint64) (uint64, bool) {
 
 // A Sequencer issues totally ordered tickets. The zero value is valid
 // and issues 1 first, so that pairing with a zero eventcount gives the
-// usual ticket-lock construction: Await(Ticket()-? ...).
+// usual ticket lock: acquire with t := Ticket() then Await(t-1), and
+// release with Advance.
 type Sequencer struct {
 	mu   sync.Mutex
 	next uint64
@@ -120,31 +121,4 @@ func (s *Sequencer) Ticket() uint64 {
 	defer s.mu.Unlock()
 	s.next++
 	return s.next
-}
-
-// Read returns the most recently issued ticket (0 if none).
-func (s *Sequencer) Read() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.next
-}
-
-// A Mutex is the eventcount-and-sequencer mutual exclusion of Reed and
-// Kanodia: a process takes a ticket and awaits the eventcount reaching
-// ticket-1 (all earlier holders done), and releasing advances the
-// count. It demonstrates that the primitives subsume locking.
-type Mutex struct {
-	seq  Sequencer
-	done Eventcount
-}
-
-// Lock acquires the mutex.
-func (m *Mutex) Lock() {
-	t := m.seq.Ticket()
-	m.done.Await(t - 1)
-}
-
-// Unlock releases the mutex.
-func (m *Mutex) Unlock() {
-	m.done.Advance()
 }

@@ -109,9 +109,6 @@ func TestTryAwait(t *testing.T) {
 
 func TestSequencerTotalOrder(t *testing.T) {
 	var s Sequencer
-	if s.Read() != 0 {
-		t.Fatalf("zero sequencer reads %d", s.Read())
-	}
 	const n = 100
 	var mu sync.Mutex
 	seen := make(map[uint64]bool)
@@ -135,13 +132,14 @@ func TestSequencerTotalOrder(t *testing.T) {
 			t.Errorf("ticket %d never issued", i)
 		}
 	}
-	if s.Read() != n {
-		t.Errorf("Read = %d, want %d", s.Read(), n)
-	}
 }
 
+// TestMutexExcludes builds Reed and Kanodia's ticket lock from the two
+// primitives, as the Sequencer comment describes: they subsume
+// locking.
 func TestMutexExcludes(t *testing.T) {
-	var m Mutex
+	var seq Sequencer
+	var done Eventcount
 	var counter, inside int
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -149,14 +147,14 @@ func TestMutexExcludes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				m.Lock()
+				done.Await(seq.Ticket() - 1)
 				inside++
 				if inside != 1 {
 					t.Errorf("mutual exclusion violated: %d inside", inside)
 				}
 				counter++
 				inside--
-				m.Unlock()
+				done.Advance()
 			}
 		}()
 	}
@@ -234,13 +232,6 @@ func BenchmarkEventcount(b *testing.B) {
 		ec.Advance()
 		for i := 0; i < b.N; i++ {
 			_ = ec.Read()
-		}
-	})
-	b.Run("ticket-mutex", func(b *testing.B) {
-		var m Mutex
-		for i := 0; i < b.N; i++ {
-			m.Lock()
-			m.Unlock()
 		}
 	})
 	b.Run("await-satisfied", func(b *testing.B) {

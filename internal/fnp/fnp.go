@@ -179,9 +179,6 @@ func (f *FNP) SetTrace(rec *trace.Recorder) {
 	}
 }
 
-// Connections reports the table size.
-func (f *FNP) Connections() int { return len(f.conns) }
-
 // Shards reports the shard count.
 func (f *FNP) Shards() int { return len(f.shards) }
 

@@ -254,6 +254,7 @@ func TestConcurrentStorm(t *testing.T) {
 		producers = 4
 		perProd   = 2000
 	)
+	conns := f.Stats().Connections
 	var accepted, dropped, delivered atomic.Int64
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -285,7 +286,7 @@ func TestConcurrentStorm(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProd; i++ {
-				conn := (p*perProd + i*37) % f.Connections()
+				conn := (p*perProd + i*37) % conns
 				if f.Enqueue(conn, []hw.Word{hw.Word(i)}) {
 					accepted.Add(1)
 				} else {

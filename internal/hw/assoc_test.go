@@ -22,7 +22,7 @@ func newAssocFixture(t *testing.T, npages int) *assocFixture {
 		mem: NewMemory(npages + 2),
 		mtr: &CostMeter{},
 		dt:  NewDescriptorTable(8),
-		pt:  NewPageTable(npages, false),
+		pt:  NewPageTable(npages),
 	}
 	for i := 0; i < npages; i++ {
 		if err := f.pt.Set(i, PTW{Present: true, Frame: i}); err != nil {
@@ -223,7 +223,7 @@ func TestSDWShootdownSeesNewDescriptor(t *testing.T) {
 func TestSwitchUserDTClearsOnlyUserEntries(t *testing.T) {
 	f := newAssocFixture(t, 2)
 	sysDT := NewDescriptorTable(2)
-	sysPT := NewPageTable(1, true)
+	sysPT := NewPageTable(1)
 	if err := sysPT.Set(0, PTW{Present: true, Frame: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestSwitchUserDTClearsOnlyUserEntries(t *testing.T) {
 func TestNilBusAndNilAssoc(t *testing.T) {
 	var bus *ShootdownBus
 	bus.Attach(NewAssociativeMemory())
-	bus.InvalidatePTW("x", NewPageTable(1, false), 0)
+	bus.InvalidatePTW("x", NewPageTable(1), 0)
 	bus.InvalidateSDW("x", NewDescriptorTable(1), 0)
 	if bus.Shootdowns() != 0 {
 		t.Error("nil bus counted shootdowns")

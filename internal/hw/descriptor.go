@@ -32,28 +32,26 @@ type PTW struct {
 
 // A PageTable is the array of page descriptors for one segment. The
 // table itself conceptually lives in primary memory (in a core segment
-// for permanently active segments, in a paged segment otherwise); the
-// Wired flag records which, for the dependency analysis.
+// for permanently active segments, in a paged segment otherwise).
 //
 // A PageTable is safe for concurrent use by multiple simulated
 // processors; the lock-bit operations are atomic with respect to
 // translation, which is what the descriptor-lock hardware guarantees.
 type PageTable struct {
-	mu    sync.Mutex
-	ptws  []PTW
-	wired bool
+	mu   sync.Mutex
+	ptws []PTW
 }
 
 // NewPageTable returns a page table of n descriptors, all not-present.
-func NewPageTable(n int, wired bool) *PageTable {
-	return &PageTable{ptws: make([]PTW, n), wired: wired}
+func NewPageTable(n int) *PageTable {
+	return &PageTable{ptws: make([]PTW, n)}
 }
 
 // NewPageTableOf returns a page table holding the given descriptors,
 // built in one pass instead of a Set per entry. The table takes
 // ownership of ptws.
-func NewPageTableOf(ptws []PTW, wired bool) *PageTable {
-	return &PageTable{ptws: ptws, wired: wired}
+func NewPageTableOf(ptws []PTW) *PageTable {
+	return &PageTable{ptws: ptws}
 }
 
 // Len reports the number of page descriptors.
@@ -62,10 +60,6 @@ func (t *PageTable) Len() int {
 	defer t.mu.Unlock()
 	return len(t.ptws)
 }
-
-// Wired reports whether the table lives in permanently resident
-// memory.
-func (t *PageTable) Wired() bool { return t.wired }
 
 // Get returns a copy of descriptor p.
 func (t *PageTable) Get(p int) (PTW, error) {
@@ -206,7 +200,6 @@ type SDW struct {
 	MaxRing int
 	// WriteRing is the highest ring from which stores are honoured.
 	WriteRing int
-	Gate      bool
 }
 
 // A DescriptorTable is the array of segment descriptors defining one

@@ -74,12 +74,6 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("hw: %v fault at segment %d offset %d (page %d, ring %d)", f.Kind, f.Seg, f.Offset, f.Page, f.Ring)
 }
 
-// IsFault reports whether err is a *Fault of the given kind.
-func IsFault(err error, kind FaultKind) bool {
-	f, ok := err.(*Fault)
-	return ok && f.Kind == kind
-}
-
 // AsFault returns err as a *Fault if it is one.
 func AsFault(err error) (*Fault, bool) {
 	f, ok := err.(*Fault)

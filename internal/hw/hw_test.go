@@ -25,20 +25,15 @@ func TestWordMasking(t *testing.T) {
 }
 
 func TestPageArithmetic(t *testing.T) {
-	cases := []struct{ off, page, base int }{
-		{0, 0, 0},
-		{1023, 0, 0},
-		{1024, 1, 1024},
-		{5000, 4, 4096},
+	cases := []struct{ off, page int }{
+		{0, 0},
+		{1023, 0},
+		{1024, 1},
+		{5000, 4},
 	}
 	for _, c := range cases {
 		if got := PageOf(c.off); got != c.page {
 			t.Errorf("PageOf(%d) = %d, want %d", c.off, got, c.page)
-		}
-	}
-	for _, c := range cases {
-		if got := PageBase(c.page); got != c.base {
-			t.Errorf("PageBase(%d) = %d, want %d", c.page, got, c.base)
 		}
 	}
 }
@@ -170,7 +165,7 @@ func TestAccessModeString(t *testing.T) {
 func newTestSpace(t *testing.T, npages int, lockHW bool) (*Processor, *PageTable) {
 	t.Helper()
 	mem := NewMemory(npages + 4)
-	pt := NewPageTable(npages, false)
+	pt := NewPageTable(npages)
 	for i := 0; i < npages; i++ {
 		if err := pt.Set(i, PTW{Present: true, Frame: i}); err != nil {
 			t.Fatal(err)
@@ -227,11 +222,11 @@ func TestTranslateSetsUsedModified(t *testing.T) {
 func TestMissingSegmentFault(t *testing.T) {
 	p, _ := newTestSpace(t, 1, true)
 	_, err := p.Read(9, 0)
-	if !IsFault(err, FaultMissingSegment) {
+	if !isFault(err, FaultMissingSegment) {
 		t.Errorf("read of empty segment number: %v, want missing-segment", err)
 	}
 	_, err = p.Read(200, 0)
-	if !IsFault(err, FaultMissingSegment) {
+	if !isFault(err, FaultMissingSegment) {
 		t.Errorf("read of out-of-range segment number: %v, want missing-segment", err)
 	}
 }
@@ -239,11 +234,11 @@ func TestMissingSegmentFault(t *testing.T) {
 func TestBoundsFault(t *testing.T) {
 	p, _ := newTestSpace(t, 2, true)
 	_, err := p.Read(8, 2*PageWords)
-	if !IsFault(err, FaultBounds) {
+	if !isFault(err, FaultBounds) {
 		t.Errorf("read past bound: %v, want bounds fault", err)
 	}
 	_, err = p.Read(8, -1)
-	if !IsFault(err, FaultBounds) {
+	if !isFault(err, FaultBounds) {
 		t.Errorf("read of negative offset: %v, want bounds fault", err)
 	}
 }
@@ -255,14 +250,14 @@ func TestAccessFaults(t *testing.T) {
 	if err := dt.Set(9, SDW{Present: true, Table: pt, Access: Read, MaxRing: UserRing, WriteRing: UserRing}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Write(9, 0, 1); !IsFault(err, FaultAccess) {
+	if err := p.Write(9, 0, 1); !isFault(err, FaultAccess) {
 		t.Errorf("write to read-only segment: %v, want access fault", err)
 	}
 	// Ring bracket: segment visible only to ring <= 1.
 	if err := dt.Set(10, SDW{Present: true, Table: pt, Access: Read | Write, MaxRing: 1, WriteRing: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Read(10, 0); !IsFault(err, FaultAccess) {
+	if _, err := p.Read(10, 0); !isFault(err, FaultAccess) {
 		t.Errorf("ring-4 read of ring-1 segment: %v, want access fault", err)
 	}
 	// Write ring lower than read ring: user can read, not write.
@@ -272,7 +267,7 @@ func TestAccessFaults(t *testing.T) {
 	if _, err := p.Read(11, 0); err != nil {
 		t.Errorf("ring-4 read of write-ring-1 segment: %v", err)
 	}
-	if err := p.Write(11, 0, 1); !IsFault(err, FaultAccess) {
+	if err := p.Write(11, 0, 1); !isFault(err, FaultAccess) {
 		t.Errorf("ring-4 write of write-ring-1 segment: %v, want access fault", err)
 	}
 }
@@ -280,14 +275,14 @@ func TestAccessFaults(t *testing.T) {
 func TestSystemSegmentInvisibleToUserRing(t *testing.T) {
 	p, _ := newTestSpace(t, 1, true)
 	// Install a present system segment at number 3.
-	sysPT := NewPageTable(1, true)
+	sysPT := NewPageTable(1)
 	if err := sysPT.Set(0, PTW{Present: true, Frame: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.SystemDT.Set(3, SDW{Present: true, Table: sysPT, Access: Read | Write, MaxRing: 0, WriteRing: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Read(3, 0); !IsFault(err, FaultAccess) {
+	if _, err := p.Read(3, 0); !isFault(err, FaultAccess) {
 		t.Errorf("user-ring read of system segment number: %v, want access fault", err)
 	}
 	// The kernel (ring 0) reads it through the system table even
@@ -324,7 +319,7 @@ func TestMissingPageFaultSetsLockWithHW(t *testing.T) {
 	}
 	// A second reference now takes a locked-descriptor fault.
 	_, err = p.Read(8, PageWords)
-	if !IsFault(err, FaultLockedDescriptor) {
+	if !isFault(err, FaultLockedDescriptor) {
 		t.Errorf("second reference: %v, want locked-descriptor fault", err)
 	}
 	// After unlock and page arrival, the reference completes.
@@ -376,7 +371,7 @@ func TestOnlyOneProcessorWinsTheLock(t *testing.T) {
 	// one of them service the fault, with no interpretive
 	// retranslation required.
 	mem := NewMemory(4)
-	pt := NewPageTable(1, false)
+	pt := NewPageTable(1)
 	dt := NewDescriptorTable(16)
 	if err := dt.Set(8, SDW{Present: true, Table: pt, Access: Read | Write, MaxRing: UserRing, WriteRing: UserRing}); err != nil {
 		t.Fatal(err)
@@ -417,7 +412,7 @@ func TestOnlyOneProcessorWinsTheLock(t *testing.T) {
 }
 
 func TestPageTableUnlock(t *testing.T) {
-	pt := NewPageTable(1, false)
+	pt := NewPageTable(1)
 	if err := pt.Set(0, PTW{Lock: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +429,7 @@ func TestPageTableUnlock(t *testing.T) {
 }
 
 func TestPageTableGrow(t *testing.T) {
-	pt := NewPageTable(2, false)
+	pt := NewPageTable(2)
 	pt.Grow(5)
 	if pt.Len() != 5 {
 		t.Errorf("Len after Grow(5) = %d", pt.Len())
@@ -463,9 +458,9 @@ func TestPTWSize(t *testing.T) {
 
 func TestNewPageTableOf(t *testing.T) {
 	ptws := []PTW{{}, {QuotaTrap: true}, {Present: true, Frame: 7}}
-	pt := NewPageTableOf(ptws, true)
-	if pt.Len() != 3 || !pt.Wired() {
-		t.Fatalf("Len %d Wired %v, want 3 true", pt.Len(), pt.Wired())
+	pt := NewPageTableOf(ptws)
+	if pt.Len() != 3 {
+		t.Fatalf("Len %d, want 3", pt.Len())
 	}
 	for i, want := range ptws {
 		if got, _ := pt.Get(i); got != want {
@@ -475,7 +470,7 @@ func TestNewPageTableOf(t *testing.T) {
 }
 
 func TestPageTableResetFrom(t *testing.T) {
-	pt := NewPageTable(4, false)
+	pt := NewPageTable(4)
 	for i := 0; i < 4; i++ {
 		if err := pt.Set(i, PTW{Present: true, Frame: i, Used: true}); err != nil {
 			t.Fatal(err)
@@ -527,7 +522,7 @@ func TestGateCall(t *testing.T) {
 	}
 	// Inward call without a gate faults.
 	err := p.GateCall(KernelRing, false, func() error { return nil })
-	if !IsFault(err, FaultGate) {
+	if !isFault(err, FaultGate) {
 		t.Errorf("inward non-gate call: %v, want gate fault", err)
 	}
 	// Same-ring call needs no gate and accrues no crossing cost.
@@ -545,15 +540,12 @@ func TestGateCall(t *testing.T) {
 
 func TestWakeupWaitingSwitch(t *testing.T) {
 	p, _ := newTestSpace(t, 1, true)
-	if p.WakeupWaiting() {
+	if p.ClearWakeupWaiting() {
 		t.Error("switch initially set")
 	}
 	p.SetWakeupWaiting()
-	if !p.WakeupWaiting() {
-		t.Error("switch not set after SetWakeupWaiting")
-	}
 	if !p.ClearWakeupWaiting() {
-		t.Error("ClearWakeupWaiting did not report it was set")
+		t.Error("ClearWakeupWaiting did not report the switch SetWakeupWaiting set")
 	}
 	if p.ClearWakeupWaiting() {
 		t.Error("second ClearWakeupWaiting reported set")
@@ -574,8 +566,8 @@ func TestFaultError(t *testing.T) {
 	if FaultKind(99).String() == "" {
 		t.Error("unknown fault kind has empty name")
 	}
-	if IsFault(nil, FaultQuota) {
-		t.Error("IsFault(nil) = true")
+	if _, ok := AsFault(nil); ok {
+		t.Error("AsFault(nil) reports a fault")
 	}
 }
 
@@ -588,13 +580,13 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// Property: for any offset, PageBase(PageOf(off)) <= off and the
-// distance is less than one page.
+// Property: for any offset, page PageOf(off) starts at or below off
+// and less than one page before it.
 func TestPageOfProperty(t *testing.T) {
 	f := func(off uint16) bool {
 		o := int(off)
 		p := PageOf(o)
-		return PageBase(p) <= o && o-PageBase(p) < PageWords
+		return p*PageWords <= o && o-p*PageWords < PageWords
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -617,10 +609,7 @@ func TestDescriptorTableHousekeeping(t *testing.T) {
 	if dt.Len() != 4 {
 		t.Errorf("Len = %d", dt.Len())
 	}
-	pt := NewPageTable(1, true)
-	if !pt.Wired() {
-		t.Error("wired table not wired")
-	}
+	pt := NewPageTable(1)
 	if err := dt.Set(2, SDW{Present: true, Table: pt, Access: Read, MaxRing: 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -637,4 +626,10 @@ func TestDescriptorTableHousekeeping(t *testing.T) {
 	if err := dt.Set(-1, SDW{}); err == nil {
 		t.Error("Set out of range succeeded")
 	}
+}
+
+// isFault reports whether err is a *Fault of the given kind.
+func isFault(err error, kind FaultKind) bool {
+	f, ok := AsFault(err)
+	return ok && f.Kind == kind
 }

@@ -84,7 +84,7 @@ type Processor struct {
 
 	// Assoc, when non-nil, is this processor's associative memory:
 	// the SDW/PTW cache consulted before any table walk. Its mutex
-	// doubles as the reference lock Read/Write/Translate hold across
+	// doubles as the reference lock Read and Write hold across
 	// translate-plus-access, which is what makes a shootdown
 	// broadcast a barrier against stale translations.
 	Assoc *AssociativeMemory
@@ -149,28 +149,15 @@ func (p *Processor) tableFor(segno int) (*DescriptorTable, bool) {
 	return p.UserDT, false
 }
 
-// Translate performs a full address translation of (segno, offset) for
+// translate performs a full address translation of (segno, offset) for
 // a reference of the given mode, accruing cycle costs, and returns the
 // absolute memory address. On an exception it returns a *Fault; for
 // missing-page faults on descriptor-lock hardware the fault records
 // that this processor set the lock bit, and the locked-descriptor-
-// address register is loaded.
-//
-// When an associative memory is fitted, the translation is first
-// offered to it; Translate holds its mutex (the reference lock) for
-// the duration, so a caller wanting the returned address to stay
-// valid across the access must use Read or Write, which hold the lock
-// across both steps.
-func (p *Processor) Translate(segno, offset int, mode AccessMode) (int, error) {
-	if p.Assoc != nil {
-		p.Assoc.mu.Lock()
-		defer p.Assoc.mu.Unlock()
-	}
-	return p.translate(segno, offset, mode)
-}
-
-// translate is the translation body; the caller holds the associative
-// memory's mutex when one is fitted.
+// address register is loaded. When an associative memory is fitted
+// the translation is first offered to it, and the caller (Read or
+// Write) holds its mutex, the reference lock, across the translation
+// and the access.
 func (p *Processor) translate(segno, offset int, mode AccessMode) (int, error) {
 	if p.Assoc != nil {
 		if addr, ok := p.assocLookup(segno, offset, mode); ok {
@@ -392,9 +379,6 @@ func (p *Processor) SetWakeupWaiting() { p.wakeupWaiting.Store(true) }
 // The notify path clears it; a true result means a notification
 // arrived and the wait primitive should return immediately.
 func (p *Processor) ClearWakeupWaiting() bool { return p.wakeupWaiting.Swap(false) }
-
-// WakeupWaiting reports the switch without clearing it.
-func (p *Processor) WakeupWaiting() bool { return p.wakeupWaiting.Load() }
 
 // LockedDescriptor reports the segment and page number held in the
 // locked-descriptor-address register.

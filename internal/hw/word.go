@@ -16,6 +16,3 @@ func (w Word) Masked() Word { return w & WordMask }
 
 // PageOf returns the page number containing word offset off.
 func PageOf(off int) int { return off / PageWords }
-
-// PageBase returns the first word offset of page p.
-func PageBase(p int) int { return p * PageWords }

@@ -7,30 +7,6 @@ import (
 	"multics/internal/quota"
 )
 
-func TestKSTAccessors(t *testing.T) {
-	f := newFixture(t, 8, 64)
-	k, err := f.m.NewKST(8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.Base() != 8 || k.Capacity() != 16 {
-		t.Errorf("Base=%d Capacity=%d", k.Base(), k.Capacity())
-	}
-	uid1, addr1 := f.newFile(t)
-	uid2, addr2 := f.newFile(t)
-	if _, err := f.m.MakeKnown(k, entryFor(uid1, addr1, f.cell)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.m.MakeKnown(k, entryFor(uid2, addr2, f.cell)); err != nil {
-		t.Fatal(err)
-	}
-	var seen []uint64
-	k.Each(func(e Entry) { seen = append(seen, e.UID) })
-	if len(seen) != 2 {
-		t.Errorf("Each visited %d entries", len(seen))
-	}
-}
-
 func TestAuditCleanAndCorrupt(t *testing.T) {
 	f := newFixture(t, 8, 64)
 	k, err := f.m.NewKST(8, 4)

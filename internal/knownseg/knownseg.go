@@ -89,19 +89,6 @@ type KST struct {
 	pos int
 }
 
-// Base reports the first user segment number.
-func (k *KST) Base() int { return k.base }
-
-// Capacity reports the fixed number of segment numbers.
-func (k *KST) Capacity() int { return len(k.entries) }
-
-// Known reports the number of live entries.
-func (k *KST) Known() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return len(k.byUID)
-}
-
 // Entry returns a copy of the entry for segno.
 func (k *KST) Entry(segno int) (Entry, error) {
 	k.mu.Lock()
@@ -111,21 +98,6 @@ func (k *KST) Entry(segno int) (Entry, error) {
 		return Entry{}, fmt.Errorf("%w: %d", ErrUnknown, segno)
 	}
 	return *k.entries[i], nil
-}
-
-// Each calls fn for every live entry.
-func (k *KST) Each(fn func(Entry)) {
-	k.mu.Lock()
-	entries := make([]Entry, 0, len(k.byUID))
-	for _, e := range k.entries {
-		if e != nil {
-			entries = append(entries, *e)
-		}
-	}
-	k.mu.Unlock()
-	for _, e := range entries {
-		fn(e)
-	}
 }
 
 // Audit checks every known segment table's invariant: the segment
@@ -239,20 +211,6 @@ func (m *Manager) MakeKnown(k *KST, e Entry) (int, error) {
 		}
 	}
 	return 0, ErrKSTFull
-}
-
-// Terminate unbinds a segment number from the process. The caller is
-// responsible for clearing the descriptor.
-func (m *Manager) Terminate(k *KST, segno int) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	i := segno - k.base
-	if i < 0 || i >= len(k.entries) || k.entries[i] == nil {
-		return fmt.Errorf("%w: %d", ErrUnknown, segno)
-	}
-	delete(k.byUID, k.entries[i].UID)
-	k.entries[i] = nil
-	return nil
 }
 
 // UpdateAddr records a segment's new disk address in every KST that

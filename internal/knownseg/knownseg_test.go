@@ -119,8 +119,8 @@ func TestMakeKnownAssignsSegnos(t *testing.T) {
 	if err != nil || again != s1 {
 		t.Errorf("re-MakeKnown = %d, %v", again, err)
 	}
-	if k.Known() != 2 {
-		t.Errorf("Known = %d", k.Known())
+	if _, err := k.Entry(s2 + 1); !errors.Is(err, ErrUnknown) {
+		t.Errorf("re-MakeKnown took a third segment number: %v", err)
 	}
 	e, err := k.Entry(s1)
 	if err != nil || e.UID != uid1 || e.Segno != s1 {
@@ -146,16 +146,6 @@ func TestKSTCapacity(t *testing.T) {
 	uid, addr := f.newFile(t)
 	if _, err := f.m.MakeKnown(k, entryFor(uid, addr, f.cell)); !errors.Is(err, ErrKSTFull) {
 		t.Errorf("MakeKnown on full KST: %v", err)
-	}
-	// Terminate frees a number for reuse.
-	if err := f.m.Terminate(k, 8); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := f.m.MakeKnown(k, entryFor(uid, addr, f.cell)); err != nil || got != 8 {
-		t.Errorf("MakeKnown after terminate = %d, %v", got, err)
-	}
-	if err := f.m.Terminate(k, 99); !errors.Is(err, ErrUnknown) {
-		t.Errorf("Terminate(99): %v", err)
 	}
 	if _, err := f.m.NewKST(-1, 2); err == nil {
 		t.Error("negative base accepted")

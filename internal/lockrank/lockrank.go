@@ -58,9 +58,6 @@ func init() { checking.Store(true) }
 // turn it off (the release build).
 func SetChecking(on bool) bool { return checking.Swap(on) }
 
-// Checking reports whether the acquisition-order checker is on.
-func Checking() bool { return checking.Load() }
-
 var reg struct {
 	mu sync.Mutex
 	// layer maps a module name to its certification layer.
@@ -105,16 +102,6 @@ func LayerOf(module string) (int, bool) {
 	defer reg.mu.Unlock()
 	l, ok := reg.layer[module]
 	return l, ok
-}
-
-// RankOf computes the rank a lock of the given module and sub-rank
-// would have, Unranked if the module has no installed layer.
-func RankOf(module string, sub int) Rank {
-	l, ok := LayerOf(module)
-	if !ok {
-		return Unranked
-	}
-	return Rank(l*MaxSubs + sub)
 }
 
 func noteLock(module string, sub int) {
@@ -335,24 +322,6 @@ func (m *Mutex) Lock() {
 	m.tracked = track
 }
 
-// TryLock acquires the mutex only if it is free, reporting whether it
-// did. The rank check runs exactly as for Lock — a try-acquire in an
-// order the lattice forbids panics even when the lock happens to be
-// free, so the discipline cannot be weakened by polling. A failed try
-// is not a yield point: the caller stays runnable and decides itself
-// how to wait.
-func (m *Mutex) TryLock() bool {
-	track := m.pushHeld()
-	if !m.mu.TryLock() {
-		if track {
-			popHeld(m.Name())
-		}
-		return false
-	}
-	m.tracked = track
-	return true
-}
-
 // Unlock releases the mutex.
 func (m *Mutex) Unlock() {
 	track := m.tracked
@@ -362,17 +331,4 @@ func (m *Mutex) Unlock() {
 	if track {
 		popHeld(name)
 	}
-}
-
-// HeldByCaller returns the names of the ranked locks the calling
-// context currently holds, innermost last — a debugging aid.
-func HeldByCaller() []string {
-	var out []string
-	withHeld(func(stack []schedsim.HeldLock) []schedsim.HeldLock {
-		for _, h := range stack {
-			out = append(out, h.Name)
-		}
-		return stack
-	})
-	return out
 }

@@ -43,9 +43,10 @@ func TestDescendingOrderAllowed(t *testing.T) {
 	bot.Unlock()
 	mid.Unlock()
 	top.Unlock()
-	if held := HeldByCaller(); len(held) != 0 {
-		t.Fatalf("held stack not empty after release: %v", held)
-	}
+	// Were bot still on the held stack, taking top would ascend and
+	// panic.
+	top.Lock()
+	top.Unlock()
 }
 
 func TestAscendingOrderPanics(t *testing.T) {
@@ -116,11 +117,14 @@ func TestRanksFollowLayers(t *testing.T) {
 	if got, want := mid.Rank(), Rank(1*MaxSubs+2); got != want {
 		t.Fatalf("rank = %d, want %d", got, want)
 	}
-	if got := RankOf("t-top", 0); got != Rank(2*MaxSubs) {
-		t.Fatalf("RankOf(t-top, 0) = %d, want %d", got, 2*MaxSubs)
+	var top, unknown Mutex
+	top.Init("t-top")
+	if got := top.Rank(); got != Rank(2*MaxSubs) {
+		t.Fatalf("t-top rank = %d, want %d", got, 2*MaxSubs)
 	}
-	if got := RankOf("t-unknown", 0); got != Unranked {
-		t.Fatalf("RankOf(t-unknown) = %d, want Unranked", got)
+	unknown.Init("t-unknown")
+	if got := unknown.Rank(); got != Unranked {
+		t.Fatalf("t-unknown rank = %d, want Unranked", got)
 	}
 
 	found := false

@@ -176,18 +176,6 @@ func (m *Mux) SetTrace(rec *trace.Recorder) {
 	m.trace = rec
 }
 
-// SetQueueCap rebounds the per-channel delivery queues (non-positive
-// restores DefaultQueueCap). Existing queued deliveries are kept even
-// if they exceed the new bound.
-func (m *Mux) SetQueueCap(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if n <= 0 {
-		n = DefaultQueueCap
-	}
-	m.queueCap = n
-}
-
 // Subscribe registers fn as the network's delivery consumer:
 // deliveries for that network are handed to fn instead of the
 // per-channel queues, so a connection plane can route them without

@@ -243,7 +243,7 @@ func TestBoundedQueueDropsAreCounted(t *testing.T) {
 	m, _ := newMux(t, GenericKernel)
 	rec := trace.NewRecorder(0, nil)
 	m.SetTrace(rec)
-	m.SetQueueCap(3)
+	m.queueCap = 3 // before any delivery, so no lock
 	for i := 0; i < 5; i++ {
 		if err := m.Deliver(nil, "front-end", feFrame(1, hw.Word(i))); err != nil {
 			t.Fatal(err)
@@ -314,7 +314,7 @@ func TestSubscriberBypassesQueues(t *testing.T) {
 // counted dropped, never lost silently.
 func TestConcurrentDeliverReceiveStorm(t *testing.T) {
 	m, _ := newMux(t, GenericKernel)
-	m.SetQueueCap(8)
+	m.queueCap = 8
 	const (
 		producers = 4
 		consumers = 4

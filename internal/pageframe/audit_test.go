@@ -8,8 +8,8 @@ import (
 
 func TestAccessors(t *testing.T) {
 	f := newFixture(t, 4)
-	if f.m.PageableFrames() != 4 {
-		t.Errorf("PageableFrames = %d", f.m.PageableFrames())
+	if f.m.FreeFrames() != 4 {
+		t.Errorf("FreeFrames = %d on a fresh manager of 4", f.m.FreeFrames())
 	}
 	if f.m.Mem() != f.mem {
 		t.Error("Mem accessor wrong")
@@ -18,7 +18,7 @@ func TestAccessors(t *testing.T) {
 
 func TestAuditCleanThenCorrupt(t *testing.T) {
 	f := newFixture(t, 4)
-	pt := hw.NewPageTable(0, false)
+	pt := hw.NewPageTable(0)
 	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +45,8 @@ func TestAuditCleanThenCorrupt(t *testing.T) {
 // list naming a frame of another table.
 func TestAuditDetectsResidentIndexCorruption(t *testing.T) {
 	f := newFixture(t, 4)
-	ptA := hw.NewPageTable(0, false)
-	ptB := hw.NewPageTable(0, false)
+	ptA := hw.NewPageTable(0)
+	ptB := hw.NewPageTable(0)
 	for _, pt := range []*hw.PageTable{ptA, ptA, ptB} {
 		if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: pt.Len(), Pack: f.pack}); err != nil {
 			t.Fatal(err)
@@ -79,7 +79,7 @@ func TestAuditDetectsResidentIndexCorruption(t *testing.T) {
 
 func TestAuditDetectsFreeListCorruption(t *testing.T) {
 	f := newFixture(t, 3)
-	pt := hw.NewPageTable(0, false)
+	pt := hw.NewPageTable(0)
 	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestAuditDetectsFreeListCorruption(t *testing.T) {
 	}
 	// Free an in-use frame.
 	f2 := newFixture(t, 3)
-	pt2 := hw.NewPageTable(0, false)
+	pt2 := hw.NewPageTable(0)
 	if _, _, err := f2.m.AddPage(PageReq{UID: 1, PT: pt2, Page: 0, Pack: f2.pack}); err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +119,14 @@ func TestLockedFramesAreNotEvicted(t *testing.T) {
 	// A descriptor mid-service (lock bit set) must never be chosen
 	// as a victim.
 	f := newFixture(t, 1)
-	pt := hw.NewPageTable(0, false)
+	pt := hw.NewPageTable(0)
 	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pt.Update(0, func(d *hw.PTW) { d.Lock = true }); err != nil {
 		t.Fatal(err)
 	}
-	pt2 := hw.NewPageTable(0, false)
+	pt2 := hw.NewPageTable(0)
 	if _, _, err := f.m.AddPage(PageReq{UID: 2, PT: pt2, Page: 0, Pack: f.pack}); err == nil {
 		t.Error("eviction of a locked frame succeeded")
 	}

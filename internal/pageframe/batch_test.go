@@ -14,7 +14,7 @@ import (
 func TestBatchEvictionGroupsWriteBack(t *testing.T) {
 	const frames = 4
 	f := newFixture(t, frames)
-	pt := hw.NewPageTable(frames+1, false)
+	pt := hw.NewPageTable(frames + 1)
 	recs := make([]disk.RecordAddr, frames)
 	for i := 0; i < frames; i++ {
 		recs[i] = f.storedPage(t, hw.Word(10+i))

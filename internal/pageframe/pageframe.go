@@ -300,9 +300,6 @@ func NewManager(mem *hw.Memory, firstFrame int, vps *vproc.Manager, meter *hw.Co
 	return m, nil
 }
 
-// PageableFrames reports how many frames the manager multiplexes.
-func (m *Manager) PageableFrames() int { return len(m.frames) }
-
 // Mem exposes the primary memory the frames live in, for modules that
 // must read or write resident pages directly.
 func (m *Manager) Mem() *hw.Memory { return m.mem }

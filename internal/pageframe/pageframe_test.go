@@ -89,7 +89,7 @@ func frameWord(t *testing.T, mem *hw.Memory, pt *hw.PageTable, page, off int) hw
 func TestLoadPageFromRecord(t *testing.T) {
 	f := newFixture(t, 4)
 	rec := f.storedPage(t, 77)
-	pt := hw.NewPageTable(1, false)
+	pt := hw.NewPageTable(1)
 	ev, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack, Record: rec, HasRecord: true})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestLoadPageFromRecord(t *testing.T) {
 
 func TestLoadPageZeroFill(t *testing.T) {
 	f := newFixture(t, 4)
-	pt := hw.NewPageTable(1, false)
+	pt := hw.NewPageTable(1)
 	if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestLoadPageZeroFill(t *testing.T) {
 
 func TestLoadPageAlreadyPresent(t *testing.T) {
 	f := newFixture(t, 4)
-	pt := hw.NewPageTable(1, false)
+	pt := hw.NewPageTable(1)
 	if err := pt.Set(0, hw.PTW{Present: true, Frame: 1, Lock: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestLoadPageAlreadyPresent(t *testing.T) {
 
 func TestAddPageAllocatesRecordAndZeroFrame(t *testing.T) {
 	f := newFixture(t, 4)
-	pt := hw.NewPageTable(0, false)
+	pt := hw.NewPageTable(0)
 	used := f.pack.UsedRecords()
 	rec, ev, err := f.m.AddPage(PageReq{UID: 9, PT: pt, Page: 0, Pack: f.pack})
 	if err != nil {
@@ -171,7 +171,7 @@ func TestAddPageAllocatesRecordAndZeroFrame(t *testing.T) {
 // grower records it in the file map.
 func TestAddPageKeepLocked(t *testing.T) {
 	f := newFixture(t, 4)
-	pt := hw.NewPageTable(0, false)
+	pt := hw.NewPageTable(0)
 	req := PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack, KeepLocked: true}
 	if _, _, err := f.m.AddPage(req); err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestAddPageKeepLocked(t *testing.T) {
 	// Exhaust memory: every pageable frame is demanded while the
 	// claimed page is ineligible.
 	for i := 0; i < 6; i++ {
-		other := hw.NewPageTable(0, false)
+		other := hw.NewPageTable(0)
 		if _, _, err := f.m.AddPage(PageReq{UID: uint64(i + 2), PT: other, Page: 0, Pack: f.pack}); err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestAddPageKeepLocked(t *testing.T) {
 	}
 	// Released, the page is an ordinary eviction candidate again.
 	for i := 0; i < 6; i++ {
-		other := hw.NewPageTable(0, false)
+		other := hw.NewPageTable(0)
 		if _, _, err := f.m.AddPage(PageReq{UID: uint64(i + 20), PT: other, Page: 0, Pack: f.pack}); err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestAddPageFullPackReturnsUpTheChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pt := hw.NewPageTable(0, false)
+	pt := hw.NewPageTable(0)
 	free := f.m.FreeFrames()
 	_, _, err := f.m.AddPage(PageReq{UID: 9, PT: pt, Page: 0, Pack: f.pack})
 	if !errors.Is(err, disk.ErrPackFull) {
@@ -243,7 +243,7 @@ func TestEvictionWritesBackDirtyPage(t *testing.T) {
 	var pts []*hw.PageTable
 	var recs []disk.RecordAddr
 	for i := 0; i < 2; i++ {
-		pt := hw.NewPageTable(0, false)
+		pt := hw.NewPageTable(0)
 		rec, _, err := f.m.AddPage(PageReq{UID: uint64(i + 1), PT: pt, Page: 0, Pack: f.pack})
 		if err != nil {
 			t.Fatal(err)
@@ -256,7 +256,7 @@ func TestEvictionWritesBackDirtyPage(t *testing.T) {
 		recs = append(recs, rec)
 	}
 	// A third page forces an eviction.
-	pt3 := hw.NewPageTable(0, false)
+	pt3 := hw.NewPageTable(0)
 	_, ev, err := f.m.AddPage(PageReq{UID: 3, PT: pt3, Page: 0, Pack: f.pack})
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +292,7 @@ func TestEvictionWritesBackDirtyPage(t *testing.T) {
 
 func TestZeroPageEvictionFreesRecordAndSetsQuotaTrap(t *testing.T) {
 	f := newFixture(t, 1)
-	pt1 := hw.NewPageTable(0, false)
+	pt1 := hw.NewPageTable(0)
 	// Add a page and leave it all zeros.
 	_, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt1, Page: 0, Pack: f.pack})
 	if err != nil {
@@ -300,7 +300,7 @@ func TestZeroPageEvictionFreesRecordAndSetsQuotaTrap(t *testing.T) {
 	}
 	used := f.pack.UsedRecords()
 	// Force eviction with a second page.
-	pt2 := hw.NewPageTable(0, false)
+	pt2 := hw.NewPageTable(0)
 	_, ev, err := f.m.AddPage(PageReq{UID: 2, PT: pt2, Page: 0, Pack: f.pack})
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +323,7 @@ func TestZeroPageEvictionFreesRecordAndSetsQuotaTrap(t *testing.T) {
 func TestDaemonWriteBack(t *testing.T) {
 	f := newFixture(t, 1)
 	f.m.Daemons = true
-	pt1 := hw.NewPageTable(0, false)
+	pt1 := hw.NewPageTable(0)
 	rec, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt1, Page: 0, Pack: f.pack})
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +333,7 @@ func TestDaemonWriteBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := f.vps.Dispatches()
-	pt2 := hw.NewPageTable(0, false)
+	pt2 := hw.NewPageTable(0)
 	if _, _, err := f.m.AddPage(PageReq{UID: 2, PT: pt2, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestDaemonWriteBack(t *testing.T) {
 func TestDaemonWriteBackSnapshotSurvivesFrameReuse(t *testing.T) {
 	f := newFixture(t, 1)
 	f.m.Daemons = true
-	ptA := hw.NewPageTable(0, false)
+	ptA := hw.NewPageTable(0)
 	recA, _, err := f.m.AddPage(PageReq{UID: 1, PT: ptA, Page: 0, Pack: f.pack})
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func TestDaemonWriteBackSnapshotSurvivesFrameReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	recB := f.storedPage(t, 66)
-	ptB := hw.NewPageTable(1, false)
+	ptB := hw.NewPageTable(1)
 	ev, err := f.m.LoadPage(PageReq{UID: 2, PT: ptB, Page: 0, Pack: f.pack, Record: recB, HasRecord: true})
 	if err != nil {
 		t.Fatal(err)
@@ -397,7 +397,7 @@ func TestWarmFaultAllocatesLittle(t *testing.T) {
 	const frames, pages = 8, 16
 	f := newFixture(t, frames)
 	f.m.Daemons = true
-	pt := hw.NewPageTable(pages, false)
+	pt := hw.NewPageTable(pages)
 	recs := make([]disk.RecordAddr, pages)
 	for i := range recs {
 		recs[i] = f.storedPage(t, hw.Word(i+1))
@@ -440,7 +440,7 @@ func TestDaemonModeCostsMore(t *testing.T) {
 		f := newFixture(t, 1)
 		f.m.Daemons = daemons
 		f.meter.Reset()
-		pt := hw.NewPageTable(0, false)
+		pt := hw.NewPageTable(0)
 		if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}); err != nil {
 			t.Fatal(err)
 		}
@@ -449,7 +449,7 @@ func TestDaemonModeCostsMore(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 8; i++ {
-			pt2 := hw.NewPageTable(0, false)
+			pt2 := hw.NewPageTable(0)
 			if _, _, err := f.m.AddPage(PageReq{UID: uint64(i + 2), PT: pt2, Page: 0, Pack: f.pack}); err != nil {
 				t.Fatal(err)
 			}
@@ -472,7 +472,7 @@ func TestDaemonModeCostsMore(t *testing.T) {
 
 func TestWaitUnlock(t *testing.T) {
 	f := newFixture(t, 2)
-	pt := hw.NewPageTable(1, false)
+	pt := hw.NewPageTable(1)
 	// Not locked: returns immediately.
 	if err := f.m.WaitUnlock(nil, pt, 0); err != nil {
 		t.Fatal(err)
@@ -504,7 +504,7 @@ func TestWaitUnlock(t *testing.T) {
 
 func TestReleaseSegment(t *testing.T) {
 	f := newFixture(t, 4)
-	pt := hw.NewPageTable(0, false)
+	pt := hw.NewPageTable(0)
 	var recs []disk.RecordAddr
 	for i := 0; i < 3; i++ {
 		rec, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: i, Pack: f.pack})
@@ -550,7 +550,7 @@ func TestReleaseSegment(t *testing.T) {
 
 func TestDropPage(t *testing.T) {
 	f := newFixture(t, 2)
-	pt := hw.NewPageTable(0, false)
+	pt := hw.NewPageTable(0)
 	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}
@@ -572,8 +572,8 @@ func TestDropPage(t *testing.T) {
 // below k, resident or speculative, where it was.
 func TestDropPagesFrom(t *testing.T) {
 	f := newFixture(t, 8)
-	pt := hw.NewPageTable(5, false)
-	other := hw.NewPageTable(0, false)
+	pt := hw.NewPageTable(5)
+	other := hw.NewPageTable(0)
 	recs := []disk.RecordAddr{f.storedPage(t, 50), f.storedPage(t, 51), f.storedPage(t, 52)}
 	// Page 0 resident, pages 1 and 2 parked in the read-ahead cache.
 	if _, err := f.m.LoadPage(PageReq{
@@ -624,8 +624,8 @@ func TestDropPagesFrom(t *testing.T) {
 func TestClockGivesSecondChance(t *testing.T) {
 	f := newFixture(t, 2)
 	f.m.FrameBatch = 1 // single-victim semantics under test
-	ptA := hw.NewPageTable(0, false)
-	ptB := hw.NewPageTable(0, false)
+	ptA := hw.NewPageTable(0)
+	ptB := hw.NewPageTable(0)
 	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: ptA, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}
@@ -639,7 +639,7 @@ func TestClockGivesSecondChance(t *testing.T) {
 	if _, err := ptB.Update(0, func(d *hw.PTW) { d.Used = false }); err != nil {
 		t.Fatal(err)
 	}
-	ptC := hw.NewPageTable(0, false)
+	ptC := hw.NewPageTable(0)
 	_, ev, err := f.m.AddPage(PageReq{UID: 3, PT: ptC, Page: 0, Pack: f.pack})
 	if err != nil {
 		t.Fatal(err)
@@ -654,7 +654,7 @@ func TestPLIBodyCostsMoreThanASM(t *testing.T) {
 		f := newFixture(t, 4)
 		f.m.Lang = lang
 		f.meter.Reset()
-		pt := hw.NewPageTable(0, false)
+		pt := hw.NewPageTable(0)
 		for i := 0; i < 4; i++ {
 			if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: i, Pack: f.pack}); err != nil {
 				t.Fatal(err)
@@ -690,7 +690,7 @@ func TestWaitUnlockWakeupWaitingWindow(t *testing.T) {
 	f := newFixture(t, 2)
 	proc := hw.NewProcessor(0, f.mem, f.meter)
 	f.vps.RegisterProcessor(proc)
-	pt := hw.NewPageTable(1, false)
+	pt := hw.NewPageTable(1)
 	if err := pt.Set(0, hw.PTW{}); err != nil {
 		t.Fatal(err)
 	}
@@ -703,7 +703,7 @@ func TestWaitUnlockWakeupWaitingWindow(t *testing.T) {
 	proc.DescriptorLockHW = true
 	// Fault: sets lock bit, loads the locked-descriptor register.
 	_, err := proc.Read(8, 0)
-	if !hw.IsFault(err, hw.FaultMissingPage) {
+	if f, ok := hw.AsFault(err); !ok || f.Kind != hw.FaultMissingPage {
 		t.Fatalf("read: %v", err)
 	}
 	// Another agent services the fault before this processor waits.
@@ -726,7 +726,7 @@ func TestEvictionWriteFailureLeaksNoFrames(t *testing.T) {
 	// on the free list, not in limbo.
 	f := newFixture(t, 4)
 	for i := 0; i < 4; i++ {
-		pt := hw.NewPageTable(0, false)
+		pt := hw.NewPageTable(0)
 		if _, _, err := f.m.AddPage(PageReq{UID: uint64(i + 1), PT: pt, Page: 0, Pack: f.pack}); err != nil {
 			t.Fatal(err)
 		}
@@ -736,7 +736,7 @@ func TestEvictionWriteFailureLeaksNoFrames(t *testing.T) {
 		}
 	}
 	f.pack.SetFaultPlan(&disk.FaultPlan{Rules: []disk.Rule{{Op: disk.OpWrite, Permanent: true}}})
-	pt := hw.NewPageTable(0, false)
+	pt := hw.NewPageTable(0)
 	if _, _, err := f.m.AddPage(PageReq{UID: 9, PT: pt, Page: 0, Pack: f.pack}); !errors.Is(err, disk.ErrPermanent) {
 		t.Fatalf("AddPage over failing disk: %v, want ErrPermanent", err)
 	}
@@ -752,7 +752,7 @@ func TestEvictionWriteFailureLeaksNoFrames(t *testing.T) {
 	// With the device healthy again every frame is allocatable.
 	f.pack.SetFaultPlan(nil)
 	for i := 0; i < 4; i++ {
-		pt := hw.NewPageTable(0, false)
+		pt := hw.NewPageTable(0)
 		if _, _, err := f.m.AddPage(PageReq{UID: uint64(20 + i), PT: pt, Page: 0, Pack: f.pack}); err != nil {
 			t.Fatalf("AddPage %d after recovery: %v", i, err)
 		}
@@ -767,7 +767,7 @@ func TestEvictionMidBatchFailureReinstatesUnreachedVictims(t *testing.T) {
 	f.m.FrameBatch = 2
 	// First frame: a recordless zero-fill page that is then dirtied;
 	// evicting it fails (a dirty page must have a record).
-	ptA := hw.NewPageTable(1, false)
+	ptA := hw.NewPageTable(1)
 	if _, err := f.m.LoadPage(PageReq{UID: 1, PT: ptA, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}
@@ -777,7 +777,7 @@ func TestEvictionMidBatchFailureReinstatesUnreachedVictims(t *testing.T) {
 	}
 	// Second frame: an ordinary dirty page with a record.
 	recB := f.storedPage(t, 22)
-	ptB := hw.NewPageTable(1, false)
+	ptB := hw.NewPageTable(1)
 	if _, err := f.m.LoadPage(PageReq{UID: 2, PT: ptB, Page: 0, Pack: f.pack, Record: recB, HasRecord: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -786,7 +786,7 @@ func TestEvictionMidBatchFailureReinstatesUnreachedVictims(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A third page forces a two-victim pass that dies on the first.
-	pt3 := hw.NewPageTable(1, false)
+	pt3 := hw.NewPageTable(1)
 	if _, err := f.m.LoadPage(PageReq{UID: 3, PT: pt3, Page: 0, Pack: f.pack}); err == nil {
 		t.Fatal("evicting a dirty recordless page should fail")
 	}
@@ -818,7 +818,7 @@ func TestZeroEvictionRevalidatesAfterShootdown(t *testing.T) {
 	bus.Attach(assoc)
 	f.m.Bus = bus
 
-	ptA := hw.NewPageTable(0, false)
+	ptA := hw.NewPageTable(0)
 	recA, _, err := f.m.AddPage(PageReq{UID: 1, PT: ptA, Page: 0, Pack: f.pack})
 	if err != nil {
 		t.Fatal(err)
@@ -853,7 +853,7 @@ func TestZeroEvictionRevalidatesAfterShootdown(t *testing.T) {
 	// Demand the only frame: page A is evicted while the reference is
 	// in flight.
 	<-ready
-	ptB := hw.NewPageTable(0, false)
+	ptB := hw.NewPageTable(0)
 	_, evs, err := f.m.AddPage(PageReq{UID: 2, PT: ptB, Page: 0, Pack: f.pack})
 	if err != nil {
 		t.Fatal(err)
@@ -890,7 +890,7 @@ func TestDaemonWriteBackErrorIsCounted(t *testing.T) {
 	f.m.Daemons = true
 	rec := trace.NewRecorder(64, f.meter)
 	f.m.SetTrace(rec)
-	pt1 := hw.NewPageTable(0, false)
+	pt1 := hw.NewPageTable(0)
 	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt1, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}
@@ -899,7 +899,7 @@ func TestDaemonWriteBackErrorIsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.pack.SetFaultPlan(&disk.FaultPlan{Rules: []disk.Rule{{Op: disk.OpWrite, Permanent: true}}})
-	pt2 := hw.NewPageTable(0, false)
+	pt2 := hw.NewPageTable(0)
 	if _, _, err := f.m.AddPage(PageReq{UID: 2, PT: pt2, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // cache — no second demand read of the record.
 func TestPrefetchClaimHit(t *testing.T) {
 	f := newFixture(t, 8)
-	pt := hw.NewPageTable(4, false)
+	pt := hw.NewPageTable(4)
 	recs := []disk.RecordAddr{f.storedPage(t, 10), f.storedPage(t, 11), f.storedPage(t, 12)}
 	_, err := f.m.LoadPage(PageReq{
 		UID: 1, PT: pt, Page: 0, Pack: f.pack, Record: recs[0], HasRecord: true,
@@ -52,7 +52,7 @@ func TestPrefetchClaimHit(t *testing.T) {
 func TestPrefetchSecondChanceSteal(t *testing.T) {
 	f := newFixture(t, 4)
 	f.m.FrameBatch = 1
-	pt := hw.NewPageTable(6, false)
+	pt := hw.NewPageTable(6)
 	recs := []disk.RecordAddr{f.storedPage(t, 20), f.storedPage(t, 21)}
 	_, err := f.m.LoadPage(PageReq{
 		UID: 1, PT: pt, Page: 0, Pack: f.pack, Record: recs[0], HasRecord: true,
@@ -98,7 +98,7 @@ func TestPrefetchSecondChanceSteal(t *testing.T) {
 // its frame returns to the free pool.
 func TestPrefetchPurgedOnDropPage(t *testing.T) {
 	f := newFixture(t, 4)
-	pt := hw.NewPageTable(2, false)
+	pt := hw.NewPageTable(2)
 	recs := []disk.RecordAddr{f.storedPage(t, 30), f.storedPage(t, 31)}
 	_, err := f.m.LoadPage(PageReq{
 		UID: 1, PT: pt, Page: 0, Pack: f.pack, Record: recs[0], HasRecord: true,
@@ -126,7 +126,7 @@ func TestPrefetchPurgedOnDropPage(t *testing.T) {
 // budget and still succeeds.
 func TestPrefetchTransientFaultDropped(t *testing.T) {
 	f := newFixture(t, 4)
-	pt := hw.NewPageTable(2, false)
+	pt := hw.NewPageTable(2)
 	recs := []disk.RecordAddr{f.storedPage(t, 40), f.storedPage(t, 41)}
 	_, err := f.m.LoadPage(PageReq{
 		UID: 1, PT: pt, Page: 0, Pack: f.pack, Record: recs[0], HasRecord: true,
@@ -157,7 +157,7 @@ func TestPrefetchTransientFaultDropped(t *testing.T) {
 // disconnected reference bit are each reported.
 func TestAuditCatchesCacheCorruption(t *testing.T) {
 	f := newFixture(t, 4)
-	pt := hw.NewPageTable(2, false)
+	pt := hw.NewPageTable(2)
 	recs := []disk.RecordAddr{f.storedPage(t, 50), f.storedPage(t, 51)}
 	_, err := f.m.LoadPage(PageReq{
 		UID: 1, PT: pt, Page: 0, Pack: f.pack, Record: recs[0], HasRecord: true,

@@ -114,9 +114,6 @@ func NewManager(vols *disk.Volumes, table *coreseg.Segment, meter *hw.CostMeter)
 	return m, nil
 }
 
-// Capacity reports how many cells the primary-memory table can hold.
-func (m *Manager) Capacity() int { return len(m.slots) }
-
 // InitCell establishes a quota cell with the given limit in the
 // table-of-contents entry named by name. The directory manager calls
 // it when a directory is designated a quota directory; the entry must
@@ -137,31 +134,6 @@ func (m *Manager) InitCell(name CellName, limit int) error {
 			return fmt.Errorf("quota: %v is not a directory", name)
 		}
 		e.Quota = disk.QuotaCell{Valid: true, Limit: limit}
-		return nil
-	})
-}
-
-// RemoveCell deletes the quota cell from the named entry (the inverse
-// of designation). The cell must be inactive and its count zero.
-func (m *Manager) RemoveCell(name CellName) error {
-	m.mu.Lock()
-	_, active := m.cells[name]
-	m.mu.Unlock()
-	if active {
-		return fmt.Errorf("quota: cell %v is active", name)
-	}
-	pack, err := m.vols.Pack(name.Pack)
-	if err != nil {
-		return err
-	}
-	return pack.UpdateEntry(name.TOC, func(e *disk.TOCEntry) error {
-		if !e.Quota.Valid {
-			return fmt.Errorf("quota: %v holds no quota cell", name)
-		}
-		if e.Quota.Used != 0 {
-			return fmt.Errorf("quota: cell %v still charges %d pages", name, e.Quota.Used)
-		}
-		e.Quota = disk.QuotaCell{}
 		return nil
 	})
 }

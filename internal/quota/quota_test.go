@@ -14,6 +14,7 @@ type fixture struct {
 	m    *Manager
 	vols *disk.Volumes
 	pack *disk.Pack
+	uids uint64 // uids handed out by newCell
 }
 
 func newFixture(t *testing.T) *fixture {
@@ -43,7 +44,8 @@ func newFixture(t *testing.T) *fixture {
 // returns its cell name.
 func (f *fixture) newCell(t *testing.T, limit int) CellName {
 	t.Helper()
-	uid := uint64(f.pack.Entries() + 1)
+	f.uids++
+	uid := f.uids
 	idx, err := f.pack.CreateEntry(uid, true, uid)
 	if err != nil {
 		t.Fatal(err)
@@ -164,42 +166,6 @@ func TestDoubleActivate(t *testing.T) {
 	}
 }
 
-func TestRemoveCell(t *testing.T) {
-	f := newFixture(t)
-	name := f.newCell(t, 5)
-	if err := f.m.Activate(name); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.m.RemoveCell(name); err == nil {
-		t.Error("remove of active cell succeeded")
-	}
-	if err := f.m.Charge(name, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.m.Deactivate(name); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.m.RemoveCell(name); err == nil {
-		t.Error("remove of cell with nonzero count succeeded")
-	}
-	if err := f.m.Activate(name); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.m.Release(name, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.m.Deactivate(name); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.m.RemoveCell(name); err != nil {
-		t.Errorf("remove of clean cell: %v", err)
-	}
-	e, _ := f.pack.Entry(name.TOC)
-	if e.Quota.Valid {
-		t.Error("cell still valid in TOC after removal")
-	}
-}
-
 func TestSetLimit(t *testing.T) {
 	f := newFixture(t)
 	name := f.newCell(t, 5)
@@ -233,10 +199,7 @@ func TestCacheTableCapacity(t *testing.T) {
 	// that must fail, because the table lives in a fixed core
 	// segment.
 	f := newFixture(t)
-	cap := f.m.Capacity()
-	if cap != hw.PageWords/CellWords {
-		t.Fatalf("Capacity = %d", cap)
-	}
+	const cap = hw.PageWords / CellWords
 	var names []CellName
 	for i := 0; i < cap; i++ {
 		n := f.newCell(t, 1)

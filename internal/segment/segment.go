@@ -116,17 +116,11 @@ type ASTE struct {
 	lastFault int
 }
 
-// UID returns the segment's unique identifier.
-func (a *ASTE) UID() uint64 { return a.uid }
-
 // Addr returns the segment's current disk address.
 func (a *ASTE) Addr() disk.SegAddr { return a.addr }
 
 // PageTable returns the segment's page table.
 func (a *ASTE) PageTable() *hw.PageTable { return a.pt }
-
-// Dir reports whether the segment holds a directory.
-func (a *ASTE) Dir() bool { return a.dir }
 
 // QuotaCell returns the statically bound governing quota cell.
 func (a *ASTE) QuotaCell() (quota.CellName, bool) { return a.cell, a.hasCell }
@@ -205,16 +199,6 @@ func NewManager(vols *disk.Volumes, frames *pageframe.Manager, cells *quota.Mana
 	}
 	m.mu.Init(ModuleName)
 	return m, nil
-}
-
-// Capacity reports the fixed number of AST entries.
-func (m *Manager) Capacity() int { return len(m.slots) }
-
-// ActiveCount reports the number of active segments.
-func (m *Manager) ActiveCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.byUID)
 }
 
 // NewUID issues a fresh segment unique identifier.
@@ -302,7 +286,7 @@ func (m *Manager) Activate(uid uint64, addr disk.SegAddr, cell quota.CellName, h
 	for i := range ptws {
 		ptws[i].QuotaTrap = i >= len(e.Map) || e.Map[i].State != disk.PageStored
 	}
-	pt := hw.NewPageTableOf(ptws, false)
+	pt := hw.NewPageTableOf(ptws)
 	a := &ASTE{uid: uid, addr: addr, pt: pt, cell: cell, hasCell: hasCell, dir: e.Dir, slot: slot, mapLen: len(e.Map), lastFault: -2}
 	m.slots[slot] = true
 	m.byUID[uid] = a

@@ -105,14 +105,14 @@ func TestDiskEntry(t *testing.T) {
 func TestEachActiveAndAudit(t *testing.T) {
 	f := newFixture(t, 8, 64)
 	_, cell := f.quotaDir(t, 20)
-	uid1, _ := f.newSeg(t, cell)
+	_, a1 := f.newSeg(t, cell)
 	uid2, a2 := f.newSeg(t, cell)
 	if _, err := f.m.Grow(uid2, 0, 8, 0); err != nil {
 		t.Fatal(err)
 	}
-	seen := map[uint64]bool{}
-	f.m.EachActive(func(a *ASTE) { seen[a.UID()] = true })
-	if !seen[uid1] || !seen[uid2] {
+	seen := map[*ASTE]bool{}
+	f.m.EachActive(func(a *ASTE) { seen[a] = true })
+	if !seen[a1] || !seen[a2] {
 		t.Errorf("EachActive saw %v", seen)
 	}
 	if bad := f.m.Audit(); len(bad) != 0 {

@@ -59,9 +59,6 @@ func (im *Image) Get(name string) (uint64, bool) {
 	return v, ok
 }
 
-// Len reports the number of artifacts.
-func (im *Image) Len() int { return len(im.entries) }
-
 func (im *Image) reseal() {
 	h := fnv.New64a()
 	names := make([]string, 0, len(im.entries))
@@ -91,10 +88,6 @@ func (im *Image) Verify() error {
 	}
 	return nil
 }
-
-// Corrupt deliberately breaks the seal (for tests and the tiger-team
-// example).
-func (im *Image) Corrupt() { im.sum ^= 1 }
 
 // A Step is one unit of initialization work.
 type Step struct {

@@ -28,7 +28,7 @@ func TestTwoPhaseBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if im.Len() == 0 {
+	if len(im.entries) == 0 {
 		t.Fatal("user phase produced an empty image")
 	}
 	if err := p.RunKernelPhase(im); err != nil {
@@ -52,8 +52,8 @@ func TestKernelPhaseNeedsImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if im.Len() != 0 {
-		t.Errorf("old plan's user phase did work: %d artifacts", im.Len())
+	if len(im.entries) != 0 {
+		t.Errorf("old plan's user phase did work: %d artifacts", len(im.entries))
 	}
 }
 
@@ -63,7 +63,7 @@ func TestTamperedImageRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	im.Corrupt()
+	im.sum ^= 1 // break the seal
 	if err := p.RunKernelPhase(im); err == nil {
 		t.Error("kernel booted from a tampered image")
 	}
@@ -82,8 +82,8 @@ func TestImageStore(t *testing.T) {
 	if err := im.Verify(); err != nil {
 		t.Errorf("fresh image fails verification: %v", err)
 	}
-	if im.Len() != 2 {
-		t.Errorf("Len = %d", im.Len())
+	if len(im.entries) != 2 {
+		t.Errorf("Len = %d", len(im.entries))
 	}
 }
 

@@ -33,7 +33,7 @@ func TestAuditCleanThenCorrupt(t *testing.T) {
 	if _, err := f.m.Create("b.x", aim.Bottom); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.m.Dispatch(); err != nil {
+	if _, _, err := f.m.DispatchOn(0); err != nil {
 		t.Fatal(err)
 	}
 	if bad := f.m.Audit(); len(bad) != 0 {

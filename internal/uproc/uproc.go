@@ -257,16 +257,6 @@ func NewQueue(seg *coreseg.Segment, meter *hw.CostMeter) (*Queue, error) {
 	return q, nil
 }
 
-// Cap reports the fixed message capacity.
-func (q *Queue) Cap() int { return q.cap }
-
-// Len reports the queued message count.
-func (q *Queue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.n
-}
-
 // Post appends a message; it runs entirely in real memory, so any
 // virtual processor may call it regardless of what is paged in.
 func (q *Queue) Post(m Message) error {
@@ -319,10 +309,6 @@ func (q *Queue) Drain() ([]Message, error) {
 	}
 	return out, nil
 }
-
-// Posted returns the eventcount of messages posted, for the upper
-// multiplexer to await.
-func (q *Queue) Posted() *eventcount.Eventcount { return &q.posted }
 
 // numShards shards the pid -> process table so lookups and creations
 // from many CPUs do not serialize on one lock.
@@ -388,7 +374,6 @@ type Manager struct {
 	// free-pool advance exists before sleeping.
 	running atomic.Int64
 
-	swaps      atomic.Int64
 	dispatches atomic.Int64
 	steals     atomic.Int64
 	migrations atomic.Int64
@@ -454,9 +439,6 @@ func (m *Manager) SetRunQueues(n int) {
 	m.queues = queues
 	m.nextHome.Store(0)
 }
-
-// RunQueues reports the configured run-queue count.
-func (m *Manager) RunQueues() int { return len(m.queues) }
 
 func (m *Manager) shard(pid uint64) *procShard {
 	return &m.shards[pid%numShards]
@@ -565,10 +547,6 @@ func (m *Manager) allPIDs() []uint64 {
 	return pids
 }
 
-// Swaps reports how many process-state swaps (virtual-memory loads or
-// stores of a state segment) have occurred.
-func (m *Manager) Swaps() int64 { return m.swaps.Load() }
-
 // SchedStats returns the scheduler's counters: dispatch volume, work
 // stealing, wakeups, and queue depth.
 func (m *Manager) SchedStats() SchedStats {
@@ -606,16 +584,6 @@ func (m *Manager) take(qi int) (*Process, int) {
 		}
 	}
 	return nil, -1
-}
-
-// Dispatch binds the longest-waiting ready process on run queue 0 (or,
-// when it is empty, a sibling queue) to a free virtual processor and
-// returns it; each queue runs FIFO.
-// Loading the process state goes through the virtual memory — the
-// expensive top-level half of the design.
-func (m *Manager) Dispatch() (*Process, error) {
-	p, _, err := m.DispatchOn(0)
-	return p, err
 }
 
 // DispatchOn is Dispatch preferring the given run queue — each
@@ -676,7 +644,6 @@ func (m *Manager) DispatchOn(qi int) (*Process, uint64, error) {
 			m.requeueFront(p)
 			return nil, 0, err
 		}
-		m.swaps.Add(1)
 		m.meter.Add(hw.CycProcessSwap)
 
 		p.pmu.Lock()
@@ -810,7 +777,6 @@ func (m *Manager) finishUnbind(p *Process, vp *vproc.VP, to State) error {
 		}
 		return err
 	}
-	m.swaps.Add(1)
 	m.meter.Add(hw.CycProcessSwap)
 	if tr := m.trace.Load(); tr != nil {
 		// Arg1 = 1: a state store through the virtual memory.

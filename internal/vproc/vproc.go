@@ -84,9 +84,6 @@ func (v *VP) ID() int { return v.id }
 // Binding reports the current binding.
 func (v *VP) Binding() Binding { return v.binding }
 
-// Module returns the kernel module a KernelBound processor interprets.
-func (v *VP) Module() string { return v.module }
-
 // User returns the user process id a UserBound processor carries.
 func (v *VP) User() uint64 { return v.user }
 
@@ -171,14 +168,6 @@ func (m *Manager) saveState(v *VP) error {
 // N reports the fixed number of virtual processors.
 func (m *Manager) N() int { return len(m.vps) }
 
-// VP returns virtual processor i.
-func (m *Manager) VP(i int) (*VP, error) {
-	if i < 0 || i >= len(m.vps) {
-		return nil, fmt.Errorf("vproc: no virtual processor %d", i)
-	}
-	return m.vps[i], nil
-}
-
 // BindKernel permanently binds a free virtual processor to the named
 // kernel module and returns it. Kernel bindings are made at system
 // initialization and never released.
@@ -224,18 +213,6 @@ func (m *Manager) Enqueue(module string, work func()) error {
 	}
 	v.queue = append(v.queue, work)
 	return m.saveState(v)
-}
-
-// Pending reports the number of queued work items across all kernel
-// virtual processors.
-func (m *Manager) Pending() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, v := range m.vps {
-		n += len(v.queue)
-	}
-	return n
 }
 
 // RunPending dispatches queued work co-operatively, in virtual

@@ -33,12 +33,6 @@ func TestFixedNumber(t *testing.T) {
 	if m.N() != 4 {
 		t.Errorf("N = %d", m.N())
 	}
-	if _, err := m.VP(3); err != nil {
-		t.Error(err)
-	}
-	if _, err := m.VP(4); err == nil {
-		t.Error("VP(4) of 4 succeeded")
-	}
 	if _, err := NewManager(0, nil, nil); err == nil {
 		t.Error("zero virtual processors accepted")
 	}
@@ -93,8 +87,8 @@ func TestBindKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Binding() != KernelBound || a.Module() != "page-writer" {
-		t.Errorf("vp = %v %q", a.Binding(), a.Module())
+	if a.Binding() != KernelBound || a.module != "page-writer" {
+		t.Errorf("vp = %v %q", a.Binding(), a.module)
 	}
 	if _, err := m.BindKernel("page-writer"); err == nil {
 		t.Error("double binding of one module succeeded")
@@ -122,9 +116,6 @@ func TestEnqueueRunPending(t *testing.T) {
 	if err := m.Enqueue("daemon", func() { order = append(order, 2) }); err != nil {
 		t.Fatal(err)
 	}
-	if m.Pending() != 2 {
-		t.Errorf("Pending = %d", m.Pending())
-	}
 	before := meter.Snapshot()
 	ran := m.RunPending()
 	if ran != 2 {
@@ -133,8 +124,8 @@ func TestEnqueueRunPending(t *testing.T) {
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Errorf("order = %v, want FIFO", order)
 	}
-	if m.Pending() != 0 {
-		t.Errorf("Pending after run = %d", m.Pending())
+	if ran := m.RunPending(); ran != 0 {
+		t.Errorf("RunPending after run = %d", ran)
 	}
 	if got := meter.Since(before); got < 2*hw.CycDispatch {
 		t.Errorf("dispatch cost %d, want >= %d", got, 2*hw.CycDispatch)
@@ -202,7 +193,7 @@ func TestUserMultiplexing(t *testing.T) {
 	if c.ID() != a.ID() {
 		t.Errorf("released vp %d not reused, got %d", a.ID(), c.ID())
 	}
-	kvp, _ := m.VP(0)
+	kvp := m.vps[0]
 	if kvp.Binding() == UserBound {
 		t.Error("kernel vp was multiplexed to a user")
 	}
@@ -230,7 +221,7 @@ func TestWakeupWaitingPreventsLostNotification(t *testing.T) {
 	proc := hw.NewProcessor(0, mem, nil)
 	m.RegisterProcessor(proc)
 
-	pt := hw.NewPageTable(1, false)
+	pt := hw.NewPageTable(1)
 	if err := pt.Set(0, hw.PTW{Lock: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +234,7 @@ func TestWakeupWaitingPreventsLostNotification(t *testing.T) {
 
 	// The fault loads the locked-descriptor-address register.
 	_, err := proc.Read(2, 0)
-	if !hw.IsFault(err, hw.FaultLockedDescriptor) {
+	if f, ok := hw.AsFault(err); !ok || f.Kind != hw.FaultLockedDescriptor {
 		t.Fatalf("read: %v, want locked-descriptor fault", err)
 	}
 
@@ -256,7 +247,7 @@ func TestWakeupWaitingPreventsLostNotification(t *testing.T) {
 	if got != ec.Read() {
 		t.Errorf("Wait returned %d", got)
 	}
-	if proc.WakeupWaiting() {
+	if proc.ClearWakeupWaiting() {
 		t.Error("switch still set after Wait consumed it")
 	}
 }
@@ -270,7 +261,7 @@ func TestNotifyMatchesDescriptorAddress(t *testing.T) {
 	// descriptor must not set the switch.
 	var ec eventcount.Eventcount
 	m.Notify(&ec, 9, 9)
-	if proc.WakeupWaiting() {
+	if proc.ClearWakeupWaiting() {
 		t.Error("switch set by unrelated notification")
 	}
 }

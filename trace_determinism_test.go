@@ -8,6 +8,7 @@
 package multics
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -101,7 +102,7 @@ func TestTraceDeterminism(t *testing.T) {
 				// The associative-memory contents are part of the
 				// determinism surface: identical runs must leave
 				// byte-identical cache state, not just event streams.
-				return k, trace.FormatEvents(k.Trace.Events()), trace.FormatSpans(k.Trace.Spans()), k.AssocFingerprint(), k.Trace.Snapshot()
+				return k, trace.FormatEvents(k.Trace.Events()), trace.FormatSpans(k.Trace.Spans()), assocFingerprint(k), k.Trace.Snapshot()
 			}
 			traced, events1, spans1, assoc1, snap1 := runOnce()
 			_, events2, spans2, assoc2, snap2 := runOnce()
@@ -171,4 +172,14 @@ func TestTraceDeterminism(t *testing.T) {
 			t.Errorf("the scenarios reach %s, which traceCoverage does not pin", key)
 		}
 	}
+}
+
+// assocFingerprint renders every processor's associative-memory state
+// in a fixed format, cache contents included.
+func assocFingerprint(k *Kernel) string {
+	var b strings.Builder
+	for _, cpu := range k.CPUs {
+		fmt.Fprintf(&b, "cpu%d %s\n", cpu.ID, cpu.Assoc.Fingerprint())
+	}
+	return b.String()
 }
