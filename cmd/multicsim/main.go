@@ -36,6 +36,24 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run, up to the audit, to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken before the audit to this file")
 	flag.Parse()
+	// Every numeric flag is checked before the machine boots; a bad
+	// one exits 2 and names the flag.
+	for _, c := range []struct {
+		ok   bool
+		rule string
+	}{
+		{*users >= 0, "-users must not be negative"},
+		{*files >= 0, "-files must not be negative"},
+		{*pages >= 0, "-pages must not be negative"},
+		{*packs >= 1 && *packs <= 26, "-packs must be between 1 and 26"},
+		{*connections >= 0, "-connections must not be negative"},
+		{*slowConsumers >= 0 && *slowConsumers <= *connections, "-slow-consumers must be between 0 and -connections"},
+	} {
+		if !c.ok {
+			fmt.Fprintln(os.Stderr, "multicsim:", c.rule)
+			os.Exit(2)
+		}
+	}
 	stopProfile, err := profile.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		fatal("profile", err)
@@ -46,10 +64,6 @@ func main() {
 	cfg.WiredFrames = *wired
 	cfg.VProcs = *vprocs
 	cfg.RootQuota = 100000
-	if *packs < 1 || *packs > 26 {
-		fmt.Fprintln(os.Stderr, "multicsim: -packs must be between 1 and 26")
-		os.Exit(2)
-	}
 	cfg.Packs = packSpecs(*packs, 8192)
 	cfg.SpreadPacks = *packs > 1
 	logins, loginRes := workload.Logins(*users, 97)
@@ -103,10 +117,6 @@ func main() {
 	}
 
 	if *connections > 0 {
-		if *slowConsumers < 0 || *slowConsumers > *connections {
-			fmt.Fprintln(os.Stderr, "multicsim: -slow-consumers must be between 0 and -connections")
-			os.Exit(2)
-		}
 		// Every line gets a frame per round; the first -slow-consumers
 		// lines never return credits, so they throttle and drop while
 		// every other line rides through untouched.

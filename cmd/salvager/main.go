@@ -1,9 +1,10 @@
 // Command salvager demonstrates the crash-recovery story end to end:
-// it boots a Kernel/Multics instance, runs a relocation-heavy
-// workload with a deterministic crash injected at the Nth disk
-// mutation, then reboots a second kernel on the surviving packs. The
-// boot-time volume salvager repairs the half-updated tables of
-// contents, free lists and quota cells, and the repair report is
+// it boots a Kernel/Multics instance, runs the catalogue's relocation
+// workload (workload.PackOverflow) through the one crash path
+// (workload.Crash) with a deterministic crash injected at the Nth disk
+// mutation of its run, then reboots a second kernel on the surviving
+// packs. The boot-time volume salvager repairs the half-updated tables
+// of contents, free lists and quota cells, and the repair report is
 // printed along with the salvage events from the kernel trace.
 //
 // Usage:
@@ -11,12 +12,13 @@
 //	salvager [-crash N] [-records R]
 //
 // -crash selects the mutation at which the machine halts (default
-// 140, which lands inside a segment relocation and leaves a
-// duplicated table-of-contents entry); -records sizes the root pack
-// (default 64, small enough that
-// the workload overflows it and relocates segments mid-crash). The
-// same flags always produce the same report: the fault plane is
-// seeded and counts simulated operations, never wall-clock time.
+// 140: at the default size, mutations 124 to 165 fall inside the first
+// segment relocation, and a crash there leaves a duplicated
+// table-of-contents entry); -records sizes the root pack (default 64,
+// small enough that the workload overflows it and relocates segments).
+// The same flags always produce the same report: the fault plane
+// counts simulated operations, never wall-clock time, and the workload
+// runs under the deterministic executor.
 package main
 
 import (
@@ -26,10 +28,10 @@ import (
 
 	"multics/internal/aim"
 	"multics/internal/core"
-	"multics/internal/directory"
 	"multics/internal/disk"
-	"multics/internal/hw"
 	"multics/internal/trace"
+	"multics/internal/uproc"
+	"multics/internal/workload"
 )
 
 func main() {
@@ -40,17 +42,14 @@ func main() {
 	fmt.Println("salvager: deterministic crash, reboot, and volume salvage")
 	fmt.Println()
 
-	// First incarnation: boot, fill the small root pack until
-	// segments relocate, and crash mid-flight.
+	// First incarnation: boot, commit the files, then grow them until
+	// the small root pack overflows and segments relocate, and crash
+	// mid-flight.
 	cfg := core.DefaultConfig()
-	cfg.Packs = []core.PackSpec{{ID: "dska", Records: *records}, {ID: "dskb", Records: 4 * *records}}
 	cfg.Processors = 1
-	k, err := core.Boot(cfg)
+	plan := &disk.FaultPlan{CrashAtMutation: *crashAt}
+	packs, err := workload.Crash(workload.PackOverflow(*records), cfg, uproc.SimExecutor{Seed: 1977}, plan)
 	check(err)
-
-	plan := &disk.FaultPlan{CrashAtMutation: *crashAt, Seed: uint64(*crashAt)}
-	k.Vols.SetFaultPlan(plan)
-	workload(k)
 	if !plan.Crashed() {
 		fmt.Printf("workload finished before mutation %d (made %d); raise -records pressure or lower -crash\n",
 			*crashAt, plan.Mutations())
@@ -59,17 +58,12 @@ func main() {
 	fmt.Printf("first incarnation crashed at disk mutation %d of its workload\n", *crashAt)
 
 	// The packs survive; primary memory does not.
-	var packs []*disk.Pack
-	for _, id := range k.Vols.Packs() {
-		p, err := k.Vols.Demount(id)
-		check(err)
-		p.SetFaultPlan(nil)
+	for _, p := range packs {
 		if p.Dirty() {
-			fmt.Printf("pack %s demounted dirty: %d of %d records in use\n", id, p.UsedRecords(), p.Capacity())
+			fmt.Printf("pack %s demounted dirty: %d of %d records in use\n", p.ID(), p.UsedRecords(), p.Capacity())
 		} else {
-			fmt.Printf("pack %s demounted clean\n", id)
+			fmt.Printf("pack %s demounted clean\n", p.ID())
 		}
-		packs = append(packs, p)
 	}
 	fmt.Println()
 
@@ -111,32 +105,6 @@ func main() {
 	w, err := k2.Read(cpu, p, segno, 0)
 	check(err)
 	fmt.Printf("rebooted kernel is live: wrote and read back %d from a fresh segment\n", w)
-}
-
-// workload fills the root pack past capacity: directory growth, three
-// files of thirty pages each, forcing full-pack relocations while the
-// crash plan counts down. Errors past the crash point are the point.
-func workload(k *core.Kernel) {
-	cpu := k.CPUs[0]
-	p, err := k.CreateProcess("victim.sys", aim.Bottom)
-	check(err)
-	k.Attach(cpu, p)
-	if _, err := k.CreateDir(cpu, p, nil, "work", directory.Public(hw.Read|hw.Write), aim.Bottom); err != nil {
-		return
-	}
-	for f := 0; f < 3; f++ {
-		name := fmt.Sprintf("f%d", f)
-		if _, err := k.CreateFile(cpu, p, []string{"work"}, name, nil, aim.Bottom); err != nil {
-			continue
-		}
-		segno, err := k.OpenPath(cpu, p, []string{"work", name})
-		if err != nil {
-			continue
-		}
-		for i := 0; i < 30; i++ {
-			_ = k.Write(cpu, p, segno, i*hw.PageWords, hw.Word(f*100+i+1))
-		}
-	}
 }
 
 func check(err error) {

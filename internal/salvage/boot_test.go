@@ -1,83 +1,35 @@
 package salvage_test
 
 import (
-	"fmt"
 	"testing"
 
-	"multics/internal/aim"
 	"multics/internal/core"
-	"multics/internal/directory"
 	"multics/internal/disk"
-	"multics/internal/hw"
+	"multics/internal/salvage"
 	"multics/internal/trace"
+	"multics/internal/uproc"
+	"multics/internal/workload"
 )
-
-// crashedKernelPacks boots a full kernel, runs a paging workload with
-// a crash armed at the k-th disk mutation, and returns the demounted
-// packs — the disk state the next boot inherits.
-func crashedKernelPacks(t *testing.T, k int) []*disk.Pack {
-	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.Packs = []core.PackSpec{{ID: "dska", Records: 64}, {ID: "dskb", Records: 128}}
-	cfg.Processors = 1
-	kern, err := core.Boot(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu := kern.CPUs[0]
-	p, err := kern.CreateProcess("crash.sys", aim.Bottom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kern.Attach(cpu, p)
-	if _, err := kern.CreateDir(cpu, p, nil, "d", directory.Public(hw.Read|hw.Write), aim.Bottom); err != nil {
-		t.Fatal(err)
-	}
-
-	plan := &disk.FaultPlan{CrashAtMutation: k, Seed: uint64(k)}
-	kern.Vols.SetFaultPlan(plan)
-	// Grow files until dska overflows and segments relocate; every
-	// error past the crash point is expected.
-	for f := 0; f < 3; f++ {
-		name := fmt.Sprintf("f%d", f)
-		if _, err := kern.CreateFile(cpu, p, []string{"d"}, name, nil, aim.Bottom); err != nil {
-			continue
-		}
-		segno, err := kern.OpenPath(cpu, p, []string{"d", name})
-		if err != nil {
-			continue
-		}
-		for i := 0; i < 30; i++ {
-			_ = kern.Write(cpu, p, segno, i*hw.PageWords, hw.Word(f*100+i+1))
-		}
-	}
-	if !plan.Crashed() {
-		t.Skipf("workload stopped before mutation %d (made %d)", k, plan.Mutations())
-	}
-
-	var packs []*disk.Pack
-	for _, id := range []string{"dska", "dskb"} {
-		pk, err := kern.Vols.Demount(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pk.SetFaultPlan(nil)
-		packs = append(packs, pk)
-	}
-	return packs
-}
 
 // TestBootSalvagesDirtyPacks: a kernel booted on the packs of a
 // crashed predecessor salvages them before anything else runs, keeps
 // the report, attributes the repairs to the volume-salvager module,
-// and is then fully usable.
+// and then runs the crashed workload again.
 func TestBootSalvagesDirtyPacks(t *testing.T) {
-	packs := crashedKernelPacks(t, 40)
-
 	cfg := core.DefaultConfig()
+	cfg.Processors = 1
+	s, ex := workload.PackOverflow(64), uproc.SimExecutor{Seed: 1977}
+	plan := &disk.FaultPlan{CrashAtMutation: 40}
+	packs, err := workload.Crash(s, cfg, ex, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plan.Crashed() {
+		t.Fatalf("the workload made only %d disk mutations", plan.Mutations())
+	}
+
 	cfg.Packs = nil
 	cfg.Mount = packs
-	cfg.Processors = 1
 	cfg.TraceEvents = 1 << 12
 	kern, err := core.Boot(cfg)
 	if err != nil {
@@ -117,33 +69,9 @@ func TestBootSalvagesDirtyPacks(t *testing.T) {
 		t.Errorf("%d repair events, report has %d findings", repairs, len(kern.Salvage.Findings))
 	}
 
-	// The rebooted kernel works: build and read back a fresh file.
-	cpu := kern.CPUs[0]
-	p, err := kern.CreateProcess("reboot.sys", aim.Bottom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kern.Attach(cpu, p)
-	if _, err := kern.CreateFile(cpu, p, nil, "after", nil, aim.Bottom); err != nil {
-		t.Fatal(err)
-	}
-	segno, err := kern.OpenPath(cpu, p, []string{"after"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := kern.Write(cpu, p, segno, i*hw.PageWords, hw.Word(9000+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		w, err := kern.Read(cpu, p, segno, i*hw.PageWords)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w != hw.Word(9000+i) {
-			t.Errorf("word %d = %d after reboot, want %d", i, w, 9000+i)
-		}
+	// The rebooted kernel works: the workload runs again on it.
+	if err := s.Drive(kern, ex); err != nil {
+		t.Errorf("workload on the rebooted kernel: %v", err)
 	}
 }
 
@@ -155,5 +83,29 @@ func TestBootWithoutPacksRejected(t *testing.T) {
 	cfg.Mount = nil
 	if _, err := core.Boot(cfg); err == nil {
 		t.Error("boot with no disk packs succeeded")
+	}
+}
+
+// TestRebootKeepsUIDsUnique: a kernel booted on the packs of an
+// earlier one must not hand out again a uid those packs hold. A uid
+// used twice makes the next salvage see two entries for one segment
+// and drop one of them, the live root's entry among them.
+func TestRebootKeepsUIDsUnique(t *testing.T) {
+	cfg := core.DefaultConfig()
+	packs, err := workload.Crash(workload.PackOverflow(64), cfg, uproc.SimExecutor{Seed: 1977}, &disk.FaultPlan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Packs, cfg.Mount = nil, packs
+	kern, err := core.Boot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := salvage.Run(kern.Vols, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() {
+		t.Errorf("forced salvage after a clean reboot repaired:\n%v", rep)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"multics/internal/core"
 	"multics/internal/coreseg"
 	"multics/internal/disk"
 	"multics/internal/hw"
@@ -11,25 +12,14 @@ import (
 	"multics/internal/quota"
 	"multics/internal/salvage"
 	"multics/internal/segment"
+	"multics/internal/uproc"
 	"multics/internal/vproc"
-)
-
-// The crash-point sweep's scripted workload: pagesA committed pages
-// per file before faults are armed, then growth to pagesB pages per
-// file — enough to overflow the small pack and force relocations.
-const (
-	nFiles = 3
-	pagesA = 3
-	pagesB = 9
-	packA  = 24
-	packB  = 96
+	"multics/internal/workload"
 )
 
 // machine is the lower kernel: memory, virtual processors, page
 // frames, quota cells, two packs and the segment manager.
 type machine struct {
-	meter  *hw.CostMeter
-	mem    *hw.Memory
 	vols   *disk.Volumes
 	frames *pageframe.Manager
 	cells  *quota.Manager
@@ -68,10 +58,10 @@ func newMachine(t *testing.T) *machine {
 		t.Fatal(err)
 	}
 	vols := disk.NewVolumes(meter)
-	if _, err := vols.AddPack("dska", packA); err != nil {
+	if _, err := vols.AddPack("dska", 24); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := vols.AddPack("dskb", packB); err != nil {
+	if _, err := vols.AddPack("dskb", 96); err != nil {
 		t.Fatal(err)
 	}
 	cells, err := quota.NewManager(vols, qtable, meter)
@@ -82,326 +72,11 @@ func newMachine(t *testing.T) *machine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &machine{meter: meter, mem: mem, vols: vols, frames: frames, cells: cells, segs: segs}
+	return &machine{vols: vols, frames: frames, cells: cells, segs: segs}
 }
 
-// patA and patB are the words the two workload phases write; any
-// other non-zero word found on disk afterwards is corruption.
-func patA(file, page int) hw.Word { return hw.Word(100_000 + file*1_000 + page) }
-func patB(file, page int) hw.Word { return hw.Word(200_000 + file*1_000 + page) }
-
-// findEntries returns every (pack, index, entry) holding uid, across
-// all mounted packs in sorted pack order.
-type foundEntry struct {
-	pack string
-	idx  disk.TOCIndex
-	e    disk.TOCEntry
-}
-
-func findEntries(t *testing.T, vols *disk.Volumes, uid uint64) []foundEntry {
-	t.Helper()
-	var out []foundEntry
-	for _, id := range vols.Packs() {
-		p, err := vols.Pack(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.EachEntry(func(idx disk.TOCIndex, e disk.TOCEntry) {
-			if e.UID == uid {
-				out = append(out, foundEntry{pack: id, idx: idx, e: e})
-			}
-		})
-	}
-	return out
-}
-
-func readPage(t *testing.T, vols *disk.Volumes, packID string, rec disk.RecordAddr) []hw.Word {
-	t.Helper()
-	p, err := vols.Pack(packID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]hw.Word, hw.PageWords)
-	if err := p.ReadRecord(rec, buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf
-}
-
-// scenario runs the two-phase workload. Phase A (unfaulted) builds a
-// quota directory and nFiles files with pagesA flushed pages each.
-// Then plan is armed and phase B grows every file to pagesB pages —
-// overflowing dska, forcing relocations — and deactivates everything,
-// tolerating crash errors throughout. It returns the machine, the
-// file uids, the quota directory's uid, and the golden on-disk page
-// images captured between the phases.
-func scenario(t *testing.T, plan *disk.FaultPlan) (*machine, []uint64, uint64, map[uint64][][]hw.Word) {
-	t.Helper()
-	m := newMachine(t)
-
-	// Phase A: committed state.
-	dirUID := m.segs.NewUID()
-	cell, err := m.segs.Create("dska", dirUID, true, dirUID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.cells.InitCell(cell, 200); err != nil {
-		t.Fatal(err)
-	}
-	uids := make([]uint64, nFiles)
-	for i := range uids {
-		uid := m.segs.NewUID()
-		uids[i] = uid
-		addr, err := m.segs.Create("dska", uid, false, dirUID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.segs.Activate(uid, addr, cell, true); err != nil {
-			t.Fatal(err)
-		}
-		for pg := 0; pg < pagesA; pg++ {
-			if _, err := m.segs.Grow(uid, pg, 8, pg); err != nil {
-				t.Fatalf("phase A grow file %d page %d: %v", i, pg, err)
-			}
-			if err := m.segs.WriteWord(uid, pg*hw.PageWords, patA(i, pg)); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.segs.WriteWord(uid, pg*hw.PageWords+17, patA(i, pg)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Deactivation flushes every page and the file map: phase A
-		// is now committed on disk.
-		if err := m.segs.Deactivate(uid); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.cells.Deactivate(cell); err != nil {
-		t.Fatal(err)
-	}
-
-	// Golden images, read back from the packs themselves.
-	golden := make(map[uint64][][]hw.Word, nFiles)
-	for i, uid := range uids {
-		found := findEntries(t, m.vols, uid)
-		if len(found) != 1 {
-			t.Fatalf("file %d: %d table-of-contents entries before faults", i, len(found))
-		}
-		pages := make([][]hw.Word, pagesA)
-		for pg := 0; pg < pagesA; pg++ {
-			fm := found[0].e.Map[pg]
-			if fm.State != disk.PageStored {
-				t.Fatalf("file %d page %d not stored after deactivation: %v", i, pg, fm.State)
-			}
-			pages[pg] = readPage(t, m.vols, found[0].pack, fm.Record)
-		}
-		golden[uid] = pages
-	}
-
-	// Phase B: under the fault plan. Every error after the crash
-	// point is expected; the invariant under test is that nothing
-	// panics and the packs stay repairable.
-	m.vols.SetFaultPlan(plan)
-	for _, uid := range uids {
-		found := findEntries(t, m.vols, uid)
-		addr := disk.SegAddr{Pack: found[0].pack, TOC: found[0].idx}
-		_, _ = m.segs.Activate(uid, addr, cell, true)
-	}
-	for pg := pagesA; pg < pagesB; pg++ {
-		for i, uid := range uids {
-			if _, err := m.segs.Grow(uid, pg, 8, pg); err != nil {
-				continue
-			}
-			if _, err := m.segs.EnsureResident(uid, pg); err != nil {
-				continue
-			}
-			_ = m.segs.WriteWord(uid, pg*hw.PageWords, patB(i, pg))
-			_ = m.segs.WriteWord(uid, pg*hw.PageWords+17, patB(i, pg))
-		}
-	}
-	for _, uid := range uids {
-		_ = m.segs.Deactivate(uid)
-	}
-	_ = m.cells.Deactivate(cell)
-	return m, uids, dirUID, golden
-}
-
-// reboot demounts the machine's packs (simulated memory contents are
-// lost), clears the fault plan, and mounts the survivors in a fresh
-// volume registry — the disk state a rebooted kernel would see.
-func reboot(t *testing.T, m *machine) *disk.Volumes {
-	t.Helper()
-	fresh := disk.NewVolumes(&hw.CostMeter{})
-	for _, id := range []string{"dska", "dskb"} {
-		p, err := m.vols.Demount(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.SetFaultPlan(nil)
-		if err := fresh.Mount(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return fresh
-}
-
-// checkInvariants asserts everything the salvager guarantees: a
-// second pass repairs nothing; free lists and file maps partition
-// every pack's records exactly; quota used-counts equal a fresh
-// recount; each golden file survives as exactly one entry whose
-// committed pages hold the golden words; and phase-B pages hold
-// either their pattern or zeros — never foreign data.
-func checkInvariants(t *testing.T, vols *disk.Volumes, uids []uint64, dirUID uint64, golden map[uint64][][]hw.Word) {
-	t.Helper()
-
-	rerun, err := salvage.Run(vols, nil, true)
-	if err != nil {
-		t.Fatalf("second salvage pass: %v", err)
-	}
-	if !rerun.Clean() {
-		t.Errorf("salvage not idempotent; second pass repaired:\n%v", rerun)
-	}
-
-	govUsed := make(map[uint64]int)
-	for _, id := range vols.Packs() {
-		p, err := vols.Pack(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Dirty() {
-			t.Errorf("pack %s still dirty after salvage", id)
-		}
-		claims := make(map[disk.RecordAddr]int)
-		p.EachEntry(func(idx disk.TOCIndex, e disk.TOCEntry) {
-			if e.Gov != 0 {
-				govUsed[e.Gov] += e.Records()
-			}
-			for pg, fm := range e.Map {
-				if fm.State != disk.PageStored {
-					continue
-				}
-				if fm.Record < 0 || int(fm.Record) >= p.Capacity() {
-					t.Errorf("pack %s entry %d page %d: record %d out of range", id, idx, pg, fm.Record)
-					return
-				}
-				claims[fm.Record]++
-			}
-		})
-		free := make(map[disk.RecordAddr]bool)
-		for _, r := range p.FreeRecordList() {
-			free[r] = true
-		}
-		for rec, n := range claims {
-			if n > 1 {
-				t.Errorf("pack %s: record %d claimed by %d file maps", id, rec, n)
-			}
-			if free[rec] {
-				t.Errorf("pack %s: record %d both claimed and free", id, rec)
-			}
-		}
-		for rec := disk.RecordAddr(0); int(rec) < p.Capacity(); rec++ {
-			if !free[rec] && claims[rec] == 0 {
-				t.Errorf("pack %s: record %d orphaned (allocated, unclaimed)", id, rec)
-			}
-		}
-	}
-	for _, id := range vols.Packs() {
-		p, err := vols.Pack(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.EachEntry(func(idx disk.TOCIndex, e disk.TOCEntry) {
-			if !e.Quota.Valid {
-				return
-			}
-			if e.Quota.Used != govUsed[e.UID] {
-				t.Errorf("pack %s entry %d: quota cell records %d used, recount says %d", id, idx, e.Quota.Used, govUsed[e.UID])
-			}
-		})
-	}
-
-	for i, uid := range uids {
-		found := findEntries(t, vols, uid)
-		if len(found) != 1 {
-			t.Errorf("file %d: %d table-of-contents entries after salvage, want 1", i, len(found))
-			continue
-		}
-		e := found[0].e
-		for pg := 0; pg < pagesA; pg++ {
-			if pg >= len(e.Map) || e.Map[pg].State != disk.PageStored {
-				t.Errorf("file %d committed page %d not stored after salvage", i, pg)
-				continue
-			}
-			got := readPage(t, vols, found[0].pack, e.Map[pg].Record)
-			for off, w := range golden[uid][pg] {
-				if got[off] != w {
-					t.Errorf("file %d page %d word %d = %d, want %d: committed data lost", i, pg, off, got[off], w)
-					break
-				}
-			}
-		}
-		for pg := pagesA; pg < len(e.Map); pg++ {
-			if e.Map[pg].State != disk.PageStored {
-				continue
-			}
-			got := readPage(t, vols, found[0].pack, e.Map[pg].Record)
-			want := patB(i, pg)
-			for off, w := range got {
-				ok := w == 0 || ((off == 0 || off == 17) && w == want)
-				if !ok {
-					t.Errorf("file %d page %d word %d = %d: foreign data after salvage", i, pg, off, w)
-					break
-				}
-			}
-		}
-	}
-}
-
-// TestCrashPointSweep is the robustness argument made executable:
-// crash the disk plane at the k-th mutation for every k the workload
-// reaches, reboot, salvage, and demand every invariant back. -short
-// strides through the crash points instead of visiting all of them.
-func TestCrashPointSweep(t *testing.T) {
-	// Baseline run counts the workload's disk mutations.
-	base := &disk.FaultPlan{}
-	m, uids, dirUID, golden := scenario(t, base)
-	mutations := base.Mutations()
-	if mutations < 20 {
-		t.Fatalf("workload made only %d disk mutations; sweep is vacuous", mutations)
-	}
-	vols := reboot(t, m)
-	if _, err := salvage.Run(vols, nil, false); err != nil {
-		t.Fatal(err)
-	}
-	checkInvariants(t, vols, uids, dirUID, golden)
-
-	stride := 1
-	if testing.Short() {
-		stride = mutations/12 + 1
-	}
-	for k := 1; k <= mutations; k += stride {
-		k := k
-		t.Run(fmt.Sprintf("crash-at-%d", k), func(t *testing.T) {
-			plan := &disk.FaultPlan{CrashAtMutation: k, Seed: uint64(k)}
-			m, uids, dirUID, golden := scenario(t, plan)
-			if !plan.Crashed() {
-				t.Fatalf("plan armed at mutation %d of %d never crashed", k, mutations)
-			}
-			vols := reboot(t, m)
-			rep, err := salvage.Run(vols, nil, false)
-			if err != nil {
-				t.Fatalf("salvage after crash at %d: %v", k, err)
-			}
-			if len(rep.Packs) == 0 {
-				t.Fatal("no packs salvaged after a crash")
-			}
-			checkInvariants(t, vols, uids, dirUID, golden)
-		})
-	}
-}
-
-// TestSalvageCleanMachine: salvaging consistent packs repairs nothing
-// but still clears their dirty flags.
+// TestSalvageNoDirtyPacks: fresh packs are not dirty, so salvage scans
+// none of them and repairs nothing.
 func TestSalvageNoDirtyPacks(t *testing.T) {
 	m := newMachine(t)
 	rep, err := salvage.Run(m.vols, nil, false)
@@ -413,28 +88,51 @@ func TestSalvageNoDirtyPacks(t *testing.T) {
 	}
 }
 
-func TestSalvageCleanWorkloadRepairsNothing(t *testing.T) {
-	m, _, _, _ := scenario(t, &disk.FaultPlan{})
-	rep, err := salvage.Run(m.vols, nil, false)
-	if err != nil {
+// TestCrashPointSweep crashes the relocation workload
+// (workload.PackOverflow) through the shared crash path at every disk
+// mutation of its run, remounts the packs in a fresh registry and
+// salvages them: salvage must restore the workload's contract, and a
+// second pass must repair nothing. The catalogue crash loop
+// (workload's TestCatalogueCrashPoints) checks a full reboot of every
+// scenario, but visits every crash point only under the nightly
+// budget; this keeps every crash point of the relocations in each
+// run.
+func TestCrashPointSweep(t *testing.T) {
+	s := workload.PackOverflow(64)
+	base := &disk.FaultPlan{}
+	if _, err := workload.Crash(s, core.DefaultConfig(), uproc.SimExecutor{Seed: 1977}, base); err != nil {
 		t.Fatal(err)
 	}
-	// The packs are dirty — they were mutated and never salvaged —
-	// but an uncrashed workload leaves nothing to repair.
-	if len(rep.Packs) == 0 {
-		t.Error("mutated packs not scanned")
-	}
-	if !rep.Clean() {
-		t.Errorf("clean shutdown needed repairs:\n%v", rep)
-	}
-	for _, id := range m.vols.Packs() {
-		p, err := m.vols.Pack(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Dirty() {
-			t.Errorf("pack %s dirty after salvage", id)
-		}
+	for at := 1; at <= base.Mutations(); at++ {
+		t.Run(fmt.Sprintf("crash-at-%d", at), func(t *testing.T) {
+			plan := &disk.FaultPlan{CrashAtMutation: at}
+			packs, err := workload.Crash(s, core.DefaultConfig(), uproc.SimExecutor{Seed: 1977}, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !plan.Crashed() {
+				t.Fatalf("plan armed at mutation %d never crashed", at)
+			}
+			vols := disk.NewVolumes(&hw.CostMeter{})
+			for _, p := range packs {
+				if err := vols.Mount(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := salvage.Run(vols, nil, false); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Contract(vols); err != nil {
+				t.Errorf("contract broken after salvage: %v", err)
+			}
+			rerun, err := salvage.Run(vols, nil, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rerun.Clean() {
+				t.Errorf("second salvage pass repaired:\n%v", rerun)
+			}
+		})
 	}
 }
 
@@ -582,15 +280,19 @@ func TestSalvageRepairsCraftedDamage(t *testing.T) {
 		t.Error("duplicate claim survived salvage")
 	}
 	for pg := 0; pg < 2; pg++ {
-		got := readPage(t, vols, "dska", fe.Map[pg].Record)
-		if got[0] != 777 {
-			t.Errorf("page %d word 0 = %d, want 777", pg, got[0])
+		if err := pa.ReadRecord(fe.Map[pg].Record, buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != 777 {
+			t.Errorf("page %d word 0 = %d, want 777", pg, buf[0])
 		}
 	}
 
 	// The honoured claim reads as zeros — what the zero page held.
-	got := readPage(t, vols, "dska", zrec)
-	for off, w := range got {
+	if err := pa.ReadRecord(zrec, buf); err != nil {
+		t.Fatal(err)
+	}
+	for off, w := range buf {
 		if w != 0 {
 			t.Fatalf("honoured claim word %d = %d, want 0", off, w)
 		}

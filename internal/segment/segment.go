@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"multics/internal/coreseg"
 	"multics/internal/disk"
 	"multics/internal/hw"
 	"multics/internal/lockrank"
@@ -130,19 +131,12 @@ func (a *ASTE) QuotaCell() (quota.CellName, bool) { return a.cell, a.hasCell }
 // maximum).
 func (a *ASTE) Pages() int { return a.mapLen }
 
-// astStore is the interface the AST needs from its core segment; it
-// matches *coreseg.Segment.
-type astStore interface {
-	Words() int
-	Write(off int, w hw.Word) error
-}
-
 // A Manager is the segment manager.
 type Manager struct {
 	vols   *disk.Volumes
 	frames *pageframe.Manager
 	cells  *quota.Manager
-	ast    astStore
+	ast    *coreseg.Segment
 	meter  *hw.CostMeter
 
 	// Bus broadcasts associative-memory shootdowns when a segment
@@ -182,8 +176,11 @@ func (m *Manager) SpreadPack() string {
 }
 
 // NewManager returns a segment manager whose active segment table
-// lives in the core segment ast.
-func NewManager(vols *disk.Volumes, frames *pageframe.Manager, cells *quota.Manager, ast astStore, meter *hw.CostMeter) (*Manager, error) {
+// lives in the core segment ast. The uids it hands out start above
+// every uid on the packs already mounted, so a kernel booted on the
+// packs of an earlier incarnation never reuses one of its uids; boot
+// salvages those packs first, so none holds a duplicate by then.
+func NewManager(vols *disk.Volumes, frames *pageframe.Manager, cells *quota.Manager, ast *coreseg.Segment, meter *hw.CostMeter) (*Manager, error) {
 	if ast == nil || ast.Words() < ASTEWords {
 		return nil, errors.New("segment: AST core segment too small")
 	}
@@ -196,6 +193,11 @@ func NewManager(vols *disk.Volumes, frames *pageframe.Manager, cells *quota.Mana
 		byUID:   make(map[uint64]*ASTE),
 		slots:   make([]bool, ast.Words()/ASTEWords),
 		nextUID: 1,
+	}
+	for _, id := range vols.Packs() {
+		if p, err := vols.Pack(id); err == nil {
+			p.EachEntry(func(_ disk.TOCIndex, e disk.TOCEntry) { m.nextUID = max(m.nextUID, e.UID+1) })
+		}
 	}
 	m.mu.Init(ModuleName)
 	return m, nil

@@ -10,6 +10,7 @@ import (
 	"multics/internal/answering"
 	"multics/internal/core"
 	"multics/internal/directory"
+	"multics/internal/disk"
 	"multics/internal/fnp"
 	"multics/internal/hw"
 	"multics/internal/netmux"
@@ -30,6 +31,11 @@ type Scenario struct {
 	// Run is the measured phase. A scenario value keeps what Setup
 	// made for Run, so it drives one kernel at a time.
 	Setup, Run func(k *core.Kernel, ex uproc.Executor) error
+	// Contract, when present, is what a crash at any disk mutation of
+	// Run must leave on the packs once they are salvaged (see Crash):
+	// the crash loop checks it on the rebooted machine's packs, before
+	// anything runs there.
+	Contract func(vols *disk.Volumes) error
 }
 
 // Configure applies s.Config, if there is one, to cfg.
@@ -63,7 +69,7 @@ func Catalogue() []Scenario {
 	return []Scenario{
 		FaultStorm(16, 32, 100, false), PagingStorm(16), LatencyStorm(50), DiskScan(24), logins, conns, osc,
 		WriteReadStorm(), GateStorm(), ZeroReclaimStorm(2), ZeroReclaimStorm(4), ShootdownStorm(), SharedPageFaults(),
-		TreeWalks(), Quanta(), RemoteSegment(), TraceTour(), FileUsers(3, 4, 6), plane,
+		TreeWalks(), Quanta(), RemoteSegment(), TraceTour(), FileUsers(3, 4, 6), plane, PackOverflow(64),
 	}
 }
 

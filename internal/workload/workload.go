@@ -1,8 +1,9 @@
 // Package workload holds the scenario catalogue: every workload the
 // root module's harnesses run, registered once as a Scenario. The
 // trace determinism test and the catalogue loops (goroutines under
-// -race, the deterministic executor at four seeds) run all of
-// Catalogue; kernelbench, kerneltrace and multicsim select from it
+// -race, the deterministic executor at four seeds, a crash at the
+// disk mutations of each, through Crash) run all of Catalogue;
+// kernelbench, kerneltrace and multicsim select from it
 // through the size-taking constructors. A new scenario reaches every
 // test harness by one registration.
 //

@@ -8,7 +8,9 @@ import (
 
 	"multics/internal/audit"
 	"multics/internal/core"
+	"multics/internal/disk"
 	"multics/internal/hw"
+	"multics/internal/salvage"
 	"multics/internal/schedsim"
 	"multics/internal/uproc"
 	"multics/internal/workload"
@@ -172,6 +174,170 @@ func TestCatalogueSimSeeds(t *testing.T) {
 			}
 			for seed := int64(1977); seed <= last; seed++ {
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { drive(t, s, uproc.SimExecutor{Seed: seed}) })
+			}
+		})
+	}
+}
+
+// TestCatalogueCrashPoints crashes every catalogue scenario at its
+// disk mutations, through the one crash path (workload.Crash), under
+// the deterministic executor. An uncrashed baseline counts the
+// mutations of Run and the orderly shutdown after it, and its packs
+// must salvage with no repair at all. Then each visited crash point
+// reboots on the crashed packs (core.Boot salvages them) and requires
+// everything in checkRebooted. The budget (schedsim.EnvBudget, raised
+// by the nightly job) splits the mutations into that many equal runs
+// and crashes at the middle of each: at every mutation once the budget
+// covers them all.
+func TestCatalogueCrashPoints(t *testing.T) {
+	budget, _ := schedsim.EnvBudget(1, 0)
+	ex := uproc.SimExecutor{Seed: 1977}
+	for _, s := range workload.Catalogue() {
+		t.Run(s.Name, func(t *testing.T) {
+			base := &disk.FaultPlan{}
+			k := crashAndReboot(t, s, ex, base)
+			if len(k.Salvage.Packs) == 0 || !k.Salvage.Clean() {
+				t.Errorf("after a clean shutdown, salvage scanned %v and repaired (want some packs, no repair):\n%v", k.Salvage.Packs, k.Salvage)
+			}
+			checkRebooted(t, s, k, ex)
+			mutations := base.Mutations()
+			n := min(budget, mutations)
+			for i := 1; i <= n; i++ {
+				at := (2*i-1)*mutations/(2*n) + 1
+				t.Run(fmt.Sprintf("crash-at-%d", at), func(t *testing.T) {
+					plan := &disk.FaultPlan{CrashAtMutation: at}
+					k := crashAndReboot(t, s, ex, plan)
+					if !plan.Crashed() {
+						t.Fatalf("plan armed at mutation %d of %d never crashed", at, mutations)
+					}
+					if len(k.Salvage.Packs) == 0 {
+						t.Error("no pack salvaged after a crash")
+					}
+					checkRebooted(t, s, k, ex)
+				})
+			}
+		})
+	}
+}
+
+// crashAndReboot takes s through workload.Crash under plan and boots
+// the next incarnation of its machine on the packs.
+func crashAndReboot(t *testing.T, s workload.Scenario, ex uproc.Executor, plan *disk.FaultPlan) *core.Kernel {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	cfg.RootQuota = 10000
+	packs, err := workload.Crash(s, cfg, ex, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Configure(&cfg)
+	cfg.Packs, cfg.Mount = nil, packs
+	k, err := core.Boot(cfg)
+	if err != nil {
+		t.Fatalf("reboot: %v", err)
+	}
+	return k
+}
+
+// checkRebooted requires of a kernel rebooted on crashed packs that
+// the boot-time salvage made only named repairs, a forced second pass
+// repairs nothing, the packs hold together (checkPacks), the audit
+// (which includes audit.Balance) is clean, s's contract holds, and s
+// runs again on the machine and passes its own checks, with a clean
+// audit after.
+func checkRebooted(t *testing.T, s workload.Scenario, k *core.Kernel, ex uproc.Executor) {
+	t.Helper()
+	named := []salvage.RepairKind{salvage.DuplicateEntry, salvage.BadMapEntry, salvage.FreeClaimed,
+		salvage.DuplicateClaim, salvage.OrphanFreed, salvage.QuotaRecount}
+	for _, f := range k.Salvage.Findings {
+		if !slices.Contains(named, f.Kind) {
+			t.Errorf("boot-time salvage made an unnamed repair: %v", f)
+		}
+	}
+	rerun, err := salvage.Run(k.Vols, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rerun.Clean() {
+		t.Errorf("second salvage pass repaired:\n%v", rerun)
+	}
+	checkPacks(t, k)
+	if r := audit.Run(k); !r.Clean() {
+		t.Errorf("audit after the reboot:\n%s", r)
+	}
+	if s.Contract != nil {
+		if err := s.Contract(k.Vols); err != nil {
+			t.Errorf("contract broken: %v", err)
+		}
+	}
+	if err := s.Drive(k, ex); err != nil {
+		t.Fatalf("rerun on the salvaged machine: %v", err)
+	}
+	if r := audit.Run(k); !r.Clean() {
+		t.Errorf("audit after the rerun:\n%s", r)
+	}
+}
+
+// checkPacks recomputes, from the packs alone, what salvage promises:
+// the free list and the file maps partition every pack's records, each
+// quota cell counts exactly the records its segments hold (the cached
+// count, for a cell in use), and no uid has two entries.
+func checkPacks(t *testing.T, k *core.Kernel) {
+	t.Helper()
+	governed := make(map[uint64]int)
+	entries := make(map[uint64]int)
+	for _, id := range k.Vols.Packs() {
+		p, err := k.Vols.Pack(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		claims := make(map[disk.RecordAddr]int)
+		p.EachEntry(func(idx disk.TOCIndex, e disk.TOCEntry) {
+			entries[e.UID]++
+			governed[e.Gov] += e.Records()
+			for pg, fm := range e.Map {
+				if fm.State != disk.PageStored {
+					continue
+				}
+				if fm.Record < 0 || int(fm.Record) >= p.Capacity() {
+					t.Errorf("pack %s entry %d page %d: record %d out of range", id, idx, pg, fm.Record)
+					continue
+				}
+				claims[fm.Record]++
+			}
+		})
+		free := make(map[disk.RecordAddr]bool)
+		for _, r := range p.FreeRecordList() {
+			free[r] = true
+		}
+		for rec := disk.RecordAddr(0); int(rec) < p.Capacity(); rec++ {
+			switch n := claims[rec]; {
+			case n > 1:
+				t.Errorf("pack %s: record %d claimed by %d file maps", id, rec, n)
+			case n == 1 && free[rec]:
+				t.Errorf("pack %s: record %d both claimed and free", id, rec)
+			case n == 0 && !free[rec]:
+				t.Errorf("pack %s: record %d allocated but unclaimed", id, rec)
+			}
+		}
+	}
+	for uid, n := range entries {
+		if n > 1 {
+			t.Errorf("segment %d has %d table-of-contents entries", uid, n)
+		}
+	}
+	for _, id := range k.Vols.Packs() {
+		p, _ := k.Vols.Pack(id)
+		p.EachEntry(func(idx disk.TOCIndex, e disk.TOCEntry) {
+			if !e.Quota.Valid {
+				return
+			}
+			used := e.Quota.Used
+			if cell := (disk.SegAddr{Pack: id, TOC: idx}); k.Cells.Active(cell) {
+				_, used, _ = k.Cells.Info(cell)
+			}
+			if used != governed[e.UID] {
+				t.Errorf("quota cell of segment %d counts %d pages, its segments hold %d records", e.UID, used, governed[e.UID])
 			}
 		})
 	}

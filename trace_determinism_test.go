@@ -25,7 +25,7 @@ import (
 // table is out of date.
 var traceCoverage = map[string]string{
 	"active-segment-manager":    "assoc-clear gate-cross | gate shootdown",
-	"directory-manager":         "gate-cross | gate",
+	"directory-manager":         "gate-cross signal-handle signal-raise | gate signal-handle",
 	"disk-record-manager":       "disk-queue disk-read disk-write | disk-read disk-write",
 	"front-end-processor":       "advance net-credit net-drop net-frame |",
 	"internode-channel":         "remote-seg |",
