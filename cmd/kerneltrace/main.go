@@ -35,6 +35,7 @@ import (
 	"multics/internal/audit"
 	"multics/internal/core"
 	"multics/internal/trace"
+	"multics/internal/uproc"
 	"multics/internal/workload"
 )
 
@@ -106,11 +107,12 @@ func main() {
 	k, err := core.Boot(cfg)
 	check(err)
 	rec := k.Trace
-	// The tour is a script: it runs on this goroutine and takes no
-	// executor.
+	// The tour runs on the first processor's task under the
+	// deterministic executor, so every event carries that processor.
+	ex := uproc.SimExecutor{Seed: 1977}
 
 	if *flame {
-		check(workload.TraceTour().Drive(k, nil))
+		check(workload.TraceTour().Drive(k, ex))
 		fmt.Print(trace.FoldedStacks(rec.Spans()))
 		failOnUnknown(rec)
 		return
@@ -119,7 +121,7 @@ func main() {
 	fmt.Println("kerneltrace: kernel-wide event tracing and per-module meters")
 	fmt.Println()
 
-	check(workload.TraceTour().Drive(k, nil))
+	check(workload.TraceTour().Drive(k, ex))
 
 	report := audit.Run(k)
 	fmt.Printf("audit: clean=%v, %d findings, audit pass itself cost %d cycles\n\n", report.Clean(), len(report.Findings), report.Cycles)

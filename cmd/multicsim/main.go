@@ -85,18 +85,19 @@ func main() {
 		fmt.Printf("    layer %d: %s\n", i, strings.Join(layer, ", "))
 	}
 
-	// The login storm runs every phase under the seeded executor, which
+	// Every scenario runs every phase under the seeded executor, which
 	// binds each processor's task so the top-talkers spans nest per
-	// processor. The scripted users and the connection plane are
-	// scripts: they run on this goroutine and take no executor.
+	// processor. The scripted users and the connection plane are serial:
+	// they run on the first processor's task.
+	ex := uproc.SimExecutor{Seed: *schedSeed}
 	if *storm {
-		if err := logins.Drive(k, uproc.SimExecutor{Seed: *schedSeed}); err != nil {
+		if err := logins.Drive(k, ex); err != nil {
 			fatal("login storm", err)
 		}
 		fmt.Printf("\nLogin storm: %d logins, %d logouts, %d quanta run, %d blocked, %d woken.\n",
 			loginRes.Logins, loginRes.Logouts, loginRes.Quanta, loginRes.Blocked, loginRes.Woken)
 	} else {
-		if err := workload.FileUsers(*users, *files, *pages).Drive(k, nil); err != nil {
+		if err := workload.FileUsers(*users, *files, *pages).Drive(k, ex); err != nil {
 			fatal("scripted users", err)
 		}
 		for u := 0; u < *users; u++ {
@@ -121,7 +122,7 @@ func main() {
 		// lines never return credits, so they throttle and drop while
 		// every other line rides through untouched.
 		plane, res := workload.ConnectionPlane(*connections, *slowConsumers)
-		if err := plane.Drive(k, nil); err != nil {
+		if err := plane.Drive(k, ex); err != nil {
 			fatal("connection plane", err)
 		}
 		terms := res.Node.Terminals

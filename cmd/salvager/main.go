@@ -38,6 +38,20 @@ func main() {
 	crashAt := flag.Int("crash", 140, "halt the machine at the Nth disk mutation")
 	records := flag.Int("records", 64, "records on the root pack")
 	flag.Parse()
+	// Both flags are checked before the machine boots; a bad one exits
+	// 2 and names the flag.
+	for _, c := range []struct {
+		ok   bool
+		rule string
+	}{
+		{*crashAt >= 1, "-crash must be at least 1"},
+		{*records >= 1, "-records must be at least 1"},
+	} {
+		if !c.ok {
+			fmt.Fprintln(os.Stderr, "salvager:", c.rule)
+			os.Exit(2)
+		}
+	}
 
 	fmt.Println("salvager: deterministic crash, reboot, and volume salvage")
 	fmt.Println()

@@ -67,6 +67,11 @@ func TestBootValidation(t *testing.T) {
 	if _, err := Boot(cfg); err == nil {
 		t.Error("boot with no packs succeeded")
 	}
+	cfg = DefaultConfig()
+	cfg.Packs = []PackSpec{{ID: "dska", Records: 0}}
+	if _, err := Boot(cfg); err == nil {
+		t.Error("boot with a pack of no records succeeded")
+	}
 }
 
 func TestEndToEndFileIO(t *testing.T) {

@@ -169,6 +169,20 @@ func (k *Kernel) RetryStats() (halfBudget, exhausted int64) {
 	return k.retryPressure.Load(), k.retryExhausted.Load()
 }
 
+// Shutdown flushes the kernel to its packs, as an orderly shutdown
+// does before the packs are demounted: every active segment is
+// deactivated in uid order, writing its resident pages back, and then
+// every active quota cell writes its count to its table-of-contents
+// entry. Each manager flushes its own table; nothing above them lists
+// their contents. Packs demounted after Shutdown hold counts the next
+// boot's salvage agrees with.
+func (k *Kernel) Shutdown() error {
+	if err := k.Segs.DeactivateAll(); err != nil {
+		return err
+	}
+	return k.Cells.DeactivateAll()
+}
+
 // Boot builds and verifies a Kernel/Multics instance.
 func Boot(cfg Config) (*Kernel, error) {
 	if cfg.MemFrames <= cfg.WiredFrames {

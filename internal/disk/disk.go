@@ -589,8 +589,12 @@ func NewVolumes(meter *hw.CostMeter) *Volumes {
 	return &Volumes{packs: make(map[string]*Pack), meter: meter}
 }
 
-// AddPack creates and mounts a new pack.
+// AddPack creates and mounts a new pack of capacity records, which
+// must be positive.
 func (v *Volumes) AddPack(id string, capacity int) (*Pack, error) {
+	if capacity <= 0 {
+		return nil, fmt.Errorf("disk: pack %s of %d records", id, capacity)
+	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if _, ok := v.packs[id]; ok {

@@ -219,6 +219,24 @@ func TestVolumesRegistry(t *testing.T) {
 	}
 }
 
+// TestAddPackRejectsNonPositiveCapacity: a pack of no records is a
+// configuration error, returned to the caller, not a panic under the
+// registry's lock; the registry stays usable.
+func TestAddPackRejectsNonPositiveCapacity(t *testing.T) {
+	v := NewVolumes(nil)
+	for _, capacity := range []int{0, -1} {
+		if p, err := v.AddPack("dska", capacity); err == nil {
+			t.Errorf("AddPack(dska, %d) = %v, want an error", capacity, p)
+		}
+	}
+	if _, err := v.AddPack("dska", 1); err != nil {
+		t.Fatal(err)
+	}
+	if ids := v.Packs(); len(ids) != 1 || ids[0] != "dska" {
+		t.Errorf("Packs = %v, want [dska]", ids)
+	}
+}
+
 func TestEmptiestChoosesMostFree(t *testing.T) {
 	v := NewVolumes(nil)
 	a, _ := v.AddPack("dska", 5)

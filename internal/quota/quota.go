@@ -19,8 +19,10 @@
 package quota
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"multics/internal/coreseg"
@@ -221,6 +223,28 @@ func (m *Manager) Deactivate(name CellName) error {
 		m.slots[c.slot] = false
 	}
 	m.mu.Unlock()
+	return nil
+}
+
+// DeactivateAll writes every active cell back to its table-of-contents
+// entry, in (pack, table-of-contents index) order, and frees its slot:
+// the quota half of an orderly shutdown, after the segments are
+// deactivated. It stops at the first failure.
+func (m *Manager) DeactivateAll() error {
+	m.mu.Lock()
+	names := make([]CellName, 0, len(m.cells))
+	for name := range m.cells {
+		names = append(names, name)
+	}
+	m.mu.Unlock()
+	slices.SortFunc(names, func(a, b CellName) int {
+		return cmp.Or(cmp.Compare(a.Pack, b.Pack), cmp.Compare(a.TOC, b.TOC))
+	})
+	for _, name := range names {
+		if err := m.Deactivate(name); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

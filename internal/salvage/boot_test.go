@@ -1,10 +1,14 @@
 package salvage_test
 
 import (
+	"fmt"
 	"testing"
 
+	"multics/internal/aim"
 	"multics/internal/core"
+	"multics/internal/directory"
 	"multics/internal/disk"
+	"multics/internal/hw"
 	"multics/internal/salvage"
 	"multics/internal/trace"
 	"multics/internal/uproc"
@@ -107,5 +111,77 @@ func TestRebootKeepsUIDsUnique(t *testing.T) {
 	}
 	if !rep.Clean() {
 		t.Errorf("forced salvage after a clean reboot repaired:\n%v", rep)
+	}
+}
+
+// TestCleanShutdownNeedsNoRepair: packs demounted after Shutdown hold
+// every count the running kernel had cached, so the next boot's
+// salvage repairs nothing. Without Shutdown the written page's charge
+// stays in the quota cells cached in primary memory, and the salvage
+// must recount them.
+func TestCleanShutdownNeedsNoRepair(t *testing.T) {
+	for _, shutdown := range []bool{true, false} {
+		t.Run(fmt.Sprintf("shutdown=%v", shutdown), func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			k, err := core.Boot(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cpu := k.CPUs[0]
+			p, err := k.CreateProcess("shutdown.sys", aim.Bottom)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k.Attach(cpu, p)
+			dir, err := k.CreateDir(cpu, p, nil, "work", directory.Public(hw.Read|hw.Write), aim.Bottom)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := k.DesignateQuota(cpu, p, dir, 100); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := k.CreateFile(cpu, p, []string{"work"}, "f", nil, aim.Bottom); err != nil {
+				t.Fatal(err)
+			}
+			segno, err := k.OpenPath(cpu, p, []string{"work", "f"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := k.Write(cpu, p, segno, 0, 1977); err != nil {
+				t.Fatal(err)
+			}
+			if shutdown {
+				if err := k.Shutdown(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg.Packs, cfg.Mount = nil, nil
+			for _, id := range k.Vols.Packs() {
+				pack, err := k.Vols.Demount(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Mount = append(cfg.Mount, pack)
+			}
+			rebooted, err := core.Boot(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := rebooted.Salvage
+			recounts := 0
+			for _, f := range rep.Findings {
+				if f.Kind == salvage.QuotaRecount {
+					recounts++
+				}
+			}
+			switch {
+			case len(rep.Packs) == 0:
+				t.Error("the reboot salvaged no pack")
+			case shutdown && !rep.Clean():
+				t.Errorf("salvage after Shutdown repaired:\n%v", rep)
+			case !shutdown && recounts == 0:
+				t.Errorf("salvage without Shutdown recounted no quota cell:\n%v", rep)
+			}
+		})
 	}
 }

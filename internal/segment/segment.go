@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"multics/internal/coreseg"
 	"multics/internal/disk"
@@ -854,8 +855,8 @@ func (m *Manager) ReadWord(uid uint64, off int) (hw.Word, error) {
 	return m.frames.Mem().Read(m.frames.Mem().FrameBase(d.Frame) + off%hw.PageWords)
 }
 
-// EachActive calls fn for every active segment.
-func (m *Manager) EachActive(fn func(*ASTE)) {
+// eachActive calls fn for every active segment.
+func (m *Manager) eachActive(fn func(*ASTE)) {
 	m.mu.Lock()
 	astes := make([]*ASTE, 0, len(m.byUID))
 	for _, a := range m.byUID {
@@ -873,7 +874,7 @@ func (m *Manager) EachActive(fn func(*ASTE)) {
 // entry must exist and carry the segment's uid.
 func (m *Manager) Audit() []string {
 	var bad []string
-	m.EachActive(func(a *ASTE) {
+	m.eachActive(func(a *ASTE) {
 		e, err := m.DiskEntry(a.Addr())
 		if err != nil {
 			bad = append(bad, fmt.Sprintf("segment %d: table-of-contents entry unreadable: %v", a.uid, err))
@@ -932,6 +933,26 @@ func (m *Manager) Deactivate(uid uint64) error {
 	delete(m.byUID, uid)
 	m.slots[a.slot] = false
 	_ = m.ast.Write(a.slot*ASTEWords, 0)
+	return nil
+}
+
+// DeactivateAll deactivates every active segment in uid order, writing
+// its resident pages back: the segment half of an orderly shutdown
+// (the kernel flushes the quota cells after it). It stops at the first
+// failure.
+func (m *Manager) DeactivateAll() error {
+	m.mu.Lock()
+	uids := make([]uint64, 0, len(m.byUID))
+	for uid := range m.byUID {
+		uids = append(uids, uid)
+	}
+	m.mu.Unlock()
+	slices.Sort(uids)
+	for _, uid := range uids {
+		if err := m.Deactivate(uid); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -574,7 +574,7 @@ func TestDeactivationOrderUnconstrained(t *testing.T) {
 		t.Fatal(err)
 	}
 	active := 0
-	f.m.EachActive(func(*ASTE) { active++ })
+	f.m.eachActive(func(*ASTE) { active++ })
 	if active != 0 {
 		t.Errorf("%d segments still active", active)
 	}

@@ -111,9 +111,9 @@ func TestEachActiveAndAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[*ASTE]bool{}
-	f.m.EachActive(func(a *ASTE) { seen[a] = true })
+	f.m.eachActive(func(a *ASTE) { seen[a] = true })
 	if !seen[a1] || !seen[a2] {
-		t.Errorf("EachActive saw %v", seen)
+		t.Errorf("eachActive saw %v", seen)
 	}
 	if bad := f.m.Audit(); len(bad) != 0 {
 		t.Fatalf("clean manager audits dirty: %v", bad)

@@ -74,8 +74,9 @@ func Catalogue() []Scenario {
 }
 
 // serial runs the script body (see script) on k's first processor
-// under ex. Storms run their serial phases through it, so every kernel
-// call they make, except worker creation (see workers), is on ex.
+// under ex. Scenarios run their serial phases through it, so every
+// kernel call they make, except worker creation (see workers), is on
+// ex.
 func serial(k *core.Kernel, ex uproc.Executor, body func(must func(error))) error {
 	return onEach(ex, k.CPUs[:1], func(*hw.Processor) error { return script(body) })
 }

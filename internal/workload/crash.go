@@ -2,29 +2,25 @@ package workload
 
 import (
 	"fmt"
-	"slices"
 
 	"multics/internal/aim"
 	"multics/internal/core"
 	"multics/internal/directory"
 	"multics/internal/disk"
 	"multics/internal/hw"
-	"multics/internal/segment"
 	"multics/internal/uproc"
 )
 
 // Crash is the crash half of the one crash-and-reboot path every
 // crash test and tool takes. It boots a kernel from cfg shaped by s
 // and runs s.Setup, then installs plan on the disk plane for s.Run and
-// the orderly shutdown after it (every active segment, then every
-// active quota cell, flushed to its pack), all under ex (which must not
-// be nil), and returns the packs,
-// demounted: the disk state the next incarnation boots on through
-// core.Config.Mount. A plan with no crash point counts the mutations
-// the window makes, so k from 1 to plan.Mutations() names every crash
-// point. Once the plan has crashed every disk operation fails, so
-// s.Run's error is expected and dropped; before it, an error is the
-// scenario's own and is returned.
+// the orderly shutdown after it (core.Kernel.Shutdown), all under ex,
+// and returns the packs, demounted: the disk state the next
+// incarnation boots on through core.Config.Mount. A plan with no crash
+// point counts the mutations the window makes, so k from 1 to
+// plan.Mutations() names every crash point. Once the plan has crashed
+// every disk operation fails, so s.Run's error is expected and
+// dropped; before it, an error is the scenario's own and is returned.
 func Crash(s Scenario, cfg core.Config, ex uproc.Executor, plan *disk.FaultPlan) ([]*disk.Pack, error) {
 	s.Configure(&cfg)
 	k, err := core.Boot(cfg)
@@ -39,7 +35,7 @@ func Crash(s Scenario, cfg core.Config, ex uproc.Executor, plan *disk.FaultPlan)
 	k.Vols.SetFaultPlan(plan)
 	err = s.Run(k, ex)
 	if err == nil {
-		err = shutdown(k, ex)
+		err = serial(k, ex, func(must func(error)) { must(k.Shutdown()) })
 	}
 	if err != nil && !plan.Crashed() {
 		return nil, fmt.Errorf("%s: %w", s.Name, err)
@@ -53,34 +49,6 @@ func Crash(s Scenario, cfg core.Config, ex uproc.Executor, plan *disk.FaultPlan)
 		packs = append(packs, p)
 	}
 	return packs, nil
-}
-
-// shutdown flushes k to its packs as an orderly shutdown does: every
-// active segment is deactivated in uid order, writing its resident
-// pages back, and then every active quota cell, writing its count to
-// its table-of-contents entry.
-func shutdown(k *core.Kernel, ex uproc.Executor) error {
-	return serial(k, ex, func(must func(error)) {
-		var uids []uint64
-		k.Segs.EachActive(func(a *segment.ASTE) {
-			e, err := k.Segs.DiskEntry(a.Addr())
-			must(err)
-			uids = append(uids, e.UID)
-		})
-		slices.Sort(uids)
-		for _, uid := range uids {
-			must(k.Segs.Deactivate(uid))
-		}
-		for _, id := range k.Vols.Packs() {
-			p, err := k.Vols.Pack(id)
-			must(err)
-			p.EachEntry(func(idx disk.TOCIndex, e disk.TOCEntry) {
-				if cell := (disk.SegAddr{Pack: id, TOC: idx}); e.Quota.Valid && k.Cells.Active(cell) {
-					must(k.Cells.Deactivate(cell))
-				}
-			})
-		}
-	})
 }
 
 // PackOverflow is the relocation workload of the crash story. Setup

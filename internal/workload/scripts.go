@@ -13,10 +13,9 @@ import (
 	"multics/internal/uproc"
 )
 
-// The scenarios below are scripts, not storms: each runs on the
-// caller's goroutine and ignores its executor (nil will do), exactly
-// as the tool that owns it ran it, so that tool's output stays
-// byte-identical.
+// The scenarios below are scripts, not storms: each runs its body as
+// one serial phase on the first processor under its executor, like
+// every storm's serial phases.
 
 // rootWorker makes a worker on k's first processor: a new process of
 // principal with a file name, under acl, in the root.
@@ -52,8 +51,8 @@ func HotFile(k *core.Kernel, principal string, pages int) (*Worker, error) {
 func RemoteSegment() Scenario {
 	return Scenario{
 		Name: "remote-segment",
-		Run: func(k *core.Kernel, _ uproc.Executor) error {
-			return script(func(must func(error)) {
+		Run: func(k *core.Kernel, ex uproc.Executor) error {
+			return serial(k, ex, func(must func(error)) {
 				node, err := k.AttachFNP(16, 4)
 				must(err)
 				rcfg := core.DefaultConfig()
@@ -112,8 +111,8 @@ func RemoteSegment() Scenario {
 func TraceTour() Scenario {
 	return Scenario{
 		Name: "trace-tour",
-		Run: func(k *core.Kernel, _ uproc.Executor) error {
-			return script(func(must func(error)) {
+		Run: func(k *core.Kernel, ex uproc.Executor) error {
+			return serial(k, ex, func(must func(error)) {
 				cpu := k.CPUs[0]
 				p, err := k.CreateProcess("tracer.sys", aim.Bottom)
 				must(err)
@@ -168,8 +167,8 @@ func TraceTour() Scenario {
 func FileUsers(users, files, pages int) Scenario {
 	return Scenario{
 		Name: "file-users",
-		Run: func(k *core.Kernel, _ uproc.Executor) error {
-			return script(func(must func(error)) {
+		Run: func(k *core.Kernel, ex uproc.Executor) error {
+			return serial(k, ex, func(must func(error)) {
 				for u := 0; u < users; u++ {
 					p, err := k.CreateProcess(fmt.Sprintf("user%d.proj", u), aim.Bottom)
 					must(err)
@@ -220,8 +219,8 @@ func ConnectionPlane(conns, slow int) (Scenario, *PlaneResult) {
 	res := new(PlaneResult)
 	return Scenario{
 		Name: "connection-plane",
-		Run: func(k *core.Kernel, _ uproc.Executor) error {
-			return script(func(must func(error)) {
+		Run: func(k *core.Kernel, ex uproc.Executor) error {
+			return serial(k, ex, func(must func(error)) {
 				node, err := k.AttachFNP(conns, 0)
 				must(err)
 				*res = PlaneResult{Node: node}

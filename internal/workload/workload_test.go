@@ -123,9 +123,9 @@ func TestBodyErrorComesBackFromRun(t *testing.T) {
 	}
 }
 
-// drive boots a kernel shaped by s, drives s on it under ex and
-// requires a clean audit afterwards.
-func drive(t *testing.T, s workload.Scenario, ex uproc.Executor) {
+// drive boots a kernel shaped by s, drives s on it under ex, requires
+// a clean audit afterwards and returns the kernel.
+func drive(t *testing.T, s workload.Scenario, ex uproc.Executor) *core.Kernel {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.RootQuota = 10000
@@ -140,14 +140,13 @@ func drive(t *testing.T, s workload.Scenario, ex uproc.Executor) {
 	if r := audit.Run(k); !r.Clean() {
 		t.Errorf("audit after the storm:\n%s", r)
 	}
+	return k
 }
 
 // TestCatalogueOnGoroutines runs every catalogue scenario at its test
 // size on real goroutines, one per processor, and requires a clean
 // audit afterwards: the storms must hold up under true concurrency and
-// show no data race under -race. The scripts (RemoteSegment,
-// TraceTour, FileUsers, ConnectionPlane) ignore their executor; they
-// are here for the audit alone.
+// show no data race under -race.
 func TestCatalogueOnGoroutines(t *testing.T) {
 	for _, s := range workload.Catalogue() {
 		t.Run(s.Name, func(t *testing.T) { drive(t, s, uproc.GoroutineExecutor{}) })
@@ -155,28 +154,55 @@ func TestCatalogueOnGoroutines(t *testing.T) {
 }
 
 // TestCatalogueSimSeeds runs every catalogue scenario under the
-// deterministic executor at four seeds, each a different interleaving
-// of the processors at the kernel's yield points, and requires a clean
-// audit after each. A failure names its seed; the run replays exactly.
-// The scripts ignore their executor, so every seed would replay the
-// same run: they are audited at the first seed only.
+// deterministic executor at four seeds and requires a clean audit after
+// each. A failure names its seed; the run replays exactly. Where the
+// run at the first seed had a choice (more than one runnable task at
+// some decision), each seed is a different interleaving of the
+// processors at the kernel's yield points. Where it had none, no seed
+// can change the schedule, and the later seeds must replay the first
+// seed's run to the cycle: a difference means something other than the
+// schedule reached the kernel.
 func TestCatalogueSimSeeds(t *testing.T) {
-	plane, _ := workload.ConnectionPlane(1, 0)
-	scripts := map[string]bool{}
-	for _, s := range []workload.Scenario{workload.RemoteSegment(), workload.TraceTour(), workload.FileUsers(1, 1, 1), plane} {
-		scripts[s.Name] = true
-	}
 	for _, s := range workload.Catalogue() {
 		t.Run(s.Name, func(t *testing.T) {
-			last := int64(1980)
-			if scripts[s.Name] {
-				last = 1977
-			}
-			for seed := int64(1977); seed <= last; seed++ {
-				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { drive(t, s, uproc.SimExecutor{Seed: seed}) })
+			// Seed 1977's choices and cycles, once it has passed.
+			choices, cycles := -1, int64(0)
+			for seed := int64(1977); seed <= 1980; seed++ {
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+					st := &choiceCounter{seed: seed}
+					k := drive(t, s, uproc.SimExecutor{Seed: seed, Strategy: st})
+					switch {
+					case seed == 1977:
+						choices, cycles = st.choices, k.Meter.Cycles()
+					case choices == 0 && (st.choices != 0 || k.Meter.Cycles() != cycles):
+						t.Errorf("seed 1977 had no choice in %d cycles; seed %d made %d choices in %d cycles",
+							cycles, seed, st.choices, k.Meter.Cycles())
+					}
+				})
 			}
 		})
 	}
+}
+
+// choiceCounter is the executor's default strategy, Random(seed), that
+// also counts the decisions with more than one runnable task. Every
+// executor run numbers its decisions from step 0, where the default
+// starts a fresh Random(seed); the counter restarts it there too, so
+// the schedules are the default's.
+type choiceCounter struct {
+	seed    int64
+	inner   schedsim.Strategy
+	choices int
+}
+
+func (c *choiceCounter) Choose(d schedsim.Decision) int {
+	if d.Step == 0 {
+		c.inner = schedsim.Random(c.seed)
+	}
+	if len(d.Runnable) > 1 {
+		c.choices++
+	}
+	return c.inner.Choose(d)
 }
 
 // TestCatalogueCrashPoints crashes every catalogue scenario at its
