@@ -532,7 +532,7 @@ const netFrames = 100
 // attached.
 func frameCost(mode netmux.Mode) int64 {
 	meter := &hw.CostMeter{}
-	m := netmux.New(mode, meter)
+	m := netmux.New(mode, meter, nil)
 	check(m.Attach(netmux.Arpanet{Links: 4}))
 	cpu := hw.NewProcessor(0, hw.NewMemory(1), meter)
 	cpu.Ring = hw.UserRing
@@ -581,17 +581,20 @@ func schedulerQuanta() (oneLevel, twoLevel int64) {
 	check(err)
 	oneLevel = s.Meter.Since(start)
 
-	k := bootKernel(nil)
+	// One processor, so one run queue holds all four processes and its
+	// worker rotates through every one of them, as the one-level
+	// scheduler does.
+	k := bootKernel(func(c *core.Config) { c.Processors = 1 })
 	serial(k, func() {
 		for i := 0; i < 4; i++ {
 			_, err := k.CreateProcess("u.x", aim.Bottom)
 			check(err)
 		}
-		start = k.Meter.Snapshot()
-		_, err = k.Procs.RunQuantum(schedQuanta, func(*uproc.Process) {})
-		check(err)
-		twoLevel = k.Meter.Since(start)
 	})
+	start = k.Meter.Snapshot()
+	_, err = k.Procs.RunQuantumWith(sim, k.CPUs, schedQuanta, nil)
+	check(err)
+	twoLevel = k.Meter.Since(start)
 	return oneLevel, twoLevel
 }
 

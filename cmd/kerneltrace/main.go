@@ -107,8 +107,8 @@ func main() {
 	k, err := core.Boot(cfg)
 	check(err)
 	rec := k.Trace
-	// The tour runs on the first processor's task under the
-	// deterministic executor, so every event carries that processor.
+	// The tour's script runs on the first processor's task under the
+	// deterministic executor; only its closing quanta run on both.
 	ex := uproc.SimExecutor{Seed: 1977}
 
 	if *flame {

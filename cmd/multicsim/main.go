@@ -2,7 +2,8 @@
 // timesharing workload against it, printing a trace of what the
 // kernel did: faults serviced, pages moved, quota charged, relocation
 // signals dispatched, the per-process top-talkers table from the span
-// tracer, and the certification order of the booted structure.
+// tracer, and the certification order of the booted structure. Every
+// run ends with the invariant audit, and exits 1 if it finds anything.
 package main
 
 import (
@@ -20,15 +21,16 @@ import (
 	"multics/internal/workload"
 )
 
+// The scripted workload's shape: each user writes and verifies files
+// files of pages pages.
+const (
+	files = 4
+	pages = 6
+)
+
 func main() {
-	frames := flag.Int("frames", 96, "primary memory page frames")
-	wired := flag.Int("wired", 8, "frames reserved for core segments")
-	vprocs := flag.Int("vprocs", 8, "fixed virtual processor count")
 	users := flag.Int("users", 3, "simulated users")
-	files := flag.Int("files", 4, "files per user")
-	pages := flag.Int("pages", 6, "pages written per file")
 	packs := flag.Int("packs", 2, "mounted disk packs; more than one spreads new files round-robin so their faults ride separate device queues")
-	runAudit := flag.Bool("audit", true, "run the invariant audit after the workload")
 	schedSeed := flag.Int64("sched-seed", 0, "when nonzero, run a multiprocessor storm under the deterministic executor with this schedule seed; a failure prints the seed that replays it. It also seeds the -storm quanta schedule")
 	storm := flag.Bool("storm", false, "drive a login/timesharing storm of -users users through the answering service instead of the scripted file workload")
 	connections := flag.Int("connections", 0, "when positive, attach the front-end communications processor and storm this many terminal connections through the demultiplexer")
@@ -43,8 +45,6 @@ func main() {
 		rule string
 	}{
 		{*users >= 0, "-users must not be negative"},
-		{*files >= 0, "-files must not be negative"},
-		{*pages >= 0, "-pages must not be negative"},
 		{*packs >= 1 && *packs <= 26, "-packs must be between 1 and 26"},
 		{*connections >= 0, "-connections must not be negative"},
 		{*slowConsumers >= 0 && *slowConsumers <= *connections, "-slow-consumers must be between 0 and -connections"},
@@ -60,9 +60,6 @@ func main() {
 	}
 
 	cfg := core.DefaultConfig()
-	cfg.MemFrames = *frames
-	cfg.WiredFrames = *wired
-	cfg.VProcs = *vprocs
 	cfg.RootQuota = 100000
 	cfg.Packs = packSpecs(*packs, 8192)
 	cfg.SpreadPacks = *packs > 1
@@ -97,11 +94,11 @@ func main() {
 		fmt.Printf("\nLogin storm: %d logins, %d logouts, %d quanta run, %d blocked, %d woken.\n",
 			loginRes.Logins, loginRes.Logouts, loginRes.Quanta, loginRes.Blocked, loginRes.Woken)
 	} else {
-		if err := workload.FileUsers(*users, *files, *pages).Drive(k, ex); err != nil {
+		if err := workload.FileUsers(*users, files, pages).Drive(k, ex); err != nil {
 			fatal("scripted users", err)
 		}
 		for u := 0; u < *users; u++ {
-			fmt.Printf("user %-12s wrote and verified %d files x %d pages\n", fmt.Sprintf("user%d.proj", u), *files, *pages)
+			fmt.Printf("user %-12s wrote and verified %d files x %d pages\n", fmt.Sprintf("user%d.proj", u), files, pages)
 		}
 	}
 
@@ -174,16 +171,13 @@ func main() {
 		fatal("profile", err)
 	}
 
-	if *runAudit {
-		fmt.Println("\nPost-workload audit:")
-		report := audit.Run(k)
-		if report.Clean() {
-			fmt.Println("    clean: every module invariant and the accounting balance hold")
-		} else {
-			fmt.Print(report)
-			os.Exit(1)
-		}
+	fmt.Println("\nPost-workload audit:")
+	report := audit.Run(k)
+	if !report.Clean() {
+		fmt.Print(report)
+		os.Exit(1)
 	}
+	fmt.Println("    clean: every module invariant and the accounting balance hold")
 }
 
 // topTalkers prints the processes that cost the kernel the most,

@@ -127,7 +127,7 @@ func main() {
 
 	// Requests arrive on the generic network demultiplexer — the
 	// residue the redesign leaves in the kernel.
-	mux := netmux.New(netmux.GenericKernel, k.Meter)
+	mux := netmux.New(netmux.GenericKernel, k.Meter, nil)
 	if err := mux.Attach(netmux.Arpanet{Links: nServers}); err != nil {
 		log.Fatal(err)
 	}

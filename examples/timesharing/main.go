@@ -87,7 +87,7 @@ func main() {
 	}
 
 	// Terminal traffic through the generic demultiplexer.
-	mux := netmux.New(netmux.GenericKernel, k.Meter)
+	mux := netmux.New(netmux.GenericKernel, k.Meter, nil)
 	if err := mux.Attach(netmux.FrontEnd{Terminals: 8}); err != nil {
 		log.Fatal(err)
 	}
@@ -103,8 +103,11 @@ func main() {
 	fmt.Printf("delivered %d terminal blocks; network kernel residue: %d lines for %d networks\n",
 		mux.Delivered(), mux.KernelLines(), len(mux.Networks()))
 
-	// A scheduling mix over the two-level multiplexer.
-	n, err := k.Procs.RunQuantum(9, func(p *uproc.Process) { p.AddCPU(7) })
+	// A scheduling mix over the two-level multiplexer: each processor
+	// runs four quanta from its own run queue, under the deterministic
+	// executor.
+	n, err := k.Procs.RunQuantumWith(uproc.SimExecutor{Seed: 1977}, k.CPUs, 4,
+		func(_ *hw.Processor, p *uproc.Process) { p.AddCPU(7) })
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -208,7 +208,7 @@ func BootBaseline(cfg Config) (*Supervisor, error) {
 		firstFrame: cfg.WiredFrames,
 	}
 	s.Mem = hw.NewMemory(cfg.MemFrames)
-	s.Vols = disk.NewVolumes(s.Meter)
+	s.Vols = disk.NewVolumes(s.Meter, nil)
 	for _, p := range cfg.Packs {
 		if _, err := s.Vols.AddPack(p.ID, p.Records); err != nil {
 			return nil, err

@@ -382,9 +382,12 @@ func TestProcessLifecycleWithScheduler(t *testing.T) {
 		}
 		procs = append(procs, p)
 	}
-	n, err := k.Procs.RunQuantum(12, func(p *uproc.Process) { p.AddCPU(1) })
+	// Six quanta on each of the two processors, each from its own run
+	// queue of three processes.
+	n, err := k.Procs.RunQuantumWith(uproc.SimExecutor{Seed: 1977}, k.CPUs, 6,
+		func(_ *hw.Processor, p *uproc.Process) { p.AddCPU(1) })
 	if err != nil || n != 12 {
-		t.Fatalf("RunQuantum = %d, %v", n, err)
+		t.Fatalf("RunQuantumWith = %d, %v", n, err)
 	}
 	for _, p := range procs {
 		if p.CPU() != 2 {

@@ -67,29 +67,25 @@ type NetNode struct {
 // size. shards zero selects the default. The kernel's trace recorder,
 // when on, gains the network module names and both planes' events.
 func (k *Kernel) AttachFNP(connections, shards int) (*NetNode, error) {
-	mux := netmux.New(netmux.GenericKernel, k.Meter)
+	if k.Trace != nil {
+		k.Trace.Register(netmux.ModuleName, fnp.ModuleName, InternodeModule)
+	}
+	mux := netmux.New(netmux.GenericKernel, k.Meter, k.Trace)
 	if err := mux.Attach(netmux.FrontEnd{Terminals: connections}); err != nil {
 		return nil, err
 	}
-	terms, err := fnp.New(fnp.Config{Connections: connections, Shards: shards, Meter: k.Meter})
+	terms, err := fnp.New(fnp.Config{Connections: connections, Shards: shards, Meter: k.Meter, Trace: k.Trace})
 	if err != nil {
 		return nil, err
 	}
 	if err := mux.Subscribe("front-end", terms.Subscriber()); err != nil {
 		return nil, err
 	}
-	inter, err := fnp.New(fnp.Config{Connections: interLinks, Shards: 1, Meter: k.Meter})
+	inter, err := fnp.New(fnp.Config{Connections: interLinks, Shards: 1, Meter: k.Meter, Trace: k.Trace})
 	if err != nil {
 		return nil, err
 	}
-	n := &NetNode{K: k, Mux: mux, Terminals: terms, Inter: inter}
-	if k.Trace != nil {
-		k.Trace.Register(netmux.ModuleName, fnp.ModuleName, InternodeModule)
-		mux.SetTrace(k.Trace)
-		terms.SetTrace(k.Trace)
-		inter.SetTrace(k.Trace)
-	}
-	return n, nil
+	return &NetNode{K: k, Mux: mux, Terminals: terms, Inter: inter}, nil
 }
 
 // ensureInternode attaches and subscribes the internode network once.

@@ -250,7 +250,7 @@ func Boot(cfg Config) (*Kernel, error) {
 	}
 
 	// Level 1: the fixed virtual processors.
-	k.VProcs, err = vproc.NewManager(cfg.VProcs, vpStates, k.Meter)
+	k.VProcs, err = vproc.NewManager(cfg.VProcs, vpStates, k.Meter, k.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +261,7 @@ func Boot(cfg Config) (*Kernel, error) {
 	}
 
 	// Disk and the memory managers.
-	k.Vols = disk.NewVolumes(k.Meter)
+	k.Vols = disk.NewVolumes(k.Meter, k.Trace)
 	for _, p := range cfg.Packs {
 		if _, err := k.Vols.AddPack(p.ID, p.Records); err != nil {
 			return nil, err
@@ -278,13 +278,13 @@ func Boot(cfg Config) (*Kernel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: boot-time salvage: %w", err)
 	}
-	k.Frames, err = pageframe.NewManager(k.Mem, cm.FirstPageableFrame(), k.VProcs, k.Meter)
+	k.Frames, err = pageframe.NewManager(k.Mem, cm.FirstPageableFrame(), k.VProcs, k.Meter, k.Trace)
 	if err != nil {
 		return nil, err
 	}
 	k.Frames.Daemons = cfg.Daemons
 	if !cfg.AssocOff {
-		k.AssocBus = hw.NewShootdownBus()
+		k.AssocBus = hw.NewShootdownBus(k.Trace)
 		k.Frames.Bus = k.AssocBus
 		k.Frames.AssocStats = func() (hits, misses, shootdowns int64) {
 			for _, cpu := range k.CPUs {
@@ -295,7 +295,7 @@ func Boot(cfg Config) (*Kernel, error) {
 			return hits, misses, k.AssocBus.Shootdowns()
 		}
 	}
-	k.Cells, err = quota.NewManager(k.Vols, quotaTable, k.Meter)
+	k.Cells, err = quota.NewManager(k.Vols, quotaTable, k.Meter, k.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +312,7 @@ func Boot(cfg Config) (*Kernel, error) {
 	} else {
 		rootPack = cfg.Mount[0].ID()
 	}
-	k.Signals = upsignal.NewDispatcher()
+	k.Signals = upsignal.NewDispatcher(k.Trace)
 	k.KSM = knownseg.NewManager(k.Segs, k.Signals, k.Meter)
 	k.Dirs, err = directory.NewManager(k.Segs, k.KSM, k.Cells, k.Signals, k.Meter, directory.Config{
 		RootPack:  rootPack,
@@ -329,11 +329,11 @@ func Boot(cfg Config) (*Kernel, error) {
 			r()
 		}
 	}
-	k.Queue, err = uproc.NewQueue(msgSeg, k.Meter)
+	k.Queue, err = uproc.NewQueue(msgSeg, k.Meter, k.Trace)
 	if err != nil {
 		return nil, err
 	}
-	k.Procs = uproc.NewManager(k.VProcs, k.Segs, k.KSM, k.Queue, k.Meter)
+	k.Procs = uproc.NewManager(k.VProcs, k.Segs, k.KSM, k.Queue, k.Meter, k.Trace)
 	// One run queue per simulated processor, so each CPU's scheduler
 	// worker dispatches from its own queue and steals when it drains.
 	k.Procs.SetRunQueues(cfg.Processors)
@@ -361,6 +361,8 @@ func Boot(cfg Config) (*Kernel, error) {
 		cpu.SystemDT = sysDT
 		cpu.SystemSegMax = k.Procs.KSTBase
 		cpu.Ring = hw.UserRing
+		cpu.Trace = k.Trace
+		cpu.FaultModules = faultModules
 		if k.AssocBus != nil {
 			cpu.Assoc = hw.NewAssociativeMemory()
 			cpu.AssocModule = ModFrame
@@ -371,40 +373,21 @@ func Boot(cfg Config) (*Kernel, error) {
 	}
 
 	cm.Seal()
-	if k.Trace != nil {
-		k.wireTrace()
-	}
 	return k, nil
 }
 
-// wireTrace threads k.Trace through the hardware and every
-// instrumented manager.
-func (k *Kernel) wireTrace() {
-	rec := k.Trace
-	// Each fault kind is charged to the module that services it.
-	// Access, bounds and gate violations have no kernel service —
-	// they are returned to the process that erred — so they are
-	// charged to the user process manager, which owns that delivery.
-	faultModules := map[hw.FaultKind]string{
-		hw.FaultMissingSegment:   ModKnownSeg,
-		hw.FaultMissingPage:      ModFrame,
-		hw.FaultLockedDescriptor: ModFrame,
-		hw.FaultQuota:            ModQuota,
-		hw.FaultAccess:           ModUProc,
-		hw.FaultBounds:           ModUProc,
-		hw.FaultGate:             ModUProc,
-	}
-	for _, cpu := range k.CPUs {
-		cpu.Trace = rec
-		cpu.FaultModules = faultModules
-	}
-	k.AssocBus.SetTrace(rec)
-	k.Vols.SetTrace(rec)
-	k.VProcs.SetTrace(rec)
-	k.Frames.SetTrace(rec)
-	k.Cells.SetTrace(rec)
-	k.Procs.SetTrace(rec)
-	k.Signals.SetTrace(rec)
+// faultModules charges each fault kind to the module that services
+// it. Access, bounds and gate violations have no kernel service — they
+// are returned to the process that erred — so they are charged to the
+// user process manager, which owns that delivery.
+var faultModules = map[hw.FaultKind]string{
+	hw.FaultMissingSegment:   ModKnownSeg,
+	hw.FaultMissingPage:      ModFrame,
+	hw.FaultLockedDescriptor: ModFrame,
+	hw.FaultQuota:            ModQuota,
+	hw.FaultAccess:           ModUProc,
+	hw.FaultBounds:           ModUProc,
+	hw.FaultGate:             ModUProc,
 }
 
 // buildSystemDT wires one processor's system descriptor table over

@@ -503,16 +503,16 @@ func (m *Manager) Delete(p Principal, plabel aim.Label, dirID Identifier, name s
 	}
 	m.mu.Unlock()
 
+	// A quota directory's cell lives in the directory's own
+	// table-of-contents entry: flush it out of the cache while the
+	// entry still exists, and it dies with the entry.
+	if childNode != nil && childNode.quotaDir && m.cells.Active(child.Addr) {
+		if err := m.cells.Deactivate(child.Addr); err != nil {
+			return err
+		}
+	}
 	if err := m.segs.Delete(child.UID, child.Addr); err != nil {
 		return err
-	}
-	if childNode != nil && childNode.quotaDir {
-		if m.cells.Active(child.Addr) {
-			if err := m.cells.Deactivate(child.Addr); err != nil {
-				return err
-			}
-		}
-		// The cell died with its table-of-contents entry.
 	}
 
 	m.mu.Lock()

@@ -44,25 +44,25 @@ func newFixture(t *testing.T) *fixture {
 	states, _ := cm.Allocate("vp-states", 4*vproc.StateWords)
 	qtable, _ := cm.Allocate("quota-table", hw.PageWords)
 	ast, _ := cm.Allocate("ast", hw.PageWords)
-	vps, err := vproc.NewManager(4, states, meter)
+	vps, err := vproc.NewManager(4, states, meter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := vps.BindKernel(pageframe.PageWriterModule); err != nil {
 		t.Fatal(err)
 	}
-	frames, err := pageframe.NewManager(mem, cm.FirstPageableFrame(), vps, meter)
+	frames, err := pageframe.NewManager(mem, cm.FirstPageableFrame(), vps, meter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vols := disk.NewVolumes(meter)
+	vols := disk.NewVolumes(meter, nil)
 	if _, err := vols.AddPack("dska", 256); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := vols.AddPack("dskb", 256); err != nil {
 		t.Fatal(err)
 	}
-	cells, err := quota.NewManager(vols, qtable, meter)
+	cells, err := quota.NewManager(vols, qtable, meter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	signals := upsignal.NewDispatcher()
+	signals := upsignal.NewDispatcher(nil)
 	ksm := knownseg.NewManager(segs, signals, meter)
 	m, err := NewManager(segs, ksm, cells, signals, meter, Config{
 		RootPack: "dska", RootQuota: 200, Seed: 42,

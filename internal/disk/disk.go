@@ -155,14 +155,6 @@ type Pack struct {
 	dev device
 }
 
-// SetTrace routes this pack's record transfers to rec (nil turns
-// tracing off).
-func (p *Pack) SetTrace(rec *trace.Recorder) {
-	p.mu.Lock()
-	p.trace = rec
-	p.mu.Unlock()
-}
-
 // SetFaultPlan installs a fault plan on this pack (nil removes it —
 // the reboot path, where the new machine sees the old packs but not
 // the old failure schedule).
@@ -553,21 +545,6 @@ type Volumes struct {
 	faults *FaultPlan
 }
 
-// SetTrace routes record transfers on every pack — mounted now or
-// added later — to rec.
-func (v *Volumes) SetTrace(rec *trace.Recorder) {
-	v.mu.Lock()
-	v.trace = rec
-	packs := make([]*Pack, 0, len(v.packs))
-	for _, p := range v.packs {
-		packs = append(packs, p)
-	}
-	v.mu.Unlock()
-	for _, p := range packs {
-		p.SetTrace(rec)
-	}
-}
-
 // SetFaultPlan installs a fault plan on every pack — mounted now or
 // added later — so the plan's step counters order all disk activity.
 // Nil removes the plan: the reboot path.
@@ -584,9 +561,10 @@ func (v *Volumes) SetFaultPlan(f *FaultPlan) {
 	}
 }
 
-// NewVolumes returns an empty volume registry.
-func NewVolumes(meter *hw.CostMeter) *Volumes {
-	return &Volumes{packs: make(map[string]*Pack), meter: meter}
+// NewVolumes returns an empty volume registry. Record transfers on
+// every pack it adds or mounts go to rec (nil when untraced).
+func NewVolumes(meter *hw.CostMeter, rec *trace.Recorder) *Volumes {
+	return &Volumes{packs: make(map[string]*Pack), meter: meter, trace: rec}
 }
 
 // AddPack creates and mounts a new pack of capacity records, which
@@ -601,7 +579,7 @@ func (v *Volumes) AddPack(id string, capacity int) (*Pack, error) {
 		return nil, fmt.Errorf("disk: pack %s already mounted", id)
 	}
 	p := NewPack(id, capacity, v.meter)
-	p.SetTrace(v.trace)
+	p.trace = v.trace
 	p.SetFaultPlan(v.faults)
 	v.packs[id] = p
 	return p, nil

@@ -195,7 +195,7 @@ func TestQuotaCellStorage(t *testing.T) {
 }
 
 func TestVolumesRegistry(t *testing.T) {
-	v := NewVolumes(nil)
+	v := NewVolumes(nil, nil)
 	a, err := v.AddPack("dska", 10)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestVolumesRegistry(t *testing.T) {
 // configuration error, returned to the caller, not a panic under the
 // registry's lock; the registry stays usable.
 func TestAddPackRejectsNonPositiveCapacity(t *testing.T) {
-	v := NewVolumes(nil)
+	v := NewVolumes(nil, nil)
 	for _, capacity := range []int{0, -1} {
 		if p, err := v.AddPack("dska", capacity); err == nil {
 			t.Errorf("AddPack(dska, %d) = %v, want an error", capacity, p)
@@ -238,7 +238,7 @@ func TestAddPackRejectsNonPositiveCapacity(t *testing.T) {
 }
 
 func TestEmptiestChoosesMostFree(t *testing.T) {
-	v := NewVolumes(nil)
+	v := NewVolumes(nil, nil)
 	a, _ := v.AddPack("dska", 5)
 	if _, err := v.AddPack("dskb", 10); err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestEmptiestChoosesMostFree(t *testing.T) {
 		t.Errorf("Emptiest = %s, want dskb", best.ID())
 	}
 	// Excluding everything with space fails.
-	v2 := NewVolumes(nil)
+	v2 := NewVolumes(nil, nil)
 	only, _ := v2.AddPack("solo", 1)
 	if _, err := only.AllocRecord(); err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestEmptiestChoosesMostFree(t *testing.T) {
 }
 
 func TestDemountStopsTransfers(t *testing.T) {
-	v := NewVolumes(nil)
+	v := NewVolumes(nil, nil)
 	p, _ := v.AddPack("dska", 4)
 	r, err := p.AllocRecord()
 	if err != nil {
@@ -391,7 +391,7 @@ func TestEachEntryAndCapacity(t *testing.T) {
 }
 
 func TestDemountRemountPreservesData(t *testing.T) {
-	v := NewVolumes(nil)
+	v := NewVolumes(nil, nil)
 	p, err := v.AddPack("dska", 4)
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +432,7 @@ func TestEmptiestTieBreakDeterministic(t *testing.T) {
 	// Equal free space on every pack: the winner must be the same on
 	// every call regardless of map iteration order — the first pack
 	// identifier in sorted order.
-	vols := NewVolumes(nil)
+	vols := NewVolumes(nil, nil)
 	for _, id := range []string{"dskc", "dska", "dskb"} {
 		if _, err := vols.AddPack(id, 8); err != nil {
 			t.Fatal(err)

@@ -9,9 +9,9 @@ import (
 	"multics/internal/trace"
 )
 
-func faultFixture(t *testing.T, plan *FaultPlan) (*Volumes, *Pack) {
+func faultFixture(t *testing.T, plan *FaultPlan, rec *trace.Recorder) (*Volumes, *Pack) {
 	t.Helper()
-	vols := NewVolumes(&hw.CostMeter{})
+	vols := NewVolumes(&hw.CostMeter{}, rec)
 	p, err := vols.AddPack("dska", 16)
 	if err != nil {
 		t.Fatal(err)
@@ -21,7 +21,7 @@ func faultFixture(t *testing.T, plan *FaultPlan) (*Volumes, *Pack) {
 }
 
 func TestNilPlanInjectsNothing(t *testing.T) {
-	_, p := faultFixture(t, nil)
+	_, p := faultFixture(t, nil, nil)
 	r, err := p.AllocRecord()
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func TestNilPlanInjectsNothing(t *testing.T) {
 func TestRuleInjectsTransientByOccurrence(t *testing.T) {
 	// The second write (occurrence 1) fails once, transiently.
 	plan := &FaultPlan{Rules: []Rule{{Op: OpWrite, After: 1, Times: 1}}}
-	_, p := faultFixture(t, plan)
+	_, p := faultFixture(t, plan, nil)
 	buf := make([]hw.Word, hw.PageWords)
 	r, err := p.AllocRecord()
 	if err != nil {
@@ -65,7 +65,7 @@ func TestRuleInjectsTransientByOccurrence(t *testing.T) {
 
 func TestRulePermanentAndPackScoped(t *testing.T) {
 	plan := &FaultPlan{Rules: []Rule{{Op: OpAlloc, Pack: "dskb", Permanent: true}}}
-	vols, p := faultFixture(t, plan)
+	vols, p := faultFixture(t, plan, nil)
 	pb, err := vols.AddPack("dskb", 16)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestRulePermanentAndPackScoped(t *testing.T) {
 
 func TestCrashAtMutationHaltsEverything(t *testing.T) {
 	plan := &FaultPlan{CrashAtMutation: 3}
-	_, p := faultFixture(t, plan)
+	_, p := faultFixture(t, plan, nil)
 	buf := make([]hw.Word, hw.PageWords)
 	r, err := p.AllocRecord() // mutation 1
 	if err != nil {
@@ -121,7 +121,7 @@ func TestCrashAtMutationHaltsEverything(t *testing.T) {
 func TestSeededTransientsAreDeterministic(t *testing.T) {
 	run := func() []int {
 		plan := &FaultPlan{Seed: 42, TransientEvery: 4}
-		_, p := faultFixture(t, plan)
+		_, p := faultFixture(t, plan, nil)
 		buf := make([]hw.Word, hw.PageWords)
 		r, err := retried(p.AllocRecord)
 		if err != nil {
@@ -212,10 +212,9 @@ func TestInjectedFaultsAreTraced(t *testing.T) {
 		Rules:           []Rule{{Op: OpWrite, After: 0, Times: 1}},
 		CrashAtMutation: 4,
 	}
-	vols, p := faultFixture(t, plan)
 	rec := trace.NewRecorder(16, nil)
 	rec.Register(ModuleName)
-	vols.SetTrace(rec)
+	_, p := faultFixture(t, plan, rec)
 
 	buf := make([]hw.Word, hw.PageWords)
 	r, err := p.AllocRecord() // mutation 1

@@ -28,15 +28,16 @@ type Eventcount struct {
 	changed chan struct{}
 
 	// trace and module route await/advance operations into the
-	// kernel trace when the owning manager calls Trace; the zero
-	// value emits nothing.
+	// kernel trace when the owning manager's constructor calls Trace;
+	// the zero value emits nothing.
 	trace  *trace.Recorder
 	module string
 }
 
-// Trace routes this eventcount's await and advance operations to rec,
-// attributed to module (the owning manager's dependency-graph name).
-// A nil rec turns tracing off.
+// Trace routes this eventcount's await and advance operations to rec
+// (nil when untraced), attributed to module (the owning manager's
+// dependency-graph name). The owner calls it once, when it builds the
+// eventcount.
 func (e *Eventcount) Trace(rec *trace.Recorder, module string) {
 	e.mu.Lock()
 	e.trace = rec

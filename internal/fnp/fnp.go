@@ -72,6 +72,10 @@ type Config struct {
 	// Meter charges the simulated routing and credit costs; nil runs
 	// unmetered (latency stamps then all read zero).
 	Meter *hw.CostMeter
+	// Trace receives frame, drop and credit events, and the delivery
+	// eventcounts' await/advance, attributed to ModuleName; nil when
+	// untraced.
+	Trace *trace.Recorder
 }
 
 // A Delivery is one frame handed to a consumer: the connection it
@@ -163,20 +167,15 @@ func New(cfg Config) (*FNP, error) {
 		conns:     make([]conn, cfg.Connections),
 		shards:    make([]shard, n),
 		shardMask: uint32(n - 1),
+		trace:     cfg.Trace,
 	}
 	for i := range f.conns {
 		f.conns[i].credits = RingSlots
 	}
-	return f, nil
-}
-
-// SetTrace routes frame, drop and credit events — and the delivery
-// eventcounts' await/advance — to rec, attributed to ModuleName.
-func (f *FNP) SetTrace(rec *trace.Recorder) {
-	f.trace = rec
 	for i := range f.shards {
-		f.shards[i].ec.Trace(rec, ModuleName)
+		f.shards[i].ec.Trace(cfg.Trace, ModuleName)
 	}
+	return f, nil
 }
 
 // Shards reports the shard count.

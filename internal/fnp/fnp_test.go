@@ -152,7 +152,7 @@ func TestEventcountConsumer(t *testing.T) {
 
 func TestMuxSubscriberFeedsConnections(t *testing.T) {
 	meter := &hw.CostMeter{}
-	m := netmux.New(netmux.GenericKernel, meter)
+	m := netmux.New(netmux.GenericKernel, meter, nil)
 	if err := m.Attach(netmux.FrontEnd{Terminals: 16}); err != nil {
 		t.Fatal(err)
 	}
@@ -210,9 +210,11 @@ func TestLatencyPercentiles(t *testing.T) {
 }
 
 func TestTraceEvents(t *testing.T) {
-	f, _ := newFNP(t, 4, 1)
 	rec := trace.NewRecorder(0, nil)
-	f.SetTrace(rec)
+	f, err := New(Config{Connections: 4, Shards: 1, Meter: &hw.CostMeter{}, Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < RingSlots+1; i++ {
 		f.Enqueue(0, []hw.Word{hw.Word(i)})
 	}

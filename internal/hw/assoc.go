@@ -246,8 +246,9 @@ type ShootdownBus struct {
 	shootdowns atomic.Int64
 }
 
-// NewShootdownBus returns an empty bus.
-func NewShootdownBus() *ShootdownBus { return new(ShootdownBus) }
+// NewShootdownBus returns an empty bus whose clear events and
+// shootdown spans go to rec (nil when untraced).
+func NewShootdownBus(rec *trace.Recorder) *ShootdownBus { return &ShootdownBus{trace: rec} }
 
 // Attach connects one processor's associative memory to the bus.
 func (b *ShootdownBus) Attach(a *AssociativeMemory) {
@@ -259,16 +260,6 @@ func (b *ShootdownBus) Attach(a *AssociativeMemory) {
 	b.mems = append(b.mems, a)
 }
 
-// SetTrace directs the bus's clear events and shootdown spans to rec.
-func (b *ShootdownBus) SetTrace(rec *trace.Recorder) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.trace = rec
-}
-
 // Shootdowns reports the broadcasts sent so far.
 func (b *ShootdownBus) Shootdowns() int64 {
 	if b == nil {
@@ -277,10 +268,10 @@ func (b *ShootdownBus) Shootdowns() int64 {
 	return b.shootdowns.Load()
 }
 
-func (b *ShootdownBus) targets() ([]*AssociativeMemory, *trace.Recorder) {
+func (b *ShootdownBus) targets() []*AssociativeMemory {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.mems, b.trace
+	return b.mems
 }
 
 // InvalidatePTW broadcasts a page shootdown: every processor forgets
@@ -296,7 +287,7 @@ func (b *ShootdownBus) InvalidatePTW(module string, pt *PageTable, page int) {
 	// the invalidation reaching its cache — the stale-translation
 	// window the shootdown protocol exists to close.
 	schedsim.Yield(schedsim.PointShootdown, module)
-	mems, tr := b.targets()
+	mems, tr := b.targets(), b.trace
 	tr.BeginSpan(trace.SpanShootdown, module, int64(page))
 	n := 0
 	for _, a := range mems {
@@ -320,7 +311,7 @@ func (b *ShootdownBus) InvalidateSDW(module string, dt *DescriptorTable, segno i
 		return
 	}
 	schedsim.Yield(schedsim.PointShootdown, module)
-	mems, tr := b.targets()
+	mems, tr := b.targets(), b.trace
 	tr.BeginSpan(trace.SpanShootdown, module, int64(segno))
 	n := 0
 	for _, a := range mems {

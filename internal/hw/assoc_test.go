@@ -133,7 +133,7 @@ func TestAssocRingChangeDoesNotServeStaleSDW(t *testing.T) {
 // cache must not serve the old translation.
 func TestAssocLockedDescriptorBypassesCache(t *testing.T) {
 	f := newAssocFixture(t, 1)
-	bus := NewShootdownBus()
+	bus := NewShootdownBus(nil)
 	bus.Attach(f.p.Assoc)
 	if _, err := f.p.Read(1, 0); err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestShootdownClearsAllProcessors(t *testing.T) {
 	p2 := NewProcessor(1, f.mem, f.mtr)
 	p2.UserDT = f.dt
 	p2.Assoc = NewAssociativeMemory()
-	bus := NewShootdownBus()
+	bus := NewShootdownBus(nil)
 	bus.Attach(f.p.Assoc)
 	bus.Attach(p2.Assoc)
 	for _, p := range []*Processor{f.p, p2} {
@@ -201,7 +201,7 @@ func TestShootdownClearsAllProcessors(t *testing.T) {
 // sees the new descriptor.
 func TestSDWShootdownSeesNewDescriptor(t *testing.T) {
 	f := newAssocFixture(t, 1)
-	bus := NewShootdownBus()
+	bus := NewShootdownBus(nil)
 	bus.Attach(f.p.Assoc)
 	if _, err := f.p.Read(1, 0); err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestNilBusAndNilAssoc(t *testing.T) {
 		t.Errorf("nil assoc fingerprint = %q", fp)
 	}
 	// A live bus ignores nil attachments and nil tables.
-	b := NewShootdownBus()
+	b := NewShootdownBus(nil)
 	b.Attach(nil)
 	b.InvalidatePTW("x", nil, 0)
 	b.InvalidateSDW("x", nil, 0)

@@ -36,25 +36,25 @@ func newFixture(t *testing.T, pageable, packA int) *fixture {
 	states, _ := cm.Allocate("vp-states", 4*vproc.StateWords)
 	qtable, _ := cm.Allocate("quota-table", hw.PageWords)
 	ast, _ := cm.Allocate("ast", hw.PageWords)
-	vps, err := vproc.NewManager(4, states, meter)
+	vps, err := vproc.NewManager(4, states, meter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := vps.BindKernel(pageframe.PageWriterModule); err != nil {
 		t.Fatal(err)
 	}
-	frames, err := pageframe.NewManager(mem, cm.FirstPageableFrame(), vps, meter)
+	frames, err := pageframe.NewManager(mem, cm.FirstPageableFrame(), vps, meter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vols := disk.NewVolumes(meter)
+	vols := disk.NewVolumes(meter, nil)
 	if _, err := vols.AddPack("dska", packA); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := vols.AddPack("dskb", 64); err != nil {
 		t.Fatal(err)
 	}
-	cells, err := quota.NewManager(vols, qtable, meter)
+	cells, err := quota.NewManager(vols, qtable, meter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func newFixture(t *testing.T, pageable, packA int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	signals := upsignal.NewDispatcher()
+	signals := upsignal.NewDispatcher(nil)
 	m := NewManager(segs, signals, meter)
 
 	// A quota directory to govern everything.

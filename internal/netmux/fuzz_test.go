@@ -40,7 +40,7 @@ func FuzzDeliver(f *testing.F) {
 	f.Add(uint8(PerNetworkKernel), "front-end", 0, []byte{})
 	f.Add(uint8(GenericKernel), "telnet", 0, fuzzBytes(feFrame(0, 'x').Payload))
 	f.Fuzz(func(t *testing.T, mode uint8, network string, channel int, payload []byte) {
-		m, _ := newMux(t, Mode(mode%2))
+		m, _ := newMux(t, Mode(mode%2), nil)
 		m.queueCap = 2
 		frame := Frame{Channel: channel, Payload: fuzzWords(payload)}
 		// The channel counts newMux attaches; zero for an unknown

@@ -155,25 +155,19 @@ type Mux struct {
 	trace     *trace.Recorder
 }
 
-// New returns a mux in the given organization.
-func New(mode Mode, meter *hw.CostMeter) *Mux {
+// New returns a mux in the given organization. Its frame and drop
+// events go to rec (nil when untraced); they carry ModuleName, which
+// the caller registers with the recorder.
+func New(mode Mode, meter *hw.CostMeter, rec *trace.Recorder) *Mux {
 	return &Mux{
 		Mode:     mode,
 		meter:    meter,
+		trace:    rec,
 		networks: make(map[string]Network),
 		queues:   make(map[string]map[int][]Delivery),
 		subs:     make(map[string]func(Delivery)),
 		queueCap: DefaultQueueCap,
 	}
-}
-
-// SetTrace routes the mux's frame and drop events to rec (nil turns
-// tracing off). Events carry ModuleName; register it with the
-// recorder.
-func (m *Mux) SetTrace(rec *trace.Recorder) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.trace = rec
 }
 
 // Subscribe registers fn as the network's delivery consumer:

@@ -23,10 +23,10 @@ func feFrame(channel int, words ...hw.Word) Frame {
 	return Frame{Channel: channel, Payload: append(append([]hw.Word{}, words...), 0o777)}
 }
 
-func newMux(t *testing.T, mode Mode) (*Mux, *hw.CostMeter) {
+func newMux(t *testing.T, mode Mode, rec *trace.Recorder) (*Mux, *hw.CostMeter) {
 	t.Helper()
 	meter := &hw.CostMeter{}
-	m := New(mode, meter)
+	m := New(mode, meter, rec)
 	if err := m.Attach(Arpanet{Links: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func newMux(t *testing.T, mode Mode) (*Mux, *hw.CostMeter) {
 }
 
 func TestDeliverAndReceive(t *testing.T) {
-	m, _ := newMux(t, GenericKernel)
+	m, _ := newMux(t, GenericKernel, nil)
 	if err := m.Deliver(nil, "arpanet", arpaFrame(2, 10, 20, 30)); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestDeliverAndReceive(t *testing.T) {
 }
 
 func TestChannelIsolation(t *testing.T) {
-	m, _ := newMux(t, GenericKernel)
+	m, _ := newMux(t, GenericKernel, nil)
 	if err := m.Deliver(nil, "arpanet", arpaFrame(1, 7)); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestChannelIsolation(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	m, _ := newMux(t, GenericKernel)
+	m, _ := newMux(t, GenericKernel, nil)
 	if err := m.Deliver(nil, "nonet", arpaFrame(0, 1)); err == nil {
 		t.Error("delivery to unattached network succeeded")
 	}
@@ -116,7 +116,7 @@ func TestKernelGrowthShapes(t *testing.T) {
 	if newMarginal >= oldMarginal/10 {
 		t.Errorf("new marginal = %d vs old %d; should grow only slightly", newMarginal, oldMarginal)
 	}
-	m, _ := newMux(t, GenericKernel)
+	m, _ := newMux(t, GenericKernel, nil)
 	if m.KernelLines() != KernelLines(GenericKernel, 2) {
 		t.Errorf("mux KernelLines = %d", m.KernelLines())
 	}
@@ -129,7 +129,7 @@ func TestGenericKernelSpendsLessKernelTime(t *testing.T) {
 	// The kernel-resident cycles per frame shrink in the new
 	// organization (the protocol work still happens, but outside).
 	kernelCycles := func(mode Mode) int64 {
-		m, meter := newMux(t, mode)
+		m, meter := newMux(t, mode, nil)
 		cpu := hw.NewProcessor(0, hw.NewMemory(1), meter)
 		cpu.Ring = hw.UserRing
 		// Count only ring-zero work: measure with a second meter
@@ -178,9 +178,8 @@ func eventsOf(rec *trace.Recorder, k trace.Kind) []trace.Event {
 func TestErrorPathsAreCountedAndTraced(t *testing.T) {
 	for _, mode := range []Mode{PerNetworkKernel, GenericKernel} {
 		t.Run(mode.String(), func(t *testing.T) {
-			m, _ := newMux(t, mode)
 			rec := trace.NewRecorder(0, nil)
-			m.SetTrace(rec)
+			m, _ := newMux(t, mode, rec)
 			// ErrBadChannel: rejected before any protocol work, so no
 			// protocol-error counter moves.
 			if err := m.Deliver(nil, "arpanet", arpaFrame(99, 1)); !errors.Is(err, ErrBadChannel) {
@@ -227,7 +226,7 @@ func TestGenericProtocolFailureIsMetered(t *testing.T) {
 	// The satellite fix: a Process failure after the demux gate must
 	// leave its cost on the meter (demux + protocol body), not vanish
 	// with the early return.
-	m, meter := newMux(t, GenericKernel)
+	m, meter := newMux(t, GenericKernel, nil)
 	meter.Reset()
 	before := meter.Cycles()
 	if err := m.Deliver(nil, "front-end", Frame{Channel: 0, Payload: []hw.Word{'x'}}); err == nil {
@@ -240,9 +239,8 @@ func TestGenericProtocolFailureIsMetered(t *testing.T) {
 }
 
 func TestBoundedQueueDropsAreCounted(t *testing.T) {
-	m, _ := newMux(t, GenericKernel)
 	rec := trace.NewRecorder(0, nil)
-	m.SetTrace(rec)
+	m, _ := newMux(t, GenericKernel, rec)
 	m.queueCap = 3 // before any delivery, so no lock
 	for i := 0; i < 5; i++ {
 		if err := m.Deliver(nil, "front-end", feFrame(1, hw.Word(i))); err != nil {
@@ -284,7 +282,7 @@ func TestBoundedQueueDropsAreCounted(t *testing.T) {
 }
 
 func TestSubscriberBypassesQueues(t *testing.T) {
-	m, _ := newMux(t, GenericKernel)
+	m, _ := newMux(t, GenericKernel, nil)
 	var got []Delivery
 	if err := m.Subscribe("front-end", func(d Delivery) { got = append(got, d) }); err != nil {
 		t.Fatal(err)
@@ -313,7 +311,7 @@ func TestSubscriberBypassesQueues(t *testing.T) {
 // many goroutines under -race: every frame is either received or
 // counted dropped, never lost silently.
 func TestConcurrentDeliverReceiveStorm(t *testing.T) {
-	m, _ := newMux(t, GenericKernel)
+	m, _ := newMux(t, GenericKernel, nil)
 	m.queueCap = 8
 	const (
 		producers = 4

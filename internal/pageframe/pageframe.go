@@ -246,19 +246,11 @@ type Manager struct {
 	prefetchDrops, prefetchSteals int64
 }
 
-// SetTrace routes page fetch/evict and lock-wait events to rec, and
-// retraces the unlock eventcounts so their await/advance operations
-// are attributed to this manager.
-func (m *Manager) SetTrace(rec *trace.Recorder) {
-	m.mu.Lock()
-	m.trace = rec
-	for _, ec := range m.unlocks {
-		ec.Trace(rec, ModuleName)
-	}
-	m.mu.Unlock()
-}
-
 // tracer reads the recorder under the manager lock, mirroring emit.
+// The recorder never changes after NewManager, but the lock take
+// stays: under the deterministic executor every ranked-lock take is a
+// scheduling decision, and the fault-service figures are measured
+// with this one in place.
 func (m *Manager) tracer() *trace.Recorder {
 	m.mu.Lock()
 	tr := m.trace
@@ -276,14 +268,18 @@ func (m *Manager) emit(e trace.Event) {
 
 // NewManager returns a page frame manager owning frames
 // [firstFrame, mem.Frames()). The virtual processor manager supplies
-// the wait/notify primitives and the page-writer daemon.
-func NewManager(mem *hw.Memory, firstFrame int, vps *vproc.Manager, meter *hw.CostMeter) (*Manager, error) {
+// the wait/notify primitives and the page-writer daemon. Page
+// fetch/evict and lock-wait events go to rec (nil when untraced), as
+// do the await/advance operations of the descriptor-unlock
+// eventcounts.
+func NewManager(mem *hw.Memory, firstFrame int, vps *vproc.Manager, meter *hw.CostMeter, rec *trace.Recorder) (*Manager, error) {
 	if firstFrame < 0 || firstFrame >= mem.Frames() {
 		return nil, fmt.Errorf("pageframe: first frame %d of %d leaves no pageable memory", firstFrame, mem.Frames())
 	}
 	m := &Manager{
 		mem:      mem,
 		meter:    meter,
+		trace:    rec,
 		vps:      vps,
 		first:    firstFrame,
 		frames:   make([]frameInfo, mem.Frames()-firstFrame),

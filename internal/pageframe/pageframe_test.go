@@ -19,13 +19,25 @@ type fixture struct {
 	vps   *vproc.Manager
 	pack  *disk.Pack
 	meter *hw.CostMeter
+	rec   *trace.Recorder
 }
 
-// newFixture builds a machine with `pageable` pageable frames and one
-// pack of 64 records.
+// newFixture builds an untraced machine with `pageable` pageable
+// frames and one pack of 64 records.
 func newFixture(t *testing.T, pageable int) *fixture {
 	t.Helper()
+	return newFixtureWith(t, pageable, false)
+}
+
+// newFixtureWith is newFixture; when traced, the manager is built with
+// a recorder (f.rec) stamped from the fixture's meter.
+func newFixtureWith(t *testing.T, pageable int, traced bool) *fixture {
+	t.Helper()
 	meter := &hw.CostMeter{}
+	var rec *trace.Recorder
+	if traced {
+		rec = trace.NewRecorder(64, meter)
+	}
 	mem := hw.NewMemory(1 + pageable)
 	cm, err := coreseg.NewManager(mem, 1, meter)
 	if err != nil {
@@ -35,23 +47,23 @@ func newFixture(t *testing.T, pageable int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vps, err := vproc.NewManager(4, states, meter)
+	vps, err := vproc.NewManager(4, states, meter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := vps.BindKernel(PageWriterModule); err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(mem, cm.FirstPageableFrame(), vps, meter)
+	m, err := NewManager(mem, cm.FirstPageableFrame(), vps, meter, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vols := disk.NewVolumes(meter)
+	vols := disk.NewVolumes(meter, nil)
 	pack, err := vols.AddPack("dska", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{mem: mem, m: m, vps: vps, pack: pack, meter: meter}
+	return &fixture{mem: mem, m: m, vps: vps, pack: pack, meter: meter, rec: rec}
 }
 
 // storedPage allocates a record holding a recognizable pattern and
@@ -670,10 +682,10 @@ func TestPLIBodyCostsMoreThanASM(t *testing.T) {
 
 func TestNewManagerValidation(t *testing.T) {
 	mem := hw.NewMemory(2)
-	if _, err := NewManager(mem, 2, nil, nil); err == nil {
+	if _, err := NewManager(mem, 2, nil, nil, nil); err == nil {
 		t.Error("manager with no pageable memory accepted")
 	}
-	if _, err := NewManager(mem, -1, nil, nil); err == nil {
+	if _, err := NewManager(mem, -1, nil, nil, nil); err == nil {
 		t.Error("negative first frame accepted")
 	}
 	if _, err := (&Manager{}).LoadPage(PageReq{}); err == nil {
@@ -813,7 +825,7 @@ func TestZeroEvictionRevalidatesAfterShootdown(t *testing.T) {
 	// quota trap comes off, and the store is written back rather than
 	// silently discarded.
 	f := newFixture(t, 1)
-	bus := hw.NewShootdownBus()
+	bus := hw.NewShootdownBus(nil)
 	assoc := hw.NewAssociativeMemory()
 	bus.Attach(assoc)
 	f.m.Bus = bus
@@ -886,10 +898,9 @@ func TestZeroEvictionRevalidatesAfterShootdown(t *testing.T) {
 func TestDaemonWriteBackErrorIsCounted(t *testing.T) {
 	// In daemon mode the evicting caller cannot see a write-back
 	// failure — the counter and the write-error event must record it.
-	f := newFixture(t, 1)
+	f := newFixtureWith(t, 1, true)
 	f.m.Daemons = true
-	rec := trace.NewRecorder(64, f.meter)
-	f.m.SetTrace(rec)
+	rec := f.rec
 	pt1 := hw.NewPageTable(0)
 	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt1, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)

@@ -63,9 +63,9 @@ type Manager struct {
 	vols  *disk.Volumes
 	table *coreseg.Segment
 	meter *hw.CostMeter
+	trace *trace.Recorder
 
 	mu    lockrank.Mutex
-	trace *trace.Recorder
 	cells map[CellName]*cell
 	slots []bool // slot occupancy in the core-segment table
 
@@ -92,16 +92,10 @@ func (m *Manager) Stats() Stats {
 // race. The segment manager calls it where it returns ErrGrowRace.
 func (m *Manager) NoteGrowRace() { m.growRaces.Add(1) }
 
-// SetTrace routes quota-check events to rec (nil turns tracing off).
-func (m *Manager) SetTrace(rec *trace.Recorder) {
-	m.mu.Lock()
-	m.trace = rec
-	m.mu.Unlock()
-}
-
 // NewManager returns a quota cell manager whose cache lives in the
-// core segment table.
-func NewManager(vols *disk.Volumes, table *coreseg.Segment, meter *hw.CostMeter) (*Manager, error) {
+// core segment table. Quota-check events go to rec (nil when
+// untraced).
+func NewManager(vols *disk.Volumes, table *coreseg.Segment, meter *hw.CostMeter, rec *trace.Recorder) (*Manager, error) {
 	if table == nil || table.Words() < CellWords {
 		return nil, errors.New("quota: cache table segment too small")
 	}
@@ -109,6 +103,7 @@ func NewManager(vols *disk.Volumes, table *coreseg.Segment, meter *hw.CostMeter)
 		vols:  vols,
 		table: table,
 		meter: meter,
+		trace: rec,
 		cells: make(map[CellName]*cell),
 		slots: make([]bool, table.Words()/CellWords),
 	}

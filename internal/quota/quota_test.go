@@ -28,12 +28,12 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vols := disk.NewVolumes(nil)
+	vols := disk.NewVolumes(nil, nil)
 	pack, err := vols.AddPack("dska", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(vols, table, &hw.CostMeter{})
+	m, err := NewManager(vols, table, &hw.CostMeter{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,12 +231,12 @@ func TestCountsVisibleInCoreSegmentTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vols := disk.NewVolumes(nil)
+	vols := disk.NewVolumes(nil, nil)
 	pack, err := vols.AddPack("dska", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(vols, table, nil)
+	m, err := NewManager(vols, table, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

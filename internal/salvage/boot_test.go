@@ -185,3 +185,65 @@ func TestCleanShutdownNeedsNoRepair(t *testing.T) {
 		})
 	}
 }
+
+// TestDeleteQuotaDirectory: deleting an emptied quota directory
+// flushes and frees its cell before the directory's table-of-contents
+// entry goes, so the delete completes, the name is gone, and the
+// orderly shutdown and the next boot's salvage find nothing to do.
+func TestDeleteQuotaDirectory(t *testing.T) {
+	cfg := core.DefaultConfig()
+	k, err := core.Boot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := k.CPUs[0]
+	p, err := k.CreateProcess("delete.sys", aim.Bottom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Attach(cpu, p)
+	dir, err := k.CreateDir(cpu, p, nil, "work", directory.Public(hw.Read|hw.Write), aim.Bottom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.DesignateQuota(cpu, p, dir, 100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.CreateFile(cpu, p, []string{"work"}, "f", nil, aim.Bottom); err != nil {
+		t.Fatal(err)
+	}
+	segno, err := k.OpenPath(cpu, p, []string{"work", "f"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Write(cpu, p, segno, 0, 1977); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Delete(cpu, p, []string{"work"}, "f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Delete(cpu, p, nil, "work"); err != nil {
+		t.Fatalf("deleting the emptied quota directory: %v", err)
+	}
+	if _, err := k.WalkPath(cpu, p, []string{"work"}); err == nil {
+		t.Error("the deleted quota directory still resolves")
+	}
+	if err := k.Shutdown(); err != nil {
+		t.Fatalf("shutdown after the delete: %v", err)
+	}
+	cfg.Packs, cfg.Mount = nil, nil
+	for _, id := range k.Vols.Packs() {
+		pack, err := k.Vols.Demount(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Mount = append(cfg.Mount, pack)
+	}
+	rebooted, err := core.Boot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := rebooted.Salvage; len(rep.Packs) == 0 || !rep.Clean() {
+		t.Errorf("salvage after deleting a quota directory:\n%v", rep)
+	}
+}

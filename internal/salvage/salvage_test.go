@@ -46,25 +46,25 @@ func newMachine(t *testing.T) *machine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vps, err := vproc.NewManager(4, states, meter)
+	vps, err := vproc.NewManager(4, states, meter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := vps.BindKernel(pageframe.PageWriterModule); err != nil {
 		t.Fatal(err)
 	}
-	frames, err := pageframe.NewManager(mem, cm.FirstPageableFrame(), vps, meter)
+	frames, err := pageframe.NewManager(mem, cm.FirstPageableFrame(), vps, meter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vols := disk.NewVolumes(meter)
+	vols := disk.NewVolumes(meter, nil)
 	if _, err := vols.AddPack("dska", 24); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := vols.AddPack("dskb", 96); err != nil {
 		t.Fatal(err)
 	}
-	cells, err := quota.NewManager(vols, qtable, meter)
+	cells, err := quota.NewManager(vols, qtable, meter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestCrashPointSweep(t *testing.T) {
 			if !plan.Crashed() {
 				t.Fatalf("plan armed at mutation %d never crashed", at)
 			}
-			vols := disk.NewVolumes(&hw.CostMeter{})
+			vols := disk.NewVolumes(&hw.CostMeter{}, nil)
 			for _, p := range packs {
 				if err := vols.Mount(p); err != nil {
 					t.Fatal(err)
@@ -141,7 +141,7 @@ func TestCrashPointSweep(t *testing.T) {
 // duplicate entry pair, and a miscounted quota cell.
 func TestSalvageRepairsCraftedDamage(t *testing.T) {
 	meter := &hw.CostMeter{}
-	vols := disk.NewVolumes(meter)
+	vols := disk.NewVolumes(meter, nil)
 	pa, err := vols.AddPack("dska", 32)
 	if err != nil {
 		t.Fatal(err)

@@ -1056,7 +1056,9 @@ func (m *Manager) Delete(uid uint64, addr disk.SegAddr) error {
 	if err := pack.DeleteEntry(addr.TOC); err != nil {
 		return err
 	}
-	if hasCell && stored > 0 {
+	// A quota directory's pages are charged to the cell in its own
+	// entry, which the delete just freed: nothing is left to release.
+	if hasCell && stored > 0 && cell != addr {
 		if err := m.ensureCell(cell); err != nil {
 			return err
 		}

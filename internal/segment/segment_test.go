@@ -44,25 +44,25 @@ func newFixture(t *testing.T, pageable, packA int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vps, err := vproc.NewManager(4, states, meter)
+	vps, err := vproc.NewManager(4, states, meter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := vps.BindKernel(pageframe.PageWriterModule); err != nil {
 		t.Fatal(err)
 	}
-	frames, err := pageframe.NewManager(mem, cm.FirstPageableFrame(), vps, meter)
+	frames, err := pageframe.NewManager(mem, cm.FirstPageableFrame(), vps, meter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vols := disk.NewVolumes(meter)
+	vols := disk.NewVolumes(meter, nil)
 	if _, err := vols.AddPack("dska", packA); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := vols.AddPack("dskb", 64); err != nil {
 		t.Fatal(err)
 	}
-	cells, err := quota.NewManager(vols, qtable, meter)
+	cells, err := quota.NewManager(vols, qtable, meter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ const (
 	// (the module is the signal's target).
 	SpanSignal
 	// SpanQuantum: one scheduler quantum — dispatch, user body, and
-	// preemption (Arg is the quantum's index in its RunQuantum call).
+	// preemption (Arg is the quantum's index in its worker's loop).
 	SpanQuantum
 	// SpanVPDispatch: one work item run by a kernel-bound virtual
 	// processor (Arg is the virtual processor id).

@@ -93,8 +93,8 @@ func (e SimExecutor) Run(cpus []*hw.Processor, body func(cpu *hw.Processor)) err
 	return ex.Run()
 }
 
-// RunQuantumWith is the true-multiprocessor form of RunQuantum: it
-// runs the quantum loop on every processor under the given executor,
+// RunQuantumWith runs the scheduler's quantum loop on every processor
+// in cpus under the given executor,
 // each dispatching from its own run queue (stealing when it drains),
 // running body with the process bound to that processor, and
 // preempting. Each processor runs at most n processes; it stops when

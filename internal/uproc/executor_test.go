@@ -122,9 +122,8 @@ func TestGoroutineExecutorBindsNothing(t *testing.T) {
 // next run's pre-dispatch work, a serial phase) is charged to none
 // rather than to the last process dispatched there.
 func TestWorkerUnbindsItsProcessor(t *testing.T) {
-	f := newFixture(t, 3)
-	rec := trace.NewRecorder(0, f.meter)
-	f.m.SetTrace(rec)
+	f := newFixtureWith(t, 3, true)
+	rec := f.rec
 	p, err := f.m.Create("u.x", aim.Bottom)
 	if err != nil {
 		t.Fatal(err)

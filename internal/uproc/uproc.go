@@ -72,7 +72,7 @@ const (
 	subRunQueue = 1 // per-CPU run queues
 	subProc     = 2 // per-process locks
 	subShard    = 3 // process-table shards
-	subManager  = 4 // trace wiring and queue reconfiguration
+	subManager  = 4 // run-queue reconfiguration
 )
 
 // State is a user process's scheduling state.
@@ -231,25 +231,19 @@ type Queue struct {
 	trace  *trace.Recorder
 }
 
-// SetTrace routes queue posts (and the posted eventcount's advances)
-// to rec.
-func (q *Queue) SetTrace(rec *trace.Recorder) {
-	q.mu.Lock()
-	q.trace = rec
-	q.mu.Unlock()
-	q.posted.Trace(rec, ModuleName)
-}
-
 // ErrQueueFull is returned when the fixed-size real-memory queue
 // overflows; the poster must retry after the upper level drains.
 var ErrQueueFull = errors.New("uproc: real-memory message queue full")
 
-// NewQueue builds a message queue in the given core segment.
-func NewQueue(seg *coreseg.Segment, meter *hw.CostMeter) (*Queue, error) {
+// NewQueue builds a message queue in the given core segment. Posts,
+// and the posted eventcount's advances, go to rec (nil when
+// untraced).
+func NewQueue(seg *coreseg.Segment, meter *hw.CostMeter, rec *trace.Recorder) (*Queue, error) {
 	if seg == nil || seg.Words() < MsgWords {
 		return nil, errors.New("uproc: queue segment too small")
 	}
-	q := &Queue{seg: seg, cap: seg.Words() / MsgWords, meter: meter}
+	q := &Queue{seg: seg, cap: seg.Words() / MsgWords, meter: meter, trace: rec}
+	q.posted.Trace(rec, ModuleName)
 	// The queue lock takes the layer's low sub-rank: the manager may
 	// post to the queue, but the queue never calls up into the
 	// manager.
@@ -342,6 +336,7 @@ type Manager struct {
 	ksm   *knownseg.Manager
 	queue *Queue
 	meter *hw.CostMeter
+	trace *trace.Recorder
 
 	// KSTBase/KSTSize shape each process's address space.
 	KSTBase int
@@ -351,11 +346,9 @@ type Manager struct {
 	// StateCell is the quota cell charged for process states.
 	StateCell segment.CellRef
 
-	// mu serializes reconfiguration (trace wiring, run-queue count);
-	// it is never on the dispatch path, which loads the recorder with
-	// one atomic read instead.
-	mu    lockrank.Mutex
-	trace atomic.Pointer[trace.Recorder]
+	// mu serializes run-queue reconfiguration; it is never on the
+	// dispatch path.
+	mu lockrank.Mutex
 
 	nextPID atomic.Uint64
 	shards  [numShards]procShard
@@ -380,28 +373,18 @@ type Manager struct {
 	wakeups    atomic.Int64
 }
 
-// SetTrace routes process-swap events (and the real-memory queue's
-// posts) to rec.
-func (m *Manager) SetTrace(rec *trace.Recorder) {
-	m.mu.Lock()
-	m.trace.Store(rec)
-	m.mu.Unlock()
-	if m.queue != nil {
-		m.queue.SetTrace(rec)
-	}
-	m.readyEC.Trace(rec, ModuleName)
-}
-
 // NewManager returns a user process manager multiplexing vps and
 // posting low-level events through queue. It starts with a single
-// run queue; SetRunQueues reshapes it at boot.
-func NewManager(vps *vproc.Manager, segs *segment.Manager, ksm *knownseg.Manager, queue *Queue, meter *hw.CostMeter) *Manager {
+// run queue; SetRunQueues reshapes it at boot. Process-swap,
+// scheduling and quantum events go to rec (nil when untraced).
+func NewManager(vps *vproc.Manager, segs *segment.Manager, ksm *knownseg.Manager, queue *Queue, meter *hw.CostMeter, rec *trace.Recorder) *Manager {
 	m := &Manager{
 		vps:     vps,
 		segs:    segs,
 		ksm:     ksm,
 		queue:   queue,
 		meter:   meter,
+		trace:   rec,
 		KSTBase: 8,
 		KSTSize: 64,
 	}
@@ -411,6 +394,7 @@ func NewManager(vps *vproc.Manager, segs *segment.Manager, ksm *knownseg.Manager
 		m.shards[i].procs = make(map[uint64]*Process)
 	}
 	m.queues = []*runQueue{newRunQueue(0)}
+	m.readyEC.Trace(rec, ModuleName)
 	return m
 }
 
@@ -586,23 +570,18 @@ func (m *Manager) take(qi int) (*Process, int) {
 	return nil, -1
 }
 
-// DispatchOn is Dispatch preferring the given run queue — each
-// scheduler worker passes its own CPU's queue — stealing from sibling
-// queues when it is empty. It also returns the dispatch epoch, which
-// preemptIfCurrent uses to tear down exactly the dispatch it made.
+// DispatchOn is Dispatch preferring run queue qi, which must be in
+// [0, number of run queues) — each scheduler worker passes its own
+// CPU's queue — stealing from sibling queues when it is empty. It
+// also returns the dispatch epoch, which preemptIfCurrent uses to
+// tear down exactly the dispatch it made.
 func (m *Manager) DispatchOn(qi int) (*Process, uint64, error) {
-	if n := len(m.queues); qi < 0 || qi >= n {
-		qi %= n
-		if qi < 0 {
-			qi += n
-		}
-	}
 	for {
 		p, from := m.take(qi)
 		if p == nil {
 			return nil, 0, ErrNoReady
 		}
-		tr := m.trace.Load()
+		tr := m.trace
 		if from != qi {
 			m.steals.Add(1)
 			if tr != nil {
@@ -778,9 +757,9 @@ func (m *Manager) finishUnbind(p *Process, vp *vproc.VP, to State) error {
 		return err
 	}
 	m.meter.Add(hw.CycProcessSwap)
-	if tr := m.trace.Load(); tr != nil {
+	if m.trace != nil {
 		// Arg1 = 1: a state store through the virtual memory.
-		tr.Emit(trace.Event{Kind: trace.EvProcessSwap, Module: ModuleName, Cost: hw.CycProcessSwap, Arg0: int64(p.id), Arg1: 1})
+		m.trace.Emit(trace.Event{Kind: trace.EvProcessSwap, Module: ModuleName, Cost: hw.CycProcessSwap, Arg0: int64(p.id), Arg1: 1})
 	}
 	return m.vps.ReleaseUser(vp)
 }
@@ -974,38 +953,6 @@ func (m *Manager) Destroy(p *Process) error {
 	return nil
 }
 
-// RunQuantum dispatches up to n ready processes in FIFO order,
-// running body for each with the process bound to a virtual
-// processor, then preempting. It is the simple scheduling mix used by
-// the benchmarks; it stops early when the ready set or the virtual-
-// processor pool drains. Being a single worker standing in for every
-// CPU, it rotates its preferred run queue so no queue starves.
-func (m *Manager) RunQuantum(n int, body func(*Process)) (int, error) {
-	tr := m.trace.Load()
-	ran := 0
-	for i := 0; i < n; i++ {
-		tr.BeginSpan(trace.SpanQuantum, ModuleName, int64(i))
-		p, epoch, err := m.DispatchOn(i % len(m.queues))
-		if err != nil {
-			tr.EndSpan(trace.SpanQuantum)
-			if errors.Is(err, ErrNoReady) || errors.Is(err, vproc.ErrNoFreeVP) {
-				break
-			}
-			return ran, err
-		}
-		if body != nil {
-			body(p)
-		}
-		err = m.preemptIfCurrent(p, epoch)
-		tr.EndSpan(trace.SpanQuantum)
-		if err != nil {
-			return ran, err
-		}
-		ran++
-	}
-	return ran, nil
-}
-
 // workerLoop is one scheduler worker's quantum loop, shared by both
 // executors: dispatch from the worker's run queue, run the body,
 // preempt-if-current. Each quantum boundary is a scheduling decision
@@ -1016,7 +963,7 @@ func (m *Manager) RunQuantum(n int, body func(*Process)) (int, error) {
 // good and the worker exits. On return the processor is bound to no
 // process, so its later spans are charged to none.
 func (m *Manager) workerLoop(wi int, cpu *hw.Processor, n int, body func(cpu *hw.Processor, p *Process)) (int, error) {
-	tr := m.trace.Load()
+	tr := m.trace
 	defer tr.SetRunningProcess(0)
 	qi := wi % len(m.queues)
 	ran := 0

@@ -13,6 +13,7 @@ import (
 	"multics/internal/pageframe"
 	"multics/internal/quota"
 	"multics/internal/segment"
+	"multics/internal/trace"
 	"multics/internal/upsignal"
 	"multics/internal/vproc"
 )
@@ -23,11 +24,26 @@ type fixture struct {
 	segs  *segment.Manager
 	queue *Queue
 	m     *Manager
+	rec   *trace.Recorder
 }
 
+// newFixture builds an untraced process manager over nvp virtual
+// processors.
 func newFixture(t *testing.T, nvp int) *fixture {
 	t.Helper()
+	return newFixtureWith(t, nvp, false)
+}
+
+// newFixtureWith is newFixture; when traced, the message queue and the
+// manager are built with a recorder (f.rec) stamped from the fixture's
+// meter.
+func newFixtureWith(t *testing.T, nvp int, traced bool) *fixture {
+	t.Helper()
 	meter := &hw.CostMeter{}
+	var rec *trace.Recorder
+	if traced {
+		rec = trace.NewRecorder(0, meter)
+	}
 	mem := hw.NewMemory(4 + 32)
 	cm, err := coreseg.NewManager(mem, 4, meter)
 	if err != nil {
@@ -37,7 +53,7 @@ func newFixture(t *testing.T, nvp int) *fixture {
 	qtable, _ := cm.Allocate("quota-table", hw.PageWords)
 	ast, _ := cm.Allocate("ast", hw.PageWords)
 	qseg, _ := cm.Allocate("msg-queue", 16*MsgWords)
-	vps, err := vproc.NewManager(nvp, states, meter)
+	vps, err := vproc.NewManager(nvp, states, meter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,15 +63,15 @@ func newFixture(t *testing.T, nvp int) *fixture {
 	if _, err := vps.BindKernel(SchedulerModule); err != nil {
 		t.Fatal(err)
 	}
-	frames, err := pageframe.NewManager(mem, cm.FirstPageableFrame(), vps, meter)
+	frames, err := pageframe.NewManager(mem, cm.FirstPageableFrame(), vps, meter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vols := disk.NewVolumes(meter)
+	vols := disk.NewVolumes(meter, nil)
 	if _, err := vols.AddPack("dska", 256); err != nil {
 		t.Fatal(err)
 	}
-	cells, err := quota.NewManager(vols, qtable, meter)
+	cells, err := quota.NewManager(vols, qtable, meter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +79,13 @@ func newFixture(t *testing.T, nvp int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	signals := upsignal.NewDispatcher()
+	signals := upsignal.NewDispatcher(nil)
 	ksm := knownseg.NewManager(segs, signals, meter)
-	queue, err := NewQueue(qseg, meter)
+	queue, err := NewQueue(qseg, meter, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(vps, segs, ksm, queue, meter)
+	m := NewManager(vps, segs, ksm, queue, meter, rec)
 	m.StatePack = "dska"
 	// A quota directory for process states.
 	uid := segs.NewUID()
@@ -81,7 +97,7 @@ func newFixture(t *testing.T, nvp int) *fixture {
 		t.Fatal(err)
 	}
 	m.StateCell = segment.CellRef{Cell: cell, UID: uid, Has: true}
-	return &fixture{meter: meter, vps: vps, segs: segs, queue: queue, m: m}
+	return &fixture{meter: meter, vps: vps, segs: segs, queue: queue, m: m, rec: rec}
 }
 
 func TestCreateArbitraryProcesses(t *testing.T) {
@@ -367,12 +383,13 @@ func TestRunQuantum(t *testing.T) {
 		}
 	}
 	var ran []uint64
-	n, err := f.m.RunQuantum(5, func(p *Process) {
+	cpus := []*hw.Processor{hw.NewProcessor(0, nil, f.meter)}
+	n, err := f.m.RunQuantumWith(SimExecutor{Seed: 1}, cpus, 5, func(_ *hw.Processor, p *Process) {
 		ran = append(ran, p.ID())
 		p.AddCPU(10)
 	})
 	if err != nil || n != 5 {
-		t.Fatalf("RunQuantum = %d, %v", n, err)
+		t.Fatalf("RunQuantumWith = %d, %v", n, err)
 	}
 	// Round robin over three processes: 1,2,3,1,2.
 	want := []uint64{1, 2, 3, 1, 2}
@@ -396,7 +413,7 @@ func TestStateString(t *testing.T) {
 }
 
 func TestNewQueueValidation(t *testing.T) {
-	if _, err := NewQueue(nil, nil); err == nil {
+	if _, err := NewQueue(nil, nil, nil); err == nil {
 		t.Error("nil segment accepted")
 	}
 }

@@ -47,18 +47,11 @@ type Dispatcher struct {
 	trace       *trace.Recorder
 }
 
-// NewDispatcher returns an empty dispatcher.
-func NewDispatcher() *Dispatcher {
-	return &Dispatcher{handlers: make(map[string]Handler)}
-}
-
-// SetTrace routes raise and handle events to rec, each attributed to
-// the signal's target module (targets are dependency-graph module
-// names). A nil rec turns tracing off.
-func (d *Dispatcher) SetTrace(rec *trace.Recorder) {
-	d.mu.Lock()
-	d.trace = rec
-	d.mu.Unlock()
+// NewDispatcher returns an empty dispatcher. Raise and handle events
+// go to rec (nil when untraced), each attributed to the signal's
+// target module (targets are dependency-graph module names).
+func NewDispatcher(rec *trace.Recorder) *Dispatcher {
+	return &Dispatcher{handlers: make(map[string]Handler), trace: rec}
 }
 
 // Register installs the handler for a target module. A module
@@ -140,12 +133,11 @@ func (d *Dispatcher) Dispatch() (int, error) {
 		sig := d.pending[0]
 		d.pending = d.pending[1:]
 		h := d.handlers[sig.Target]
-		tr := d.trace
 		d.mu.Unlock()
 
-		tr.BeginSpan(trace.SpanSignal, sig.Target, int64(n))
+		d.trace.BeginSpan(trace.SpanSignal, sig.Target, int64(n))
 		err := h(sig)
-		tr.EndSpan(trace.SpanSignal)
+		d.trace.EndSpan(trace.SpanSignal)
 		if err != nil {
 			return n, fmt.Errorf("upsignal: handler for %s: %w", sig.Target, err)
 		}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestRegisterValidation(t *testing.T) {
-	d := NewDispatcher()
+	d := NewDispatcher(nil)
 	if err := d.Register("dir", func(Signal) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 func TestRaiseRequiresHandler(t *testing.T) {
-	d := NewDispatcher()
+	d := NewDispatcher(nil)
 	if err := d.Raise(Signal{Target: "nobody"}); err == nil {
 		t.Error("raise to unregistered module succeeded")
 	}
@@ -28,7 +28,7 @@ func TestRaiseRequiresHandler(t *testing.T) {
 func TestHandlerRunsAfterRaiserUnwinds(t *testing.T) {
 	// The property the mechanism exists for: the raiser's call
 	// chain completes before the handler runs.
-	d := NewDispatcher()
+	d := NewDispatcher(nil)
 	var seq []string
 	if err := d.Register("dir", func(sig Signal) error {
 		seq = append(seq, "handler:"+sig.Args.(string))
@@ -57,7 +57,7 @@ func TestHandlerRunsAfterRaiserUnwinds(t *testing.T) {
 }
 
 func TestHandlerMayRaiseFurtherSignals(t *testing.T) {
-	d := NewDispatcher()
+	d := NewDispatcher(nil)
 	var got []int
 	if err := d.Register("a", func(sig Signal) error {
 		got = append(got, sig.Args.(int))
@@ -81,7 +81,7 @@ func TestHandlerMayRaiseFurtherSignals(t *testing.T) {
 }
 
 func TestHandlerErrorStopsDispatch(t *testing.T) {
-	d := NewDispatcher()
+	d := NewDispatcher(nil)
 	boom := errors.New("boom")
 	calls := 0
 	if err := d.Register("a", func(Signal) error {
@@ -114,7 +114,7 @@ func TestHandlerErrorStopsDispatch(t *testing.T) {
 }
 
 func TestReentrantDispatchPanics(t *testing.T) {
-	d := NewDispatcher()
+	d := NewDispatcher(nil)
 	if err := d.Register("a", func(Signal) error {
 		_, _ = d.Dispatch() // structural error
 		return nil
@@ -138,7 +138,7 @@ func panics(f func()) (did bool) {
 // recovers, a re-entrant call's included, leaves the dispatcher free,
 // so the next Dispatch runs the remaining signals.
 func TestDispatchGuardClearsAfterPanic(t *testing.T) {
-	d := NewDispatcher()
+	d := NewDispatcher(nil)
 	calls := 0
 	if err := d.Register("a", func(Signal) error {
 		calls++
@@ -167,7 +167,7 @@ func TestDispatchGuardClearsAfterPanic(t *testing.T) {
 }
 
 func TestFIFOOrder(t *testing.T) {
-	d := NewDispatcher()
+	d := NewDispatcher(nil)
 	var got []int
 	_ = d.Register("a", func(sig Signal) error {
 		got = append(got, sig.Args.(int))

@@ -107,15 +107,6 @@ type Manager struct {
 	dispatches int64
 }
 
-// SetTrace routes dispatch and queue-message events to rec (nil
-// turns tracing off).
-func (m *Manager) SetTrace(rec *trace.Recorder) {
-	m.mu.Lock()
-	m.trace = rec
-	m.mu.Unlock()
-	m.freeEC.Trace(rec, ModuleName)
-}
-
 // FreeEC returns the eventcount advanced every time a virtual
 // processor returns to the free pool. A scheduler that finds no free
 // processor reads it before the failed acquire and awaits the next
@@ -126,15 +117,17 @@ func (m *Manager) FreeEC() *eventcount.Eventcount { return &m.freeEC }
 
 // NewManager creates n virtual processors whose state blocks live in
 // the core segment states (which must hold n*StateWords words).
-func NewManager(n int, states *coreseg.Segment, meter *hw.CostMeter) (*Manager, error) {
+// Dispatch and queue-message events go to rec (nil when untraced).
+func NewManager(n int, states *coreseg.Segment, meter *hw.CostMeter, rec *trace.Recorder) (*Manager, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("vproc: %d virtual processors", n)
 	}
 	if states == nil || states.Words() < n*StateWords {
 		return nil, fmt.Errorf("vproc: state segment too small for %d virtual processors", n)
 	}
-	m := &Manager{states: states, meter: meter, byMod: make(map[string]*VP)}
+	m := &Manager{states: states, meter: meter, trace: rec, byMod: make(map[string]*VP)}
 	m.mu.Init(ModuleName)
+	m.freeEC.Trace(rec, ModuleName)
 	for i := 0; i < n; i++ {
 		vp := &VP{id: i}
 		m.vps = append(m.vps, vp)

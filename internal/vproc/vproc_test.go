@@ -21,7 +21,7 @@ func newManager(t *testing.T, n int) (*Manager, *coreseg.Segment, *hw.CostMeter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(n, states, meter)
+	m, err := NewManager(n, states, meter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestFixedNumber(t *testing.T) {
 	if m.N() != 4 {
 		t.Errorf("N = %d", m.N())
 	}
-	if _, err := NewManager(0, nil, nil); err == nil {
+	if _, err := NewManager(0, nil, nil, nil); err == nil {
 		t.Error("zero virtual processors accepted")
 	}
 }
@@ -49,7 +49,7 @@ func TestStateSegmentTooSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One frame holds 1024 words = 128 vp states; ask for more.
-	if _, err := NewManager(200, tiny, nil); err == nil {
+	if _, err := NewManager(200, tiny, nil, nil); err == nil {
 		t.Error("undersized state segment accepted")
 	}
 }

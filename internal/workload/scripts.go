@@ -107,12 +107,13 @@ func RemoteSegment() Scenario {
 // instrumented path: gates and pathname walks, quota-charged growth,
 // enough paging pressure to evict, rereads that fetch from disk,
 // truncation, and the two-level scheduler's dispatches, process swaps
-// and queue messages.
+// and queue messages. The script runs on the first processor; the
+// quanta that end it run on every processor.
 func TraceTour() Scenario {
 	return Scenario{
 		Name: "trace-tour",
 		Run: func(k *core.Kernel, ex uproc.Executor) error {
-			return serial(k, ex, func(must func(error)) {
+			err := serial(k, ex, func(must func(error)) {
 				cpu := k.CPUs[0]
 				p, err := k.CreateProcess("tracer.sys", aim.Bottom)
 				must(err)
@@ -154,9 +155,12 @@ func TraceTour() Scenario {
 					_, err := k.CreateProcess(fmt.Sprintf("user%d.x", i), aim.Bottom)
 					must(err)
 				}
-				_, err = k.Procs.RunQuantum(20, func(*uproc.Process) {})
-				must(err)
 			})
+			if err != nil {
+				return err
+			}
+			_, err = k.Procs.RunQuantumWith(ex, k.CPUs, 10, nil)
+			return err
 		},
 	}
 }
