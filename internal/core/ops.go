@@ -37,8 +37,8 @@ func (k *Kernel) Attach(cpu *hw.Processor, p *uproc.Process) {
 	cpu.SwitchUserDT(p.DT())
 	cpu.Ring = hw.UserRing
 	// Span self-time on this processor is attributed to p from here
-	// on.
-	k.Trace.SetRunningProcess(p.ID())
+	// on, whichever context attaches it.
+	k.Trace.SetRunningProcess(cpu.ID, p.ID())
 }
 
 // CreateProcess makes a user process for an authenticated principal.

@@ -102,6 +102,33 @@ func TestRunQuantumWithGoroutines(t *testing.T) {
 	}
 }
 
+// TestAttachOffTaskChargesItsProcessor pins span attribution after an
+// attach made off any task: a process the test's goroutine attaches to
+// processor 1 is charged the spans processor 1's task opens.
+func TestAttachOffTaskChargesItsProcessor(t *testing.T) {
+	k := boot(t, func(c *core.Config) {
+		c.Processors = 2
+		c.TraceEvents = 4096
+	})
+	p, err := k.CreateProcess("alice.sys", aim.Bottom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Attach(k.CPUs[1], p)
+	before := k.Trace.Snapshot().Procs[p.ID()]
+	if err := (uproc.SimExecutor{Seed: 1}).Run(k.CPUs[1:], func(cpu *hw.Processor) {
+		if _, err := k.CreateFile(cpu, p, nil, "f", nil, aim.Bottom); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got := k.Trace.Snapshot().Procs[p.ID()]
+	if got.Spans <= before.Spans || got.Cycles <= before.Cycles {
+		t.Errorf("process %d charged %+v after processor 1's gate call, %+v before", p.ID(), got, before)
+	}
+}
+
 // sharedFile attaches one process to the first two processors of k and
 // gives it one file, returning a worker per processor on that file.
 func sharedFile(t *testing.T, k *core.Kernel) []*workload.Worker {

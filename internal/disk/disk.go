@@ -19,6 +19,7 @@ package disk
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -144,6 +145,7 @@ type Pack struct {
 	free    []RecordAddr
 	data    map[RecordAddr][]hw.Word
 	toc     []TOCEntry
+	dead    []uint64 // bit i set while toc[i] is not live
 	meter   *hw.CostMeter
 	trace   *trace.Recorder
 	faults  *FaultPlan
@@ -406,8 +408,13 @@ func (p *Pack) CreateEntry(uid uint64, dir bool, gov uint64) (TOCIndex, error) {
 		return 0, err
 	}
 	p.dirty = true
-	for i := range p.toc {
-		if !p.toc[i].live {
+	// The lowest dead entry is reused, as a scan of the table would
+	// pick it.
+	for w, word := range p.dead {
+		if word != 0 {
+			b := bits.TrailingZeros64(word)
+			p.dead[w] &^= 1 << b
+			i := w*64 + b
 			p.toc[i] = TOCEntry{UID: uid, Dir: dir, Gov: gov, live: true}
 			return TOCIndex(i), nil
 		}
@@ -437,7 +444,7 @@ func (p *Pack) DeleteEntry(idx TOCIndex) error {
 			p.used--
 		}
 	}
-	*e = TOCEntry{}
+	p.kill(idx)
 	return nil
 }
 
@@ -450,8 +457,7 @@ func (p *Pack) DeleteEntry(idx TOCIndex) error {
 func (p *Pack) DropEntry(idx TOCIndex) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	e, err := p.entry(idx)
-	if err != nil {
+	if _, err := p.entry(idx); err != nil {
 		return err
 	}
 	if err := p.faults.checkMutation(p.id); err != nil {
@@ -459,8 +465,19 @@ func (p *Pack) DropEntry(idx TOCIndex) error {
 		return err
 	}
 	p.dirty = true
-	*e = TOCEntry{}
+	p.kill(idx)
 	return nil
+}
+
+// kill clears live table-of-contents entry idx and marks it dead for
+// reuse. Caller holds p.mu.
+func (p *Pack) kill(idx TOCIndex) {
+	p.toc[idx] = TOCEntry{}
+	w := int(idx) / 64
+	if w >= len(p.dead) {
+		p.dead = append(p.dead, make([]uint64, w+1-len(p.dead))...)
+	}
+	p.dead[w] |= 1 << (idx % 64)
 }
 
 func (p *Pack) entry(idx TOCIndex) (*TOCEntry, error) {

@@ -2,6 +2,7 @@ package disk
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -464,4 +465,58 @@ func liveEntries(p *Pack) int {
 	n := 0
 	p.EachEntry(func(TOCIndex, TOCEntry) { n++ })
 	return n
+}
+
+// TestCreateEntryTakesLowestDeadSlot pins the table of contents' first
+// fit: under a seeded mix of creations, deletions and drops over more
+// than two bitmap words of entries, every CreateEntry returns the index
+// a linear scan for the first non-live entry would, and appends when
+// none is dead.
+func TestCreateEntryTakesLowestDeadSlot(t *testing.T) {
+	p := NewPack("dska", 64, nil)
+	rng := rand.New(rand.NewSource(1977))
+	var live []bool
+	firstFit := func() int {
+		for i, l := range live {
+			if !l {
+				return i
+			}
+		}
+		return len(live)
+	}
+	var liveIdx []TOCIndex
+	for step := 0; step < 5000; step++ {
+		if len(liveIdx) == 0 || rng.Intn(5) < 3 {
+			want := firstFit()
+			got, err := p.CreateEntry(uint64(step+1), false, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int(got) != want {
+				t.Fatalf("step %d: CreateEntry = %d, first non-live entry is %d", step, got, want)
+			}
+			if want == len(live) {
+				live = append(live, false)
+			}
+			live[want] = true
+			liveIdx = append(liveIdx, got)
+			continue
+		}
+		i := rng.Intn(len(liveIdx))
+		idx := liveIdx[i]
+		liveIdx = append(liveIdx[:i], liveIdx[i+1:]...)
+		var err error
+		if rng.Intn(2) == 0 {
+			err = p.DeleteEntry(idx)
+		} else {
+			err = p.DropEntry(idx)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[idx] = false
+	}
+	if len(live) <= 128 {
+		t.Errorf("table grew to %d entries, want more than two bitmap words", len(live))
+	}
 }

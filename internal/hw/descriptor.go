@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -19,8 +20,10 @@ import (
 //     raises a quota exception above page control instead of a plain
 //     missing-page fault inside it.
 //
-// Frame comes first so the five bits pack behind it: a PTW is 16 bytes,
-// and a segment's 256-entry table 4 KiB.
+// Frame comes first so the five bits pack behind it: a PTW is 16 bytes.
+// A page table materializes descriptors only up to the highest page
+// ever set (see PageTable), so a one-page segment's table costs one
+// PTW, not 256.
 type PTW struct {
 	Frame     int
 	Present   bool
@@ -34,74 +37,108 @@ type PTW struct {
 // table itself conceptually lives in primary memory (in a core segment
 // for permanently active segments, in a paged segment otherwise).
 //
+// The table has a logical length of n descriptors, but only a prefix
+// of them is materialized: every page at or past len(ptws) reads as
+// the single descriptor past. Writing such a page (Set, Update, or a
+// translation that sets a bit) first extends the prefix to it. This
+// is the simulation's counterpart of the Multics AST's page-table
+// pools of 4, 16, 64 and 256 descriptors: a small segment does not pay
+// for the architectural maximum.
+//
 // A PageTable is safe for concurrent use by multiple simulated
 // processors; the lock-bit operations are atomic with respect to
 // translation, which is what the descriptor-lock hardware guarantees.
 type PageTable struct {
 	mu   sync.Mutex
+	n    int
 	ptws []PTW
+	past PTW
 }
 
 // NewPageTable returns a page table of n descriptors, all not-present.
 func NewPageTable(n int) *PageTable {
-	return &PageTable{ptws: make([]PTW, n)}
+	return &PageTable{n: n}
 }
 
-// NewPageTableOf returns a page table holding the given descriptors,
-// built in one pass instead of a Set per entry. The table takes
-// ownership of ptws.
-func NewPageTableOf(ptws []PTW) *PageTable {
-	return &PageTable{ptws: ptws}
+// NewPageTableOf returns a page table of n descriptors whose first
+// len(ptws) are ptws and whose rest read as past, built in one pass
+// instead of a Set per entry. The table takes ownership of ptws, which
+// must not be longer than n.
+func NewPageTableOf(ptws []PTW, n int, past PTW) *PageTable {
+	if len(ptws) > n {
+		panic(fmt.Sprintf("hw: %d descriptors for a page table of %d entries", len(ptws), n))
+	}
+	return &PageTable{n: n, ptws: ptws, past: past}
 }
 
-// Len reports the number of page descriptors.
-func (t *PageTable) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.ptws)
+// Len reports the number of page descriptors, fixed at construction.
+func (t *PageTable) Len() int { return t.n }
+
+func (t *PageTable) outside(p int) error {
+	return fmt.Errorf("hw: page %d outside page table of %d entries", p, t.n)
+}
+
+// at returns descriptor p, which must be in range. Caller holds t.mu.
+func (t *PageTable) at(p int) PTW {
+	if p < len(t.ptws) {
+		return t.ptws[p]
+	}
+	return t.past
+}
+
+// ref extends the materialized prefix through page p, which must be in
+// range, and returns its descriptor. Caller holds t.mu.
+func (t *PageTable) ref(p int) *PTW {
+	if p >= len(t.ptws) {
+		t.ptws = slices.Grow(t.ptws, p+1-len(t.ptws))
+		for len(t.ptws) <= p {
+			t.ptws = append(t.ptws, t.past)
+		}
+	}
+	return &t.ptws[p]
 }
 
 // Get returns a copy of descriptor p.
 func (t *PageTable) Get(p int) (PTW, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if p < 0 || p >= len(t.ptws) {
-		return PTW{}, fmt.Errorf("hw: page %d outside page table of %d entries", p, len(t.ptws))
+	if p < 0 || p >= t.n {
+		return PTW{}, t.outside(p)
 	}
-	return t.ptws[p], nil
+	return t.at(p), nil
 }
 
 // Set replaces descriptor p.
 func (t *PageTable) Set(p int, w PTW) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if p < 0 || p >= len(t.ptws) {
-		return fmt.Errorf("hw: page %d outside page table of %d entries", p, len(t.ptws))
+	if p < 0 || p >= t.n {
+		return t.outside(p)
 	}
-	t.ptws[p] = w
+	*t.ref(p) = w
 	return nil
 }
 
-// Grow appends not-present descriptors until the table has n entries.
-func (t *PageTable) Grow(n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for len(t.ptws) < n {
-		t.ptws = append(t.ptws, PTW{})
-	}
-}
-
 // ResetFrom replaces every descriptor from page from to the end of the
-// table with w, under one acquisition of the table lock.
+// table with w, under one acquisition of the table lock. The prefix is
+// cut back to from, so the reset pages cost nothing.
 func (t *PageTable) ResetFrom(from int, w PTW) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if from < 0 {
-		return fmt.Errorf("hw: page %d outside page table of %d entries", from, len(t.ptws))
+		return t.outside(from)
 	}
-	for p := from; p < len(t.ptws); p++ {
-		t.ptws[p] = w
+	if from >= t.n {
+		return nil
 	}
+	switch {
+	case from < len(t.ptws):
+		t.ptws = t.ptws[:from]
+	case from > len(t.ptws) && w != t.past:
+		// The pages between the prefix and from keep their old value.
+		t.ref(from - 1)
+	}
+	t.past = w
 	return nil
 }
 
@@ -110,11 +147,12 @@ func (t *PageTable) ResetFrom(from int, w PTW) error {
 func (t *PageTable) Update(p int, fn func(*PTW)) (PTW, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if p < 0 || p >= len(t.ptws) {
-		return PTW{}, fmt.Errorf("hw: page %d outside page table of %d entries", p, len(t.ptws))
+	if p < 0 || p >= t.n {
+		return PTW{}, t.outside(p)
 	}
-	fn(&t.ptws[p])
-	return t.ptws[p], nil
+	d := t.ref(p)
+	fn(d)
+	return *d, nil
 }
 
 // translate performs the hardware's page-level translation step for a
@@ -122,31 +160,34 @@ func (t *PageTable) Update(p int, fn func(*PTW)) (PTW, error) {
 // reference cannot complete, the fault kind. When lockHW is true
 // (descriptor-lock hardware present) a missing-page encounter
 // atomically sets the lock bit; locked reports whether this call was
-// the one that set it.
+// the one that set it. A fault that sets no bit leaves the
+// materialized prefix as it was.
 func (t *PageTable) translate(p int, write, lockHW bool) (ptw PTW, kind FaultKind, fault, locked bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if p < 0 || p >= len(t.ptws) {
+	if p < 0 || p >= t.n {
 		return PTW{}, FaultBounds, true, false
 	}
-	d := &t.ptws[p]
+	d := t.at(p)
 	switch {
 	case d.Lock:
-		return *d, FaultLockedDescriptor, true, false
+		return d, FaultLockedDescriptor, true, false
 	case d.QuotaTrap:
-		return *d, FaultQuota, true, false
+		return d, FaultQuota, true, false
 	case !d.Present:
 		if lockHW {
+			t.ref(p).Lock = true
 			d.Lock = true
-			return *d, FaultMissingPage, true, true
+			return d, FaultMissingPage, true, true
 		}
-		return *d, FaultMissingPage, true, false
+		return d, FaultMissingPage, true, false
 	}
-	d.Used = true
+	r := t.ref(p)
+	r.Used = true
 	if write {
-		d.Modified = true
+		r.Modified = true
 	}
-	return *d, 0, false, false
+	return *r, 0, false, false
 }
 
 // Unlock clears the lock bit of descriptor p. The page frame manager
@@ -207,40 +248,55 @@ type SDW struct {
 // descriptor table, stored in a core segment, defines the system
 // (kernel) address space shared by all processors; another, stored in
 // an ordinary segment, defines each user process's space.
+//
+// Like a PageTable, it has a logical length of n slots and materializes
+// only the prefix up to the highest slot ever set; every slot past it
+// reads as SDW{}, not present.
 type DescriptorTable struct {
 	mu   sync.Mutex
+	n    int
 	sdws []SDW
 }
 
 // NewDescriptorTable returns a descriptor table with room for n
 // segment numbers.
 func NewDescriptorTable(n int) *DescriptorTable {
-	return &DescriptorTable{sdws: make([]SDW, n)}
+	return &DescriptorTable{n: n}
 }
 
-// Len reports the number of segment-number slots.
-func (dt *DescriptorTable) Len() int {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
-	return len(dt.sdws)
+// Len reports the number of segment-number slots, fixed at
+// construction.
+func (dt *DescriptorTable) Len() int { return dt.n }
+
+func (dt *DescriptorTable) outside(segno int) error {
+	return fmt.Errorf("hw: segment number %d outside descriptor table of %d entries", segno, dt.n)
 }
 
 // Get returns a copy of the descriptor for segment number segno.
 func (dt *DescriptorTable) Get(segno int) (SDW, error) {
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
-	if segno < 0 || segno >= len(dt.sdws) {
-		return SDW{}, fmt.Errorf("hw: segment number %d outside descriptor table of %d entries", segno, len(dt.sdws))
+	if segno < 0 || segno >= dt.n {
+		return SDW{}, dt.outside(segno)
 	}
-	return dt.sdws[segno], nil
+	if segno < len(dt.sdws) {
+		return dt.sdws[segno], nil
+	}
+	return SDW{}, nil
 }
 
 // Set installs the descriptor for segment number segno.
 func (dt *DescriptorTable) Set(segno int, w SDW) error {
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
-	if segno < 0 || segno >= len(dt.sdws) {
-		return fmt.Errorf("hw: segment number %d outside descriptor table of %d entries", segno, len(dt.sdws))
+	if segno < 0 || segno >= dt.n {
+		return dt.outside(segno)
+	}
+	if segno >= len(dt.sdws) {
+		if w == (SDW{}) {
+			return nil
+		}
+		dt.sdws = append(dt.sdws, make([]SDW, segno+1-len(dt.sdws))...)
 	}
 	dt.sdws[segno] = w
 	return nil

@@ -428,28 +428,8 @@ func TestPageTableUnlock(t *testing.T) {
 	}
 }
 
-func TestPageTableGrow(t *testing.T) {
-	pt := NewPageTable(2)
-	pt.Grow(5)
-	if pt.Len() != 5 {
-		t.Errorf("Len after Grow(5) = %d", pt.Len())
-	}
-	pt.Grow(3) // never shrinks
-	if pt.Len() != 5 {
-		t.Errorf("Len after Grow(3) = %d", pt.Len())
-	}
-	d, err := pt.Get(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Present {
-		t.Error("grown descriptor is present")
-	}
-}
-
-// A PTW packs its five bits behind the frame number: 4,096 live
-// 256-entry page tables cost 16 MiB at this size, against 24 MiB with
-// the bits split around the frame.
+// A PTW packs its five bits behind the frame number: 16 bytes, against
+// 24 with the bits split around the frame.
 func TestPTWSize(t *testing.T) {
 	if got := unsafe.Sizeof(PTW{}); got != 16 {
 		t.Errorf("unsafe.Sizeof(PTW{}) = %d, want 16", got)
@@ -458,14 +438,20 @@ func TestPTWSize(t *testing.T) {
 
 func TestNewPageTableOf(t *testing.T) {
 	ptws := []PTW{{}, {QuotaTrap: true}, {Present: true, Frame: 7}}
-	pt := NewPageTableOf(ptws)
-	if pt.Len() != 3 {
-		t.Fatalf("Len %d, want 3", pt.Len())
+	want := append([]PTW(nil), ptws...)
+	trap := PTW{QuotaTrap: true}
+	pt := NewPageTableOf(ptws, 5, trap)
+	if pt.Len() != 5 {
+		t.Fatalf("Len %d, want 5", pt.Len())
 	}
-	for i, want := range ptws {
-		if got, _ := pt.Get(i); got != want {
-			t.Errorf("descriptor %d = %+v, want %+v", i, got, want)
+	want = append(want, trap, trap)
+	for i, w := range want {
+		if got, _ := pt.Get(i); got != w {
+			t.Errorf("descriptor %d = %+v, want %+v", i, got, w)
 		}
+	}
+	if _, err := pt.Get(5); err == nil {
+		t.Error("Get past the logical length succeeded")
 	}
 }
 

@@ -78,12 +78,15 @@ type Entry struct {
 	WriteRing int
 }
 
-// A KST is one process's known segment table.
+// A KST is one process's known segment table. Segment numbers are
+// handed out in order, so entries grows by append up to capacity and
+// costs only the segments the process has made known.
 type KST struct {
-	mu      lockrank.Mutex
-	base    int
-	entries []*Entry
-	byUID   map[uint64]int
+	mu       lockrank.Mutex
+	base     int
+	capacity int
+	entries  []*Entry
+	byUID    map[uint64]int
 	// pos is the table's index in the manager's list of live tables,
 	// under the manager lock; -1 once dropped.
 	pos int
@@ -94,7 +97,7 @@ func (k *KST) Entry(segno int) (Entry, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	i := segno - k.base
-	if i < 0 || i >= len(k.entries) || k.entries[i] == nil {
+	if i < 0 || i >= len(k.entries) {
 		return Entry{}, fmt.Errorf("%w: %d", ErrUnknown, segno)
 	}
 	return *k.entries[i], nil
@@ -116,7 +119,7 @@ func (m *Manager) Audit() []string {
 	for ki, k := range ksts {
 		k.mu.Lock()
 		for uid, i := range k.byUID {
-			if i < 0 || i >= len(k.entries) || k.entries[i] == nil {
+			if i < 0 || i >= len(k.entries) {
 				bad = append(bad, fmt.Sprintf("KST %d: uid %d indexes empty slot %d", ki, uid, i))
 				continue
 			}
@@ -125,9 +128,6 @@ func (m *Manager) Audit() []string {
 			}
 		}
 		for i, e := range k.entries {
-			if e == nil {
-				continue
-			}
 			if j, ok := k.byUID[e.UID]; !ok || j != i {
 				bad = append(bad, fmt.Sprintf("KST %d: slot %d (uid %d) not indexed", ki, i, e.UID))
 			}
@@ -164,7 +164,7 @@ func (m *Manager) NewKST(base, capacity int) (*KST, error) {
 	if base < 0 || capacity <= 0 {
 		return nil, fmt.Errorf("knownseg: KST base %d capacity %d", base, capacity)
 	}
-	k := &KST{base: base, entries: make([]*Entry, capacity), byUID: make(map[uint64]int)}
+	k := &KST{base: base, capacity: capacity, byUID: make(map[uint64]int)}
 	k.mu.InitSub(ModuleName, 0)
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -201,16 +201,15 @@ func (m *Manager) MakeKnown(k *KST, e Entry) (int, error) {
 	if i, ok := k.byUID[e.UID]; ok {
 		return k.base + i, nil
 	}
-	for i, slot := range k.entries {
-		if slot == nil {
-			cp := e
-			cp.Segno = k.base + i
-			k.entries[i] = &cp
-			k.byUID[e.UID] = i
-			return cp.Segno, nil
-		}
+	i := len(k.entries)
+	if i == k.capacity {
+		return 0, ErrKSTFull
 	}
-	return 0, ErrKSTFull
+	cp := e
+	cp.Segno = k.base + i
+	k.entries = append(k.entries, &cp)
+	k.byUID[e.UID] = i
+	return cp.Segno, nil
 }
 
 // UpdateAddr records a segment's new disk address in every KST that
@@ -238,7 +237,7 @@ func (m *Manager) UpdateCell(old, new quota.CellName) {
 	for _, k := range ksts {
 		k.mu.Lock()
 		for _, e := range k.entries {
-			if e != nil && e.HasCell && e.Cell == old {
+			if e.HasCell && e.Cell == old {
 				e.Cell = new
 			}
 		}

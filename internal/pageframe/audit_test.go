@@ -18,7 +18,7 @@ func TestAccessors(t *testing.T) {
 
 func TestAuditCleanThenCorrupt(t *testing.T) {
 	f := newFixture(t, 4)
-	pt := hw.NewPageTable(0)
+	pt := hw.NewPageTable(tablePages)
 	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +45,13 @@ func TestAuditCleanThenCorrupt(t *testing.T) {
 // list naming a frame of another table.
 func TestAuditDetectsResidentIndexCorruption(t *testing.T) {
 	f := newFixture(t, 4)
-	ptA := hw.NewPageTable(0)
-	ptB := hw.NewPageTable(0)
-	for _, pt := range []*hw.PageTable{ptA, ptA, ptB} {
-		if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: pt.Len(), Pack: f.pack}); err != nil {
+	ptA := hw.NewPageTable(tablePages)
+	ptB := hw.NewPageTable(tablePages)
+	for _, r := range []struct {
+		pt   *hw.PageTable
+		page int
+	}{{ptA, 0}, {ptA, 1}, {ptB, 0}} {
+		if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: r.pt, Page: r.page, Pack: f.pack}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,7 +82,7 @@ func TestAuditDetectsResidentIndexCorruption(t *testing.T) {
 
 func TestAuditDetectsFreeListCorruption(t *testing.T) {
 	f := newFixture(t, 3)
-	pt := hw.NewPageTable(0)
+	pt := hw.NewPageTable(tablePages)
 	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +97,7 @@ func TestAuditDetectsFreeListCorruption(t *testing.T) {
 	}
 	// Free an in-use frame.
 	f2 := newFixture(t, 3)
-	pt2 := hw.NewPageTable(0)
+	pt2 := hw.NewPageTable(tablePages)
 	if _, _, err := f2.m.AddPage(PageReq{UID: 1, PT: pt2, Page: 0, Pack: f2.pack}); err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +122,14 @@ func TestLockedFramesAreNotEvicted(t *testing.T) {
 	// A descriptor mid-service (lock bit set) must never be chosen
 	// as a victim.
 	f := newFixture(t, 1)
-	pt := hw.NewPageTable(0)
+	pt := hw.NewPageTable(tablePages)
 	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pt.Update(0, func(d *hw.PTW) { d.Lock = true }); err != nil {
 		t.Fatal(err)
 	}
-	pt2 := hw.NewPageTable(0)
+	pt2 := hw.NewPageTable(tablePages)
 	if _, _, err := f.m.AddPage(PageReq{UID: 2, PT: pt2, Page: 0, Pack: f.pack}); err == nil {
 		t.Error("eviction of a locked frame succeeded")
 	}

@@ -522,7 +522,6 @@ func (m *Manager) AddPage(req PageReq) (disk.RecordAddr, []Evicted, error) {
 		m.releaseFrame(frame)
 		return 0, ev, err
 	}
-	req.PT.Grow(req.Page + 1)
 	m.mu.Lock()
 	if req.KeepLocked {
 		// Claim the descriptor before the frame joins the in-use table:

@@ -13,6 +13,11 @@ import (
 	"multics/internal/vproc"
 )
 
+// tablePages is the logical length of the tests' page tables, the
+// architectural maximum segment length; a table materializes only the
+// pages a test touches.
+const tablePages = 256
+
 type fixture struct {
 	mem   *hw.Memory
 	m     *Manager
@@ -150,7 +155,7 @@ func TestLoadPageAlreadyPresent(t *testing.T) {
 
 func TestAddPageAllocatesRecordAndZeroFrame(t *testing.T) {
 	f := newFixture(t, 4)
-	pt := hw.NewPageTable(0)
+	pt := hw.NewPageTable(tablePages)
 	used := f.pack.UsedRecords()
 	rec, ev, err := f.m.AddPage(PageReq{UID: 9, PT: pt, Page: 0, Pack: f.pack})
 	if err != nil {
@@ -183,7 +188,7 @@ func TestAddPageAllocatesRecordAndZeroFrame(t *testing.T) {
 // grower records it in the file map.
 func TestAddPageKeepLocked(t *testing.T) {
 	f := newFixture(t, 4)
-	pt := hw.NewPageTable(0)
+	pt := hw.NewPageTable(tablePages)
 	req := PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack, KeepLocked: true}
 	if _, _, err := f.m.AddPage(req); err != nil {
 		t.Fatal(err)
@@ -199,7 +204,7 @@ func TestAddPageKeepLocked(t *testing.T) {
 	// Exhaust memory: every pageable frame is demanded while the
 	// claimed page is ineligible.
 	for i := 0; i < 6; i++ {
-		other := hw.NewPageTable(0)
+		other := hw.NewPageTable(tablePages)
 		if _, _, err := f.m.AddPage(PageReq{UID: uint64(i + 2), PT: other, Page: 0, Pack: f.pack}); err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +221,7 @@ func TestAddPageKeepLocked(t *testing.T) {
 	}
 	// Released, the page is an ordinary eviction candidate again.
 	for i := 0; i < 6; i++ {
-		other := hw.NewPageTable(0)
+		other := hw.NewPageTable(tablePages)
 		if _, _, err := f.m.AddPage(PageReq{UID: uint64(i + 20), PT: other, Page: 0, Pack: f.pack}); err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +239,7 @@ func TestAddPageFullPackReturnsUpTheChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pt := hw.NewPageTable(0)
+	pt := hw.NewPageTable(tablePages)
 	free := f.m.FreeFrames()
 	_, _, err := f.m.AddPage(PageReq{UID: 9, PT: pt, Page: 0, Pack: f.pack})
 	if !errors.Is(err, disk.ErrPackFull) {
@@ -243,8 +248,8 @@ func TestAddPageFullPackReturnsUpTheChain(t *testing.T) {
 	if f.m.FreeFrames() != free {
 		t.Error("failed AddPage leaked a frame")
 	}
-	if pt.Len() != 0 {
-		t.Error("failed AddPage grew the page table")
+	if d, _ := pt.Get(0); d != (hw.PTW{}) {
+		t.Errorf("failed AddPage left descriptor %+v", d)
 	}
 }
 
@@ -255,7 +260,7 @@ func TestEvictionWritesBackDirtyPage(t *testing.T) {
 	var pts []*hw.PageTable
 	var recs []disk.RecordAddr
 	for i := 0; i < 2; i++ {
-		pt := hw.NewPageTable(0)
+		pt := hw.NewPageTable(tablePages)
 		rec, _, err := f.m.AddPage(PageReq{UID: uint64(i + 1), PT: pt, Page: 0, Pack: f.pack})
 		if err != nil {
 			t.Fatal(err)
@@ -268,7 +273,7 @@ func TestEvictionWritesBackDirtyPage(t *testing.T) {
 		recs = append(recs, rec)
 	}
 	// A third page forces an eviction.
-	pt3 := hw.NewPageTable(0)
+	pt3 := hw.NewPageTable(tablePages)
 	_, ev, err := f.m.AddPage(PageReq{UID: 3, PT: pt3, Page: 0, Pack: f.pack})
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +309,7 @@ func TestEvictionWritesBackDirtyPage(t *testing.T) {
 
 func TestZeroPageEvictionFreesRecordAndSetsQuotaTrap(t *testing.T) {
 	f := newFixture(t, 1)
-	pt1 := hw.NewPageTable(0)
+	pt1 := hw.NewPageTable(tablePages)
 	// Add a page and leave it all zeros.
 	_, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt1, Page: 0, Pack: f.pack})
 	if err != nil {
@@ -312,7 +317,7 @@ func TestZeroPageEvictionFreesRecordAndSetsQuotaTrap(t *testing.T) {
 	}
 	used := f.pack.UsedRecords()
 	// Force eviction with a second page.
-	pt2 := hw.NewPageTable(0)
+	pt2 := hw.NewPageTable(tablePages)
 	_, ev, err := f.m.AddPage(PageReq{UID: 2, PT: pt2, Page: 0, Pack: f.pack})
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +340,7 @@ func TestZeroPageEvictionFreesRecordAndSetsQuotaTrap(t *testing.T) {
 func TestDaemonWriteBack(t *testing.T) {
 	f := newFixture(t, 1)
 	f.m.Daemons = true
-	pt1 := hw.NewPageTable(0)
+	pt1 := hw.NewPageTable(tablePages)
 	rec, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt1, Page: 0, Pack: f.pack})
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +350,7 @@ func TestDaemonWriteBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := f.vps.Dispatches()
-	pt2 := hw.NewPageTable(0)
+	pt2 := hw.NewPageTable(tablePages)
 	if _, _, err := f.m.AddPage(PageReq{UID: 2, PT: pt2, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +375,7 @@ func TestDaemonWriteBack(t *testing.T) {
 func TestDaemonWriteBackSnapshotSurvivesFrameReuse(t *testing.T) {
 	f := newFixture(t, 1)
 	f.m.Daemons = true
-	ptA := hw.NewPageTable(0)
+	ptA := hw.NewPageTable(tablePages)
 	recA, _, err := f.m.AddPage(PageReq{UID: 1, PT: ptA, Page: 0, Pack: f.pack})
 	if err != nil {
 		t.Fatal(err)
@@ -452,7 +457,7 @@ func TestDaemonModeCostsMore(t *testing.T) {
 		f := newFixture(t, 1)
 		f.m.Daemons = daemons
 		f.meter.Reset()
-		pt := hw.NewPageTable(0)
+		pt := hw.NewPageTable(tablePages)
 		if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}); err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +466,7 @@ func TestDaemonModeCostsMore(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 8; i++ {
-			pt2 := hw.NewPageTable(0)
+			pt2 := hw.NewPageTable(tablePages)
 			if _, _, err := f.m.AddPage(PageReq{UID: uint64(i + 2), PT: pt2, Page: 0, Pack: f.pack}); err != nil {
 				t.Fatal(err)
 			}
@@ -516,7 +521,7 @@ func TestWaitUnlock(t *testing.T) {
 
 func TestReleaseSegment(t *testing.T) {
 	f := newFixture(t, 4)
-	pt := hw.NewPageTable(0)
+	pt := hw.NewPageTable(tablePages)
 	var recs []disk.RecordAddr
 	for i := 0; i < 3; i++ {
 		rec, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: i, Pack: f.pack})
@@ -562,7 +567,7 @@ func TestReleaseSegment(t *testing.T) {
 
 func TestDropPage(t *testing.T) {
 	f := newFixture(t, 2)
-	pt := hw.NewPageTable(0)
+	pt := hw.NewPageTable(tablePages)
 	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +590,7 @@ func TestDropPage(t *testing.T) {
 func TestDropPagesFrom(t *testing.T) {
 	f := newFixture(t, 8)
 	pt := hw.NewPageTable(5)
-	other := hw.NewPageTable(0)
+	other := hw.NewPageTable(tablePages)
 	recs := []disk.RecordAddr{f.storedPage(t, 50), f.storedPage(t, 51), f.storedPage(t, 52)}
 	// Page 0 resident, pages 1 and 2 parked in the read-ahead cache.
 	if _, err := f.m.LoadPage(PageReq{
@@ -636,8 +641,8 @@ func TestDropPagesFrom(t *testing.T) {
 func TestClockGivesSecondChance(t *testing.T) {
 	f := newFixture(t, 2)
 	f.m.FrameBatch = 1 // single-victim semantics under test
-	ptA := hw.NewPageTable(0)
-	ptB := hw.NewPageTable(0)
+	ptA := hw.NewPageTable(tablePages)
+	ptB := hw.NewPageTable(tablePages)
 	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: ptA, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}
@@ -651,7 +656,7 @@ func TestClockGivesSecondChance(t *testing.T) {
 	if _, err := ptB.Update(0, func(d *hw.PTW) { d.Used = false }); err != nil {
 		t.Fatal(err)
 	}
-	ptC := hw.NewPageTable(0)
+	ptC := hw.NewPageTable(tablePages)
 	_, ev, err := f.m.AddPage(PageReq{UID: 3, PT: ptC, Page: 0, Pack: f.pack})
 	if err != nil {
 		t.Fatal(err)
@@ -666,7 +671,7 @@ func TestPLIBodyCostsMoreThanASM(t *testing.T) {
 		f := newFixture(t, 4)
 		f.m.Lang = lang
 		f.meter.Reset()
-		pt := hw.NewPageTable(0)
+		pt := hw.NewPageTable(tablePages)
 		for i := 0; i < 4; i++ {
 			if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: i, Pack: f.pack}); err != nil {
 				t.Fatal(err)
@@ -738,7 +743,7 @@ func TestEvictionWriteFailureLeaksNoFrames(t *testing.T) {
 	// on the free list, not in limbo.
 	f := newFixture(t, 4)
 	for i := 0; i < 4; i++ {
-		pt := hw.NewPageTable(0)
+		pt := hw.NewPageTable(tablePages)
 		if _, _, err := f.m.AddPage(PageReq{UID: uint64(i + 1), PT: pt, Page: 0, Pack: f.pack}); err != nil {
 			t.Fatal(err)
 		}
@@ -748,7 +753,7 @@ func TestEvictionWriteFailureLeaksNoFrames(t *testing.T) {
 		}
 	}
 	f.pack.SetFaultPlan(&disk.FaultPlan{Rules: []disk.Rule{{Op: disk.OpWrite, Permanent: true}}})
-	pt := hw.NewPageTable(0)
+	pt := hw.NewPageTable(tablePages)
 	if _, _, err := f.m.AddPage(PageReq{UID: 9, PT: pt, Page: 0, Pack: f.pack}); !errors.Is(err, disk.ErrPermanent) {
 		t.Fatalf("AddPage over failing disk: %v, want ErrPermanent", err)
 	}
@@ -764,7 +769,7 @@ func TestEvictionWriteFailureLeaksNoFrames(t *testing.T) {
 	// With the device healthy again every frame is allocatable.
 	f.pack.SetFaultPlan(nil)
 	for i := 0; i < 4; i++ {
-		pt := hw.NewPageTable(0)
+		pt := hw.NewPageTable(tablePages)
 		if _, _, err := f.m.AddPage(PageReq{UID: uint64(20 + i), PT: pt, Page: 0, Pack: f.pack}); err != nil {
 			t.Fatalf("AddPage %d after recovery: %v", i, err)
 		}
@@ -830,7 +835,7 @@ func TestZeroEvictionRevalidatesAfterShootdown(t *testing.T) {
 	bus.Attach(assoc)
 	f.m.Bus = bus
 
-	ptA := hw.NewPageTable(0)
+	ptA := hw.NewPageTable(tablePages)
 	recA, _, err := f.m.AddPage(PageReq{UID: 1, PT: ptA, Page: 0, Pack: f.pack})
 	if err != nil {
 		t.Fatal(err)
@@ -865,7 +870,7 @@ func TestZeroEvictionRevalidatesAfterShootdown(t *testing.T) {
 	// Demand the only frame: page A is evicted while the reference is
 	// in flight.
 	<-ready
-	ptB := hw.NewPageTable(0)
+	ptB := hw.NewPageTable(tablePages)
 	_, evs, err := f.m.AddPage(PageReq{UID: 2, PT: ptB, Page: 0, Pack: f.pack})
 	if err != nil {
 		t.Fatal(err)
@@ -901,7 +906,7 @@ func TestDaemonWriteBackErrorIsCounted(t *testing.T) {
 	f := newFixtureWith(t, 1, true)
 	f.m.Daemons = true
 	rec := f.rec
-	pt1 := hw.NewPageTable(0)
+	pt1 := hw.NewPageTable(tablePages)
 	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt1, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}
@@ -910,7 +915,7 @@ func TestDaemonWriteBackErrorIsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.pack.SetFaultPlan(&disk.FaultPlan{Rules: []disk.Rule{{Op: disk.OpWrite, Permanent: true}}})
-	pt2 := hw.NewPageTable(0)
+	pt2 := hw.NewPageTable(tablePages)
 	if _, _, err := f.m.AddPage(PageReq{UID: 2, PT: pt2, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}

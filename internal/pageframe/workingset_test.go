@@ -8,8 +8,8 @@ import (
 
 func TestSampleWorkingSets(t *testing.T) {
 	f := newFixture(t, 6)
-	ptA := hw.NewPageTable(0)
-	ptB := hw.NewPageTable(0)
+	ptA := hw.NewPageTable(tablePages)
+	ptB := hw.NewPageTable(tablePages)
 	// Segment 1: three resident pages; segment 2: two.
 	for i := 0; i < 3; i++ {
 		if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: ptA, Page: i, Pack: f.pack}); err != nil {
@@ -46,11 +46,11 @@ func TestWorkingSetSurvivesEviction(t *testing.T) {
 	// Evicted pages leave the working set naturally: only resident
 	// frames are sampled.
 	f := newFixture(t, 1)
-	pt := hw.NewPageTable(0)
+	pt := hw.NewPageTable(tablePages)
 	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}
-	pt2 := hw.NewPageTable(0)
+	pt2 := hw.NewPageTable(tablePages)
 	if _, _, err := f.m.AddPage(PageReq{UID: 2, PT: pt2, Page: 0, Pack: f.pack}); err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,7 @@ package segment
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 
@@ -146,7 +147,7 @@ type Manager struct {
 
 	mu      lockrank.Mutex
 	byUID   map[uint64]*ASTE
-	slots   []bool
+	free    []uint64 // bit i set while AST slot i is free
 	nextUID uint64
 	// spreadNext is the round-robin position of SpreadPack's
 	// rotation over the mounted packs.
@@ -192,7 +193,7 @@ func NewManager(vols *disk.Volumes, frames *pageframe.Manager, cells *quota.Mana
 		ast:     ast,
 		meter:   meter,
 		byUID:   make(map[uint64]*ASTE),
-		slots:   make([]bool, ast.Words()/ASTEWords),
+		free:    freeSlots(ast.Words() / ASTEWords),
 		nextUID: 1,
 	}
 	for _, id := range vols.Packs() {
@@ -270,13 +271,7 @@ func (m *Manager) Activate(uid uint64, addr disk.SegAddr, cell quota.CellName, h
 	if _, ok := m.byUID[uid]; ok {
 		return nil, fmt.Errorf("%w: segment %d", ErrAlreadyActive, uid)
 	}
-	slot := -1
-	for i, taken := range m.slots {
-		if !taken {
-			slot = i
-			break
-		}
-	}
+	slot := m.takeSlot()
 	if slot < 0 {
 		return nil, ErrASTFull
 	}
@@ -284,14 +279,15 @@ func (m *Manager) Activate(uid uint64, addr disk.SegAddr, cell quota.CellName, h
 	// beyond the file map (and every zero or unallocated page within
 	// it) carries the exception-causing bit, so its first touch
 	// raises a quota fault above page control instead of a plain
-	// missing-page fault. Stored pages fault missing-page.
-	ptws := make([]hw.PTW, MaxPages)
+	// missing-page fault. Stored pages fault missing-page. Only the
+	// file map's pages are materialized; the rest read as one
+	// trapping descriptor.
+	ptws := make([]hw.PTW, len(e.Map))
 	for i := range ptws {
-		ptws[i].QuotaTrap = i >= len(e.Map) || e.Map[i].State != disk.PageStored
+		ptws[i].QuotaTrap = e.Map[i].State != disk.PageStored
 	}
-	pt := hw.NewPageTableOf(ptws)
+	pt := hw.NewPageTableOf(ptws, MaxPages, hw.PTW{QuotaTrap: true})
 	a := &ASTE{uid: uid, addr: addr, pt: pt, cell: cell, hasCell: hasCell, dir: e.Dir, slot: slot, mapLen: len(e.Map), lastFault: -2}
-	m.slots[slot] = true
 	m.byUID[uid] = a
 	_ = m.ast.Write(slot*ASTEWords, hw.Word(uid).Masked())
 	// A quota directory's own cell is presented to the quota cell
@@ -299,12 +295,41 @@ func (m *Manager) Activate(uid uint64, addr disk.SegAddr, cell quota.CellName, h
 	if e.Dir && e.Quota.Valid && !m.cells.Active(addr) {
 		if err := m.cells.Activate(addr); err != nil {
 			delete(m.byUID, uid)
-			m.slots[slot] = false
+			m.releaseSlot(slot)
 			return nil, err
 		}
 	}
 	return a, nil
 }
+
+// freeSlots returns the free-slot bitmap of an AST of n slots, all
+// free.
+func freeSlots(n int) []uint64 {
+	free := make([]uint64, (n+63)/64)
+	for i := range free {
+		free[i] = ^uint64(0)
+	}
+	if r := n % 64; r != 0 {
+		free[len(free)-1] = 1<<r - 1
+	}
+	return free
+}
+
+// takeSlot claims the lowest free AST slot, or returns -1 when the
+// table is full. Caller holds m.mu.
+func (m *Manager) takeSlot() int {
+	for w, word := range m.free {
+		if word != 0 {
+			b := bits.TrailingZeros64(word)
+			m.free[w] &^= 1 << b
+			return w*64 + b
+		}
+	}
+	return -1
+}
+
+// releaseSlot frees AST slot i. Caller holds m.mu.
+func (m *Manager) releaseSlot(i int) { m.free[i/64] |= 1 << (i % 64) }
 
 // Lookup returns the AST entry for uid.
 func (m *Manager) Lookup(uid uint64) (*ASTE, error) {
@@ -931,7 +956,7 @@ func (m *Manager) Deactivate(uid uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.byUID, uid)
-	m.slots[a.slot] = false
+	m.releaseSlot(a.slot)
 	_ = m.ast.Write(a.slot*ASTEWords, 0)
 	return nil
 }
@@ -1035,7 +1060,7 @@ func (m *Manager) Delete(uid uint64, addr disk.SegAddr) error {
 		}
 		m.mu.Lock()
 		delete(m.byUID, uid)
-		m.slots[a.slot] = false
+		m.releaseSlot(a.slot)
 		_ = m.ast.Write(a.slot*ASTEWords, 0)
 		m.mu.Unlock()
 	}

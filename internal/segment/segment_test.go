@@ -2,6 +2,8 @@ package segment
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"multics/internal/coreseg"
@@ -683,5 +685,66 @@ func TestASTCapacity(t *testing.T) {
 func TestNewManagerValidation(t *testing.T) {
 	if _, err := NewManager(nil, nil, nil, nil, nil); err == nil {
 		t.Error("nil AST accepted")
+	}
+}
+
+// TestActivationTakesLowestFreeSlot pins the AST's first-fit choice:
+// under a seeded mix of activations, deactivations and deletions, every
+// activation takes the lowest free slot, and ErrASTFull comes exactly
+// when every slot is taken. The table has 100 slots, not a multiple of
+// the bitmap's 64-slot words.
+func TestActivationTakesLowestFreeSlot(t *testing.T) {
+	f := newFixture(t, 4, 64)
+	const slots = 100
+	f.m.free = freeSlots(slots)
+	rng := rand.New(rand.NewSource(1977))
+	taken := make([]bool, slots)
+	var active []*ASTE
+	fulls := 0
+	for step := 0; step < 3000; step++ {
+		if len(active) == 0 || rng.Intn(3) != 0 {
+			uid := f.m.NewUID()
+			addr, err := f.m.Create("dska", uid, false, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := slices.Index(taken, false)
+			a, err := f.m.Activate(uid, addr, quota.CellName{}, false)
+			if want < 0 {
+				if !errors.Is(err, ErrASTFull) {
+					t.Fatalf("step %d: activation with every slot taken: %v, want ErrASTFull", step, err)
+				}
+				fulls++
+				if err := f.m.Delete(uid, addr); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("step %d: activation with slot %d free: %v", step, want, err)
+			}
+			if a.slot != want {
+				t.Fatalf("step %d: activation took slot %d, lowest free is %d", step, a.slot, want)
+			}
+			taken[want] = true
+			active = append(active, a)
+			continue
+		}
+		i := rng.Intn(len(active))
+		a := active[i]
+		active = slices.Delete(active, i, i+1)
+		var err error
+		if rng.Intn(2) == 0 {
+			err = f.m.Deactivate(a.uid)
+		} else {
+			err = f.m.Delete(a.uid, a.Addr())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		taken[a.slot] = false
+	}
+	if fulls == 0 {
+		t.Error("the table never filled: ErrASTFull untested")
 	}
 }

@@ -119,7 +119,7 @@ func TestConcurrentSpans(t *testing.T) {
 	r := NewRecorder(workers*perWorker, nil)
 	r.Register("m")
 	runBound(t, workers, schedsim.Random(1), func(i int) {
-		r.SetRunningProcess(uint64(i + 1))
+		r.SetRunningProcess(i, uint64(i+1))
 		for j := 0; j < perWorker; j++ {
 			r.BeginSpan(SpanVPDispatch, "m", int64(j))
 			schedsim.Yield(schedsim.PointYield, "span open")

@@ -376,14 +376,18 @@ func (r *Recorder) EndSpan(kind SpanKind) {
 	}
 }
 
-// SetRunningProcess records which user process the calling
-// context's processor is running; span self-time is attributed to
-// it until the next call. Zero means none.
-func (r *Recorder) SetRunningProcess(pid uint64) {
+// SetRunningProcess records which user process processor cpu is
+// running; span self-time on that processor's slot (the spans of the
+// task BindCPU(cpu) bound) is attributed to it until the next call.
+// Zero means none; cpu -1 names the slot of spans begun off any task.
+// The processor is named, not taken from the caller's binding, so a
+// process attached from off any task is still charged on its
+// processor.
+func (r *Recorder) SetRunningProcess(cpu int, pid uint64) {
 	if r == nil {
 		return
 	}
-	slot := int(BoundCPU()) % spanSlots
+	slot := (cpu + 1) % spanSlots
 	r.mu.Lock()
 	r.sp.curProc[slot] = pid
 	r.mu.Unlock()

@@ -7,6 +7,10 @@ import (
 	"multics/internal/schedsim"
 )
 
+// offTask is the processor argument that names the slot of spans
+// begun off any task, where these tests run.
+const offTask = -1
+
 // TestSpanNestingAndLinkage drives one fault-service span with a
 // nested disk read and checks the whole record: completion order
 // (children complete first), parent linkage, child-time attribution,
@@ -77,7 +81,7 @@ func TestSpanProcessAttribution(t *testing.T) {
 	r := NewRecorder(16, clk)
 	r.Register("m")
 
-	r.SetRunningProcess(9)
+	r.SetRunningProcess(offTask, 9)
 	clk.c = 0
 	r.BeginSpan(SpanGate, "m", 1)
 	clk.c = 40
@@ -87,7 +91,7 @@ func TestSpanProcessAttribution(t *testing.T) {
 	clk.c = 200
 	r.EndSpan(SpanGate)
 
-	r.SetRunningProcess(0)
+	r.SetRunningProcess(offTask, 0)
 	clk.c = 300
 	r.BeginSpan(SpanGate, "m", 3)
 	clk.c = 400
@@ -101,6 +105,30 @@ func TestSpanProcessAttribution(t *testing.T) {
 	// Self-times: disk-read 100, gate 200-100 = 100; total 200 over 2 spans.
 	if pa.Cycles != 200 || pa.Spans != 2 {
 		t.Errorf("process 9 accounting = %+v, want 200 cycles over 2 spans", pa)
+	}
+}
+
+// TestRunningProcessSetOffTask names a processor from off any task:
+// the spans that processor's task then opens are charged to the
+// process, and spans off any task are not.
+func TestRunningProcessSetOffTask(t *testing.T) {
+	clk := &fakeClock{}
+	r := NewRecorder(16, clk)
+	r.Register("m")
+	r.SetRunningProcess(1, 7)
+	r.BeginSpan(SpanGate, "m", 0)
+	clk.c = 10
+	r.EndSpan(SpanGate)
+	runBound(t, 2, schedsim.Random(1), func(i int) {
+		if i == 1 {
+			r.BeginSpan(SpanGate, "m", 1)
+			clk.c += 100
+			r.EndSpan(SpanGate)
+		}
+	})
+	s := r.Snapshot()
+	if got := s.Procs[7]; got.Cycles != 100 || got.Spans != 1 || len(s.Procs) != 1 {
+		t.Errorf("process accounting %v, want process 7 charged 100 cycles over 1 span", s.Procs)
 	}
 }
 
@@ -269,7 +297,7 @@ func TestSpanHotPathAllocationFree(t *testing.T) {
 	clk := &fakeClock{}
 	r := NewRecorder(64, clk)
 	r.Register("m")
-	r.SetRunningProcess(3)
+	r.SetRunningProcess(offTask, 3)
 	// Warm up: allocate the stat block and the process entry once.
 	r.BeginSpan(SpanFaultService, "m", 0)
 	r.EndSpan(SpanFaultService)
@@ -336,7 +364,7 @@ func TestNilRecorderSpansSafe(t *testing.T) {
 	var r *Recorder
 	r.BeginSpan(SpanGate, "m", 0)
 	r.EndSpan(SpanGate)
-	r.SetRunningProcess(4)
+	r.SetRunningProcess(offTask, 4)
 	if r.Spans() != nil {
 		t.Error("nil recorder returned spans")
 	}
@@ -400,14 +428,14 @@ func TestPromTextGolden(t *testing.T) {
 	r.Emit(Event{Kind: EvPageFetch, Module: "alpha", Cost: 330})
 	r.Emit(Event{Kind: EvPageFetch, Module: "alpha", Cost: 330})
 
-	r.SetRunningProcess(5)
+	r.SetRunningProcess(offTask, 5)
 	r.BeginSpan(SpanFaultService, "alpha", 0)
 	clk.c = 120 // duration 100: bucket 7
 	r.EndSpan(SpanFaultService)
 	r.BeginSpan(SpanFaultService, "alpha", 0)
 	clk.c = 123 // duration 3: bucket 2
 	r.EndSpan(SpanFaultService)
-	r.SetRunningProcess(0)
+	r.SetRunningProcess(offTask, 0)
 	clk.c = 200
 
 	want := strings.Join([]string{
@@ -447,7 +475,7 @@ func TestSnapshotSinceSpans(t *testing.T) {
 	clk := &fakeClock{}
 	r := NewRecorder(32, clk)
 	r.Register("m")
-	r.SetRunningProcess(2)
+	r.SetRunningProcess(offTask, 2)
 	emit := func(d int64) {
 		start := clk.c
 		r.BeginSpan(SpanDiskWrite, "m", 0)

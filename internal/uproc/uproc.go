@@ -645,10 +645,6 @@ func (m *Manager) DispatchOn(qi int) (*Process, uint64, error) {
 			// Arg1 = 0: a state load through the virtual memory.
 			tr.Emit(trace.Event{Kind: trace.EvProcessSwap, Module: ModuleName, Cost: hw.CycProcessSwap, Arg0: int64(p.id)})
 		}
-		// Span self-time is now attributed to p; the binding is left in
-		// place at preemption, so the tail of a quantum span still
-		// charges the process that ran it.
-		tr.SetRunningProcess(p.id)
 		return p, epoch, nil
 	}
 }
@@ -964,7 +960,7 @@ func (m *Manager) Destroy(p *Process) error {
 // process, so its later spans are charged to none.
 func (m *Manager) workerLoop(wi int, cpu *hw.Processor, n int, body func(cpu *hw.Processor, p *Process)) (int, error) {
 	tr := m.trace
-	defer tr.SetRunningProcess(0)
+	defer tr.SetRunningProcess(cpu.ID, 0)
 	qi := wi % len(m.queues)
 	ran := 0
 	for i := 0; i < n; i++ {
@@ -988,6 +984,10 @@ func (m *Manager) workerLoop(wi int, cpu *hw.Processor, n int, body func(cpu *hw
 			}
 			return ran, err
 		}
+		// Span self-time on cpu is now attributed to p; the binding is
+		// left in place at preemption, so the tail of a quantum span
+		// still charges the process that ran it.
+		tr.SetRunningProcess(cpu.ID, p.id)
 		if body != nil {
 			body(cpu, p)
 		}

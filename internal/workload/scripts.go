@@ -166,8 +166,10 @@ func TraceTour() Scenario {
 }
 
 // FileUsers is multicsim's scripted timesharing workload: users users,
-// spread round-robin over the processors, each build a home directory
-// of files files, write pages pages of each and read them back.
+// one after another, each build a home directory of files files, write
+// pages pages of each and read them back. Each is attached to the first
+// processor, the one whose task runs the script, so its spans are
+// charged to it.
 func FileUsers(users, files, pages int) Scenario {
 	return Scenario{
 		Name: "file-users",
@@ -176,7 +178,7 @@ func FileUsers(users, files, pages int) Scenario {
 				for u := 0; u < users; u++ {
 					p, err := k.CreateProcess(fmt.Sprintf("user%d.proj", u), aim.Bottom)
 					must(err)
-					cpu := k.CPUs[u%len(k.CPUs)]
+					cpu := k.CPUs[0]
 					k.Attach(cpu, p)
 					home := fmt.Sprintf("user%d", u)
 					_, err = k.CreateDir(cpu, p, nil, home, directory.Public(hw.Read|hw.Write), aim.Bottom)
