@@ -203,8 +203,7 @@ func (k *Kernel) RemoteSegServe(cpu *hw.Processor, p *uproc.Process, req []hw.Wo
 
 // roundTrip carries one request over the mux to the remote node,
 // serves it there, and carries the reply back — every hop through the
-// demultiplexer and the internode connection tables, eventcount-
-// driven on both ends.
+// demultiplexer and the internode connection tables.
 func (l *Link) roundTrip(req []hw.Word) ([]hw.Word, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -213,19 +212,12 @@ func (l *Link) roundTrip(req []hw.Word) ([]hw.Word, error) {
 	if err := l.remote.Mux.Deliver(l.serverCPU, "internode", netmux.Frame{Channel: chanRequest, Payload: req}); err != nil {
 		return nil, fmt.Errorf("core: internode request: %w", err)
 	}
-	// The remote serving process drains its request connection with
-	// the read-drain-await idiom (the delivery already advanced the
-	// eventcount, so the await never blocks here).
+	// The delivery above queued the request synchronously, so the
+	// remote serving process finds it on the first pop.
 	rk := l.remote.K
-	ec := l.remote.Inter.DeliveryEC(l.remote.Inter.ShardOf(chanRequest))
-	seen := ec.Read()
-	d, ok := l.remote.Inter.Next(0)
+	d, ok := l.remote.Inter.Next(l.remote.Inter.ShardOf(chanRequest))
 	if !ok {
-		ec.Await(seen)
-		d, ok = l.remote.Inter.Next(0)
-		if !ok {
-			return nil, errors.New("core: internode request lost")
-		}
+		return nil, errors.New("core: internode request lost")
 	}
 	rk.Attach(l.serverCPU, l.server)
 	reply, serr := rk.RemoteSegServe(l.serverCPU, l.server, d.Data)

@@ -181,6 +181,7 @@ var entryPointsWithoutCallers = map[string]string{
 	"baseline.Supervisor.ResolvePath":     "the 1974 supervisor's buried resolver, README.md's \"pathname resolution buried in the supervisor\"; TestPathResolutionBuriedInKernel",
 	"core.Kernel.Rename":                  "user gate (SPEC.md directory-manager Operations); TestRenameAndTruncateGates",
 	"core.Kernel.SetACL":                  "user gate (SPEC.md directory-manager Operations); TestSetACLGate",
+	"fnp.FNP.DeliveryEC":                  "DESIGN.md's eventcount-driven delivery, the consumers' idle idiom: TestEventcountConsumer, TestSweepNoLostWakeupCreditReturn",
 	"hw.AssociativeMemory.Fingerprint":    "cache contents in the determinism surface: TestTraceDeterminism, TestAssocFingerprintDeterministic",
 	"hw.AssociativeMemory.HoldReference":  "seam pinning a reference across a shootdown: TestZeroEvictionRevalidatesAfterShootdown",
 	"pageframe.Manager.FreeFrames":        "frames returned to the free pool, which Stats does not count: TestLoadPageAlreadyPresent, TestPrefetchPurgedOnDropPage, TestDemountMountRoundTrip",

@@ -10,8 +10,12 @@
 //
 //   - A sharded connection table. Connections are slots in a flat
 //     array, sharded by low bits, so lookup is O(1) and consumers on
-//     different shards never contend. The table holds a million
-//     connections without per-connection goroutines or channels.
+//     different shards never contend. A line is 16 bytes — its
+//     credits, queue depth, drop count and the index of its ring —
+//     so a million lines take 16 MB, with no per-connection
+//     goroutines or channels. The frame buffers live apart: a shard
+//     lends a line one of its rings only while the line has frames
+//     queued, and takes it back when the last one is popped.
 //
 //   - Per-connection bounded rings with credit-based flow control. A
 //     frame consumes one credit at enqueue; the consumer returns the
@@ -87,23 +91,32 @@ type Delivery struct {
 	Latency int64
 }
 
-// conn is one terminal line: a bounded ring of frames, the credit
-// window, and its counters. Guarded by the owning shard's lock.
+// conn is one terminal line: the credit window, the queue depth and
+// the drop counter, in 16 bytes so the per-frame path touches one
+// small cache line per line. Guarded by the owning shard's lock.
 type conn struct {
-	ring  [RingSlots][]hw.Word
-	stamp [RingSlots]int64
-	head  uint8
-	count uint8
 	// credits are the free window slots from the producer's view: a
 	// frame consumes one at enqueue, the consumer returns it after
 	// processing. count+popped-but-uncredited = RingSlots-credits, so
 	// the ring can never overflow.
 	credits uint8
+	// count is how many frames are queued in the line's ring.
+	count uint8
 	// pending marks the connection as queued on the shard's
 	// round-robin delivery list.
-	pending   bool
-	drops     int64
-	delivered int64
+	pending bool
+	// ring indexes the shard's ring slab; it is meaningful only while
+	// count > 0, when the line holds a lent ring.
+	ring  uint32
+	drops int64
+}
+
+// ring is the frame buffer a shard lends a line while the line has
+// frames queued: the frames and their enqueue stamps, oldest at head.
+type ring struct {
+	data  [RingSlots][]hw.Word
+	stamp [RingSlots]int64
+	head  uint8
 }
 
 // shard is one slice of the connection table with its own lock,
@@ -115,6 +128,12 @@ type shard struct {
 	// bounded by the shard's connection count.
 	pending []uint32
 	phead   int
+
+	// rings is the shard's slab of lendable rings and free the LIFO
+	// list of the unlent ones. The slab grows by append to the most
+	// lines that had frames queued at once and never shrinks.
+	rings []ring
+	free  []uint32
 
 	frames    int64
 	drops     int64
@@ -230,9 +249,13 @@ func (f *FNP) Enqueue(connID int, data []hw.Word) bool {
 		return false
 	}
 	c.credits--
-	slot := (c.head + c.count) % RingSlots
-	c.ring[slot] = data
-	c.stamp[slot] = f.cycles()
+	if c.count == 0 {
+		c.ring = sh.lend()
+	}
+	r := &sh.rings[c.ring]
+	slot := (r.head + c.count) % RingSlots
+	r.data[slot] = data
+	r.stamp[slot] = f.cycles()
 	c.count++
 	sh.frames++
 	if !c.pending {
@@ -253,6 +276,19 @@ func (f *FNP) Enqueue(connID int, data []hw.Word) bool {
 		})
 	}
 	return true
+}
+
+// lend takes a ring for a line whose queue goes from empty to one
+// frame: the most recently returned one, or a new slab slot. Called
+// with the shard lock held.
+func (sh *shard) lend() uint32 {
+	if n := len(sh.free); n > 0 {
+		idx := sh.free[n-1]
+		sh.free = sh.free[:n-1]
+		return idx
+	}
+	sh.rings = append(sh.rings, ring{})
+	return uint32(len(sh.rings) - 1)
 }
 
 // Subscriber adapts the table to a netmux network whose channel
@@ -287,17 +323,21 @@ func (f *FNP) Next(shIdx int) (Delivery, bool) {
 			c.pending = false
 			continue
 		}
-		data := c.ring[c.head]
-		c.ring[c.head] = nil
-		lat := f.cycles() - c.stamp[c.head]
-		c.head = (c.head + 1) % RingSlots
+		r := &sh.rings[c.ring]
+		data := r.data[r.head]
+		r.data[r.head] = nil
+		lat := f.cycles() - r.stamp[r.head]
+		r.head = (r.head + 1) % RingSlots
 		c.count--
 		if c.count > 0 {
 			sh.pending = append(sh.pending, id)
 		} else {
+			// The last queued frame is out: the ring goes back to the
+			// shard. The frame's credit is still consumed, but an
+			// uncredited frame holds no ring.
+			sh.free = append(sh.free, c.ring)
 			c.pending = false
 		}
-		c.delivered++
 		sh.delivered++
 		if lat < 0 {
 			lat = 0
@@ -317,6 +357,8 @@ func (f *FNP) Next(shIdx int) (Delivery, bool) {
 // Credit returns one flow-control credit to a connection, reopening a
 // window slot for the mux. Consumers call it once per processed
 // delivery; a consumer that forgets is a slow consumer by definition.
+// A credit for a line whose window is already full returns nothing:
+// it is neither counted nor traced.
 func (f *FNP) Credit(connID int) {
 	if connID < 0 || connID >= len(f.conns) {
 		return
@@ -327,9 +369,11 @@ func (f *FNP) Credit(connID int) {
 	sh := &f.shards[f.ShardOf(connID)]
 	sh.mu.Lock()
 	c := &f.conns[connID]
-	if c.credits < RingSlots {
-		c.credits++
+	if c.credits == RingSlots {
+		sh.mu.Unlock()
+		return
 	}
+	c.credits++
 	credits := int64(c.credits)
 	sh.credits++
 	sh.mu.Unlock()
@@ -397,10 +441,9 @@ func (f *FNP) Stats() Stats {
 // ConnStats are one connection's counters: the isolation surface —
 // a slow consumer's drops land here and nowhere else.
 type ConnStats struct {
-	Queued    int
-	Credits   int
-	Drops     int64
-	Delivered int64
+	Queued  int
+	Credits int
+	Drops   int64
 }
 
 // ConnStats reports one connection's counters.
@@ -413,10 +456,9 @@ func (f *FNP) ConnStats(connID int) ConnStats {
 	defer sh.mu.Unlock()
 	c := &f.conns[connID]
 	return ConnStats{
-		Queued:    int(c.count),
-		Credits:   int(c.credits),
-		Drops:     c.drops,
-		Delivered: c.delivered,
+		Queued:  int(c.count),
+		Credits: int(c.credits),
+		Drops:   c.drops,
 	}
 }
 

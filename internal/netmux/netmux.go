@@ -138,21 +138,29 @@ type Mux struct {
 	Mode  Mode
 	meter *hw.CostMeter
 
-	mu       sync.Mutex
-	networks map[string]Network
-	order    []string
-	// queues hold delivered data per (network, channel), each bounded
-	// by queueCap.
-	queues map[string]map[int][]Delivery
-	// subs are per-network delivery subscribers: when set, deliveries
-	// bypass the queues and go straight to the consumer (the
-	// front-end processor's connection plane).
-	subs      map[string]func(Delivery)
+	mu sync.Mutex
+	// attached maps each network's name to its attachment, so a frame
+	// costs one lookup.
+	attached  map[string]*attachment
+	order     []string
 	queueCap  int
 	delivered int64
 	dropped   int64
 	protoErrs int64
 	trace     *trace.Recorder
+}
+
+// An attachment is one attached network with its delivery state. net
+// is fixed at Attach; queue and sub are guarded by the mux lock.
+type attachment struct {
+	net Network
+	// queue holds delivered data per channel, each bounded by
+	// queueCap.
+	queue map[int][]Delivery
+	// sub is the network's delivery subscriber: when set, deliveries
+	// bypass the queues and go straight to the consumer (the
+	// front-end processor's connection plane).
+	sub func(Delivery)
 }
 
 // New returns a mux in the given organization. Its frame and drop
@@ -163,9 +171,7 @@ func New(mode Mode, meter *hw.CostMeter, rec *trace.Recorder) *Mux {
 		Mode:     mode,
 		meter:    meter,
 		trace:    rec,
-		networks: make(map[string]Network),
-		queues:   make(map[string]map[int][]Delivery),
-		subs:     make(map[string]func(Delivery)),
+		attached: make(map[string]*attachment),
 		queueCap: DefaultQueueCap,
 	}
 }
@@ -178,13 +184,14 @@ func New(mode Mode, meter *hw.CostMeter, rec *trace.Recorder) *Mux {
 func (m *Mux) Subscribe(network string, fn func(Delivery)) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.networks[network]; !ok {
+	a, ok := m.attached[network]
+	if !ok {
 		return fmt.Errorf("netmux: no network %s", network)
 	}
-	if m.subs[network] != nil {
+	if a.sub != nil {
 		return fmt.Errorf("netmux: network %s already subscribed", network)
 	}
-	m.subs[network] = fn
+	a.sub = fn
 	return nil
 }
 
@@ -192,12 +199,11 @@ func (m *Mux) Subscribe(network string, fn func(Delivery)) error {
 func (m *Mux) Attach(n Network) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.networks[n.Name()]; ok {
+	if _, ok := m.attached[n.Name()]; ok {
 		return fmt.Errorf("netmux: network %s already attached", n.Name())
 	}
-	m.networks[n.Name()] = n
+	m.attached[n.Name()] = &attachment{net: n, queue: make(map[int][]Delivery)}
 	m.order = append(m.order, n.Name())
-	m.queues[n.Name()] = make(map[int][]Delivery)
 	return nil
 }
 
@@ -212,7 +218,7 @@ func (m *Mux) Networks() []string {
 func (m *Mux) KernelLines() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return KernelLines(m.Mode, len(m.networks))
+	return KernelLines(m.Mode, len(m.attached))
 }
 
 // Deliver processes one arriving frame. In the original organization
@@ -221,11 +227,12 @@ func (m *Mux) KernelLines() int {
 // (cpu, which may be nil, carries the ring crossings).
 func (m *Mux) Deliver(cpu *hw.Processor, network string, f Frame) error {
 	m.mu.Lock()
-	n, ok := m.networks[network]
+	a, ok := m.attached[network]
 	m.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("netmux: no network %s", network)
 	}
+	n := a.net
 	if f.Channel < 0 || f.Channel >= n.Channels() {
 		return fmt.Errorf("%w: %s channel %d", ErrBadChannel, network, f.Channel)
 	}
@@ -273,10 +280,10 @@ func (m *Mux) Deliver(cpu *hw.Processor, network string, f Frame) error {
 	}
 	d := Delivery{Network: network, Channel: f.Channel, Data: data}
 	m.mu.Lock()
-	sub := m.subs[network]
+	sub := a.sub
 	tr := m.trace
 	if sub == nil {
-		q := m.queues[network]
+		q := a.queue
 		if len(q[f.Channel]) >= m.queueCap {
 			// The channel's consumer fell behind: its own queue is
 			// full, its own frame is lost. Other channels are
@@ -324,13 +331,13 @@ func (m *Mux) gate(cpu *hw.Processor, fn func() error) error {
 func (m *Mux) Receive(network string, channel int) (Delivery, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	q, ok := m.queues[network]
-	if !ok || len(q[channel]) == 0 {
+	a, ok := m.attached[network]
+	if !ok || len(a.queue[channel]) == 0 {
 		return Delivery{}, false
 	}
-	d := q[channel][0]
-	q[channel] = q[channel][1:]
-	return d, true
+	q := a.queue[channel]
+	a.queue[channel] = q[1:]
+	return q[0], true
 }
 
 // Delivered reports the total frames delivered.
