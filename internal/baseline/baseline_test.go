@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"multics/internal/disk"
 	"multics/internal/hw"
 )
 
@@ -278,7 +279,8 @@ func TestZeroPageReclaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Touch a page, never write it, then flood memory.
+	// Touch a page, never write it, then flood memory. The page is
+	// clean and holds a record; the zero scan reclaims it all the same.
 	if _, err := s.Read(cpu, p, segno, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -294,6 +296,68 @@ func TestZeroPageReclaim(t *testing.T) {
 	// 7 non-zero pages charged; the zero page was reclaimed.
 	if root.quotaUsed != 7 {
 		t.Errorf("quota used = %d, want 7 (zero page reclaimed)", root.quotaUsed)
+	}
+}
+
+// TestEvictionWritesOnlyModifiedPages: with four pageable frames, two
+// four-page files are read back in turn from their records, so every
+// eviction takes a clean page and the disk sees no mutation; a page
+// stored to after it was read in is still written back.
+func TestEvictionWritesOnlyModifiedPages(t *testing.T) {
+	s := bootSup(t, func(c *Config) { c.MemFrames = 12 })
+	p := s.CreateProcess("u.x")
+	cpu := s.CPUs[0]
+	s.Attach(cpu, p)
+	const pages = 4
+	var segs [2]int
+	for i, name := range []string{"f", "g"} {
+		if err := s.Create("u.x", name, false); err != nil {
+			t.Fatal(err)
+		}
+		segno, err := s.Open(p, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs[i] = segno
+		for pg := 0; pg < pages; pg++ {
+			if err := s.Write(cpu, p, segno, pg*hw.PageWords, hw.Word(10*i+pg+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	scan := func(i int) {
+		t.Helper()
+		for pg := 0; pg < pages; pg++ {
+			w, err := s.Read(cpu, p, segs[i], pg*hw.PageWords)
+			if err != nil || w != hw.Word(10*i+pg+1) {
+				t.Fatalf("file %d page %d = %d, %v", i, pg, w, err)
+			}
+		}
+	}
+	// Writing g evicted f; one pass over f evicts g's written pages.
+	scan(0)
+	plan := &disk.FaultPlan{}
+	s.Vols.SetFaultPlan(plan)
+	_, before, _, _ := s.Stats()
+	scan(1)
+	scan(0)
+	_, after, _, _ := s.Stats()
+	if after-before != 2*pages {
+		t.Fatalf("clean scans evicted %d pages, want %d", after-before, 2*pages)
+	}
+	if n := plan.Mutations(); n != 0 {
+		t.Errorf("evicting clean pages made %d disk mutations, want 0", n)
+	}
+	// A store after the read dirties the page: evicting it writes it.
+	if err := s.Write(cpu, p, segs[0], 1, 99); err != nil {
+		t.Fatal(err)
+	}
+	scan(1)
+	if n := plan.Mutations(); n != 1 {
+		t.Errorf("evicting one modified page made %d disk mutations, want 1", n)
+	}
+	if w, err := s.Read(cpu, p, segs[0], 1); err != nil || w != 99 {
+		t.Errorf("modified word reads %d, %v after re-fault, want 99", w, err)
 	}
 }
 

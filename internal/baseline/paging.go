@@ -308,6 +308,7 @@ func (s *Supervisor) installFrame(a *aste, page, frame int) {
 		d.Present = true
 		d.Frame = frame
 		d.Used = true
+		d.Modified = false
 	})
 }
 
@@ -367,16 +368,19 @@ func (s *Supervisor) obtainFrame() (int, error) {
 }
 
 // writeBack persists an evicted page inline, with the zero-page scan
-// (and its quota decrement, which costs another upward walk).
+// (and its quota decrement, which costs another upward walk). Like
+// Multics page control before the redesign and after it, only a
+// modified page is written; a clean one already matches its record.
 func (s *Supervisor) writeBack(info frameInfo, frame int) error {
 	zero, err := s.Mem.FrameIsZero(frame)
 	if err != nil {
 		return err
 	}
-	if _, err := info.a.pt.Update(info.page, func(d *hw.PTW) {
+	d, err := info.a.pt.Update(info.page, func(d *hw.PTW) {
 		d.Present = false
 		d.Frame = 0
-	}); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	pack, err := s.Vols.Pack(info.a.ent.addr.Pack)
@@ -410,6 +414,9 @@ func (s *Supervisor) writeBack(info frameInfo, frame int) error {
 			qd.quotaUsed--
 		}
 		return nil
+	}
+	if !d.Modified {
+		return nil // unchanged since it was read in: the record holds it
 	}
 	buf := make([]hw.Word, hw.PageWords)
 	if err := s.Mem.ReadFrame(frame, buf); err != nil {

@@ -2,8 +2,9 @@ package core_test
 
 // Whole-kernel tests under the deterministic virtual-time executor:
 // bounded systematic sweeps that pin the races earlier changes fixed —
-// the zero-reclaim lost-write window, the quota-growth trap-vs-reclaim
-// window and the disk pipeline's completion window — by deliberately
+// the zero-reclaim lost-write window, the clean-eviction window, the
+// quota-growth trap-vs-reclaim window and the disk pipeline's
+// completion window — by deliberately
 // scheduling around their marked yield points instead of hoping a
 // goroutine storm happens to hit them.
 
@@ -18,6 +19,7 @@ import (
 	"multics/internal/aim"
 	"multics/internal/core"
 	"multics/internal/hw"
+	"multics/internal/pageframe"
 	"multics/internal/schedsim"
 	"multics/internal/uproc"
 	"multics/internal/workload"
@@ -185,6 +187,141 @@ func TestSweepZeroReclaimWindow(t *testing.T) {
 	}
 	t.Logf("%d schedules (%d completed, %d with a rescue), %d in-window decisions, %d zero evictions, %d rescues, truncated=%v",
 		rep.Schedules, c.completed, c.completedWithHit, rep.WindowDecisions, zeroEvictions, c.hits, rep.Truncated)
+}
+
+// cleanSweepStorm is the harness of the clean-eviction window. One
+// process runs on both processors. The toucher, on the first, has read
+// pages of its file f back in from their records, so each is clean and
+// its translation cached in the toucher's associative memory; then it
+// stores to each page through that translation and moves on. The
+// evictor, on the second, writes pressure pages of another file, so
+// its faults evict the toucher's pages. The evictor's task comes first,
+// so the sticky baseline runs those evictions before the toucher
+// starts, and a deviation at an eviction's shootdown drops the
+// toucher's store between the not-present update and the broadcast's
+// return. It returns how many stores landed there.
+func cleanSweepStorm(t *testing.T, strat schedsim.Strategy, pgs int) (inWindow int64, err error) {
+	k := boot(t, func(c *core.Config) {
+		c.Processors = 2
+		c.MemFrames = 32
+		c.WiredFrames = 8
+		c.RootQuota = 4096
+	})
+	ws := sharedFile(t, k)
+	toucher, evictor := ws[0], ws[1]
+	for pg := 0; pg < pgs; pg++ {
+		if err := k.Write(toucher.CPU, toucher.Proc, toucher.Segno, pg*hw.PageWords, hw.Word(100+pg)); err != nil {
+			return 0, err
+		}
+	}
+	if _, err := k.CreateFile(evictor.CPU, evictor.Proc, nil, "big", nil, aim.Bottom); err != nil {
+		return 0, err
+	}
+	big, err := k.OpenPath(evictor.CPU, evictor.Proc, []string{"big"})
+	if err != nil {
+		return 0, err
+	}
+	e, err := toucher.Proc.KST().Entry(toucher.Segno)
+	if err != nil {
+		return 0, err
+	}
+	if err := k.Segs.Deactivate(e.UID); err != nil {
+		return 0, err
+	}
+	if err := workload.Scan(k, toucher, pgs, 100); err != nil {
+		return 0, err
+	}
+	a, err := k.Segs.Lookup(e.UID)
+	if err != nil {
+		return 0, err
+	}
+	pt := a.PageTable()
+	var hit []int
+	err = workload.Run(uproc.SimExecutor{Strategy: strat}, []*workload.Worker{evictor, toucher}, func(w *workload.Worker) error {
+		if w == evictor {
+			for pg := 0; pg < pressure; pg++ {
+				if err := k.Write(w.CPU, w.Proc, big, pg*hw.PageWords, hw.Word(1000+pg)); err != nil {
+					return fmt.Errorf("evictor write page %d: %w", pg, err)
+				}
+			}
+			return nil
+		}
+		for pg := 0; pg < pgs; pg++ {
+			// A store that finds the page not present and yet
+			// completes without a fault went through the cached
+			// translation: its page is being evicted, and the broadcast
+			// has not reached this processor.
+			d, err := pt.Get(pg)
+			if err != nil {
+				return err
+			}
+			faults := k.Frames.Stats().Faults
+			if err := k.Write(w.CPU, w.Proc, w.Segno, pg*hw.PageWords, hw.Word(10+pg)); err != nil {
+				return fmt.Errorf("toucher write page %d: %w", pg, err)
+			}
+			if !d.Present && k.Frames.Stats().Faults == faults {
+				hit = append(hit, pg)
+			}
+		}
+		return nil
+	})
+	inWindow = int64(len(hit))
+	if err != nil {
+		return inWindow, err
+	}
+	// A page stored to in the window left memory with that eviction;
+	// only its write-back can bring the store back.
+	for _, pg := range hit {
+		if d, err := pt.Get(pg); err != nil || d.Present {
+			return inWindow, fmt.Errorf("page %d stored to in the window is resident again (%v)", pg, err)
+		}
+	}
+	// Re-fault every page from its record and read the stores back.
+	if err := k.Segs.Deactivate(e.UID); err != nil {
+		return inWindow, err
+	}
+	if err := workload.Scan(k, toucher, pgs, 10); err != nil {
+		return inWindow, fmt.Errorf("after re-fault (stores in the window on pages %v): %w", hit, err)
+	}
+	return inWindow, audited(k)
+}
+
+// TestSweepCleanEvictionWindow pins the window in which a clean page's
+// eviction decides whether to write it back. The modified bit may be
+// read only once the shootdown broadcast has returned: until then a
+// store through a cached translation still completes against the old
+// frame and sets the bit. Every completed schedule must read each
+// store back after a re-fault with a clean audit, and some completed
+// schedule must land a store in the window, or the race was not
+// exercised.
+func TestSweepCleanEvictionWindow(t *testing.T) {
+	var c tally
+	maxSched, maxPre := schedsim.EnvBudget(48, 2)
+	rep, err := schedsim.Sweep(schedsim.SweepConfig{
+		MaxSchedules:   maxSched,
+		MaxPreemptions: maxPre,
+		Window: func(d schedsim.Decision) bool {
+			return d.Point == schedsim.PointShootdown && d.Detail == pageframe.ModuleName
+		},
+	}, func(strat schedsim.Strategy) error {
+		inWindow, err := cleanSweepStorm(t, strat, 3)
+		return c.note(err, inWindow)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WindowDecisions == 0 {
+		t.Fatalf("sweep vacuous: no page-frame-manager shootdown decisions in %d schedules", rep.Schedules)
+	}
+	if c.completed == 0 {
+		t.Fatal("every schedule was starved: the sweep verified nothing")
+	}
+	if c.completedWithHit == 0 {
+		t.Fatalf("no completed schedule landed a store in the clean-eviction window (%d schedules, %d in-window decisions): the race was not exercised",
+			rep.Schedules, rep.WindowDecisions)
+	}
+	t.Logf("%d schedules (%d completed, %d with a store in the window), %d in-window decisions, %d stores in the window, truncated=%v",
+		rep.Schedules, c.completed, c.completedWithHit, rep.WindowDecisions, c.hits, rep.Truncated)
 }
 
 // TestSweepQuotaGrowthWindow explores the trap-vs-reclaim window:

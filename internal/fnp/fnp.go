@@ -100,11 +100,10 @@ type conn struct {
 	// processing. count+popped-but-uncredited = RingSlots-credits, so
 	// the ring can never overflow.
 	credits uint8
-	// count is how many frames are queued in the line's ring.
+	// count is how many frames are queued in the line's ring. A line
+	// is on its shard's round-robin delivery list exactly while
+	// count > 0.
 	count uint8
-	// pending marks the connection as queued on the shard's
-	// round-robin delivery list.
-	pending bool
 	// ring indexes the shard's ring slab; it is meaningful only while
 	// count > 0, when the line holds a lent ring.
 	ring  uint32
@@ -124,8 +123,8 @@ type ring struct {
 type shard struct {
 	mu lockableMutex
 	// pending is a FIFO of connection ids with queued frames; a
-	// connection appears at most once (conn.pending), so the list is
-	// bounded by the shard's connection count.
+	// connection appears at most once (it joins when its count leaves
+	// zero), so the list is bounded by the shard's connection count.
 	pending []uint32
 	phead   int
 
@@ -251,6 +250,7 @@ func (f *FNP) Enqueue(connID int, data []hw.Word) bool {
 	c.credits--
 	if c.count == 0 {
 		c.ring = sh.lend()
+		sh.pending = append(sh.pending, uint32(connID))
 	}
 	r := &sh.rings[c.ring]
 	slot := (r.head + c.count) % RingSlots
@@ -258,10 +258,6 @@ func (f *FNP) Enqueue(connID int, data []hw.Word) bool {
 	r.stamp[slot] = f.cycles()
 	c.count++
 	sh.frames++
-	if !c.pending {
-		c.pending = true
-		sh.pending = append(sh.pending, uint32(connID))
-	}
 	sh.mu.Unlock()
 	// The lost-wakeup window: the frame is queued but the eventcount
 	// has not yet moved. A consumer preempted in here must still see
@@ -306,52 +302,49 @@ func (f *FNP) Subscriber() func(netmux.Delivery) {
 func (f *FNP) Next(shIdx int) (Delivery, bool) {
 	sh := &f.shards[shIdx]
 	sh.mu.Lock()
-	for sh.phead < len(sh.pending) {
-		id := sh.pending[sh.phead]
-		sh.phead++
-		if sh.phead == len(sh.pending) {
-			sh.pending = sh.pending[:0]
-			sh.phead = 0
-		} else if sh.phead >= 1024 && sh.phead*2 >= len(sh.pending) {
-			// Compact the consumed prefix so a long-lived storm does
-			// not grow the list by one slot per re-appended pop.
-			sh.pending = append(sh.pending[:0], sh.pending[sh.phead:]...)
-			sh.phead = 0
-		}
-		c := &f.conns[id]
-		if c.count == 0 {
-			c.pending = false
-			continue
-		}
-		r := &sh.rings[c.ring]
-		data := r.data[r.head]
-		r.data[r.head] = nil
-		lat := f.cycles() - r.stamp[r.head]
-		r.head = (r.head + 1) % RingSlots
-		c.count--
-		if c.count > 0 {
-			sh.pending = append(sh.pending, id)
-		} else {
-			// The last queued frame is out: the ring goes back to the
-			// shard. The frame's credit is still consumed, but an
-			// uncredited frame holds no ring.
-			sh.free = append(sh.free, c.ring)
-			c.pending = false
-		}
-		sh.delivered++
-		if lat < 0 {
-			lat = 0
-		}
-		b := bits.Len64(uint64(lat))
-		sh.latHist[b]++
-		if lat > sh.latMax {
-			sh.latMax = lat
-		}
+	if sh.phead == len(sh.pending) {
 		sh.mu.Unlock()
-		return Delivery{Conn: int(id), Data: data, Latency: lat}, true
+		return Delivery{}, false
+	}
+	id := sh.pending[sh.phead]
+	sh.phead++
+	if sh.phead == len(sh.pending) {
+		sh.pending = sh.pending[:0]
+		sh.phead = 0
+	} else if sh.phead >= 1024 && sh.phead*2 >= len(sh.pending) {
+		// Compact the consumed prefix so a long-lived storm does
+		// not grow the list by one slot per re-appended pop.
+		sh.pending = append(sh.pending[:0], sh.pending[sh.phead:]...)
+		sh.phead = 0
+	}
+	// Every listed line has a frame queued: it joined with its first
+	// and leaves with its last.
+	c := &f.conns[id]
+	r := &sh.rings[c.ring]
+	data := r.data[r.head]
+	r.data[r.head] = nil
+	lat := f.cycles() - r.stamp[r.head]
+	r.head = (r.head + 1) % RingSlots
+	c.count--
+	if c.count > 0 {
+		sh.pending = append(sh.pending, id)
+	} else {
+		// The last queued frame is out: the ring goes back to the
+		// shard. The frame's credit is still consumed, but an
+		// uncredited frame holds no ring.
+		sh.free = append(sh.free, c.ring)
+	}
+	sh.delivered++
+	if lat < 0 {
+		lat = 0
+	}
+	b := bits.Len64(uint64(lat))
+	sh.latHist[b]++
+	if lat > sh.latMax {
+		sh.latMax = lat
 	}
 	sh.mu.Unlock()
-	return Delivery{}, false
+	return Delivery{Conn: int(id), Data: data, Latency: lat}, true
 }
 
 // Credit returns one flow-control credit to a connection, reopening a

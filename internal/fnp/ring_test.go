@@ -102,6 +102,62 @@ func TestLentRingsMatchReference(t *testing.T) {
 	}
 }
 
+// TestPendingCompactionMatchesReference keeps more than 1,024 lines
+// queued on one shard across pops, so Next compacts the consumed prefix
+// of the shard's pending list, and holds every delivery, the
+// statistics and the slab to the reference model throughout.
+func TestPendingCompactionMatchesReference(t *testing.T) {
+	const lines = 1100
+	f, meter := newFNP(t, lines, 1)
+	ref := newRefFNP(lines, 1)
+	sh := &f.shards[0]
+	peak := make([]int, 1)
+	var seq hw.Word
+	enqueue := func(id int) {
+		seq++
+		data := []hw.Word{seq}
+		if got, want := f.Enqueue(id, data), ref.Enqueue(id, data); got != want {
+			t.Fatalf("Enqueue(%d) = %v, reference %v", id, got, want)
+		}
+	}
+	for id := 0; id < lines; id++ {
+		for range RingSlots - 1 {
+			enqueue(id)
+		}
+	}
+	compactions := 0
+	for step := 0; ; step++ {
+		before := sh.phead
+		d, ok := f.Next(0)
+		rd, rok := ref.Next(0)
+		if ok != rok || !sameDelivery(d, rd) {
+			t.Fatalf("step %d Next: got %+v %v, reference %+v %v", step, d, ok, rd, rok)
+		}
+		if !ok {
+			break
+		}
+		if before > 0 && sh.phead == 0 && len(sh.pending) > 0 {
+			compactions++
+		}
+		f.Credit(d.Conn)
+		ref.Credit(d.Conn)
+		// Every seventh pop queues a fresh frame on the popped line,
+		// so lines rejoin the list while its prefix is consumed.
+		if step%7 == 0 {
+			enqueue(d.Conn)
+		}
+		meter.Add(int64(step % 13))
+		ref.meter.Add(int64(step % 13))
+		checkSlab(t, f, peak)
+	}
+	if got, want := f.Stats(), ref.Stats(); got != want {
+		t.Errorf("Stats = %+v, reference %+v", got, want)
+	}
+	if compactions == 0 {
+		t.Fatalf("no pop compacted the pending list (peak %d lines queued)", peak[0])
+	}
+}
+
 func runReferenceSequence(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	n := 1 + r.Intn(48)

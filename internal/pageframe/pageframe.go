@@ -23,11 +23,14 @@
 //     returned up the call chain for the segment manager to handle by
 //     relocation.
 //
-//   - The page-removal algorithm scans the contents of pages about to
-//     be removed; a page of all zeros is represented by a file-map
-//     flag and its record is freed (which is why the paper notes the
-//     algorithm must be given otherwise unnecessary access to the data
-//     of every page in the system).
+//   - The page-removal algorithm scans the contents of every page
+//     about to be removed; a page of all zeros is represented by a
+//     file-map flag and its record is freed (which is why the paper
+//     notes the algorithm must be given otherwise unnecessary access
+//     to the data of every page in the system). Of the rest, only the
+//     pages whose descriptor's modified bit is set are written back: a
+//     page not stored to since it was read in still matches its
+//     record.
 //
 // The manager can run in the multi-process organization of the
 // redesigned memory manager (Huber): page write-backs are performed by
@@ -119,7 +122,8 @@ type PageReq struct {
 // primary memory while making room. The caller (the segment manager)
 // owns the file maps and quota accounting, so the report carries what
 // it needs: for a zero page the record was freed and the file map
-// should say zero; otherwise the page was written back to its record.
+// should say zero; otherwise the page's record holds its contents,
+// written back if the page was modified since it was read in.
 type Evicted struct {
 	UID    uint64
 	Page   int
@@ -857,10 +861,11 @@ func (m *Manager) retire(b *writeBatch) {
 }
 
 // writeBackBatch disconnects each victim's descriptor and persists the
-// group: zeros free their records (the zero-page optimization), and
-// every dirty page is gathered into one grouped disk submission per
-// pack — queued to the page-writer daemon when the multi-process
-// organization is on — instead of one positioning operation per page.
+// group: zeros free their records (the zero-page optimization), a
+// clean page leaves without a write, and every modified page is
+// gathered into one grouped disk submission per pack — queued to the
+// page-writer daemon when the multi-process organization is on —
+// instead of one positioning operation per page.
 // Eviction reports are appended to out for every victim processed, even
 // when a later one fails, along with how many victims were disconnected
 // (descriptor made not-present and shot down) before the failure, so
@@ -875,8 +880,9 @@ func (m *Manager) writeBackBatch(out []Evicted, victims []victim) (evs []Evicted
 	// Each victim's record is marked in flight before its descriptor
 	// goes not-present, so no processor can fault the page back in from
 	// the record before the write-back lands. A zero page's mark goes
-	// with its record; a dirty page's once its write completes — or
-	// here, if the batch fails before handing the writes off.
+	// with its record, and a clean page's as soon as its modified bit
+	// reads clear; a dirty page's once its write completes — or here,
+	// if the batch fails before handing the writes off.
 	handedOff := false
 	defer func() {
 		if !handedOff {
@@ -970,6 +976,20 @@ func (m *Manager) writeBackBatch(out []Evicted, victims []victim) (evs []Evicted
 		}
 		if !info.hasRecord {
 			return evs, disconnected, fmt.Errorf("pageframe: dirty page %d of segment %d has no record", info.page, info.uid)
+		}
+		// A page not stored to since it was read in still matches its
+		// record, so it leaves memory without a write. The modified bit
+		// is read only now: until InvalidatePTW returned, a store
+		// through a cached PTW could still complete and set it.
+		d, err := info.pt.Get(info.page)
+		if err != nil {
+			return evs, disconnected, err
+		}
+		if !d.Modified {
+			b.marked = b.marked[:len(b.marked)-1]
+			m.markWrite(key, -1)
+			evs = append(evs, ev)
+			continue
 		}
 		buf := m.snapshot()
 		b.writes = append(b.writes, pendingWrite{pack: info.pack, rec: info.record, buf: buf})

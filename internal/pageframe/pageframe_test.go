@@ -337,6 +337,127 @@ func TestZeroPageEvictionFreesRecordAndSetsQuotaTrap(t *testing.T) {
 	}
 }
 
+// evictStored loads a stored page holding tag into the fixture's one
+// pageable frame, lets store run against it, and evicts it by loading
+// another stored page. It returns the page's eviction report, table and
+// record, and the disk mutations the eviction made.
+func evictStored(t *testing.T, f *fixture, tag hw.Word, store func(pt *hw.PageTable)) (Evicted, *hw.PageTable, disk.RecordAddr, int) {
+	t.Helper()
+	rec := f.storedPage(t, tag)
+	other := f.storedPage(t, 66)
+	pt := hw.NewPageTable(1)
+	if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack, Record: rec, HasRecord: true}); err != nil {
+		t.Fatal(err)
+	}
+	store(pt)
+	plan := &disk.FaultPlan{}
+	f.pack.SetFaultPlan(plan)
+	ev, err := f.m.LoadPage(PageReq{UID: 2, PT: hw.NewPageTable(1), Page: 0, Pack: f.pack, Record: other, HasRecord: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.vps.RunPending()
+	f.pack.SetFaultPlan(nil)
+	if len(ev) != 1 || ev[0].UID != 1 {
+		t.Fatalf("evictions = %+v, want page 1/0", ev)
+	}
+	return ev[0], pt, rec, plan.Mutations()
+}
+
+// recordWord reads word 0 of a record.
+func recordWord(t *testing.T, f *fixture, rec disk.RecordAddr) hw.Word {
+	t.Helper()
+	buf := make([]hw.Word, hw.PageWords)
+	if err := f.pack.ReadRecord(rec, buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf[0]
+}
+
+// TestCleanEvictionWritesNothing: a page not stored to since it was
+// read in leaves memory without a disk mutation, inline or through the
+// page-writer, is reported like a written-back page, and its record
+// still reads back its contents.
+func TestCleanEvictionWritesNothing(t *testing.T) {
+	for _, daemons := range []bool{false, true} {
+		f := newFixture(t, 1)
+		f.m.Daemons = daemons
+		ev, pt, rec, n := evictStored(t, f, 77, func(*hw.PageTable) {})
+		if ev.Zero || ev.FreedRecord || ev.Record != rec {
+			t.Errorf("daemons=%v: eviction = %+v, want a non-zero page keeping record %d", daemons, ev, rec)
+		}
+		if n != 0 {
+			t.Errorf("daemons=%v: clean eviction made %d disk mutations, want 0", daemons, n)
+		}
+		if d, _ := pt.Get(0); d.Present || d.QuotaTrap {
+			t.Errorf("daemons=%v: evicted descriptor = %+v", daemons, d)
+		}
+		if got := recordWord(t, f, rec); got != 77 {
+			t.Errorf("daemons=%v: record reads %d, want 77", daemons, got)
+		}
+		if f.m.writing(f.pack, rec) {
+			t.Errorf("daemons=%v: clean eviction left its record marked in flight", daemons)
+		}
+		if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack, Record: rec, HasRecord: true}); err != nil {
+			t.Fatal(err)
+		}
+		if got := frameWord(t, f.mem, pt, 0, 0); got != 77 {
+			t.Errorf("daemons=%v: reloaded word = %d, want 77", daemons, got)
+		}
+	}
+}
+
+// TestModifiedEvictionWritesBack: a page stored to after it was read
+// in is still written back.
+func TestModifiedEvictionWritesBack(t *testing.T) {
+	for _, daemons := range []bool{false, true} {
+		f := newFixture(t, 1)
+		f.m.Daemons = daemons
+		ev, _, rec, n := evictStored(t, f, 77, func(pt *hw.PageTable) {
+			d, err := pt.Update(0, func(d *hw.PTW) { d.Modified = true })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.mem.Write(f.mem.FrameBase(d.Frame), 78); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if ev.Zero || ev.FreedRecord {
+			t.Errorf("daemons=%v: eviction = %+v, want a written-back page", daemons, ev)
+		}
+		if n != 1 {
+			t.Errorf("daemons=%v: modified eviction made %d disk mutations, want its one write", daemons, n)
+		}
+		if got := recordWord(t, f, rec); got != 78 {
+			t.Errorf("daemons=%v: record reads %d, want the stored 78", daemons, got)
+		}
+	}
+}
+
+// TestCleanZeroPageStillReclaimed: the zero scan comes before the
+// modified bit, so a clean page that reads all zeros still frees its
+// record and sets its quota trap.
+func TestCleanZeroPageStillReclaimed(t *testing.T) {
+	f := newFixture(t, 1)
+	used := f.pack.UsedRecords() + 2 // the zero page's record and the other's
+	ev, pt, _, n := evictStored(t, f, 0, func(*hw.PageTable) {})
+	if !ev.Zero || !ev.FreedRecord {
+		t.Fatalf("eviction = %+v, want a zero page with its record freed", ev)
+	}
+	if got := f.pack.UsedRecords(); got != used-1 {
+		t.Errorf("used records = %d, want %d", got, used-1)
+	}
+	if n != 1 {
+		t.Errorf("zero reclaim made %d disk mutations, want its one free", n)
+	}
+	if d, _ := pt.Get(0); d.Present || !d.QuotaTrap {
+		t.Errorf("zero-evicted descriptor = %+v, want quota trap set", d)
+	}
+	if zeros := f.m.Stats().ZeroEvictions; zeros != 1 {
+		t.Errorf("zeroEvictions = %d, want 1", zeros)
+	}
+}
+
 func TestDaemonWriteBack(t *testing.T) {
 	f := newFixture(t, 1)
 	f.m.Daemons = true
@@ -424,6 +545,11 @@ func TestWarmFaultAllocatesLittle(t *testing.T) {
 			return
 		}
 		if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: page, Pack: f.pack, Record: recs[page], HasRecord: true}); err != nil {
+			t.Fatal(err)
+		}
+		// A store's modified bit: a clean page would leave without
+		// the write-back under test.
+		if _, err := pt.Update(page, func(d *hw.PTW) { d.Modified = true }); err != nil {
 			t.Fatal(err)
 		}
 	}

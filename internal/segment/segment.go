@@ -622,8 +622,9 @@ func (m *Manager) applyEvictions(evs []pageframe.Evicted) error {
 				}
 			}
 		}
-		// A non-zero eviction was written back in place; the file
-		// map already names its record.
+		// A non-zero eviction left its contents in its record,
+		// written back in place if the page was modified; the file
+		// map already names the record.
 	}
 	return nil
 }
