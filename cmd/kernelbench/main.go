@@ -412,7 +412,10 @@ func faultStorm(s workload.Scenario, mutate func(*core.Config), tune func(*core.
 
 // ungroupedFaultStorm is P5's fault storm on the kernel as the 1976
 // system ran it: no associative memory (the 1974 baseline models no
-// translation cache either) and write-back one frame at a time.
+// translation cache either) and one victim per eviction pass. The
+// storm only reads, so it writes nothing back, and the missing
+// associative memory costs it nothing: its whole difference from the
+// kernel's own figure is single-victim eviction.
 func ungroupedFaultStorm() int64 {
 	return faultStorm(p5Storm(), func(c *core.Config) { c.AssocOff = true }, func(k *core.Kernel) { k.Frames.FrameBatch = 1 })
 }
@@ -446,7 +449,7 @@ func p5() (base, kern int64) {
 	ungrouped := ungroupedFaultStorm() / faultReads
 	fmt.Printf("P5 page-fault path:    1974 %5d cyc, kernel %5d cyc (%s)  [paper: negative, not significant]\n",
 		base, kern, ratio(kern, base))
-	fmt.Printf("    as run in 1976:    no associative memory, ungrouped write-back %5d cyc (%s)\n",
+	fmt.Printf("    as run in 1976:    single-victim eviction, no associative memory %5d cyc (%s)\n",
 		ungrouped, ratio(ungrouped, base))
 	record("P5 page-fault path", map[string]any{"baseline_cycles": base, "kernel_cycles": kern, "kernel_ungrouped_cycles": ungrouped})
 	return base, kern
@@ -581,9 +584,8 @@ func schedulerQuanta() (oneLevel, twoLevel int64) {
 	check(err)
 	oneLevel = s.Meter.Since(start)
 
-	// One processor, so one run queue holds all four processes and its
-	// worker rotates through every one of them, as the one-level
-	// scheduler does.
+	// One processor, whose worker rotates through all four processes
+	// as the one-level scheduler does.
 	k := bootKernel(func(c *core.Config) { c.Processors = 1 })
 	serial(k, func() {
 		for i := 0; i < 4; i++ {
@@ -724,24 +726,24 @@ func p11(cacheOn map[int]int64) {
 	record("P11 associative memory", metrics)
 }
 
-// p12 drives the login storm (workload.Logins) through the sharded
-// scheduler: 1k and 10k users register, log in, timeshare through
+// p12 drives the login storm (workload.Logins) through the
+// scheduler's one ready queue: 1k and 10k users register, log in, timeshare through
 // rounds of quanta with block/wake churn over the real-memory queue,
 // and log out, on 1, 2 and 4 processors. The figures of merit are the
 // per-login cycle cost, the dispatch cost per quantum — which stays
-// flat as the user count grows tenfold, the O(1) run-queue claim —
+// flat as the user count grows tenfold, the O(1) ready-queue claim —
 // and the time-to-first-quantum tail, each process's creation to its
 // first dispatch. Every phase runs under the deterministic executor,
 // so every row, multiprocessor ones included, feeds the -compare gate.
 func p12() {
-	fmt.Println("P12 login storm (sharded run queues, work stealing, eventcount wakeups):")
+	fmt.Println("P12 login storm (one ready queue, sharded process table, eventcount wakeups):")
 	var rows []map[string]any
 	for _, users := range []int{1000, 10000} {
 		for _, nCPU := range []int{1, 2, 4} {
 			rows = append(rows, loginStorm(users, nCPU))
 		}
 	}
-	fmt.Println("    [the per-quantum dispatch cost holds flat from 1k to 10k users: O(1) run-queue dispatch]")
+	fmt.Println("    [the per-quantum dispatch cost holds flat from 1k to 10k users: O(1) ready-queue dispatch]")
 	record("P12 login storm", map[string]any{"per_config": rows})
 }
 
@@ -761,12 +763,11 @@ func loginStorm(users, nCPU int) map[string]any {
 	if stats.Dispatches > 0 {
 		perQuantum = res.QuantaCycles / stats.Dispatches
 	}
-	fmt.Printf("    %5d users %d cpu: login %5d cyc/user, dispatch %4d cyc/quantum, ttfq p50 %9d p99 %9d max %9d cyc, %5d steals, depth %d\n",
-		users, nCPU, loginPer, perQuantum, pct(0.50), pct(0.99), ttfq[len(ttfq)-1], stats.Steals, stats.MaxQueueDepth)
+	fmt.Printf("    %5d users %d cpu: login %5d cyc/user, dispatch %4d cyc/quantum, ttfq p50 %9d p99 %9d max %9d cyc, depth %d\n",
+		users, nCPU, loginPer, perQuantum, pct(0.50), pct(0.99), ttfq[len(ttfq)-1], stats.MaxQueueDepth)
 	return map[string]any{
 		"users": users, "processors": nCPU,
 		"dispatches": stats.Dispatches, "first_quanta": len(ttfq),
-		"steals": stats.Steals, "migrations": stats.Migrations,
 		"wakeups": stats.Wakeups,
 		"blocked": res.Blocked, "woken": res.Woken,
 		"max_queue_depth":             stats.MaxQueueDepth,

@@ -58,14 +58,18 @@ func TestConnStormRepeats(t *testing.T) {
 // regression fails loudly rather than silently changing the story.
 
 // TestShapePageFaultPath: P5's redesigned memory manager has a
-// slightly slower processor path than the baseline's (PL/I recode plus
-// daemon IPC), the paper's "negative, but not significant". End to end
+// slightly slower processor path than the baseline's (the PL/I
+// recode), the paper's "negative, but not significant". End to end
 // the comparison inverts: the kernel's faults ride the per-pack
 // elevator queue, whose distance-priced positioning (short or no seeks
 // between the sequential records of a thrashing scan) undercuts the
 // baseline's full average seek per transfer by more than the recode
 // costs. The kernel runs as the 1976 system did, without associative
-// memory and with ungrouped write-back, P5's kernel_ungrouped_cycles.
+// memory and with one victim per eviction pass (FrameBatch = 1), P5's
+// kernel_ungrouped_cycles. The storm only reads: nothing is written
+// back, the page writer is sent nothing, and the missing associative
+// memory costs nothing, so its whole gap over P5's kernel figure is
+// single-victim eviction.
 // The test pins both halves: the kernel wins overall, and the win stays
 // modest, so a runaway cost-model change in either direction fails.
 func TestShapePageFaultPath(t *testing.T) {

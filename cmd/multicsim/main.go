@@ -160,10 +160,9 @@ func main() {
 	fmt.Printf("    upward signals:           %d raised, %d handled\n", raised, handled)
 	fmt.Printf("    kernel daemon dispatches: %d\n", k.VProcs.Dispatches())
 	ss := k.Procs.SchedStats()
-	fmt.Printf("    scheduler dispatches:     %d (%d steals, %d migrations)\n",
-		ss.Dispatches, ss.Steals, ss.Migrations)
-	fmt.Printf("    run queues:               %d queues, deepest %d, %d wakeups\n",
-		ss.RunQueues, ss.MaxQueueDepth, ss.Wakeups)
+	fmt.Printf("    scheduler dispatches:     %d\n", ss.Dispatches)
+	fmt.Printf("    ready queue:              deepest %d, %d wakeups\n",
+		ss.MaxQueueDepth, ss.Wakeups)
 	fmt.Printf("    simulated cycles:         %d\n", k.Meter.Cycles())
 
 	topTalkers(k)

@@ -104,8 +104,8 @@ func main() {
 		mux.Delivered(), mux.KernelLines(), len(mux.Networks()))
 
 	// A scheduling mix over the two-level multiplexer: each processor
-	// runs four quanta from its own run queue, under the deterministic
-	// executor.
+	// runs four quanta, taking the longest-waiting process from the one
+	// ready queue, under the deterministic executor.
 	n, err := k.Procs.RunQuantumWith(uproc.SimExecutor{Seed: 1977}, k.CPUs, 4,
 		func(_ *hw.Processor, p *uproc.Process) { p.AddCPU(7) })
 	if err != nil {

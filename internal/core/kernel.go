@@ -334,9 +334,6 @@ func Boot(cfg Config) (*Kernel, error) {
 		return nil, err
 	}
 	k.Procs = uproc.NewManager(k.VProcs, k.Segs, k.KSM, k.Queue, k.Meter, k.Trace)
-	// One run queue per simulated processor, so each CPU's scheduler
-	// worker dispatches from its own queue and steals when it drains.
-	k.Procs.SetRunQueues(cfg.Processors)
 	k.gateLock.Init(GateModule)
 	k.Procs.StatePack = rootPack
 	rootEntry, err := k.Dirs.Status("initializer.sys", aim.Top, k.Dirs.RootID())

@@ -121,13 +121,6 @@ const (
 	// error out if the pressure persists (Arg0 segment number, Arg1
 	// offset, Arg2 retries so far).
 	EvRetryPressure
-	// EvSchedSteal: a draining run queue stole a ready process from
-	// another queue (Arg0 the thief queue, Arg1 the victim queue,
-	// Arg2 the process id).
-	EvSchedSteal
-	// EvSchedMigrate: a process's home run queue changed at dispatch
-	// (Arg0 the old queue, Arg1 the new queue, Arg2 the process id).
-	EvSchedMigrate
 	// EvDiskQueue: a request joined a pack's device queue (Arg0 the
 	// request's first record address, Arg1 the queue depth after the
 	// enqueue, Arg2 1 for a speculative read-ahead request).
@@ -173,10 +166,9 @@ var kindNames = [NumKinds]string{
 	"dispatch", "ipc", "process-swap", "disk-read", "disk-write",
 	"quota-check", "signal-raise", "signal-handle", "await", "advance",
 	"fault-injected", "salvage-repair", "assoc-hit", "assoc-miss",
-	"assoc-clear", "write-error", "retry-pressure", "sched-steal",
-	"sched-migrate", "disk-queue", "prefetch-issue", "prefetch-hit",
-	"prefetch-drop", "net-frame", "net-drop", "net-credit",
-	"remote-seg",
+	"assoc-clear", "write-error", "retry-pressure", "disk-queue",
+	"prefetch-issue", "prefetch-hit", "prefetch-drop", "net-frame",
+	"net-drop", "net-credit", "remote-seg",
 }
 
 func (k Kind) String() string {

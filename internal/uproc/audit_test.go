@@ -33,7 +33,7 @@ func TestAuditCleanThenCorrupt(t *testing.T) {
 	if _, err := f.m.Create("b.x", aim.Bottom); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.m.DispatchOn(0); err != nil {
+	if _, _, err := f.m.Dispatch(); err != nil {
 		t.Fatal(err)
 	}
 	if bad := f.m.Audit(); len(bad) != 0 {
@@ -54,18 +54,18 @@ func TestAuditCleanThenCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rq := f.m.queues[b.home]
+	rq := &f.m.ready
 	// Corrupt: the queue's recorded size disagrees with its list.
 	rq.mu.Lock()
 	rq.size++
 	rq.mu.Unlock()
 	if bad := f.m.Audit(); len(bad) != 1 {
-		t.Errorf("audit of a run queue whose walk falls short of its size = %v, want one finding", bad)
+		t.Errorf("audit of a ready queue whose walk falls short of its size = %v, want one finding", bad)
 	}
 	rq.mu.Lock()
 	rq.size--
 	rq.mu.Unlock()
-	// Corrupt: a ready process vanishes from its run queue.
+	// Corrupt: a ready process vanishes from the ready queue.
 	rq.mu.Lock()
 	rq.remove(b)
 	rq.mu.Unlock()

@@ -2,7 +2,6 @@ package uproc
 
 import (
 	"errors"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -94,13 +93,13 @@ func (e SimExecutor) Run(cpus []*hw.Processor, body func(cpu *hw.Processor)) err
 }
 
 // RunQuantumWith runs the scheduler's quantum loop on every processor
-// in cpus under the given executor,
-// each dispatching from its own run queue (stealing when it drains),
-// running body with the process bound to that processor, and
-// preempting. Each processor runs at most n processes; it stops when
-// the ready set drains, and sleeps on the free-pool eventcount when
-// the virtual processors are all busy. The total across processors is
-// returned with the first error, if any.
+// in cpus under the given executor, each dispatching the
+// longest-waiting process from the one ready queue, running body with
+// the process bound to that processor, and preempting. Each processor
+// runs at most n processes; it stops when the ready set drains, and
+// sleeps on the free-pool eventcount when the virtual processors are
+// all busy. The total across processors is returned with the first
+// error, if any.
 func (m *Manager) RunQuantumWith(ex Executor, cpus []*hw.Processor, n int, body func(cpu *hw.Processor, p *Process)) (int, error) {
 	var (
 		mu    sync.Mutex
@@ -108,7 +107,7 @@ func (m *Manager) RunQuantumWith(ex Executor, cpus []*hw.Processor, n int, body 
 		first error
 	)
 	err := ex.Run(cpus, func(cpu *hw.Processor) {
-		ran, err := m.workerLoop(slices.Index(cpus, cpu), cpu, n, body)
+		ran, err := m.workerLoop(cpu, n, body)
 		mu.Lock()
 		defer mu.Unlock()
 		total += ran

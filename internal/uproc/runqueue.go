@@ -2,16 +2,15 @@ package uproc
 
 import "multics/internal/lockrank"
 
-// A runQueue is one per-CPU ready queue: an intrusive doubly-linked
-// FIFO list. Enqueue, dequeue and removal are all O(1): the links
-// live in the Process itself. The queue's lock protects every link
-// field (next, prev, queued) of the processes on it.
+// A runQueue is the ready queue: an intrusive doubly-linked FIFO
+// list. Enqueue, dequeue and removal are all O(1): the links live in
+// the Process itself. The queue's lock protects every link field
+// (next, prev, queued) of the processes on it.
 type runQueue struct {
 	// mu takes the layer's sub-rank below the per-process lock, so a
 	// holder of p.pmu may enqueue p without violating the
 	// certification order.
 	mu lockrank.Mutex
-	id int
 
 	head, tail *Process
 	size       int
@@ -20,15 +19,9 @@ type runQueue struct {
 	maxDepth int
 }
 
-func newRunQueue(id int) *runQueue {
-	rq := &runQueue{id: id}
-	rq.mu.InitSub(ModuleName, subRunQueue)
-	return rq
-}
-
 // push appends p to the queue (front prepends — used to return a
 // process whose dispatch failed without sending it to the back of the
-// line). Caller holds rq.mu and p.pmu (the latter pins p.home).
+// line). Caller holds rq.mu and p.pmu.
 func (rq *runQueue) push(p *Process, front bool) {
 	p.queued = true
 	p.next, p.prev = nil, nil

@@ -21,17 +21,16 @@
 //
 // The scheduling plane is built to survive storms of tens of
 // thousands of processes: the process table is sharded, the ready
-// set is per-CPU intrusive FIFO run queues with O(1)
-// enqueue/dequeue and work stealing when a queue drains, and idle
-// schedulers block on eventcounts instead of polling. As in the
-// paper's design there are no priorities: every ready process waits
-// its turn. The locks split the manager's certification layer into
-// sub-ranks, acquired strictly downward:
+// set is one intrusive FIFO with O(1) enqueue/dequeue that every
+// scheduler worker serves, and idle schedulers block on eventcounts
+// instead of polling. As in the paper's design there are no
+// priorities: every ready process waits its turn. The locks split
+// the manager's certification layer into sub-ranks, acquired
+// strictly downward:
 //
-//	manager (trace wiring, queue reconfiguration)
-//	> process-table shard (pid -> process map)
-//	> per-process lock (state, bindings, home queue)
-//	> per-CPU run queue (intrusive ready links)
+//	process-table shard (pid -> process map)
+//	> per-process lock (state, bindings)
+//	> ready queue (intrusive ready links)
 //	> real-memory message queue
 package uproc
 
@@ -69,10 +68,9 @@ const MsgWords = 4
 // of one lock may only acquire strictly lower sub-ranks.
 const (
 	subQueue    = 0 // real-memory message queue
-	subRunQueue = 1 // per-CPU run queues
+	subRunQueue = 1 // the ready queue
 	subProc     = 2 // per-process locks
 	subShard    = 3 // process-table shards
-	subManager  = 4 // run-queue reconfiguration
 )
 
 // State is a user process's scheduling state.
@@ -124,7 +122,7 @@ type Process struct {
 	stateUID uint64
 
 	// pmu orders every mutation of this process's scheduling state.
-	// It ranks above the run-queue locks, so a holder can enqueue,
+	// It ranks above the ready-queue lock, so a holder can enqueue,
 	// and below the shard locks, so a table scan can inspect.
 	pmu lockrank.Mutex
 
@@ -143,12 +141,8 @@ type Process struct {
 	// parking forever.
 	wakePending bool
 
-	// home is the index of the run queue this process is enqueued on;
-	// it changes only when a stealing CPU claims the process.
-	home int
-
-	// next/prev/queued are the intrusive run-queue links, protected by
-	// the run queue's lock, not pmu.
+	// next/prev/queued are the intrusive ready-queue links, protected
+	// by the ready queue's lock, not pmu.
 	next, prev *Process
 	queued     bool
 
@@ -317,16 +311,15 @@ type procShard struct {
 type SchedStats struct {
 	// Dispatches counts successful process dispatches.
 	Dispatches int64
-	// Steals counts dispatches that took the process from another
-	// CPU's run queue; Migrations counts the re-homings that result.
+	// Steals and Migrations always read 0: one ready queue serves
+	// every processor, so nothing is stolen or re-homed. They remain
+	// only because the benchmark's per-layer report reads them.
 	Steals     int64
 	Migrations int64
 	// Wakeups counts blocked processes made ready by event delivery.
 	Wakeups int64
-	// MaxQueueDepth is the deepest any run queue has been.
+	// MaxQueueDepth is the deepest the ready queue has been.
 	MaxQueueDepth int
-	// RunQueues is the configured run-queue count.
-	RunQueues int
 }
 
 // A Manager is the user process manager and two-level scheduler top.
@@ -346,17 +339,11 @@ type Manager struct {
 	// StateCell is the quota cell charged for process states.
 	StateCell segment.CellRef
 
-	// mu serializes run-queue reconfiguration; it is never on the
-	// dispatch path.
-	mu lockrank.Mutex
-
 	nextPID atomic.Uint64
 	shards  [numShards]procShard
 
-	// queues is written once at boot (SetRunQueues, before any
-	// process exists) and read-only thereafter.
-	queues   []*runQueue
-	nextHome atomic.Uint64
+	// ready is the one FIFO of ready processes every worker serves.
+	ready runQueue
 
 	// readyEC is advanced on every enqueue, so idle schedulers can
 	// await work instead of polling.
@@ -368,15 +355,12 @@ type Manager struct {
 	running atomic.Int64
 
 	dispatches atomic.Int64
-	steals     atomic.Int64
-	migrations atomic.Int64
 	wakeups    atomic.Int64
 }
 
 // NewManager returns a user process manager multiplexing vps and
-// posting low-level events through queue. It starts with a single
-// run queue; SetRunQueues reshapes it at boot. Process-swap,
-// scheduling and quantum events go to rec (nil when untraced).
+// posting low-level events through queue. Process-swap, scheduling
+// and quantum events go to rec (nil when untraced).
 func NewManager(vps *vproc.Manager, segs *segment.Manager, ksm *knownseg.Manager, queue *Queue, meter *hw.CostMeter, rec *trace.Recorder) *Manager {
 	m := &Manager{
 		vps:     vps,
@@ -388,40 +372,13 @@ func NewManager(vps *vproc.Manager, segs *segment.Manager, ksm *knownseg.Manager
 		KSTBase: 8,
 		KSTSize: 64,
 	}
-	m.mu.InitSub(ModuleName, subManager)
 	for i := range m.shards {
 		m.shards[i].mu.InitSub(ModuleName, subShard)
 		m.shards[i].procs = make(map[uint64]*Process)
 	}
-	m.queues = []*runQueue{newRunQueue(0)}
+	m.ready.mu.InitSub(ModuleName, subRunQueue)
 	m.readyEC.Trace(rec, ModuleName)
 	return m
-}
-
-// SetRunQueues reshapes the ready set into n per-CPU run queues. It
-// must be called before any process exists (boot); reconfiguring a
-// populated scheduler would strand queued processes.
-func (m *Manager) SetRunQueues(n int) {
-	if n <= 0 {
-		panic("uproc: run-queue count must be positive")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		populated := len(sh.procs) > 0
-		sh.mu.Unlock()
-		if populated {
-			panic("uproc: SetRunQueues with live processes")
-		}
-	}
-	queues := make([]*runQueue, n)
-	for i := range queues {
-		queues[i] = newRunQueue(i)
-	}
-	m.queues = queues
-	m.nextHome.Store(0)
 }
 
 func (m *Manager) shard(pid uint64) *procShard {
@@ -431,7 +388,7 @@ func (m *Manager) shard(pid uint64) *procShard {
 // Create makes a new user process for the authenticated principal at
 // the given AIM label. Its state segment lives in the virtual memory,
 // charged like any other segment. The process starts Ready at the
-// back of its run queue, homed round-robin across the run queues.
+// back of the ready queue.
 func (m *Manager) Create(principal string, label aim.Label) (*Process, error) {
 	if principal == "" {
 		return nil, errors.New("uproc: empty principal")
@@ -465,7 +422,6 @@ func (m *Manager) Create(principal string, label aim.Label) (*Process, error) {
 		dt:           hw.NewDescriptorTable(m.KSTBase + m.KSTSize),
 		kst:          kst,
 		stateUID:     stateUID,
-		home:         int((m.nextHome.Add(1) - 1) % uint64(len(m.queues))),
 		createdCycle: m.meter.Cycles(),
 	}
 	p.firstRunCycle.Store(-1)
@@ -480,13 +436,12 @@ func (m *Manager) Create(principal string, label aim.Label) (*Process, error) {
 	return p, nil
 }
 
-// enqueue puts p on its home run queue (front prepends). Caller holds
-// p.pmu, which pins p.home.
+// enqueue puts p on the ready queue (front prepends). Caller holds
+// p.pmu.
 func (m *Manager) enqueue(p *Process, front bool) {
-	rq := m.queues[p.home]
-	rq.mu.Lock()
-	rq.push(p, front)
-	rq.mu.Unlock()
+	m.ready.mu.Lock()
+	m.ready.push(p, front)
+	m.ready.mu.Unlock()
 	m.readyEC.Advance()
 }
 
@@ -531,63 +486,29 @@ func (m *Manager) allPIDs() []uint64 {
 	return pids
 }
 
-// SchedStats returns the scheduler's counters: dispatch volume, work
-// stealing, wakeups, and queue depth.
+// SchedStats returns the scheduler's counters: dispatch volume,
+// wakeups, and queue depth.
 func (m *Manager) SchedStats() SchedStats {
-	st := SchedStats{
-		Dispatches: m.dispatches.Load(),
-		Steals:     m.steals.Load(),
-		Migrations: m.migrations.Load(),
-		Wakeups:    m.wakeups.Load(),
-		RunQueues:  len(m.queues),
+	m.ready.mu.Lock()
+	depth := m.ready.maxDepth
+	m.ready.mu.Unlock()
+	return SchedStats{
+		Dispatches:    m.dispatches.Load(),
+		Wakeups:       m.wakeups.Load(),
+		MaxQueueDepth: depth,
 	}
-	for _, rq := range m.queues {
-		rq.mu.Lock()
-		if rq.maxDepth > st.MaxQueueDepth {
-			st.MaxQueueDepth = rq.maxDepth
-		}
-		rq.mu.Unlock()
-	}
-	return st
 }
 
-// take pops the longest-waiting ready process, preferring run queue
-// qi and stealing from the others in ring order when it is empty. It
-// returns the process and the queue it came from. One queue lock is
-// held at a time.
-func (m *Manager) take(qi int) (*Process, int) {
-	n := len(m.queues)
-	for i := 0; i < n; i++ {
-		vi := (qi + i) % n
-		rq := m.queues[vi]
-		rq.mu.Lock()
-		p := rq.pop()
-		rq.mu.Unlock()
-		if p != nil {
-			return p, vi
-		}
-	}
-	return nil, -1
-}
-
-// DispatchOn is Dispatch preferring run queue qi, which must be in
-// [0, number of run queues) — each scheduler worker passes its own
-// CPU's queue — stealing from sibling queues when it is empty. It
-// also returns the dispatch epoch, which preemptIfCurrent uses to
-// tear down exactly the dispatch it made.
-func (m *Manager) DispatchOn(qi int) (*Process, uint64, error) {
+// Dispatch binds the longest-waiting ready process to a free virtual
+// processor. It also returns the dispatch epoch, which
+// preemptIfCurrent uses to tear down exactly the dispatch it made.
+func (m *Manager) Dispatch() (*Process, uint64, error) {
 	for {
-		p, from := m.take(qi)
+		m.ready.mu.Lock()
+		p := m.ready.pop()
+		m.ready.mu.Unlock()
 		if p == nil {
 			return nil, 0, ErrNoReady
-		}
-		tr := m.trace
-		if from != qi {
-			m.steals.Add(1)
-			if tr != nil {
-				tr.Emit(trace.Event{Kind: trace.EvSchedSteal, Module: ModuleName, Arg0: int64(qi), Arg1: int64(from), Arg2: int64(p.id)})
-			}
-			schedsim.Yield(schedsim.PointMark, "uproc-steal")
 		}
 		// Claim: the pop made p invisible to other dispatchers, but a
 		// concurrent Destroy can still have killed it.
@@ -595,14 +516,6 @@ func (m *Manager) DispatchOn(qi int) (*Process, uint64, error) {
 		if p.state != Ready {
 			p.pmu.Unlock()
 			continue
-		}
-		if p.home != qi {
-			old := p.home
-			p.home = qi
-			m.migrations.Add(1)
-			if tr != nil {
-				tr.Emit(trace.Event{Kind: trace.EvSchedMigrate, Module: ModuleName, Arg0: int64(old), Arg1: int64(qi), Arg2: int64(p.id)})
-			}
 		}
 		p.pmu.Unlock()
 
@@ -641,16 +554,16 @@ func (m *Manager) DispatchOn(qi int) (*Process, uint64, error) {
 		p.pmu.Unlock()
 		m.running.Add(1)
 		m.dispatches.Add(1)
-		if tr != nil {
+		if m.trace != nil {
 			// Arg1 = 0: a state load through the virtual memory.
-			tr.Emit(trace.Event{Kind: trace.EvProcessSwap, Module: ModuleName, Cost: hw.CycProcessSwap, Arg0: int64(p.id)})
+			m.trace.Emit(trace.Event{Kind: trace.EvProcessSwap, Module: ModuleName, Cost: hw.CycProcessSwap, Arg0: int64(p.id)})
 		}
 		return p, epoch, nil
 	}
 }
 
 // requeueFront returns a claimed-but-undispatched process to the
-// front of its queue, so a transient failure (no free virtual
+// front of the ready queue, so a transient failure (no free virtual
 // processor) does not cost it its place in line.
 func (m *Manager) requeueFront(p *Process) {
 	p.pmu.Lock()
@@ -820,7 +733,7 @@ func (m *Manager) Wakeup(pid uint64, datum uint64) error {
 
 // DeliverEvents drains the real-memory queue and unblocks every
 // blocked process whose awaited eventcount has been reached, moving
-// it to its ready queue. The scheduler's virtual processor runs this;
+// it to the ready queue. The scheduler's virtual processor runs this;
 // it returns the number of processes made ready. Targeted messages
 // cost one sharded lookup; broadcasts sweep the pid space in
 // ascending order, so delivery order is deterministic.
@@ -858,25 +771,24 @@ func (m *Manager) DeliverEvents() (int, error) {
 	return woken, nil
 }
 
-// Audit checks the manager's invariants: each run queue's list holds
+// Audit checks the manager's invariants: the ready queue's list holds
 // exactly its recorded size, running processes hold exactly one
-// user-bound virtual processor, ready processes appear on a run
+// user-bound virtual processor, ready processes appear on the ready
 // queue, and nothing dead lingers.
 func (m *Manager) Audit() []string {
 	var bad []string
 	onQueue := make(map[uint64]bool)
-	for _, rq := range m.queues {
-		rq.mu.Lock()
-		n := 0
-		for p := rq.head; p != nil && n <= rq.size; p = p.next {
-			onQueue[p.id] = true
-			n++
-		}
-		if n != rq.size {
-			bad = append(bad, fmt.Sprintf("run queue %d walk reaches %d processes, size %d", rq.id, n, rq.size))
-		}
-		rq.mu.Unlock()
+	rq := &m.ready
+	rq.mu.Lock()
+	n := 0
+	for p := rq.head; p != nil && n <= rq.size; p = p.next {
+		onQueue[p.id] = true
+		n++
 	}
+	if n != rq.size {
+		bad = append(bad, fmt.Sprintf("ready queue walk reaches %d processes, size %d", n, rq.size))
+	}
+	rq.mu.Unlock()
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
@@ -918,12 +830,11 @@ func (m *Manager) Destroy(p *Process) error {
 		p.pmu.Unlock()
 		return fmt.Errorf("uproc: process %d already dead", p.id)
 	}
-	rq := m.queues[p.home]
-	rq.mu.Lock()
+	m.ready.mu.Lock()
 	if p.queued {
-		rq.remove(p)
+		m.ready.remove(p)
 	}
-	rq.mu.Unlock()
+	m.ready.mu.Unlock()
 	vp := p.vp
 	wasRunning := p.state == Running && vp != nil
 	p.vp = nil
@@ -950,7 +861,7 @@ func (m *Manager) Destroy(p *Process) error {
 }
 
 // workerLoop is one scheduler worker's quantum loop, shared by both
-// executors: dispatch from the worker's run queue, run the body,
+// executors: dispatch from the ready queue, run the body,
 // preempt-if-current. Each quantum boundary is a scheduling decision
 // under the deterministic executor and a no-op otherwise. When every
 // virtual processor is busy the worker parks on the free-pool
@@ -958,16 +869,15 @@ func (m *Manager) Destroy(p *Process) error {
 // release (and advance) is coming; otherwise the pool is exhausted for
 // good and the worker exits. On return the processor is bound to no
 // process, so its later spans are charged to none.
-func (m *Manager) workerLoop(wi int, cpu *hw.Processor, n int, body func(cpu *hw.Processor, p *Process)) (int, error) {
+func (m *Manager) workerLoop(cpu *hw.Processor, n int, body func(cpu *hw.Processor, p *Process)) (int, error) {
 	tr := m.trace
 	defer tr.SetRunningProcess(cpu.ID, 0)
-	qi := wi % len(m.queues)
 	ran := 0
 	for i := 0; i < n; i++ {
 		schedsim.Yield(schedsim.PointQuantum, "dispatch")
 		tr.BeginSpan(trace.SpanQuantum, ModuleName, int64(i))
 		freeSeen := m.vps.FreeEC().Read()
-		p, epoch, err := m.DispatchOn(qi)
+		p, epoch, err := m.Dispatch()
 		if err != nil {
 			tr.EndSpan(trace.SpanQuantum)
 			if errors.Is(err, vproc.ErrNoFreeVP) {

@@ -154,7 +154,7 @@ func TestDispatchPreemptCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := f.m.DispatchOn(0)
+	got, _, err := f.m.Dispatch()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestDispatchPreemptCycle(t *testing.T) {
 		t.Errorf("dispatched %v (%v)", got.ID(), got.State())
 	}
 	// Only one multiplexable vp: the second dispatch fails.
-	if _, _, err := f.m.DispatchOn(0); err == nil {
+	if _, _, err := f.m.Dispatch(); err == nil {
 		t.Error("dispatch without a free virtual processor succeeded")
 	}
 	if err := f.m.Preempt(a); err != nil {
@@ -171,7 +171,7 @@ func TestDispatchPreemptCycle(t *testing.T) {
 	if a.State() != Ready {
 		t.Errorf("preempted state = %v", a.State())
 	}
-	got, _, err = f.m.DispatchOn(0)
+	got, _, err = f.m.Dispatch()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestFailedDispatchKeepsPlaceInLine(t *testing.T) {
 		ps = append(ps, p)
 	}
 	for _, want := range ps[:2] {
-		got, _, err := f.m.DispatchOn(0)
+		got, _, err := f.m.Dispatch()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,13 +209,13 @@ func TestFailedDispatchKeepsPlaceInLine(t *testing.T) {
 			t.Fatalf("dispatched %d, want %d", got.ID(), want.ID())
 		}
 	}
-	if _, _, err := f.m.DispatchOn(0); !errors.Is(err, vproc.ErrNoFreeVP) {
+	if _, _, err := f.m.Dispatch(); !errors.Is(err, vproc.ErrNoFreeVP) {
 		t.Fatalf("dispatch with both virtual processors bound: %v, want ErrNoFreeVP", err)
 	}
 	if err := f.m.Preempt(ps[0]); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := f.m.DispatchOn(0)
+	got, _, err := f.m.Dispatch()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestBlockWakeupDeliver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.m.DispatchOn(0); err != nil {
+	if _, _, err := f.m.Dispatch(); err != nil {
 		t.Fatal(err)
 	}
 	var ec eventcount.Eventcount
@@ -264,7 +264,7 @@ func TestBlockWakeupDeliver(t *testing.T) {
 		t.Errorf("state after wakeup = %v", p.State())
 	}
 	// And it can run again.
-	got, _, err := f.m.DispatchOn(0)
+	got, _, err := f.m.Dispatch()
 	if err != nil || got != p {
 		t.Errorf("re-dispatch = %v, %v", got, err)
 	}
@@ -279,7 +279,7 @@ func TestBroadcastWakeup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := f.m.DispatchOn(0); err != nil {
+		if _, _, err := f.m.Dispatch(); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.m.Block(p, &ec, 1); err != nil {
@@ -351,7 +351,7 @@ func TestDestroyReleasesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.m.DispatchOn(0); err != nil {
+	if _, _, err := f.m.Dispatch(); err != nil {
 		t.Fatal(err)
 	}
 	free := f.vps.FreeVPs()

@@ -82,7 +82,7 @@ func TestRunStorm(t *testing.T) {
 // TestStormChurnRace hammers the process plane from real goroutines:
 // login/logout churn racing against dispatch loops, event delivery,
 // and blocking bodies — the -race exercise for the sharded process
-// table, the per-CPU run queues, and the wakeup path.
+// table, the one ready queue, and the wakeup path.
 func TestStormChurnRace(t *testing.T) {
 	const (
 		churners  = 4
@@ -187,7 +187,7 @@ func TestSweepNoLostWakeup(t *testing.T) {
 		p := sess.Process.(*uproc.Process)
 		ex := schedsim.New(schedsim.Config{Name: "wakeup", Strategy: strat})
 		ex.Go("cpu0", func() {
-			got, _, err := k.Procs.DispatchOn(0)
+			got, _, err := k.Procs.Dispatch()
 			if err != nil {
 				panic(fmt.Sprintf("dispatch: %v", err))
 			}
@@ -250,7 +250,7 @@ func TestSweepDispatchDestroy(t *testing.T) {
 		free := k.VProcs.FreeVPs()
 		ex := schedsim.New(schedsim.Config{Name: "dispatch-destroy", Strategy: strat})
 		ex.Go("cpu0", func() {
-			got, _, err := k.Procs.DispatchOn(0)
+			got, _, err := k.Procs.Dispatch()
 			if errors.Is(err, uproc.ErrNoReady) {
 				return // destroyed before the dispatch looked
 			}
