@@ -143,22 +143,15 @@ func (s *Supervisor) Attach(cpu *hw.Processor, p *Process) {
 func (s *Supervisor) access(cpu *hw.Processor, p *Process, segno, off int, write bool, w hw.Word) (hw.Word, error) {
 	const maxFaults = 64
 	for tries := 0; tries < maxFaults; tries++ {
-		var val hw.Word
-		var err error
-		if write {
-			err = cpu.Write(segno, off, w)
-		} else {
-			val, err = cpu.Read(segno, off)
+		val, f, faulted, err := cpu.Reference(segno, off, write, w)
+		if err != nil {
+			return 0, err
 		}
-		if err == nil {
+		if !faulted {
 			return val, nil
 		}
-		f, ok := hw.AsFault(err)
-		if !ok {
-			return 0, err
-		}
 		if f.Kind != hw.FaultMissingPage {
-			return 0, err
+			return 0, f.Err()
 		}
 		if herr := s.handleMissingPage(cpu, p, f); herr != nil {
 			return 0, herr
@@ -174,7 +167,7 @@ func (s *Supervisor) access(cpu *hw.Processor, p *Process, segno, off int, write
 // and service it — walking the AST upward for quota if the segment
 // must grow, and reaching directly into the directory entry if the
 // pack is full.
-func (s *Supervisor) handleMissingPage(cpu *hw.Processor, p *Process, f *hw.Fault) error {
+func (s *Supervisor) handleMissingPage(cpu *hw.Processor, p *Process, f hw.Fault) error {
 	s.global.Lock()
 	defer s.global.Unlock()
 

@@ -521,6 +521,6 @@ func mustID(t *testing.T, k *Kernel, cpu *hw.Processor, p *uproc.Process, name s
 
 // isFault reports whether err is a *hw.Fault of the given kind.
 func isFault(err error, kind hw.FaultKind) bool {
-	f, ok := hw.AsFault(err)
+	f, ok := err.(*hw.Fault)
 	return ok && f.Kind == kind
 }

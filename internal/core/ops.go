@@ -258,19 +258,14 @@ func (k *Kernel) access(cpu *hw.Processor, p *uproc.Process, segno, off int, wri
 				})
 			}
 		}
-		var val hw.Word
-		var err error
-		if write {
-			err = cpu.Write(segno, off, w)
-		} else {
-			val, err = cpu.Read(segno, off)
-		}
-		if err == nil {
-			return val, nil
-		}
-		f, ok := hw.AsFault(err)
-		if !ok {
+		// The fault comes back by value and lives only until handleFault
+		// returns: taking one allocates nothing.
+		val, f, faulted, err := cpu.Reference(segno, off, write, w)
+		if err != nil {
 			return 0, err
+		}
+		if !faulted {
+			return val, nil
 		}
 		if herr := k.handleFault(cpu, p, f); herr != nil {
 			return 0, herr
@@ -303,7 +298,8 @@ func (k *Kernel) dispatchSignals() error {
 }
 
 // handleFault maps one hardware exception to the manager that owns it.
-func (k *Kernel) handleFault(cpu *hw.Processor, p *uproc.Process, f *hw.Fault) error {
+// A violation goes back to the caller as a boxed copy of the fault.
+func (k *Kernel) handleFault(cpu *hw.Processor, p *uproc.Process, f hw.Fault) error {
 	switch f.Kind {
 	case hw.FaultMissingSegment:
 		return k.gate(cpu, ModKnownSeg, func() error {
@@ -332,6 +328,6 @@ func (k *Kernel) handleFault(cpu *hw.Processor, p *uproc.Process, f *hw.Fault) e
 		})
 	default:
 		// Access, bounds and gate violations belong to the caller.
-		return f
+		return f.Err()
 	}
 }

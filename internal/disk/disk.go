@@ -500,6 +500,22 @@ func (p *Pack) Entry(idx TOCIndex) (TOCEntry, error) {
 	return cp, nil
 }
 
+// ReadEntry calls fn with table-of-contents entry idx under the pack
+// lock, so a reader that needs the whole file map (activation builds a
+// page table from it) reads it in place instead of copying it. fn must
+// neither change the entry nor keep it or its map once it returns, and
+// must not call back into the pack.
+func (p *Pack) ReadEntry(idx TOCIndex, fn func(*TOCEntry)) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	e, err := p.entry(idx)
+	if err != nil {
+		return err
+	}
+	fn(e)
+	return nil
+}
+
 // MapEntries copies file-map entries page, page+1, ... of
 // table-of-contents entry idx into dst, as many as the map holds and
 // dst has room for, and reports how many it copied and the map's

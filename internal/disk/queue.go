@@ -29,8 +29,8 @@
 package disk
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"multics/internal/eventcount"
@@ -42,10 +42,6 @@ import (
 // ShortSeekSpan is the head movement, in records, still covered by the
 // short-seek cost tier; moves beyond it pay the full average seek.
 const ShortSeekSpan = 64
-
-// errCanceled marks a speculative request removed from the queue
-// before service; it never escapes to demand callers.
-var errCanceled = errors.New("disk: queued request canceled")
 
 // seekDelta returns the positioning cost of moving the heads from one
 // record to another: nothing for the same or the adjacent record
@@ -98,13 +94,17 @@ type device struct {
 	maxDepth int
 	enqueued int64
 
-	// spare holds the tickets of finished demand transfers for reuse,
-	// so a blocking transfer allocates nothing. Guarded by mu.
+	// spare holds finished tickets for reuse, so neither a blocking
+	// transfer nor a read-ahead allocates one. A ticket joins it only
+	// once its request is done: a demand ticket when its submitter's
+	// wait returns, a speculative one when its holder claims or
+	// cancels it. Guarded by mu.
 	spare []*Ticket
 }
 
 // A Ticket names one queued request; the holder of a speculative
-// read-ahead claims it with Wait or abandons it with Cancel.
+// read-ahead claims it with Claim or abandons it with Cancel, and
+// either hands it back to the device for reuse.
 type Ticket struct {
 	p *Pack
 	r request
@@ -131,18 +131,16 @@ func (t *Ticket) read(r RecordAddr, dst []hw.Word, speculative bool) *Ticket {
 	return t
 }
 
-// waitAndRecycle waits out a demand request and puts its ticket back
-// on the spare list. Only the submitter holds a demand ticket, and the
-// driver that completed it touches it no more, so it is free for the
-// next request once Wait returns.
-func (t *Ticket) waitAndRecycle() error {
-	err := t.Wait()
+// recycle puts a ticket whose request is done back on its device's
+// spare list. The request is cleared, so the spare ticket keeps no
+// destination frame alive, but stays marked done: a spare ticket never
+// has a transfer outstanding.
+func (t *Ticket) recycle() {
 	d := &t.p.dev
 	d.mu.Lock()
-	t.r = request{}
+	t.r = request{done: true}
 	d.spare = append(d.spare, t)
 	d.mu.Unlock()
-	return err
 }
 
 // QueueRead reads record r into dst through the pack's device queue,
@@ -154,7 +152,7 @@ func (p *Pack) QueueRead(r RecordAddr, dst []hw.Word) error {
 	if err := p.checkQueueable(r, dst); err != nil {
 		return err
 	}
-	return p.enqueue(p.ticket().read(r, dst, false)).waitAndRecycle()
+	return p.enqueue(p.ticket().read(r, dst, false)).Claim()
 }
 
 // QueueReadAhead queues a speculative read of record r into dst and
@@ -187,7 +185,7 @@ func (p *Pack) QueueWriteBatch(recs []RecordAddr, bufs [][]hw.Word) error {
 	}
 	t := p.ticket()
 	t.r = request{op: OpWrite, recs: recs, bufs: bufs}
-	return p.enqueue(t).waitAndRecycle()
+	return p.enqueue(t).Claim()
 }
 
 // checkQueueable validates one record/buffer pair before it joins the
@@ -269,10 +267,23 @@ func (t *Ticket) Wait() error {
 	}
 }
 
-// Cancel withdraws a speculative request. A request still waiting in
-// the queue is removed before any disk work happens and Cancel
-// reports true; a request already serviced (or in flight under a
-// concurrent driver) is waited out and discarded.
+// Claim waits for the request to complete, as Wait does, and hands
+// the ticket back to the device: the holder must not touch it again.
+// Only the holder waits on a ticket, and the driver that completed it
+// touches it no more, so it is free for the next request once Wait
+// returns.
+func (t *Ticket) Claim() error {
+	err := t.Wait()
+	t.recycle()
+	return err
+}
+
+// Cancel withdraws a speculative request and hands the ticket back to
+// the device: the holder must not touch it again. A request still
+// waiting in the queue is removed before any disk work happens and
+// Cancel reports true; a request already serviced (or in flight under
+// a concurrent driver) is waited out and discarded, so the ticket is
+// never reused, nor its destination frame, before the transfer lands.
 func (t *Ticket) Cancel() bool {
 	d := &t.p.dev
 	d.mu.Lock()
@@ -283,13 +294,12 @@ func (t *Ticket) Cancel() bool {
 				break
 			}
 		}
-		t.r.done = true
-		t.r.err = errCanceled
 		d.mu.Unlock()
+		t.recycle()
 		return true
 	}
 	d.mu.Unlock()
-	_ = t.Wait()
+	_ = t.Claim()
 	return false
 }
 
@@ -433,6 +443,29 @@ func (p *Pack) DeviceCycles() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.cycles
+}
+
+// AuditQueue checks the device queue's recycling rule and returns a
+// description of every violation: a ticket on the spare list must be
+// done, listed once, and absent from the pending queue, or the next
+// request handed it could overwrite a transfer still outstanding.
+func (p *Pack) AuditQueue() []string {
+	d := &p.dev
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var bad []string
+	for i, t := range d.spare {
+		if !t.r.done {
+			bad = append(bad, fmt.Sprintf("pack %s: spare ticket %d is not done", p.id, i))
+		}
+		if slices.Contains(d.pending, &t.r) {
+			bad = append(bad, fmt.Sprintf("pack %s: spare ticket %d is still queued", p.id, i))
+		}
+		if slices.Contains(d.spare[:i], t) {
+			bad = append(bad, fmt.Sprintf("pack %s: spare ticket %d is listed twice", p.id, i))
+		}
+	}
+	return bad
 }
 
 // QueueStats reports the device queue's lifetime request count and

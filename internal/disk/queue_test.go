@@ -2,10 +2,12 @@ package disk
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
 	"multics/internal/hw"
+	"multics/internal/schedsim"
 )
 
 func queuePage(w hw.Word) []hw.Word {
@@ -152,6 +154,133 @@ func TestQueueConcurrentWaiters(t *testing.T) {
 		}
 		if vals[i] != hw.Word(100+i) {
 			t.Errorf("reader %d got word %d, want %d", i, vals[i], 100+i)
+		}
+	}
+}
+
+// spareHolds reports whether t is on p's spare ticket list.
+func spareHolds(p *Pack, t *Ticket) bool {
+	p.dev.mu.Lock()
+	defer p.dev.mu.Unlock()
+	for _, s := range p.dev.spare {
+		if s == t {
+			return true
+		}
+	}
+	return false
+}
+
+// A canceled speculative ticket goes back on its device's spare list,
+// but never before its transfer is settled: a queued read is withdrawn
+// first, and a read in flight under another driver is waited out, so
+// the next request handed the ticket cannot have a transfer still
+// outstanding under it, and the destination frame is not written after
+// the canceller lets it go.
+func TestQueueCanceledTicketRecycledAfterTransfer(t *testing.T) {
+	meter := &hw.CostMeter{}
+	p := NewPack("dska", 64, meter)
+	if err := p.WriteRecord(7, queuePage(707)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Queued: Cancel dequeues the read and recycles the ticket at once.
+	buf := make([]hw.Word, hw.PageWords)
+	tk, err := p.QueueReadAhead(3, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tk.Cancel() {
+		t.Fatal("queued speculative request not canceled")
+	}
+	if !spareHolds(p, tk) {
+		t.Error("canceled queued ticket not recycled")
+	}
+	if bad := p.AuditQueue(); len(bad) != 0 {
+		t.Errorf("audit after queued cancel: %v", bad)
+	}
+	again, err := p.QueueReadAhead(7, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != tk {
+		t.Fatal("the next read-ahead did not reuse the recycled ticket")
+	}
+
+	// In flight: play a concurrent driver that has picked the read and
+	// not yet serviced it. Under the deterministic executor the
+	// canceller runs until Cancel parks it on the completion
+	// eventcount, and only then does the driver land the transfer, so
+	// Cancel must have waited it out rather than recycled early.
+	d := &p.dev
+	d.mu.Lock()
+	d.driving = true
+	r := p.pickLocked()
+	d.mu.Unlock()
+	if r != &again.r {
+		t.Fatal("driver picked another request")
+	}
+	var parked, withdrew bool
+	ex := schedsim.New(schedsim.Config{Name: "cancel-in-flight"})
+	ex.Go("canceller", func() {
+		parked = true
+		withdrew = again.Cancel()
+	})
+	ex.Go("driver", func() {
+		schedsim.Block("canceller parked", func() bool { return parked })
+		if spareHolds(p, again) {
+			t.Error("ticket recycled while its transfer is in flight")
+		}
+		// Land the transfer and give up the seat, as drive does.
+		if err := p.service(r); err != nil {
+			t.Error(err)
+		}
+		d.mu.Lock()
+		r.done = true
+		d.mu.Unlock()
+		d.completions.Advance()
+		d.mu.Lock()
+		d.driving = false
+		d.mu.Unlock()
+		d.completions.Advance()
+	})
+	if err := ex.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if withdrew {
+		t.Error("in-flight request reported as withdrawn before service")
+	}
+	if buf[0] != 707 {
+		t.Errorf("destination word 0 = %d after the transfer landed, want 707", buf[0])
+	}
+	if !spareHolds(p, again) {
+		t.Error("ticket not recycled once its transfer landed")
+	}
+	if bad := p.AuditQueue(); len(bad) != 0 {
+		t.Errorf("audit after in-flight cancel: %v", bad)
+	}
+}
+
+// The queue audit flags a spare ticket whose request is not done, one
+// still queued, and one listed twice.
+func TestAuditQueueFindsBadSpares(t *testing.T) {
+	p := NewPack("dska", 64, &hw.CostMeter{})
+	buf := make([]hw.Word, hw.PageWords)
+	tk, err := p.QueueReadAhead(3, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &p.dev
+	d.mu.Lock()
+	d.spare = append(d.spare, tk, tk)
+	d.mu.Unlock()
+	bad := p.AuditQueue()
+	for _, want := range []string{"not done", "still queued", "listed twice"} {
+		found := false
+		for _, b := range bad {
+			found = found || strings.Contains(b, want)
+		}
+		if !found {
+			t.Errorf("audit findings %q miss %q", bad, want)
 		}
 	}
 }

@@ -74,8 +74,12 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("hw: %v fault at segment %d offset %d (page %d, ring %d)", f.Kind, f.Seg, f.Offset, f.Page, f.Ring)
 }
 
-// AsFault returns err as a *Fault if it is one.
-func AsFault(err error) (*Fault, bool) {
-	f, ok := err.(*Fault)
-	return f, ok
+// Err boxes a copy of f as an error, for a caller that hands the fault
+// on rather than servicing it. The copy belongs to the caller. It is
+// made with new, not &f, so that where Err is inlined only the boxing
+// branch allocates, not every caller's fault variable.
+func (f Fault) Err() error {
+	boxed := new(Fault)
+	*boxed = f
+	return boxed
 }

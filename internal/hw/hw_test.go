@@ -302,7 +302,7 @@ func TestMissingPageFaultSetsLockWithHW(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := p.Read(8, PageWords)
-	f, ok := AsFault(err)
+	f, ok := err.(*Fault)
 	if !ok || f.Kind != FaultMissingPage {
 		t.Fatalf("read of missing page: %v, want missing-page fault", err)
 	}
@@ -337,7 +337,7 @@ func TestMissingPageFaultWithoutLockHW(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := p.Read(8, 0)
-	f, ok := AsFault(err)
+	f, ok := err.(*Fault)
 	if !ok || f.Kind != FaultMissingPage {
 		t.Fatalf("read of missing page: %v, want missing-page fault", err)
 	}
@@ -356,7 +356,7 @@ func TestQuotaTrapFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := p.Read(8, PageWords+7)
-	f, ok := AsFault(err)
+	f, ok := err.(*Fault)
 	if !ok || f.Kind != FaultQuota {
 		t.Fatalf("reference to never-used page: %v, want quota fault", err)
 	}
@@ -393,7 +393,7 @@ func TestOnlyOneProcessorWinsTheLock(t *testing.T) {
 			go func(i int, p *Processor) {
 				defer wg.Done()
 				_, err := p.Read(8, 0)
-				if f, ok := AsFault(err); ok && f.Kind == FaultMissingPage && f.Locked {
+				if f, ok := err.(*Fault); ok && f.Kind == FaultMissingPage && f.Locked {
 					winners[i] = true
 				}
 			}(i, p)
@@ -552,8 +552,27 @@ func TestFaultError(t *testing.T) {
 	if FaultKind(99).String() == "" {
 		t.Error("unknown fault kind has empty name")
 	}
-	if _, ok := AsFault(nil); ok {
-		t.Error("AsFault(nil) reports a fault")
+	// Err boxes a copy: the caller's error does not change with the
+	// fault it was made from.
+	bounds := Fault{Kind: FaultBounds, Seg: 3}
+	err := bounds.Err()
+	bounds.Seg = 4
+	if got, ok := err.(*Fault); !ok || got.Kind != FaultBounds || got.Seg != 3 {
+		t.Errorf("Err boxed %v, want a copy of the bounds fault at segment 3", err)
+	}
+}
+
+// Reference hands a fault back by value: taking one allocates nothing.
+func TestReferenceFaultsWithoutAllocating(t *testing.T) {
+	p := NewProcessor(0, NewMemory(4), &CostMeter{})
+	allocs := testing.AllocsPerRun(100, func() {
+		_, f, faulted, err := p.Reference(5, 7, false, 0)
+		if err != nil || !faulted || f.Kind != FaultMissingSegment || f.Seg != 5 || f.Offset != 7 {
+			t.Fatalf("Reference = %+v, faulted %v, err %v; want a missing-segment fault at 5|7", f, faulted, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a faulting reference allocated %.1f times, want 0", allocs)
 	}
 }
 
@@ -616,6 +635,6 @@ func TestDescriptorTableHousekeeping(t *testing.T) {
 
 // isFault reports whether err is a *Fault of the given kind.
 func isFault(err error, kind FaultKind) bool {
-	f, ok := AsFault(err)
+	f, ok := err.(*Fault)
 	return ok && f.Kind == kind
 }

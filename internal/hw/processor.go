@@ -84,7 +84,7 @@ type Processor struct {
 
 	// Assoc, when non-nil, is this processor's associative memory:
 	// the SDW/PTW cache consulted before any table walk. Its mutex
-	// doubles as the reference lock Read and Write hold across
+	// doubles as the reference lock Reference holds across
 	// translate-plus-access, which is what makes a shootdown
 	// broadcast a barrier against stale translations.
 	Assoc *AssociativeMemory
@@ -151,17 +151,17 @@ func (p *Processor) tableFor(segno int) (*DescriptorTable, bool) {
 
 // translate performs a full address translation of (segno, offset) for
 // a reference of the given mode, accruing cycle costs, and returns the
-// absolute memory address. On an exception it returns a *Fault; for
-// missing-page faults on descriptor-lock hardware the fault records
-// that this processor set the lock bit, and the locked-descriptor-
-// address register is loaded. When an associative memory is fitted
-// the translation is first offered to it, and the caller (Read or
-// Write) holds its mutex, the reference lock, across the translation
-// and the access.
-func (p *Processor) translate(segno, offset int, mode AccessMode) (int, error) {
+// absolute memory address. On an exception it returns the Fault, by
+// value, with faulted set; for missing-page faults on descriptor-lock
+// hardware the fault records that this processor set the lock bit,
+// and the locked-descriptor-address register is loaded. When an
+// associative memory is fitted the translation is first offered to
+// it, and the caller (Reference) holds its mutex, the reference lock,
+// across the translation and the access.
+func (p *Processor) translate(segno, offset int, mode AccessMode) (addr int, f Fault, faulted bool) {
 	if p.Assoc != nil {
 		if addr, ok := p.assocLookup(segno, offset, mode); ok {
-			return addr, nil
+			return addr, Fault{}, false
 		}
 		p.Assoc.misses++
 		pg := 0
@@ -175,21 +175,21 @@ func (p *Processor) translate(segno, offset int, mode AccessMode) (int, error) {
 	p.xlatCycles.Add(CycTableWalk)
 	dt, system := p.tableFor(segno)
 	if dt == nil {
-		return 0, p.fault(&Fault{Kind: FaultMissingSegment, Seg: segno, Offset: offset, Ring: p.Ring}, 0)
+		return p.fault(Fault{Kind: FaultMissingSegment, Seg: segno, Offset: offset, Ring: p.Ring}, 0)
 	}
 	sdw, err := dt.Get(segno)
 	if err != nil || !sdw.Present || sdw.Table == nil {
-		return 0, p.fault(&Fault{Kind: FaultMissingSegment, Seg: segno, Offset: offset, Ring: p.Ring}, 0)
+		return p.fault(Fault{Kind: FaultMissingSegment, Seg: segno, Offset: offset, Ring: p.Ring}, 0)
 	}
 	if system && p.Ring > KernelRing {
 		// System segment numbers are not visible outside ring 0.
-		return 0, p.fault(&Fault{Kind: FaultAccess, Seg: segno, Offset: offset, Ring: p.Ring}, 0)
+		return p.fault(Fault{Kind: FaultAccess, Seg: segno, Offset: offset, Ring: p.Ring}, 0)
 	}
 	if p.Ring > sdw.MaxRing || !sdw.Access.Has(mode) || (mode.Has(Write) && p.Ring > sdw.WriteRing) {
-		return 0, p.fault(&Fault{Kind: FaultAccess, Seg: segno, Offset: offset, Write: mode.Has(Write), Ring: p.Ring}, 0)
+		return p.fault(Fault{Kind: FaultAccess, Seg: segno, Offset: offset, Write: mode.Has(Write), Ring: p.Ring}, 0)
 	}
 	if offset < 0 {
-		return 0, p.fault(&Fault{Kind: FaultBounds, Seg: segno, Offset: offset, Ring: p.Ring}, 0)
+		return p.fault(Fault{Kind: FaultBounds, Seg: segno, Offset: offset, Ring: p.Ring}, 0)
 	}
 	page := PageOf(offset)
 	ptw, kind, faulted, locked := sdw.Table.translate(page, mode.Has(Write), p.DescriptorLockHW)
@@ -199,7 +199,7 @@ func (p *Processor) translate(segno, offset int, mode AccessMode) (int, error) {
 			p.lockedSeg.Store(int64(segno))
 			p.lockedPage.Store(int64(page))
 		}
-		return 0, p.fault(&Fault{
+		return p.fault(Fault{
 			Kind: kind, Seg: segno, Offset: offset, Page: page,
 			Write: mode.Has(Write), Ring: p.Ring, Locked: locked,
 		}, CycFault)
@@ -208,7 +208,7 @@ func (p *Processor) translate(segno, offset int, mode AccessMode) (int, error) {
 	if p.Assoc != nil {
 		p.Assoc.fillLocked(dt, segno, page, ptw.Frame, sdw, system)
 	}
-	return p.Mem.FrameBase(ptw.Frame) + offset%PageWords, nil
+	return p.Mem.FrameBase(ptw.Frame) + offset%PageWords, Fault{}, false
 }
 
 // assocLookup consults the associative memory for (segno, offset). A
@@ -300,39 +300,58 @@ func (p *Processor) TranslationStats() (count, cycles int64) {
 }
 
 // fault traces f (charged the cycles the hardware metered for it) and
-// returns it.
-func (p *Processor) fault(f *Fault, cost int64) error {
-	p.emitFault(f, cost)
-	return f
+// returns it as translate's faulting result.
+func (p *Processor) fault(f Fault, cost int64) (int, Fault, bool) {
+	p.emitFault(&f, cost)
+	return 0, f, true
 }
 
-// Read loads the word at virtual address (segno, offset). The
-// reference lock is held across translation and the load, so a
-// shootdown cannot retire the frame between the two.
+// Reference issues one load (write false) or one store of w at virtual
+// address (segno, offset), holding the reference lock across
+// translation and the access, so a shootdown cannot retire the frame
+// between the two. A hardware exception comes back by value in f, with
+// faulted set, so a reference loop that services its own faults (the
+// kernel's, the baseline supervisor's) takes one without allocating;
+// err reports only a failed memory access. A load returns the word it
+// read; a store returns zero.
+func (p *Processor) Reference(segno, offset int, write bool, w Word) (val Word, f Fault, faulted bool, err error) {
+	if p.Assoc != nil {
+		p.Assoc.mu.Lock()
+		defer p.Assoc.mu.Unlock()
+	}
+	mode := Read
+	if write {
+		mode = Write
+	}
+	addr, f, faulted := p.translate(segno, offset, mode)
+	if faulted {
+		return 0, f, true, nil
+	}
+	if write {
+		return 0, Fault{}, false, p.Mem.Write(addr, w)
+	}
+	val, err = p.Mem.Read(addr)
+	return val, Fault{}, false, err
+}
+
+// Read loads the word at virtual address (segno, offset), returning a
+// hardware exception as a *Fault error.
 func (p *Processor) Read(segno, offset int) (Word, error) {
-	if p.Assoc != nil {
-		p.Assoc.mu.Lock()
-		defer p.Assoc.mu.Unlock()
+	val, f, faulted, err := p.Reference(segno, offset, false, 0)
+	if faulted {
+		return 0, f.Err()
 	}
-	addr, err := p.translate(segno, offset, Read)
-	if err != nil {
-		return 0, err
-	}
-	return p.Mem.Read(addr)
+	return val, err
 }
 
-// Write stores w at virtual address (segno, offset), holding the
-// reference lock across translation and the store.
+// Write stores w at virtual address (segno, offset), returning a
+// hardware exception as a *Fault error.
 func (p *Processor) Write(segno, offset int, w Word) error {
-	if p.Assoc != nil {
-		p.Assoc.mu.Lock()
-		defer p.Assoc.mu.Unlock()
+	_, f, faulted, err := p.Reference(segno, offset, true, w)
+	if faulted {
+		return f.Err()
 	}
-	addr, err := p.translate(segno, offset, Write)
-	if err != nil {
-		return err
-	}
-	return p.Mem.Write(addr, w)
+	return err
 }
 
 // GateCall simulates a call through a gate into ring to, accruing the
@@ -344,7 +363,9 @@ func (p *Processor) GateCall(to int, gate bool, fn func() error) error {
 	}
 	if to < p.Ring && !gate {
 		p.Meter.Add(CycFault)
-		return p.fault(&Fault{Kind: FaultGate, Ring: p.Ring}, CycFault)
+		f := Fault{Kind: FaultGate, Ring: p.Ring}
+		p.emitFault(&f, CycFault)
+		return f.Err()
 	}
 	from := p.Ring
 	// The gate span covers both crossings and the kernel body between

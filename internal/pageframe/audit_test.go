@@ -19,7 +19,7 @@ func TestAccessors(t *testing.T) {
 func TestAuditCleanThenCorrupt(t *testing.T) {
 	f := newFixture(t, 4)
 	pt := hw.NewPageTable(tablePages)
-	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}); err != nil {
+	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if bad := f.m.Audit(); len(bad) != 0 {
@@ -51,7 +51,7 @@ func TestAuditDetectsResidentIndexCorruption(t *testing.T) {
 		pt   *hw.PageTable
 		page int
 	}{{ptA, 0}, {ptA, 1}, {ptB, 0}} {
-		if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: r.pt, Page: r.page, Pack: f.pack}); err != nil {
+		if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: r.pt, Page: r.page, Pack: f.pack}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,7 +83,7 @@ func TestAuditDetectsResidentIndexCorruption(t *testing.T) {
 func TestAuditDetectsFreeListCorruption(t *testing.T) {
 	f := newFixture(t, 3)
 	pt := hw.NewPageTable(tablePages)
-	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}); err != nil {
+	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate a frame onto the free list (pulling cached frames
@@ -98,7 +98,7 @@ func TestAuditDetectsFreeListCorruption(t *testing.T) {
 	// Free an in-use frame.
 	f2 := newFixture(t, 3)
 	pt2 := hw.NewPageTable(tablePages)
-	if _, _, err := f2.m.AddPage(PageReq{UID: 1, PT: pt2, Page: 0, Pack: f2.pack}); err != nil {
+	if _, _, err := f2.m.AddPage(PageReq{UID: 1, PT: pt2, Page: 0, Pack: f2.pack}, nil); err != nil {
 		t.Fatal(err)
 	}
 	d, _ := pt2.Get(0)
@@ -123,21 +123,21 @@ func TestLockedFramesAreNotEvicted(t *testing.T) {
 	// as a victim.
 	f := newFixture(t, 1)
 	pt := hw.NewPageTable(tablePages)
-	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}); err != nil {
+	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pt.Update(0, func(d *hw.PTW) { d.Lock = true }); err != nil {
 		t.Fatal(err)
 	}
 	pt2 := hw.NewPageTable(tablePages)
-	if _, _, err := f.m.AddPage(PageReq{UID: 2, PT: pt2, Page: 0, Pack: f.pack}); err == nil {
+	if _, _, err := f.m.AddPage(PageReq{UID: 2, PT: pt2, Page: 0, Pack: f.pack}, nil); err == nil {
 		t.Error("eviction of a locked frame succeeded")
 	}
 	// Unlock: now it can be evicted.
 	if err := pt.Unlock(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.m.AddPage(PageReq{UID: 2, PT: pt2, Page: 0, Pack: f.pack}); err != nil {
+	if _, _, err := f.m.AddPage(PageReq{UID: 2, PT: pt2, Page: 0, Pack: f.pack}, nil); err != nil {
 		t.Errorf("eviction after unlock failed: %v", err)
 	}
 }

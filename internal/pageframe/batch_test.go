@@ -18,7 +18,7 @@ func TestBatchEvictionGroupsWriteBack(t *testing.T) {
 	recs := make([]disk.RecordAddr, frames)
 	for i := 0; i < frames; i++ {
 		recs[i] = f.storedPage(t, hw.Word(10+i))
-		if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: i, Pack: f.pack, Record: recs[i], HasRecord: true}); err != nil {
+		if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: i, Pack: f.pack, Record: recs[i], HasRecord: true}, nil); err != nil {
 			t.Fatal(err)
 		}
 		// Dirty every page with a distinguishable word.
@@ -35,7 +35,7 @@ func TestBatchEvictionGroupsWriteBack(t *testing.T) {
 	}
 	last := f.storedPage(t, 99)
 	before := f.meter.Cycles()
-	ev, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: frames, Pack: f.pack, Record: last, HasRecord: true})
+	ev, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: frames, Pack: f.pack, Record: last, HasRecord: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestBatchEvictionGroupsWriteBack(t *testing.T) {
 		t.Errorf("FreeFrames = %d, want %d parked from the batch", free, frames-1)
 	}
 	for i := 0; i < frames-1; i++ {
-		if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: i, Pack: f.pack, Record: recs[i], HasRecord: true}); err != nil {
+		if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: i, Pack: f.pack, Record: recs[i], HasRecord: true}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

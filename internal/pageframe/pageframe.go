@@ -110,12 +110,14 @@ type PageReq struct {
 	// the map pointing at a freed record. The caller must call Unlock
 	// with the same request once its bookkeeping is consistent.
 	KeepLocked bool
-	// ReadAhead names the stored pages the caller predicts will fault
-	// next (a detected sequential pattern). LoadPage queues their
-	// reads speculatively on the pack's elevator and parks the frames
-	// in the second-chance cache; speculation failures never fail the
-	// demand fault.
-	ReadAhead []ReadAheadPage
+	// ReadAhead names, in its first ReadAheadLen slots, the stored
+	// pages the caller predicts will fault next (a detected sequential
+	// pattern). LoadPage queues their reads speculatively on the pack's
+	// elevator and parks the frames in the second-chance cache;
+	// speculation failures never fail the demand fault. The window is
+	// an array, not a slice, so a fault names it without allocating.
+	ReadAhead    [ReadAheadWindow]ReadAheadPage
+	ReadAheadLen int
 }
 
 // An Evicted report describes one page the manager removed from
@@ -224,6 +226,11 @@ type Manager struct {
 	cached    map[descKey]*cachedFrame
 	cacheRing []*cachedFrame
 	cacheHand int
+	// spareCached is the free list of cache entries (see
+	// freeCachedLocked), and readPacks the packs speculative reads
+	// have been queued on, whose ticket lists Audit checks.
+	spareCached []*cachedFrame
+	readPacks   []*disk.Pack
 
 	// caches[i] belongs to the context bound to simulated
 	// processor i-1; slot 0 serves unbound callers. The lock order
@@ -375,12 +382,13 @@ func (m *Manager) Stats() Stats {
 // LoadPage services a missing-page fault: it obtains a frame (evicting
 // if necessary), fills it from the page's record (or with zeros for a
 // zero page), makes the descriptor present, unlocks it, and notifies
-// waiters. The eviction reports must be applied by the caller to its
-// file maps before it issues further requests. If the descriptor is
-// already present the call degenerates to unlock-and-notify.
-func (m *Manager) LoadPage(req PageReq) ([]Evicted, error) {
+// waiters. The eviction reports are appended to out, a buffer the
+// caller owns, and must be applied by the caller to its file maps
+// before it issues further requests. If the descriptor is already
+// present the call degenerates to unlock-and-notify.
+func (m *Manager) LoadPage(req PageReq, out []Evicted) ([]Evicted, error) {
 	if req.PT == nil {
-		return nil, errors.New("pageframe: LoadPage with nil page table")
+		return out, errors.New("pageframe: LoadPage with nil page table")
 	}
 	// The fault-service span closes after the daemon drain below, so
 	// the write-backs a fault's evictions queued nest inside it.
@@ -391,11 +399,11 @@ func (m *Manager) LoadPage(req PageReq) ([]Evicted, error) {
 
 	cur, err := req.PT.Get(req.Page)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	if cur.Present {
 		m.finishService(req)
-		return nil, nil
+		return out, nil
 	}
 	if req.HasRecord {
 		// Another processor may have evicted this page with its
@@ -405,7 +413,7 @@ func (m *Manager) LoadPage(req PageReq) ([]Evicted, error) {
 	}
 
 	frame := -1
-	var ev []Evicted
+	ev := out
 	if req.HasRecord {
 		if f, ok := m.claimPrefetch(req); ok {
 			frame = f
@@ -413,7 +421,7 @@ func (m *Manager) LoadPage(req PageReq) ([]Evicted, error) {
 	}
 	if frame < 0 {
 		var err error
-		frame, ev, err = m.obtainFrame()
+		frame, ev, err = m.obtainFrame(ev)
 		if err != nil {
 			return ev, err
 		}
@@ -499,10 +507,11 @@ func (m *Manager) LoadPage(req PageReq) ([]Evicted, error) {
 // call chain when there is none), obtains a zeroed frame, and makes
 // the descriptor present. The caller has already checked and charged
 // quota. On success the new record address is returned for the
-// caller's file map.
-func (m *Manager) AddPage(req PageReq) (disk.RecordAddr, []Evicted, error) {
+// caller's file map. Eviction reports are appended to out, as
+// LoadPage's are.
+func (m *Manager) AddPage(req PageReq, out []Evicted) (disk.RecordAddr, []Evicted, error) {
 	if req.PT == nil {
-		return 0, nil, errors.New("pageframe: AddPage with nil page table")
+		return 0, out, errors.New("pageframe: AddPage with nil page table")
 	}
 	tr := m.tracer()
 	tr.BeginSpan(trace.SpanFaultService, ModuleName, int64(req.Page))
@@ -514,9 +523,9 @@ func (m *Manager) AddPage(req PageReq) (disk.RecordAddr, []Evicted, error) {
 		rec, aerr = req.Pack.AllocRecord()
 		return aerr
 	}); err != nil {
-		return 0, nil, fmt.Errorf("pageframe: adding page %d of segment %d: %w", req.Page, req.UID, err)
+		return 0, out, fmt.Errorf("pageframe: adding page %d of segment %d: %w", req.Page, req.UID, err)
 	}
-	frame, ev, err := m.obtainFrame()
+	frame, ev, err := m.obtainFrame(out)
 	if err != nil {
 		_ = req.Pack.FreeRecord(rec)
 		return 0, ev, err
@@ -652,20 +661,21 @@ func (m *Manager) drainCachesLocked() {
 	}
 }
 
-// obtainFrame returns a free frame, evicting victims if none is free.
-// The common case costs only the local cache's mutex; a refill moves a
-// batch of frames from the global pool, and an eviction pass gathers a
-// batch of victims whose dirty pages are written back as one grouped
-// disk submission, so the manager lock is never held across a disk
-// write. Caller must not hold m.mu.
-func (m *Manager) obtainFrame() (int, []Evicted, error) {
+// obtainFrame returns a free frame, evicting victims if none is free,
+// and appends the evictions' reports to out. The common case costs
+// only the local cache's mutex; a refill moves a batch of frames from
+// the global pool, and an eviction pass gathers a batch of victims
+// whose dirty pages are written back as one grouped disk submission,
+// so the manager lock is never held across a disk write. Caller must
+// not hold m.mu.
+func (m *Manager) obtainFrame(out []Evicted) (int, []Evicted, error) {
 	c := m.cache()
 	c.mu.Lock()
 	if n := len(c.frames); n > 0 {
 		f := c.frames[n-1]
 		c.frames = c.frames[:n-1]
 		c.mu.Unlock()
-		return f, nil, nil
+		return f, out, nil
 	}
 	c.mu.Unlock()
 
@@ -690,7 +700,7 @@ func (m *Manager) obtainFrame() (int, []Evicted, error) {
 		}
 		m.free = m.free[:n-take]
 		m.mu.Unlock()
-		return f, nil, nil
+		return f, out, nil
 	}
 	// Nothing on the free side: before running the eviction clock over
 	// resident pages, consult the speculative cache's second-chance
@@ -698,9 +708,7 @@ func (m *Manager) obtainFrame() (int, []Evicted, error) {
 	// resident page is to evict and write back.
 	if cf := m.stealCachedLocked(); cf != nil {
 		m.mu.Unlock()
-		cf.ticket.Cancel()
-		m.noteDrop(cf, dropSteal)
-		return cf.frame, nil, nil
+		return m.dropCached(cf, dropSteal), out, nil
 	}
 	// Nothing free anywhere: gather up to a batch of victims in one
 	// pass over the clock.
@@ -711,7 +719,7 @@ func (m *Manager) obtainFrame() (int, []Evicted, error) {
 		if err != nil {
 			if len(victims) == 0 {
 				m.mu.Unlock()
-				return 0, nil, err
+				return 0, out, err
 			}
 			break
 		}
@@ -721,7 +729,7 @@ func (m *Manager) obtainFrame() (int, []Evicted, error) {
 	}
 	m.mu.Unlock()
 
-	evs, done, err := m.writeBackBatch(nil, victims)
+	evs, done, err := m.writeBackBatch(out, victims)
 	if err != nil {
 		m.recoverVictims(victims, done)
 		return 0, evs, err
@@ -873,9 +881,6 @@ func (m *Manager) retire(b *writeBatch) {
 // reinstate the rest. Caller must not hold m.mu.
 func (m *Manager) writeBackBatch(out []Evicted, victims []victim) (evs []Evicted, disconnected int, err error) {
 	evs = out
-	if evs == nil {
-		evs = make([]Evicted, 0, len(victims))
-	}
 	b := m.newBatch()
 	// Each victim's record is marked in flight before its descriptor
 	// goes not-present, so no processor can fault the page back in from
@@ -1201,14 +1206,14 @@ func (m *Manager) holdsLocked(i int, pt *hw.PageTable, from int) bool {
 }
 
 // ReleaseSegment evicts every resident page belonging to pt, writing
-// contents back (or freeing records for zero pages), and returns the
-// reports. The segment manager calls it on deactivation.
-func (m *Manager) ReleaseSegment(pt *hw.PageTable) ([]Evicted, error) {
+// contents back (or freeing records for zero pages), and appends the
+// reports to out, a buffer the caller owns. The segment manager calls
+// it on deactivation.
+func (m *Manager) ReleaseSegment(pt *hw.PageTable, out []Evicted) ([]Evicted, error) {
 	// Withdraw outstanding speculations first: a deactivated segment's
 	// records may be freed and reused, and a parked prefetch must not
 	// outlive the file map that named it.
 	m.purgeCached(pt, 0)
-	var out []Evicted
 	var buf [8]int
 	order, next, admits := buf[:0], 0, int64(-1)
 	for {
@@ -1218,9 +1223,6 @@ func (m *Manager) ReleaseSegment(pt *hw.PageTable) ([]Evicted, error) {
 		m.mu.Lock()
 		if admits != m.admits {
 			order, next, admits = m.residentLocked(order[:0], pt, 0, false), 0, m.admits
-			if out == nil && len(order) > 0 {
-				out = make([]Evicted, 0, len(order))
-			}
 		}
 		for next < len(order) && !m.holdsLocked(order[next], pt, 0) {
 			next++
@@ -1356,6 +1358,28 @@ func (m *Manager) Audit() []string {
 		if cf.ref && cf.ticket == nil {
 			bad = append(bad, fmt.Sprintf("cached frame %d carries the reference bit but no queued read", frame))
 		}
+	}
+	// A cache entry on the free list has left the cache for good: it is
+	// neither indexed nor in the ring, and is listed once. The tickets
+	// it handed back sit on their packs' spare lists, done and no longer
+	// queued.
+	live := make(map[*cachedFrame]bool, len(m.cacheRing))
+	for _, cf := range m.cacheRing {
+		live[cf] = true
+	}
+	for _, cf := range m.cached {
+		live[cf] = true
+	}
+	for i, cf := range m.spareCached {
+		if live[cf] {
+			bad = append(bad, fmt.Sprintf("free cache entry %d is still in the prefetch cache", i))
+		}
+		if slices.Contains(m.spareCached[:i], cf) {
+			bad = append(bad, fmt.Sprintf("free cache entry %d is on the free list twice", i))
+		}
+	}
+	for _, p := range m.readPacks {
+		bad = append(bad, p.AuditQueue()...)
 	}
 	// Walk every table's resident list: each entry must be an in-use
 	// frame of that table, linked back to its predecessor, listed once.

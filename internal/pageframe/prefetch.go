@@ -16,10 +16,16 @@
 package pageframe
 
 import (
+	"slices"
+
 	"multics/internal/disk"
 	"multics/internal/hw"
 	"multics/internal/trace"
 )
+
+// ReadAheadWindow is the most stored pages beyond a sequential fault
+// that a PageReq names for speculative reading.
+const ReadAheadWindow = 4
 
 // ReadAheadPage names one stored page a sequential fault pattern
 // predicts will fault next.
@@ -43,6 +49,11 @@ const (
 // after it has been reused. ref is the second-chance bit, set at issue;
 // entries are immutable after insertion except for ref, which the
 // steal hand clears under m.mu.
+//
+// An entry leaves the cache to exactly one owner — the claiming fault,
+// or the path that drops it — which hands its ticket back to the pack
+// (Claim or Cancel) and then the entry itself to the manager's free
+// list (freeCachedLocked), so issuing a read-ahead allocates nothing.
 type cachedFrame struct {
 	frame  int
 	uid    uint64
@@ -69,9 +80,7 @@ func (m *Manager) takeCached(req PageReq) *cachedFrame {
 	m.removeCachedLocked(cf)
 	m.mu.Unlock()
 	if cf.pack != req.Pack || cf.record != req.Record {
-		cf.ticket.Cancel()
-		m.noteDrop(cf, dropStale)
-		m.releaseFrame(cf.frame)
+		m.releaseFrame(m.dropCached(cf, dropStale))
 		return nil
 	}
 	return cf
@@ -87,22 +96,23 @@ func (m *Manager) claimPrefetch(req PageReq) (int, bool) {
 	if cf == nil {
 		return -1, false
 	}
-	if err := cf.ticket.Wait(); err != nil {
-		m.noteDrop(cf, dropFault)
-		m.releaseFrame(cf.frame)
+	if err := cf.ticket.Claim(); err != nil {
+		m.releaseFrame(m.noteDrop(cf, dropFault))
 		return -1, false
 	}
 	m.mu.Lock()
 	m.prefetchHits++
 	tr := m.trace
+	frame, record, page := cf.frame, cf.record, cf.page
+	m.freeCachedLocked(cf)
 	m.mu.Unlock()
 	if tr != nil {
 		tr.Emit(trace.Event{
 			Kind: trace.EvPrefetchHit, Module: ModuleName,
-			Arg0: int64(cf.record), Arg1: int64(cf.page),
+			Arg0: int64(record), Arg1: int64(page),
 		})
 	}
-	return cf.frame, true
+	return frame, true
 }
 
 // issueReadAhead reserves frames for the request's predicted-next
@@ -113,7 +123,7 @@ func (m *Manager) claimPrefetch(req PageReq) (int, bool) {
 // worsen. It never fails the demand fault it rides on — when no frame
 // is free (or a read cannot be queued) it stops speculating.
 func (m *Manager) issueReadAhead(req PageReq) {
-	for _, ra := range req.ReadAhead {
+	for _, ra := range req.ReadAhead[:req.ReadAheadLen] {
 		d, err := req.PT.Get(ra.Page)
 		if err != nil {
 			break
@@ -142,10 +152,6 @@ func (m *Manager) issueReadAhead(req PageReq) {
 			m.releaseFrame(frame)
 			break
 		}
-		cf := &cachedFrame{
-			frame: frame, uid: req.UID, page: ra.Page, pt: req.PT,
-			pack: req.Pack, record: ra.Record, ticket: tk, ref: true,
-		}
 		m.mu.Lock()
 		if _, dup := m.cached[key]; dup {
 			// A concurrent faulter speculated on the same page between
@@ -154,6 +160,14 @@ func (m *Manager) issueReadAhead(req PageReq) {
 			tk.Cancel()
 			m.releaseFrame(frame)
 			continue
+		}
+		if !slices.Contains(m.readPacks, req.Pack) {
+			m.readPacks = append(m.readPacks, req.Pack)
+		}
+		cf := m.newCachedLocked()
+		*cf = cachedFrame{
+			frame: frame, uid: req.UID, page: ra.Page, pt: req.PT,
+			pack: req.Pack, record: ra.Record, ticket: tk, ref: true,
 		}
 		m.cached[key] = cf
 		m.cacheRing = append(m.cacheRing, cf)
@@ -197,11 +211,30 @@ func (m *Manager) obtainFreeFrame() (int, bool) {
 	return 0, false
 }
 
+// newCachedLocked returns an unused cache entry, from the free list
+// when it has one. Caller holds m.mu.
+func (m *Manager) newCachedLocked() *cachedFrame {
+	if n := len(m.spareCached); n > 0 {
+		cf := m.spareCached[n-1]
+		m.spareCached = m.spareCached[:n-1]
+		return cf
+	}
+	return new(cachedFrame)
+}
+
+// freeCachedLocked puts an entry that has left the cache, its ticket
+// already handed back, on the free list. The entry is cleared so the
+// list keeps no page table or pack alive. Caller holds m.mu.
+func (m *Manager) freeCachedLocked(cf *cachedFrame) {
+	*cf = cachedFrame{}
+	m.spareCached = append(m.spareCached, cf)
+}
+
 // stealCachedLocked runs the second-chance hand over the cache ring:
 // an entry with the reference bit set spends it and survives the
 // sweep; the first entry without it is removed and its frame
-// surrendered to demand use. Caller holds m.mu and must Cancel the
-// returned entry's ticket (outside the lock) before reusing the
+// surrendered to demand use. Caller holds m.mu and must drop the
+// returned entry (dropCached, outside the lock) before reusing the
 // frame.
 func (m *Manager) stealCachedLocked() *cachedFrame {
 	n := len(m.cacheRing)
@@ -242,7 +275,8 @@ func (m *Manager) removeCachedLocked(cf *cachedFrame) {
 // ring gives the victims a deterministic order.
 func (m *Manager) purgeCached(pt *hw.PageTable, from int) {
 	m.mu.Lock()
-	var victims []*cachedFrame
+	var buf [2 * ReadAheadWindow]*cachedFrame
+	victims := buf[:0]
 	for _, cf := range m.cacheRing {
 		if cf.pt == pt && cf.page >= from {
 			victims = append(victims, cf)
@@ -253,15 +287,23 @@ func (m *Manager) purgeCached(pt *hw.PageTable, from int) {
 	}
 	m.mu.Unlock()
 	for _, cf := range victims {
-		cf.ticket.Cancel()
-		m.noteDrop(cf, dropStale)
-		m.releaseFrame(cf.frame)
+		m.releaseFrame(m.dropCached(cf, dropStale))
 	}
 }
 
+// dropCached discards an entry already removed from the cache: it
+// cancels the entry's read, which hands the ticket back to the pack,
+// and retires the entry with noteDrop. It returns the entry's frame,
+// for the caller to release or reuse.
+func (m *Manager) dropCached(cf *cachedFrame, class int64) int {
+	cf.ticket.Cancel()
+	return m.noteDrop(cf, class)
+}
+
 // noteDrop counts and traces one speculative entry discarded
-// unclaimed.
-func (m *Manager) noteDrop(cf *cachedFrame, class int64) {
+// unclaimed, whose ticket is already back with its pack, and puts the
+// entry on the free list. It returns the entry's frame.
+func (m *Manager) noteDrop(cf *cachedFrame, class int64) int {
 	m.mu.Lock()
 	if class == dropSteal {
 		m.prefetchSteals++
@@ -269,11 +311,14 @@ func (m *Manager) noteDrop(cf *cachedFrame, class int64) {
 		m.prefetchDrops++
 	}
 	tr := m.trace
+	frame, record, page := cf.frame, cf.record, cf.page
+	m.freeCachedLocked(cf)
 	m.mu.Unlock()
 	if tr != nil {
 		tr.Emit(trace.Event{
 			Kind: trace.EvPrefetchDrop, Module: ModuleName,
-			Arg0: int64(cf.record), Arg1: int64(cf.page), Arg2: class,
+			Arg0: int64(record), Arg1: int64(page), Arg2: class,
 		})
 	}
+	return frame
 }

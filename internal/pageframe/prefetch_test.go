@@ -1,6 +1,7 @@
 package pageframe
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,8 +18,9 @@ func TestPrefetchClaimHit(t *testing.T) {
 	recs := []disk.RecordAddr{f.storedPage(t, 10), f.storedPage(t, 11), f.storedPage(t, 12)}
 	_, err := f.m.LoadPage(PageReq{
 		UID: 1, PT: pt, Page: 0, Pack: f.pack, Record: recs[0], HasRecord: true,
-		ReadAhead: []ReadAheadPage{{Page: 1, Record: recs[1]}, {Page: 2, Record: recs[2]}},
-	})
+		ReadAhead:    [ReadAheadWindow]ReadAheadPage{{Page: 1, Record: recs[1]}, {Page: 2, Record: recs[2]}},
+		ReadAheadLen: 2,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +31,7 @@ func TestPrefetchClaimHit(t *testing.T) {
 		t.Fatalf("audit with parked prefetches: %v", bad)
 	}
 	for page := 1; page <= 2; page++ {
-		if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: page, Pack: f.pack, Record: recs[page], HasRecord: true}); err != nil {
+		if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: page, Pack: f.pack, Record: recs[page], HasRecord: true}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := frameWord(t, f.mem, pt, page, 0); got != hw.Word(10+page) {
@@ -56,8 +58,9 @@ func TestPrefetchSecondChanceSteal(t *testing.T) {
 	recs := []disk.RecordAddr{f.storedPage(t, 20), f.storedPage(t, 21)}
 	_, err := f.m.LoadPage(PageReq{
 		UID: 1, PT: pt, Page: 0, Pack: f.pack, Record: recs[0], HasRecord: true,
-		ReadAhead: []ReadAheadPage{{Page: 1, Record: recs[1]}},
-	})
+		ReadAhead:    [ReadAheadWindow]ReadAheadPage{{Page: 1, Record: recs[1]}},
+		ReadAheadLen: 1,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func TestPrefetchSecondChanceSteal(t *testing.T) {
 	// burn the free pair; the next allocation must steal the cached
 	// frame, not evict the resident page.
 	for page := 2; page <= 4; page++ {
-		if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: page}); err != nil {
+		if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: page}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,7 +83,7 @@ func TestPrefetchSecondChanceSteal(t *testing.T) {
 		t.Errorf("audit after steal: %v", bad)
 	}
 	// The stolen speculation is gone; the page still demand-loads.
-	ev, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: 1, Pack: f.pack, Record: recs[1], HasRecord: true})
+	ev, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: 1, Pack: f.pack, Record: recs[1], HasRecord: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +105,9 @@ func TestPrefetchPurgedOnDropPage(t *testing.T) {
 	recs := []disk.RecordAddr{f.storedPage(t, 30), f.storedPage(t, 31)}
 	_, err := f.m.LoadPage(PageReq{
 		UID: 1, PT: pt, Page: 0, Pack: f.pack, Record: recs[0], HasRecord: true,
-		ReadAhead: []ReadAheadPage{{Page: 1, Record: recs[1]}},
-	})
+		ReadAhead:    [ReadAheadWindow]ReadAheadPage{{Page: 1, Record: recs[1]}},
+		ReadAheadLen: 1,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,15 +134,16 @@ func TestPrefetchTransientFaultDropped(t *testing.T) {
 	recs := []disk.RecordAddr{f.storedPage(t, 40), f.storedPage(t, 41)}
 	_, err := f.m.LoadPage(PageReq{
 		UID: 1, PT: pt, Page: 0, Pack: f.pack, Record: recs[0], HasRecord: true,
-		ReadAhead: []ReadAheadPage{{Page: 1, Record: recs[1]}},
-	})
+		ReadAhead:    [ReadAheadWindow]ReadAheadPage{{Page: 1, Record: recs[1]}},
+		ReadAheadLen: 1,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The speculative read is queued but not yet serviced; arm the
 	// fault plan so the service performed at claim time fails once.
 	f.pack.SetFaultPlan(&disk.FaultPlan{Rules: []disk.Rule{{Op: disk.OpRead, After: 0, Times: 1}}})
-	if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: 1, Pack: f.pack, Record: recs[1], HasRecord: true}); err != nil {
+	if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: 1, Pack: f.pack, Record: recs[1], HasRecord: true}, nil); err != nil {
 		t.Fatalf("demand fault failed on a speculative transfer fault: %v", err)
 	}
 	if got := frameWord(t, f.mem, pt, 1, 0); got != 41 {
@@ -161,8 +166,9 @@ func TestAuditCatchesCacheCorruption(t *testing.T) {
 	recs := []disk.RecordAddr{f.storedPage(t, 50), f.storedPage(t, 51)}
 	_, err := f.m.LoadPage(PageReq{
 		UID: 1, PT: pt, Page: 0, Pack: f.pack, Record: recs[0], HasRecord: true,
-		ReadAhead: []ReadAheadPage{{Page: 1, Record: recs[1]}},
-	})
+		ReadAhead:    [ReadAheadWindow]ReadAheadPage{{Page: 1, Record: recs[1]}},
+		ReadAheadLen: 1,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,4 +203,94 @@ func TestAuditCatchesCacheCorruption(t *testing.T) {
 	if bad := f.m.Audit(); len(bad) != 0 {
 		t.Errorf("audit after repair: %v", bad)
 	}
+}
+
+// Every way out of the speculative cache — claimed, stale, purged,
+// stolen — hands the entry's ticket back to its pack and the entry to
+// the manager's free list, and the next read-ahead reuses both. Audit
+// holds the recycling rules: a free entry is neither indexed nor in
+// the ring nor listed twice, and a pack's spare tickets are done,
+// unqueued and listed once.
+func TestPrefetchRecyclesEntriesAndTickets(t *testing.T) {
+	f := newFixture(t, 8)
+	pt := hw.NewPageTable(4)
+	recs := []disk.RecordAddr{f.storedPage(t, 30), f.storedPage(t, 31), f.storedPage(t, 32)}
+	ahead := PageReq{
+		UID: 1, PT: pt, Page: 0, Pack: f.pack, Record: recs[0], HasRecord: true,
+		ReadAhead:    [ReadAheadWindow]ReadAheadPage{{Page: 1, Record: recs[1]}, {Page: 2, Record: recs[2]}},
+		ReadAheadLen: 2,
+	}
+	if _, err := f.m.LoadPage(ahead, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Claim page 1; purge page 2's speculation with the segment.
+	if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: 1, Pack: f.pack, Record: recs[1], HasRecord: true}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.m.ReleaseSegment(pt, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.m.Stats(); st.PrefetchHits != 1 || st.PrefetchDrops != 1 {
+		t.Fatalf("hits %d drops %d, want 1, 1", st.PrefetchHits, st.PrefetchDrops)
+	}
+	f.m.mu.Lock()
+	spare := slices.Clone(f.m.spareCached)
+	f.m.mu.Unlock()
+	if len(spare) != 2 {
+		t.Fatalf("%d entries on the free list after a claim and a purge, want 2", len(spare))
+	}
+	if bad := f.m.Audit(); len(bad) != 0 {
+		t.Fatalf("audit after claim and purge: %v", bad)
+	}
+	// The next speculation reuses the freed entries.
+	if _, err := f.m.LoadPage(ahead, nil); err != nil {
+		t.Fatal(err)
+	}
+	f.m.mu.Lock()
+	for _, cf := range f.m.cacheRing {
+		if !slices.Contains(spare, cf) {
+			t.Errorf("cache entry for page %d is new, not a recycled one", cf.page)
+		}
+	}
+	live := f.m.cacheRing[0]
+	f.m.mu.Unlock()
+	if bad := f.m.Audit(); len(bad) != 0 {
+		t.Fatalf("audit with recycled entries parked: %v", bad)
+	}
+
+	// A live entry on the free list, and a free entry listed twice.
+	f.m.mu.Lock()
+	saved := f.m.spareCached
+	f.m.spareCached = append(slices.Clone(saved), live)
+	f.m.mu.Unlock()
+	if bad := f.m.Audit(); !anyContains(bad, "still in the prefetch cache") {
+		t.Errorf("audit missed a live entry on the free list: %v", bad)
+	}
+	free := new(cachedFrame)
+	f.m.mu.Lock()
+	f.m.spareCached = append(slices.Clone(saved), free, free)
+	f.m.mu.Unlock()
+	if bad := f.m.Audit(); !anyContains(bad, "on the free list twice") {
+		t.Errorf("audit missed a free entry listed twice: %v", bad)
+	}
+	f.m.mu.Lock()
+	f.m.spareCached = saved
+	f.m.mu.Unlock()
+
+	// A ticket handed back twice would be handed out twice.
+	buf := make([]hw.Word, hw.PageWords)
+	tk, err := f.pack.QueueReadAhead(recs[0], buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = tk.Claim()
+	_ = tk.Claim()
+	if bad := f.m.Audit(); !anyContains(bad, "listed twice") {
+		t.Errorf("audit missed a ticket recycled twice: %v", bad)
+	}
+}
+
+// anyContains reports whether any of lines contains sub.
+func anyContains(lines []string, sub string) bool {
+	return slices.ContainsFunc(lines, func(l string) bool { return strings.Contains(l, sub) })
 }

@@ -12,12 +12,12 @@ func TestSampleWorkingSets(t *testing.T) {
 	ptB := hw.NewPageTable(tablePages)
 	// Segment 1: three resident pages; segment 2: two.
 	for i := 0; i < 3; i++ {
-		if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: ptA, Page: i, Pack: f.pack}); err != nil {
+		if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: ptA, Page: i, Pack: f.pack}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if _, _, err := f.m.AddPage(PageReq{UID: 2, PT: ptB, Page: i, Pack: f.pack}); err != nil {
+		if _, _, err := f.m.AddPage(PageReq{UID: 2, PT: ptB, Page: i, Pack: f.pack}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -47,11 +47,11 @@ func TestWorkingSetSurvivesEviction(t *testing.T) {
 	// frames are sampled.
 	f := newFixture(t, 1)
 	pt := hw.NewPageTable(tablePages)
-	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}); err != nil {
+	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}, nil); err != nil {
 		t.Fatal(err)
 	}
 	pt2 := hw.NewPageTable(tablePages)
-	if _, _, err := f.m.AddPage(PageReq{UID: 2, PT: pt2, Page: 0, Pack: f.pack}); err != nil {
+	if _, _, err := f.m.AddPage(PageReq{UID: 2, PT: pt2, Page: 0, Pack: f.pack}, nil); err != nil {
 		t.Fatal(err)
 	}
 	sets, total := f.m.SampleWorkingSets()

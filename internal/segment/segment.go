@@ -33,6 +33,7 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
+	"sync/atomic"
 
 	"multics/internal/coreseg"
 	"multics/internal/disk"
@@ -152,13 +153,10 @@ type Manager struct {
 	// spreadNext is the round-robin position of SpreadPack's
 	// rotation over the mounted packs.
 	spreadNext int
+	// evicted is the report buffer release lends to one caller at a
+	// time (see release).
+	evicted atomic.Pointer[[]pageframe.Evicted]
 }
-
-// ReadAheadWindow is how many stored pages beyond a sequential fault
-// the segment manager names for speculative reading. The window stops
-// early at the first non-stored page: zero and never-used pages take
-// the quota path, not the disk.
-const ReadAheadWindow = 4
 
 // SpreadPack returns the next pack of a round-robin rotation over the
 // mounted packs. Multi-pack configurations use it to place new files:
@@ -259,8 +257,25 @@ func (m *Manager) Activate(uid uint64, addr disk.SegAddr, cell quota.CellName, h
 	if err != nil {
 		return nil, err
 	}
-	e, err := pack.Entry(addr.TOC)
-	if err != nil {
+	// The page table spans the architectural maximum: every page
+	// beyond the file map (and every zero or unallocated page within
+	// it) carries the exception-causing bit, so its first touch
+	// raises a quota fault above page control instead of a plain
+	// missing-page fault. Stored pages fault missing-page. Only the
+	// file map's pages are materialized; the rest read as one
+	// trapping descriptor. The map is read in place, not copied.
+	var (
+		e    disk.TOCEntry // the entry without its map
+		ptws []hw.PTW
+	)
+	if err := pack.ReadEntry(addr.TOC, func(te *disk.TOCEntry) {
+		e = *te
+		e.Map = nil
+		ptws = make([]hw.PTW, len(te.Map))
+		for i := range ptws {
+			ptws[i].QuotaTrap = te.Map[i].State != disk.PageStored
+		}
+	}); err != nil {
 		return nil, err
 	}
 	if e.UID != uid {
@@ -275,19 +290,8 @@ func (m *Manager) Activate(uid uint64, addr disk.SegAddr, cell quota.CellName, h
 	if slot < 0 {
 		return nil, ErrASTFull
 	}
-	// The page table spans the architectural maximum: every page
-	// beyond the file map (and every zero or unallocated page within
-	// it) carries the exception-causing bit, so its first touch
-	// raises a quota fault above page control instead of a plain
-	// missing-page fault. Stored pages fault missing-page. Only the
-	// file map's pages are materialized; the rest read as one
-	// trapping descriptor.
-	ptws := make([]hw.PTW, len(e.Map))
-	for i := range ptws {
-		ptws[i].QuotaTrap = e.Map[i].State != disk.PageStored
-	}
 	pt := hw.NewPageTableOf(ptws, MaxPages, hw.PTW{QuotaTrap: true})
-	a := &ASTE{uid: uid, addr: addr, pt: pt, cell: cell, hasCell: hasCell, dir: e.Dir, slot: slot, mapLen: len(e.Map), lastFault: -2}
+	a := &ASTE{uid: uid, addr: addr, pt: pt, cell: cell, hasCell: hasCell, dir: e.Dir, slot: slot, mapLen: len(ptws), lastFault: -2}
 	m.byUID[uid] = a
 	_ = m.ast.Write(slot*ASTEWords, hw.Word(uid).Masked())
 	// A quota directory's own cell is presented to the quota cell
@@ -424,7 +428,7 @@ func (m *Manager) ServiceMissingPage(uid uint64, page, notifySeg, notifyPage int
 		return err
 	}
 	// The faulting page's entry and the read-ahead window behind it.
-	var window [1 + ReadAheadWindow]disk.FileMapEntry
+	var window [1 + pageframe.ReadAheadWindow]disk.FileMapEntry
 	n, mapLen, err := pack.MapEntries(a.addr.TOC, page, window[:])
 	if err != nil {
 		return err
@@ -436,30 +440,26 @@ func (m *Manager) ServiceMissingPage(uid uint64, page, notifySeg, notifyPage int
 	if fm.State != disk.PageStored {
 		return fmt.Errorf("segment: page %d of %d is %v, not stored; growth must take the quota path", page, uid, fm.State)
 	}
+	req := pageframe.PageReq{
+		UID: uid, PT: a.pt, Page: page,
+		Pack: pack, Record: fm.Record, HasRecord: true,
+		NotifySeg: notifySeg, NotifyPage: notifyPage,
+	}
 	// A fault on the page right after this segment's previous fault
 	// is a sequential pattern: name the next stored pages (up to the
-	// window, stopping at the first hole) for speculative reads on
-	// the pack's elevator queue.
+	// window, stopping at the first non-stored page: zero and
+	// never-used pages take the quota path, not the disk) for
+	// speculative reads on the pack's elevator queue.
 	m.mu.Lock()
 	seq := a.lastFault == page-1
 	a.lastFault = page
 	m.mu.Unlock()
-	var ahead []pageframe.ReadAheadPage
-	if seq && n > 1 {
-		ahead = make([]pageframe.ReadAheadPage, 0, n-1)
-		for i := 1; i < n; i++ {
-			if window[i].State != disk.PageStored {
-				break
-			}
-			ahead = append(ahead, pageframe.ReadAheadPage{Page: page + i, Record: window[i].Record})
-		}
+	for i := 1; seq && i < n && window[i].State == disk.PageStored; i++ {
+		req.ReadAhead[req.ReadAheadLen] = pageframe.ReadAheadPage{Page: page + i, Record: window[i].Record}
+		req.ReadAheadLen++
 	}
-	ev, err := m.frames.LoadPage(pageframe.PageReq{
-		UID: uid, PT: a.pt, Page: page,
-		Pack: pack, Record: fm.Record, HasRecord: true,
-		NotifySeg: notifySeg, NotifyPage: notifyPage,
-		ReadAhead: ahead,
-	})
+	var evicted [pageframe.DefaultFrameBatch]pageframe.Evicted
+	ev, err := m.frames.LoadPage(req, evicted[:0])
 	if err2 := m.applyEvictions(ev); err2 != nil && err == nil {
 		err = err2
 	}
@@ -491,11 +491,13 @@ func (m *Manager) Grow(uid uint64, page, notifySeg, notifyPage int) (*disk.SegAd
 	if err != nil {
 		return nil, err
 	}
-	e, err := pack.Entry(a.addr.TOC)
+	// Only the grown page's own entry matters here.
+	var fm [1]disk.FileMapEntry
+	n, _, err := pack.MapEntries(a.addr.TOC, page, fm[:])
 	if err != nil {
 		return nil, err
 	}
-	if page < len(e.Map) && e.Map[page].State == disk.PageStored {
+	if n == 1 && fm[0].State == disk.PageStored {
 		// Count the lost race before reporting it: the retry is
 		// invisible to the caller (the fault service returns clean and
 		// the reference is simply reissued), so without the counter
@@ -516,7 +518,8 @@ func (m *Manager) Grow(uid uint64, page, notifySeg, notifyPage int) (*disk.SegAd
 		UID: uid, PT: a.pt, Page: page, Pack: pack,
 		NotifySeg: notifySeg, NotifyPage: notifyPage, KeepLocked: true,
 	}
-	rec, ev, err := m.frames.AddPage(req)
+	var evicted [pageframe.DefaultFrameBatch]pageframe.Evicted
+	rec, ev, err := m.frames.AddPage(req, evicted[:0])
 	locked := err == nil
 	defer func() {
 		if locked {
@@ -547,7 +550,7 @@ func (m *Manager) Grow(uid uint64, page, notifySeg, notifyPage int) (*disk.SegAd
 			UID: uid, PT: a.pt, Page: page, Pack: newPack,
 			NotifySeg: notifySeg, NotifyPage: notifyPage, KeepLocked: true,
 		}
-		rec, ev, err = m.frames.AddPage(req)
+		rec, ev, err = m.frames.AddPage(req, evicted[:0])
 		locked = err == nil
 		if aerr := m.applyEvictions(ev); aerr != nil {
 			return &newAddr, aerr
@@ -640,11 +643,7 @@ func (m *Manager) relocate(a *ASTE) (disk.SegAddr, error) {
 	}
 	// Flush resident pages so the table-of-contents entry is the
 	// whole truth.
-	ev, err := m.frames.ReleaseSegment(a.pt)
-	if err != nil {
-		return disk.SegAddr{}, err
-	}
-	if err := m.applyEvictions(ev); err != nil {
+	if err := m.release(a); err != nil {
 		return disk.SegAddr{}, err
 	}
 	newPack, err := m.vols.Emptiest(a.addr.Pack)
@@ -944,11 +943,7 @@ func (m *Manager) Deactivate(uid uint64) error {
 	if err != nil {
 		return err
 	}
-	ev, err := m.frames.ReleaseSegment(a.pt)
-	if err != nil {
-		return err
-	}
-	if err := m.applyEvictions(ev); err != nil {
+	if err := m.release(a); err != nil {
 		return err
 	}
 	if err := m.Disconnect(uid); err != nil {
@@ -960,6 +955,25 @@ func (m *Manager) Deactivate(uid uint64) error {
 	m.releaseSlot(a.slot)
 	_ = m.ast.Write(a.slot*ASTEWords, 0)
 	return nil
+}
+
+// release evicts every resident page of a and applies the eviction
+// reports. The reports go into a buffer the manager keeps and lends to
+// one caller at a time, so a deactivation allocates none once the
+// buffer has grown to a segment's resident size; a caller that finds
+// it lent out (a concurrent release) builds its own.
+func (m *Manager) release(a *ASTE) error {
+	buf := m.evicted.Swap(nil)
+	if buf == nil {
+		buf = new([]pageframe.Evicted)
+	}
+	ev, err := m.frames.ReleaseSegment(a.pt, (*buf)[:0])
+	if err == nil {
+		err = m.applyEvictions(ev)
+	}
+	*buf = ev
+	m.evicted.Store(buf)
+	return err
 }
 
 // DeactivateAll deactivates every active segment in uid order, writing

@@ -3,6 +3,7 @@ package segment
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -400,7 +401,7 @@ func TestConnectDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = proc.Read(8, 3)
-	if f, ok := hw.AsFault(err); !ok || f.Kind != hw.FaultMissingSegment {
+	if f, ok := err.(*hw.Fault); !ok || f.Kind != hw.FaultMissingSegment {
 		t.Errorf("read after disconnect: %v, want missing-segment fault", err)
 	}
 	_ = a
@@ -746,5 +747,45 @@ func TestActivationTakesLowestFreeSlot(t *testing.T) {
 	}
 	if fulls == 0 {
 		t.Error("the table never filled: ErrASTFull untested")
+	}
+}
+
+// Growing a segment to the architectural maximum reads only the grown
+// page's file-map entry on each quota fault, never a copy of the whole
+// map. Copying it made growth quadratic: the last 128 grows of 256
+// allocated about 3.3 KB each (16 bytes per entry already in the map),
+// where reading one entry leaves them about 100 bytes.
+func TestGrowToMaxPagesReadsOneEntry(t *testing.T) {
+	f := newFixture(t, MaxPages+8, 2*MaxPages)
+	_, cell := f.quotaDir(t, MaxPages)
+	uid, a := f.newSeg(t, cell)
+	grow := func(from, to int) {
+		for pg := from; pg < to; pg++ {
+			if _, err := f.m.Grow(uid, pg, 8, pg); err != nil {
+				t.Fatalf("grow page %d: %v", pg, err)
+			}
+		}
+	}
+	const half = MaxPages / 2
+	grow(0, half)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	grow(half, MaxPages)
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / half; per >= 512 {
+		t.Errorf("growing pages %d..%d allocated %d bytes per page, want under 512", half, MaxPages-1, per)
+	}
+	if a.Pages() != MaxPages {
+		t.Errorf("segment has %d pages after growing to %d", a.Pages(), MaxPages)
+	}
+	e, err := f.m.DiskEntry(a.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Records() != MaxPages {
+		t.Errorf("file map stores %d records, want %d", e.Records(), MaxPages)
+	}
+	if _, used, _ := f.cells.Info(cell); used != MaxPages {
+		t.Errorf("quota used = %d, want %d", used, MaxPages)
 	}
 }

@@ -234,7 +234,7 @@ func TestWakeupWaitingPreventsLostNotification(t *testing.T) {
 
 	// The fault loads the locked-descriptor-address register.
 	_, err := proc.Read(2, 0)
-	if f, ok := hw.AsFault(err); !ok || f.Kind != hw.FaultLockedDescriptor {
+	if f, ok := err.(*hw.Fault); !ok || f.Kind != hw.FaultLockedDescriptor {
 		t.Fatalf("read: %v, want locked-descriptor fault", err)
 	}
 
