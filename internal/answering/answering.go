@@ -114,9 +114,12 @@ type Service struct {
 	mu    sync.Mutex
 	users map[string]user
 	// records is the accounting log, one entry per login in login
-	// order. An entry names its principal and label by their index in
-	// accounts, so the log grows by a fixed 24 bytes per login.
-	records  []record
+	// order, held in chunks of recordChunk entries so a login never
+	// re-copies it; nrec counts the entries. An entry names its
+	// principal and label by their index in accounts, so the log grows
+	// by a fixed 24 bytes per login.
+	records  []*[recordChunk]record
+	nrec     int
 	accounts []account
 	byAcct   map[account]int32
 	// Salt for password hashing; fixed per system.
@@ -128,6 +131,10 @@ type account struct {
 	principal string
 	label     aim.Label
 }
+
+// recordChunk is the number of accounting records per chunk of the
+// log.
+const recordChunk = 1024
 
 // A record is one accounting log entry; Records expands it into a
 // SessionRecord.
@@ -216,19 +223,29 @@ func (s *Service) Login(principal, password string, label aim.Label) (*Session, 
 		s.accounts = append(s.accounts, a)
 		s.byAcct[a] = id
 	}
-	s.records = append(s.records, record{acct: id, open: true, loginCycles: s.meter.Since(start)})
-	return &Session{Principal: principal, Label: label, Process: proc, record: len(s.records) - 1}, nil
+	if s.nrec%recordChunk == 0 {
+		s.records = append(s.records, new([recordChunk]record))
+	}
+	n := s.nrec
+	s.nrec++
+	*s.entry(n) = record{acct: id, open: true, loginCycles: s.meter.Since(start)}
+	return &Session{Principal: principal, Label: label, Process: proc, record: n}, nil
 }
+
+// entry returns accounting record i, which must exist. Caller holds
+// s.mu.
+func (s *Service) entry(i int) *record { return &s.records[i/recordChunk][i%recordChunk] }
 
 // Logout closes a session, recording the CPU it consumed.
 func (s *Service) Logout(sess *Session, cpuUsed int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sess == nil || sess.record < 0 || sess.record >= len(s.records) || !s.records[sess.record].open {
+	if sess == nil || sess.record < 0 || sess.record >= s.nrec || !s.entry(sess.record).open {
 		return errors.New("answering: no such open session")
 	}
-	s.records[sess.record].cpuUsed = cpuUsed
-	s.records[sess.record].open = false
+	r := s.entry(sess.record)
+	r.cpuUsed = cpuUsed
+	r.open = false
 	return nil
 }
 
@@ -236,8 +253,9 @@ func (s *Service) Logout(sess *Session, cpuUsed int64) error {
 func (s *Service) Records() []SessionRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]SessionRecord, len(s.records))
-	for i, r := range s.records {
+	out := make([]SessionRecord, s.nrec)
+	for i := range out {
+		r := s.entry(i)
 		a := s.accounts[r.acct]
 		out[i] = SessionRecord{
 			Principal: a.principal, Label: a.label,

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"multics/internal/aim"
+	"multics/internal/answering"
 	"multics/internal/core"
 	"multics/internal/hw"
 	"multics/internal/uproc"
@@ -19,7 +21,9 @@ import (
 // are recycled, the read-ahead window and eviction reports live in
 // buffers the callers own, and a fault travels by value, so the whole
 // pass (deactivation, activation and the executor run included)
-// averages under 64 bytes of Go heap per fault.
+// averages under 24 bytes of Go heap per fault: an activation reuses
+// its slot's AST entry and page table, and a deactivation lists its
+// resident frames into a buffer the page frame manager lends.
 func TestColdScanAllocatesLittle(t *testing.T) {
 	const pages, passes = 64, 32
 	cfg := core.DefaultConfig()
@@ -90,8 +94,80 @@ func TestColdScanAllocatesLittle(t *testing.T) {
 	}
 	per := (after.TotalAlloc - before.TotalAlloc) / uint64(faults)
 	t.Logf("%d B per cold fault", per)
-	if per >= 64 {
-		t.Errorf("a cold fault allocated %d bytes, want under 64", per)
+	if per >= 24 {
+		t.Errorf("a cold fault allocated %d bytes, want under 24", per)
+	}
+	if err := audited(k); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLoginTurnoverAllocatesLittle pins the host cost of a session
+// turnover: a logout, the destruction of its process and a login in
+// its place. The process record, its descriptor table, its KST, the
+// state segment's AST entry and page table and its table-of-contents
+// entry's file map are all recycled from the turnover before, and the
+// accounting log grows in chunks, so once warm a turnover allocates
+// little beyond the session handle it returns: under 256 bytes.
+func TestLoginTurnoverAllocatesLittle(t *testing.T) {
+	const users, pool, warm, turnovers = 32, 64, 256, 4096
+	cfg := core.DefaultConfig()
+	cfg.ASTPages = 2
+	cfg.WiredFrames = cfg.ASTPages + 6
+	cfg.MemFrames = cfg.WiredFrames + users + 64
+	k, err := core.Boot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := workload.Service(k)
+	for i := 0; i < pool; i++ {
+		if err := svc.Register(answering.StormPrincipal(i), "pw", aim.Top); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sessions := make([]*answering.Session, users)
+	next := 0 // the next principal to log in, round the pool
+	turnover := func(slot int) error {
+		if s := sessions[slot]; s != nil {
+			p := s.Process.(*uproc.Process)
+			if err := svc.Logout(s, p.CPU()); err != nil {
+				return err
+			}
+			if err := k.Procs.Destroy(p); err != nil {
+				return err
+			}
+		}
+		s, err := svc.Login(answering.StormPrincipal(next), "pw", aim.Bottom)
+		next = (next + 1) % pool
+		sessions[slot] = s
+		return err
+	}
+	// Run on a processor's task: off a task the rank checker names the
+	// goroutine, which allocates.
+	run := func(n int) {
+		t.Helper()
+		var terr error
+		err := uproc.SimExecutor{}.Run(k.CPUs[:1], func(*hw.Processor) {
+			for i := 0; i < n && terr == nil; i++ {
+				terr = turnover(i % users)
+			}
+		})
+		if err = cmp.Or(err, terr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(warm) // fill the population and warm the free lists
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(turnovers)
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / turnovers
+	t.Logf("%d B per turnover", per)
+	if per >= 256 {
+		t.Errorf("a login turnover allocated %d bytes, want under 256", per)
+	}
+	if n := k.Procs.Count(); n != users {
+		t.Errorf("%d processes alive, want %d", n, users)
 	}
 	if err := audited(k); err != nil {
 		t.Error(err)

@@ -640,8 +640,10 @@ const inFlightWord = 4242
 // which reaches the schedule where the owner goes on while the
 // write-back is off the queue but not yet on the disk. Every schedule
 // must read back what was written, and in some the owner must wait
-// the write-back out, or the window never opened.
-func sweepInFlightWriteBack(t *testing.T, use func(k *core.Kernel, w *workload.Worker, big int) error) {
+// the write-back out, or the window never opened. With evicting set,
+// the flusher first writes pressure pages of a file of its own, so its
+// faults evict too while the owner runs use.
+func sweepInFlightWriteBack(t *testing.T, evicting bool, use func(k *core.Kernel, w *workload.Worker, big int) error) {
 	t.Helper()
 	waits := 0
 	maxSched, maxPre := schedsim.EnvBudget(64, 2)
@@ -670,9 +672,23 @@ func sweepInFlightWriteBack(t *testing.T, use func(k *core.Kernel, w *workload.W
 		if err != nil {
 			return err
 		}
+		var h int
+		if evicting {
+			if _, err := k.CreateFile(owner.CPU, owner.Proc, nil, "h", nil, aim.Bottom); err != nil {
+				return err
+			}
+			if h, err = k.OpenPath(owner.CPU, owner.Proc, []string{"h"}); err != nil {
+				return err
+			}
+		}
 		rec := schedsim.Record(strat)
 		err = workload.Run(uproc.SimExecutor{Strategy: rec}, ws, func(w *workload.Worker) error {
 			if w != owner {
+				for pg := 0; evicting && pg < pressure; pg++ {
+					if err := k.Write(w.CPU, w.Proc, h, pg*hw.PageWords, hw.Word(2000+pg)); err != nil {
+						return fmt.Errorf("flusher page %d: %w", pg, err)
+					}
+				}
 				k.VProcs.RunPending()
 				return nil
 			}
@@ -726,7 +742,7 @@ func refill(k *core.Kernel, w *workload.Worker, segno, from, to int) error {
 // write-back has not landed waits for it, rather than read the
 // record's previous contents.
 func TestSweepFaultAwaitsWriteBack(t *testing.T) {
-	sweepInFlightWriteBack(t, func(k *core.Kernel, w *workload.Worker, _ int) error {
+	sweepInFlightWriteBack(t, false, func(k *core.Kernel, w *workload.Worker, _ int) error {
 		return workload.Scan(k, w, 1, inFlightWord)
 	})
 }
@@ -735,7 +751,7 @@ func TestSweepFaultAwaitsWriteBack(t *testing.T) {
 // once the write-back to it has landed, or the record's next owner
 // reads the late write.
 func TestSweepTruncateAwaitsWriteBack(t *testing.T) {
-	sweepInFlightWriteBack(t, func(k *core.Kernel, w *workload.Worker, _ int) error {
+	sweepInFlightWriteBack(t, false, func(k *core.Kernel, w *workload.Worker, _ int) error {
 		if err := k.Truncate(w.CPU, w.Proc, w.Segno, 0); err != nil {
 			return err
 		}
@@ -744,12 +760,239 @@ func TestSweepTruncateAwaitsWriteBack(t *testing.T) {
 }
 
 // TestSweepDeleteAwaitsWriteBack: so does a deletion; big's next page
-// takes the freed record.
+// takes the freed record. The flusher evicts as well, so the deletion
+// may also meet another processor's eviction of f's page, which it
+// waits out (TestSweepDeleteAwaitsEviction).
 func TestSweepDeleteAwaitsWriteBack(t *testing.T) {
-	sweepInFlightWriteBack(t, func(k *core.Kernel, w *workload.Worker, big int) error {
+	sweepInFlightWriteBack(t, true, func(k *core.Kernel, w *workload.Worker, big int) error {
 		if err := k.Delete(w.CPU, w.Proc, nil, "f"); err != nil {
 			return err
 		}
 		return refill(k, w, big, pressure, 2*pressure)
 	})
+}
+
+// evictPages is how many pages sweepDeleteUnderEviction's evictor
+// writes: more than the machine's 24 pageable frames, so its faults
+// evict the owner's page.
+const evictPages = 40
+
+// sweepDeleteUnderEviction races the deletion of a file against
+// another processor's eviction of the file's page. Two processes run
+// on two processors. The owner, on the first, has written one page of
+// its file f and deletes f; then, when reuse is set, it creates a file
+// g, which takes f's freed AST slot and page table, and writes and
+// reads back its first pages. The evictor, on the second, writes
+// evictPages pages of its own file in 24 pageable frames, so its
+// faults take f's page as a victim. The sweep deviates at the disk
+// queue, which reaches the schedule where the owner's deletion runs
+// between the evictor's choice of f's page and the evictor's report of
+// it. Every schedule must complete with clean audits, and in some the
+// deletion must wait for the eviction, or the window never opened.
+func sweepDeleteUnderEviction(t *testing.T, reuse bool) {
+	t.Helper()
+	waits := 0
+	maxSched, maxPre := schedsim.EnvBudget(48, 2)
+	rep, err := schedsim.Sweep(schedsim.SweepConfig{
+		MaxSchedules:   maxSched,
+		MaxPreemptions: maxPre,
+		Window: func(d schedsim.Decision) bool {
+			return d.Point == schedsim.PointDiskQueue
+		},
+	}, func(strat schedsim.Strategy) error {
+		k := boot(t, func(c *core.Config) {
+			c.Processors = 2
+			c.MemFrames = 32
+			c.WiredFrames = 8
+			c.RootQuota = 4096
+		})
+		ws, err := workload.NewWorkers(k, 2, workload.Files{Prefix: "dr"})
+		if err != nil {
+			return err
+		}
+		owner, evictor := ws[0], ws[1]
+		if err := k.Write(owner.CPU, owner.Proc, owner.Segno, 0, inFlightWord); err != nil {
+			return err
+		}
+		fPT, err := pageTable(k, owner, owner.Segno)
+		if err != nil {
+			return err
+		}
+		// The evictor's task comes first, so the sticky baseline runs it
+		// to completion while the owner sits parked, runnable, at its
+		// start: each of the evictor's disk-queue decisions then has
+		// the deletion as its alternative.
+		rec := schedsim.Record(strat)
+		err = workload.Run(uproc.SimExecutor{Strategy: rec}, []*workload.Worker{evictor, owner}, func(w *workload.Worker) error {
+			if w == evictor {
+				for pg := 0; pg < evictPages; pg++ {
+					if err := k.Write(w.CPU, w.Proc, w.Segno, pg*hw.PageWords, hw.Word(1000+pg)); err != nil {
+						return fmt.Errorf("evictor write page %d: %w", pg, err)
+					}
+				}
+				return nil
+			}
+			if err := k.Delete(w.CPU, w.Proc, nil, "dr0"); err != nil {
+				return fmt.Errorf("delete: %w", err)
+			}
+			if !reuse {
+				return nil
+			}
+			if _, err := k.CreateFile(w.CPU, w.Proc, nil, "g", nil, aim.Bottom); err != nil {
+				return err
+			}
+			g, err := k.OpenPath(w.CPU, w.Proc, []string{"g"})
+			if err != nil {
+				return err
+			}
+			if err := refill(k, &workload.Worker{CPU: w.CPU, Proc: w.Proc, Segno: g}, g, 0, 4); err != nil {
+				return err
+			}
+			if gPT, err := pageTable(k, w, g); err != nil || gPT != fPT {
+				return fmt.Errorf("g did not take f's page table (%v): the slot was not reused", err)
+			}
+			return nil
+		})
+		for _, d := range rec.Decisions() {
+			if d.Task == "cpu0" && d.Point == schedsim.PointBlock && d.Detail == "eviction in flight" {
+				waits++
+			}
+		}
+		if err != nil {
+			return err
+		}
+		return audited(k)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WindowDecisions == 0 || waits == 0 {
+		t.Fatalf("sweep vacuous: %d schedules, %d in-window decisions, %d waits for an in-flight eviction", rep.Schedules, rep.WindowDecisions, waits)
+	}
+	t.Logf("%d schedules, %d in-window decisions, %d waits for an in-flight eviction, truncated=%v",
+		rep.Schedules, rep.WindowDecisions, waits, rep.Truncated)
+}
+
+// pageTable returns the page table of the active segment w's process
+// knows as segno.
+func pageTable(k *core.Kernel, w *workload.Worker, segno int) (*hw.PageTable, error) {
+	e, err := w.Proc.KST().Entry(segno)
+	if err != nil {
+		return nil, err
+	}
+	a, err := k.Segs.Lookup(e.UID)
+	if err != nil {
+		return nil, err
+	}
+	return a.PageTable(), nil
+}
+
+// TestSweepDeleteAwaitsEviction: a deletion waits out another
+// processor's eviction of the segment's page before the segment leaves
+// the active segment table, so the eviction's report still finds it.
+func TestSweepDeleteAwaitsEviction(t *testing.T) {
+	sweepDeleteUnderEviction(t, false)
+}
+
+// TestSweepReusedSlotAwaitsEviction: the file created after the
+// deletion takes the freed AST slot and its page table at once; the
+// old eviction must not write that table, and every page the new file
+// writes must read back.
+func TestSweepReusedSlotAwaitsEviction(t *testing.T) {
+	sweepDeleteUnderEviction(t, true)
+}
+
+// TestSweepDeleteAwaitsFaultService races a reference to a file
+// against the file's deletion. One process runs on both processors,
+// with f's page 0 written and then pushed out of memory by writing
+// another file, so the reference faults and reads the page from disk.
+// The first processor deletes f and creates g, which takes f's AST
+// slot and page table once active, and writes and reads back g's
+// first pages; the second reads page 0 of f. The sweep deviates at
+// every decision of the reader and where the first publishes g's new
+// pages, which reaches the schedules where the deletion meets the
+// reference's fault service in flight: the deletion waits for it, or
+// the service would publish f's page into the table g reuses. The
+// reference must read f's word or fail (f is gone), every audit must
+// stay clean, and in some schedules the reference must fail and the
+// deletion wait, or the windows never opened.
+func TestSweepDeleteAwaitsFaultService(t *testing.T) {
+	failed, waits := 0, 0
+	maxSched, maxPre := schedsim.EnvBudget(64, 2)
+	rep, err := schedsim.Sweep(schedsim.SweepConfig{
+		MaxSchedules:   maxSched,
+		MaxPreemptions: maxPre,
+		Window: func(d schedsim.Decision) bool {
+			return d.Task == "cpu1" || d.Point == schedsim.PointPublish && d.Detail == "ptw-new-page"
+		},
+	}, func(strat schedsim.Strategy) error {
+		k := boot(t, func(c *core.Config) {
+			c.MemFrames = 32
+			c.WiredFrames = 8
+			c.RootQuota = 4096
+		})
+		ws := sharedFile(t, k)
+		owner := ws[0]
+		if err := k.Write(owner.CPU, owner.Proc, owner.Segno, 0, inFlightWord); err != nil {
+			return err
+		}
+		// Push f's page out of memory: f stays active, and the reference
+		// takes a missing-page fault, served from disk.
+		if _, err := k.CreateFile(owner.CPU, owner.Proc, nil, "big", nil, aim.Bottom); err != nil {
+			return err
+		}
+		big, err := k.OpenPath(owner.CPU, owner.Proc, []string{"big"})
+		if err != nil {
+			return err
+		}
+		if err := refill(k, &workload.Worker{CPU: owner.CPU, Proc: owner.Proc, Segno: big}, big, 0, pressure); err != nil {
+			return err
+		}
+		// The reader's task comes first, so the sticky baseline runs the
+		// reference to completion while the deleter sits parked,
+		// runnable, at its start.
+		var readErr error
+		rec := schedsim.Record(strat)
+		err = workload.Run(uproc.SimExecutor{Strategy: rec}, []*workload.Worker{ws[1], owner}, func(w *workload.Worker) error {
+			if w != owner {
+				got, err := k.Read(w.CPU, w.Proc, w.Segno, 0)
+				if err == nil && got != inFlightWord {
+					return fmt.Errorf("read %d from f's page 0, want %d", got, inFlightWord)
+				}
+				readErr = err
+				return nil
+			}
+			if err := k.Delete(w.CPU, w.Proc, nil, "f"); err != nil {
+				return err
+			}
+			if _, err := k.CreateFile(w.CPU, w.Proc, nil, "g", nil, aim.Bottom); err != nil {
+				return err
+			}
+			g, err := k.OpenPath(w.CPU, w.Proc, []string{"g"})
+			if err != nil {
+				return err
+			}
+			return refill(k, &workload.Worker{CPU: w.CPU, Proc: w.Proc, Segno: g}, g, 0, 2)
+		})
+		for _, d := range rec.Decisions() {
+			if d.Task == "cpu0" && d.Point == schedsim.PointBlock && d.Detail == "segment service in progress" {
+				waits++
+			}
+		}
+		if err != nil {
+			return err
+		}
+		if readErr != nil {
+			failed++
+		}
+		return audited(k)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WindowDecisions == 0 || failed == 0 || waits == 0 {
+		t.Fatalf("sweep vacuous: %d schedules, %d in-window decisions, %d references failed on the deleted file, %d deletions waited for a fault service", rep.Schedules, rep.WindowDecisions, failed, waits)
+	}
+	t.Logf("%d schedules, %d in-window decisions, %d references failed on the deleted file, %d deletions waited for a fault service, truncated=%v",
+		rep.Schedules, rep.WindowDecisions, failed, waits, rep.Truncated)
 }

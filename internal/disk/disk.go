@@ -409,13 +409,13 @@ func (p *Pack) CreateEntry(uid uint64, dir bool, gov uint64) (TOCIndex, error) {
 	}
 	p.dirty = true
 	// The lowest dead entry is reused, as a scan of the table would
-	// pick it.
+	// pick it, file-map backing and all.
 	for w, word := range p.dead {
 		if word != 0 {
 			b := bits.TrailingZeros64(word)
 			p.dead[w] &^= 1 << b
 			i := w*64 + b
-			p.toc[i] = TOCEntry{UID: uid, Dir: dir, Gov: gov, live: true}
+			p.toc[i] = TOCEntry{UID: uid, Dir: dir, Gov: gov, Map: p.toc[i].Map, live: true}
 			return TOCIndex(i), nil
 		}
 	}
@@ -470,9 +470,10 @@ func (p *Pack) DropEntry(idx TOCIndex) error {
 }
 
 // kill clears live table-of-contents entry idx and marks it dead for
-// reuse. Caller holds p.mu.
+// reuse. The entry keeps its file map's backing, emptied, for the next
+// segment created in it. Caller holds p.mu.
 func (p *Pack) kill(idx TOCIndex) {
-	p.toc[idx] = TOCEntry{}
+	p.toc[idx] = TOCEntry{Map: p.toc[idx].Map[:0]}
 	w := int(idx) / 64
 	if w >= len(p.dead) {
 		p.dead = append(p.dead, make([]uint64, w+1-len(p.dead))...)

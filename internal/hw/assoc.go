@@ -39,6 +39,7 @@ const (
 type assocSDW struct {
 	valid  bool
 	dt     *DescriptorTable
+	gen    uint64 // dt's generation at fill time
 	segno  int
 	system bool
 	sdw    SDW
@@ -46,9 +47,14 @@ type assocSDW struct {
 
 // assocPTW is one cached page table word: the frame a (segno, page)
 // pair translated to, tagged with the owning page table's identity.
+// Identity is the pointer and the generation together: a table reset
+// for reuse is a new table to the cache, so an entry filled before the
+// reset neither hits nor is cleared by a shootdown of the new
+// incarnation, as if the old table had been discarded.
 type assocPTW struct {
 	valid  bool
 	pt     *PageTable
+	gen    uint64 // pt's generation at fill time
 	segno  int
 	page   int
 	frame  int
@@ -99,7 +105,7 @@ func ptwSlot(segno, page int) int {
 // The caller holds a.mu.
 func (a *AssociativeMemory) lookupSDWLocked(dt *DescriptorTable, segno int) (SDW, bool) {
 	e := &a.sdws[sdwSlot(segno)]
-	if e.valid && e.dt == dt && e.segno == segno {
+	if e.valid && e.dt == dt && e.gen == dt.Gen() && e.segno == segno {
 		return e.sdw, true
 	}
 	return SDW{}, false
@@ -109,7 +115,7 @@ func (a *AssociativeMemory) lookupSDWLocked(dt *DescriptorTable, segno int) (SDW
 // any. The caller holds a.mu.
 func (a *AssociativeMemory) lookupPTWLocked(pt *PageTable, segno, page int) (int, bool) {
 	e := &a.ptws[ptwSlot(segno, page)]
-	if e.valid && e.pt == pt && e.segno == segno && e.page == page {
+	if e.valid && e.pt == pt && e.gen == pt.Gen() && e.segno == segno && e.page == page {
 		return e.frame, true
 	}
 	return 0, false
@@ -119,8 +125,8 @@ func (a *AssociativeMemory) lookupPTWLocked(pt *PageTable, segno, page int) (int
 // access checks and the present, unlocked PTW it yielded. The caller
 // holds a.mu.
 func (a *AssociativeMemory) fillLocked(dt *DescriptorTable, segno, page, frame int, sdw SDW, system bool) {
-	a.sdws[sdwSlot(segno)] = assocSDW{valid: true, dt: dt, segno: segno, system: system, sdw: sdw}
-	a.ptws[ptwSlot(segno, page)] = assocPTW{valid: true, pt: sdw.Table, segno: segno, page: page, frame: frame, system: system}
+	a.sdws[sdwSlot(segno)] = assocSDW{valid: true, dt: dt, gen: dt.Gen(), segno: segno, system: system, sdw: sdw}
+	a.ptws[ptwSlot(segno, page)] = assocPTW{valid: true, pt: sdw.Table, gen: sdw.Table.Gen(), segno: segno, page: page, frame: frame, system: system}
 }
 
 // invalidatePTW clears the cached PTW for (pt, page); a negative page
@@ -128,10 +134,10 @@ func (a *AssociativeMemory) fillLocked(dt *DescriptorTable, segno, page, frame i
 func (a *AssociativeMemory) invalidatePTW(pt *PageTable, page int) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := 0
+	n, gen := 0, pt.Gen()
 	for i := range a.ptws {
 		e := &a.ptws[i]
-		if e.valid && e.pt == pt && (page < 0 || e.page == page) {
+		if e.valid && e.pt == pt && e.gen == gen && (page < 0 || e.page == page) {
 			*e = assocPTW{}
 			n++
 		}
@@ -145,10 +151,10 @@ func (a *AssociativeMemory) invalidatePTW(pt *PageTable, page int) int {
 func (a *AssociativeMemory) invalidateSDW(dt *DescriptorTable, segno int) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := 0
+	n, gen := 0, dt.Gen()
 	for i := range a.sdws {
 		e := &a.sdws[i]
-		if e.valid && e.dt == dt && (segno < 0 || e.segno == segno) {
+		if e.valid && e.dt == dt && e.gen == gen && (segno < 0 || e.segno == segno) {
 			*e = assocSDW{}
 			n++
 		}

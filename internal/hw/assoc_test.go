@@ -313,3 +313,66 @@ func TestAssocFingerprintDeterministic(t *testing.T) {
 		t.Errorf("fingerprint empty: %q", a)
 	}
 }
+
+// A translation cached before its page table was reset and reused
+// never hits afterwards, although the table pointer, segment number
+// and page all match: the reload is a new table to the cache. Nor does
+// a shootdown of the new incarnation count the stale entry as cleared.
+// The same holds for a descriptor table reset for a new address space,
+// which a process switch then treats as a change of table.
+func TestAssocStaleEntryOfReusedTableNeverHits(t *testing.T) {
+	f := newAssocFixture(t, 2)
+	if err := f.mem.Write(f.mem.FrameBase(0), 11); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.mem.Write(f.mem.FrameBase(1), 22); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := f.p.Read(1, 0); err != nil || got != 11 {
+		t.Fatalf("first read = %d, %v; want 11", got, err)
+	}
+	// Reuse the table for another segment whose page 0 is in frame 1.
+	f.pt.Reload(1, func(int) PTW { return PTW{Present: true, Frame: 1} }, PTW{})
+	st := f.p.Assoc.Stats()
+	if got, err := f.p.Read(1, 0); err != nil || got != 22 {
+		t.Fatalf("read after reuse = %d, %v; want 22 from the new incarnation's frame", got, err)
+	}
+	if after := f.p.Assoc.Stats(); after.Hits != st.Hits || after.Misses != st.Misses+1 {
+		t.Errorf("read after reuse: %+v then %+v, want one miss and no hit", st, after)
+	}
+	// The refill replaced the stale entry in its slot; fill the other
+	// page's slot, reuse again, and shoot the new incarnation down: the
+	// stale entry is not the new table's to clear.
+	f.pt.Reload(2, func(p int) PTW { return PTW{Present: true, Frame: p} }, PTW{})
+	if _, err := f.p.Read(1, PageWords); err != nil {
+		t.Fatal(err)
+	}
+	f.pt.Reload(2, func(p int) PTW { return PTW{Present: true, Frame: 1 - p} }, PTW{})
+	bus := NewShootdownBus(nil)
+	bus.Attach(f.p.Assoc)
+	before := f.p.Assoc.Stats().Cleared
+	bus.InvalidatePTW("test", f.pt, -1)
+	if got := f.p.Assoc.Stats().Cleared - before; got != 0 {
+		t.Errorf("shootdown of the new incarnation cleared %d stale entries, want 0", got)
+	}
+	if got, err := f.p.Read(1, PageWords); err != nil || got != 11 {
+		t.Errorf("read of page 1 after the second reuse = %d, %v; want 11", got, err)
+	}
+	// A descriptor table reset and refilled: its cached descriptor
+	// misses, and installing it again clears the user entries.
+	f.dt.Reset()
+	if err := f.dt.Set(1, SDW{Present: true, Table: f.pt, Access: Read | Write, MaxRing: NRings - 1, WriteRing: NRings - 1}); err != nil {
+		t.Fatal(err)
+	}
+	st = f.p.Assoc.Stats()
+	if _, err := f.p.Read(1, PageWords); err != nil {
+		t.Fatal(err)
+	}
+	if after := f.p.Assoc.Stats(); after.Hits != st.Hits {
+		t.Errorf("descriptor cached before the table's reset hit: %+v then %+v", st, after)
+	}
+	f.p.SwitchUserDT(f.dt)
+	if after := f.p.Assoc.Stats(); after.Cleared == st.Cleared {
+		t.Error("installing a reset descriptor table did not clear the user entries")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // A PTW is one page table word: the hardware descriptor for one page
@@ -48,11 +49,17 @@ type PTW struct {
 // A PageTable is safe for concurrent use by multiple simulated
 // processors; the lock-bit operations are atomic with respect to
 // translation, which is what the descriptor-lock hardware guarantees.
+//
+// A table may be reset and reused for another segment (see Reload).
+// Its generation, bumped by every reset, tells the incarnations apart:
+// the associative memory tags each cached translation with it, so an
+// entry filled before a reset never hits after it.
 type PageTable struct {
 	mu   sync.Mutex
 	n    int
 	ptws []PTW
 	past PTW
+	gen  atomic.Uint64
 }
 
 // NewPageTable returns a page table of n descriptors, all not-present.
@@ -60,16 +67,29 @@ func NewPageTable(n int) *PageTable {
 	return &PageTable{n: n}
 }
 
-// NewPageTableOf returns a page table of n descriptors whose first
-// len(ptws) are ptws and whose rest read as past, built in one pass
-// instead of a Set per entry. The table takes ownership of ptws, which
-// must not be longer than n.
-func NewPageTableOf(ptws []PTW, n int, past PTW) *PageTable {
-	if len(ptws) > n {
-		panic(fmt.Sprintf("hw: %d descriptors for a page table of %d entries", len(ptws), n))
+// Reload resets the table for a new incarnation: its generation moves
+// on, its first n descriptors become desc(0) .. desc(n-1), and the rest
+// read as past, built in one pass instead of a Set per entry. The
+// materialized prefix keeps its backing, so a table reloaded to a
+// length it has held before allocates nothing. The caller guarantees
+// that no processor still translates through, or updates, the old
+// incarnation.
+func (t *PageTable) Reload(n int, desc func(p int) PTW, past PTW) {
+	if n > t.n {
+		panic(fmt.Sprintf("hw: %d descriptors for a page table of %d entries", n, t.n))
 	}
-	return &PageTable{n: n, ptws: ptws, past: past}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.gen.Add(1)
+	t.ptws = slices.Grow(t.ptws[:0], n)
+	for p := 0; p < n; p++ {
+		t.ptws = append(t.ptws, desc(p))
+	}
+	t.past = past
 }
+
+// Gen reports the table's generation: the number of resets so far.
+func (t *PageTable) Gen() uint64 { return t.gen.Load() }
 
 // Len reports the number of page descriptors, fixed at construction.
 func (t *PageTable) Len() int { return t.n }
@@ -252,10 +272,15 @@ type SDW struct {
 // Like a PageTable, it has a logical length of n slots and materializes
 // only the prefix up to the highest slot ever set; every slot past it
 // reads as SDW{}, not present.
+//
+// Like a PageTable, a descriptor table may be reset and reused for
+// another address space (Reset); its generation tells the
+// incarnations apart.
 type DescriptorTable struct {
 	mu   sync.Mutex
 	n    int
 	sdws []SDW
+	gen  atomic.Uint64
 }
 
 // NewDescriptorTable returns a descriptor table with room for n
@@ -267,6 +292,21 @@ func NewDescriptorTable(n int) *DescriptorTable {
 // Len reports the number of segment-number slots, fixed at
 // construction.
 func (dt *DescriptorTable) Len() int { return dt.n }
+
+// Reset makes every slot not present and moves the generation on, so
+// the table can define a new address space. The materialized prefix
+// keeps its backing. The caller guarantees no processor still
+// translates through the old incarnation.
+func (dt *DescriptorTable) Reset() {
+	dt.mu.Lock()
+	defer dt.mu.Unlock()
+	dt.gen.Add(1)
+	clear(dt.sdws)
+	dt.sdws = dt.sdws[:0]
+}
+
+// Gen reports the table's generation: the number of resets so far.
+func (dt *DescriptorTable) Gen() uint64 { return dt.gen.Load() }
 
 func (dt *DescriptorTable) outside(segno int) error {
 	return fmt.Errorf("hw: segment number %d outside descriptor table of %d entries", segno, dt.n)

@@ -71,7 +71,8 @@ func TestPageTableMatchesMaterializedModel(t *testing.T) {
 				model[i] = init[i]
 			}
 		}
-		pt := NewPageTableOf(init, n, past)
+		pt := NewPageTable(n)
+		pt.Reload(len(init), func(p int) PTW { return init[p] }, past)
 		for step := 0; step < 300; step++ {
 			p := rng.Intn(n+4) - 2
 			at := fmt.Sprintf("seed %d step %d page %d", seed, step, p)

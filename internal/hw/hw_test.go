@@ -436,15 +436,30 @@ func TestPTWSize(t *testing.T) {
 	}
 }
 
-func TestNewPageTableOf(t *testing.T) {
+// Reload builds a new incarnation in place: the given prefix, past
+// after it, the generation moved on, and the old prefix's backing
+// reused.
+func TestPageTableReload(t *testing.T) {
 	ptws := []PTW{{}, {QuotaTrap: true}, {Present: true, Frame: 7}}
-	want := append([]PTW(nil), ptws...)
 	trap := PTW{QuotaTrap: true}
-	pt := NewPageTableOf(ptws, 5, trap)
+	pt := NewPageTable(5)
+	for i := 0; i < 5; i++ {
+		if err := pt.Set(i, PTW{Present: true, Frame: 40 + i, Used: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gen := pt.Gen()
+	desc := func(p int) PTW { return ptws[p] }
+	if allocs := testing.AllocsPerRun(10, func() { pt.Reload(len(ptws), desc, trap) }); allocs != 0 {
+		t.Errorf("Reload allocated %.0f times into a table that held 5 descriptors", allocs)
+	}
+	if pt.Gen() <= gen {
+		t.Errorf("generation %d after Reload, was %d", pt.Gen(), gen)
+	}
 	if pt.Len() != 5 {
 		t.Fatalf("Len %d, want 5", pt.Len())
 	}
-	want = append(want, trap, trap)
+	want := append(append([]PTW(nil), ptws...), trap, trap)
 	for i, w := range want {
 		if got, _ := pt.Get(i); got != w {
 			t.Errorf("descriptor %d = %+v, want %+v", i, got, w)

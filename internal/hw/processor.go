@@ -50,6 +50,8 @@ type Processor struct {
 	// UserDT translates segment numbers >= SystemSegMax. It changes
 	// on every user-process dispatch.
 	UserDT *DescriptorTable
+	// userGen is UserDT's generation when SwitchUserDT installed it.
+	userGen uint64
 
 	// Ring is the current validation ring.
 	Ring int
@@ -280,15 +282,21 @@ func (p *Processor) emitAssoc(kind trace.Kind, cost int64, arg0, arg1, arg2 int)
 // SwitchUserDT installs the descriptor table of a newly dispatched
 // process. When the address space actually changes, the associative
 // memory's user entries are cleared — the selective clear a process
-// switch performs, leaving the wired system entries in place.
+// switch performs, leaving the wired system entries in place. A table
+// reset for another process since it was installed (a new generation)
+// is a new address space.
 func (p *Processor) SwitchUserDT(dt *DescriptorTable) {
-	if p.Assoc != nil && p.UserDT != dt {
+	var gen uint64
+	if dt != nil {
+		gen = dt.Gen()
+	}
+	if p.Assoc != nil && (p.UserDT != dt || p.userGen != gen) {
 		p.Assoc.mu.Lock()
 		n := p.Assoc.clearUserLocked()
 		p.Assoc.mu.Unlock()
 		p.emitAssoc(trace.EvAssocClear, 0, 2, -1, n)
 	}
-	p.UserDT = dt
+	p.UserDT, p.userGen = dt, gen
 }
 
 // TranslationStats reports the translations this processor has

@@ -65,3 +65,39 @@ func TestUpdateCellRenames(t *testing.T) {
 		t.Error("unrelated UpdateCell rewrote a binding")
 	}
 }
+
+// A dropped table goes on the free list and the next NewKST takes it,
+// emptied; Audit finds a free table that claims a live position.
+func TestAuditFindsFreeKSTLive(t *testing.T) {
+	f := newFixture(t, 8, 64)
+	k, err := f.m.NewKST(8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uid, addr := f.newFile(t)
+	if _, err := f.m.MakeKnown(k, entryFor(uid, addr, f.cell)); err != nil {
+		t.Fatal(err)
+	}
+	f.m.DropKST(k)
+	k2, err := f.m.NewKST(8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k2 != k {
+		t.Fatal("NewKST did not reuse the dropped table")
+	}
+	if _, err := k2.Entry(8); err == nil {
+		t.Error("reused table still knows its last process's segment")
+	}
+	f.m.DropKST(k2)
+	if bad := f.m.Audit(); len(bad) != 0 {
+		t.Fatalf("clean manager audits dirty: %v", bad)
+	}
+	// Corrupt: the free table records a live position.
+	f.m.mu.Lock()
+	k2.pos = 0
+	f.m.mu.Unlock()
+	if bad := f.m.Audit(); len(bad) != 1 {
+		t.Errorf("audit of a free table claiming a live position = %v, want one finding", bad)
+	}
+}

@@ -105,18 +105,25 @@ func (k *KST) Entry(segno int) (Entry, error) {
 
 // Audit checks every known segment table's invariant: the segment
 // number index and the uid index are a bijection, and the table knows
-// its own position in the manager's list.
+// its own position in the manager's list. No table on the free list
+// may be on the list of live ones.
 func (m *Manager) Audit() []string {
 	var bad []string
 	m.mu.Lock()
-	ksts := append([]*KST(nil), m.ksts...)
-	for ki, k := range ksts {
+	defer m.mu.Unlock()
+	for ki, k := range m.ksts {
 		if k.pos != ki {
 			bad = append(bad, fmt.Sprintf("KST %d records list position %d", ki, k.pos))
 		}
 	}
-	m.mu.Unlock()
-	for ki, k := range ksts {
+	// A free table records position -1, so on the live list it fails
+	// the position check above.
+	for si, k := range m.spare {
+		if k.pos != -1 {
+			bad = append(bad, fmt.Sprintf("free KST %d records list position %d", si, k.pos))
+		}
+	}
+	for ki, k := range m.ksts {
 		k.mu.Lock()
 		for uid, i := range k.byUID {
 			if i < 0 || i >= len(k.entries) {
@@ -146,8 +153,15 @@ type Manager struct {
 	signals *upsignal.Dispatcher
 	meter   *hw.CostMeter
 
+	// mu guards the list of live tables and the free list, and is held
+	// across every walk of the live list, so a table is never reset
+	// for reuse under a walker's feet.
 	mu   lockrank.Mutex
 	ksts []*KST
+	// spare is the free list of dropped tables, emptied when NewKST
+	// reuses one; it grows to the peak process count and never
+	// shrinks.
+	spare []*KST
 }
 
 // NewManager returns a known segment manager over the given segment
@@ -164,10 +178,23 @@ func (m *Manager) NewKST(base, capacity int) (*KST, error) {
 	if base < 0 || capacity <= 0 {
 		return nil, fmt.Errorf("knownseg: KST base %d capacity %d", base, capacity)
 	}
-	k := &KST{base: base, capacity: capacity, byUID: make(map[uint64]int)}
-	k.mu.InitSub(ModuleName, 0)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	var k *KST
+	if n := len(m.spare); n > 0 {
+		// No walker holds a dropped table: every walk of the live list
+		// holds m.mu.
+		k = m.spare[n-1]
+		m.spare[n-1] = nil
+		m.spare = m.spare[:n-1]
+		clear(k.entries)
+		k.entries = k.entries[:0]
+		clear(k.byUID)
+	} else {
+		k = &KST{byUID: make(map[uint64]int)}
+		k.mu.InitSub(ModuleName, 0)
+	}
+	k.base, k.capacity = base, capacity
 	k.pos = len(m.ksts)
 	m.ksts = append(m.ksts, k)
 	return k, nil
@@ -175,7 +202,9 @@ func (m *Manager) NewKST(base, capacity int) (*KST, error) {
 
 // DropKST forgets a process's table (process destruction). The last
 // table moves into the dropped one's place, so the cost does not grow
-// with the number of processes.
+// with the number of processes, and the dropped table goes on the
+// free list, to be emptied when NewKST reuses it. The caller must not
+// use k again.
 func (m *Manager) DropKST(k *KST) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -189,6 +218,7 @@ func (m *Manager) DropKST(k *KST) {
 	m.ksts[last] = nil
 	m.ksts = m.ksts[:last]
 	k.pos = -1
+	m.spare = append(m.spare, k)
 }
 
 // MakeKnown binds a segment into the process's address space, using
@@ -217,9 +247,8 @@ func (m *Manager) MakeKnown(k *KST, e Entry) (int, error) {
 // part of handling a relocation notice.
 func (m *Manager) UpdateAddr(uid uint64, addr disk.SegAddr) {
 	m.mu.Lock()
-	ksts := append([]*KST(nil), m.ksts...)
-	m.mu.Unlock()
-	for _, k := range ksts {
+	defer m.mu.Unlock()
+	for _, k := range m.ksts {
 		k.mu.Lock()
 		if i, ok := k.byUID[uid]; ok {
 			k.entries[i].Addr = addr
@@ -232,9 +261,8 @@ func (m *Manager) UpdateAddr(uid uint64, addr disk.SegAddr) {
 // after the cell's quota directory moved packs.
 func (m *Manager) UpdateCell(old, new quota.CellName) {
 	m.mu.Lock()
-	ksts := append([]*KST(nil), m.ksts...)
-	m.mu.Unlock()
-	for _, k := range ksts {
+	defer m.mu.Unlock()
+	for _, k := range m.ksts {
 		k.mu.Lock()
 		for _, e := range k.entries {
 			if e.HasCell && e.Cell == old {

@@ -63,8 +63,8 @@ var reg struct {
 	// layer maps a module name to its certification layer.
 	layer map[string]int
 	// locks records every (module, sub) a Mutex was initialized
-	// with, for the rank table.
-	locks map[string]map[int]bool
+	// with, for the rank table, and the lock name rendered for it once.
+	locks map[string]map[int]string
 }
 
 // SetLayers installs module ranks from a certification order: every
@@ -104,18 +104,26 @@ func LayerOf(module string) (int, bool) {
 	return l, ok
 }
 
-func noteLock(module string, sub int) {
+// noteLock records (module, sub) for the rank table and returns its
+// lock name, rendered on the first call only: a manager that inits a
+// lock per process record formats nothing after the first.
+func noteLock(module string, sub int) string {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	if reg.locks == nil {
-		reg.locks = make(map[string]map[int]bool)
+		reg.locks = make(map[string]map[int]string)
 	}
 	subs := reg.locks[module]
 	if subs == nil {
-		subs = make(map[int]bool)
+		subs = make(map[int]string)
 		reg.locks[module] = subs
 	}
-	subs[sub] = true
+	name, ok := subs[sub]
+	if !ok {
+		name = Entry{Module: module, Sub: sub}.Name()
+		subs[sub] = name
+	}
+	return name
 }
 
 // An Entry describes one declared ranked lock in the rank table.
@@ -239,8 +247,7 @@ func (m *Mutex) InitSub(module string, sub int) {
 	}
 	m.module = module
 	m.sub = sub
-	m.name = Entry{Module: module, Sub: sub}.Name()
-	noteLock(module, sub)
+	m.name = noteLock(module, sub)
 }
 
 // Name renders the lock's name for diagnostics.

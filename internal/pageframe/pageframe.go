@@ -55,6 +55,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"multics/internal/disk"
 	"multics/internal/eventcount"
@@ -126,6 +127,12 @@ type PageReq struct {
 // it needs: for a zero page the record was freed and the file map
 // should say zero; otherwise the page's record holds its contents,
 // written back if the page was modified since it was read in.
+//
+// A report keeps its page table's eviction in flight (see
+// AwaitEvictions) until the caller, having applied it, passes it to
+// Settle: until then the table's segment must stay active, or the
+// report would reach a file map and a table that are no longer its
+// segment's.
 type Evicted struct {
 	UID    uint64
 	Page   int
@@ -135,6 +142,8 @@ type Evicted struct {
 	// FreedRecord reports that a record was released because the
 	// page turned out to be all zeros (storage charge released).
 	FreedRecord bool
+	// PT is the page table the page left.
+	PT *hw.PageTable
 }
 
 type frameInfo struct {
@@ -245,10 +254,17 @@ type Manager struct {
 	// bookkeeping adds no scheduling decision to the eviction path.
 	wmu      sync.Mutex
 	inflight map[recKey]int
+	// evicting counts, per page table, the victims taken from the
+	// frame table whose reports have not been settled (see Evicted),
+	// under wmu.
+	evicting map[*hw.PageTable]int
 	// spareBatches and spareSnaps are the write-back free lists (see
 	// writeBatch), under wmu.
 	spareBatches []*writeBatch
 	spareSnaps   [][]hw.Word
+	// order is the frame list ReleaseSegment and DropPages fill, lent
+	// to one caller at a time (see borrowOrder).
+	order atomic.Pointer[[]int]
 
 	faults, evictions, zeroEvictions, writeErrors int64
 	zeroRescues                                   int64
@@ -298,6 +314,7 @@ func NewManager(mem *hw.Memory, firstFrame int, vps *vproc.Manager, meter *hw.Co
 		unlocks:  make(map[descKey]*eventcount.Eventcount),
 		cached:   make(map[descKey]*cachedFrame),
 		inflight: make(map[recKey]int),
+		evicting: make(map[*hw.PageTable]int),
 		Lang:     hw.PLI,
 	}
 	m.mu.Init(ModuleName)
@@ -727,6 +744,7 @@ func (m *Manager) obtainFrame(out []Evicted) (int, []Evicted, error) {
 		m.setFrameLocked(vf-m.first, frameInfo{})
 		m.evictions++
 	}
+	m.noteEvicting(victims)
 	m.mu.Unlock()
 
 	evs, done, err := m.writeBackBatch(out, victims)
@@ -881,6 +899,10 @@ func (m *Manager) retire(b *writeBatch) {
 // reinstate the rest. Caller must not hold m.mu.
 func (m *Manager) writeBackBatch(out []Evicted, victims []victim) (evs []Evicted, disconnected int, err error) {
 	evs = out
+	// A victim that leaves without a report leaves no eviction in
+	// flight either: the victims are reported in order, so those past
+	// the reports are settled here.
+	defer func() { m.settleVictims(victims[len(evs)-len(out):]) }()
 	b := m.newBatch()
 	// Each victim's record is marked in flight before its descriptor
 	// goes not-present, so no processor can fault the page back in from
@@ -954,7 +976,7 @@ func (m *Manager) writeBackBatch(out []Evicted, victims []victim) (evs []Evicted
 				}
 			}
 		}
-		ev := Evicted{UID: info.uid, Page: info.page, Zero: zero}
+		ev := Evicted{UID: info.uid, Page: info.page, Zero: zero, PT: info.pt}
 		if info.pack != nil {
 			ev.Pack = info.pack.ID()
 			ev.Record = info.record
@@ -1035,9 +1057,78 @@ func (m *Manager) markWriteLocked(k recKey, delta int) {
 	}
 }
 
-// writing reports whether an evicted page's write-back to the record
-// has yet to reach the disk.
-func (m *Manager) writing(pack *disk.Pack, rec disk.RecordAddr) bool {
+// noteEvicting puts the victims' evictions in flight against their
+// page tables. Caller holds m.mu, under which the victims left the
+// frame table.
+func (m *Manager) noteEvicting(victims []victim) {
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	for _, v := range victims {
+		m.evicting[v.info.pt]++
+	}
+}
+
+// settleVictims ends the evictions of victims that produced no report.
+func (m *Manager) settleVictims(victims []victim) {
+	if len(victims) == 0 {
+		return
+	}
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	for _, v := range victims {
+		m.settleLocked(v.info.pt)
+	}
+}
+
+// Settle ends the evictions the reports describe: the caller has
+// applied them to its file maps (or given up on them), so their page
+// tables' segments may now leave the active segment table. Every
+// report LoadPage, AddPage and ReleaseSegment return must be settled
+// exactly once.
+func (m *Manager) Settle(evs []Evicted) {
+	if len(evs) == 0 {
+		return
+	}
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	for _, ev := range evs {
+		m.settleLocked(ev.PT)
+	}
+}
+
+// settleLocked ends one eviction against pt. Caller holds m.wmu.
+func (m *Manager) settleLocked(pt *hw.PageTable) {
+	if m.evicting[pt]--; m.evicting[pt] <= 0 {
+		delete(m.evicting, pt)
+	}
+}
+
+// evictingFrom reports whether an eviction of one of pt's pages is in
+// flight: taken from the frame table and not yet settled.
+func (m *Manager) evictingFrom(pt *hw.PageTable) bool {
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	return m.evicting[pt] > 0
+}
+
+// AwaitEvictions returns once no eviction of a page of pt is in
+// flight. A processor that chose one of pt's pages as a victim
+// disconnects it, writes pt, and reports it to the segment manager
+// after the frame has left the frame table, where ReleaseSegment and
+// DropPages no longer see it; a segment leaving the active segment
+// table waits here first, so neither the table write nor the report
+// lands after the segment is gone (or its table reused).
+func (m *Manager) AwaitEvictions(pt *hw.PageTable) {
+	for m.evictingFrom(pt) {
+		schedsim.Block("eviction in flight", func() bool { return !m.evictingFrom(pt) })
+		runtime.Gosched()
+	}
+}
+
+// Writing reports whether an evicted page's write-back to the record
+// has yet to reach the disk. It takes no ranked lock, so a caller may
+// ask it while holding a pack's lock.
+func (m *Manager) Writing(pack *disk.Pack, rec disk.RecordAddr) bool {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
 	return m.inflight[recKey{pack, rec}] > 0
@@ -1049,14 +1140,14 @@ func (m *Manager) writing(pack *disk.Pack, rec disk.RecordAddr) bool {
 // the page-writer is run here; one another processor is performing is
 // waited out.
 func (m *Manager) AwaitWrite(pack *disk.Pack, rec disk.RecordAddr) {
-	for m.writing(pack, rec) {
+	for m.Writing(pack, rec) {
 		if m.Daemons && m.vps != nil {
 			m.vps.RunPending()
 		}
-		if !m.writing(pack, rec) {
+		if !m.Writing(pack, rec) {
 			return
 		}
-		schedsim.Block("write-back in flight", func() bool { return !m.writing(pack, rec) })
+		schedsim.Block("write-back in flight", func() bool { return !m.Writing(pack, rec) })
 		runtime.Gosched()
 	}
 }
@@ -1178,6 +1269,23 @@ func (m *Manager) setFrameLocked(i int, fi frameInfo) {
 	m.frames[i] = fi
 }
 
+// borrowOrder lends the caller the manager's frame-list buffer, so a
+// release or drop lists its table's resident frames without allocating
+// once the buffer has grown to a segment's resident size; a caller that
+// finds it lent out (a concurrent release) gets a fresh one.
+func (m *Manager) borrowOrder() *[]int {
+	if buf := m.order.Swap(nil); buf != nil {
+		return buf
+	}
+	return new([]int)
+}
+
+// returnOrder gives the buffer back, keeping order's backing.
+func (m *Manager) returnOrder(buf *[]int, order []int) {
+	*buf = order[:0]
+	m.order.Store(buf)
+}
+
 // residentLocked appends to order the frames that hold pages of pt
 // numbered from or above, sorted by page number when byPage is set and
 // by frame number otherwise. It reads them off the per-table resident
@@ -1214,8 +1322,9 @@ func (m *Manager) ReleaseSegment(pt *hw.PageTable, out []Evicted) ([]Evicted, er
 	// records may be freed and reused, and a parked prefetch must not
 	// outlive the file map that named it.
 	m.purgeCached(pt, 0)
-	var buf [8]int
-	order, next, admits := buf[:0], 0, int64(-1)
+	buf := m.borrowOrder()
+	order, next, admits := (*buf)[:0], 0, int64(-1)
+	defer func() { m.returnOrder(buf, order) }()
 	for {
 		// Release in frame order, lowest first. The listing is repeated
 		// only when a frame was admitted since the last one: only then
@@ -1236,9 +1345,10 @@ func (m *Manager) ReleaseSegment(pt *hw.PageTable, out []Evicted) ([]Evicted, er
 		info := m.frames[idx]
 		m.setFrameLocked(idx, frameInfo{})
 		m.evictions++
+		v := []victim{{frame: m.first + idx, info: info}}
+		m.noteEvicting(v)
 		m.mu.Unlock()
 
-		v := []victim{{frame: m.first + idx, info: info}}
 		var done int
 		var err error
 		if out, done, err = m.writeBackBatch(out, v); err != nil {
@@ -1447,8 +1557,9 @@ func (m *Manager) DropPages(pt *hw.PageTable, from int) {
 	// is resident: its record goes back to the pack's free pool and may
 	// be reallocated immediately.
 	m.purgeCached(pt, from)
-	var buf [8]int
-	order, next, admits := buf[:0], 0, int64(-1)
+	buf := m.borrowOrder()
+	order, next, admits := (*buf)[:0], 0, int64(-1)
+	defer func() { m.returnOrder(buf, order) }()
 	for {
 		// As in ReleaseSegment, list again only when a frame was
 		// admitted since the last listing.

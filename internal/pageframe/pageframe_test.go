@@ -395,7 +395,7 @@ func TestCleanEvictionWritesNothing(t *testing.T) {
 		if got := recordWord(t, f, rec); got != 77 {
 			t.Errorf("daemons=%v: record reads %d, want 77", daemons, got)
 		}
-		if f.m.writing(f.pack, rec) {
+		if f.m.Writing(f.pack, rec) {
 			t.Errorf("daemons=%v: clean eviction left its record marked in flight", daemons)
 		}
 		if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack, Record: rec, HasRecord: true}, nil); err != nil {

@@ -128,7 +128,7 @@ func (m *Manager) issueReadAhead(req PageReq) {
 		if err != nil {
 			break
 		}
-		if d.Present || d.Lock || m.writing(req.Pack, ra.Record) {
+		if d.Present || d.Lock || m.Writing(req.Pack, ra.Record) {
 			continue
 		}
 		key := descKey{req.PT, ra.Page}

@@ -118,6 +118,12 @@ type ASTE struct {
 	// window. Initialized to -2 so page 0 alone never looks
 	// sequential.
 	lastFault int
+	// users counts the services in progress that write the segment's
+	// page table or connections (see acquire). dying is set, under the
+	// manager lock, when a deactivation or deletion begins; from then
+	// on no service starts, and users only falls.
+	users atomic.Int32
+	dying bool
 }
 
 // Addr returns the segment's current disk address.
@@ -146,8 +152,14 @@ type Manager struct {
 	// descriptor is installed or severed; a nil bus does nothing.
 	Bus *hw.ShootdownBus
 
-	mu      lockrank.Mutex
-	byUID   map[uint64]*ASTE
+	mu    lockrank.Mutex
+	byUID map[uint64]*ASTE
+	// slots is the active segment table proper, one entry per slot of
+	// the AST core segment, indexed by the slot free hands out. A
+	// slot's entry and page table are allocated the first time the slot
+	// is taken and reused by every later activation in it, as the
+	// paper's AST entries are storage fixed at initialization.
+	slots   []*ASTE
 	free    []uint64 // bit i set while AST slot i is free
 	nextUID uint64
 	// spreadNext is the round-robin position of SpreadPack's
@@ -184,6 +196,7 @@ func NewManager(vols *disk.Volumes, frames *pageframe.Manager, cells *quota.Mana
 	if ast == nil || ast.Words() < ASTEWords {
 		return nil, errors.New("segment: AST core segment too small")
 	}
+	n := ast.Words() / ASTEWords
 	m := &Manager{
 		vols:    vols,
 		frames:  frames,
@@ -191,7 +204,8 @@ func NewManager(vols *disk.Volumes, frames *pageframe.Manager, cells *quota.Mana
 		ast:     ast,
 		meter:   meter,
 		byUID:   make(map[uint64]*ASTE),
-		free:    freeSlots(ast.Words() / ASTEWords),
+		slots:   make([]*ASTE, n),
+		free:    freeSlots(n),
 		nextUID: 1,
 	}
 	for _, id := range vols.Packs() {
@@ -263,23 +277,30 @@ func (m *Manager) Activate(uid uint64, addr disk.SegAddr, cell quota.CellName, h
 	// raises a quota fault above page control instead of a plain
 	// missing-page fault. Stored pages fault missing-page. Only the
 	// file map's pages are materialized; the rest read as one
-	// trapping descriptor. The map is read in place, not copied.
+	// trapping descriptor. The map is read in place, not copied: only
+	// which of its pages trap is kept.
 	var (
-		e    disk.TOCEntry // the entry without its map
-		ptws []hw.PTW
+		e      disk.TOCEntry // the entry without its map
+		mapLen int
+		trap   [MaxPages / 64]uint64
 	)
 	if err := pack.ReadEntry(addr.TOC, func(te *disk.TOCEntry) {
 		e = *te
 		e.Map = nil
-		ptws = make([]hw.PTW, len(te.Map))
-		for i := range ptws {
-			ptws[i].QuotaTrap = te.Map[i].State != disk.PageStored
+		mapLen = len(te.Map)
+		for i, fm := range te.Map[:min(mapLen, MaxPages)] {
+			if fm.State != disk.PageStored {
+				trap[i/64] |= 1 << (i % 64)
+			}
 		}
 	}); err != nil {
 		return nil, err
 	}
 	if e.UID != uid {
 		return nil, fmt.Errorf("segment: %v holds segment %d, not %d", addr, e.UID, uid)
+	}
+	if mapLen > MaxPages {
+		return nil, fmt.Errorf("segment: %v has a file map longer than %d pages", addr, MaxPages)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -290,8 +311,19 @@ func (m *Manager) Activate(uid uint64, addr disk.SegAddr, cell quota.CellName, h
 	if slot < 0 {
 		return nil, ErrASTFull
 	}
-	pt := hw.NewPageTableOf(ptws, MaxPages, hw.PTW{QuotaTrap: true})
-	a := &ASTE{uid: uid, addr: addr, pt: pt, cell: cell, hasCell: hasCell, dir: e.Dir, slot: slot, mapLen: len(ptws), lastFault: -2}
+	a := m.slots[slot]
+	if a == nil {
+		a = &ASTE{slot: slot, pt: hw.NewPageTable(MaxPages)}
+		m.slots[slot] = a
+	}
+	a.uid, a.addr, a.cell, a.hasCell, a.dir = uid, addr, cell, hasCell, e.Dir
+	a.mapLen, a.conns, a.lastFault, a.dying = mapLen, nil, -2, false
+	// The slot's previous segment left the table only once nothing was
+	// in flight against its page table (see forget), so the table can
+	// be reloaded in place.
+	a.pt.Reload(mapLen, func(p int) hw.PTW {
+		return hw.PTW{QuotaTrap: trap[p/64]&(1<<(p%64)) != 0}
+	}, hw.PTW{QuotaTrap: true})
 	m.byUID[uid] = a
 	_ = m.ast.Write(slot*ASTEWords, hw.Word(uid).Masked())
 	// A quota directory's own cell is presented to the quota cell
@@ -304,6 +336,46 @@ func (m *Manager) Activate(uid uint64, addr disk.SegAddr, cell quota.CellName, h
 		}
 	}
 	return a, nil
+}
+
+// acquire returns uid's AST entry to a service that will write its
+// page table or connections, counted in the entry's users until it
+// calls done. A segment whose deactivation or deletion has begun is no
+// longer active to a new service.
+func (m *Manager) acquire(uid uint64) (*ASTE, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	a, ok := m.byUID[uid]
+	if !ok || a.dying {
+		return nil, fmt.Errorf("%w: segment %d", ErrNotActive, uid)
+	}
+	a.users.Add(1)
+	return a, nil
+}
+
+// done ends a service acquire admitted.
+func (a *ASTE) done() { a.users.Add(-1) }
+
+// condemn begins the removal of uid's entry from the AST and returns
+// it: no service starts on it from here on, and the ones in progress
+// are waited out, so none publishes a page or a connection after the
+// caller has dropped the segment's pages and connections, into a slot
+// the next activation reuses. It returns nil when the segment is not
+// active or another caller has begun its removal.
+func (m *Manager) condemn(uid uint64) *ASTE {
+	m.mu.Lock()
+	a, ok := m.byUID[uid]
+	if !ok || a.dying {
+		m.mu.Unlock()
+		return nil
+	}
+	a.dying = true
+	m.mu.Unlock()
+	for a.users.Load() != 0 {
+		schedsim.Block("segment service in progress", func() bool { return a.users.Load() == 0 })
+		runtime.Gosched()
+	}
+	return a
 }
 
 // freeSlots returns the free-slot bitmap of an AST of n slots, all
@@ -361,10 +433,11 @@ func (m *Manager) ensureCell(cell quota.CellName) error {
 // segno with the given access, and records the connection so
 // relocation can sever it.
 func (m *Manager) Connect(uid uint64, dt *hw.DescriptorTable, segno int, access hw.AccessMode, maxRing, writeRing int) error {
-	a, err := m.Lookup(uid)
+	a, err := m.acquire(uid)
 	if err != nil {
 		return err
 	}
+	defer a.done()
 	if err := dt.Set(segno, hw.SDW{
 		Present: true, Table: a.pt, Access: access,
 		MaxRing: maxRing, WriteRing: writeRing,
@@ -419,10 +492,11 @@ func (m *Manager) Connections(uid uint64) int {
 // missing-page fault path. notifySeg/notifyPage name the faulting
 // descriptor address for waiter notification.
 func (m *Manager) ServiceMissingPage(uid uint64, page, notifySeg, notifyPage int) error {
-	a, err := m.Lookup(uid)
+	a, err := m.acquire(uid)
 	if err != nil {
 		return err
 	}
+	defer a.done()
 	pack, err := m.vols.Pack(a.addr.Pack)
 	if err != nil {
 		return err
@@ -474,10 +548,11 @@ func (m *Manager) ServiceMissingPage(uid uint64, page, notifySeg, notifyPage int
 // to update the directory entry; the grown page is retried on the new
 // pack.
 func (m *Manager) Grow(uid uint64, page, notifySeg, notifyPage int) (*disk.SegAddr, error) {
-	a, err := m.Lookup(uid)
+	a, err := m.acquire(uid)
 	if err != nil {
 		return nil, err
 	}
+	defer a.done()
 	if page < 0 || page >= MaxPages {
 		return nil, fmt.Errorf("segment: page %d beyond architectural maximum %d", page, MaxPages)
 	}
@@ -603,8 +678,11 @@ func (m *Manager) setMapEntry(addr disk.SegAddr, page int, fm disk.FileMapEntry)
 
 // applyEvictions folds the page frame manager's eviction reports into
 // the owning segments' file maps and quota accounting: a zero page
-// becomes a file-map flag and releases its storage charge.
+// becomes a file-map flag and releases its storage charge. It settles
+// every report, applied or not, so the segments they name may leave
+// the AST (see forget); until then each is still active.
 func (m *Manager) applyEvictions(evs []pageframe.Evicted) error {
+	defer m.frames.Settle(evs)
 	for _, ev := range evs {
 		m.mu.Lock()
 		a, ok := m.byUID[ev.UID]
@@ -896,9 +974,23 @@ func (m *Manager) eachActive(fn func(*ASTE)) {
 // Audit checks the manager's invariants: every active segment's page
 // table must agree with its file map (a present or locked page is a
 // stored page; a quota-trap page is not), and the table-of-contents
-// entry must exist and carry the segment's uid.
+// entry must exist and carry the segment's uid. No free AST entry may
+// be reachable from the uid index: each active segment's entry is its
+// slot's, for its uid, and the slot is taken.
 func (m *Manager) Audit() []string {
 	var bad []string
+	m.mu.Lock()
+	for uid, a := range m.byUID {
+		switch {
+		case a.uid != uid:
+			bad = append(bad, fmt.Sprintf("segment %d: indexed AST entry holds segment %d", uid, a.uid))
+		case a.slot < 0 || a.slot >= len(m.slots) || m.slots[a.slot] != a:
+			bad = append(bad, fmt.Sprintf("segment %d: AST entry is not slot %d's", uid, a.slot))
+		case m.free[a.slot/64]&(1<<(a.slot%64)) != 0:
+			bad = append(bad, fmt.Sprintf("segment %d: AST slot %d is free", uid, a.slot))
+		}
+	}
+	m.mu.Unlock()
 	m.eachActive(func(a *ASTE) {
 		e, err := m.DiskEntry(a.Addr())
 		if err != nil {
@@ -939,22 +1031,38 @@ func stateOf(m []disk.FileMapEntry, page int) disk.PageState {
 // Deactivate removes the segment from the AST, flushing its resident
 // pages. No hierarchy constraint applies.
 func (m *Manager) Deactivate(uid uint64) error {
-	a, err := m.Lookup(uid)
+	a := m.condemn(uid)
+	if a == nil {
+		return fmt.Errorf("%w: segment %d", ErrNotActive, uid)
+	}
+	err := m.release(a)
+	if err == nil {
+		err = m.Disconnect(uid)
+	}
 	if err != nil {
+		// The segment stays active, as it was.
+		m.mu.Lock()
+		a.dying = false
+		m.mu.Unlock()
 		return err
 	}
-	if err := m.release(a); err != nil {
-		return err
-	}
-	if err := m.Disconnect(uid); err != nil {
-		return err
-	}
+	m.forget(a)
+	return nil
+}
+
+// forget removes a from the AST once no eviction of one of its pages
+// is in flight on another processor: such an eviction took its frame
+// before release or DropPages listed the segment's frames, and still
+// writes the page table and reports to this manager, which must find
+// the segment active and the table still its own. Then the slot, its
+// entry and its page table are free for the next activation.
+func (m *Manager) forget(a *ASTE) {
+	m.frames.AwaitEvictions(a.pt)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.byUID, uid)
+	delete(m.byUID, a.uid)
 	m.releaseSlot(a.slot)
 	_ = m.ast.Write(a.slot*ASTEWords, 0)
-	return nil
 }
 
 // release evicts every resident page of a and applies the eviction
@@ -968,8 +1076,8 @@ func (m *Manager) release(a *ASTE) error {
 		buf = new([]pageframe.Evicted)
 	}
 	ev, err := m.frames.ReleaseSegment(a.pt, (*buf)[:0])
-	if err == nil {
-		err = m.applyEvictions(ev)
+	if aerr := m.applyEvictions(ev); err == nil {
+		err = aerr
 	}
 	*buf = ev
 	m.evicted.Store(buf)
@@ -1005,10 +1113,11 @@ func (m *Manager) Truncate(uid uint64, newPages int) error {
 	if newPages < 0 {
 		return fmt.Errorf("segment: truncate to %d pages", newPages)
 	}
-	a, err := m.Lookup(uid)
+	a, err := m.acquire(uid)
 	if err != nil {
 		return err
 	}
+	defer a.done()
 	pack, err := m.vols.Pack(a.addr.Pack)
 	if err != nil {
 		return err
@@ -1061,37 +1170,51 @@ func (m *Manager) Truncate(uid uint64, newPages int) error {
 // Delete destroys a segment: deactivates it if active and deletes its
 // table-of-contents entry, releasing its storage charge.
 func (m *Manager) Delete(uid uint64, addr disk.SegAddr) error {
-	m.mu.Lock()
-	a, active := m.byUID[uid]
-	m.mu.Unlock()
+	// A segment whose removal another caller has begun is left to it.
+	a := m.condemn(uid)
 	var cell quota.CellName
 	var hasCell bool
-	if active {
+	if a != nil {
 		addr = a.addr
 		cell, hasCell = a.cell, a.hasCell
 		m.frames.DropPages(a.pt, 0)
 		if err := m.Disconnect(uid); err != nil {
 			return err
 		}
-		m.mu.Lock()
-		delete(m.byUID, uid)
-		m.releaseSlot(a.slot)
-		_ = m.ast.Write(a.slot*ASTEWords, 0)
-		m.mu.Unlock()
+		m.forget(a)
 	}
 	pack, err := m.vols.Pack(addr.Pack)
 	if err != nil {
 		return err
 	}
-	e, err := pack.Entry(addr.TOC)
-	if err != nil {
-		return err
-	}
-	stored := e.Records()
-	for _, fm := range e.Map {
-		if fm.State == disk.PageStored {
-			m.frames.AwaitWrite(pack, fm.Record)
+	// The file map is read in place. A record whose eviction
+	// write-back is still in flight is waited out outside the pack
+	// lock, and the map read again: the deletion frees every record
+	// it names.
+	var stored int
+	for {
+		var (
+			busy    disk.RecordAddr
+			waiting bool
+		)
+		if err := pack.ReadEntry(addr.TOC, func(e *disk.TOCEntry) {
+			stored = 0
+			for _, fm := range e.Map {
+				if fm.State != disk.PageStored {
+					continue
+				}
+				stored++
+				if !waiting && m.frames.Writing(pack, fm.Record) {
+					busy, waiting = fm.Record, true
+				}
+			}
+		}); err != nil {
+			return err
 		}
+		if !waiting {
+			break
+		}
+		m.frames.AwaitWrite(pack, busy)
 	}
 	if err := pack.DeleteEntry(addr.TOC); err != nil {
 		return err

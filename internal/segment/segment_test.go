@@ -789,3 +789,43 @@ func TestGrowToMaxPagesReadsOneEntry(t *testing.T) {
 		t.Errorf("quota used = %d, want %d", used, MaxPages)
 	}
 }
+
+// The AST's slots are reused, entry and page table, and Audit finds a
+// free entry still reachable from the uid index: a slot whose bit says
+// free, or an index entry whose slot holds another entry.
+func TestAuditFindsFreeASTEntryIndexed(t *testing.T) {
+	f := newFixture(t, 8, 64)
+	_, cell := f.quotaDir(t, 64)
+	uid, a := f.newSeg(t, cell)
+	pt := a.PageTable()
+	if err := f.m.Deactivate(uid); err != nil {
+		t.Fatal(err)
+	}
+	_, a2 := f.newSeg(t, cell)
+	if a2 != a || a2.PageTable() != pt {
+		t.Fatal("the next activation did not reuse the freed slot's entry and page table")
+	}
+	if bad := f.m.Audit(); len(bad) != 0 {
+		t.Fatalf("clean AST audits dirty: %v", bad)
+	}
+	m := f.m
+	m.mu.Lock()
+	m.releaseSlot(a2.slot)
+	m.mu.Unlock()
+	if bad := m.Audit(); len(bad) != 1 {
+		t.Errorf("audit of an indexed entry in a free slot = %v, want one finding", bad)
+	}
+	m.mu.Lock()
+	m.takeSlot()
+	m.slots[a2.slot] = &ASTE{slot: a2.slot}
+	m.mu.Unlock()
+	if bad := m.Audit(); len(bad) != 1 {
+		t.Errorf("audit of an indexed entry its slot no longer holds = %v, want one finding", bad)
+	}
+	m.mu.Lock()
+	m.slots[a2.slot] = a2
+	m.mu.Unlock()
+	if bad := m.Audit(); len(bad) != 0 {
+		t.Errorf("restored AST audits dirty: %v", bad)
+	}
+}

@@ -1,6 +1,8 @@
 package uproc
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"multics/internal/aim"
@@ -71,5 +73,56 @@ func TestAuditCleanThenCorrupt(t *testing.T) {
 	rq.mu.Unlock()
 	if bad := f.m.Audit(); len(bad) == 0 {
 		t.Error("audit missed a ready process missing from the queue")
+	}
+}
+
+// A destroyed process's record goes on the free list and the next
+// Create takes it, descriptor table included; Audit finds a free
+// record still reachable from the process table or the ready queue.
+func TestAuditFindsFreeRecordReachable(t *testing.T) {
+	f := newFixture(t, 4)
+	a, err := f.m.Create("a.x", aim.Bottom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dt := a.DT()
+	if err := f.m.Destroy(a); err != nil {
+		t.Fatal(err)
+	}
+	b, err := f.m.Create("b.x", aim.Bottom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b != a || b.DT() != dt || b.ID() == 1 {
+		t.Fatalf("Create did not reuse the destroyed record (pid %d)", b.ID())
+	}
+	c, err := f.m.Create("c.x", aim.Bottom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.m.Destroy(c); err != nil {
+		t.Fatal(err)
+	}
+	if bad := f.m.Audit(); len(bad) != 0 {
+		t.Fatalf("clean manager audits dirty: %v", bad)
+	}
+	// Corrupt: the free record is still in the process table.
+	sh := f.m.shard(c.id)
+	sh.mu.Lock()
+	sh.procs[c.id] = c
+	sh.mu.Unlock()
+	if bad := f.m.Audit(); !slices.ContainsFunc(bad, func(s string) bool { return strings.Contains(s, "free process record") }) {
+		t.Errorf("audit of a free record in the process table = %v", bad)
+	}
+	sh.mu.Lock()
+	delete(sh.procs, c.id)
+	sh.mu.Unlock()
+	// Corrupt: the free record is still on the ready queue.
+	rq := &f.m.ready
+	rq.mu.Lock()
+	rq.push(c, false)
+	rq.mu.Unlock()
+	if bad := f.m.Audit(); !slices.ContainsFunc(bad, func(s string) bool { return strings.Contains(s, "free process record") }) {
+		t.Errorf("audit of a free record on the ready queue = %v", bad)
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"multics/internal/aim"
@@ -128,10 +129,17 @@ type Process struct {
 
 	state State
 	vp    *vproc.VP
-	// epoch counts dispatches; an executor preempting after running a
-	// body quotes the epoch it dispatched, so a process the body
-	// blocked and another CPU re-dispatched is not torn down twice.
+	// epoch counts dispatches and destructions; an executor preempting
+	// after running a body quotes the epoch it dispatched, so a process
+	// the body blocked and another CPU re-dispatched, or one destroyed
+	// meanwhile, is not torn down twice. It carries over when the record
+	// is reused.
 	epoch uint64
+	// gen counts the record's incarnations: Destroy moves it on. It is
+	// written under both pmu and the ready-queue lock and read under
+	// either, so a dispatcher that popped the record can tell, under
+	// pmu, whether it still holds the incarnation it popped.
+	gen uint64
 	// await is the eventcount/value pair a blocked process waits on.
 	await      *eventcount.Eventcount
 	awaitValue uint64
@@ -356,6 +364,13 @@ type Manager struct {
 
 	dispatches atomic.Int64
 	wakeups    atomic.Int64
+
+	// spare is the free list of destroyed process records, descriptor
+	// tables included, under spareMu: a plain mutex, so recycling adds
+	// no scheduling decision. It grows to the peak process count and
+	// never shrinks.
+	spareMu sync.Mutex
+	spare   []*Process
 }
 
 // NewManager returns a user process manager multiplexing vps and
@@ -414,26 +429,44 @@ func (m *Manager) Create(principal string, label aim.Label) (*Process, error) {
 	if err := m.segs.WriteWord(stateUID, 0, hw.Word(pid).Masked()); err != nil {
 		return nil, err
 	}
-	p := &Process{
-		id:           pid,
-		principal:    principal,
-		label:        label,
-		state:        Ready,
-		dt:           hw.NewDescriptorTable(m.KSTBase + m.KSTSize),
-		kst:          kst,
-		stateUID:     stateUID,
-		createdCycle: m.meter.Cycles(),
-	}
+	p := m.record()
+	p.id, p.principal, p.label = pid, principal, label
+	p.kst, p.stateUID = kst, stateUID
+	p.createdCycle, p.cpu = m.meter.Cycles(), 0
 	p.firstRunCycle.Store(-1)
-	p.pmu.InitSub(ModuleName, subProc)
 	sh := m.shard(pid)
 	sh.mu.Lock()
 	sh.procs[pid] = p
 	sh.mu.Unlock()
 	p.pmu.Lock()
+	// The state is written under pmu: a stale holder of a reused
+	// record reads it there.
+	p.state = Ready
 	m.enqueue(p, false)
 	p.pmu.Unlock()
 	return p, nil
+}
+
+// record returns a process record for Create: a destroyed one from the
+// free list, its descriptor table reset for the new address space, or
+// a new one.
+func (m *Manager) record() *Process {
+	m.spareMu.Lock()
+	n := len(m.spare)
+	var p *Process
+	if n > 0 {
+		p = m.spare[n-1]
+		m.spare[n-1] = nil
+		m.spare = m.spare[:n-1]
+	}
+	m.spareMu.Unlock()
+	if p != nil {
+		p.dt.Reset()
+		return p
+	}
+	p = &Process{state: Dead, dt: hw.NewDescriptorTable(m.KSTBase + m.KSTSize)}
+	p.pmu.InitSub(ModuleName, subProc)
+	return p
 }
 
 // enqueue puts p on the ready queue (front prepends). Caller holds
@@ -506,40 +539,46 @@ func (m *Manager) Dispatch() (*Process, uint64, error) {
 	for {
 		m.ready.mu.Lock()
 		p := m.ready.pop()
+		var gen uint64
+		if p != nil {
+			gen = p.gen
+		}
 		m.ready.mu.Unlock()
 		if p == nil {
 			return nil, 0, ErrNoReady
 		}
 		// Claim: the pop made p invisible to other dispatchers, but a
-		// concurrent Destroy can still have killed it.
+		// concurrent Destroy can still have killed it, and a Create
+		// reused the record for another process.
 		p.pmu.Lock()
-		if p.state != Ready {
+		if p.gen != gen || p.state != Ready {
 			p.pmu.Unlock()
 			continue
 		}
+		pid, stateUID := p.id, p.stateUID
 		p.pmu.Unlock()
 
-		vp, err := m.vps.AcquireUser(p.id)
+		vp, err := m.vps.AcquireUser(pid)
 		if err != nil {
-			m.requeueFront(p)
+			m.requeueFront(p, gen)
 			return nil, 0, err
 		}
 		// Touch the state segment (a real virtual-memory reference) and
 		// charge the swap cost.
-		if _, err := m.segs.EnsureResident(p.stateUID, 0); err != nil {
+		if _, err := m.segs.EnsureResident(stateUID, 0); err != nil {
 			_ = m.vps.ReleaseUser(vp)
-			if p.State() == Dead {
+			if m.destroyed(p, gen) {
 				// A concurrent Destroy deleted the state segment
 				// after the claim: skip the process.
 				continue
 			}
-			m.requeueFront(p)
+			m.requeueFront(p, gen)
 			return nil, 0, err
 		}
 		m.meter.Add(hw.CycProcessSwap)
 
 		p.pmu.Lock()
-		if p.state != Ready {
+		if p.gen != gen || p.state != Ready {
 			p.pmu.Unlock()
 			_ = m.vps.ReleaseUser(vp)
 			continue
@@ -556,18 +595,25 @@ func (m *Manager) Dispatch() (*Process, uint64, error) {
 		m.dispatches.Add(1)
 		if m.trace != nil {
 			// Arg1 = 0: a state load through the virtual memory.
-			m.trace.Emit(trace.Event{Kind: trace.EvProcessSwap, Module: ModuleName, Cost: hw.CycProcessSwap, Arg0: int64(p.id)})
+			m.trace.Emit(trace.Event{Kind: trace.EvProcessSwap, Module: ModuleName, Cost: hw.CycProcessSwap, Arg0: int64(pid)})
 		}
 		return p, epoch, nil
 	}
 }
 
-// requeueFront returns a claimed-but-undispatched process to the
-// front of the ready queue, so a transient failure (no free virtual
-// processor) does not cost it its place in line.
-func (m *Manager) requeueFront(p *Process) {
+// destroyed reports whether incarnation gen of p has been destroyed.
+func (m *Manager) destroyed(p *Process, gen uint64) bool {
 	p.pmu.Lock()
-	if p.state == Ready {
+	defer p.pmu.Unlock()
+	return p.gen != gen || p.state == Dead
+}
+
+// requeueFront returns a claimed-but-undispatched process, incarnation
+// gen, to the front of the ready queue, so a transient failure (no
+// free virtual processor) does not cost it its place in line.
+func (m *Manager) requeueFront(p *Process, gen uint64) {
+	p.pmu.Lock()
+	if p.gen == gen && p.state == Ready {
 		m.enqueue(p, true)
 	}
 	p.pmu.Unlock()
@@ -585,7 +631,7 @@ func (m *Manager) Preempt(p *Process) error {
 // re-dispatched by another CPU — is not torn down twice.
 func (m *Manager) preemptIfCurrent(p *Process, epoch uint64) error {
 	p.pmu.Lock()
-	if p.state != Running || p.vp == nil || p.epoch != epoch {
+	if p.epoch != epoch || p.state != Running || p.vp == nil {
 		p.pmu.Unlock()
 		return nil
 	}
@@ -593,8 +639,9 @@ func (m *Manager) preemptIfCurrent(p *Process, epoch uint64) error {
 	p.vp = nil
 	p.state = Ready
 	m.enqueue(p, false)
+	u := p.unbound()
 	p.pmu.Unlock()
-	return m.finishUnbind(p, vp, Ready)
+	return m.finishUnbind(u, vp, Ready)
 }
 
 // Block parks a running process until ec reaches v. A nil ec blocks
@@ -648,17 +695,33 @@ func (m *Manager) unbind(p *Process, to State) error {
 	if to == Ready {
 		m.enqueue(p, false)
 	}
+	u := p.unbound()
 	p.pmu.Unlock()
-	return m.finishUnbind(p, vp, to)
+	return m.finishUnbind(u, vp, to)
+}
+
+// An unbinding is what finishUnbind needs of a process it has just
+// unbound, read under pmu: once pmu is released a concurrent Destroy
+// may recycle the record.
+type unbinding struct {
+	p        *Process
+	id       uint64
+	stateUID uint64
+	gen      uint64
+}
+
+// unbound snapshots p for finishUnbind. Caller holds p.pmu.
+func (p *Process) unbound() unbinding {
+	return unbinding{p: p, id: p.id, stateUID: p.stateUID, gen: p.gen}
 }
 
 // finishUnbind stores the state word back through the virtual memory,
 // meters the swap, and frees the virtual processor (which advances
 // the free-pool eventcount, waking idle schedulers).
-func (m *Manager) finishUnbind(p *Process, vp *vproc.VP, to State) error {
+func (m *Manager) finishUnbind(u unbinding, vp *vproc.VP, to State) error {
 	m.running.Add(-1)
-	if err := m.segs.WriteWord(p.stateUID, 1, hw.Word(to)); err != nil {
-		if p.State() == Dead {
+	if err := m.segs.WriteWord(u.stateUID, 1, hw.Word(to)); err != nil {
+		if m.destroyed(u.p, u.gen) {
 			// A concurrent Destroy deleted the state segment after
 			// the unbind: there is no state left to store.
 			return m.vps.ReleaseUser(vp)
@@ -668,7 +731,7 @@ func (m *Manager) finishUnbind(p *Process, vp *vproc.VP, to State) error {
 	m.meter.Add(hw.CycProcessSwap)
 	if m.trace != nil {
 		// Arg1 = 1: a state store through the virtual memory.
-		m.trace.Emit(trace.Event{Kind: trace.EvProcessSwap, Module: ModuleName, Cost: hw.CycProcessSwap, Arg0: int64(p.id), Arg1: 1})
+		m.trace.Emit(trace.Event{Kind: trace.EvProcessSwap, Module: ModuleName, Cost: hw.CycProcessSwap, Arg0: int64(u.id), Arg1: 1})
 	}
 	return m.vps.ReleaseUser(vp)
 }
@@ -773,16 +836,20 @@ func (m *Manager) DeliverEvents() (int, error) {
 
 // Audit checks the manager's invariants: the ready queue's list holds
 // exactly its recorded size, running processes hold exactly one
-// user-bound virtual processor, ready processes appear on the ready
-// queue, and nothing dead lingers.
+// user-bound virtual processor and are not queued, ready processes
+// appear on the ready queue, and nothing dead lingers. No record on
+// the free list may be reachable from the process table or the ready
+// queue.
 func (m *Manager) Audit() []string {
 	var bad []string
 	onQueue := make(map[uint64]bool)
+	live := make(map[*Process]string)
 	rq := &m.ready
 	rq.mu.Lock()
 	n := 0
 	for p := rq.head; p != nil && n <= rq.size; p = p.next {
 		onQueue[p.id] = true
+		live[p] = "the ready queue"
 		n++
 	}
 	if n != rq.size {
@@ -793,9 +860,13 @@ func (m *Manager) Audit() []string {
 		sh := &m.shards[i]
 		sh.mu.Lock()
 		for pid, p := range sh.procs {
+			live[p] = "the process table"
 			p.pmu.Lock()
 			switch p.state {
 			case Running:
+				if onQueue[pid] {
+					bad = append(bad, fmt.Sprintf("process %d running but queued", pid))
+				}
 				if p.vp == nil {
 					bad = append(bad, fmt.Sprintf("process %d running without a virtual processor", pid))
 				} else if p.vp.Binding() != vproc.UserBound || p.vp.User() != pid {
@@ -819,11 +890,20 @@ func (m *Manager) Audit() []string {
 		}
 		sh.mu.Unlock()
 	}
+	m.spareMu.Lock()
+	for i, p := range m.spare {
+		if where, ok := live[p]; ok {
+			bad = append(bad, fmt.Sprintf("free process record %d (last process %d) is on %s", i, p.id, where))
+		}
+	}
+	m.spareMu.Unlock()
 	return bad
 }
 
 // Destroy ends a process, releasing its virtual processor, state
-// segment and KST.
+// segment and KST. Unless a processor was running it, the record goes
+// on the free list for the next Create: the caller must not use p
+// again.
 func (m *Manager) Destroy(p *Process) error {
 	p.pmu.Lock()
 	if p.state == Dead {
@@ -834,15 +914,19 @@ func (m *Manager) Destroy(p *Process) error {
 	if p.queued {
 		m.ready.remove(p)
 	}
+	p.gen++
 	m.ready.mu.Unlock()
 	vp := p.vp
 	wasRunning := p.state == Running && vp != nil
 	p.vp = nil
 	p.state = Dead
+	p.epoch++
+	p.await, p.awaitValue, p.wakePending = nil, 0, false
+	pid, kst, stateUID := p.id, p.kst, p.stateUID
 	p.pmu.Unlock()
-	sh := m.shard(p.id)
+	sh := m.shard(pid)
 	sh.mu.Lock()
-	delete(sh.procs, p.id)
+	delete(sh.procs, pid)
 	sh.mu.Unlock()
 	if wasRunning {
 		m.running.Add(-1)
@@ -852,12 +936,19 @@ func (m *Manager) Destroy(p *Process) error {
 			return err
 		}
 	}
-	m.ksm.DropKST(p.kst)
-	a, err := m.segs.Lookup(p.stateUID)
-	if err == nil {
-		return m.segs.Delete(p.stateUID, a.Addr())
+	m.ksm.DropKST(kst)
+	var err error
+	if a, lerr := m.segs.Lookup(stateUID); lerr == nil {
+		err = m.segs.Delete(stateUID, a.Addr())
 	}
-	return nil
+	if !wasRunning {
+		// The processor running a process still holds its record
+		// until its quantum ends, so only an idle one is recycled.
+		m.spareMu.Lock()
+		m.spare = append(m.spare, p)
+		m.spareMu.Unlock()
+	}
+	return err
 }
 
 // workerLoop is one scheduler worker's quantum loop, shared by both

@@ -283,3 +283,98 @@ func TestSweepDispatchDestroy(t *testing.T) {
 	t.Logf("%d schedules, %d in-window decisions, truncated=%v",
 		rep.Schedules, rep.WindowDecisions, rep.Truncated)
 }
+
+// TestSweepDispatchDestroyReuse races a dispatch against a Destroy
+// whose record is reused at once: the destroyer logs a second user
+// in, whose process takes the record. However the schedule falls, a
+// dispatcher that popped the first incarnation must not bind the
+// second, which is also on the ready queue: the audit finds no running
+// process queued, and the second is dispatched exactly once.
+func TestSweepDispatchDestroyReuse(t *testing.T) {
+	reused := 0
+	maxSched, maxPre := schedsim.EnvBudget(160, 2)
+	rep, err := schedsim.Sweep(schedsim.SweepConfig{
+		MaxSchedules:   maxSched,
+		MaxPreemptions: maxPre,
+	}, func(strat schedsim.Strategy) error {
+		k := bootStormKernel(t, 8, 1)
+		svc := workload.Service(k)
+		for _, who := range []string{"a.storm", "b.storm"} {
+			if err := svc.Register(who, "pw", aim.Top); err != nil {
+				return err
+			}
+		}
+		sess, err := svc.Login("a.storm", "pw", aim.Bottom)
+		if err != nil {
+			return err
+		}
+		p := sess.Process.(*uproc.Process)
+		var second *uproc.Process
+		dispatched := 0
+		ex := schedsim.New(schedsim.Config{Name: "dispatch-destroy-reuse", Strategy: strat})
+		ex.Go("cpu0", func() {
+			got, _, err := k.Procs.Dispatch()
+			if errors.Is(err, uproc.ErrNoReady) {
+				return
+			}
+			if err != nil {
+				panic(fmt.Sprintf("dispatch: %v", err))
+			}
+			if got.Principal() == "b.storm" {
+				dispatched++
+			}
+		})
+		ex.Go("destroyer", func() {
+			if err := k.Procs.Destroy(p); err != nil {
+				panic(fmt.Sprintf("destroy: %v", err))
+			}
+			s, err := svc.Login("b.storm", "pw", aim.Bottom)
+			if err != nil {
+				panic(fmt.Sprintf("login: %v", err))
+			}
+			second = s.Process.(*uproc.Process)
+		})
+		if err := ex.Run(); err != nil {
+			return err
+		}
+		if second == p {
+			// Only a record no processor was running is recycled.
+			reused++
+		}
+		// A dispatcher that bound the second incarnation through a pop of
+		// the first left it running and queued at once.
+		if bad := k.Procs.Audit(); len(bad) != 0 {
+			return fmt.Errorf("audit: %v", bad)
+		}
+		// Whatever cpu0 left ready is dispatched now.
+		err = uproc.SimExecutor{}.Run(k.CPUs[:1], func(*hw.Processor) {
+			for {
+				got, _, err := k.Procs.Dispatch()
+				if err != nil {
+					return
+				}
+				if got == second {
+					dispatched++
+				}
+			}
+		})
+		if err != nil {
+			return err
+		}
+		if dispatched != 1 {
+			return fmt.Errorf("the second process was dispatched %d times, want once", dispatched)
+		}
+		if bad := k.Procs.Audit(); len(bad) != 0 {
+			return fmt.Errorf("audit: %v", bad)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused == 0 {
+		t.Fatalf("sweep vacuous: no schedule of %d reused the destroyed record", rep.Schedules)
+	}
+	t.Logf("%d schedules (%d reusing the record), %d in-window decisions, truncated=%v",
+		rep.Schedules, reused, rep.WindowDecisions, rep.Truncated)
+}
