@@ -524,3 +524,53 @@ func isFault(err error, kind hw.FaultKind) bool {
 	f, ok := err.(*hw.Fault)
 	return ok && f.Kind == kind
 }
+
+// A destroyed process's connections do not survive into the next
+// process that takes its record and descriptor table: deactivating a
+// segment the first process had connected leaves the second's
+// descriptor at the same segment number, connected to another
+// segment, in place.
+func TestReusedAddressSpaceKeepsItsConnections(t *testing.T) {
+	k := boot(t, nil)
+	cpu, a := user(t, k, "a.x", aim.Bottom)
+	if _, err := k.CreateFile(cpu, a, nil, "f", nil, aim.Bottom); err != nil {
+		t.Fatal(err)
+	}
+	segno, err := k.OpenPath(cpu, a, []string{"f"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Write(cpu, a, segno, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	f, err := a.KST().Entry(segno)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dt := a.DT()
+	if err := k.Procs.Destroy(a); err != nil {
+		t.Fatal(err)
+	}
+	cpu, b := user(t, k, "b.x", aim.Bottom)
+	if b.DT() != dt {
+		t.Fatal("the second process did not take the first's descriptor table")
+	}
+	if _, err := k.CreateFile(cpu, b, nil, "g", nil, aim.Bottom); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := k.OpenPath(cpu, b, []string{"g"}); err != nil || got != segno {
+		t.Fatalf("OpenPath(g) = %d, %v; want segment number %d", got, err, segno)
+	}
+	if err := k.Write(cpu, b, segno, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Segs.Deactivate(f.UID); err != nil {
+		t.Fatal(err)
+	}
+	if sdw, err := dt.Get(segno); err != nil || !sdw.Present {
+		t.Errorf("g's descriptor after f's deactivation = %+v, %v; want it connected", sdw, err)
+	}
+	if got, err := k.Read(cpu, b, segno, 0); err != nil || got != 2 {
+		t.Errorf("read of g = %d, %v; want 2", got, err)
+	}
+}

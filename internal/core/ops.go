@@ -297,6 +297,21 @@ func (k *Kernel) dispatchSignals() error {
 	return err
 }
 
+// vanished filters the error of a page or quota fault's service on
+// segment number segno of p: a segment that left the active segment
+// table after the fault (deactivated, or deleted) was disconnected
+// first, so the rereference takes a missing-segment fault, which
+// activates it again or reports it gone.
+func vanished(p *uproc.Process, segno int, err error) error {
+	if !errors.Is(err, segment.ErrNotActive) {
+		return err
+	}
+	if sdw, derr := p.DT().Get(segno); derr == nil && !sdw.Present {
+		return nil
+	}
+	return err
+}
+
 // handleFault maps one hardware exception to the manager that owns it.
 // A violation goes back to the caller as a boxed copy of the fault.
 func (k *Kernel) handleFault(cpu *hw.Processor, p *uproc.Process, f hw.Fault) error {
@@ -309,9 +324,9 @@ func (k *Kernel) handleFault(cpu *hw.Processor, p *uproc.Process, f hw.Fault) er
 		// With descriptor-lock hardware the faulting processor set
 		// the lock bit and owns the service; a processor that lost
 		// the race would have seen FaultLockedDescriptor instead.
-		return k.gate(cpu, ModKnownSeg, func() error {
+		return vanished(p, f.Seg, k.gate(cpu, ModKnownSeg, func() error {
 			return k.KSM.ServiceMissingPage(p.KST(), f.Seg, f.Page)
-		})
+		}))
 	case hw.FaultLockedDescriptor:
 		sdw, err := p.DT().Get(f.Seg)
 		if err != nil || !sdw.Present || sdw.Table == nil {
@@ -323,9 +338,9 @@ func (k *Kernel) handleFault(cpu *hw.Processor, p *uproc.Process, f hw.Fault) er
 			return k.Frames.WaitUnlock(cpu, sdw.Table, f.Page)
 		})
 	case hw.FaultQuota:
-		return k.gate(cpu, ModKnownSeg, func() error {
+		return vanished(p, f.Seg, k.gate(cpu, ModKnownSeg, func() error {
 			return k.KSM.ServiceQuotaFault(p.KST(), f.Seg, f.Page, p.ID())
-		})
+		}))
 	default:
 		// Access, bounds and gate violations belong to the caller.
 		return f.Err()

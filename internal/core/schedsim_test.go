@@ -996,3 +996,183 @@ func TestSweepDeleteAwaitsFaultService(t *testing.T) {
 	t.Logf("%d schedules, %d in-window decisions, %d references failed on the deleted file, %d deletions waited for a fault service, truncated=%v",
 		rep.Schedules, rep.WindowDecisions, failed, waits, rep.Truncated)
 }
+
+// TestSweepDestroyRunningKeepsKST destroys a process while a processor
+// runs it and logs a second user in at once. The running process
+// writes its file fa, taking a missing-segment fault, then opens and
+// writes ga, making it known; the destroyer, on the other processor,
+// destroys it, creates the second process and has it create, open and
+// write fb. However the schedule falls, the running process's KST and
+// address space stay its own: the second process knows fb alone, and
+// its descriptor table connects nothing but fb.
+func TestSweepDestroyRunningKeepsKST(t *testing.T) {
+	maxSched, maxPre := schedsim.EnvBudget(64, 2)
+	rep, err := schedsim.Sweep(schedsim.SweepConfig{
+		MaxSchedules:   maxSched,
+		MaxPreemptions: maxPre,
+	}, func(strat schedsim.Strategy) error {
+		k := boot(t, func(c *core.Config) { c.Processors = 2 })
+		a, err := k.CreateProcess("a.x", aim.Bottom)
+		if err != nil {
+			return err
+		}
+		if got, _, err := k.Procs.Dispatch(); err != nil || got != a {
+			return fmt.Errorf("dispatch = %v, %v; want the first process", got, err)
+		}
+		d, err := k.CreateProcess("d.x", aim.Bottom)
+		if err != nil {
+			return err
+		}
+		cpu0, cpu1 := k.CPUs[0], k.CPUs[1]
+		k.Attach(cpu0, a)
+		k.Attach(cpu1, d)
+		for _, name := range []string{"fa", "ga"} {
+			if _, err := k.CreateFile(cpu0, a, nil, name, nil, aim.Bottom); err != nil {
+				return err
+			}
+		}
+		fa, err := k.OpenPath(cpu0, a, []string{"fa"})
+		if err != nil {
+			return err
+		}
+		var b *uproc.Process
+		err = workload.Run(uproc.SimExecutor{Strategy: strat}, []*workload.Worker{{CPU: cpu0, Proc: a}, {CPU: cpu1, Proc: d}}, func(w *workload.Worker) error {
+			if w.Proc == a {
+				// The process is destroyed under these references:
+				// they may fail.
+				_ = k.Write(cpu0, a, fa, 0, 1)
+				if ga, err := k.OpenPath(cpu0, a, []string{"ga"}); err == nil {
+					_ = k.Write(cpu0, a, ga, 0, 1)
+				}
+				return nil
+			}
+			if err := k.Procs.Destroy(a); err != nil {
+				return fmt.Errorf("destroy: %w", err)
+			}
+			if b, err = k.CreateProcess("b.x", aim.Bottom); err != nil {
+				return err
+			}
+			k.Attach(cpu1, b)
+			if _, err := k.CreateFile(cpu1, b, nil, "fb", nil, aim.Bottom); err != nil {
+				return err
+			}
+			fb, err := k.OpenPath(cpu1, b, []string{"fb"})
+			if err != nil {
+				return err
+			}
+			return k.Write(cpu1, b, fb, 0, 2)
+		})
+		if err != nil {
+			return err
+		}
+		fb, err := b.KST().Entry(k.Procs.KSTBase)
+		if err != nil {
+			return fmt.Errorf("second process does not know fb: %w", err)
+		}
+		if e, err := b.KST().Entry(k.Procs.KSTBase + 1); err == nil {
+			return fmt.Errorf("second process knows segment %d at %d: the first process made it known in a KST it shares", e.UID, e.Segno)
+		}
+		fbPT, err := k.Segs.Lookup(fb.UID)
+		if err != nil {
+			return err
+		}
+		for segno := k.Procs.KSTBase; segno < b.DT().Len(); segno++ {
+			sdw, err := b.DT().Get(segno)
+			if err != nil {
+				return err
+			}
+			if sdw.Present && (segno != fb.Segno || sdw.Table != fbPT.PageTable()) {
+				return fmt.Errorf("second process's segment %d is connected to a table not fb's: the first process connected into a table it shares", segno)
+			}
+		}
+		return audited(k)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d schedules, %d in-window decisions, truncated=%v", rep.Schedules, rep.WindowDecisions, rep.Truncated)
+}
+
+// TestSweepReferenceAwaitsDeactivation races references to a file
+// against the file's deactivation. One process runs on both
+// processors, with f's page 0 written and then pushed out of memory,
+// as in TestSweepDeleteAwaitsFaultService. The first processor
+// deactivates f; the second reads f's page 0, taking a missing-page
+// fault, and then writes page 1, growing f. The sweep deviates at every
+// decision of the second, which reaches the schedules where a fault
+// service or a connection meets the deactivation begun: it waits the
+// deactivation out, and the reference, faulting again, reactivates f.
+// Both references must succeed in every schedule, the read returning
+// f's word, every audit must stay clean, and in some schedules a
+// service must wait for the deactivation, or the window never opened.
+func TestSweepReferenceAwaitsDeactivation(t *testing.T) {
+	waits := 0
+	maxSched, maxPre := schedsim.EnvBudget(64, 2)
+	rep, err := schedsim.Sweep(schedsim.SweepConfig{
+		MaxSchedules:   maxSched,
+		MaxPreemptions: maxPre,
+		Window:         func(d schedsim.Decision) bool { return d.Task == "cpu1" },
+	}, func(strat schedsim.Strategy) error {
+		k := boot(t, func(c *core.Config) {
+			c.MemFrames = 32
+			c.WiredFrames = 8
+			c.RootQuota = 4096
+		})
+		ws := sharedFile(t, k)
+		owner := ws[0]
+		if err := k.Write(owner.CPU, owner.Proc, owner.Segno, 0, inFlightWord); err != nil {
+			return err
+		}
+		if _, err := k.CreateFile(owner.CPU, owner.Proc, nil, "big", nil, aim.Bottom); err != nil {
+			return err
+		}
+		big, err := k.OpenPath(owner.CPU, owner.Proc, []string{"big"})
+		if err != nil {
+			return err
+		}
+		if err := refill(k, &workload.Worker{CPU: owner.CPU, Proc: owner.Proc, Segno: big}, big, 0, pressure); err != nil {
+			return err
+		}
+		f, err := owner.Proc.KST().Entry(owner.Segno)
+		if err != nil {
+			return err
+		}
+		// The reader's task comes first, so the sticky baseline runs
+		// its references to completion while the deactivation sits
+		// parked, runnable, at its start.
+		rec := schedsim.Record(strat)
+		err = workload.Run(uproc.SimExecutor{Strategy: rec}, []*workload.Worker{ws[1], owner}, func(w *workload.Worker) error {
+			if w == owner {
+				return k.Segs.Deactivate(f.UID)
+			}
+			got, err := k.Read(w.CPU, w.Proc, w.Segno, 0)
+			if err != nil {
+				return fmt.Errorf("read: %w", err)
+			}
+			if got != inFlightWord {
+				return fmt.Errorf("read %d from f's page 0, want %d", got, inFlightWord)
+			}
+			if err := k.Write(w.CPU, w.Proc, w.Segno, hw.PageWords, 7); err != nil {
+				return fmt.Errorf("write page 1: %w", err)
+			}
+			return nil
+		})
+		for _, d := range rec.Decisions() {
+			if d.Task == "cpu1" && d.Point == schedsim.PointBlock && d.Detail == "segment deactivation in progress" {
+				waits++
+			}
+		}
+		if err != nil {
+			return err
+		}
+		return audited(k)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WindowDecisions == 0 || waits == 0 {
+		t.Fatalf("sweep vacuous: %d schedules, %d in-window decisions, %d services waited for the deactivation", rep.Schedules, rep.WindowDecisions, waits)
+	}
+	t.Logf("%d schedules, %d in-window decisions, %d services waited for the deactivation, truncated=%v",
+		rep.Schedules, rep.WindowDecisions, waits, rep.Truncated)
+}

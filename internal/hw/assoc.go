@@ -146,12 +146,13 @@ func (a *AssociativeMemory) invalidatePTW(pt *PageTable, page int) int {
 	return n
 }
 
-// invalidateSDW clears the cached SDW for (dt, segno); a negative
-// segno clears every entry of dt. It returns the entries cleared.
-func (a *AssociativeMemory) invalidateSDW(dt *DescriptorTable, segno int) int {
+// invalidateSDW clears the cached SDW for (dt, segno) filled through
+// dt's incarnation gen; a negative segno clears every such entry. It
+// returns the entries cleared.
+func (a *AssociativeMemory) invalidateSDW(dt *DescriptorTable, gen uint64, segno int) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n, gen := 0, dt.Gen()
+	n := 0
 	for i := range a.sdws {
 		e := &a.sdws[i]
 		if e.valid && e.dt == dt && e.gen == gen && (segno < 0 || e.segno == segno) {
@@ -310,9 +311,11 @@ func (b *ShootdownBus) InvalidatePTW(module string, pt *PageTable, page int) {
 }
 
 // InvalidateSDW broadcasts a segment shootdown: every processor
-// forgets its cached descriptor for (dt, segno); a negative segno
-// clears every cached descriptor of dt.
-func (b *ShootdownBus) InvalidateSDW(module string, dt *DescriptorTable, segno int) {
+// forgets its cached descriptor for (dt, segno) of dt's incarnation
+// gen; a negative segno clears every cached descriptor of that
+// incarnation. A shootdown for an incarnation since reset clears
+// nothing of the table's current address space.
+func (b *ShootdownBus) InvalidateSDW(module string, dt *DescriptorTable, gen uint64, segno int) {
 	if b == nil || dt == nil {
 		return
 	}
@@ -321,7 +324,7 @@ func (b *ShootdownBus) InvalidateSDW(module string, dt *DescriptorTable, segno i
 	tr.BeginSpan(trace.SpanShootdown, module, int64(segno))
 	n := 0
 	for _, a := range mems {
-		n += a.invalidateSDW(dt, segno)
+		n += a.invalidateSDW(dt, gen, segno)
 	}
 	b.shootdowns.Add(1)
 	if tr != nil {

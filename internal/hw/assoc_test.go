@@ -210,7 +210,7 @@ func TestSDWShootdownSeesNewDescriptor(t *testing.T) {
 	if err := f.dt.Clear(1); err != nil {
 		t.Fatal(err)
 	}
-	bus.InvalidateSDW("segment", f.dt, 1)
+	bus.InvalidateSDW("segment", f.dt, f.dt.Gen(), 1)
 	_, err := f.p.Read(1, 0)
 	var flt *Fault
 	if !errors.As(err, &flt) || flt.Kind != FaultMissingSegment {
@@ -272,7 +272,7 @@ func TestNilBusAndNilAssoc(t *testing.T) {
 	var bus *ShootdownBus
 	bus.Attach(NewAssociativeMemory())
 	bus.InvalidatePTW("x", NewPageTable(1), 0)
-	bus.InvalidateSDW("x", NewDescriptorTable(1), 0)
+	bus.InvalidateSDW("x", NewDescriptorTable(1), 0, 0)
 	if bus.Shootdowns() != 0 {
 		t.Error("nil bus counted shootdowns")
 	}
@@ -287,7 +287,7 @@ func TestNilBusAndNilAssoc(t *testing.T) {
 	b := NewShootdownBus(nil)
 	b.Attach(nil)
 	b.InvalidatePTW("x", nil, 0)
-	b.InvalidateSDW("x", nil, 0)
+	b.InvalidateSDW("x", nil, 0, 0)
 	if b.Shootdowns() != 0 {
 		t.Error("nil-table broadcast counted")
 	}
@@ -374,5 +374,53 @@ func TestAssocStaleEntryOfReusedTableNeverHits(t *testing.T) {
 	f.p.SwitchUserDT(f.dt)
 	if after := f.p.Assoc.Stats(); after.Cleared == st.Cleared {
 		t.Error("installing a reset descriptor table did not clear the user entries")
+	}
+}
+
+// A disconnection recorded against a descriptor table's earlier
+// incarnation — a process destroyed and its table reset for another —
+// clears neither the new address space's descriptor nor its cached
+// copy.
+func TestStaleDisconnectSparesResetTable(t *testing.T) {
+	f := newAssocFixture(t, 1)
+	old := f.dt.Gen()
+	sdw, err := f.dt.Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.dt.Reset()
+	if err := f.dt.Set(1, sdw); err != nil {
+		t.Fatal(err)
+	}
+	f.p.SwitchUserDT(f.dt)
+	if _, err := f.p.Read(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	bus := NewShootdownBus(nil)
+	bus.Attach(f.p.Assoc)
+	if err := f.dt.ClearGen(1, old); err != nil {
+		t.Fatal(err)
+	}
+	bus.InvalidateSDW("segment", f.dt, old, 1)
+	if got, err := f.dt.Get(1); err != nil || got != sdw {
+		t.Errorf("descriptor after a stale disconnection = %+v, %v; want it kept", got, err)
+	}
+	st := f.p.Assoc.Stats()
+	if _, err := f.p.Read(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if after := f.p.Assoc.Stats(); after.Hits != st.Hits+1 || after.Cleared != st.Cleared {
+		t.Errorf("cached descriptor after a stale shootdown: %+v then %+v, want a hit and nothing cleared", st, after)
+	}
+	// The current incarnation's disconnection takes effect.
+	if err := f.dt.ClearGen(1, f.dt.Gen()); err != nil {
+		t.Fatal(err)
+	}
+	bus.InvalidateSDW("segment", f.dt, f.dt.Gen(), 1)
+	if _, err := f.p.Read(1, 0); err == nil {
+		t.Error("reference through a disconnected descriptor succeeded")
+	}
+	if err := f.dt.ClearGen(8, 0); err == nil {
+		t.Error("ClearGen outside the table succeeded")
 	}
 }

@@ -347,3 +347,18 @@ func (dt *DescriptorTable) Set(segno int, w SDW) error {
 func (dt *DescriptorTable) Clear(segno int) error {
 	return dt.Set(segno, SDW{})
 }
+
+// ClearGen is Clear for the table's incarnation gen: a table reset
+// since then defines another address space, which keeps its
+// descriptor.
+func (dt *DescriptorTable) ClearGen(segno int, gen uint64) error {
+	dt.mu.Lock()
+	defer dt.mu.Unlock()
+	if segno < 0 || segno >= dt.n {
+		return dt.outside(segno)
+	}
+	if dt.gen.Load() == gen && segno < len(dt.sdws) {
+		dt.sdws[segno] = SDW{}
+	}
+	return nil
+}

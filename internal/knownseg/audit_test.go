@@ -66,9 +66,10 @@ func TestUpdateCellRenames(t *testing.T) {
 	}
 }
 
-// A dropped table goes on the free list and the next NewKST takes it,
-// emptied; Audit finds a free table that claims a live position.
-func TestAuditFindsFreeKSTLive(t *testing.T) {
+// A dropped table keeps its entries until ReuseKST empties it and
+// lists it again; a listed table is refused. Audit finds a dropped
+// table left on the list of live ones.
+func TestReuseKSTAndAuditFindsDroppedLive(t *testing.T) {
 	f := newFixture(t, 8, 64)
 	k, err := f.m.NewKST(8, 4)
 	if err != nil {
@@ -78,26 +79,34 @@ func TestAuditFindsFreeKSTLive(t *testing.T) {
 	if _, err := f.m.MakeKnown(k, entryFor(uid, addr, f.cell)); err != nil {
 		t.Fatal(err)
 	}
+	if err := f.m.ReuseKST(k, 8, 4); err == nil {
+		t.Error("ReuseKST took a table still in use")
+	}
 	f.m.DropKST(k)
-	k2, err := f.m.NewKST(8, 4)
-	if err != nil {
+	if f.m.Listed(k) {
+		t.Fatal("dropped table still listed")
+	}
+	if _, err := k.Entry(8); err != nil {
+		t.Errorf("dropped table forgot its segment before reuse: %v", err)
+	}
+	if err := f.m.ReuseKST(k, 8, 2); err != nil {
 		t.Fatal(err)
 	}
-	if k2 != k {
-		t.Fatal("NewKST did not reuse the dropped table")
+	if !f.m.Listed(k) {
+		t.Fatal("reused table not listed")
 	}
-	if _, err := k2.Entry(8); err == nil {
+	if _, err := k.Entry(8); err == nil {
 		t.Error("reused table still knows its last process's segment")
 	}
-	f.m.DropKST(k2)
 	if bad := f.m.Audit(); len(bad) != 0 {
 		t.Fatalf("clean manager audits dirty: %v", bad)
 	}
-	// Corrupt: the free table records a live position.
+	// Corrupt: a dropped table stays on the live list.
+	f.m.DropKST(k)
 	f.m.mu.Lock()
-	k2.pos = 0
+	f.m.ksts = append(f.m.ksts, k)
 	f.m.mu.Unlock()
 	if bad := f.m.Audit(); len(bad) != 1 {
-		t.Errorf("audit of a free table claiming a live position = %v, want one finding", bad)
+		t.Errorf("audit of a dropped table on the live list = %v, want one finding", bad)
 	}
 }

@@ -105,8 +105,8 @@ func (k *KST) Entry(segno int) (Entry, error) {
 
 // Audit checks every known segment table's invariant: the segment
 // number index and the uid index are a bijection, and the table knows
-// its own position in the manager's list. No table on the free list
-// may be on the list of live ones.
+// its own position in the manager's list. A dropped table records
+// position -1, so one left on the list fails the position check.
 func (m *Manager) Audit() []string {
 	var bad []string
 	m.mu.Lock()
@@ -114,13 +114,6 @@ func (m *Manager) Audit() []string {
 	for ki, k := range m.ksts {
 		if k.pos != ki {
 			bad = append(bad, fmt.Sprintf("KST %d records list position %d", ki, k.pos))
-		}
-	}
-	// A free table records position -1, so on the live list it fails
-	// the position check above.
-	for si, k := range m.spare {
-		if k.pos != -1 {
-			bad = append(bad, fmt.Sprintf("free KST %d records list position %d", si, k.pos))
 		}
 	}
 	for ki, k := range m.ksts {
@@ -153,15 +146,11 @@ type Manager struct {
 	signals *upsignal.Dispatcher
 	meter   *hw.CostMeter
 
-	// mu guards the list of live tables and the free list, and is held
-	// across every walk of the live list, so a table is never reset
-	// for reuse under a walker's feet.
+	// mu guards the list of live tables and is held across every walk
+	// of it, so a table is never reset for reuse under a walker's
+	// feet.
 	mu   lockrank.Mutex
 	ksts []*KST
-	// spare is the free list of dropped tables, emptied when NewKST
-	// reuses one; it grows to the peak process count and never
-	// shrinks.
-	spare []*KST
 }
 
 // NewManager returns a known segment manager over the given segment
@@ -178,47 +167,62 @@ func (m *Manager) NewKST(base, capacity int) (*KST, error) {
 	if base < 0 || capacity <= 0 {
 		return nil, fmt.Errorf("knownseg: KST base %d capacity %d", base, capacity)
 	}
+	k := &KST{byUID: make(map[uint64]int), pos: -1}
+	k.mu.InitSub(ModuleName, 0)
+	return k, m.ReuseKST(k, base, capacity)
+}
+
+// ReuseKST empties a table DropKST forgot and lists it again, covering
+// segment numbers [base, base+capacity), for a new process: the table
+// keeps its backing. A table still listed is refused.
+func (m *Manager) ReuseKST(k *KST, base, capacity int) error {
+	if base < 0 || capacity <= 0 {
+		return fmt.Errorf("knownseg: KST base %d capacity %d", base, capacity)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var k *KST
-	if n := len(m.spare); n > 0 {
-		// No walker holds a dropped table: every walk of the live list
-		// holds m.mu.
-		k = m.spare[n-1]
-		m.spare[n-1] = nil
-		m.spare = m.spare[:n-1]
-		clear(k.entries)
-		k.entries = k.entries[:0]
-		clear(k.byUID)
-	} else {
-		k = &KST{byUID: make(map[uint64]int)}
-		k.mu.InitSub(ModuleName, 0)
+	if m.listed(k) {
+		return fmt.Errorf("knownseg: KST at list position %d is in use", k.pos)
 	}
+	k.mu.Lock()
+	clear(k.entries)
+	k.entries = k.entries[:0]
+	clear(k.byUID)
 	k.base, k.capacity = base, capacity
+	k.mu.Unlock()
 	k.pos = len(m.ksts)
 	m.ksts = append(m.ksts, k)
-	return k, nil
+	return nil
+}
+
+// Listed reports whether k is on the list of live tables.
+func (m *Manager) Listed(k *KST) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.listed(k)
+}
+
+// listed is Listed for a caller holding m.mu.
+func (m *Manager) listed(k *KST) bool {
+	return k.pos >= 0 && k.pos < len(m.ksts) && m.ksts[k.pos] == k
 }
 
 // DropKST forgets a process's table (process destruction). The last
 // table moves into the dropped one's place, so the cost does not grow
-// with the number of processes, and the dropped table goes on the
-// free list, to be emptied when NewKST reuses it. The caller must not
-// use k again.
+// with the number of processes. The dropped table keeps its entries
+// until ReuseKST empties it for another process.
 func (m *Manager) DropKST(k *KST) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	i := k.pos
-	if i < 0 || i >= len(m.ksts) || m.ksts[i] != k {
+	if !m.listed(k) {
 		return
 	}
-	last := len(m.ksts) - 1
+	i, last := k.pos, len(m.ksts)-1
 	m.ksts[i] = m.ksts[last]
 	m.ksts[i].pos = i
 	m.ksts[last] = nil
 	m.ksts = m.ksts[:last]
 	k.pos = -1
-	m.spare = append(m.spare, k)
 }
 
 // MakeKnown binds a segment into the process's address space, using
@@ -282,16 +286,23 @@ func (m *Manager) ServiceMissingSegment(k *KST, dt *hw.DescriptorTable, segno in
 	if err != nil {
 		return err
 	}
-	if _, err := m.segs.Lookup(e.UID); errors.Is(err, segment.ErrNotActive) {
-		// Another processor may activate it between the lookup and
-		// here; the segment is then active all the same.
-		if _, err := m.segs.Activate(e.UID, e.Addr, e.Cell, e.HasCell); err != nil && !errors.Is(err, segment.ErrAlreadyActive) {
+	for {
+		if _, err := m.segs.Lookup(e.UID); errors.Is(err, segment.ErrNotActive) {
+			// Another processor may activate it between the lookup and
+			// here; the segment is then active all the same.
+			if _, err := m.segs.Activate(e.UID, e.Addr, e.Cell, e.HasCell); err != nil && !errors.Is(err, segment.ErrAlreadyActive) {
+				return err
+			}
+		} else if err != nil {
 			return err
 		}
-	} else if err != nil {
-		return err
+		// A connection that waited out the segment's deactivation
+		// activates it again.
+		err := m.segs.Connect(e.UID, dt, segno, e.Access, e.MaxRing, e.WriteRing)
+		if !errors.Is(err, segment.ErrDeactivated) {
+			return err
+		}
 	}
-	return m.segs.Connect(e.UID, dt, segno, e.Access, e.MaxRing, e.WriteRing)
 }
 
 // ServiceMissingPage translates the faulting segment number and calls

@@ -71,6 +71,11 @@ var ErrNotActive = errors.New("segment: not active")
 // is active, so it goes on as if it had activated it.
 var ErrAlreadyActive = errors.New("segment: already active")
 
+// ErrDeactivated is returned (it is also ErrNotActive) to a service
+// that waited out the segment's deactivation: the segment was
+// disconnected, so a reference that faults again reactivates it.
+var ErrDeactivated = fmt.Errorf("%w: deactivated meanwhile", ErrNotActive)
+
 // ErrNoQuotaCell is returned when a segment with no governing quota
 // cell tries to grow.
 var ErrNoQuotaCell = errors.New("segment: no governing quota cell")
@@ -95,9 +100,13 @@ type CellRef struct {
 	Has  bool
 }
 
-// A Conn records one address-space connection to an active segment.
+// A Conn records one address-space connection to an active segment:
+// the descriptor table, the incarnation of it that was connected (a
+// table reset for another process no longer holds the connection),
+// and the segment number.
 type Conn struct {
 	DT    *hw.DescriptorTable
+	Gen   uint64
 	Segno int
 }
 
@@ -121,9 +130,14 @@ type ASTE struct {
 	// users counts the services in progress that write the segment's
 	// page table or connections (see acquire). dying is set, under the
 	// manager lock, when a deactivation or deletion begins; from then
-	// on no service starts, and users only falls.
-	users atomic.Int32
-	dying bool
+	// on no service starts, and users only falls. deleting tells a
+	// deletion's removal from a deactivation's. removals counts the
+	// removals ended, in the slot's AST entry or by a failed
+	// deactivation's revival, for services waiting one out.
+	users    atomic.Int32
+	dying    bool
+	deleting bool
+	removals atomic.Uint64
 }
 
 // Addr returns the segment's current disk address.
@@ -317,7 +331,8 @@ func (m *Manager) Activate(uid uint64, addr disk.SegAddr, cell quota.CellName, h
 		m.slots[slot] = a
 	}
 	a.uid, a.addr, a.cell, a.hasCell, a.dir = uid, addr, cell, hasCell, e.Dir
-	a.mapLen, a.conns, a.lastFault, a.dying = mapLen, nil, -2, false
+	a.mapLen, a.conns, a.lastFault = mapLen, nil, -2
+	a.dying, a.deleting = false, false
 	// The slot's previous segment left the table only once nothing was
 	// in flight against its page table (see forget), so the table can
 	// be reloaded in place.
@@ -340,36 +355,56 @@ func (m *Manager) Activate(uid uint64, addr disk.SegAddr, cell quota.CellName, h
 
 // acquire returns uid's AST entry to a service that will write its
 // page table or connections, counted in the entry's users until it
-// calls done. A segment whose deactivation or deletion has begun is no
-// longer active to a new service.
+// calls done. A segment whose deletion has begun is no longer active
+// to a new service. One whose deactivation has begun is waited out: a
+// failed deactivation leaves the segment active and the service goes
+// on; a completed one returns ErrDeactivated.
 func (m *Manager) acquire(uid uint64) (*ASTE, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	a, ok := m.byUID[uid]
-	if !ok || a.dying {
-		return nil, fmt.Errorf("%w: segment %d", ErrNotActive, uid)
+	waited := false
+	for {
+		m.mu.Lock()
+		a, ok := m.byUID[uid]
+		switch {
+		case !ok && waited:
+			m.mu.Unlock()
+			return nil, fmt.Errorf("%w: segment %d", ErrDeactivated, uid)
+		case !ok || a.deleting:
+			m.mu.Unlock()
+			return nil, fmt.Errorf("%w: segment %d", ErrNotActive, uid)
+		case a.dying:
+			seq := a.removals.Load()
+			m.mu.Unlock()
+			for a.removals.Load() == seq {
+				schedsim.Block("segment deactivation in progress", func() bool { return a.removals.Load() != seq })
+				runtime.Gosched()
+			}
+			waited = true
+			continue
+		}
+		a.users.Add(1)
+		m.mu.Unlock()
+		return a, nil
 	}
-	a.users.Add(1)
-	return a, nil
 }
 
 // done ends a service acquire admitted.
 func (a *ASTE) done() { a.users.Add(-1) }
 
-// condemn begins the removal of uid's entry from the AST and returns
-// it: no service starts on it from here on, and the ones in progress
-// are waited out, so none publishes a page or a connection after the
-// caller has dropped the segment's pages and connections, into a slot
-// the next activation reuses. It returns nil when the segment is not
-// active or another caller has begun its removal.
-func (m *Manager) condemn(uid uint64) *ASTE {
+// condemn begins the removal of uid's entry from the AST, for a
+// deletion when deleting is set, and returns it: no service starts on
+// it from here on, and the ones in progress are waited out, so none
+// publishes a page or a connection after the caller has dropped the
+// segment's pages and connections, into a slot the next activation
+// reuses. It returns nil when the segment is not active or another
+// caller has begun its removal.
+func (m *Manager) condemn(uid uint64, deleting bool) *ASTE {
 	m.mu.Lock()
 	a, ok := m.byUID[uid]
 	if !ok || a.dying {
 		m.mu.Unlock()
 		return nil
 	}
-	a.dying = true
+	a.dying, a.deleting = true, deleting
 	m.mu.Unlock()
 	for a.users.Load() != 0 {
 		schedsim.Block("segment service in progress", func() bool { return a.users.Load() == 0 })
@@ -446,10 +481,11 @@ func (m *Manager) Connect(uid uint64, dt *hw.DescriptorTable, segno int, access 
 	}
 	// A stale cached descriptor for this segment number (a previous
 	// connection) must not outlive the new one.
-	m.Bus.InvalidateSDW(ModuleName, dt, segno)
+	gen := dt.Gen()
+	m.Bus.InvalidateSDW(ModuleName, dt, gen, segno)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	a.conns = append(a.conns, Conn{DT: dt, Segno: segno})
+	a.conns = append(a.conns, Conn{DT: dt, Gen: gen, Segno: segno})
 	return nil
 }
 
@@ -466,15 +502,33 @@ func (m *Manager) Disconnect(uid uint64) error {
 	a.conns = nil
 	m.mu.Unlock()
 	for _, c := range conns {
-		if err := c.DT.Clear(c.Segno); err != nil {
+		// A table reset since the connection (its process destroyed,
+		// its record reused) keeps the new address space's descriptor.
+		if err := c.DT.ClearGen(c.Segno, c.Gen); err != nil {
 			return err
 		}
 		// No processor may keep translating through the severed
 		// descriptor: broadcast before the caller goes on to move
 		// or destroy the segment's pages.
-		m.Bus.InvalidateSDW(ModuleName, c.DT, c.Segno)
+		m.Bus.InvalidateSDW(ModuleName, c.DT, c.Gen, c.Segno)
 	}
 	return nil
+}
+
+// Connected reports whether any active segment holds a connection to
+// dt's current incarnation.
+func (m *Manager) Connected(dt *hw.DescriptorTable) bool {
+	gen := dt.Gen()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, a := range m.byUID {
+		for _, c := range a.conns {
+			if c.DT == dt && c.Gen == gen {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Connections reports the number of live address-space connections.
@@ -893,18 +947,25 @@ func (m *Manager) EnsureResident(uid uint64, page int) (*disk.SegAddr, error) {
 }
 
 func (m *Manager) ensureResident(uid uint64, page int) (*disk.SegAddr, error) {
-	a, err := m.Lookup(uid)
+	// The triage reads the descriptor under acquire, so a slot reused
+	// by another segment is never read as this one's; the service it
+	// picks acquires the entry again.
+	a, err := m.acquire(uid)
 	if err != nil {
 		return nil, err
 	}
-	if page >= a.pt.Len() {
-		return m.Grow(uid, page, 0, page)
+	var d hw.PTW
+	beyond := page >= a.pt.Len()
+	if !beyond {
+		d, err = a.pt.Get(page)
 	}
-	d, err := a.pt.Get(page)
+	a.done()
 	if err != nil {
 		return nil, err
 	}
 	switch {
+	case beyond:
+		return m.Grow(uid, page, 0, page)
 	case d.Present:
 		return nil, nil
 	case d.QuotaTrap:
@@ -916,12 +977,15 @@ func (m *Manager) ensureResident(uid uint64, page int) (*disk.SegAddr, error) {
 
 // WriteWord stores w at word offset off of an active, resident page
 // (see EnsureResident). Kernel modules use it to maintain the objects
-// they store in segments.
+// they store in segments. Like every service that touches the page
+// table, it runs under acquire: a segment whose removal has begun, or
+// whose slot another segment now holds, is not written.
 func (m *Manager) WriteWord(uid uint64, off int, w hw.Word) error {
-	a, err := m.Lookup(uid)
+	a, err := m.acquire(uid)
 	if err != nil {
 		return err
 	}
+	defer a.done()
 	page := hw.PageOf(off)
 	d, err := a.pt.Get(page)
 	if err != nil {
@@ -937,12 +1001,14 @@ func (m *Manager) WriteWord(uid uint64, off int, w hw.Word) error {
 	return m.frames.Mem().Write(m.frames.Mem().FrameBase(d.Frame)+off%hw.PageWords, w)
 }
 
-// ReadWord loads the word at offset off of an active, resident page.
+// ReadWord loads the word at offset off of an active, resident page,
+// under acquire as WriteWord is.
 func (m *Manager) ReadWord(uid uint64, off int) (hw.Word, error) {
-	a, err := m.Lookup(uid)
+	a, err := m.acquire(uid)
 	if err != nil {
 		return 0, err
 	}
+	defer a.done()
 	page := hw.PageOf(off)
 	d, err := a.pt.Get(page)
 	if err != nil {
@@ -1031,7 +1097,7 @@ func stateOf(m []disk.FileMapEntry, page int) disk.PageState {
 // Deactivate removes the segment from the AST, flushing its resident
 // pages. No hierarchy constraint applies.
 func (m *Manager) Deactivate(uid uint64) error {
-	a := m.condemn(uid)
+	a := m.condemn(uid, false)
 	if a == nil {
 		return fmt.Errorf("%w: segment %d", ErrNotActive, uid)
 	}
@@ -1043,6 +1109,7 @@ func (m *Manager) Deactivate(uid uint64) error {
 		// The segment stays active, as it was.
 		m.mu.Lock()
 		a.dying = false
+		a.removals.Add(1)
 		m.mu.Unlock()
 		return err
 	}
@@ -1062,6 +1129,7 @@ func (m *Manager) forget(a *ASTE) {
 	defer m.mu.Unlock()
 	delete(m.byUID, a.uid)
 	m.releaseSlot(a.slot)
+	a.removals.Add(1)
 	_ = m.ast.Write(a.slot*ASTEWords, 0)
 }
 
@@ -1171,7 +1239,7 @@ func (m *Manager) Truncate(uid uint64, newPages int) error {
 // table-of-contents entry, releasing its storage charge.
 func (m *Manager) Delete(uid uint64, addr disk.SegAddr) error {
 	// A segment whose removal another caller has begun is left to it.
-	a := m.condemn(uid)
+	a := m.condemn(uid, true)
 	var cell quota.CellName
 	var hasCell bool
 	if a != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"multics/internal/aim"
+	"multics/internal/hw"
 )
 
 func TestProcessAccessors(t *testing.T) {
@@ -77,15 +78,16 @@ func TestAuditCleanThenCorrupt(t *testing.T) {
 }
 
 // A destroyed process's record goes on the free list and the next
-// Create takes it, descriptor table included; Audit finds a free
-// record still reachable from the process table or the ready queue.
+// Create takes it, descriptor table and KST included; Audit finds a
+// free record still reachable from the process table, the ready
+// queue, the list of live KSTs or a connection list.
 func TestAuditFindsFreeRecordReachable(t *testing.T) {
 	f := newFixture(t, 4)
 	a, err := f.m.Create("a.x", aim.Bottom)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dt := a.DT()
+	dt, kst := a.DT(), a.KST()
 	if err := f.m.Destroy(a); err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +95,11 @@ func TestAuditFindsFreeRecordReachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b != a || b.DT() != dt || b.ID() == 1 {
+	if b != a || b.DT() != dt || b.KST() != kst || b.ID() == 1 {
 		t.Fatalf("Create did not reuse the destroyed record (pid %d)", b.ID())
+	}
+	if !f.m.ksm.Listed(kst) {
+		t.Fatal("reused record's KST is not listed")
 	}
 	c, err := f.m.Create("c.x", aim.Bottom)
 	if err != nil {
@@ -124,5 +129,28 @@ func TestAuditFindsFreeRecordReachable(t *testing.T) {
 	rq.mu.Unlock()
 	if bad := f.m.Audit(); !slices.ContainsFunc(bad, func(s string) bool { return strings.Contains(s, "free process record") }) {
 		t.Errorf("audit of a free record on the ready queue = %v", bad)
+	}
+	rq.mu.Lock()
+	rq.remove(c)
+	rq.mu.Unlock()
+	// Corrupt: the free record's KST is listed again.
+	if err := f.m.ksm.ReuseKST(c.kst, f.m.KSTBase, f.m.KSTSize); err != nil {
+		t.Fatal(err)
+	}
+	if bad := f.m.Audit(); !slices.ContainsFunc(bad, func(s string) bool { return strings.Contains(s, "KST on the live list") }) {
+		t.Errorf("audit of a free record's listed KST = %v", bad)
+	}
+	f.m.ksm.DropKST(c.kst)
+	// Corrupt: the free record's address space is connected to a live
+	// segment. A reset leaves the connection inert.
+	if err := f.m.segs.Connect(b.StateSegment(), c.dt, f.m.KSTBase, hw.Read, hw.NRings-1, hw.NRings-1); err != nil {
+		t.Fatal(err)
+	}
+	if bad := f.m.Audit(); !slices.ContainsFunc(bad, func(s string) bool { return strings.Contains(s, "connection list") }) {
+		t.Errorf("audit of a free record's connected address space = %v", bad)
+	}
+	c.dt.Reset()
+	if bad := f.m.Audit(); len(bad) != 0 {
+		t.Errorf("audit after the free record's table was reset = %v", bad)
 	}
 }

@@ -37,6 +37,7 @@ package uproc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -410,29 +411,23 @@ func (m *Manager) Create(principal string, label aim.Label) (*Process, error) {
 	}
 	pid := m.nextPID.Add(1)
 
-	kst, err := m.ksm.NewKST(m.KSTBase, m.KSTSize)
+	p, err := m.record()
 	if err != nil {
 		return nil, err
 	}
-	// The process state segment: ordinary, pageable, quota-charged.
-	stateUID := m.segs.NewUID()
-	stateAddr, err := m.segs.Create(m.StatePack, stateUID, false, m.StateCell.UID)
+	stateUID, err := m.newStateSegment(pid)
 	if err != nil {
+		m.ksm.DropKST(p.kst)
+		m.recycle(p)
 		return nil, err
 	}
-	if _, err := m.segs.Activate(stateUID, stateAddr, m.StateCell.Cell, m.StateCell.Has); err != nil {
-		return nil, err
-	}
-	if _, err := m.segs.Grow(stateUID, 0, 0, 0); err != nil {
-		return nil, err
-	}
-	if err := m.segs.WriteWord(stateUID, 0, hw.Word(pid).Masked()); err != nil {
-		return nil, err
-	}
-	p := m.record()
+	// The identity is written under pmu: a stale holder of a reused
+	// record checks it there (see wakeTargeted).
+	p.pmu.Lock()
 	p.id, p.principal, p.label = pid, principal, label
-	p.kst, p.stateUID = kst, stateUID
+	p.stateUID = stateUID
 	p.createdCycle, p.cpu = m.meter.Cycles(), 0
+	p.pmu.Unlock()
 	p.firstRunCycle.Store(-1)
 	sh := m.shard(pid)
 	sh.mu.Lock()
@@ -447,10 +442,30 @@ func (m *Manager) Create(principal string, label aim.Label) (*Process, error) {
 	return p, nil
 }
 
-// record returns a process record for Create: a destroyed one from the
-// free list, its descriptor table reset for the new address space, or
-// a new one.
-func (m *Manager) record() *Process {
+// newStateSegment creates, activates and grows the state segment of
+// process pid, storing the pid in its first word: an ordinary,
+// pageable, quota-charged segment.
+func (m *Manager) newStateSegment(pid uint64) (uint64, error) {
+	uid := m.segs.NewUID()
+	addr, err := m.segs.Create(m.StatePack, uid, false, m.StateCell.UID)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := m.segs.Activate(uid, addr, m.StateCell.Cell, m.StateCell.Has); err != nil {
+		return 0, err
+	}
+	if _, err := m.segs.Grow(uid, 0, 0, 0); err != nil {
+		return 0, err
+	}
+	return uid, m.segs.WriteWord(uid, 0, hw.Word(pid).Masked())
+}
+
+// record returns a process record for Create, with its address space
+// and a listed, empty KST: a destroyed one from the free list, or a
+// new one. A reused record brings the tables it had: Destroy reset
+// its descriptor table, and its KST, which nothing else can reach
+// since Destroy dropped it, is emptied and listed again here.
+func (m *Manager) record() (*Process, error) {
 	m.spareMu.Lock()
 	n := len(m.spare)
 	var p *Process
@@ -461,12 +476,18 @@ func (m *Manager) record() *Process {
 	}
 	m.spareMu.Unlock()
 	if p != nil {
-		p.dt.Reset()
-		return p
+		if err := m.ksm.ReuseKST(p.kst, m.KSTBase, m.KSTSize); err != nil {
+			return nil, err
+		}
+		return p, nil
 	}
-	p = &Process{state: Dead, dt: hw.NewDescriptorTable(m.KSTBase + m.KSTSize)}
+	kst, err := m.ksm.NewKST(m.KSTBase, m.KSTSize)
+	if err != nil {
+		return nil, err
+	}
+	p = &Process{state: Dead, dt: hw.NewDescriptorTable(m.KSTBase + m.KSTSize), kst: kst}
 	p.pmu.InitSub(ModuleName, subProc)
-	return p
+	return p, nil
 }
 
 // enqueue puts p on the ready queue (front prepends). Caller holds
@@ -654,13 +675,16 @@ func (m *Manager) Block(p *Process, ec *eventcount.Eventcount, v uint64) error {
 	p.pmu.Lock()
 	p.await = ec
 	p.awaitValue = v
+	pid := p.id
 	p.pmu.Unlock()
 	if err := m.unbind(p, Blocked); err != nil {
 		return err
 	}
+	// Once unbound, the process can be destroyed and its record reused:
+	// what follows acts only on process pid.
 	if ec != nil {
 		if _, ok := ec.TryAwait(v); ok {
-			m.tryWake(p)
+			m.tryWake(p, pid)
 		}
 		return nil
 	}
@@ -669,7 +693,7 @@ func (m *Manager) Block(p *Process, ec *eventcount.Eventcount, v uint64) error {
 	// remembers it, and consuming it here closes the lost-wakeup
 	// window between the delivery scan and this block.
 	p.pmu.Lock()
-	if p.wakePending && p.state == Blocked {
+	if p.id == pid && p.wakePending && p.state == Blocked {
 		p.wakePending = false
 		p.state = Ready
 		p.await = nil
@@ -736,11 +760,12 @@ func (m *Manager) finishUnbind(u unbinding, vp *vproc.VP, to State) error {
 	return m.vps.ReleaseUser(vp)
 }
 
-// tryWake moves a blocked process whose await is satisfied to Ready,
-// reporting whether it woke.
-func (m *Manager) tryWake(p *Process) bool {
+// tryWake moves process pid, blocked in record p with its await
+// satisfied, to Ready, reporting whether it woke. A record since
+// reused for another process is left alone.
+func (m *Manager) tryWake(p *Process, pid uint64) bool {
 	p.pmu.Lock()
-	if p.state != Blocked {
+	if p.id != pid || p.state != Blocked {
 		p.pmu.Unlock()
 		return false
 	}
@@ -764,9 +789,15 @@ func (m *Manager) tryWake(p *Process) bool {
 // ready keeps the wakeup-waiting switch set instead, so its next
 // awaitless Block finds the wakeup rather than losing it. The whole
 // decision sits under the process lock — delivery and Block cannot
-// interleave between the state check and the flag.
-func (m *Manager) wakeTargeted(p *Process) bool {
+// interleave between the state check and the flag. Process pid is
+// the wakeup's addressee: a record since reused for another process
+// gets nothing.
+func (m *Manager) wakeTargeted(p *Process, pid uint64) bool {
 	p.pmu.Lock()
+	if p.id != pid {
+		p.pmu.Unlock()
+		return false
+	}
 	if p.state == Blocked && p.await == nil {
 		p.state = Ready
 		p.wakePending = false
@@ -778,7 +809,7 @@ func (m *Manager) wakeTargeted(p *Process) bool {
 	if p.state == Blocked {
 		p.pmu.Unlock()
 		// Blocked on an eventcount: the count decides, as before.
-		return m.tryWake(p)
+		return m.tryWake(p, pid)
 	}
 	if p.state != Dead {
 		p.wakePending = true
@@ -816,7 +847,7 @@ func (m *Manager) DeliverEvents() (int, error) {
 			if err != nil {
 				continue
 			}
-			if m.wakeTargeted(p) {
+			if m.wakeTargeted(p, msg.Process) {
 				woken++
 			}
 			continue
@@ -826,7 +857,7 @@ func (m *Manager) DeliverEvents() (int, error) {
 			if err != nil {
 				continue
 			}
-			if m.tryWake(p) {
+			if m.tryWake(p, pid) {
 				woken++
 			}
 		}
@@ -838,8 +869,8 @@ func (m *Manager) DeliverEvents() (int, error) {
 // exactly its recorded size, running processes hold exactly one
 // user-bound virtual processor and are not queued, ready processes
 // appear on the ready queue, and nothing dead lingers. No record on
-// the free list may be reachable from the process table or the ready
-// queue.
+// the free list may be reachable from the process table, the ready
+// queue, the list of live KSTs or a segment's connection list.
 func (m *Manager) Audit() []string {
 	var bad []string
 	onQueue := make(map[uint64]bool)
@@ -891,12 +922,22 @@ func (m *Manager) Audit() []string {
 		sh.mu.Unlock()
 	}
 	m.spareMu.Lock()
-	for i, p := range m.spare {
+	spare := slices.Clone(m.spare)
+	m.spareMu.Unlock()
+	for i, p := range spare {
+		p.pmu.Lock()
+		pid := p.id
+		p.pmu.Unlock()
 		if where, ok := live[p]; ok {
-			bad = append(bad, fmt.Sprintf("free process record %d (last process %d) is on %s", i, p.id, where))
+			bad = append(bad, fmt.Sprintf("free process record %d (last process %d) is on %s", i, pid, where))
+		}
+		if m.ksm.Listed(p.kst) {
+			bad = append(bad, fmt.Sprintf("free process record %d (last process %d) has its KST on the live list", i, pid))
+		}
+		if m.segs.Connected(p.dt) {
+			bad = append(bad, fmt.Sprintf("free process record %d (last process %d) has its address space on a connection list", i, pid))
 		}
 	}
-	m.spareMu.Unlock()
 	return bad
 }
 
@@ -942,13 +983,22 @@ func (m *Manager) Destroy(p *Process) error {
 		err = m.segs.Delete(stateUID, a.Addr())
 	}
 	if !wasRunning {
-		// The processor running a process still holds its record
-		// until its quantum ends, so only an idle one is recycled.
-		m.spareMu.Lock()
-		m.spare = append(m.spare, p)
-		m.spareMu.Unlock()
+		// The processor running a process still holds its record,
+		// descriptor table and KST until its quantum ends, so only an
+		// idle one is recycled.
+		m.recycle(p)
 	}
 	return err
+}
+
+// recycle puts a record that no processor holds, its KST dropped, on
+// the free list. Its descriptor table is reset now, which leaves every
+// connection the process made inert (see segment.Conn).
+func (m *Manager) recycle(p *Process) {
+	p.dt.Reset()
+	m.spareMu.Lock()
+	m.spare = append(m.spare, p)
+	m.spareMu.Unlock()
 }
 
 // workerLoop is one scheduler worker's quantum loop, shared by both

@@ -284,13 +284,15 @@ func TestSweepDispatchDestroy(t *testing.T) {
 		rep.Schedules, rep.WindowDecisions, rep.Truncated)
 }
 
-// TestSweepDispatchDestroyReuse races a dispatch against a Destroy
-// whose record is reused at once: the destroyer logs a second user
-// in, whose process takes the record. However the schedule falls, a
-// dispatcher that popped the first incarnation must not bind the
-// second, which is also on the ready queue: the audit finds no running
-// process queued, and the second is dispatched exactly once.
-func TestSweepDispatchDestroyReuse(t *testing.T) {
+// sweepDestroyReuse is the harness of the sweeps below. It logs
+// a.storm in, readies its process p with prepare, and then runs cpu0's
+// body against a destroyer that destroys p and logs b.storm in, whose
+// process takes p's record when no processor holds it, and p's state
+// segment's AST slot. check inspects the second process once both
+// tasks are done; the process audit must then be clean, and some
+// schedule must reuse the record.
+func sweepDestroyReuse(t *testing.T, name string, prepare func(k *core.Kernel, p *uproc.Process) error, cpu0 func(k *core.Kernel, p *uproc.Process), check func(k *core.Kernel, second *uproc.Process) error) {
+	t.Helper()
 	reused := 0
 	maxSched, maxPre := schedsim.EnvBudget(160, 2)
 	rep, err := schedsim.Sweep(schedsim.SweepConfig{
@@ -309,21 +311,12 @@ func TestSweepDispatchDestroyReuse(t *testing.T) {
 			return err
 		}
 		p := sess.Process.(*uproc.Process)
+		if err := prepare(k, p); err != nil {
+			return err
+		}
 		var second *uproc.Process
-		dispatched := 0
-		ex := schedsim.New(schedsim.Config{Name: "dispatch-destroy-reuse", Strategy: strat})
-		ex.Go("cpu0", func() {
-			got, _, err := k.Procs.Dispatch()
-			if errors.Is(err, uproc.ErrNoReady) {
-				return
-			}
-			if err != nil {
-				panic(fmt.Sprintf("dispatch: %v", err))
-			}
-			if got.Principal() == "b.storm" {
-				dispatched++
-			}
-		})
+		ex := schedsim.New(schedsim.Config{Name: name, Strategy: strat})
+		ex.Go("cpu0", func() { cpu0(k, p) })
 		ex.Go("destroyer", func() {
 			if err := k.Procs.Destroy(p); err != nil {
 				panic(fmt.Sprintf("destroy: %v", err))
@@ -338,31 +331,10 @@ func TestSweepDispatchDestroyReuse(t *testing.T) {
 			return err
 		}
 		if second == p {
-			// Only a record no processor was running is recycled.
 			reused++
 		}
-		// A dispatcher that bound the second incarnation through a pop of
-		// the first left it running and queued at once.
-		if bad := k.Procs.Audit(); len(bad) != 0 {
-			return fmt.Errorf("audit: %v", bad)
-		}
-		// Whatever cpu0 left ready is dispatched now.
-		err = uproc.SimExecutor{}.Run(k.CPUs[:1], func(*hw.Processor) {
-			for {
-				got, _, err := k.Procs.Dispatch()
-				if err != nil {
-					return
-				}
-				if got == second {
-					dispatched++
-				}
-			}
-		})
-		if err != nil {
+		if err := check(k, second); err != nil {
 			return err
-		}
-		if dispatched != 1 {
-			return fmt.Errorf("the second process was dispatched %d times, want once", dispatched)
 		}
 		if bad := k.Procs.Audit(); len(bad) != 0 {
 			return fmt.Errorf("audit: %v", bad)
@@ -377,4 +349,121 @@ func TestSweepDispatchDestroyReuse(t *testing.T) {
 	}
 	t.Logf("%d schedules (%d reusing the record), %d in-window decisions, truncated=%v",
 		rep.Schedules, reused, rep.WindowDecisions, rep.Truncated)
+}
+
+// dispatchFirst dispatches p, the only ready process.
+func dispatchFirst(k *core.Kernel, p *uproc.Process) error {
+	if got, _, err := k.Procs.Dispatch(); err != nil || got != p {
+		return fmt.Errorf("dispatch = %v, %v; want the first process", got, err)
+	}
+	return nil
+}
+
+// TestSweepDispatchDestroyReuse races a dispatch against the Destroy.
+// However the schedule falls, a dispatcher that popped the first
+// incarnation must not bind the second, which is also on the ready
+// queue: the audit finds no running process queued, and the second is
+// dispatched exactly once.
+func TestSweepDispatchDestroyReuse(t *testing.T) {
+	dispatched := 0
+	sweepDestroyReuse(t, "dispatch-destroy-reuse",
+		func(*core.Kernel, *uproc.Process) error {
+			dispatched = 0
+			return nil
+		},
+		func(k *core.Kernel, _ *uproc.Process) {
+			got, _, err := k.Procs.Dispatch()
+			if errors.Is(err, uproc.ErrNoReady) {
+				return
+			}
+			if err != nil {
+				panic(fmt.Sprintf("dispatch: %v", err))
+			}
+			if got.Principal() == "b.storm" {
+				dispatched++
+			}
+		},
+		func(k *core.Kernel, second *uproc.Process) error {
+			// A dispatcher that bound the second incarnation through a
+			// pop of the first left it running and queued at once.
+			if bad := k.Procs.Audit(); len(bad) != 0 {
+				return fmt.Errorf("audit: %v", bad)
+			}
+			// Whatever cpu0 left ready is dispatched now.
+			err := uproc.SimExecutor{}.Run(k.CPUs[:1], func(*hw.Processor) {
+				for {
+					got, _, err := k.Procs.Dispatch()
+					if err != nil {
+						return
+					}
+					if got == second {
+						dispatched++
+					}
+				}
+			})
+			if err != nil {
+				return err
+			}
+			if dispatched != 1 {
+				return fmt.Errorf("the second process was dispatched %d times, want once", dispatched)
+			}
+			return nil
+		})
+}
+
+// TestSweepUnbindDestroyReuse races a preemption's state store against
+// a Destroy and a login that takes the process's record and its state
+// segment's AST slot. The store addresses the old state segment: it
+// must never land in the second process's state, whose second word
+// stays zero until that process is itself unbound.
+func TestSweepUnbindDestroyReuse(t *testing.T) {
+	sweepDestroyReuse(t, "unbind-destroy-reuse", dispatchFirst,
+		func(k *core.Kernel, p *uproc.Process) {
+			if err := k.Procs.Preempt(p); err != nil && !errors.Is(err, uproc.ErrNotRunning) {
+				panic(fmt.Sprintf("preempt: %v", err))
+			}
+		},
+		func(k *core.Kernel, second *uproc.Process) error {
+			if w, err := k.Segs.ReadWord(second.StateSegment(), 0); err != nil || uint64(w) != second.ID() {
+				return fmt.Errorf("second process's state word 0 = %d, %v; want its pid %d", w, err, second.ID())
+			}
+			if w, err := k.Segs.ReadWord(second.StateSegment(), 1); err != nil || w != 0 {
+				return fmt.Errorf("second process's state word 1 = %d, %v; want 0: the first process's unbind stored into it", w, err)
+			}
+			return nil
+		})
+}
+
+// TestSweepWakeupDestroyReuse races the delivery of a wakeup addressed
+// to a blocked process against its Destroy and a login that takes its
+// record. The wakeup is the first process's: the second must not
+// receive it, so once dispatched, its own awaitless Block parks it.
+func TestSweepWakeupDestroyReuse(t *testing.T) {
+	sweepDestroyReuse(t, "wakeup-destroy-reuse",
+		func(k *core.Kernel, p *uproc.Process) error {
+			if err := dispatchFirst(k, p); err != nil {
+				return err
+			}
+			if err := k.Procs.Block(p, nil, 0); err != nil {
+				return err
+			}
+			return k.Procs.Wakeup(p.ID(), 0)
+		},
+		func(k *core.Kernel, _ *uproc.Process) {
+			if _, err := k.Procs.DeliverEvents(); err != nil {
+				panic(fmt.Sprintf("deliver: %v", err))
+			}
+		},
+		func(k *core.Kernel, second *uproc.Process) error {
+			if got, _, err := k.Procs.Dispatch(); err != nil || got != second {
+				return fmt.Errorf("dispatch = %v, %v; want the second process", got, err)
+			}
+			if err := k.Procs.Block(second, nil, 0); err != nil {
+				return err
+			}
+			if st := second.State(); st != uproc.Blocked {
+				return fmt.Errorf("second process is %v after an awaitless block: it received the first's wakeup", st)
+			}
+			return nil
+		})
 }
