@@ -36,7 +36,7 @@ func TestColdScanAllocatesLittle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := workload.NewWorkers(k, cfg.Processors, workload.Files{Prefix: "cold", Quota: 1024})
+	ws, err := workload.NewWorkers(k, uproc.SimExecutor{}, cfg.Processors, workload.Files{Prefix: "cold", Quota: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

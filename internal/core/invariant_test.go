@@ -166,3 +166,40 @@ func TestGlobalAccountingInvariant(t *testing.T) {
 		t.Fatalf("final balance: %d charged vs %d allocated", charged, allocated)
 	}
 }
+
+// TestDeleteInactiveReleasesQuota deletes a file whose segment was
+// deactivated first: the deletion must release the file's pages from
+// its governing cell although no active entry names that cell, or the
+// cell stays charged for records the deletion freed.
+func TestDeleteInactiveReleasesQuota(t *testing.T) {
+	k := boot(t, func(c *core.Config) { c.RootQuota = 64 })
+	p, err := k.CreateProcess("del.x", aim.Bottom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := k.CPUs[0]
+	k.Attach(cpu, p)
+	if _, err := k.CreateFile(cpu, p, nil, "f", nil, aim.Bottom); err != nil {
+		t.Fatal(err)
+	}
+	segno, err := k.OpenPath(cpu, p, []string{"f"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Write(cpu, p, segno, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	e, err := p.KST().Entry(segno)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Segs.Deactivate(e.UID); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Delete(cpu, p, nil, "f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := audited(k); err != nil {
+		t.Error(err)
+	}
+}

@@ -50,7 +50,7 @@ func sweepStorm(strat schedsim.Strategy, pgs int) (*core.Kernel, error) {
 	// one exists, holds a record, reads zero, and has its translation
 	// cached in its owner's associative memory — the precondition of
 	// both windows.
-	touchers, err := workload.NewWorkers(k, 1, workload.Files{Prefix: "sw", Pages: pgs})
+	touchers, err := workload.NewWorkers(k, uproc.SimExecutor{}, 1, workload.Files{Prefix: "sw", Pages: pgs})
 	if err != nil {
 		return nil, err
 	}
@@ -806,7 +806,7 @@ func sweepDeleteUnderEviction(t *testing.T, reuse bool) {
 			c.WiredFrames = 8
 			c.RootQuota = 4096
 		})
-		ws, err := workload.NewWorkers(k, 2, workload.Files{Prefix: "dr"})
+		ws, err := workload.NewWorkers(k, uproc.SimExecutor{}, 2, workload.Files{Prefix: "dr"})
 		if err != nil {
 			return err
 		}

@@ -121,6 +121,45 @@ func TestOnlyLockrankNamesGoroutines(t *testing.T) {
 	}
 }
 
+// TestOnlyTraceAndHWReadBoundCPU: a processor binding is read by the
+// trace recorder (event stamps, span stacks) and the cost meter's
+// per-processor accounts alone. A manager that kept per-processor state
+// of its own would need the binding, and would be a second thing to
+// certify per processor; non-test files of any other package must not
+// name trace.BoundCPU.
+func TestOnlyTraceAndHWReadBoundCPU(t *testing.T) {
+	const tracePkg = "multics/internal/trace"
+	files := 0
+	walkModule(t, false, 0, func(pkg, file string, f *ast.File) {
+		files++
+		if pkg == tracePkg || pkg == "multics/internal/hw" {
+			return
+		}
+		for _, spec := range f.Imports {
+			if imp, _ := strconv.Unquote(spec.Path.Value); imp != tracePkg {
+				continue
+			}
+			name := path.Base(tracePkg)
+			if spec.Name != nil {
+				name = spec.Name.Name
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "BoundCPU" {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
+					t.Errorf("%s names trace.BoundCPU; only the trace recorder and the cost meter read a processor binding", file)
+				}
+				return true
+			})
+		}
+	})
+	if files == 0 {
+		t.Fatal("parsed no files")
+	}
+}
+
 // TestImportsFollowFigure4 certifies the reproduction's own structure
 // against the lattice it claims: every non-test Go import from one
 // manager package to another must be an edge BuildGraph declares. The

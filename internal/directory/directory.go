@@ -501,6 +501,7 @@ func (m *Manager) Delete(p Principal, plabel aim.Label, dirID Identifier, name s
 			return fmt.Errorf("%w: %s", ErrNotEmpty, name)
 		}
 	}
+	cell, hasCell := m.cellForLocked(child)
 	m.mu.Unlock()
 
 	// A quota directory's cell lives in the directory's own
@@ -511,7 +512,7 @@ func (m *Manager) Delete(p Principal, plabel aim.Label, dirID Identifier, name s
 			return err
 		}
 	}
-	if err := m.segs.Delete(child.UID, child.Addr); err != nil {
+	if err := m.segs.Delete(child.UID, child.Addr, cell, hasCell); err != nil {
 		return err
 	}
 

@@ -86,10 +86,8 @@ func TestAuditDetectsFreeListCorruption(t *testing.T) {
 	if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Duplicate a frame onto the free list (pulling cached frames
-	// back into the global pool first, so it is non-empty).
+	// Duplicate a frame onto the free list.
 	f.m.mu.Lock()
-	f.m.drainCachesLocked()
 	f.m.free = append(f.m.free, f.m.free[0])
 	f.m.mu.Unlock()
 	if bad := f.m.Audit(); len(bad) == 0 {

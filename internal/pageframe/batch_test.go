@@ -9,8 +9,8 @@ import (
 
 // One allocation under a full memory gathers a whole batch of victims,
 // writes the dirty ones back as a single grouped submission (one seek),
-// and parks the surplus frames in the allocating processor's cache so
-// the next faults take no manager lock and no eviction at all.
+// and puts the surplus frames on the free list so the next faults take
+// no eviction at all.
 func TestBatchEvictionGroupsWriteBack(t *testing.T) {
 	const frames = 4
 	f := newFixture(t, frames)
@@ -67,10 +67,10 @@ func TestBatchEvictionGroupsWriteBack(t *testing.T) {
 			t.Errorf("record of page %d holds %d/%d, want %d/%d", i, buf[0], buf[1], 10+i, 100+i)
 		}
 	}
-	// The surplus victims' frames are parked locally: reloading the
+	// The surplus victims' frames are on the free list: reloading the
 	// evicted pages costs no further eviction.
 	if free := f.m.FreeFrames(); free != frames-1 {
-		t.Errorf("FreeFrames = %d, want %d parked from the batch", free, frames-1)
+		t.Errorf("FreeFrames = %d, want the batch's %d surplus frames free", free, frames-1)
 	}
 	for i := 0; i < frames-1; i++ {
 		if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: i, Pack: f.pack, Record: recs[i], HasRecord: true}, nil); err != nil {

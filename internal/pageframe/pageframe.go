@@ -171,18 +171,9 @@ type recKey struct {
 	rec  disk.RecordAddr
 }
 
-// DefaultFrameBatch is how many frames an allocation moves between the
-// global pool and a processor's local cache, and how many victims one
-// eviction pass gathers for a grouped write-back.
+// DefaultFrameBatch is how many victims one eviction pass gathers for
+// a grouped write-back.
 const DefaultFrameBatch = 4
-
-// A frameCache is one processor's private stock of free frames,
-// refilled in batches from the global pool so the common allocation
-// does not take the manager lock at all.
-type frameCache struct {
-	mu     sync.Mutex
-	frames []int
-}
 
 // A Manager multiplexes the pageable page frames.
 type Manager struct {
@@ -240,12 +231,6 @@ type Manager struct {
 	// have been queued on, whose ticket lists Audit checks.
 	spareCached []*cachedFrame
 	readPacks   []*disk.Pack
-
-	// caches[i] belongs to the context bound to simulated
-	// processor i-1; slot 0 serves unbound callers. The lock order
-	// is m.mu before any cache mutex; the fast path takes only the
-	// cache mutex.
-	caches [hw.MeterCPUs + 1]frameCache
 
 	// inflight counts, per disk record, the evicted pages whose
 	// write-back has not reached the disk yet. Until it has, the record
@@ -328,19 +313,11 @@ func NewManager(mem *hw.Memory, firstFrame int, vps *vproc.Manager, meter *hw.Co
 // must read or write resident pages directly.
 func (m *Manager) Mem() *hw.Memory { return m.mem }
 
-// FreeFrames reports how many frames are currently unassigned,
-// counting those parked in per-processor caches.
+// FreeFrames reports how many frames are currently unassigned.
 func (m *Manager) FreeFrames() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := len(m.free)
-	for i := range m.caches {
-		c := &m.caches[i]
-		c.mu.Lock()
-		n += len(c.frames)
-		c.mu.Unlock()
-	}
-	return n
+	return len(m.free)
 }
 
 // Stats is the manager's counter block: fault services, evictions,
@@ -660,66 +637,30 @@ func (m *Manager) batch() int {
 	return DefaultFrameBatch
 }
 
-// cache returns the calling context's frame cache: the one of the
-// simulated processor it is bound to, or slot 0 when unbound.
-func (m *Manager) cache() *frameCache {
-	return &m.caches[int(trace.BoundCPU())%len(m.caches)]
-}
-
-// drainCachesLocked pulls every privately cached frame back into the
-// global pool. The caller holds m.mu.
-func (m *Manager) drainCachesLocked() {
-	for i := range m.caches {
-		c := &m.caches[i]
-		c.mu.Lock()
-		m.free = append(m.free, c.frames...)
-		c.frames = c.frames[:0]
-		c.mu.Unlock()
+// popFreeLocked takes the frame on top of the free list, reporting
+// false when the list is empty. Caller holds m.mu.
+func (m *Manager) popFreeLocked() (int, bool) {
+	n := len(m.free)
+	if n == 0 {
+		return 0, false
 	}
+	f := m.free[n-1]
+	m.free = m.free[:n-1]
+	return f, true
 }
 
 // obtainFrame returns a free frame, evicting victims if none is free,
-// and appends the evictions' reports to out. The common case costs
-// only the local cache's mutex; a refill moves a batch of frames from
-// the global pool, and an eviction pass gathers a batch of victims
-// whose dirty pages are written back as one grouped disk submission,
-// so the manager lock is never held across a disk write. Caller must
-// not hold m.mu.
+// and appends the evictions' reports to out. An eviction pass gathers
+// a batch of victims whose dirty pages are written back as one grouped
+// disk submission, so the manager lock is never held across a disk
+// write. Caller must not hold m.mu.
 func (m *Manager) obtainFrame(out []Evicted) (int, []Evicted, error) {
-	c := m.cache()
-	c.mu.Lock()
-	if n := len(c.frames); n > 0 {
-		f := c.frames[n-1]
-		c.frames = c.frames[:n-1]
-		c.mu.Unlock()
-		return f, out, nil
-	}
-	c.mu.Unlock()
-
-	batch := m.batch()
 	m.mu.Lock()
-	if len(m.free) == 0 {
-		// The pool is dry; reclaim frames parked at idle processors
-		// before resorting to eviction.
-		m.drainCachesLocked()
-	}
-	if len(m.free) > 0 {
-		take := batch
-		if take > len(m.free) {
-			take = len(m.free)
-		}
-		n := len(m.free)
-		f := m.free[n-1]
-		if take > 1 {
-			c.mu.Lock()
-			c.frames = append(c.frames, m.free[n-take:n-1]...)
-			c.mu.Unlock()
-		}
-		m.free = m.free[:n-take]
+	if f, ok := m.popFreeLocked(); ok {
 		m.mu.Unlock()
 		return f, out, nil
 	}
-	// Nothing on the free side: before running the eviction clock over
+	// Nothing on the free list: before running the eviction clock over
 	// resident pages, consult the speculative cache's second-chance
 	// bits — an unclaimed prefetch frame is cheaper to take back than a
 	// resident page is to evict and write back.
@@ -731,7 +672,7 @@ func (m *Manager) obtainFrame(out []Evicted) (int, []Evicted, error) {
 	// pass over the clock.
 	var scratch [2 * DefaultFrameBatch]victim
 	victims := scratch[:0]
-	for len(victims) < batch {
+	for len(victims) < m.batch() {
 		vf, err := m.chooseVictimLocked()
 		if err != nil {
 			if len(victims) == 0 {
@@ -752,16 +693,16 @@ func (m *Manager) obtainFrame(out []Evicted) (int, []Evicted, error) {
 		m.recoverVictims(victims, done)
 		return 0, evs, err
 	}
-	// The first victim's frame satisfies the caller; the rest refill
-	// the local cache. They only become reusable here, after the
-	// shootdown broadcast in writeBackBatch has retired every cached
-	// translation of them.
+	// The first victim's frame satisfies the caller; the rest go on the
+	// free list. They only become reusable here, after the shootdown
+	// broadcast in writeBackBatch has retired every cached translation
+	// of them.
 	if len(victims) > 1 {
-		c.mu.Lock()
+		m.mu.Lock()
 		for _, v := range victims[1:] {
-			c.frames = append(c.frames, v.frame)
+			m.free = append(m.free, v.frame)
 		}
-		c.mu.Unlock()
+		m.mu.Unlock()
 	}
 	return victims[0].frame, evs, nil
 }
@@ -1414,30 +1355,17 @@ func (m *Manager) Audit() []string {
 	defer m.mu.Unlock()
 	var bad []string
 	seen := make(map[int]string, len(m.frames))
-	// The global pool and the per-processor caches together form the
-	// free side of the partition.
-	freeLists := [][]int{m.free}
-	for i := range m.caches {
-		c := &m.caches[i]
-		c.mu.Lock()
-		if len(c.frames) > 0 {
-			freeLists = append(freeLists, append([]int(nil), c.frames...))
+	for _, f := range m.free {
+		if f < m.first || f >= m.first+len(m.frames) {
+			bad = append(bad, fmt.Sprintf("free frame %d outside pageable range", f))
+			continue
 		}
-		c.mu.Unlock()
-	}
-	for _, list := range freeLists {
-		for _, f := range list {
-			if f < m.first || f >= m.first+len(m.frames) {
-				bad = append(bad, fmt.Sprintf("free frame %d outside pageable range", f))
-				continue
-			}
-			if prev, dup := seen[f]; dup {
-				bad = append(bad, fmt.Sprintf("frame %d on free list twice (%s)", f, prev))
-			}
-			seen[f] = "free"
-			if m.frames[f-m.first].inUse {
-				bad = append(bad, fmt.Sprintf("frame %d both free and in use", f))
-			}
+		if prev, dup := seen[f]; dup {
+			bad = append(bad, fmt.Sprintf("frame %d on free list twice (%s)", f, prev))
+		}
+		seen[f] = "free"
+		if m.frames[f-m.first].inUse {
+			bad = append(bad, fmt.Sprintf("frame %d both free and in use", f))
 		}
 	}
 	// The speculative read-ahead cache is the partition's third class:
@@ -1550,7 +1478,7 @@ func (m *Manager) Audit() []string {
 // length. It withdraws those pages' speculations, resident or not,
 // keeps the rest, and costs O(resident pages of pt), not O(table
 // length). Pages are dropped in page order, and each frame returns to
-// the free pool only after its descriptor is cleared and the shootdown
+// the free list only after its descriptor is cleared and the shootdown
 // broadcast has retired every cached translation of it.
 func (m *Manager) DropPages(pt *hw.PageTable, from int) {
 	// A dropped page's speculation is withdrawn whether or not the page

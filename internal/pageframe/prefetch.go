@@ -183,32 +183,14 @@ func (m *Manager) issueReadAhead(req PageReq) {
 	}
 }
 
-// obtainFreeFrame takes one frame from the free side only — the
-// caller's cache, then the global pool (reclaiming idle processors'
-// parked frames) — and reports failure instead of evicting or
-// stealing when everything is spoken for. The speculative path uses
-// it so read-ahead never displaces resident pages.
+// obtainFreeFrame takes one frame from the free list only, and reports
+// failure instead of evicting or stealing when everything is spoken
+// for. The speculative path uses it so read-ahead never displaces
+// resident pages.
 func (m *Manager) obtainFreeFrame() (int, bool) {
-	c := m.cache()
-	c.mu.Lock()
-	if n := len(c.frames); n > 0 {
-		f := c.frames[n-1]
-		c.frames = c.frames[:n-1]
-		c.mu.Unlock()
-		return f, true
-	}
-	c.mu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.free) == 0 {
-		m.drainCachesLocked()
-	}
-	if n := len(m.free); n > 0 {
-		f := m.free[n-1]
-		m.free = m.free[:n-1]
-		return f, true
-	}
-	return 0, false
+	return m.popFreeLocked()
 }
 
 // newCachedLocked returns an unused cache entry, from the free list

@@ -1236,15 +1236,14 @@ func (m *Manager) Truncate(uid uint64, newPages int) error {
 }
 
 // Delete destroys a segment: deactivates it if active and deletes its
-// table-of-contents entry, releasing its storage charge.
-func (m *Manager) Delete(uid uint64, addr disk.SegAddr) error {
+// table-of-contents entry, releasing its storage charge from cell, its
+// governing quota cell as Activate names it. The cell is the caller's
+// to name because an inactive segment has no entry that records it.
+func (m *Manager) Delete(uid uint64, addr disk.SegAddr, cell quota.CellName, hasCell bool) error {
 	// A segment whose removal another caller has begun is left to it.
 	a := m.condemn(uid, true)
-	var cell quota.CellName
-	var hasCell bool
 	if a != nil {
 		addr = a.addr
-		cell, hasCell = a.cell, a.hasCell
 		m.frames.DropPages(a.pt, 0)
 		if err := m.Disconnect(uid); err != nil {
 			return err

@@ -606,7 +606,7 @@ func TestDelete(t *testing.T) {
 	}
 	pack, _ := f.vols.Pack("dska")
 	usedBefore := pack.UsedRecords()
-	if err := f.m.Delete(uid, a2.Addr()); err != nil {
+	if err := f.m.Delete(uid, a2.Addr(), cell, true); err != nil {
 		t.Fatal(err)
 	}
 	if pack.UsedRecords() != usedBefore-3 {
@@ -637,7 +637,7 @@ func TestDeleteDropsResidentPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	free := f.frames.FreeFrames()
-	if err := f.m.Delete(uid, a.Addr()); err != nil {
+	if err := f.m.Delete(uid, a.Addr(), cell, true); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.frames.FreeFrames(); got != free+3 {
@@ -716,7 +716,7 @@ func TestActivationTakesLowestFreeSlot(t *testing.T) {
 					t.Fatalf("step %d: activation with every slot taken: %v, want ErrASTFull", step, err)
 				}
 				fulls++
-				if err := f.m.Delete(uid, addr); err != nil {
+				if err := f.m.Delete(uid, addr, quota.CellName{}, false); err != nil {
 					t.Fatal(err)
 				}
 				continue
@@ -738,7 +738,7 @@ func TestActivationTakesLowestFreeSlot(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			err = f.m.Deactivate(a.uid)
 		} else {
-			err = f.m.Delete(a.uid, a.Addr())
+			err = f.m.Delete(a.uid, a.Addr(), quota.CellName{}, false)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -23,7 +23,7 @@ import (
 //   - GoroutineExecutor — one real goroutine per hw.Processor,
 //     interleaved by the Go runtime. It exercises real memory orderings
 //     and is what -race storms run. Its goroutines are not bound: they
-//     charge the meter's total only and share frame cache 0.
+//     charge the meter's total only.
 type Executor interface {
 	// Name labels the executor in test output and failure reports.
 	Name() string

@@ -980,7 +980,7 @@ func (m *Manager) Destroy(p *Process) error {
 	m.ksm.DropKST(kst)
 	var err error
 	if a, lerr := m.segs.Lookup(stateUID); lerr == nil {
-		err = m.segs.Delete(stateUID, a.Addr())
+		err = m.segs.Delete(stateUID, a.Addr(), m.StateCell.Cell, m.StateCell.Has)
 	}
 	if !wasRunning {
 		// The processor running a process still holds its record,

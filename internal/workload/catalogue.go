@@ -105,13 +105,10 @@ func script(body func(must func(error))) (err error) {
 }
 
 // workers is a Setup that gives each processor a worker with a private
-// file shaped by f (NewWorkers), into *ws, on the caller's goroutine:
-// made on the first processor's task, the workers' frames would land
-// in that processor's frame cache and shift the figures measured
-// after them.
+// file shaped by f (NewWorkers), into *ws.
 func workers(ws *[]*Worker, f Files) func(*core.Kernel, uproc.Executor) error {
-	return func(k *core.Kernel, _ uproc.Executor) (err error) {
-		*ws, err = NewWorkers(k, len(k.CPUs), f)
+	return func(k *core.Kernel, ex uproc.Executor) (err error) {
+		*ws, err = NewWorkers(k, ex, len(k.CPUs), f)
 		return err
 	}
 }

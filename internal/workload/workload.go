@@ -58,35 +58,41 @@ type Files struct {
 }
 
 // NewWorkers gives each of the first n processors of k one attached
-// process with a private file shaped by f. The set-up runs serially
-// on the caller's goroutine.
-func NewWorkers(k *core.Kernel, n int, f Files) (ws []*Worker, err error) {
-	err = script(func(must func(error)) {
-		for i := 0; i < n; i++ {
-			cpu := k.CPUs[i]
-			p, err := k.CreateProcess(fmt.Sprintf("%s%d.x", f.Prefix, i), aim.Bottom)
-			must(err)
-			k.Attach(cpu, p)
-			name := fmt.Sprintf("%s%d", f.Prefix, i)
-			path := []string{name}
-			if f.Quota > 0 {
-				id, err := k.CreateDir(cpu, p, nil, name, directory.Public(hw.Read|hw.Write), aim.Bottom)
+// process with a private file shaped by f. Each worker's set-up runs
+// under ex as a serial phase on that worker's own processor, in worker
+// order, so its cycles and spans are charged to its process.
+func NewWorkers(k *core.Kernel, ex uproc.Executor, n int, f Files) ([]*Worker, error) {
+	var ws []*Worker
+	for i, cpu := range k.CPUs[:n] {
+		err := onEach(ex, k.CPUs[i:i+1], func(*hw.Processor) error {
+			return script(func(must func(error)) {
+				p, err := k.CreateProcess(fmt.Sprintf("%s%d.x", f.Prefix, i), aim.Bottom)
 				must(err)
-				must(k.DesignateQuota(cpu, p, id, f.Quota))
-				path = append(path, "f")
-			}
-			_, err = k.CreateFile(cpu, p, path[:len(path)-1], path[len(path)-1], nil, aim.Bottom)
-			must(err)
-			segno, err := k.OpenPath(cpu, p, path)
-			must(err)
-			for pg := 0; pg < f.Pages; pg++ {
-				must(k.Write(cpu, p, segno, pg*hw.PageWords, 1))
-				must(k.Write(cpu, p, segno, pg*hw.PageWords, 0))
-			}
-			ws = append(ws, &Worker{CPU: cpu, Proc: p, Segno: segno})
+				k.Attach(cpu, p)
+				name := fmt.Sprintf("%s%d", f.Prefix, i)
+				path := []string{name}
+				if f.Quota > 0 {
+					id, err := k.CreateDir(cpu, p, nil, name, directory.Public(hw.Read|hw.Write), aim.Bottom)
+					must(err)
+					must(k.DesignateQuota(cpu, p, id, f.Quota))
+					path = append(path, "f")
+				}
+				_, err = k.CreateFile(cpu, p, path[:len(path)-1], path[len(path)-1], nil, aim.Bottom)
+				must(err)
+				segno, err := k.OpenPath(cpu, p, path)
+				must(err)
+				for pg := 0; pg < f.Pages; pg++ {
+					must(k.Write(cpu, p, segno, pg*hw.PageWords, 1))
+					must(k.Write(cpu, p, segno, pg*hw.PageWords, 0))
+				}
+				ws = append(ws, &Worker{CPU: cpu, Proc: p, Segno: segno})
+			})
+		})
+		if err != nil {
+			return ws, err
 		}
-	})
-	return ws, err
+	}
+	return ws, nil
 }
 
 // Run runs body once per worker, each on its worker's processor, under

@@ -16,7 +16,7 @@ import (
 	"multics/internal/workload"
 )
 
-func bootWorkers(t *testing.T, f workload.Files) (*core.Kernel, []*workload.Worker) {
+func bootWorkers(t *testing.T, ex uproc.Executor, f workload.Files) (*core.Kernel, []*workload.Worker) {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Processors = 2
@@ -25,11 +25,37 @@ func bootWorkers(t *testing.T, f workload.Files) (*core.Kernel, []*workload.Work
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := workload.NewWorkers(k, 2, f)
+	ws, err := workload.NewWorkers(k, ex, 2, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return k, ws
+}
+
+// TestSetupChargedToWorkers: NewWorkers runs each worker's set-up on
+// that worker's own processor, so in a traced run under the
+// deterministic executor each worker's process is charged the
+// self-time of its set-up spans. Off any task they would be charged to
+// no process.
+func TestSetupChargedToWorkers(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Processors = 2
+	cfg.RootQuota = 4096
+	cfg.TraceEvents = 1 << 12
+	k, err := core.Boot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := workload.NewWorkers(k, uproc.SimExecutor{Seed: 1977}, 2, workload.Files{Prefix: "su", Pages: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := k.Trace.Snapshot().Procs
+	for _, w := range ws {
+		if st := procs[w.Proc.ID()]; st.Spans == 0 || st.Cycles == 0 {
+			t.Errorf("cpu %d: worker process %d charged %d cycles over %d spans for its set-up, want its set-up spans", w.CPU.ID, w.Proc.ID(), st.Cycles, st.Spans)
+		}
+	}
 }
 
 // readBack runs one scenario — every worker fills its quota-governed
@@ -38,7 +64,7 @@ func bootWorkers(t *testing.T, f workload.Files) (*core.Kernel, []*workload.Work
 func readBack(t *testing.T, ex uproc.Executor) [][]hw.Word {
 	t.Helper()
 	const pages = 8
-	k, ws := bootWorkers(t, workload.Files{Prefix: "rb", Quota: 64})
+	k, ws := bootWorkers(t, ex, workload.Files{Prefix: "rb", Quota: 64})
 	got := make([][]hw.Word, len(ws))
 	err := workload.Run(ex, ws, func(w *workload.Worker) error {
 		base := hw.Word(100 * (w.CPU.ID + 1))
@@ -77,7 +103,7 @@ func TestScenarioReadsBackTheSameUnderBothExecutors(t *testing.T) {
 
 func TestSameSeedSameDecisions(t *testing.T) {
 	run := func() []string {
-		k, ws := bootWorkers(t, workload.Files{Prefix: "osc", Pages: 4})
+		k, ws := bootWorkers(t, uproc.SimExecutor{Seed: 7}, workload.Files{Prefix: "osc", Pages: 4})
 		rec := schedsim.Record(schedsim.Random(7))
 		if err := workload.Run(uproc.SimExecutor{Seed: 7, Strategy: rec}, ws, func(w *workload.Worker) error {
 			return workload.Oscillate(k, w, 2, 4)
@@ -102,7 +128,7 @@ func TestSameSeedSameDecisions(t *testing.T) {
 func TestBodyErrorComesBackFromRun(t *testing.T) {
 	boom := errors.New("boom")
 	for _, ex := range []uproc.Executor{uproc.GoroutineExecutor{}, uproc.SimExecutor{Seed: 1}} {
-		_, ws := bootWorkers(t, workload.Files{Prefix: "e"})
+		_, ws := bootWorkers(t, ex, workload.Files{Prefix: "e"})
 		ran := make([]bool, len(ws))
 		err := workload.Run(ex, ws, func(w *workload.Worker) error {
 			ran[w.CPU.ID] = true
