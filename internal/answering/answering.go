@@ -97,7 +97,11 @@ type SessionRecord struct {
 	Open    bool
 }
 
-// A Session is a logged-in user.
+// A Session is a logged-in user. The handle Login returns is valid
+// until its Logout returns: Logout puts it on the service's free list
+// and a later Login reuses it, as a destroyed process's record is
+// reused. A caller that needs the session's Process after logging out
+// reads it first.
 type Session struct {
 	Principal string
 	Label     aim.Label
@@ -122,6 +126,9 @@ type Service struct {
 	nrec     int
 	accounts []account
 	byAcct   map[account]int32
+	// free holds the handles of logged-out sessions for Login to
+	// reuse; it grows to the peak number of sessions open at once.
+	free []*Session
 	// Salt for password hashing; fixed per system.
 	salt uint64
 }
@@ -229,14 +236,23 @@ func (s *Service) Login(principal, password string, label aim.Label) (*Session, 
 	n := s.nrec
 	s.nrec++
 	*s.entry(n) = record{acct: id, open: true, loginCycles: s.meter.Since(start)}
-	return &Session{Principal: principal, Label: label, Process: proc, record: n}, nil
+	var sess *Session
+	if k := len(s.free); k > 0 {
+		sess, s.free = s.free[k-1], s.free[:k-1]
+	} else {
+		sess = new(Session)
+	}
+	*sess = Session{Principal: principal, Label: label, Process: proc, record: n}
+	return sess, nil
 }
 
 // entry returns accounting record i, which must exist. Caller holds
 // s.mu.
 func (s *Service) entry(i int) *record { return &s.records[i/recordChunk][i%recordChunk] }
 
-// Logout closes a session, recording the CPU it consumed.
+// Logout closes a session, recording the CPU it consumed, and puts
+// its handle on the free list: it names no session once Logout
+// returns.
 func (s *Service) Logout(sess *Session, cpuUsed int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -246,6 +262,8 @@ func (s *Service) Logout(sess *Session, cpuUsed int64) error {
 	r := s.entry(sess.record)
 	r.cpuUsed = cpuUsed
 	r.open = false
+	*sess = Session{record: -1}
+	s.free = append(s.free, sess)
 	return nil
 }
 

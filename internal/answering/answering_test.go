@@ -46,6 +46,43 @@ func TestLoginLogout(t *testing.T) {
 	}
 }
 
+// TestLogoutRecyclesHandle: a session's handle goes on the free list
+// at Logout, names no session there (a second Logout fails), and the
+// next Login hands it out again holding only its own session.
+func TestLogoutRecyclesHandle(t *testing.T) {
+	s, _ := newService(t, Monolithic)
+	first, err := s.Login("alice.sys", "hunter2", aim.Bottom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Logout(first, 1); err != nil {
+		t.Fatal(err)
+	}
+	if first.Process != nil {
+		t.Errorf("a logged-out handle still names process %v", first.Process)
+	}
+	if err := s.Logout(first, 0); err == nil {
+		t.Error("logout of a handle on the free list succeeded")
+	}
+	second, err := s.Login("alice.sys", "hunter2", aim.Label{Level: aim.Secret})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second != first {
+		t.Error("Login built a new handle with one on the free list")
+	}
+	if second.Label.Level != aim.Secret || second.Process != 2 {
+		t.Errorf("reused handle = %+v, want the second session's label and process", second)
+	}
+	if err := s.Logout(second, 2); err != nil {
+		t.Fatal(err)
+	}
+	recs := s.Records()
+	if len(recs) != 2 || recs[0].CPUUsed != 1 || recs[1].CPUUsed != 2 || recs[0].Open || recs[1].Open {
+		t.Errorf("records = %+v", recs)
+	}
+}
+
 func TestBadUserAndBadPasswordIndistinguishable(t *testing.T) {
 	s, _ := newService(t, Monolithic)
 	_, errUser := s.Login("nobody.x", "hunter2", aim.Bottom)

@@ -119,11 +119,14 @@ func (c *Connector) HandleFrame(conn int, data []hw.Word) error {
 		if !on {
 			return fmt.Errorf("answering: logout on idle connection %d", conn)
 		}
+		// The handle is reused once Logout returns: take the process
+		// first.
+		proc := sess.Process
 		if err := c.svc.Logout(sess, 0); err != nil {
 			return err
 		}
-		if c.destroy != nil && sess.Process != nil {
-			return c.destroy(sess.Process)
+		if c.destroy != nil && proc != nil {
+			return c.destroy(proc)
 		}
 		return nil
 	}

@@ -42,7 +42,12 @@ func (k *Kernel) Attach(cpu *hw.Processor, p *uproc.Process) {
 }
 
 // CreateProcess makes a user process for an authenticated principal.
+// The creation is charged to no process: whichever process the calling
+// processor runs is set aside while it lasts, so its spans are not
+// charged to a bystander, and runs on afterwards.
 func (k *Kernel) CreateProcess(principal string, label aim.Label) (*uproc.Process, error) {
+	prev := k.Trace.SwapRunningProcess(0)
+	defer k.Trace.SwapRunningProcess(prev)
 	return k.Procs.Create(principal, label)
 }
 

@@ -464,7 +464,7 @@ func TestSweepDiskCompletionWindow(t *testing.T) {
 // yield points: the same seeded schedule over the disk storm takes the
 // same decisions, step for step, both times.
 func TestSweepDiskWindowReplay(t *testing.T) {
-	run := func() []schedsim.Decision {
+	run := func() []schedsim.Recorded {
 		rec := schedsim.Record(schedsim.Random(*schedSeed))
 		if err := diskSweepStorm(t, rec, 4); err != nil && !starved(err) {
 			t.Fatal(err)
@@ -472,10 +472,10 @@ func TestSweepDiskWindowReplay(t *testing.T) {
 		return rec.Decisions()
 	}
 	d1, d2 := run(), run()
-	if !slices.EqualFunc(d1, d2, func(a, b schedsim.Decision) bool { return a.String() == b.String() }) {
+	if !slices.EqualFunc(d1, d2, func(a, b schedsim.Recorded) bool { return a.String() == b.String() }) {
 		t.Fatalf("the same seed took different schedules: %d vs %d decisions", len(d1), len(d2))
 	}
-	if !slices.ContainsFunc(d1, diskDecision) {
+	if !slices.ContainsFunc(d1, func(d schedsim.Recorded) bool { return diskDecision(d.Decision) }) {
 		t.Error("no disk-queue or disk-completion decisions in the replayed schedule: the pipeline's yield points are not marked")
 	}
 }

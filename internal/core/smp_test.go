@@ -129,6 +129,41 @@ func TestAttachOffTaskChargesItsProcessor(t *testing.T) {
 	}
 }
 
+// TestCreationChargedToNoProcess: a process's creation is not the
+// work of the process its processor runs, so creating b while a is
+// attached leaves a's account at 0, and a is still charged for what it
+// does afterwards.
+func TestCreationChargedToNoProcess(t *testing.T) {
+	k := boot(t, func(c *core.Config) { c.TraceEvents = 4096 })
+	var a *uproc.Process
+	var afterCreate, afterWork trace.ProcStats
+	if err := (uproc.SimExecutor{Seed: 1}).Run(k.CPUs[:1], func(cpu *hw.Processor) {
+		var err error
+		if a, err = k.CreateProcess("a.x", aim.Bottom); err != nil {
+			t.Error(err)
+			return
+		}
+		k.Attach(cpu, a)
+		if _, err := k.CreateProcess("b.x", aim.Bottom); err != nil {
+			t.Error(err)
+			return
+		}
+		afterCreate = k.Trace.Snapshot().Procs[a.ID()]
+		if _, err := k.CreateFile(cpu, a, nil, "f", nil, aim.Bottom); err != nil {
+			t.Error(err)
+		}
+		afterWork = k.Trace.Snapshot().Procs[a.ID()]
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if afterCreate != (trace.ProcStats{}) {
+		t.Errorf("process a charged %+v for creating b", afterCreate)
+	}
+	if afterWork.Spans == 0 || afterWork.Cycles == 0 {
+		t.Errorf("process a charged %+v for its own file creation, want its spans", afterWork)
+	}
+}
+
 // sharedFile attaches one process to the first two processors of k and
 // gives it one file, returning a worker per processor on that file.
 func sharedFile(t *testing.T, k *core.Kernel) []*workload.Worker {

@@ -37,6 +37,13 @@
 // the strategy's Choose runs. A Recorder wrapped around the strategy
 // is the one decision log; it copies each set it keeps.
 //
+// Nor does a warm run allocate more than its Executor handle. Only one
+// executor runs at a time, so the storage of its tasks persists across
+// runs: the carriers (a goroutine per task slot, parked on its gate
+// channel between runs) and an engine of task records and decision
+// scratch that New takes and Run gives back. A carrier whose task
+// ended in a panic exits rather than be reused.
+//
 // Kernel code never imports an executor instance. Each task records
 // itself as the active executor's running task when it takes the
 // token, so "which execution context am I?" is one atomic load and a
@@ -114,10 +121,11 @@ func (p Point) String() string {
 	return pointNames[p]
 }
 
-// A Decision records one scheduling choice: who yielded, where, which
-// tasks were runnable, and which was chosen. The decision log is the
-// schedule — replaying the same choices reproduces the same run. The
-// executor keeps no log of its own: a Recorder is the one log.
+// A Decision is one scheduling choice as the strategy sees it: who
+// yielded, where, and which tasks are runnable. The choice made is
+// logged with it by a Recorder (Recorded); that log is the schedule —
+// replaying the same choices reproduces the same run. The executor
+// keeps no log of its own.
 type Decision struct {
 	// Step is the decision's index in the schedule; it is the
 	// executor's virtual clock.
@@ -133,11 +141,16 @@ type Decision struct {
 	// decision, so it is valid only while Choose runs; a strategy that
 	// keeps it must copy it, as Recorder does.
 	Runnable []string
-	// Chosen indexes Runnable.
+}
+
+// A Recorded decision is a Decision as a Recorder logs it, with the
+// index into Runnable of the task chosen.
+type Recorded struct {
+	Decision
 	Chosen int
 }
 
-func (d Decision) String() string {
+func (d Recorded) String() string {
 	where := d.Point.String()
 	if d.Detail != "" {
 		where += ":" + d.Detail
@@ -147,9 +160,9 @@ func (d Decision) String() string {
 }
 
 // A Strategy chooses, at each decision, which runnable task runs
-// next. Choose returns an index into d.Runnable (d.Chosen is not yet
-// set); out-of-range returns are clamped to 0. d.Runnable is scratch,
-// valid only for the duration of the call.
+// next. Choose returns an index into d.Runnable; out-of-range returns
+// are clamped to 0. d.Runnable is scratch, valid only for the duration
+// of the call.
 type Strategy interface {
 	Choose(d Decision) int
 }
@@ -286,6 +299,9 @@ const (
 	taskDone
 )
 
+// A task is one task slot's record. Records are kept across runs in
+// the engine, so Go resets every field but local's Held capacity; gate
+// is the channel of the carrier Run hands the task to.
 type task struct {
 	ex    *Executor
 	id    int
@@ -319,31 +335,64 @@ type HeldLock struct {
 // An Executor runs a set of tasks — simulated processors — under a
 // single token so exactly one executes at a time, consulting its
 // Strategy at every yield point. Executors are single-use: Go then
-// Run once.
+// Run once. The handle stays valid after Run; the storage its tasks
+// used goes back to the next executor.
 type Executor struct {
 	name     string
 	seed     int64
 	strategy Strategy
 	maxSteps int
 
-	tasks []*task
+	// eng is the engine the executor took at New, nil once Run has
+	// returned it.
+	eng *engine
 
 	// The fields below are only touched by the token holder (or by
 	// Run while every task is parked), so token hand-off over the
 	// gate channels orders all access. holder is the task that holds
-	// the token, set by each task as it takes it. run and names are
-	// choose's scratch: the runnable tasks and their names, rebuilt at
-	// every decision so a decision allocates nothing.
+	// the token, set by each task as it takes it.
 	holder   *task
 	step     int
-	aborting bool
 	failure  *Failure
-	run      []*task
-	names    []string
+	aborting bool
 
-	done    chan struct{}
 	running bool
 }
+
+// An engine is the storage an executor's tasks need beyond the
+// handle: a record per task slot, and choose's scratch (the runnable
+// tasks and their names, rebuilt at every decision so a decision
+// allocates nothing). New takes the spare engine and Run puts it back,
+// so a warm executor allocates only its handle.
+type engine struct {
+	// slots holds every record made; tasks are those of the
+	// executor's tasks, a prefix of slots.
+	slots []*task
+	tasks []*task
+	run   []*task
+	names []string
+}
+
+// spare is the engine the last executor to finish left behind.
+var spare atomic.Pointer[engine]
+
+// A carrier is a goroutine that runs tasks: parked on its gate
+// between runs, it runs the task Run hands it when the token first
+// reaches it.
+type carrier struct {
+	gate chan struct{}
+	t    *task
+}
+
+// carriers and done serve the running executor, which alone touches
+// them: carriers[i] carries task i, and done takes the token back
+// from the last task to finish. A nil carrier is started afresh.
+// Carriers are never stopped: there is one per task slot of the
+// widest run so far, parked, holding nothing of a finished run.
+var (
+	carriers []*carrier
+	done     = make(chan struct{}, 1)
+)
 
 // active is the executor currently in Run, nil otherwise. Hooks called
 // from goroutines that are not registered tasks are no-ops, so kernel
@@ -369,12 +418,16 @@ func New(cfg Config) *Executor {
 	if maxSteps == 0 {
 		maxSteps = 1 << 22
 	}
+	eng := spare.Swap(nil)
+	if eng == nil {
+		eng = new(engine)
+	}
 	return &Executor{
 		name:     name,
 		seed:     cfg.Seed,
 		strategy: st,
 		maxSteps: maxSteps,
-		done:     make(chan struct{}),
+		eng:      eng,
 	}
 }
 
@@ -384,13 +437,14 @@ func (ex *Executor) Go(name string, fn func()) {
 	if ex.running {
 		panic("schedsim: Go after Run")
 	}
-	ex.tasks = append(ex.tasks, &task{
-		ex:   ex,
-		id:   len(ex.tasks),
-		name: name,
-		fn:   fn,
-		gate: make(chan struct{}, 1),
-	})
+	eng := ex.eng
+	id := len(eng.tasks)
+	if id == len(eng.slots) {
+		eng.slots = append(eng.slots, new(task))
+	}
+	t := eng.slots[id]
+	*t = task{ex: ex, id: id, name: name, fn: fn, local: Local{Held: t.local.Held[:0]}}
+	eng.tasks = eng.slots[:id+1]
 }
 
 // Run executes all tasks to completion under the configured strategy
@@ -401,28 +455,48 @@ func (ex *Executor) Run() error {
 		panic("schedsim: Run called twice")
 	}
 	ex.running = true
-	if len(ex.tasks) == 0 {
+	if len(ex.eng.tasks) == 0 {
+		ex.release()
 		return nil
 	}
 	if !active.CompareAndSwap(nil, ex) {
 		panic("schedsim: another executor is already running")
 	}
-	var ready sync.WaitGroup
-	for _, t := range ex.tasks {
-		ready.Add(1)
-		go t.run(&ready)
+	for i, t := range ex.eng.tasks {
+		if i == len(carriers) {
+			carriers = append(carriers, nil)
+		}
+		c := carriers[i]
+		if c == nil {
+			c = &carrier{gate: make(chan struct{}, 1)}
+			carriers[i] = c
+			go c.carry()
+		}
+		c.t, t.gate = t, c.gate
 	}
-	// Every task is parked on its gate before the first decision, so
-	// Run may touch executor state here without holding the token.
-	ready.Wait()
+	// Every carrier is parked on its gate until the token reaches it,
+	// so Run may touch executor state here without holding the token.
 	first := ex.choose(nil, PointStart, "")
 	first.gate <- struct{}{}
-	<-ex.done
+	<-done
 	active.Store(nil)
+	ex.release()
 	if ex.failure != nil {
 		return ex.failure
 	}
 	return nil
+}
+
+// release returns ex's engine to spare, its records holding nothing of
+// the run.
+func (ex *Executor) release() {
+	eng := ex.eng
+	for _, t := range eng.tasks {
+		t.ex, t.fn, t.ready = nil, nil, nil
+	}
+	eng.tasks = nil
+	spare.Store(eng)
+	ex.eng = nil
 }
 
 // Decisions returns nil. The executor keeps no decision log, so that a
@@ -431,35 +505,67 @@ func (ex *Executor) Run() error {
 // of the executor's log, which is now always zero.
 func (ex *Executor) Decisions() []Decision { return nil }
 
-func (t *task) run(ready *sync.WaitGroup) {
-	ex := t.ex
-	ready.Done()
-	t.await()
-	func() {
-		defer func() {
-			if r := recover(); r != nil && r != errAborted {
-				if ex.failure == nil {
-					ex.failure = &Failure{
-						Executor: ex.name,
-						Seed:     ex.seed,
-						Task:     t.name,
-						Step:     ex.step,
-						Panic:    r,
-					}
-				}
-				ex.aborting = true
-			}
-		}()
-		if !ex.aborting {
-			t.fn()
+// carry is a carrier's goroutine: it runs a task each time the token
+// first reaches it, until a task ends in a panic.
+func (c *carrier) carry() {
+	for {
+		<-c.gate
+		if !c.t.run() {
+			return
 		}
-	}()
+	}
+}
+
+// run runs t, which has just taken the token for the first time, and
+// passes the token on when t is done. It reports whether t's carrier
+// may carry another task: not once a panic has unwound it, so the next
+// run starts a new carrier in its place. Nothing after the hand-off
+// touches t, which the next run may already be reusing.
+func (t *task) run() bool {
+	ex := t.ex
+	ex.holder = t
+	panicked := t.body()
 	t.state = taskDone
+	if panicked {
+		carriers[t.id] = nil
+	}
 	if next := ex.choose(t, PointDone, t.name); next != nil {
 		next.gate <- struct{}{}
 	} else {
-		close(ex.done)
+		done <- struct{}{}
 	}
+	return !panicked
+}
+
+// body runs t's function unless the schedule is already aborting, and
+// reports whether it ended in a panic. The first panic other than an
+// abort's unwinding is the schedule's failure, and aborts it.
+func (t *task) body() (panicked bool) {
+	ex := t.ex
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		panicked = true
+		if r == errAborted {
+			return
+		}
+		if ex.failure == nil {
+			ex.failure = &Failure{
+				Executor: ex.name,
+				Seed:     ex.seed,
+				Task:     t.name,
+				Step:     ex.step,
+				Panic:    r,
+			}
+		}
+		ex.aborting = true
+	}()
+	if !ex.aborting {
+		t.fn()
+	}
+	return false
 }
 
 // choose records a scheduling decision at the given point and returns
@@ -467,6 +573,7 @@ func (t *task) run(ready *sync.WaitGroup) {
 // Only the token holder (or Run, before the first dispatch) may call
 // it. from is the yielding task, nil at the initial dispatch.
 func (ex *Executor) choose(from *task, p Point, detail string) *task {
+	eng := ex.eng
 	if ex.step >= ex.maxSteps && !ex.aborting {
 		ex.failure = &Failure{
 			Executor: ex.name,
@@ -480,7 +587,7 @@ func (ex *Executor) choose(from *task, p Point, detail string) *task {
 	if ex.aborting {
 		// Drain: wake each remaining task in turn so it unwinds via
 		// errAborted; readiness predicates no longer apply.
-		for _, t := range ex.tasks {
+		for _, t := range eng.tasks {
 			if t.state != taskDone && t != from {
 				t.state = taskRunnable
 				t.ready = nil
@@ -494,8 +601,8 @@ func (ex *Executor) choose(from *task, p Point, detail string) *task {
 	// acquires and keeps), so a true return transitions the task to
 	// runnable exactly once. Evaluation is in task order, which keeps
 	// the runnable set — and therefore the schedule — deterministic.
-	run, names := ex.run[:0], ex.names[:0]
-	for _, t := range ex.tasks {
+	run, names := eng.run[:0], eng.names[:0]
+	for _, t := range eng.tasks {
 		switch t.state {
 		case taskRunnable:
 		case taskBlocked:
@@ -510,10 +617,10 @@ func (ex *Executor) choose(from *task, p Point, detail string) *task {
 		run = append(run, t)
 		names = append(names, t.name)
 	}
-	ex.run, ex.names = run, names
+	eng.run, eng.names = run, names
 	if len(run) == 0 {
 		var reasons []string
-		for _, t := range ex.tasks {
+		for _, t := range eng.tasks {
 			if t.state == taskBlocked {
 				reasons = append(reasons, t.name+": "+t.why)
 			}

@@ -358,6 +358,97 @@ func TestYieldAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestWarmRunAllocatesOnlyTheHandle pins the engine's reuse: once a
+// run as wide has gone before, New, two Gos and Run allocate nothing
+// but the Executor handle. The task records, the carriers and their
+// gates, and choose's scratch all come back from the run before.
+func TestWarmRunAllocatesOnlyTheHandle(t *testing.T) {
+	a, b := chatter(10), chatter(10)
+	run := func() {
+		ex := New(Config{Strategy: RoundRobin()})
+		ex.Go("a", a)
+		ex.Go("b", b)
+		if err := ex.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(100, run); n > 1 {
+		t.Errorf("a warm run allocated %v objects, want at most 1, the handle", n)
+	}
+}
+
+// TestPanickedCarrierIsReplaced: a carrier whose task ended in a
+// panic is not reused, since a panic may have left its goroutine in
+// any state; the next run starts a new carrier in its slot and keeps
+// the carrier of a task that ended normally.
+func TestPanickedCarrierIsReplaced(t *testing.T) {
+	ex := New(Config{Strategy: Sticky()})
+	ex.Go("victim", func() { panic("boom") })
+	ex.Go("bystander", chatter(3))
+	var f *Failure
+	if err := ex.Run(); !errors.As(err, &f) || f.Task != "victim" {
+		t.Fatalf("want victim's panic, got %v", err)
+	}
+	// Sticky starts the victim; its panic aborts the run before the
+	// bystander's body runs, so only the victim's carrier unwound.
+	if carriers[0] != nil {
+		t.Error("the panicked task's carrier is still in its slot")
+	}
+	kept := carriers[1]
+	if kept == nil {
+		t.Fatal("the bystander's carrier was dropped")
+	}
+	ran := 0
+	ex = New(Config{Strategy: RoundRobin()})
+	ex.Go("a", func() { ran++ })
+	ex.Go("b", func() { ran++ })
+	if err := ex.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ran != 2 {
+		t.Errorf("%d of 2 tasks ran after the failed run", ran)
+	}
+	if carriers[0] == nil || carriers[1] != kept {
+		t.Errorf("carriers after the next run: slot 0 %p, slot 1 %p (kept %p)", carriers[0], carriers[1], kept)
+	}
+}
+
+// TestExecutorsBuiltConcurrently: goroutines may build executors at
+// once, though only one runs at a time. Each New takes the spare
+// engine or a fresh one, so executors that exist together share no
+// task records: every builder here builds before any runs, then the
+// runs, serialized by a mutex, must each run their own two tasks once.
+// Run under -race, it also checks the engine's hand-over between
+// goroutines.
+func TestExecutorsBuiltConcurrently(t *testing.T) {
+	const builders, rounds = 4, 25
+	for r := 0; r < rounds; r++ {
+		var runMu sync.Mutex
+		var built, finished sync.WaitGroup
+		built.Add(builders)
+		finished.Add(builders)
+		for b := 0; b < builders; b++ {
+			go func() {
+				defer finished.Done()
+				ran := [2]int{}
+				ex := New(Config{Seed: int64(r)})
+				ex.Go("a", func() { ran[0]++; Yield(PointYield, "") })
+				ex.Go("b", func() { ran[1]++; Yield(PointYield, "") })
+				built.Done()
+				built.Wait()
+				runMu.Lock()
+				err := ex.Run()
+				runMu.Unlock()
+				if err != nil || ran != [2]int{1, 1} {
+					t.Errorf("round %d builder %d: tasks ran %v times, err %v", r, b, ran, err)
+				}
+			}()
+		}
+		finished.Wait()
+	}
+}
+
 func TestMaxStepsBackstop(t *testing.T) {
 	ex := New(Config{Seed: 2, MaxSteps: 100})
 	ex.Go("spinner", func() {

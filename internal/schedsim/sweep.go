@@ -102,7 +102,7 @@ func Sweep(cfg SweepConfig, run func(Strategy) error) (SweepReport, error) {
 		ds := rec.Decisions()
 		if pfx.depth >= maxDev {
 			for i := len(pfx.choices); i < len(ds); i++ {
-				if cfg.Window == nil || cfg.Window(ds[i]) {
+				if cfg.Window == nil || cfg.Window(ds[i].Decision) {
 					rep.WindowDecisions++
 				}
 			}
@@ -112,7 +112,7 @@ func Sweep(cfg SweepConfig, run func(Strategy) error) (SweepReport, error) {
 		// already expanded when their own prefix ran.
 		for i := len(pfx.choices); i < len(ds); i++ {
 			d := ds[i]
-			if cfg.Window != nil && !cfg.Window(d) {
+			if cfg.Window != nil && !cfg.Window(d.Decision) {
 				continue
 			}
 			rep.WindowDecisions++
@@ -143,7 +143,7 @@ func Sweep(cfg SweepConfig, run func(Strategy) error) (SweepReport, error) {
 // so the Recorder copies it.
 type Recorder struct {
 	inner     Strategy
-	decisions []Decision
+	decisions []Recorded
 }
 
 // Record wraps inner in a Recorder.
@@ -155,11 +155,10 @@ func (r *Recorder) Choose(d Decision) int {
 	if c < 0 || c >= len(d.Runnable) {
 		c = 0
 	}
-	d.Chosen = c
 	d.Runnable = append([]string(nil), d.Runnable...)
-	r.decisions = append(r.decisions, d)
+	r.decisions = append(r.decisions, Recorded{d, c})
 	return c
 }
 
 // Decisions returns the recorded schedule.
-func (r *Recorder) Decisions() []Decision { return r.decisions }
+func (r *Recorder) Decisions() []Recorded { return r.decisions }

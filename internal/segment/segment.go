@@ -442,13 +442,15 @@ func (m *Manager) takeSlot() int {
 // releaseSlot frees AST slot i. Caller holds m.mu.
 func (m *Manager) releaseSlot(i int) { m.free[i/64] |= 1 << (i % 64) }
 
-// Lookup returns the AST entry for uid.
+// Lookup returns the AST entry for uid. A miss is expected (a
+// missing-segment fault asks before it activates), so it returns
+// ErrNotActive itself and builds no error value.
 func (m *Manager) Lookup(uid uint64) (*ASTE, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	a, ok := m.byUID[uid]
 	if !ok {
-		return nil, fmt.Errorf("%w: segment %d", ErrNotActive, uid)
+		return nil, ErrNotActive
 	}
 	return a, nil
 }
@@ -495,7 +497,7 @@ func (m *Manager) Connect(uid uint64, dt *hw.DescriptorTable, segno int, access 
 func (m *Manager) Disconnect(uid uint64) error {
 	a, err := m.Lookup(uid)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: segment %d", err, uid)
 	}
 	m.mu.Lock()
 	conns := a.conns

@@ -172,6 +172,11 @@ func TestActivateValidation(t *testing.T) {
 	if _, err := f.m.Lookup(424242); !errors.Is(err, ErrNotActive) {
 		t.Errorf("Lookup of inactive: %v", err)
 	}
+	// A miss is the expected answer before an activation: it must
+	// build no error value.
+	if n := testing.AllocsPerRun(100, func() { _, _ = f.m.Lookup(424242) }); n != 0 {
+		t.Errorf("a Lookup miss allocated %v objects, want 0", n)
+	}
 }
 
 func TestGrowChargesQuotaAndStoresRecord(t *testing.T) {

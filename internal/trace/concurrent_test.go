@@ -205,15 +205,23 @@ func TestBindCPUAttribution(t *testing.T) {
 }
 
 // TestBindCPUOffTaskPanics: off a schedsim task there is no
-// per-processor state to hold a binding, so BindCPU refuses.
+// per-processor state to hold a binding, so BindCPU and BindTask
+// refuse.
 func TestBindCPUOffTaskPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("BindCPU off a task did not panic")
-		}
-		if BoundCPU() != 0 {
-			t.Errorf("BoundCPU = %d after the refused bind, want 0", BoundCPU())
-		}
-	}()
-	BindCPU(1)
+	for name, bind := range map[string]func(){
+		"BindCPU":  func() { BindCPU(1) },
+		"BindTask": func() { BindTask(1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s off a task did not panic", name)
+				}
+				if BoundCPU() != 0 {
+					t.Errorf("BoundCPU = %d after the refused %s, want 0", BoundCPU(), name)
+				}
+			}()
+			bind()
+		}()
+	}
 }

@@ -22,13 +22,27 @@ import "multics/internal/schedsim"
 // Bindings nest: unbinding restores the binding that was in force.
 // Off a task there is nowhere to keep a binding, and BindCPU panics.
 func BindCPU(cpu int) func() {
-	l := schedsim.Current()
-	if l == nil {
-		panic("trace: BindCPU called off a schedsim task")
-	}
+	l := taskLocal()
 	prev := l.CPU
 	l.CPU = int32(cpu) + 1
 	return func() { l.CPU = prev }
+}
+
+// BindTask binds the calling schedsim task to the simulated processor
+// id for the rest of the task. A task's binding ends with the task, so
+// a binding made as the task starts needs no unbinding, and BindTask,
+// unlike BindCPU, builds no function to remove it. It panics off a
+// task.
+func BindTask(cpu int) { taskLocal().CPU = int32(cpu) + 1 }
+
+// taskLocal returns the calling task's per-processor state; it panics
+// off a task, where there is none to hold a binding.
+func taskLocal() *schedsim.Local {
+	l := schedsim.Current()
+	if l == nil {
+		panic("trace: processor binding off a schedsim task")
+	}
+	return l
 }
 
 // BoundCPU reports the calling task's processor binding as the

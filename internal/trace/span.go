@@ -393,6 +393,23 @@ func (r *Recorder) SetRunningProcess(cpu int, pid uint64) {
 	r.mu.Unlock()
 }
 
+// SwapRunningProcess makes pid the user process charged with span
+// self-time on the calling context's slot, the slot its spans are
+// kept on, and returns the process it replaces (zero: none). The
+// kernel sets a process aside with it for work done on no process's
+// behalf, then puts it back.
+func (r *Recorder) SwapRunningProcess(pid uint64) uint64 {
+	if r == nil {
+		return 0
+	}
+	slot := int(BoundCPU()) % spanSlots
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	prev := r.sp.curProc[slot]
+	r.sp.curProc[slot] = pid
+	return prev
+}
+
 // Spans returns the retained completed spans, completion order,
 // oldest first.
 func (r *Recorder) Spans() []Span {

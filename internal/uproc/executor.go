@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"multics/internal/hw"
 	"multics/internal/schedsim"
@@ -76,20 +77,72 @@ type SimExecutor struct {
 // Name implements Executor.
 func (SimExecutor) Name() string { return "schedsim" }
 
-// Run implements Executor.
+// Run implements Executor. A warm run builds nothing but the schedsim
+// handle (and Random(Seed) when Strategy is nil): the task functions
+// come from the spare simRun, the task names from cpuNames.
 func (e SimExecutor) Run(cpus []*hw.Processor, body func(cpu *hw.Processor)) error {
 	ex := schedsim.New(schedsim.Config{
 		Name:     "uproc",
 		Seed:     e.Seed,
 		Strategy: e.Strategy,
 	})
-	for _, cpu := range cpus {
-		ex.Go("cpu"+strconv.Itoa(cpu.ID), func() {
-			defer trace.BindCPU(cpu.ID)()
-			body(cpu)
-		})
+	r := spareRun.Swap(nil)
+	if r == nil {
+		r = new(simRun)
 	}
-	return ex.Run()
+	r.cpus, r.body = cpus, body
+	for i, cpu := range cpus {
+		ex.Go(cpuName(cpu.ID), r.task(i))
+	}
+	err := ex.Run()
+	r.cpus, r.body = nil, nil
+	spareRun.Store(r)
+	return err
+}
+
+// A simRun is what a SimExecutor run's tasks run: task i binds itself
+// to cpus[i] and runs body there. Its task functions are built once
+// per slot and kept, and runs reuse the spare simRun, so a warm run
+// builds no closure.
+type simRun struct {
+	cpus  []*hw.Processor
+	body  func(cpu *hw.Processor)
+	tasks []func()
+}
+
+// spareRun is the simRun the last SimExecutor run to finish left.
+var spareRun atomic.Pointer[simRun]
+
+// task returns slot i's task function.
+func (r *simRun) task(i int) func() {
+	for len(r.tasks) <= i {
+		slot := len(r.tasks)
+		r.tasks = append(r.tasks, func() { r.run(slot) })
+	}
+	return r.tasks[i]
+}
+
+func (r *simRun) run(slot int) {
+	cpu := r.cpus[slot]
+	trace.BindTask(cpu.ID)
+	r.body(cpu)
+}
+
+// cpuNames are the task names of processors 0 to 63, the processors a
+// trace can bind, built once.
+var cpuNames = func() (names [64]string) {
+	for i := range names {
+		names[i] = "cpu" + strconv.Itoa(i)
+	}
+	return names
+}()
+
+// cpuName is the task name of processor id.
+func cpuName(id int) string {
+	if id >= 0 && id < len(cpuNames) {
+		return cpuNames[id]
+	}
+	return "cpu" + strconv.Itoa(id)
 }
 
 // RunQuantumWith runs the scheduler's quantum loop on every processor
@@ -101,22 +154,43 @@ func (e SimExecutor) Run(cpus []*hw.Processor, body func(cpu *hw.Processor)) err
 // all busy. The total across processors is returned with the first
 // error, if any.
 func (m *Manager) RunQuantumWith(ex Executor, cpus []*hw.Processor, n int, body func(cpu *hw.Processor, p *Process)) (int, error) {
-	var (
-		mu    sync.Mutex
-		total int
-		first error
-	)
-	err := ex.Run(cpus, func(cpu *hw.Processor) {
-		ran, err := m.workerLoop(cpu, n, body)
-		mu.Lock()
-		defer mu.Unlock()
-		total += ran
-		if first == nil {
-			first = err
-		}
-	})
-	if err == nil {
-		err = first
+	ph := m.sparePhase.Swap(nil)
+	if ph == nil {
+		ph = &quantumPhase{m: m}
+		ph.worker = ph.work
 	}
+	ph.n, ph.body, ph.total, ph.first = n, body, 0, nil
+	err := ex.Run(cpus, ph.worker)
+	if err == nil {
+		err = ph.first
+	}
+	total := ph.total
+	ph.body, ph.first = nil, nil
+	m.sparePhase.Store(ph)
 	return total, err
+}
+
+// A quantumPhase is one RunQuantumWith call's state: what its workers
+// run and what they report. The manager keeps the last one finished,
+// worker method value included, so a warm phase allocates nothing.
+type quantumPhase struct {
+	m      *Manager
+	n      int
+	body   func(cpu *hw.Processor, p *Process)
+	worker func(cpu *hw.Processor)
+
+	mu    sync.Mutex
+	total int
+	first error
+}
+
+// work is one processor's quantum loop.
+func (ph *quantumPhase) work(cpu *hw.Processor) {
+	ran, err := ph.m.workerLoop(cpu, ph.n, ph.body)
+	ph.mu.Lock()
+	defer ph.mu.Unlock()
+	ph.total += ran
+	if ph.first == nil {
+		ph.first = err
+	}
 }

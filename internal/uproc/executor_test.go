@@ -2,6 +2,7 @@ package uproc
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"multics/internal/aim"
@@ -143,5 +144,49 @@ func TestWorkerUnbindsItsProcessor(t *testing.T) {
 	}
 	if after := rec.Snapshot().Procs[p.ID()]; after != before {
 		t.Errorf("pid %d charged %+v after its quanta run returned (had %+v)", p.ID(), after, before)
+	}
+}
+
+// TestQuantumPhaseAllocatesLittle pins the host cost of a warm
+// two-processor quantum phase under the sim executor. The executor's
+// task records, carriers and decision scratch, SimExecutor's task
+// functions and names, and RunQuantumWith's state are all reused from
+// the phase before, so a phase allocates little beyond the executor's
+// handle and its seeded strategy: two objects, under 128 bytes.
+func TestQuantumPhaseAllocatesLittle(t *testing.T) {
+	const procs, warm, phases = 4, 16, 1024
+	f := newFixture(t, 4) // 2 kernel + 2 multiplexable
+	for i := 0; i < procs; i++ {
+		if _, err := f.m.Create("u.x", aim.Bottom); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cpus := []*hw.Processor{hw.NewProcessor(0, nil, f.meter), hw.NewProcessor(1, nil, f.meter)}
+	var ex Executor = SimExecutor{Seed: 1977}
+	var ran int
+	var err error
+	run := func(n int) {
+		for i := 0; i < n && err == nil; i++ {
+			var r int
+			r, err = f.m.RunQuantumWith(ex, cpus, 2, nil)
+			ran += r
+		}
+	}
+	run(warm)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(phases)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ran != 4*(warm+phases) {
+		t.Fatalf("%d quanta ran, want %d", ran, 4*(warm+phases))
+	}
+	per := (after.TotalAlloc - before.TotalAlloc) / phases
+	objs := (after.Mallocs - before.Mallocs) / phases
+	t.Logf("%d B in %d objects per quantum phase", per, objs)
+	if per >= 128 || objs > 2 {
+		t.Errorf("a warm quantum phase allocated %d bytes in %d objects, want under 128 in at most 2", per, objs)
 	}
 }

@@ -372,6 +372,10 @@ type Manager struct {
 	// never shrinks.
 	spareMu sync.Mutex
 	spare   []*Process
+
+	// sparePhase is the state of the last RunQuantumWith call to
+	// finish, reused by the next.
+	sparePhase atomic.Pointer[quantumPhase]
 }
 
 // NewManager returns a user process manager multiplexing vps and
