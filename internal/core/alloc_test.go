@@ -17,9 +17,9 @@ import (
 // Two processors scan their own file, each file on its own pack, under
 // the deterministic executor; every pass starts by deactivating both
 // files, so every page faults, and the sequential pattern serves most
-// faults from read-ahead claims. Read-ahead tickets and cache entries
-// are recycled, the read-ahead window and eviction reports live in
-// buffers the callers own, and a fault travels by value, so the whole
+// faults from read-ahead claims. Read-ahead tickets are recycled, a
+// speculation lives in the frame table, the read-ahead window and
+// eviction reports live in buffers the callers own, and a fault travels by value, so the whole
 // pass (deactivation, activation and the executor run included)
 // averages under 24 bytes of Go heap per fault: an activation reuses
 // its slot's AST entry and page table, and a deactivation lists its

@@ -147,13 +147,21 @@ type Evicted struct {
 }
 
 type frameInfo struct {
-	inUse     bool
+	inUse bool
+	// cached marks a frame reserved for a speculative read (see
+	// prefetch.go), which is neither free nor in use: the identity
+	// fields name the predicted page, ticket is the queued read that
+	// fills the frame, and ref is its second-chance bit. The flags sit
+	// together, which keeps an entry at nine words.
+	cached    bool
+	ref       bool
+	hasRecord bool
+	ticket    *disk.Ticket
 	uid       uint64
 	page      int
 	pt        *hw.PageTable
 	pack      *disk.Pack
 	record    disk.RecordAddr
-	hasRecord bool
 	// prev and next thread the in-use frames holding pages of one page
 	// table into a list, as the Multics core map threads its entries;
 	// -1 ends it. setFrameLocked maintains them, and they mean nothing
@@ -219,18 +227,14 @@ type Manager struct {
 	// list is stale.
 	admits int64
 
-	// The speculative read-ahead cache (see prefetch.go): cached
-	// indexes prefetched-but-unclaimed frames by descriptor, cacheRing
-	// is the same entries in Clock order, and cacheHand is the
-	// second-chance hand's position in the ring.
-	cached    map[descKey]*cachedFrame
-	cacheRing []*cachedFrame
+	// The speculative read-ahead cache (see prefetch.go): cacheRing
+	// lists the cached frames in issue order, cacheHand is the
+	// second-chance hand's position in it, and readPacks are the packs
+	// speculative reads have been queued on, whose ticket lists Audit
+	// checks.
+	cacheRing []int
 	cacheHand int
-	// spareCached is the free list of cache entries (see
-	// freeCachedLocked), and readPacks the packs speculative reads
-	// have been queued on, whose ticket lists Audit checks.
-	spareCached []*cachedFrame
-	readPacks   []*disk.Pack
+	readPacks []*disk.Pack
 
 	// inflight counts, per disk record, the evicted pages whose
 	// write-back has not reached the disk yet. Until it has, the record
@@ -297,7 +301,6 @@ func NewManager(mem *hw.Memory, firstFrame int, vps *vproc.Manager, meter *hw.Co
 		frames:   make([]frameInfo, mem.Frames()-firstFrame),
 		tables:   make(map[*hw.PageTable]int),
 		unlocks:  make(map[descKey]*eventcount.Eventcount),
-		cached:   make(map[descKey]*cachedFrame),
 		inflight: make(map[recKey]int),
 		evicting: make(map[*hw.PageTable]int),
 		Lang:     hw.PLI,
@@ -346,7 +349,7 @@ type Stats struct {
 	// actually entered, not vacuously passed.
 	ZeroRescues int64
 	// The read-ahead pipeline's counters: speculative reads queued,
-	// demand faults served from the speculative cache, entries
+	// demand faults served from the speculative cache, speculations
 	// discarded unclaimed (speculative transfer faults and stale
 	// pages), and frames the second-chance clock took back for demand
 	// allocation.
@@ -409,9 +412,7 @@ func (m *Manager) LoadPage(req PageReq, out []Evicted) ([]Evicted, error) {
 	frame := -1
 	ev := out
 	if req.HasRecord {
-		if f, ok := m.claimPrefetch(req); ok {
-			frame = f
-		}
+		frame = m.claimPrefetch(req)
 	}
 	if frame < 0 {
 		var err error
@@ -664,9 +665,9 @@ func (m *Manager) obtainFrame(out []Evicted) (int, []Evicted, error) {
 	// resident pages, consult the speculative cache's second-chance
 	// bits — an unclaimed prefetch frame is cheaper to take back than a
 	// resident page is to evict and write back.
-	if cf := m.stealCachedLocked(); cf != nil {
+	if v, ok := m.stealCachedLocked(); ok {
 		m.mu.Unlock()
-		return m.dropCached(cf, dropSteal), out, nil
+		return m.dropCached(v, dropSteal), out, nil
 	}
 	// Nothing free anywhere: gather up to a batch of victims in one
 	// pass over the clock.
@@ -747,8 +748,9 @@ func (m *Manager) chooseVictimLocked() (int, error) {
 	return 0, ErrNoFrames
 }
 
-// A victim is one frame removed from the in-use table whose page is
-// still to be disconnected and persisted.
+// A victim is one frame taken out of the frame table with its entry:
+// an evicted page still to be disconnected and persisted, or a
+// speculation leaving the read-ahead cache.
 type victim struct {
 	frame int
 	info  frameInfo
@@ -1345,8 +1347,9 @@ func (m *Manager) SampleWorkingSets() (map[uint64]int, int) {
 }
 
 // Audit checks the manager's own invariants and returns a description
-// of every violation: the free list and the in-use frame table must
-// partition the pageable frames exactly, every in-use frame's page
+// of every violation: the free list, the cached frames and the in-use
+// frames must partition the pageable frames exactly, the read-ahead
+// ring must list exactly the cached frames, every in-use frame's page
 // descriptor must point back at that frame, and the per-table resident
 // lists must name exactly the in-use frames, each under its own table.
 // It is one module's share of the paper's audit prong.
@@ -1354,67 +1357,34 @@ func (m *Manager) Audit() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var bad []string
-	seen := make(map[int]string, len(m.frames))
+	free := make([]bool, len(m.frames))
 	for _, f := range m.free {
 		if f < m.first || f >= m.first+len(m.frames) {
 			bad = append(bad, fmt.Sprintf("free frame %d outside pageable range", f))
 			continue
 		}
-		if prev, dup := seen[f]; dup {
-			bad = append(bad, fmt.Sprintf("frame %d on free list twice (%s)", f, prev))
+		if free[f-m.first] {
+			bad = append(bad, fmt.Sprintf("frame %d on free list twice", f))
 		}
-		seen[f] = "free"
-		if m.frames[f-m.first].inUse {
+		free[f-m.first] = true
+		if fi := &m.frames[f-m.first]; fi.inUse {
 			bad = append(bad, fmt.Sprintf("frame %d both free and in use", f))
+		} else if fi.cached {
+			bad = append(bad, fmt.Sprintf("frame %d both free and cached", f))
 		}
 	}
-	// The speculative read-ahead cache is the partition's third class:
-	// every prefetched-but-unclaimed frame must appear in the ring
-	// exactly once, agree with the map index, and never double as free
-	// or in-use; an entry still carrying its reference bit must be
-	// connected to a queued read.
-	if len(m.cached) != len(m.cacheRing) {
-		bad = append(bad, fmt.Sprintf("prefetch cache map holds %d entries but the ring holds %d", len(m.cached), len(m.cacheRing)))
-	}
-	for _, cf := range m.cacheRing {
-		frame := cf.frame
-		if frame < m.first || frame >= m.first+len(m.frames) {
-			bad = append(bad, fmt.Sprintf("cached frame %d outside pageable range", frame))
+	// The read-ahead ring must name exactly the cached frames, each
+	// once; the walk of the table below checks the other direction.
+	ringed := make([]bool, len(m.frames))
+	for _, f := range m.cacheRing {
+		if f < m.first || f >= m.first+len(m.frames) {
+			bad = append(bad, fmt.Sprintf("read-ahead ring names frame %d outside pageable range", f))
 			continue
 		}
-		if prev, dup := seen[frame]; dup {
-			bad = append(bad, fmt.Sprintf("frame %d both cached and %s", frame, prev))
-			continue
+		if ringed[f-m.first] {
+			bad = append(bad, fmt.Sprintf("frame %d is in the read-ahead ring twice", f))
 		}
-		seen[frame] = "cached"
-		if m.frames[frame-m.first].inUse {
-			bad = append(bad, fmt.Sprintf("frame %d both cached and in use", frame))
-		}
-		if got := m.cached[descKey{cf.pt, cf.page}]; got != cf {
-			bad = append(bad, fmt.Sprintf("cached frame %d (page %d of segment %d) not indexed by the cache map", frame, cf.page, cf.uid))
-		}
-		if cf.ref && cf.ticket == nil {
-			bad = append(bad, fmt.Sprintf("cached frame %d carries the reference bit but no queued read", frame))
-		}
-	}
-	// A cache entry on the free list has left the cache for good: it is
-	// neither indexed nor in the ring, and is listed once. The tickets
-	// it handed back sit on their packs' spare lists, done and no longer
-	// queued.
-	live := make(map[*cachedFrame]bool, len(m.cacheRing))
-	for _, cf := range m.cacheRing {
-		live[cf] = true
-	}
-	for _, cf := range m.cached {
-		live[cf] = true
-	}
-	for i, cf := range m.spareCached {
-		if live[cf] {
-			bad = append(bad, fmt.Sprintf("free cache entry %d is still in the prefetch cache", i))
-		}
-		if slices.Contains(m.spareCached[:i], cf) {
-			bad = append(bad, fmt.Sprintf("free cache entry %d is on the free list twice", i))
-		}
+		ringed[f-m.first] = true
 	}
 	for _, p := range m.readPacks {
 		bad = append(bad, p.AuditQueue()...)
@@ -1441,23 +1411,43 @@ func (m *Manager) Audit() []string {
 			}
 		}
 	}
+	// Walk the frame table: a cached frame is in the ring, never in
+	// use, the only speculation on its page, and has a queued read
+	// behind its reference bit; an in-use frame is listed and mapped.
 	inUse := 0
+	specs := make(map[descKey]int)
 	for i, fi := range m.frames {
 		frame := m.first + i
+		if fi.cached && !ringed[i] {
+			bad = append(bad, fmt.Sprintf("cached frame %d is missing from the read-ahead ring", frame))
+		} else if !fi.cached && ringed[i] {
+			bad = append(bad, fmt.Sprintf("frame %d is in the read-ahead ring but not cached", frame))
+		}
+		if fi.ref && fi.ticket == nil {
+			bad = append(bad, fmt.Sprintf("frame %d carries the reference bit but no queued read", frame))
+		}
+		if fi.cached {
+			if other, dup := specs[descKey{fi.pt, fi.page}]; dup {
+				bad = append(bad, fmt.Sprintf("frames %d and %d both speculate on page %d of segment %d", other, frame, fi.page, fi.uid))
+			}
+			specs[descKey{fi.pt, fi.page}] = frame
+		}
 		if !fi.inUse {
-			if _, ok := seen[frame]; !ok {
-				bad = append(bad, fmt.Sprintf("frame %d neither free nor in use", frame))
+			if !free[i] && !fi.cached {
+				bad = append(bad, fmt.Sprintf("frame %d neither free, cached nor in use", frame))
 			}
 			continue
+		}
+		if fi.cached {
+			bad = append(bad, fmt.Sprintf("frame %d both cached and in use", frame))
 		}
 		inUse++
 		if !listed[i] {
 			bad = append(bad, fmt.Sprintf("frame %d holds page %d of segment %d but its table's resident list does not name it", frame, fi.page, fi.uid))
 		}
-		if _, ok := seen[frame]; ok {
+		if free[i] {
 			continue // already reported as both
 		}
-		seen[frame] = "in-use"
 		d, err := fi.pt.Get(fi.page)
 		if err != nil {
 			bad = append(bad, fmt.Sprintf("frame %d: descriptor unreadable: %v", frame, err))

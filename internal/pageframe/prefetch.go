@@ -4,15 +4,24 @@
 // When the segment manager detects a sequential fault pattern it
 // names the predicted-next stored pages in PageReq.ReadAhead; the
 // manager reserves a frame for each, queues a speculative read on the
-// pack's elevator queue, and parks the pair as a cache entry. A later
-// demand fault on the page *claims* the entry — it waits out the
-// queued read's ticket and publishes the reserved frame without a
-// demand disk read. Until claimed, the entry's frame belongs to
-// neither the free list nor the in-use table: it is the cache's own
-// partition class, and when demand allocation runs dry the
-// second-chance hand sweeps the entries — a set reference bit buys
-// one more sweep, a clear one surrenders the frame back to demand use
-// — before the eviction clock ever touches a resident page.
+// pack's elevator queue straight into it, and marks the frame cached
+// in the frame table, whose entry names the predicted page and holds
+// the read's ticket. A later demand fault on the page *claims* the
+// frame — it waits out the ticket and publishes the frame without a
+// demand disk read. A cached frame belongs to neither the free list
+// nor the in-use frames: it is the core map's third partition class,
+// listed in issue order on the cache ring, and when demand allocation
+// runs dry the second-chance hand sweeps the ring — a set reference
+// bit buys one more sweep, a clear one surrenders the frame back to
+// demand use — before the eviction clock ever touches a resident page.
+//
+// A speculation leaves the cache to exactly one owner — the claiming
+// fault, or the path that drops it — which takes the frame's entry out
+// of the table and hands its ticket back to the pack (Claim or
+// Cancel). Every path that gives the frame back (stale, steal, purge)
+// cancels the ticket first, and Cancel dequeues the read or waits out
+// one in flight, so no transfer lands in a frame after it has been
+// reused.
 package pageframe
 
 import (
@@ -41,87 +50,82 @@ const (
 	dropSteal              // the second-chance clock took the frame back
 )
 
-// A cachedFrame is one prefetched-but-unclaimed page: a reserved
-// frame, which its queued read fills directly, and the ticket that
-// claims or cancels that read. Every path that gives the frame back
-// (stale, steal, purge) cancels the ticket first, and Cancel dequeues
-// the read or waits out one in flight, so no transfer lands in a frame
-// after it has been reused. ref is the second-chance bit, set at issue;
-// entries are immutable after insertion except for ref, which the
-// steal hand clears under m.mu.
-//
-// An entry leaves the cache to exactly one owner — the claiming fault,
-// or the path that drops it — which hands its ticket back to the pack
-// (Claim or Cancel) and then the entry itself to the manager's free
-// list (freeCachedLocked), so issuing a read-ahead allocates nothing.
-type cachedFrame struct {
-	frame  int
-	uid    uint64
-	page   int
-	pt     *hw.PageTable
-	pack   *disk.Pack
-	record disk.RecordAddr
-	ticket *disk.Ticket
-	ref    bool
+// cachedLocked returns the ring position of the speculation on the
+// page of pt, or -1. The ring holds a few read-ahead windows at most,
+// so scanning it is the index. Caller holds m.mu.
+func (m *Manager) cachedLocked(pt *hw.PageTable, page int) int {
+	for at, f := range m.cacheRing {
+		if fi := &m.frames[f-m.first]; fi.pt == pt && fi.page == page {
+			return at
+		}
+	}
+	return -1
 }
 
-// takeCached removes and returns the cache entry for the request's
-// page, or nil. An entry whose identity no longer matches the file
-// map — the page was truncated and regrown, or the segment relocated,
-// since the speculation was issued — is dropped as stale rather than
-// returned: claiming it would publish another record's data.
-func (m *Manager) takeCached(req PageReq) *cachedFrame {
-	m.mu.Lock()
-	cf := m.cached[descKey{req.PT, req.Page}]
-	if cf == nil {
-		m.mu.Unlock()
-		return nil
+// uncacheLocked takes the speculation at ring position at out of the
+// cache, keeping the hand stable, and returns its frame and entry; the
+// frame is then neither free, cached nor in use until the caller
+// places it. Caller holds m.mu.
+func (m *Manager) uncacheLocked(at int) victim {
+	v := victim{frame: m.cacheRing[at]}
+	v.info = m.frames[v.frame-m.first]
+	m.setFrameLocked(v.frame-m.first, frameInfo{})
+	m.cacheRing = append(m.cacheRing[:at], m.cacheRing[at+1:]...)
+	if m.cacheHand > at {
+		m.cacheHand--
 	}
-	m.removeCachedLocked(cf)
-	m.mu.Unlock()
-	if cf.pack != req.Pack || cf.record != req.Record {
-		m.releaseFrame(m.dropCached(cf, dropStale))
-		return nil
+	if m.cacheHand >= len(m.cacheRing) {
+		m.cacheHand = 0
 	}
-	return cf
+	return v
 }
 
 // claimPrefetch tries to satisfy a demand fault from the speculative
-// cache. On a hit it waits out the queued read, which has filled the
-// reserved frame, and returns the frame; a speculative transfer fault is dropped
-// silently — the demand path below re-reads under its own retry
-// budget, so speculation can never fail a fault it meant to serve.
-func (m *Manager) claimPrefetch(req PageReq) (int, bool) {
-	cf := m.takeCached(req)
-	if cf == nil {
-		return -1, false
+// cache and returns the claimed frame, or -1. On a hit it waits out the
+// queued read, which has filled the frame. A speculation whose identity
+// no longer matches the file map — the page was truncated and regrown,
+// or the segment relocated, since it was issued — is dropped as stale:
+// claiming it would publish another record's data. A speculative
+// transfer fault is dropped silently — the demand path re-reads under
+// its own retry budget, so speculation can never fail a fault it meant
+// to serve.
+func (m *Manager) claimPrefetch(req PageReq) int {
+	m.mu.Lock()
+	at := m.cachedLocked(req.PT, req.Page)
+	if at < 0 {
+		m.mu.Unlock()
+		return -1
 	}
-	if err := cf.ticket.Claim(); err != nil {
-		m.releaseFrame(m.noteDrop(cf, dropFault))
-		return -1, false
+	v := m.uncacheLocked(at)
+	m.mu.Unlock()
+	if v.info.pack != req.Pack || v.info.record != req.Record {
+		m.releaseFrame(m.dropCached(v, dropStale))
+		return -1
+	}
+	if err := v.info.ticket.Claim(); err != nil {
+		m.releaseFrame(m.dropCached(v, dropFault))
+		return -1
 	}
 	m.mu.Lock()
 	m.prefetchHits++
 	tr := m.trace
-	frame, record, page := cf.frame, cf.record, cf.page
-	m.freeCachedLocked(cf)
 	m.mu.Unlock()
 	if tr != nil {
 		tr.Emit(trace.Event{
 			Kind: trace.EvPrefetchHit, Module: ModuleName,
-			Arg0: int64(record), Arg1: int64(page),
+			Arg0: int64(v.info.record), Arg1: int64(v.info.page),
 		})
 	}
-	return frame, true
+	return v.frame
 }
 
 // issueReadAhead reserves frames for the request's predicted-next
 // pages and queues their speculative reads. Speculation spends only
 // genuinely free frames: it never evicts a resident page and never
-// steals a sibling cache entry, so under memory pressure read-ahead
-// simply switches itself off instead of feeding the thrash it would
-// worsen. It never fails the demand fault it rides on — when no frame
-// is free (or a read cannot be queued) it stops speculating.
+// steals a sibling speculation's frame, so under memory pressure
+// read-ahead simply switches itself off instead of feeding the thrash
+// it would worsen. It never fails the demand fault it rides on — when
+// no frame is free (or a read cannot be queued) it stops speculating.
 func (m *Manager) issueReadAhead(req PageReq) {
 	for _, ra := range req.ReadAhead[:req.ReadAheadLen] {
 		d, err := req.PT.Get(ra.Page)
@@ -131,14 +135,15 @@ func (m *Manager) issueReadAhead(req PageReq) {
 		if d.Present || d.Lock || m.Writing(req.Pack, ra.Record) {
 			continue
 		}
-		key := descKey{req.PT, ra.Page}
 		m.mu.Lock()
-		_, dup := m.cached[key]
+		dup := m.cachedLocked(req.PT, ra.Page) >= 0
 		m.mu.Unlock()
 		if dup {
 			continue
 		}
-		frame, ok := m.obtainFreeFrame()
+		m.mu.Lock()
+		frame, ok := m.popFreeLocked()
+		m.mu.Unlock()
 		if !ok {
 			break
 		}
@@ -153,9 +158,9 @@ func (m *Manager) issueReadAhead(req PageReq) {
 			break
 		}
 		m.mu.Lock()
-		if _, dup := m.cached[key]; dup {
+		if m.cachedLocked(req.PT, ra.Page) >= 0 {
 			// A concurrent faulter speculated on the same page between
-			// the check above and here; keep its entry.
+			// the check above and here; keep its speculation.
 			m.mu.Unlock()
 			tk.Cancel()
 			m.releaseFrame(frame)
@@ -164,13 +169,11 @@ func (m *Manager) issueReadAhead(req PageReq) {
 		if !slices.Contains(m.readPacks, req.Pack) {
 			m.readPacks = append(m.readPacks, req.Pack)
 		}
-		cf := m.newCachedLocked()
-		*cf = cachedFrame{
-			frame: frame, uid: req.UID, page: ra.Page, pt: req.PT,
-			pack: req.Pack, record: ra.Record, ticket: tk, ref: true,
-		}
-		m.cached[key] = cf
-		m.cacheRing = append(m.cacheRing, cf)
+		m.setFrameLocked(frame-m.first, frameInfo{
+			cached: true, ref: true, ticket: tk, uid: req.UID, page: ra.Page,
+			pt: req.PT, pack: req.Pack, record: ra.Record,
+		})
+		m.cacheRing = append(m.cacheRing, frame)
 		m.prefetchIssued++
 		tr := m.trace
 		m.mu.Unlock()
@@ -183,109 +186,55 @@ func (m *Manager) issueReadAhead(req PageReq) {
 	}
 }
 
-// obtainFreeFrame takes one frame from the free list only, and reports
-// failure instead of evicting or stealing when everything is spoken
-// for. The speculative path uses it so read-ahead never displaces
-// resident pages.
-func (m *Manager) obtainFreeFrame() (int, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.popFreeLocked()
-}
-
-// newCachedLocked returns an unused cache entry, from the free list
-// when it has one. Caller holds m.mu.
-func (m *Manager) newCachedLocked() *cachedFrame {
-	if n := len(m.spareCached); n > 0 {
-		cf := m.spareCached[n-1]
-		m.spareCached = m.spareCached[:n-1]
-		return cf
-	}
-	return new(cachedFrame)
-}
-
-// freeCachedLocked puts an entry that has left the cache, its ticket
-// already handed back, on the free list. The entry is cleared so the
-// list keeps no page table or pack alive. Caller holds m.mu.
-func (m *Manager) freeCachedLocked(cf *cachedFrame) {
-	*cf = cachedFrame{}
-	m.spareCached = append(m.spareCached, cf)
-}
-
 // stealCachedLocked runs the second-chance hand over the cache ring:
-// an entry with the reference bit set spends it and survives the
-// sweep; the first entry without it is removed and its frame
-// surrendered to demand use. Caller holds m.mu and must drop the
-// returned entry (dropCached, outside the lock) before reusing the
-// frame.
-func (m *Manager) stealCachedLocked() *cachedFrame {
+// a frame with the reference bit set spends it and survives the sweep;
+// the first frame without it is taken out of the cache and returned,
+// to be surrendered to demand use. Caller holds m.mu and must drop the
+// returned speculation (dropCached, outside the lock) before reusing
+// the frame.
+func (m *Manager) stealCachedLocked() (victim, bool) {
 	n := len(m.cacheRing)
 	for pass := 0; pass < 2*n; pass++ {
-		cf := m.cacheRing[m.cacheHand]
-		if cf.ref {
-			cf.ref = false
-			m.cacheHand = (m.cacheHand + 1) % len(m.cacheRing)
+		if fi := &m.frames[m.cacheRing[m.cacheHand]-m.first]; fi.ref {
+			fi.ref = false
+			m.cacheHand = (m.cacheHand + 1) % n
 			continue
 		}
-		m.removeCachedLocked(cf)
-		return cf
+		return m.uncacheLocked(m.cacheHand), true
 	}
-	return nil
+	return victim{}, false
 }
 
-// removeCachedLocked unlinks an entry from the map and ring, keeping
-// the hand stable. Caller holds m.mu.
-func (m *Manager) removeCachedLocked(cf *cachedFrame) {
-	delete(m.cached, descKey{cf.pt, cf.page})
-	for i, e := range m.cacheRing {
-		if e == cf {
-			m.cacheRing = append(m.cacheRing[:i], m.cacheRing[i+1:]...)
-			if m.cacheHand > i {
-				m.cacheHand--
-			}
-			break
-		}
-	}
-	if m.cacheHand >= len(m.cacheRing) {
-		m.cacheHand = 0
-	}
-}
-
-// purgeCached drops every cache entry for a page of pt numbered from
-// or above — truncation, deletion and deactivation must not leave
+// purgeCached drops every speculation on a page of pt numbered from or
+// above — truncation, deletion and deactivation must not leave
 // speculations pointing at records that may be freed and reused. The
 // ring gives the victims a deterministic order.
 func (m *Manager) purgeCached(pt *hw.PageTable, from int) {
 	m.mu.Lock()
-	var buf [2 * ReadAheadWindow]*cachedFrame
+	var buf [2 * ReadAheadWindow]victim
 	victims := buf[:0]
-	for _, cf := range m.cacheRing {
-		if cf.pt == pt && cf.page >= from {
-			victims = append(victims, cf)
+	for at := 0; at < len(m.cacheRing); {
+		if fi := &m.frames[m.cacheRing[at]-m.first]; fi.pt == pt && fi.page >= from {
+			victims = append(victims, m.uncacheLocked(at))
+		} else {
+			at++
 		}
 	}
-	for _, cf := range victims {
-		m.removeCachedLocked(cf)
-	}
 	m.mu.Unlock()
-	for _, cf := range victims {
-		m.releaseFrame(m.dropCached(cf, dropStale))
+	for _, v := range victims {
+		m.releaseFrame(m.dropCached(v, dropStale))
 	}
 }
 
-// dropCached discards an entry already removed from the cache: it
-// cancels the entry's read, which hands the ticket back to the pack,
-// and retires the entry with noteDrop. It returns the entry's frame,
-// for the caller to release or reuse.
-func (m *Manager) dropCached(cf *cachedFrame, class int64) int {
-	cf.ticket.Cancel()
-	return m.noteDrop(cf, class)
-}
-
-// noteDrop counts and traces one speculative entry discarded
-// unclaimed, whose ticket is already back with its pack, and puts the
-// entry on the free list. It returns the entry's frame.
-func (m *Manager) noteDrop(cf *cachedFrame, class int64) int {
+// dropCached counts and traces one speculation discarded unclaimed,
+// already taken out of the cache, and returns its frame for the caller
+// to release or reuse. A read that faulted was handed back by its
+// claim; any other is cancelled first, which hands the ticket back to
+// the pack.
+func (m *Manager) dropCached(v victim, class int64) int {
+	if class != dropFault {
+		v.info.ticket.Cancel()
+	}
 	m.mu.Lock()
 	if class == dropSteal {
 		m.prefetchSteals++
@@ -293,14 +242,12 @@ func (m *Manager) noteDrop(cf *cachedFrame, class int64) int {
 		m.prefetchDrops++
 	}
 	tr := m.trace
-	frame, record, page := cf.frame, cf.record, cf.page
-	m.freeCachedLocked(cf)
 	m.mu.Unlock()
 	if tr != nil {
 		tr.Emit(trace.Event{
 			Kind: trace.EvPrefetchDrop, Module: ModuleName,
-			Arg0: int64(record), Arg1: int64(page), Arg2: class,
+			Arg0: int64(v.info.record), Arg1: int64(v.info.page), Arg2: class,
 		})
 	}
-	return frame
+	return v.frame
 }

@@ -158,16 +158,69 @@ func TestPrefetchTransientFaultDropped(t *testing.T) {
 	}
 }
 
-// The audit's cache partition class: ring/map disagreement and a
-// disconnected reference bit are each reported.
-func TestAuditCatchesCacheCorruption(t *testing.T) {
+// Three speculations parked, then three demand allocations with no
+// free frame: the first steal's sweep spends every reference bit and
+// takes the oldest speculation, and the next two take the rest in
+// issue order without sweeping again. No resident page is evicted.
+func TestPrefetchStealSweepsInIssueOrder(t *testing.T) {
 	f := newFixture(t, 4)
-	pt := hw.NewPageTable(2)
-	recs := []disk.RecordAddr{f.storedPage(t, 50), f.storedPage(t, 51)}
+	f.m.FrameBatch = 1
+	pt := hw.NewPageTable(8)
+	recs := []disk.RecordAddr{f.storedPage(t, 60), f.storedPage(t, 61), f.storedPage(t, 62), f.storedPage(t, 63)}
 	_, err := f.m.LoadPage(PageReq{
 		UID: 1, PT: pt, Page: 0, Pack: f.pack, Record: recs[0], HasRecord: true,
-		ReadAhead:    [ReadAheadWindow]ReadAheadPage{{Page: 1, Record: recs[1]}},
-		ReadAheadLen: 1,
+		ReadAhead:    [ReadAheadWindow]ReadAheadPage{{Page: 1, Record: recs[1]}, {Page: 2, Record: recs[2]}, {Page: 3, Record: recs[3]}},
+		ReadAheadLen: 3,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ring lists the speculated pages in ring order, each with its
+	// reference bit.
+	type spec struct {
+		page int
+		ref  bool
+	}
+	ring := func() []spec {
+		f.m.mu.Lock()
+		defer f.m.mu.Unlock()
+		var r []spec
+		for _, fr := range f.m.cacheRing {
+			fi := &f.m.frames[fr-f.m.first]
+			r = append(r, spec{fi.page, fi.ref})
+		}
+		return r
+	}
+	if got, want := ring(), []spec{{1, true}, {2, true}, {3, true}}; !slices.Equal(got, want) {
+		t.Fatalf("ring after issue = %v, want %v", got, want)
+	}
+	for i, want := range [][]spec{{{2, false}, {3, false}}, {{3, false}}, nil} {
+		if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: 4 + i}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := ring(); !slices.Equal(got, want) {
+			t.Errorf("ring after steal %d = %v, want %v", i+1, got, want)
+		}
+		if bad := f.m.Audit(); len(bad) != 0 {
+			t.Errorf("audit after steal %d: %v", i+1, bad)
+		}
+	}
+	if st := f.m.Stats(); st.PrefetchSteals != 3 || st.Evictions != 0 {
+		t.Errorf("steals %d evictions %d, want 3, 0", st.PrefetchSteals, st.Evictions)
+	}
+}
+
+// The audit's cache partition class: each way the frame table and
+// the read-ahead ring can disagree about a speculation is reported by
+// name.
+func TestAuditCatchesCacheCorruption(t *testing.T) {
+	f := newFixture(t, 8)
+	pt := hw.NewPageTable(4)
+	recs := []disk.RecordAddr{f.storedPage(t, 50), f.storedPage(t, 51), f.storedPage(t, 52)}
+	_, err := f.m.LoadPage(PageReq{
+		UID: 1, PT: pt, Page: 0, Pack: f.pack, Record: recs[0], HasRecord: true,
+		ReadAhead:    [ReadAheadWindow]ReadAheadPage{{Page: 1, Record: recs[1]}, {Page: 2, Record: recs[2]}},
+		ReadAheadLen: 2,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -175,42 +228,38 @@ func TestAuditCatchesCacheCorruption(t *testing.T) {
 	if bad := f.m.Audit(); len(bad) != 0 {
 		t.Fatalf("audit before corruption: %v", bad)
 	}
-	f.m.mu.Lock()
-	cf := f.m.cacheRing[0]
-	delete(f.m.cached, descKey{cf.pt, cf.page}) // ring entry with no map index
-	f.m.mu.Unlock()
-	bad := f.m.Audit()
-	if len(bad) == 0 {
-		t.Fatal("audit missed a ring entry absent from the cache map")
+	spec := func(i int) *frameInfo { return &f.m.frames[f.m.cacheRing[i]-f.m.first] }
+	for _, c := range []struct {
+		fault, want string
+		corrupt     func()
+	}{
+		{"a cached frame also free", "both free and cached", func() { f.m.free = append(f.m.free, f.m.cacheRing[0]) }},
+		{"a cached frame also in use", "both cached and in use", func() { spec(0).inUse = true }},
+		{"a cached frame absent from the ring", "missing from the read-ahead ring", func() { f.m.cacheRing = f.m.cacheRing[1:] }},
+		{"a ring entry not cached", "in the read-ahead ring but not cached", func() { spec(0).cached = false }},
+		{"two speculations on one page", "both speculate on page", func() { spec(1).page = spec(0).page }},
+		{"a reference bit with no ticket", "reference bit but no queued read", func() { spec(0).ticket = nil }},
+	} {
+		f.m.mu.Lock()
+		frames, free, ring := slices.Clone(f.m.frames), slices.Clone(f.m.free), slices.Clone(f.m.cacheRing)
+		c.corrupt()
+		f.m.mu.Unlock()
+		if bad := f.m.Audit(); !anyContains(bad, c.want) {
+			t.Errorf("%s: audit reports %q, want %q", c.fault, bad, c.want)
+		}
+		f.m.mu.Lock()
+		f.m.frames, f.m.free, f.m.cacheRing = frames, free, ring
+		f.m.mu.Unlock()
 	}
-	joined := strings.Join(bad, "; ")
-	if !strings.Contains(joined, "not indexed") || !strings.Contains(joined, "ring holds") {
-		t.Errorf("audit reports = %q, want the map/ring disagreement named", joined)
-	}
-
-	f.m.mu.Lock()
-	f.m.cached[descKey{cf.pt, cf.page}] = cf // repair
-	saved := cf.ticket
-	cf.ticket = nil // reference bit set but no queued read
-	f.m.mu.Unlock()
-	bad = f.m.Audit()
-	if len(bad) == 0 || !strings.Contains(strings.Join(bad, "; "), "reference bit") {
-		t.Errorf("audit reports = %v, want the disconnected reference bit named", bad)
-	}
-	f.m.mu.Lock()
-	cf.ticket = saved
-	f.m.mu.Unlock()
 	if bad := f.m.Audit(); len(bad) != 0 {
 		t.Errorf("audit after repair: %v", bad)
 	}
 }
 
 // Every way out of the speculative cache — claimed, stale, purged,
-// stolen — hands the entry's ticket back to its pack and the entry to
-// the manager's free list, and the next read-ahead reuses both. Audit
-// holds the recycling rules: a free entry is neither indexed nor in
-// the ring nor listed twice, and a pack's spare tickets are done,
-// unqueued and listed once.
+// stolen — hands the speculation's ticket back to its pack, and the
+// next read-ahead reuses it. Audit holds the recycling rule: a pack's
+// spare tickets are done, unqueued and listed once.
 func TestPrefetchRecyclesEntriesAndTickets(t *testing.T) {
 	f := newFixture(t, 8)
 	pt := hw.NewPageTable(4)
@@ -223,6 +272,16 @@ func TestPrefetchRecyclesEntriesAndTickets(t *testing.T) {
 	if _, err := f.m.LoadPage(ahead, nil); err != nil {
 		t.Fatal(err)
 	}
+	tickets := func() []*disk.Ticket {
+		f.m.mu.Lock()
+		defer f.m.mu.Unlock()
+		var tks []*disk.Ticket
+		for _, fr := range f.m.cacheRing {
+			tks = append(tks, f.m.frames[fr-f.m.first].ticket)
+		}
+		return tks
+	}
+	first := tickets()
 	// Claim page 1; purge page 2's speculation with the segment.
 	if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: 1, Pack: f.pack, Record: recs[1], HasRecord: true}, nil); err != nil {
 		t.Fatal(err)
@@ -233,49 +292,21 @@ func TestPrefetchRecyclesEntriesAndTickets(t *testing.T) {
 	if st := f.m.Stats(); st.PrefetchHits != 1 || st.PrefetchDrops != 1 {
 		t.Fatalf("hits %d drops %d, want 1, 1", st.PrefetchHits, st.PrefetchDrops)
 	}
-	f.m.mu.Lock()
-	spare := slices.Clone(f.m.spareCached)
-	f.m.mu.Unlock()
-	if len(spare) != 2 {
-		t.Fatalf("%d entries on the free list after a claim and a purge, want 2", len(spare))
-	}
 	if bad := f.m.Audit(); len(bad) != 0 {
 		t.Fatalf("audit after claim and purge: %v", bad)
 	}
-	// The next speculation reuses the freed entries.
+	// The next speculation reuses the handed-back tickets.
 	if _, err := f.m.LoadPage(ahead, nil); err != nil {
 		t.Fatal(err)
 	}
-	f.m.mu.Lock()
-	for _, cf := range f.m.cacheRing {
-		if !slices.Contains(spare, cf) {
-			t.Errorf("cache entry for page %d is new, not a recycled one", cf.page)
+	for _, tk := range tickets() {
+		if !slices.Contains(first, tk) {
+			t.Errorf("ticket %p is new, not a recycled one", tk)
 		}
 	}
-	live := f.m.cacheRing[0]
-	f.m.mu.Unlock()
 	if bad := f.m.Audit(); len(bad) != 0 {
-		t.Fatalf("audit with recycled entries parked: %v", bad)
+		t.Fatalf("audit with recycled tickets queued: %v", bad)
 	}
-
-	// A live entry on the free list, and a free entry listed twice.
-	f.m.mu.Lock()
-	saved := f.m.spareCached
-	f.m.spareCached = append(slices.Clone(saved), live)
-	f.m.mu.Unlock()
-	if bad := f.m.Audit(); !anyContains(bad, "still in the prefetch cache") {
-		t.Errorf("audit missed a live entry on the free list: %v", bad)
-	}
-	free := new(cachedFrame)
-	f.m.mu.Lock()
-	f.m.spareCached = append(slices.Clone(saved), free, free)
-	f.m.mu.Unlock()
-	if bad := f.m.Audit(); !anyContains(bad, "on the free list twice") {
-		t.Errorf("audit missed a free entry listed twice: %v", bad)
-	}
-	f.m.mu.Lock()
-	f.m.spareCached = saved
-	f.m.mu.Unlock()
 
 	// A ticket handed back twice would be handed out twice.
 	buf := make([]hw.Word, hw.PageWords)

@@ -257,7 +257,8 @@ type Failure struct {
 	Task string
 	// Step is the virtual time of the failure.
 	Step int
-	// Panic is the recovered panic value, nil for a deadlock.
+	// Panic is the recovered panic value, nil for a deadlock. A task
+	// that called runtime.Goexit is reported with a string saying so.
 	Panic any
 	// Deadlock reports that every live task was blocked on a
 	// predicate that can never become true.
@@ -519,22 +520,47 @@ func (c *carrier) carry() {
 // run runs t, which has just taken the token for the first time, and
 // passes the token on when t is done. It reports whether t's carrier
 // may carry another task: not once a panic has unwound it, so the next
-// run starts a new carrier in its place. Nothing after the hand-off
-// touches t, which the next run may already be reusing.
-func (t *task) run() bool {
+// run starts a new carrier in its place. A task that calls
+// runtime.Goexit neither returns nor panics: its carrier exits, and
+// the deferred hand-off records the schedule's failure, aborts it and
+// still passes the token on. Nothing after the hand-off touches t,
+// which the next run may already be reusing.
+func (t *task) run() (reusable bool) {
 	ex := t.ex
 	ex.holder = t
-	panicked := t.body()
-	t.state = taskDone
-	if panicked {
-		carriers[t.id] = nil
+	returned := false
+	defer func() {
+		if !returned {
+			ex.fail(t, "runtime.Goexit: the task exited without returning")
+		}
+		t.state = taskDone
+		if !reusable {
+			carriers[t.id] = nil
+		}
+		if next := ex.choose(t, PointDone, t.name); next != nil {
+			next.gate <- struct{}{}
+		} else {
+			done <- struct{}{}
+		}
+	}()
+	reusable = !t.body()
+	returned = true
+	return reusable
+}
+
+// fail makes why, raised by t, the schedule's failure unless it
+// already has one, and aborts the schedule.
+func (ex *Executor) fail(t *task, why any) {
+	if ex.failure == nil {
+		ex.failure = &Failure{
+			Executor: ex.name,
+			Seed:     ex.seed,
+			Task:     t.name,
+			Step:     ex.step,
+			Panic:    why,
+		}
 	}
-	if next := ex.choose(t, PointDone, t.name); next != nil {
-		next.gate <- struct{}{}
-	} else {
-		done <- struct{}{}
-	}
-	return !panicked
+	ex.aborting = true
 }
 
 // body runs t's function unless the schedule is already aborting, and
@@ -548,19 +574,9 @@ func (t *task) body() (panicked bool) {
 			return
 		}
 		panicked = true
-		if r == errAborted {
-			return
+		if r != errAborted {
+			ex.fail(t, r)
 		}
-		if ex.failure == nil {
-			ex.failure = &Failure{
-				Executor: ex.name,
-				Seed:     ex.seed,
-				Task:     t.name,
-				Step:     ex.step,
-				Panic:    r,
-			}
-		}
-		ex.aborting = true
 	}()
 	if !ex.aborting {
 		t.fn()

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // schedule runs tasks under the seed's random strategy and returns the
@@ -411,6 +412,44 @@ func TestPanickedCarrierIsReplaced(t *testing.T) {
 	}
 	if carriers[0] == nil || carriers[1] != kept {
 		t.Errorf("carriers after the next run: slot 0 %p, slot 1 %p (kept %p)", carriers[0], carriers[1], kept)
+	}
+}
+
+// TestGoexitFailsTheRun: a task that calls runtime.Goexit (as t.Fatal
+// inside a task does) neither returns nor panics. Run must still
+// return, with a Failure naming the task, rather than wait forever for
+// the token, and the next executor must run cleanly with a new carrier
+// in the exited task's slot.
+func TestGoexitFailsTheRun(t *testing.T) {
+	ex := New(Config{Strategy: RoundRobin()})
+	ex.Go("quitter", func() {
+		Yield(PointYield, "")
+		runtime.Goexit()
+	})
+	ex.Go("bystander", chatter(3))
+	res := make(chan error, 1)
+	go func() { res <- ex.Run() }()
+	select {
+	case err := <-res:
+		var f *Failure
+		if !errors.As(err, &f) || f.Task != "quitter" {
+			t.Fatalf("want the quitter's failure, got %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return after a task called runtime.Goexit")
+	}
+	if carriers[0] != nil {
+		t.Error("the exited task's carrier is still in its slot")
+	}
+	ran := 0
+	ex = New(Config{Strategy: RoundRobin()})
+	ex.Go("a", func() { ran++ })
+	ex.Go("b", func() { ran++ })
+	if err := ex.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ran != 2 {
+		t.Errorf("%d of 2 tasks ran after the failed run", ran)
 	}
 }
 

@@ -151,9 +151,9 @@ func TestConcurrentSpans(t *testing.T) {
 }
 
 // TestBindCPUAttribution checks that events emitted by a task bound
-// to a processor carry that processor's id, that emission off a task
-// or after unbinding stays unattributed, that bindings nest, and that
-// an emitter's own stamp wins.
+// to a processor carry that processor's id, that a new binding
+// replaces the old one, that emission off a task or after unbinding
+// stays unattributed, and that an emitter's own stamp wins.
 func TestBindCPUAttribution(t *testing.T) {
 	r := NewRecorder(64, nil)
 	r.Register("m")
@@ -170,7 +170,7 @@ func TestBindCPUAttribution(t *testing.T) {
 		r.Emit(Event{Kind: EvFault, Module: "m", CPU: 2}) // hardware stamped CPU 1 itself
 		r.Emit(Event{Kind: EvDispatch, Module: "m", Arg0: 5})
 		unbind()
-		r.Emit(Event{Kind: EvDispatch, Module: "m", Arg0: 0}) // the outer binding again
+		r.Emit(Event{Kind: EvIPC, Module: "m"}) // bindings do not nest: unbound now
 	})
 	ex := schedsim.New(schedsim.Config{Name: "unbound"})
 	ex.Go("task", func() { r.Emit(Event{Kind: EvIPC, Module: "m"}) }) // on a task, never bound
@@ -196,8 +196,8 @@ func TestBindCPUAttribution(t *testing.T) {
 			}
 		}
 	}
-	if dispatches != 5 {
-		t.Errorf("%d bound events recorded, want 5", dispatches)
+	if dispatches != 4 {
+		t.Errorf("%d bound events recorded, want 4", dispatches)
 	}
 	if BoundCPU() != 0 {
 		t.Errorf("off-task BoundCPU = %d, want 0", BoundCPU())
@@ -205,23 +205,25 @@ func TestBindCPUAttribution(t *testing.T) {
 }
 
 // TestBindCPUOffTaskPanics: off a schedsim task there is no
-// per-processor state to hold a binding, so BindCPU and BindTask
-// refuse.
+// per-processor state to hold a binding, so BindCPU refuses.
 func TestBindCPUOffTaskPanics(t *testing.T) {
-	for name, bind := range map[string]func(){
-		"BindCPU":  func() { BindCPU(1) },
-		"BindTask": func() { BindTask(1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s off a task did not panic", name)
-				}
-				if BoundCPU() != 0 {
-					t.Errorf("BoundCPU = %d after the refused %s, want 0", BoundCPU(), name)
-				}
-			}()
-			bind()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("BindCPU off a task did not panic")
+		}
+		if BoundCPU() != 0 {
+			t.Errorf("BoundCPU = %d after the refused BindCPU, want 0", BoundCPU())
+		}
+	}()
+	BindCPU(1)
+}
+
+// TestBindCPUAllocatesNothing: binding and unbinding a task, as every
+// executor task does once per run, allocates nothing.
+func TestBindCPUAllocatesNothing(t *testing.T) {
+	runBound(t, 1, schedsim.RoundRobin(), func(i int) {
+		if a := testing.AllocsPerRun(100, func() { BindCPU(i)() }); a != 0 {
+			t.Errorf("BindCPU(%d)() allocates %v objects, want 0", i, a)
+		}
+	})
 }

@@ -18,22 +18,18 @@ import "multics/internal/schedsim"
 // BindCPU binds the calling schedsim task to the simulated processor
 // id, so events it emits through any Recorder and cycles it charges
 // are attributed to that processor. It returns the function that
-// removes the binding, which must be called from the same task.
-// Bindings nest: unbinding restores the binding that was in force.
-// Off a task there is nowhere to keep a binding, and BindCPU panics.
+// removes the binding, which must be called from the same task; a
+// binding also ends with its task. Bindings do not nest: unbinding
+// leaves the task unbound. The function returned is always the same
+// one, so binding allocates nothing. Off a task there is nowhere to
+// keep a binding, and BindCPU panics.
 func BindCPU(cpu int) func() {
-	l := taskLocal()
-	prev := l.CPU
-	l.CPU = int32(cpu) + 1
-	return func() { l.CPU = prev }
+	taskLocal().CPU = int32(cpu) + 1
+	return unbindCPU
 }
 
-// BindTask binds the calling schedsim task to the simulated processor
-// id for the rest of the task. A task's binding ends with the task, so
-// a binding made as the task starts needs no unbinding, and BindTask,
-// unlike BindCPU, builds no function to remove it. It panics off a
-// task.
-func BindTask(cpu int) { taskLocal().CPU = int32(cpu) + 1 }
+// unbindCPU removes the calling task's processor binding.
+func unbindCPU() { taskLocal().CPU = 0 }
 
 // taskLocal returns the calling task's per-processor state; it panics
 // off a task, where there is none to hold a binding.

@@ -124,7 +124,7 @@ func (r *simRun) task(i int) func() {
 
 func (r *simRun) run(slot int) {
 	cpu := r.cpus[slot]
-	trace.BindTask(cpu.ID)
+	defer trace.BindCPU(cpu.ID)()
 	r.body(cpu)
 }
 
