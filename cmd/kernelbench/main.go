@@ -736,7 +736,7 @@ func p11(cacheOn map[int]int64) {
 // first dispatch. Every phase runs under the deterministic executor,
 // so every row, multiprocessor ones included, feeds the -compare gate.
 func p12() {
-	fmt.Println("P12 login storm (one ready queue, sharded process table, eventcount wakeups):")
+	fmt.Println("P12 login storm (one ready queue, one process table, eventcount wakeups):")
 	var rows []map[string]any
 	for _, users := range []int{1000, 10000} {
 		for _, nCPU := range []int{1, 2, 4} {

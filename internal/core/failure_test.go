@@ -9,6 +9,7 @@ import (
 
 	"multics/internal/aim"
 	"multics/internal/directory"
+	"multics/internal/disk"
 	"multics/internal/hw"
 	"multics/internal/knownseg"
 	"multics/internal/segment"
@@ -275,5 +276,53 @@ func TestRetryBudgetObservability(t *testing.T) {
 	}
 	if !found {
 		t.Error("no retry-pressure event in the trace: the half-budget warning is not emitted")
+	}
+}
+
+// TestFailedCreateProcessLeavesNoSegment: a process creation that
+// runs out of quota growing its state segment deletes the segment
+// again. Repeated failures leave the root pack's entry count and the
+// active segment table as they were.
+func TestFailedCreateProcessLeavesNoSegment(t *testing.T) {
+	k := boot(t, func(c *Config) { c.RootQuota = 2 })
+	pack, err := k.Vols.Pack(k.Procs.StatePack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := func() int {
+		n := 0
+		pack.EachEntry(func(disk.TOCIndex, disk.TOCEntry) { n++ })
+		return n
+	}
+	// Segment uids are issued in sequence: every uid a failed creation
+	// took lies between two fresh ones.
+	active := func(from, to uint64) int {
+		n := 0
+		for uid := from; uid < to; uid++ {
+			if _, err := k.Segs.Lookup(uid); err == nil {
+				n++
+			}
+		}
+		return n
+	}
+	for i := 0; ; i++ {
+		if i == 12 {
+			t.Fatal("creations never ran out of quota")
+		}
+		if _, err := k.CreateProcess("u.x", aim.Bottom); err != nil {
+			break
+		}
+	}
+	before, from := entries(), k.Segs.NewUID()
+	for i := 0; i < 10; i++ {
+		if _, err := k.CreateProcess("u.x", aim.Bottom); err == nil {
+			t.Fatal("creation succeeded past the quota")
+		}
+	}
+	if got := entries(); got != before {
+		t.Errorf("10 failed creations took the pack from %d entries to %d", before, got)
+	}
+	if n := active(from, k.Segs.NewUID()); n != 0 {
+		t.Errorf("10 failed creations left %d segments active", n)
 	}
 }

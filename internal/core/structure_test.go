@@ -102,22 +102,42 @@ func TestKernelImportsNoRemovedService(t *testing.T) {
 	}
 }
 
-// TestOnlyLockrankNamesGoroutines: per-processor state lives on the
-// executor's task, so the goroutine id is asked for only by lockrank's
-// off-task held-lock stacks. Any other importer of goid, test files
-// included, must first make its case here.
-func TestOnlyLockrankNamesGoroutines(t *testing.T) {
-	const goid = "multics/internal/goid"
-	imports := moduleImports(t, true)
-	if len(imports) == 0 {
-		t.Fatal("parsed no imports")
-	}
-	for pkg, imps := range imports {
-		for _, imp := range imps {
-			if imp == goid && pkg != "multics/internal/lockrank" {
-				t.Errorf("%s imports %s; only lockrank's off-task held-lock stacks may name a goroutine", pkg, goid)
+// TestNoGoroutineIdentity: per-processor state, held ranked locks
+// included, lives on the executor's task, so nothing asks which
+// goroutine it runs on. No file imports a goroutine-id package, and no
+// non-test file calls runtime.Stack, the one way to parse a goroutine
+// id out of the runtime.
+func TestNoGoroutineIdentity(t *testing.T) {
+	files := 0
+	walkModule(t, true, 0, func(pkg, file string, f *ast.File) {
+		files++
+		runtimeName := ""
+		for _, spec := range f.Imports {
+			imp, _ := strconv.Unquote(spec.Path.Value)
+			if path.Base(imp) == "goid" {
+				t.Errorf("%s imports goroutine-id package %s", file, imp)
+			}
+			if imp == "runtime" {
+				runtimeName = "runtime"
+				if spec.Name != nil {
+					runtimeName = spec.Name.Name
+				}
 			}
 		}
+		if runtimeName == "" || strings.HasSuffix(file, "_test.go") {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Stack" {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == runtimeName {
+					t.Errorf("%s calls runtime.Stack at %s", pkg, file)
+				}
+			}
+			return true
+		})
+	})
+	if files == 0 {
+		t.Fatal("parsed no files")
 	}
 }
 

@@ -20,6 +20,14 @@
 // one lock split their layer into sub-ranks, so the discipline also
 // orders locks within a module.
 //
+// The check runs where the held locks are known: on a task of the
+// deterministic executor (package schedsim), which carries its stack
+// of held locks with its other per-processor state. Off a task a
+// Mutex is a plain mutex. That leaves no kernel lock order unchecked
+// only while every order taken off a task is also taken on one: the
+// simulator's runs check rank order, and runs on real goroutines
+// check data races under -race.
+//
 // Locks whose module is not in the installed layer table — unit tests
 // exercising one manager alone, or hardware-level leaf locks — are
 // unranked and unchecked.
@@ -31,7 +39,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"multics/internal/goid"
 	"multics/internal/schedsim"
 )
 
@@ -177,44 +184,6 @@ func Table() []Entry {
 	return out
 }
 
-// held tracks, per execution context, the ranked locks currently
-// held. A task of the deterministic executor keeps its stack on the
-// task (schedsim.Local); off-task, stacks live in a table keyed by
-// goroutine id, sharded so the checker does not itself serialize the
-// processors it is checking.
-const heldShards = 64
-
-type shard struct {
-	mu   sync.Mutex
-	held map[uint64][]schedsim.HeldLock
-}
-
-var shards [heldShards]shard
-
-func shardFor(g uint64) *shard { return &shards[g%heldShards] }
-
-// withHeld runs fn on the calling context's held stack and stores the
-// stack fn returns.
-func withHeld(fn func([]schedsim.HeldLock) []schedsim.HeldLock) {
-	if l := schedsim.Current(); l != nil {
-		l.Held = fn(l.Held)
-		return
-	}
-	g := goid.ID()
-	s := shardFor(g)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	stack := fn(s.held[g])
-	if len(stack) == 0 {
-		delete(s.held, g)
-		return
-	}
-	if s.held == nil {
-		s.held = make(map[uint64][]schedsim.HeldLock)
-	}
-	s.held[g] = stack
-}
-
 // A Mutex is a mutual-exclusion lock ranked by its owning module's
 // certification layer. The zero value is usable as an unranked plain
 // mutex; Init or InitSub binds it to a module before first use.
@@ -276,11 +245,16 @@ func (m *Mutex) Rank() Rank {
 	return r
 }
 
-// pushHeld checks the acquisition order and records the lock on the
-// calling context's held stack. It reports whether an entry was
-// pushed (checking on and the lock ranked); a rank violation panics.
+// pushHeld checks the acquisition order against the calling task's
+// held stack and records the lock on it. It reports whether an entry
+// was pushed (checking on, the caller a task and the lock ranked); a
+// rank violation panics.
 func (m *Mutex) pushHeld() bool {
 	if !checking.Load() {
+		return false
+	}
+	l := schedsim.Current()
+	if l == nil {
 		return false
 	}
 	r := m.Rank()
@@ -288,41 +262,39 @@ func (m *Mutex) pushHeld() bool {
 		return false
 	}
 	name := m.Name()
-	withHeld(func(stack []schedsim.HeldLock) []schedsim.HeldLock {
-		for _, h := range stack {
-			if Rank(h.Rank) <= r {
-				panic(fmt.Sprintf(
-					"lockrank: acquiring %s (rank %d) while holding %s (rank %d): lock acquisition must descend the certification order",
-					name, r, h.Name, h.Rank))
-			}
+	for _, h := range l.Held {
+		if Rank(h.Rank) <= r {
+			panic(fmt.Sprintf(
+				"lockrank: acquiring %s (rank %d) while holding %s (rank %d): lock acquisition must descend the certification order",
+				name, r, h.Name, h.Rank))
 		}
-		return append(stack, schedsim.HeldLock{Rank: int(r), Name: name})
-	})
+	}
+	l.Held = append(l.Held, schedsim.HeldLock{Rank: int(r), Name: name})
 	return true
 }
 
-// popHeld removes the lock's entry from the calling context's held
+// popHeld removes the lock's entry from the calling task's held
 // stack, innermost first.
 func popHeld(name string) {
-	withHeld(func(stack []schedsim.HeldLock) []schedsim.HeldLock {
-		for i := len(stack) - 1; i >= 0; i-- {
-			if stack[i].Name == name {
-				return append(stack[:i], stack[i+1:]...)
-			}
+	l := schedsim.Current()
+	if l == nil {
+		return
+	}
+	for i := len(l.Held) - 1; i >= 0; i-- {
+		if l.Held[i].Name == name {
+			l.Held = append(l.Held[:i], l.Held[i+1:]...)
+			return
 		}
-		return stack
-	})
+	}
 }
 
-// Lock acquires the mutex. With checking on, acquiring while the
-// calling goroutine holds a ranked lock of equal or lower rank panics:
-// that acquisition order does not exist in the certified lattice.
+// Lock acquires the mutex. With checking on, a task that acquires it
+// while holding a ranked lock of equal or lower rank panics: that
+// acquisition order does not exist in the certified lattice.
 func (m *Mutex) Lock() {
 	track := m.pushHeld()
-	// Under the deterministic executor the acquisition is a yield
-	// point and contention parks the task cooperatively; otherwise it
-	// is a plain mutex acquire. The rank check above ran either way —
-	// the discipline is identical under both executors.
+	// On a task the acquisition is a yield point and contention parks
+	// the task cooperatively; off a task it is a plain mutex acquire.
 	if !schedsim.LockAcquire(&m.mu, m.Name()) {
 		m.mu.Lock()
 	}

@@ -2,8 +2,9 @@ package lockrank
 
 import (
 	"strings"
-	"sync"
 	"testing"
+
+	"multics/internal/schedsim"
 )
 
 func install(t *testing.T) {
@@ -15,16 +16,25 @@ func install(t *testing.T) {
 	})
 }
 
+// onTask runs each body as a task of one deterministic executor, where
+// rank checking runs, and fails the test on a panic that escapes one.
+func onTask(t *testing.T, bodies ...func()) {
+	t.Helper()
+	ex := schedsim.New(schedsim.Config{Name: "lockrank", Seed: 1})
+	for _, body := range bodies {
+		ex.Go("body", body)
+	}
+	if err := ex.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func mustPanic(t *testing.T, want string, fn func()) {
 	t.Helper()
 	defer func() {
 		r := recover()
-		if r == nil {
-			t.Fatalf("expected a lockrank panic containing %q", want)
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, want) {
-			t.Fatalf("panic %v does not mention %q", r, want)
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, want) {
+			t.Errorf("panic %v, want a lockrank panic containing %q", r, want)
 		}
 	}()
 	fn()
@@ -37,16 +47,18 @@ func TestDescendingOrderAllowed(t *testing.T) {
 	mid.Init("t-middle")
 	bot.Init("t-bottom")
 
-	top.Lock()
-	mid.Lock()
-	bot.Lock()
-	bot.Unlock()
-	mid.Unlock()
-	top.Unlock()
-	// Were bot still on the held stack, taking top would ascend and
-	// panic.
-	top.Lock()
-	top.Unlock()
+	onTask(t, func() {
+		top.Lock()
+		mid.Lock()
+		bot.Lock()
+		bot.Unlock()
+		mid.Unlock()
+		top.Unlock()
+		// Were bot still on the held stack, taking top would ascend and
+		// panic.
+		top.Lock()
+		top.Unlock()
+	})
 }
 
 func TestAscendingOrderPanics(t *testing.T) {
@@ -55,9 +67,11 @@ func TestAscendingOrderPanics(t *testing.T) {
 	top.Init("t-top")
 	bot.Init("t-bottom")
 
-	bot.Lock()
-	defer bot.Unlock()
-	mustPanic(t, "t-top", func() { top.Lock() })
+	onTask(t, func() {
+		bot.Lock()
+		defer bot.Unlock()
+		mustPanic(t, "t-top", func() { top.Lock() })
+	})
 }
 
 func TestEqualRankPanics(t *testing.T) {
@@ -66,9 +80,11 @@ func TestEqualRankPanics(t *testing.T) {
 	a.Init("t-middle")
 	b.Init("t-middle")
 
-	a.Lock()
-	defer a.Unlock()
-	mustPanic(t, "t-middle", func() { b.Lock() })
+	onTask(t, func() {
+		a.Lock()
+		defer a.Unlock()
+		mustPanic(t, "t-middle", func() { b.Lock() })
+	})
 }
 
 func TestSubRanksOrderWithinModule(t *testing.T) {
@@ -77,16 +93,18 @@ func TestSubRanksOrderWithinModule(t *testing.T) {
 	primary.InitSub("t-middle", 1)
 	inner.InitSub("t-middle", 0)
 
-	// Primary first, inner nested below it: legal.
-	primary.Lock()
-	inner.Lock()
-	inner.Unlock()
-	primary.Unlock()
+	onTask(t, func() {
+		// Primary first, inner nested below it: legal.
+		primary.Lock()
+		inner.Lock()
+		inner.Unlock()
+		primary.Unlock()
 
-	// The other way round is an ascent.
-	inner.Lock()
-	defer inner.Unlock()
-	mustPanic(t, "t-middle#1", func() { primary.Lock() })
+		// The other way round is an ascent.
+		inner.Lock()
+		defer inner.Unlock()
+		mustPanic(t, "t-middle#1", func() { primary.Lock() })
+	})
 }
 
 func TestUnrankedAndUncheckedAreInert(t *testing.T) {
@@ -96,18 +114,20 @@ func TestUnrankedAndUncheckedAreInert(t *testing.T) {
 	bot.Init("t-bottom")
 	top.Init("t-top")
 
-	bot.Lock()
-	zero.Lock()
-	zero.Unlock()
-	bot.Unlock()
+	onTask(t, func() {
+		bot.Lock()
+		zero.Lock()
+		zero.Unlock()
+		bot.Unlock()
 
-	prev := SetChecking(false)
-	defer SetChecking(prev)
-	// With checking off the ascent is tolerated (release build).
-	bot.Lock()
-	top.Lock()
-	top.Unlock()
-	bot.Unlock()
+		prev := SetChecking(false)
+		defer SetChecking(prev)
+		// With checking off the ascent is tolerated (release build).
+		bot.Lock()
+		top.Lock()
+		top.Unlock()
+		bot.Unlock()
+	})
 }
 
 func TestRanksFollowLayers(t *testing.T) {
@@ -141,24 +161,26 @@ func TestRanksFollowLayers(t *testing.T) {
 	}
 }
 
-func TestConcurrentDisjointGoroutines(t *testing.T) {
+// Eight tasks each take their own top lock over one shared bottom
+// lock, interleaved at every acquisition: each task's held stack is
+// its own, so no task sees another's locks as held.
+func TestConcurrentDisjointTasks(t *testing.T) {
 	install(t)
 	var bot Mutex
 	bot.Init("t-bottom")
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var top Mutex
-			top.Init("t-top")
-			for j := 0; j < 200; j++ {
-				top.Lock()
-				bot.Lock()
-				bot.Unlock()
-				top.Unlock()
-			}
-		}()
+	body := func() {
+		var top Mutex
+		top.Init("t-top")
+		for j := 0; j < 200; j++ {
+			top.Lock()
+			bot.Lock()
+			bot.Unlock()
+			top.Unlock()
+		}
 	}
-	wg.Wait()
+	bodies := make([]func(), 8)
+	for i := range bodies {
+		bodies[i] = body
+	}
+	onTask(t, bodies...)
 }

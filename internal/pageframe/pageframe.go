@@ -114,7 +114,7 @@ type PageReq struct {
 	// ReadAhead names, in its first ReadAheadLen slots, the stored
 	// pages the caller predicts will fault next (a detected sequential
 	// pattern). LoadPage queues their reads speculatively on the pack's
-	// elevator and parks the frames in the second-chance cache;
+	// elevator and parks the frames in the read-ahead cache;
 	// speculation failures never fail the demand fault. The window is
 	// an array, not a slice, so a fault names it without allocating.
 	ReadAhead    [ReadAheadWindow]ReadAheadPage
@@ -150,11 +150,10 @@ type frameInfo struct {
 	inUse bool
 	// cached marks a frame reserved for a speculative read (see
 	// prefetch.go), which is neither free nor in use: the identity
-	// fields name the predicted page, ticket is the queued read that
-	// fills the frame, and ref is its second-chance bit. The flags sit
-	// together, which keeps an entry at nine words.
+	// fields name the predicted page and ticket is the queued read
+	// that fills the frame. The flags sit together, which keeps an
+	// entry at nine words.
 	cached    bool
-	ref       bool
 	hasRecord bool
 	ticket    *disk.Ticket
 	uid       uint64
@@ -227,14 +226,12 @@ type Manager struct {
 	// list is stale.
 	admits int64
 
-	// The speculative read-ahead cache (see prefetch.go): cacheRing
-	// lists the cached frames in issue order, cacheHand is the
-	// second-chance hand's position in it, and readPacks are the packs
-	// speculative reads have been queued on, whose ticket lists Audit
-	// checks.
-	cacheRing []int
-	cacheHand int
-	readPacks []*disk.Pack
+	// The speculative read-ahead cache (see prefetch.go): cacheQueue
+	// lists the cached frames in issue order, and readPacks are the
+	// packs speculative reads have been queued on, whose ticket lists
+	// Audit checks.
+	cacheQueue []int
+	readPacks  []*disk.Pack
 
 	// inflight counts, per disk record, the evicted pages whose
 	// write-back has not reached the disk yet. Until it has, the record
@@ -351,8 +348,7 @@ type Stats struct {
 	// The read-ahead pipeline's counters: speculative reads queued,
 	// demand faults served from the speculative cache, speculations
 	// discarded unclaimed (speculative transfer faults and stale
-	// pages), and frames the second-chance clock took back for demand
-	// allocation.
+	// pages), and frames demand allocation took back from the cache.
 	PrefetchIssued int64
 	PrefetchHits   int64
 	PrefetchDrops  int64
@@ -448,7 +444,7 @@ func (m *Manager) LoadPage(req PageReq, out []Evicted) ([]Evicted, error) {
 	}
 	// With this fault's contents secured, speculate on the
 	// predicted-next pages: their reads join the same elevator queue
-	// and wait in the second-chance cache for the following faults of
+	// and wait in the read-ahead cache for the following faults of
 	// the sequence.
 	m.issueReadAhead(req)
 	m.mu.Lock()
@@ -662,9 +658,9 @@ func (m *Manager) obtainFrame(out []Evicted) (int, []Evicted, error) {
 		return f, out, nil
 	}
 	// Nothing on the free list: before running the eviction clock over
-	// resident pages, consult the speculative cache's second-chance
-	// bits — an unclaimed prefetch frame is cheaper to take back than a
-	// resident page is to evict and write back.
+	// resident pages, take back the oldest speculation — an unclaimed
+	// prefetch frame is cheaper to take back than a resident page is to
+	// evict and write back.
 	if v, ok := m.stealCachedLocked(); ok {
 		m.mu.Unlock()
 		return m.dropCached(v, dropSteal), out, nil
@@ -1373,18 +1369,18 @@ func (m *Manager) Audit() []string {
 			bad = append(bad, fmt.Sprintf("frame %d both free and cached", f))
 		}
 	}
-	// The read-ahead ring must name exactly the cached frames, each
+	// The read-ahead queue must name exactly the cached frames, each
 	// once; the walk of the table below checks the other direction.
-	ringed := make([]bool, len(m.frames))
-	for _, f := range m.cacheRing {
+	queued := make([]bool, len(m.frames))
+	for _, f := range m.cacheQueue {
 		if f < m.first || f >= m.first+len(m.frames) {
-			bad = append(bad, fmt.Sprintf("read-ahead ring names frame %d outside pageable range", f))
+			bad = append(bad, fmt.Sprintf("read-ahead queue names frame %d outside pageable range", f))
 			continue
 		}
-		if ringed[f-m.first] {
-			bad = append(bad, fmt.Sprintf("frame %d is in the read-ahead ring twice", f))
+		if queued[f-m.first] {
+			bad = append(bad, fmt.Sprintf("frame %d is in the read-ahead queue twice", f))
 		}
-		ringed[f-m.first] = true
+		queued[f-m.first] = true
 	}
 	for _, p := range m.readPacks {
 		bad = append(bad, p.AuditQueue()...)
@@ -1411,20 +1407,17 @@ func (m *Manager) Audit() []string {
 			}
 		}
 	}
-	// Walk the frame table: a cached frame is in the ring, never in
-	// use, the only speculation on its page, and has a queued read
-	// behind its reference bit; an in-use frame is listed and mapped.
+	// Walk the frame table: a cached frame is in the queue, never in
+	// use and the only speculation on its page; an in-use frame is
+	// listed and mapped.
 	inUse := 0
 	specs := make(map[descKey]int)
 	for i, fi := range m.frames {
 		frame := m.first + i
-		if fi.cached && !ringed[i] {
-			bad = append(bad, fmt.Sprintf("cached frame %d is missing from the read-ahead ring", frame))
-		} else if !fi.cached && ringed[i] {
-			bad = append(bad, fmt.Sprintf("frame %d is in the read-ahead ring but not cached", frame))
-		}
-		if fi.ref && fi.ticket == nil {
-			bad = append(bad, fmt.Sprintf("frame %d carries the reference bit but no queued read", frame))
+		if fi.cached && !queued[i] {
+			bad = append(bad, fmt.Sprintf("cached frame %d is missing from the read-ahead queue", frame))
+		} else if !fi.cached && queued[i] {
+			bad = append(bad, fmt.Sprintf("frame %d is in the read-ahead queue but not cached", frame))
 		}
 		if fi.cached {
 			if other, dup := specs[descKey{fi.pt, fi.page}]; dup {

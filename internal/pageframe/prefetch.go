@@ -1,5 +1,5 @@
-// The speculative read-ahead cache: a Clock/Second-Chance layer
-// between the free list and the eviction clock.
+// The speculative read-ahead cache: a FIFO of reserved frames between
+// the free list and the eviction clock.
 //
 // When the segment manager detects a sequential fault pattern it
 // names the predicted-next stored pages in PageReq.ReadAhead; the
@@ -10,10 +10,9 @@
 // frame — it waits out the ticket and publishes the frame without a
 // demand disk read. A cached frame belongs to neither the free list
 // nor the in-use frames: it is the core map's third partition class,
-// listed in issue order on the cache ring, and when demand allocation
-// runs dry the second-chance hand sweeps the ring — a set reference
-// bit buys one more sweep, a clear one surrenders the frame back to
-// demand use — before the eviction clock ever touches a resident page.
+// listed in issue order on the cache queue. When demand allocation
+// runs dry the oldest speculation surrenders its frame back to demand
+// use before the eviction clock ever touches a resident page.
 //
 // A speculation leaves the cache to exactly one owner — the claiming
 // fault, or the path that drops it — which takes the frame's entry out
@@ -47,14 +46,14 @@ type ReadAheadPage struct {
 const (
 	dropFault int64 = iota // the speculative transfer itself faulted
 	dropStale              // the page moved or vanished before claim
-	dropSteal              // the second-chance clock took the frame back
+	dropSteal              // demand allocation took the frame back
 )
 
-// cachedLocked returns the ring position of the speculation on the
-// page of pt, or -1. The ring holds a few read-ahead windows at most,
+// cachedLocked returns the queue position of the speculation on the
+// page of pt, or -1. The queue holds a few read-ahead windows at most,
 // so scanning it is the index. Caller holds m.mu.
 func (m *Manager) cachedLocked(pt *hw.PageTable, page int) int {
-	for at, f := range m.cacheRing {
+	for at, f := range m.cacheQueue {
 		if fi := &m.frames[f-m.first]; fi.pt == pt && fi.page == page {
 			return at
 		}
@@ -62,21 +61,15 @@ func (m *Manager) cachedLocked(pt *hw.PageTable, page int) int {
 	return -1
 }
 
-// uncacheLocked takes the speculation at ring position at out of the
-// cache, keeping the hand stable, and returns its frame and entry; the
-// frame is then neither free, cached nor in use until the caller
-// places it. Caller holds m.mu.
+// uncacheLocked takes the speculation at queue position at out of the
+// cache and returns its frame and entry; the frame is then neither
+// free, cached nor in use until the caller places it. Caller holds
+// m.mu.
 func (m *Manager) uncacheLocked(at int) victim {
-	v := victim{frame: m.cacheRing[at]}
+	v := victim{frame: m.cacheQueue[at]}
 	v.info = m.frames[v.frame-m.first]
 	m.setFrameLocked(v.frame-m.first, frameInfo{})
-	m.cacheRing = append(m.cacheRing[:at], m.cacheRing[at+1:]...)
-	if m.cacheHand > at {
-		m.cacheHand--
-	}
-	if m.cacheHand >= len(m.cacheRing) {
-		m.cacheHand = 0
-	}
+	m.cacheQueue = append(m.cacheQueue[:at], m.cacheQueue[at+1:]...)
 	return v
 }
 
@@ -170,10 +163,10 @@ func (m *Manager) issueReadAhead(req PageReq) {
 			m.readPacks = append(m.readPacks, req.Pack)
 		}
 		m.setFrameLocked(frame-m.first, frameInfo{
-			cached: true, ref: true, ticket: tk, uid: req.UID, page: ra.Page,
+			cached: true, ticket: tk, uid: req.UID, page: ra.Page,
 			pt: req.PT, pack: req.Pack, record: ra.Record,
 		})
-		m.cacheRing = append(m.cacheRing, frame)
+		m.cacheQueue = append(m.cacheQueue, frame)
 		m.prefetchIssued++
 		tr := m.trace
 		m.mu.Unlock()
@@ -186,35 +179,27 @@ func (m *Manager) issueReadAhead(req PageReq) {
 	}
 }
 
-// stealCachedLocked runs the second-chance hand over the cache ring:
-// a frame with the reference bit set spends it and survives the sweep;
-// the first frame without it is taken out of the cache and returned,
-// to be surrendered to demand use. Caller holds m.mu and must drop the
-// returned speculation (dropCached, outside the lock) before reusing
-// the frame.
+// stealCachedLocked takes the oldest speculation out of the cache and
+// returns it, to be surrendered to demand use. Caller holds m.mu and
+// must drop the returned speculation (dropCached, outside the lock)
+// before reusing the frame.
 func (m *Manager) stealCachedLocked() (victim, bool) {
-	n := len(m.cacheRing)
-	for pass := 0; pass < 2*n; pass++ {
-		if fi := &m.frames[m.cacheRing[m.cacheHand]-m.first]; fi.ref {
-			fi.ref = false
-			m.cacheHand = (m.cacheHand + 1) % n
-			continue
-		}
-		return m.uncacheLocked(m.cacheHand), true
+	if len(m.cacheQueue) == 0 {
+		return victim{}, false
 	}
-	return victim{}, false
+	return m.uncacheLocked(0), true
 }
 
 // purgeCached drops every speculation on a page of pt numbered from or
 // above — truncation, deletion and deactivation must not leave
 // speculations pointing at records that may be freed and reused. The
-// ring gives the victims a deterministic order.
+// queue gives the victims a deterministic order.
 func (m *Manager) purgeCached(pt *hw.PageTable, from int) {
 	m.mu.Lock()
 	var buf [2 * ReadAheadWindow]victim
 	victims := buf[:0]
-	for at := 0; at < len(m.cacheRing); {
-		if fi := &m.frames[m.cacheRing[at]-m.first]; fi.pt == pt && fi.page >= from {
+	for at := 0; at < len(m.cacheQueue); {
+		if fi := &m.frames[m.cacheQueue[at]-m.first]; fi.pt == pt && fi.page >= from {
 			victims = append(victims, m.uncacheLocked(at))
 		} else {
 			at++

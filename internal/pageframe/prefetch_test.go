@@ -47,10 +47,8 @@ func TestPrefetchClaimHit(t *testing.T) {
 	}
 }
 
-// When demand allocation runs dry the second-chance hand takes a
-// parked prefetch frame back — the entry spends its reference bit on
-// the first sweep and surrenders on the second — before the eviction
-// clock touches any resident page.
+// When demand allocation runs dry it takes a parked prefetch frame
+// back before the eviction clock touches any resident page.
 func TestPrefetchSecondChanceSteal(t *testing.T) {
 	f := newFixture(t, 4)
 	f.m.FrameBatch = 1
@@ -159,9 +157,8 @@ func TestPrefetchTransientFaultDropped(t *testing.T) {
 }
 
 // Three speculations parked, then three demand allocations with no
-// free frame: the first steal's sweep spends every reference bit and
-// takes the oldest speculation, and the next two take the rest in
-// issue order without sweeping again. No resident page is evicted.
+// free frame: each steal takes the oldest speculation left, so the
+// three go in issue order. No resident page is evicted.
 func TestPrefetchStealSweepsInIssueOrder(t *testing.T) {
 	f := newFixture(t, 4)
 	f.m.FrameBatch = 1
@@ -175,31 +172,25 @@ func TestPrefetchStealSweepsInIssueOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ring lists the speculated pages in ring order, each with its
-	// reference bit.
-	type spec struct {
-		page int
-		ref  bool
-	}
-	ring := func() []spec {
+	// queue lists the speculated pages in queue order.
+	queue := func() []int {
 		f.m.mu.Lock()
 		defer f.m.mu.Unlock()
-		var r []spec
-		for _, fr := range f.m.cacheRing {
-			fi := &f.m.frames[fr-f.m.first]
-			r = append(r, spec{fi.page, fi.ref})
+		var q []int
+		for _, fr := range f.m.cacheQueue {
+			q = append(q, f.m.frames[fr-f.m.first].page)
 		}
-		return r
+		return q
 	}
-	if got, want := ring(), []spec{{1, true}, {2, true}, {3, true}}; !slices.Equal(got, want) {
-		t.Fatalf("ring after issue = %v, want %v", got, want)
+	if got, want := queue(), []int{1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("queue after issue = %v, want %v", got, want)
 	}
-	for i, want := range [][]spec{{{2, false}, {3, false}}, {{3, false}}, nil} {
+	for i, want := range [][]int{{2, 3}, {3}, nil} {
 		if _, err := f.m.LoadPage(PageReq{UID: 1, PT: pt, Page: 4 + i}, nil); err != nil {
 			t.Fatal(err)
 		}
-		if got := ring(); !slices.Equal(got, want) {
-			t.Errorf("ring after steal %d = %v, want %v", i+1, got, want)
+		if got := queue(); !slices.Equal(got, want) {
+			t.Errorf("queue after steal %d = %v, want %v", i+1, got, want)
 		}
 		if bad := f.m.Audit(); len(bad) != 0 {
 			t.Errorf("audit after steal %d: %v", i+1, bad)
@@ -211,7 +202,7 @@ func TestPrefetchStealSweepsInIssueOrder(t *testing.T) {
 }
 
 // The audit's cache partition class: each way the frame table and
-// the read-ahead ring can disagree about a speculation is reported by
+// the read-ahead queue can disagree about a speculation is reported by
 // name.
 func TestAuditCatchesCacheCorruption(t *testing.T) {
 	f := newFixture(t, 8)
@@ -228,27 +219,26 @@ func TestAuditCatchesCacheCorruption(t *testing.T) {
 	if bad := f.m.Audit(); len(bad) != 0 {
 		t.Fatalf("audit before corruption: %v", bad)
 	}
-	spec := func(i int) *frameInfo { return &f.m.frames[f.m.cacheRing[i]-f.m.first] }
+	spec := func(i int) *frameInfo { return &f.m.frames[f.m.cacheQueue[i]-f.m.first] }
 	for _, c := range []struct {
 		fault, want string
 		corrupt     func()
 	}{
-		{"a cached frame also free", "both free and cached", func() { f.m.free = append(f.m.free, f.m.cacheRing[0]) }},
+		{"a cached frame also free", "both free and cached", func() { f.m.free = append(f.m.free, f.m.cacheQueue[0]) }},
 		{"a cached frame also in use", "both cached and in use", func() { spec(0).inUse = true }},
-		{"a cached frame absent from the ring", "missing from the read-ahead ring", func() { f.m.cacheRing = f.m.cacheRing[1:] }},
-		{"a ring entry not cached", "in the read-ahead ring but not cached", func() { spec(0).cached = false }},
+		{"a cached frame absent from the queue", "missing from the read-ahead queue", func() { f.m.cacheQueue = f.m.cacheQueue[1:] }},
+		{"a queue entry not cached", "in the read-ahead queue but not cached", func() { spec(0).cached = false }},
 		{"two speculations on one page", "both speculate on page", func() { spec(1).page = spec(0).page }},
-		{"a reference bit with no ticket", "reference bit but no queued read", func() { spec(0).ticket = nil }},
 	} {
 		f.m.mu.Lock()
-		frames, free, ring := slices.Clone(f.m.frames), slices.Clone(f.m.free), slices.Clone(f.m.cacheRing)
+		frames, free, queue := slices.Clone(f.m.frames), slices.Clone(f.m.free), slices.Clone(f.m.cacheQueue)
 		c.corrupt()
 		f.m.mu.Unlock()
 		if bad := f.m.Audit(); !anyContains(bad, c.want) {
 			t.Errorf("%s: audit reports %q, want %q", c.fault, bad, c.want)
 		}
 		f.m.mu.Lock()
-		f.m.frames, f.m.free, f.m.cacheRing = frames, free, ring
+		f.m.frames, f.m.free, f.m.cacheQueue = frames, free, queue
 		f.m.mu.Unlock()
 	}
 	if bad := f.m.Audit(); len(bad) != 0 {
@@ -276,7 +266,7 @@ func TestPrefetchRecyclesEntriesAndTickets(t *testing.T) {
 		f.m.mu.Lock()
 		defer f.m.mu.Unlock()
 		var tks []*disk.Ticket
-		for _, fr := range f.m.cacheRing {
+		for _, fr := range f.m.cacheQueue {
 			tks = append(tks, f.m.frames[fr-f.m.first].ticket)
 		}
 		return tks

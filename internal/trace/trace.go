@@ -136,7 +136,7 @@ const (
 	// EvPrefetchDrop: a speculative entry was discarded unclaimed
 	// (Arg0 the record address, Arg1 the page number, Arg2 the class:
 	// 0 the speculative transfer faulted, 1 the entry went stale, 2
-	// the frame was stolen back by the second-chance clock).
+	// the frame was taken back for demand allocation).
 	EvPrefetchDrop
 	// EvNetFrame: a frame was demultiplexed and handed to its
 	// connection (Arg0 the channel or connection id, Arg1 the payload

@@ -68,6 +68,16 @@ func TestAuditCleanThenCorrupt(t *testing.T) {
 	rq.mu.Lock()
 	rq.size--
 	rq.mu.Unlock()
+	// Corrupt: the table files a record under another process's pid.
+	f.m.procsMu.Lock()
+	f.m.procs[b.id] = a
+	f.m.procsMu.Unlock()
+	if bad := f.m.Audit(); !slices.ContainsFunc(bad, func(s string) bool { return strings.Contains(s, "holds the record of process") }) {
+		t.Errorf("audit of a table entry naming another process = %v", bad)
+	}
+	f.m.procsMu.Lock()
+	f.m.procs[b.id] = b
+	f.m.procsMu.Unlock()
 	// Corrupt: a ready process vanishes from the ready queue.
 	rq.mu.Lock()
 	rq.remove(b)
@@ -112,16 +122,15 @@ func TestAuditFindsFreeRecordReachable(t *testing.T) {
 		t.Fatalf("clean manager audits dirty: %v", bad)
 	}
 	// Corrupt: the free record is still in the process table.
-	sh := f.m.shard(c.id)
-	sh.mu.Lock()
-	sh.procs[c.id] = c
-	sh.mu.Unlock()
+	f.m.procsMu.Lock()
+	f.m.procs[c.id] = c
+	f.m.procsMu.Unlock()
 	if bad := f.m.Audit(); !slices.ContainsFunc(bad, func(s string) bool { return strings.Contains(s, "free process record") }) {
 		t.Errorf("audit of a free record in the process table = %v", bad)
 	}
-	sh.mu.Lock()
-	delete(sh.procs, c.id)
-	sh.mu.Unlock()
+	f.m.procsMu.Lock()
+	delete(f.m.procs, c.id)
+	f.m.procsMu.Unlock()
 	// Corrupt: the free record is still on the ready queue.
 	rq := &f.m.ready
 	rq.mu.Lock()

@@ -20,15 +20,16 @@
 // the identity of the processes awaiting it.
 //
 // The scheduling plane is built to survive storms of tens of
-// thousands of processes: the process table is sharded, the ready
-// set is one intrusive FIFO with O(1) enqueue/dequeue that every
-// scheduler worker serves, and idle schedulers block on eventcounts
-// instead of polling. As in the paper's design there are no
+// thousands of processes: the process table is one map under one
+// lock, held for one map operation at a time, the ready set is one
+// intrusive FIFO with O(1) enqueue/dequeue that every scheduler
+// worker serves, and idle schedulers block on eventcounts instead of
+// polling. As in the paper's design there are no
 // priorities: every ready process waits its turn. The locks split
 // the manager's certification layer into sub-ranks, acquired
 // strictly downward:
 //
-//	process-table shard (pid -> process map)
+//	process table (pid -> process map)
 //	> per-process lock (state, bindings)
 //	> ready queue (intrusive ready links)
 //	> real-memory message queue
@@ -37,8 +38,8 @@ package uproc
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -72,7 +73,7 @@ const (
 	subQueue    = 0 // real-memory message queue
 	subRunQueue = 1 // the ready queue
 	subProc     = 2 // per-process locks
-	subShard    = 3 // process-table shards
+	subTable    = 3 // the process table
 )
 
 // State is a user process's scheduling state.
@@ -125,7 +126,7 @@ type Process struct {
 
 	// pmu orders every mutation of this process's scheduling state.
 	// It ranks above the ready-queue lock, so a holder can enqueue,
-	// and below the shard locks, so a table scan can inspect.
+	// and below the process-table lock.
 	pmu lockrank.Mutex
 
 	state State
@@ -307,15 +308,6 @@ func (q *Queue) Drain() ([]Message, error) {
 	return out, nil
 }
 
-// numShards shards the pid -> process table so lookups and creations
-// from many CPUs do not serialize on one lock.
-const numShards = 32
-
-type procShard struct {
-	mu    lockrank.Mutex
-	procs map[uint64]*Process
-}
-
 // SchedStats is the scheduler's own meter block.
 type SchedStats struct {
 	// Dispatches counts successful process dispatches.
@@ -349,7 +341,9 @@ type Manager struct {
 	StateCell segment.CellRef
 
 	nextPID atomic.Uint64
-	shards  [numShards]procShard
+	// procs maps each live pid to its process, under procsMu.
+	procsMu lockrank.Mutex
+	procs   map[uint64]*Process
 
 	// ready is the one FIFO of ready processes every worker serves.
 	ready runQueue
@@ -391,18 +385,12 @@ func NewManager(vps *vproc.Manager, segs *segment.Manager, ksm *knownseg.Manager
 		trace:   rec,
 		KSTBase: 8,
 		KSTSize: 64,
+		procs:   make(map[uint64]*Process),
 	}
-	for i := range m.shards {
-		m.shards[i].mu.InitSub(ModuleName, subShard)
-		m.shards[i].procs = make(map[uint64]*Process)
-	}
+	m.procsMu.InitSub(ModuleName, subTable)
 	m.ready.mu.InitSub(ModuleName, subRunQueue)
 	m.readyEC.Trace(rec, ModuleName)
 	return m
-}
-
-func (m *Manager) shard(pid uint64) *procShard {
-	return &m.shards[pid%numShards]
 }
 
 // Create makes a new user process for the authenticated principal at
@@ -433,10 +421,9 @@ func (m *Manager) Create(principal string, label aim.Label) (*Process, error) {
 	p.createdCycle, p.cpu = m.meter.Cycles(), 0
 	p.pmu.Unlock()
 	p.firstRunCycle.Store(-1)
-	sh := m.shard(pid)
-	sh.mu.Lock()
-	sh.procs[pid] = p
-	sh.mu.Unlock()
+	m.procsMu.Lock()
+	m.procs[pid] = p
+	m.procsMu.Unlock()
 	p.pmu.Lock()
 	// The state is written under pmu: a stale holder of a reused
 	// record reads it there.
@@ -448,20 +435,25 @@ func (m *Manager) Create(principal string, label aim.Label) (*Process, error) {
 
 // newStateSegment creates, activates and grows the state segment of
 // process pid, storing the pid in its first word: an ordinary,
-// pageable, quota-charged segment.
+// pageable, quota-charged segment. A creation that fails part way
+// deletes the segment again, deactivating it if it got that far.
 func (m *Manager) newStateSegment(pid uint64) (uint64, error) {
 	uid := m.segs.NewUID()
 	addr, err := m.segs.Create(m.StatePack, uid, false, m.StateCell.UID)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := m.segs.Activate(uid, addr, m.StateCell.Cell, m.StateCell.Has); err != nil {
-		return 0, err
+	if _, err = m.segs.Activate(uid, addr, m.StateCell.Cell, m.StateCell.Has); err == nil {
+		if _, err = m.segs.Grow(uid, 0, 0, 0); err == nil {
+			if err = m.segs.WriteWord(uid, 0, hw.Word(pid).Masked()); err == nil {
+				return uid, nil
+			}
+		}
 	}
-	if _, err := m.segs.Grow(uid, 0, 0, 0); err != nil {
-		return 0, err
+	if derr := m.segs.Delete(uid, addr, m.StateCell.Cell, m.StateCell.Has); derr != nil {
+		err = errors.Join(err, derr)
 	}
-	return uid, m.segs.WriteWord(uid, 0, hw.Word(pid).Masked())
+	return 0, err
 }
 
 // record returns a process record for Create, with its address space
@@ -505,10 +497,9 @@ func (m *Manager) enqueue(p *Process, front bool) {
 
 // Lookup returns the process with the given id.
 func (m *Manager) Lookup(pid uint64) (*Process, error) {
-	sh := m.shard(pid)
-	sh.mu.Lock()
-	p, ok := sh.procs[pid]
-	sh.mu.Unlock()
+	m.procsMu.Lock()
+	p, ok := m.procs[pid]
+	m.procsMu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("uproc: no process %d", pid)
 	}
@@ -518,29 +509,21 @@ func (m *Manager) Lookup(pid uint64) (*Process, error) {
 // Count reports the number of live processes — arbitrary, unlike the
 // fixed virtual-processor count below.
 func (m *Manager) Count() int {
-	n := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		n += len(sh.procs)
-		sh.mu.Unlock()
-	}
-	return n
+	m.procsMu.Lock()
+	defer m.procsMu.Unlock()
+	return len(m.procs)
 }
 
 // allPIDs returns every registered process id in ascending order, so
 // broadcast wakeups touch processes in a deterministic order.
 func (m *Manager) allPIDs() []uint64 {
-	var pids []uint64
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for pid := range sh.procs {
-			pids = append(pids, pid)
-		}
-		sh.mu.Unlock()
+	m.procsMu.Lock()
+	pids := make([]uint64, 0, len(m.procs))
+	for pid := range m.procs {
+		pids = append(pids, pid)
 	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
+	m.procsMu.Unlock()
+	slices.Sort(pids)
 	return pids
 }
 
@@ -833,7 +816,7 @@ func (m *Manager) Wakeup(pid uint64, datum uint64) error {
 // blocked process whose awaited eventcount has been reached, moving
 // it to the ready queue. The scheduler's virtual processor runs this;
 // it returns the number of processes made ready. Targeted messages
-// cost one sharded lookup; broadcasts sweep the pid space in
+// cost one table lookup; broadcasts sweep the pid space in
 // ascending order, so delivery order is deterministic.
 func (m *Manager) DeliverEvents() (int, error) {
 	msgs, err := m.queue.Drain()
@@ -870,9 +853,10 @@ func (m *Manager) DeliverEvents() (int, error) {
 }
 
 // Audit checks the manager's invariants: the ready queue's list holds
-// exactly its recorded size, running processes hold exactly one
-// user-bound virtual processor and are not queued, ready processes
-// appear on the ready queue, and nothing dead lingers. No record on
+// exactly its recorded size, each table entry holds the record of its
+// own pid, running processes hold exactly one user-bound virtual
+// processor and are not queued, ready processes appear on the ready
+// queue, and nothing dead lingers. No record on
 // the free list may be reachable from the process table, the ready
 // queue, the list of live KSTs or a segment's connection list.
 func (m *Manager) Audit() []string {
@@ -891,39 +875,42 @@ func (m *Manager) Audit() []string {
 		bad = append(bad, fmt.Sprintf("ready queue walk reaches %d processes, size %d", n, rq.size))
 	}
 	rq.mu.Unlock()
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for pid, p := range sh.procs {
-			live[p] = "the process table"
-			p.pmu.Lock()
-			switch p.state {
-			case Running:
-				if onQueue[pid] {
-					bad = append(bad, fmt.Sprintf("process %d running but queued", pid))
-				}
-				if p.vp == nil {
-					bad = append(bad, fmt.Sprintf("process %d running without a virtual processor", pid))
-				} else if p.vp.Binding() != vproc.UserBound || p.vp.User() != pid {
-					bad = append(bad, fmt.Sprintf("process %d running on vp %d bound to %v/%d", pid, p.vp.ID(), p.vp.Binding(), p.vp.User()))
-				}
-			case Ready:
-				if !onQueue[pid] {
-					bad = append(bad, fmt.Sprintf("process %d ready but not queued", pid))
-				}
-				if p.vp != nil {
-					bad = append(bad, fmt.Sprintf("process %d ready but still holds vp %d", pid, p.vp.ID()))
-				}
-			case Blocked:
-				if p.vp != nil {
-					bad = append(bad, fmt.Sprintf("process %d blocked but still holds vp %d", pid, p.vp.ID()))
-				}
-			case Dead:
-				bad = append(bad, fmt.Sprintf("process %d dead but registered", pid))
-			}
-			p.pmu.Unlock()
+	// The table is copied out under its lock and each record checked
+	// under its own: no path nests the table lock over a process lock.
+	m.procsMu.Lock()
+	table := maps.Clone(m.procs)
+	m.procsMu.Unlock()
+	for pid, p := range table {
+		live[p] = "the process table"
+		p.pmu.Lock()
+		if p.id != pid {
+			bad = append(bad, fmt.Sprintf("process table entry %d holds the record of process %d", pid, p.id))
 		}
-		sh.mu.Unlock()
+		switch p.state {
+		case Running:
+			if onQueue[pid] {
+				bad = append(bad, fmt.Sprintf("process %d running but queued", pid))
+			}
+			if p.vp == nil {
+				bad = append(bad, fmt.Sprintf("process %d running without a virtual processor", pid))
+			} else if p.vp.Binding() != vproc.UserBound || p.vp.User() != pid {
+				bad = append(bad, fmt.Sprintf("process %d running on vp %d bound to %v/%d", pid, p.vp.ID(), p.vp.Binding(), p.vp.User()))
+			}
+		case Ready:
+			if !onQueue[pid] {
+				bad = append(bad, fmt.Sprintf("process %d ready but not queued", pid))
+			}
+			if p.vp != nil {
+				bad = append(bad, fmt.Sprintf("process %d ready but still holds vp %d", pid, p.vp.ID()))
+			}
+		case Blocked:
+			if p.vp != nil {
+				bad = append(bad, fmt.Sprintf("process %d blocked but still holds vp %d", pid, p.vp.ID()))
+			}
+		case Dead:
+			bad = append(bad, fmt.Sprintf("process %d dead but registered", pid))
+		}
+		p.pmu.Unlock()
 	}
 	m.spareMu.Lock()
 	spare := slices.Clone(m.spare)
@@ -969,10 +956,9 @@ func (m *Manager) Destroy(p *Process) error {
 	p.await, p.awaitValue, p.wakePending = nil, 0, false
 	pid, kst, stateUID := p.id, p.kst, p.stateUID
 	p.pmu.Unlock()
-	sh := m.shard(pid)
-	sh.mu.Lock()
-	delete(sh.procs, pid)
-	sh.mu.Unlock()
+	m.procsMu.Lock()
+	delete(m.procs, pid)
+	m.procsMu.Unlock()
 	if wasRunning {
 		m.running.Add(-1)
 	}

@@ -81,8 +81,8 @@ func TestRunStorm(t *testing.T) {
 
 // TestStormChurnRace hammers the process plane from real goroutines:
 // login/logout churn racing against dispatch loops, event delivery,
-// and blocking bodies — the -race exercise for the sharded process
-// table, the one ready queue, and the wakeup path.
+// and blocking bodies — the -race exercise for the process table, the
+// one ready queue, and the wakeup path.
 func TestStormChurnRace(t *testing.T) {
 	const (
 		churners  = 4
