@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package schedsim is a deterministic virtual-time executor for the
 // simulated multiprocessor.
 //
@@ -16,9 +18,13 @@
 // disk completion, quantum boundary, eventcount await, and explicit
 // critical-window marks) the holder asks the executor for a
 // scheduling decision and the token moves — or stays — accordingly.
-// The token travels over per-task channels, so every cross-task
-// transition carries a happens-before edge and the race detector
-// stays sound under the simulated schedule.
+// Each task runs on a coroutine (iter.Pull), and Run is the driver
+// that resumes them: a task that passes the token on records the task
+// chosen and switches back to Run, which resumes that task's
+// coroutine. A hand-off is thus two coroutine switches, with no trip
+// through the Go scheduler. Each switch is a happens-before edge for
+// the race detector (iter.Pull annotates it), so -race stays sound
+// under the simulated schedule.
 //
 // Two strategies matter:
 //
@@ -32,21 +38,25 @@
 //     model-checking style, within configured bounds.
 //
 // A decision allocates nothing on the host. The executor keeps no
-// decision log and builds each Decision's Runnable set in scratch
-// space it reuses at the next decision, so the set is valid only while
-// the strategy's Choose runs. A Recorder wrapped around the strategy
-// is the one decision log; it copies each set it keeps.
+// decision log and keeps each Decision's Runnable set in scratch space
+// that later decisions reuse, rebuilt only when some task has blocked,
+// woken or finished since the last one, so the set is valid only while
+// the strategy's Choose runs. Blocked tasks' predicates are still
+// evaluated, in task order, at every decision. A Recorder wrapped
+// around the strategy is the one decision log; it copies each set it
+// keeps.
 //
-// Nor does a warm run allocate more than its Executor handle. Only one
-// executor runs at a time, so the storage of its tasks persists across
-// runs: the carriers (a goroutine per task slot, parked on its gate
-// channel between runs) and an engine of task records and decision
-// scratch that New takes and Run gives back. A carrier whose task
-// ended in a panic exits rather than be reused.
+// Nor does a warm run allocate at all. Only one executor runs at a
+// time, so the storage of its tasks persists across runs: the carriers
+// (a coroutine per task slot, parked between runs) and an engine of
+// run settings, task records and decision scratch that New takes and
+// Run gives back. The Executor handle itself is small and does not
+// escape its caller, which keeps it on its stack. A carrier whose task
+// ended in a panic is dropped rather than reused.
 //
-// Kernel code never imports an executor instance. Each task records
-// itself as the active executor's running task when it takes the
-// token, so "which execution context am I?" is one atomic load and a
+// Kernel code never imports an executor instance. Run records each
+// task as the active executor's running task before it resumes it,
+// so "which execution context am I?" is one atomic load and a
 // field read: the hooks (Yield, Block, LockAcquire) act for the token
 // holder, and with no executor running they are no-ops. The same
 // kernel binary therefore runs identically under real goroutines and
@@ -68,6 +78,7 @@ package schedsim
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -136,10 +147,10 @@ type Decision struct {
 	// Task is the task that yielded the token ("" for the initial
 	// dispatch).
 	Task string
-	// Runnable names the tasks eligible to run, in task order. The
-	// executor builds it in scratch space it reuses at the next
-	// decision, so it is valid only while Choose runs; a strategy that
-	// keeps it must copy it, as Recorder does.
+	// Runnable names the tasks eligible to run, in task order. It is
+	// the executor's scratch, which later decisions reuse, so it is
+	// valid only while Choose runs and must not be modified; a
+	// strategy that keeps it must copy it, as Recorder does.
 	Runnable []string
 }
 
@@ -301,16 +312,17 @@ const (
 )
 
 // A task is one task slot's record. Records are kept across runs in
-// the engine, so Go resets every field but local's Held capacity; gate
-// is the channel of the carrier Run hands the task to.
+// the engine, so Go resets every field but local's Held capacity.
 type task struct {
-	ex    *Executor
+	eng   *engine
 	id    int
 	name  string
 	fn    func()
-	gate  chan struct{}
 	state taskState
+	// A blocked task waits for ready to report true or, on a contended
+	// lock, for mu.TryLock to succeed; why names the wait.
 	ready func() bool
+	mu    *sync.Mutex
 	why   string
 	local Local
 }
@@ -336,70 +348,81 @@ type HeldLock struct {
 // An Executor runs a set of tasks — simulated processors — under a
 // single token so exactly one executes at a time, consulting its
 // Strategy at every yield point. Executors are single-use: Go then
-// Run once. The handle stays valid after Run; the storage its tasks
-// used goes back to the next executor.
+// Run once. The handle is small enough for its caller's stack; the
+// storage its tasks used goes back to the next executor when Run
+// returns.
 type Executor struct {
+	// eng is the engine the executor took at New, nil once Run has
+	// returned it.
+	eng     *engine
+	running bool
+}
+
+// An engine is everything an executor's run needs: the run's settings,
+// a record per task slot, the token's state, and choose's scratch (the
+// runnable tasks and their names, rebuilt only when some task's state
+// has changed). New takes the spare engine and Run puts it back, so a
+// warm run allocates nothing.
+type engine struct {
 	name     string
 	seed     int64
 	strategy Strategy
 	maxSteps int
+	// rnd is the default strategy, Random(seed).
+	rnd randomStrategy
 
-	// eng is the engine the executor took at New, nil once Run has
-	// returned it.
-	eng *engine
-
-	// The fields below are only touched by the token holder (or by
-	// Run while every task is parked), so token hand-off over the
-	// gate channels orders all access. holder is the task that holds
-	// the token, set by each task as it takes it.
-	holder   *task
-	step     int
-	failure  *Failure
-	aborting bool
-
-	running bool
-}
-
-// An engine is the storage an executor's tasks need beyond the
-// handle: a record per task slot, and choose's scratch (the runnable
-// tasks and their names, rebuilt at every decision so a decision
-// allocates nothing). New takes the spare engine and Run puts it back,
-// so a warm executor allocates only its handle.
-type engine struct {
 	// slots holds every record made; tasks are those of the
 	// executor's tasks, a prefix of slots.
 	slots []*task
 	tasks []*task
-	run   []*task
-	names []string
+
+	// The fields below are only touched by the token holder, or by
+	// Run between two resumptions. holder is the task that holds the
+	// token; next is the task a yielding or finishing task handed it
+	// to, nil when no live task remains.
+	holder   *task
+	next     *task
+	step     int
+	failure  *Failure
+	aborting bool
+
+	// run and names are the runnable tasks and their names, in task
+	// order, stale once changed is set; blocked counts the blocked
+	// tasks.
+	run     []*task
+	names   []string
+	changed bool
+	blocked int
+
+	// lockWhys maps a lock's name to "lock <name>", the detail of the
+	// decision taken when a LockAcquire of that lock blocks, built
+	// once per name (lock names are the kernel's module names).
+	lockWhys map[string]string
 }
 
 // spare is the engine the last executor to finish left behind.
 var spare atomic.Pointer[engine]
 
-// A carrier is a goroutine that runs tasks: parked on its gate
-// between runs, it runs the task Run hands it when the token first
-// reaches it.
+// A carrier runs tasks as a coroutine. Parked between runs, it runs
+// the task Run hands it when the token first reaches it. resume
+// switches to it from Run; park, called on it, switches back.
 type carrier struct {
-	gate chan struct{}
-	t    *task
+	resume func() (struct{}, bool)
+	park   func(struct{}) bool
+	t      *task
 }
 
-// carriers and done serve the running executor, which alone touches
-// them: carriers[i] carries task i, and done takes the token back
-// from the last task to finish. A nil carrier is started afresh.
-// Carriers are never stopped: there is one per task slot of the
-// widest run so far, parked, holding nothing of a finished run.
-var (
-	carriers []*carrier
-	done     = make(chan struct{}, 1)
-)
+// carriers serve the running executor, which alone touches them:
+// carriers[i] carries task i. A nil carrier is started afresh.
+// Carriers are never stopped: there is one per task slot of the widest
+// run so far, parked, holding nothing of a finished run.
+var carriers []*carrier
 
-// active is the executor currently in Run, nil otherwise. Hooks called
-// from goroutines that are not registered tasks are no-ops, so kernel
-// code instrumented with yield points behaves identically when no
-// simulation is running.
-var active atomic.Pointer[Executor]
+// active is the engine of the executor currently in Run, nil
+// otherwise. Hooks called from goroutines that are not registered
+// tasks are no-ops, so kernel code instrumented with yield points
+// behaves identically when no simulation is running.
+var active atomic.Pointer[engine]
 
 // errAborted unwinds a task after another task's failure; the task
 // wrapper swallows it.
@@ -407,29 +430,33 @@ var errAborted = fmt.Errorf("schedsim: schedule aborted")
 
 // New builds an executor. Add tasks with Go, then call Run.
 func New(cfg Config) *Executor {
-	st := cfg.Strategy
-	if st == nil {
-		st = Random(cfg.Seed)
-	}
-	name := cfg.Name
-	if name == "" {
-		name = "schedsim"
-	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 1 << 22
-	}
+	return &Executor{eng: takeEngine(cfg)}
+}
+
+// takeEngine returns the spare engine, or a new one, set up for a run
+// under cfg.
+func takeEngine(cfg Config) *engine {
 	eng := spare.Swap(nil)
 	if eng == nil {
 		eng = new(engine)
 	}
-	return &Executor{
-		name:     name,
-		seed:     cfg.Seed,
-		strategy: st,
-		maxSteps: maxSteps,
-		eng:      eng,
+	eng.name = cfg.Name
+	if eng.name == "" {
+		eng.name = "schedsim"
 	}
+	eng.seed = cfg.Seed
+	eng.strategy = cfg.Strategy
+	if eng.strategy == nil {
+		eng.rnd = randomStrategy{state: uint64(cfg.Seed)}
+		eng.strategy = &eng.rnd
+	}
+	eng.maxSteps = cfg.MaxSteps
+	if eng.maxSteps == 0 {
+		eng.maxSteps = 1 << 22
+	}
+	eng.step, eng.failure, eng.aborting = 0, nil, false
+	eng.changed, eng.blocked = true, 0
+	return eng
 }
 
 // Go registers a task. Tasks are identified by name in decisions and
@@ -444,60 +471,62 @@ func (ex *Executor) Go(name string, fn func()) {
 		eng.slots = append(eng.slots, new(task))
 	}
 	t := eng.slots[id]
-	*t = task{ex: ex, id: id, name: name, fn: fn, local: Local{Held: t.local.Held[:0]}}
+	*t = task{eng: eng, id: id, name: name, fn: fn, local: Local{Held: t.local.Held[:0]}}
 	eng.tasks = eng.slots[:id+1]
 }
 
 // Run executes all tasks to completion under the configured strategy
 // and returns nil, or the *Failure describing the first panic or
 // deadlock. Only one executor may run at a time per process.
+//
+// Run is the driver: it resumes the chosen task's carrier, which runs
+// until the task yields the token to another task or finishes and
+// records that task as the next; Run then resumes that one.
 func (ex *Executor) Run() error {
 	if ex.running {
 		panic("schedsim: Run called twice")
 	}
 	ex.running = true
-	if len(ex.eng.tasks) == 0 {
-		ex.release()
+	eng := ex.eng
+	ex.eng = nil
+	if len(eng.tasks) == 0 {
+		eng.release()
 		return nil
 	}
-	if !active.CompareAndSwap(nil, ex) {
+	if !active.CompareAndSwap(nil, eng) {
 		panic("schedsim: another executor is already running")
 	}
-	for i, t := range ex.eng.tasks {
+	for i, t := range eng.tasks {
 		if i == len(carriers) {
 			carriers = append(carriers, nil)
 		}
-		c := carriers[i]
-		if c == nil {
-			c = &carrier{gate: make(chan struct{}, 1)}
-			carriers[i] = c
-			go c.carry()
+		if carriers[i] == nil {
+			carriers[i] = newCarrier()
 		}
-		c.t, t.gate = t, c.gate
+		carriers[i].t = t
 	}
-	// Every carrier is parked on its gate until the token reaches it,
-	// so Run may touch executor state here without holding the token.
-	first := ex.choose(nil, PointStart, "")
-	first.gate <- struct{}{}
-	<-done
+	for next := eng.choose(nil, PointStart, ""); next != nil; next = eng.next {
+		eng.holder, eng.next = next, nil
+		carriers[next.id].resume()
+	}
 	active.Store(nil)
-	ex.release()
-	if ex.failure != nil {
-		return ex.failure
+	f := eng.failure
+	eng.release()
+	if f != nil {
+		return f
 	}
 	return nil
 }
 
-// release returns ex's engine to spare, its records holding nothing of
-// the run.
-func (ex *Executor) release() {
-	eng := ex.eng
+// release returns eng to spare, its records holding nothing of the
+// run.
+func (eng *engine) release() {
 	for _, t := range eng.tasks {
-		t.ex, t.fn, t.ready = nil, nil, nil
+		t.eng, t.fn, t.ready, t.mu = nil, nil, nil, nil
 	}
 	eng.tasks = nil
+	eng.strategy, eng.holder, eng.failure = nil, nil, nil
 	spare.Store(eng)
-	ex.eng = nil
 }
 
 // Decisions returns nil. The executor keeps no decision log, so that a
@@ -506,68 +535,81 @@ func (ex *Executor) release() {
 // of the executor's log, which is now always zero.
 func (ex *Executor) Decisions() []Decision { return nil }
 
-// carry is a carrier's goroutine: it runs a task each time the token
-// first reaches it, until a task ends in a panic.
-func (c *carrier) carry() {
-	for {
-		<-c.gate
-		if !c.t.run() {
-			return
-		}
+// newCarrier starts a carrier, parked until its first resume.
+func newCarrier() *carrier {
+	c := new(carrier)
+	c.resume, _ = iter.Pull(c.carry)
+	return c
+}
+
+// carry is a carrier's coroutine: each time it is resumed after
+// parking between runs, it runs the task Run handed it, until a task
+// ends in a panic.
+func (c *carrier) carry(park func(struct{}) bool) {
+	c.park = park
+	for c.t.run() {
+		park(struct{}{})
 	}
 }
 
 // run runs t, which has just taken the token for the first time, and
-// passes the token on when t is done. It reports whether t's carrier
-// may carry another task: not once a panic has unwound it, so the next
-// run starts a new carrier in its place. A task that calls
-// runtime.Goexit neither returns nor panics: its carrier exits, and
-// the deferred hand-off records the schedule's failure, aborts it and
-// still passes the token on. Nothing after the hand-off touches t,
-// which the next run may already be reusing.
+// records the task the token passes to when t is done. It reports
+// whether t's carrier may carry another task: not once a panic has
+// unwound it, so the next run starts a new carrier in its place.
+//
+// A task that calls runtime.Goexit neither returns nor panics. Its
+// deferred hand-off records the schedule's failure, aborts it and
+// still names the next task; it then parks the carrier for good, since
+// a coroutine that ended in Goexit would carry the Goexit into Run.
 func (t *task) run() (reusable bool) {
-	ex := t.ex
-	ex.holder = t
+	eng, c := t.eng, carriers[t.id]
 	returned := false
 	defer func() {
-		if !returned {
-			ex.fail(t, "runtime.Goexit: the task exited without returning")
+		if returned {
+			return
 		}
-		t.state = taskDone
-		if !reusable {
-			carriers[t.id] = nil
-		}
-		if next := ex.choose(t, PointDone, t.name); next != nil {
-			next.gate <- struct{}{}
-		} else {
-			done <- struct{}{}
-		}
+		eng.fail(t, "runtime.Goexit: the task exited without returning")
+		carriers[t.id] = nil
+		eng.finish(t)
+		c.park(struct{}{})
 	}()
 	reusable = !t.body()
 	returned = true
+	if !reusable {
+		carriers[t.id] = nil
+	}
+	eng.finish(t)
 	return reusable
+}
+
+// finish marks t done and chooses the task the token passes to. Nothing
+// after it touches t, which the next run may already be reusing.
+func (eng *engine) finish(t *task) {
+	t.state = taskDone
+	eng.changed = true
+	eng.next = eng.choose(t, PointDone, t.name)
 }
 
 // fail makes why, raised by t, the schedule's failure unless it
 // already has one, and aborts the schedule.
-func (ex *Executor) fail(t *task, why any) {
-	if ex.failure == nil {
-		ex.failure = &Failure{
-			Executor: ex.name,
-			Seed:     ex.seed,
+func (eng *engine) fail(t *task, why any) {
+	if eng.failure == nil {
+		eng.failure = &Failure{
+			Executor: eng.name,
+			Seed:     eng.seed,
 			Task:     t.name,
-			Step:     ex.step,
+			Step:     eng.step,
 			Panic:    why,
 		}
 	}
-	ex.aborting = true
+	eng.aborting = true
 }
 
 // body runs t's function unless the schedule is already aborting, and
 // reports whether it ended in a panic. The first panic other than an
 // abort's unwinding is the schedule's failure, and aborts it.
 func (t *task) body() (panicked bool) {
-	ex := t.ex
+	eng := t.eng
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -575,10 +617,10 @@ func (t *task) body() (panicked bool) {
 		}
 		panicked = true
 		if r != errAborted {
-			ex.fail(t, r)
+			eng.fail(t, r)
 		}
 	}()
-	if !ex.aborting {
+	if !eng.aborting {
 		t.fn()
 	}
 	return false
@@ -588,86 +630,86 @@ func (t *task) body() (panicked bool) {
 // the task to receive the token, or nil when no live task remains.
 // Only the token holder (or Run, before the first dispatch) may call
 // it. from is the yielding task, nil at the initial dispatch.
-func (ex *Executor) choose(from *task, p Point, detail string) *task {
-	eng := ex.eng
-	if ex.step >= ex.maxSteps && !ex.aborting {
-		ex.failure = &Failure{
-			Executor: ex.name,
-			Seed:     ex.seed,
+func (eng *engine) choose(from *task, p Point, detail string) *task {
+	if eng.step >= eng.maxSteps && !eng.aborting {
+		eng.failure = &Failure{
+			Executor: eng.name,
+			Seed:     eng.seed,
 			Task:     taskName(from),
-			Step:     ex.step,
-			Panic:    fmt.Sprintf("schedule exceeded %d steps", ex.maxSteps),
+			Step:     eng.step,
+			Panic:    fmt.Sprintf("schedule exceeded %d steps", eng.maxSteps),
 		}
-		ex.aborting = true
+		eng.aborting = true
 	}
-	if ex.aborting {
+	if eng.aborting {
 		// Drain: wake each remaining task in turn so it unwinds via
 		// errAborted; readiness predicates no longer apply.
 		for _, t := range eng.tasks {
 			if t.state != taskDone && t != from {
-				t.state = taskRunnable
-				t.ready = nil
+				if t.state == taskBlocked {
+					eng.wake(t)
+				}
 				return t
 			}
 		}
 		return nil
 	}
-	// Collect runnable tasks, waking blocked ones whose predicates
-	// have become true. Predicates may carry side effects (try-lock
-	// acquires and keeps), so a true return transitions the task to
-	// runnable exactly once. Evaluation is in task order, which keeps
-	// the runnable set — and therefore the schedule — deterministic.
-	run, names := eng.run[:0], eng.names[:0]
-	for _, t := range eng.tasks {
-		switch t.state {
-		case taskRunnable:
-		case taskBlocked:
-			if !t.ready() {
-				continue
+	// Wake blocked tasks whose predicates have become true. Predicates
+	// may carry side effects (try-lock acquires and keeps), so a true
+	// return transitions the task to runnable exactly once. Evaluation
+	// is in task order, which keeps the runnable set — and therefore
+	// the schedule — deterministic.
+	if eng.blocked > 0 {
+		for _, t := range eng.tasks {
+			if t.state == taskBlocked && t.unblocked() {
+				eng.wake(t)
 			}
-			t.state = taskRunnable
-			t.ready = nil
-		default:
-			continue
 		}
-		run = append(run, t)
-		names = append(names, t.name)
 	}
-	eng.run, eng.names = run, names
-	if len(run) == 0 {
+	if eng.changed {
+		run, names := eng.run[:0], eng.names[:0]
+		for _, t := range eng.tasks {
+			if t.state == taskRunnable {
+				run = append(run, t)
+				names = append(names, t.name)
+			}
+		}
+		eng.run, eng.names, eng.changed = run, names, false
+	}
+	if len(eng.run) == 0 {
+		if eng.blocked == 0 {
+			return nil // every task finished
+		}
+		// Nothing outside the executor can change state, so blocked
+		// predicates that are all false now are false forever.
 		var reasons []string
 		for _, t := range eng.tasks {
 			if t.state == taskBlocked {
 				reasons = append(reasons, t.name+": "+t.why)
 			}
 		}
-		if len(reasons) == 0 {
-			return nil // every task finished
-		}
-		// Nothing outside the executor can change state, so blocked
-		// predicates that are all false now are false forever.
-		ex.failure = &Failure{
-			Executor: ex.name,
-			Seed:     ex.seed,
-			Step:     ex.step,
+		eng.failure = &Failure{
+			Executor: eng.name,
+			Seed:     eng.seed,
+			Step:     eng.step,
 			Deadlock: true,
 			Reasons:  reasons,
 		}
-		ex.aborting = true
-		return ex.choose(from, p, detail)
+		eng.aborting = true
+		return eng.choose(from, p, detail)
 	}
-	c := ex.strategy.Choose(Decision{
-		Step:     ex.step,
+	c := eng.strategy.Choose(Decision{
+		Step:     eng.step,
 		Point:    p,
 		Detail:   detail,
 		Task:     taskName(from),
-		Runnable: names,
+		Runnable: eng.names,
 	})
-	if c < 0 || c >= len(run) {
+	if c < 0 || c >= len(eng.run) {
 		c = 0
 	}
-	ex.step++
-	return run[c]
+	eng.step++
+	return eng.run[c]
 }
 
 func taskName(t *task) string {
@@ -677,56 +719,55 @@ func taskName(t *task) string {
 	return t.name
 }
 
-// await parks t until it is handed the token, then records it as the
-// running task.
-func (t *task) await() {
-	<-t.gate
-	t.ex.holder = t
+// unblocked reports whether blocked t may run again, taking the lock
+// it waits for if it waits for one.
+func (t *task) unblocked() bool {
+	if t.mu != nil {
+		return t.mu.TryLock()
+	}
+	return t.ready()
+}
+
+// wake makes blocked t runnable.
+func (eng *engine) wake(t *task) {
+	t.state, t.ready, t.mu = taskRunnable, nil, nil
+	eng.blocked--
+	eng.changed = true
 }
 
 // yield offers a scheduling decision at point p. The token may move
 // to another task; yield returns when this task is scheduled again.
-func (ex *Executor) yield(t *task, p Point, detail string) {
-	if ex.aborting {
+func (eng *engine) yield(t *task, p Point, detail string) {
+	if eng.aborting {
 		panic(errAborted)
 	}
-	next := ex.choose(t, p, detail)
-	if next == t {
-		return
-	}
-	if next == nil {
-		panic(errAborted)
-	}
-	next.gate <- struct{}{}
-	t.await()
-	if ex.aborting {
-		panic(errAborted)
-	}
+	eng.pass(t, eng.choose(t, p, detail))
 }
 
-// block parks t until ready() reports true. A true return is consumed
-// — predicates that acquire (try-lock) hold their acquisition when
-// block returns. Panics with errAborted if the schedule fails first.
-func (ex *Executor) block(t *task, why string, ready func() bool) {
-	if ex.aborting {
-		panic(errAborted)
-	}
-	if ready() {
-		return
-	}
-	t.state = taskBlocked
-	t.ready = ready
-	t.why = why
-	next := ex.choose(t, PointBlock, why)
+// block parks t until ready() reports true or, when mu is not nil,
+// until t takes mu. A true return is consumed — predicates that
+// acquire (try-lock) hold their acquisition when block returns. Panics
+// with errAborted if the schedule fails first.
+func (eng *engine) block(t *task, why string, ready func() bool, mu *sync.Mutex) {
+	t.state, t.ready, t.mu, t.why = taskBlocked, ready, mu, why
+	eng.blocked++
+	eng.changed = true
+	eng.pass(t, eng.choose(t, PointBlock, why))
+}
+
+// pass hands the token from t to next, unless next is t, and returns
+// when t holds it again: t records next and parks its carrier, and Run
+// resumes next's.
+func (eng *engine) pass(t, next *task) {
 	if next == t {
 		return
 	}
 	if next == nil {
 		panic(errAborted)
 	}
-	next.gate <- struct{}{}
-	t.await()
-	if ex.aborting {
+	eng.next = next
+	carriers[t.id].park(struct{}{})
+	if eng.aborting {
 		panic(errAborted)
 	}
 }
@@ -735,8 +776,8 @@ func (ex *Executor) block(t *task, why string, ready func() bool) {
 // executor runs. Under the package precondition the caller is that
 // task.
 func current() *task {
-	if ex := active.Load(); ex != nil {
-		return ex.holder
+	if eng := active.Load(); eng != nil {
+		return eng.holder
 	}
 	return nil
 }
@@ -760,7 +801,7 @@ func Current() *Local {
 // code may call it unconditionally.
 func Yield(p Point, detail string) {
 	if t := current(); t != nil {
-		t.ex.yield(t, p, detail)
+		t.eng.yield(t, p, detail)
 	}
 }
 
@@ -769,24 +810,44 @@ func Yield(p Point, detail string) {
 // returns). A no-op for goroutines that are not tasks — such callers
 // must block by their own means.
 func Block(why string, ready func() bool) {
-	if t := current(); t != nil {
-		t.ex.block(t, why, ready)
+	t := current()
+	if t == nil {
+		return
+	}
+	if t.eng.aborting {
+		panic(errAborted)
+	}
+	if !ready() {
+		t.eng.block(t, why, ready, nil)
 	}
 }
 
 // LockAcquire cooperatively acquires mu on behalf of the calling
-// task: a PointLock decision, then try-lock, parking on contention.
-// Returns false when the caller is not a task, in which case the
-// caller must acquire mu itself.
+// task: a PointLock decision, then try-lock, parking on contention
+// with the decision detail "lock <name>". Returns false when the
+// caller is not a task, in which case the caller must acquire mu
+// itself.
 func LockAcquire(mu *sync.Mutex, name string) bool {
 	t := current()
 	if t == nil {
 		return false
 	}
-	t.ex.yield(t, PointLock, name)
-	if mu.TryLock() {
-		return true
+	t.eng.yield(t, PointLock, name)
+	if !mu.TryLock() {
+		t.eng.block(t, t.eng.lockWhy(name), nil, mu)
 	}
-	t.ex.block(t, "lock "+name, mu.TryLock)
 	return true
+}
+
+// lockWhy returns "lock <name>".
+func (eng *engine) lockWhy(name string) string {
+	why, ok := eng.lockWhys[name]
+	if !ok {
+		if eng.lockWhys == nil {
+			eng.lockWhys = make(map[string]string)
+		}
+		why = "lock " + name
+		eng.lockWhys[name] = why
+	}
+	return why
 }

@@ -3,6 +3,7 @@ package schedsim
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"strings"
 	"sync"
@@ -359,11 +360,12 @@ func TestYieldAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestWarmRunAllocatesOnlyTheHandle pins the engine's reuse: once a
-// run as wide has gone before, New, two Gos and Run allocate nothing
-// but the Executor handle. The task records, the carriers and their
-// gates, and choose's scratch all come back from the run before.
-func TestWarmRunAllocatesOnlyTheHandle(t *testing.T) {
+// TestWarmRunAllocatesNothing pins the engine's reuse: once a run as
+// wide has gone before, New, two Gos and Run allocate nothing. The run
+// settings, the task records, the carriers and choose's scratch all
+// come back from the run before, and the Executor handle stays on the
+// caller's stack.
+func TestWarmRunAllocatesNothing(t *testing.T) {
 	a, b := chatter(10), chatter(10)
 	run := func() {
 		ex := New(Config{Strategy: RoundRobin()})
@@ -374,8 +376,109 @@ func TestWarmRunAllocatesOnlyTheHandle(t *testing.T) {
 		}
 	}
 	run()
-	if n := testing.AllocsPerRun(100, run); n > 1 {
-		t.Errorf("a warm run allocated %v objects, want at most 1, the handle", n)
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Errorf("a warm run allocated %v objects, want 0", n)
+	}
+}
+
+// blockCounter counts the PointBlock decisions of its inner strategy.
+type blockCounter struct {
+	inner  Strategy
+	blocks int
+}
+
+func (c *blockCounter) Choose(d Decision) int {
+	if d.Point == PointBlock {
+		c.blocks++
+	}
+	return c.inner.Choose(d)
+}
+
+// TestContendedLockAcquireAllocatesNothing: a task that finds its lock
+// held parks on the mutex itself, so a contended acquisition allocates
+// nothing. Under RoundRobin two tasks that each yield while holding
+// the lock find it held at every acquisition but the first.
+func TestContendedLockAcquireAllocatesNothing(t *testing.T) {
+	const acquisitions = 1000
+	var mu sync.Mutex
+	locker := func() {
+		for i := 0; i < acquisitions; i++ {
+			LockAcquire(&mu, "contended")
+			Yield(PointYield, "holding")
+			mu.Unlock()
+		}
+	}
+	run := func() int {
+		st := &blockCounter{inner: RoundRobin()}
+		ex := New(Config{Strategy: st})
+		ex.Go("a", locker)
+		ex.Go("b", locker)
+		if err := ex.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return st.blocks
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	contended := run()
+	runtime.ReadMemStats(&after)
+	if contended < acquisitions {
+		t.Fatalf("%d of %d acquisitions contended, want at least %d", contended, 2*acquisitions, acquisitions)
+	}
+	if per := (after.Mallocs - before.Mallocs) / uint64(contended); per != 0 {
+		t.Errorf("a contended acquisition allocated %d objects, want 0", per)
+	}
+}
+
+// TestScheduleDigest pins whole schedules: four tasks that block on a
+// predicate and wake, contend for a lock, yield and finish at
+// different steps, under four seeds. The digest covers every decision
+// as a Recorder logs it (step, point and detail, yielder, runnable set
+// and choice), so any change to which tasks are runnable at a
+// decision, to the order they are listed in, or to what a decision
+// reports changes it.
+func TestScheduleDigest(t *testing.T) {
+	const want = "c962e9393fc38eb6"
+	h := fnv.New64a()
+	var points [numPoints]int
+	lockBlocks := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		var mu sync.Mutex
+		held := 0
+		rec := Record(Random(seed))
+		ex := New(Config{Seed: seed, Strategy: rec})
+		for i := 0; i < 2; i++ {
+			ex.Go(fmt.Sprintf("locker%d", i), func() {
+				for j := 0; j < 4+2*i; j++ {
+					LockAcquire(&mu, "golden")
+					Yield(PointMark, "held")
+					held++
+					mu.Unlock()
+				}
+			})
+		}
+		ex.Go("waiter", func() {
+			Block("three held", func() bool { return held >= 3 })
+			chatter(3)()
+		})
+		ex.Go("short", chatter(2))
+		if err := ex.Run(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, d := range rec.Decisions() {
+			fmt.Fprintln(h, d)
+			points[d.Point]++
+			if d.Point == PointBlock && d.Detail == "lock golden" {
+				lockBlocks++
+			}
+		}
+	}
+	if lockBlocks == 0 || points[PointBlock] == lockBlocks || points[PointDone] == 0 {
+		t.Fatalf("want contended locks, a blocked waiter and finishing tasks; decisions by point %v, %d on the lock", points, lockBlocks)
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Errorf("schedule digest %s, want %s", got, want)
 	}
 }
 

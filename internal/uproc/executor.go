@@ -77,9 +77,9 @@ type SimExecutor struct {
 // Name implements Executor.
 func (SimExecutor) Name() string { return "schedsim" }
 
-// Run implements Executor. A warm run builds nothing but the schedsim
-// handle (and Random(Seed) when Strategy is nil): the task functions
-// come from the spare simRun, the task names from cpuNames.
+// Run implements Executor. A warm run allocates nothing: the schedsim
+// handle stays on the stack, the task functions come from the spare
+// simRun, the task names from cpuNames.
 func (e SimExecutor) Run(cpus []*hw.Processor, body func(cpu *hw.Processor)) error {
 	ex := schedsim.New(schedsim.Config{
 		Name:     "uproc",

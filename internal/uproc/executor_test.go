@@ -2,6 +2,7 @@ package uproc
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 
@@ -149,12 +150,15 @@ func TestWorkerUnbindsItsProcessor(t *testing.T) {
 
 // TestQuantumPhaseAllocatesLittle pins the host cost of a warm
 // two-processor quantum phase under the sim executor. The executor's
-// task records, carriers and decision scratch, SimExecutor's task
-// functions and names, and RunQuantumWith's state are all reused from
-// the phase before, so a phase allocates little beyond the executor's
-// handle and its seeded strategy: two objects, under 128 bytes.
+// engine (its default strategy included), carriers and decision
+// scratch, SimExecutor's task functions and names, and
+// RunQuantumWith's state are all reused from the phase before, and
+// the executor's handle stays on the stack, so a phase allocates
+// nothing. The runtime allocates now and then for itself (records for
+// a new OS thread when the host is loaded, say), so the figure is the
+// least of three rounds: an allocation the phase makes shows in all.
 func TestQuantumPhaseAllocatesLittle(t *testing.T) {
-	const procs, warm, phases = 4, 16, 1024
+	const procs, warm, phases, rounds = 4, 16, 1024, 3
 	f := newFixture(t, 4) // 2 kernel + 2 multiplexable
 	for i := 0; i < procs; i++ {
 		if _, err := f.m.Create("u.x", aim.Bottom); err != nil {
@@ -173,20 +177,23 @@ func TestQuantumPhaseAllocatesLittle(t *testing.T) {
 		}
 	}
 	run(warm)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	run(phases)
-	runtime.ReadMemStats(&after)
+	per, objs := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for r := 0; r < rounds; r++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(phases)
+		runtime.ReadMemStats(&after)
+		per = min(per, (after.TotalAlloc-before.TotalAlloc)/phases)
+		objs = min(objs, (after.Mallocs-before.Mallocs)/phases)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ran != 4*(warm+phases) {
-		t.Fatalf("%d quanta ran, want %d", ran, 4*(warm+phases))
+	if ran != 4*(warm+rounds*phases) {
+		t.Fatalf("%d quanta ran, want %d", ran, 4*(warm+rounds*phases))
 	}
-	per := (after.TotalAlloc - before.TotalAlloc) / phases
-	objs := (after.Mallocs - before.Mallocs) / phases
 	t.Logf("%d B in %d objects per quantum phase", per, objs)
-	if per >= 128 || objs > 2 {
-		t.Errorf("a warm quantum phase allocated %d bytes in %d objects, want under 128 in at most 2", per, objs)
+	if per != 0 || objs != 0 {
+		t.Errorf("a warm quantum phase allocated %d bytes in %d objects, want 0", per, objs)
 	}
 }
