@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -114,7 +115,10 @@ type Link struct {
 	server    *uproc.Process
 	serverCPU *hw.Processor
 
-	mu sync.Mutex
+	// mu serialises round trips; req and reply are the request and
+	// reply frames' buffers, which every round trip reuses.
+	mu         sync.Mutex
+	req, reply []hw.Word
 }
 
 // Connect wires the inter-node channel between two attached nodes and
@@ -141,26 +145,31 @@ func Connect(local, remote *NetNode) (*Link, error) {
 	}, nil
 }
 
-// encodePath packs a '>'-separated pathname one character per word.
-func encodePath(path []string) []hw.Word {
-	joined := strings.Join(path, ">")
-	out := make([]hw.Word, len(joined))
-	for i := 0; i < len(joined); i++ {
-		out[i] = hw.Word(joined[i])
+// appendPath packs a '>'-separated pathname one character per word
+// onto buf.
+func appendPath(buf []hw.Word, path []string) []hw.Word {
+	for i, name := range path {
+		if i > 0 {
+			buf = append(buf, '>')
+		}
+		for j := 0; j < len(name); j++ {
+			buf = append(buf, hw.Word(name[j]))
+		}
 	}
-	return out
+	return buf
 }
 
-// decodePath is encodePath's inverse.
+// decodePath is appendPath's inverse.
 func decodePath(words []hw.Word) []string {
-	b := make([]byte, len(words))
-	for i, w := range words {
-		b[i] = byte(w)
-	}
-	if len(b) == 0 {
+	if len(words) == 0 {
 		return nil
 	}
-	return strings.Split(string(b), ">")
+	var b strings.Builder
+	b.Grow(len(words))
+	for _, w := range words {
+		b.WriteByte(byte(w))
+	}
+	return strings.Split(b.String(), ">")
 }
 
 // RemoteSegServe is the remote-segment gate: the single entry through
@@ -168,27 +177,29 @@ func decodePath(words []hw.Word) []string {
 // local hierarchy. The serving process's principal and label govern
 // every access — the pathname walk, the ACL check at initiation, and
 // the word references all go through the same gates a local process
-// uses. The reply frame carries a status word and the data.
-func (k *Kernel) RemoteSegServe(cpu *hw.Processor, p *uproc.Process, req []hw.Word) ([]hw.Word, error) {
+// uses. The reply frame carries a status word and the data; it is
+// written over reply's storage (grown when too small) and returned.
+func (k *Kernel) RemoteSegServe(cpu *hw.Processor, p *uproc.Process, req, reply []hw.Word) ([]hw.Word, error) {
 	k.Meter.AddBody(bodyRemoteServe, hw.PLI)
+	refuse := append(reply[:0], opReply, 1)
 	if len(req) < 3 || req[0] != opRead {
-		return []hw.Word{opReply, 1}, errors.New("core: malformed remote segment request")
+		return refuse, errors.New("core: malformed remote segment request")
 	}
 	off, n := int(req[1]), int(req[2])
 	path := decodePath(req[3:])
 	if n < 0 || n > hw.PageWords*16 {
-		return []hw.Word{opReply, 1}, fmt.Errorf("core: remote read of %d words refused", n)
+		return refuse, fmt.Errorf("core: remote read of %d words refused", n)
 	}
 	segno, err := k.OpenPath(cpu, p, path)
 	if err != nil {
-		return []hw.Word{opReply, 1}, err
+		return refuse, err
 	}
-	out := make([]hw.Word, 2, 2+n)
-	out[0], out[1] = opReply, 0
+	out := slices.Grow(reply[:0], 2+n)
+	out = append(out, opReply, 0)
 	for i := 0; i < n; i++ {
 		w, err := k.Read(cpu, p, segno, off+i)
 		if err != nil {
-			return []hw.Word{opReply, 1}, err
+			return append(out[:0], opReply, 1), err
 		}
 		out = append(out, w)
 	}
@@ -201,15 +212,14 @@ func (k *Kernel) RemoteSegServe(cpu *hw.Processor, p *uproc.Process, req []hw.Wo
 	return out, nil
 }
 
-// roundTrip carries one request over the mux to the remote node,
-// serves it there, and carries the reply back — every hop through the
-// demultiplexer and the internode connection tables.
-func (l *Link) roundTrip(req []hw.Word) ([]hw.Word, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// roundTrip carries the request in l.req over the mux to the remote
+// node, serves it there into l.reply, and carries the reply back —
+// every hop through the demultiplexer and the internode connection
+// tables. Called with l.mu held; the returned data aliases l.reply.
+func (l *Link) roundTrip() ([]hw.Word, error) {
 	// Request out: demuxed on the remote node, into its internode
 	// connection table.
-	if err := l.remote.Mux.Deliver(l.serverCPU, "internode", netmux.Frame{Channel: chanRequest, Payload: req}); err != nil {
+	if err := l.remote.Mux.Deliver(l.serverCPU, "internode", netmux.Frame{Channel: chanRequest, Payload: l.req}); err != nil {
 		return nil, fmt.Errorf("core: internode request: %w", err)
 	}
 	// The delivery above queued the request synchronously, so the
@@ -220,7 +230,8 @@ func (l *Link) roundTrip(req []hw.Word) ([]hw.Word, error) {
 		return nil, errors.New("core: internode request lost")
 	}
 	rk.Attach(l.serverCPU, l.server)
-	reply, serr := rk.RemoteSegServe(l.serverCPU, l.server, d.Data)
+	reply, serr := rk.RemoteSegServe(l.serverCPU, l.server, d.Data, l.reply)
+	l.reply = reply
 	l.remote.Inter.Credit(d.Conn)
 	// Reply back: demuxed on the local node. The client has no
 	// process of its own; the crossing is kernel-internal.
@@ -243,10 +254,19 @@ func (l *Link) roundTrip(req []hw.Word) ([]hw.Word, error) {
 
 // RemoteRead reads n words starting at off from the file at path on
 // the remote node. The remote ACLs apply: the file must be readable
-// by the link's serving principal.
+// by the link's serving principal. The words returned live in the
+// link's reply buffer: they are valid until the link's next round
+// trip, and a caller that keeps them must copy them.
 func (l *Link) RemoteRead(path []string, off, n int) ([]hw.Word, error) {
-	req := append([]hw.Word{opRead, hw.Word(off), hw.Word(n)}, encodePath(path)...)
-	data, err := l.roundTrip(req)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.read(path, off, n)
+}
+
+// read is RemoteRead with l.mu held.
+func (l *Link) read(path []string, off, n int) ([]hw.Word, error) {
+	l.req = appendPath(append(l.req[:0], opRead, hw.Word(off), hw.Word(n)), path)
+	data, err := l.roundTrip()
 	if err != nil {
 		return nil, err
 	}
@@ -265,8 +285,12 @@ func (l *Link) RemoteRead(path []string, off, n int) ([]hw.Word, error) {
 // RemoteCopy reads n words at off from the remote file at remotePath
 // and writes them into the local segment opened at segno for (cpu,
 // p), starting at local offset dstOff. It returns the words moved.
+// The link is held across the local writes, so no other round trip
+// overwrites the reply they copy from.
 func (l *Link) RemoteCopy(cpu *hw.Processor, p *uproc.Process, remotePath []string, off, n int, segno, dstOff int) (int, error) {
-	data, err := l.RemoteRead(remotePath, off, n)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	data, err := l.read(remotePath, off, n)
 	if err != nil {
 		return 0, err
 	}

@@ -233,3 +233,45 @@ func TestConnectionDrivenLogin(t *testing.T) {
 		t.Fatalf("connection plane unbalanced: %+v", st)
 	}
 }
+
+// TestRemoteReadAllocatesLittle pins the internode link's buffers: a
+// warm remote read encodes its request into the link's request buffer
+// and the serving gate writes its reply into the link's reply buffer,
+// so a 64-word read allocates only the serving side's decoded
+// pathname (its string and its one-element slice). A request and a
+// reply built fresh per read read 7 allocations here, the reply alone
+// 576 bytes.
+func TestRemoteReadAllocatesLittle(t *testing.T) {
+	nodeA := attachNode(t, 8)
+	nodeB := attachNode(t, 8)
+	link, err := Connect(nodeA, nodeB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb := nodeB.K
+	cpuB, bob := user(t, kb, "bob.dev", aim.Bottom)
+	if _, err := kb.CreateFile(cpuB, bob, nil, "shared", directory.Public(hw.Read|hw.Write), aim.Bottom); err != nil {
+		t.Fatal(err)
+	}
+	segB, err := kb.OpenPath(cpuB, bob, []string{"shared"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 64
+	for i := 0; i < n; i++ {
+		if err := kb.Write(cpuB, bob, segB, i, hw.Word(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := []string{"shared"}
+	read := func() {
+		got, err := link.RemoteRead(path, 0, n)
+		if err != nil || len(got) != n || got[n-1] != n {
+			t.Fatalf("remote read = %v, %v", got, err)
+		}
+	}
+	read()
+	if allocs := testing.AllocsPerRun(100, read); allocs > 2 {
+		t.Errorf("a remote read allocates %.1f times, want at most 2", allocs)
+	}
+}

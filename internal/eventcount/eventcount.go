@@ -15,6 +15,7 @@ package eventcount
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"multics/internal/schedsim"
 	"multics/internal/trace"
@@ -22,9 +23,22 @@ import (
 
 // An Eventcount is a monotonically increasing event counter. The zero
 // value is a valid eventcount at zero.
+//
+// The count is a lone atomic word: Read, TryAwait and Advance take no
+// lock. Only a goroutine that must sleep touches mu: under it, Await
+// makes the wake-up channel, raises waiting and reads the count again.
+// Advance takes mu, to close the channel, only when it sees waiting
+// raised. The two sides are Dekker's: Advance stores the count, then
+// loads the flag; Await stores the flag, then loads the count. Go's
+// atomics are sequentially consistent, so at least one side sees the
+// other's store: either Advance sees the waiter and closes its
+// channel, or the waiter's re-check sees the new count and it does not
+// sleep.
 type Eventcount struct {
+	count   atomic.Uint64
+	waiting atomic.Bool
+
 	mu      sync.Mutex
-	count   uint64
 	changed chan struct{}
 
 	// trace and module route await/advance operations into the
@@ -37,74 +51,83 @@ type Eventcount struct {
 // Trace routes this eventcount's await and advance operations to rec
 // (nil when untraced), attributed to module (the owning manager's
 // dependency-graph name). The owner calls it once, when it builds the
-// eventcount.
+// eventcount and before anyone else can reach it.
 func (e *Eventcount) Trace(rec *trace.Recorder, module string) {
-	e.mu.Lock()
 	e.trace = rec
 	e.module = module
-	e.mu.Unlock()
 }
 
 // Read returns the current value. A value read is a lower bound on
 // the number of Advance calls completed.
-func (e *Eventcount) Read() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.count
-}
+func (e *Eventcount) Read() uint64 { return e.count.Load() }
 
 // Advance increments the eventcount by one, waking every waiter whose
 // awaited value has now been reached, and returns the new value.
 func (e *Eventcount) Advance() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.count++
+	c := e.count.Add(1)
 	if e.trace != nil {
-		e.trace.Emit(trace.Event{Kind: trace.EvAdvance, Module: e.module, Arg0: int64(e.count)})
+		e.trace.Emit(trace.Event{Kind: trace.EvAdvance, Module: e.module, Arg0: int64(c)})
 	}
-	if e.changed != nil {
-		close(e.changed)
-		e.changed = nil
+	if e.waiting.Load() {
+		e.mu.Lock()
+		if e.changed != nil {
+			close(e.changed)
+			e.changed = nil
+		}
+		e.waiting.Store(false)
+		e.mu.Unlock()
 	}
-	return e.count
+	return c
 }
 
 // Await blocks until the eventcount reaches at least v and returns the
 // value observed (which may exceed v).
 func (e *Eventcount) Await(v uint64) uint64 {
 	for {
-		e.mu.Lock()
-		if e.count >= v {
-			c := e.count
-			e.mu.Unlock()
+		c := e.count.Load()
+		if c >= v {
 			return c
 		}
-		if e.changed == nil {
-			e.changed = make(chan struct{})
-		}
-		if e.trace != nil {
-			e.trace.Emit(trace.Event{Kind: trace.EvAwait, Module: e.module, Arg0: int64(v), Arg1: int64(e.count)})
-		}
-		ch := e.changed
-		e.mu.Unlock()
 		if schedsim.OnTask() {
 			// Under the deterministic executor a channel wait would
 			// stall the whole schedule; park the task on a readiness
 			// predicate instead and let the scheduler pick an
-			// advancer.
+			// advancer. One task runs at a time, so nothing can
+			// advance between the load and the park.
+			e.traceAwait(v, c)
 			schedsim.Block("eventcount await", func() bool { return e.Read() >= v })
 			continue
 		}
+		e.mu.Lock()
+		if e.changed == nil {
+			e.changed = make(chan struct{})
+		}
+		e.waiting.Store(true)
+		// The re-check after raising the flag: an Advance that
+		// loaded the flag before this store has already stored its
+		// count, and this load sees it.
+		if c = e.count.Load(); c >= v {
+			e.mu.Unlock()
+			return c
+		}
+		e.traceAwait(v, c)
+		ch := e.changed
+		e.mu.Unlock()
 		<-ch
+	}
+}
+
+func (e *Eventcount) traceAwait(v, c uint64) {
+	if e.trace != nil {
+		e.trace.Emit(trace.Event{Kind: trace.EvAwait, Module: e.module, Arg0: int64(v), Arg1: int64(c)})
 	}
 }
 
 // TryAwait reports whether the eventcount has reached v without
 // blocking, returning the current value.
 func (e *Eventcount) TryAwait(v uint64) (uint64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.count, e.count >= v
+	c := e.count.Load()
+	return c, c >= v
 }
 
 // A Sequencer issues totally ordered tickets. The zero value is valid

@@ -1,10 +1,13 @@
 package eventcount
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"multics/internal/schedsim"
 )
 
 func TestReadAdvance(t *testing.T) {
@@ -218,6 +221,118 @@ func TestNoBackwardsReads(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestAwaitAdvanceStorm runs two advancers against two awaiters with
+// rising targets, on goroutines, in lock step: in each round both
+// advancers advance once and then wait for both awaiters to reach the
+// round's count, so the round's last Advance is the only one that can
+// wake an awaiter that sleeps. A waiter that misses an advance (an
+// Await that sleeps without re-reading the count after raising its
+// flag) hangs the round, and the test fails on its timeout.
+func TestAwaitAdvanceStorm(t *testing.T) {
+	const rounds = 2000
+	var ec, acks Eventcount
+	var wg sync.WaitGroup
+	for a := 0; a < 2; a++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := uint64(1); r <= rounds; r++ {
+				ec.Advance()
+				acks.Await(2 * r)
+			}
+		}()
+	}
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := uint64(1); r <= rounds; r++ {
+				if got := ec.Await(2 * r); got < 2*r {
+					t.Errorf("Await(%d) returned %d", 2*r, got)
+				}
+				acks.Advance()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("lost wakeup: stuck at count %d, acks %d of %d", ec.Read(), acks.Read(), 2*rounds)
+	}
+	if ec.Read() != 2*rounds || acks.Read() != 2*rounds {
+		t.Errorf("count %d, acks %d, want %d each", ec.Read(), acks.Read(), 2*rounds)
+	}
+}
+
+// TestSweepAwaitAdvance runs the same shape on deterministic-executor
+// tasks, where Await parks on the executor instead of a channel, and
+// explores the interleavings around every advance: in every schedule
+// each awaiter wakes at each of its targets and the run ends.
+func TestSweepAwaitAdvance(t *testing.T) {
+	maxSched, maxPre := schedsim.EnvBudget(64, 2)
+	const perAdvancer = 3
+	rep, err := schedsim.Sweep(schedsim.SweepConfig{
+		MaxSchedules:   maxSched,
+		MaxPreemptions: maxPre,
+		Window: func(d schedsim.Decision) bool {
+			return d.Point == schedsim.PointYield && d.Detail == "ec-advance"
+		},
+	}, func(strat schedsim.Strategy) error {
+		var ec Eventcount
+		var woken [2]uint64
+		ex := schedsim.New(schedsim.Config{Name: "ec-await", Strategy: strat})
+		for a := 0; a < 2; a++ {
+			ex.Go(fmt.Sprint("advancer", a), func() {
+				for i := 0; i < perAdvancer; i++ {
+					schedsim.Yield(schedsim.PointYield, "ec-advance")
+					ec.Advance()
+				}
+			})
+		}
+		for w := 0; w < 2; w++ {
+			ex.Go(fmt.Sprint("awaiter", w), func() {
+				for v := uint64(1); v <= 2*perAdvancer; v++ {
+					if got := ec.Await(v); got < v {
+						panic(fmt.Sprintf("Await(%d) returned %d", v, got))
+					}
+					woken[w] = v
+				}
+			})
+		}
+		if err := ex.Run(); err != nil {
+			return err
+		}
+		if woken != [2]uint64{2 * perAdvancer, 2 * perAdvancer} {
+			return fmt.Errorf("awaiters reached %v", woken)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WindowDecisions == 0 {
+		t.Fatalf("sweep vacuous over %d schedules", rep.Schedules)
+	}
+	t.Logf("%d schedules, %d in-window decisions, truncated=%v", rep.Schedules, rep.WindowDecisions, rep.Truncated)
+}
+
+// TestFastPathsAllocateNothing: Read, Advance with no waiter and
+// TryAwait are single atomic operations.
+func TestFastPathsAllocateNothing(t *testing.T) {
+	var e Eventcount
+	for name, op := range map[string]func(){
+		"Read":     func() { e.Read() },
+		"Advance":  func() { e.Advance() },
+		"TryAwait": func() { e.TryAwait(1) },
+	} {
+		if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+			t.Errorf("%s allocates %.1f times, want 0", name, allocs)
+		}
+	}
 }
 
 func BenchmarkEventcount(b *testing.B) {

@@ -302,8 +302,15 @@ func (f *FNP) Subscriber() func(netmux.Delivery) {
 func (f *FNP) Next(shIdx int) (Delivery, bool) {
 	sh := &f.shards[shIdx]
 	sh.mu.Lock()
+	d, ok := f.pop(sh)
+	sh.mu.Unlock()
+	return d, ok
+}
+
+// pop takes the next delivery off sh. Called with the shard lock
+// held.
+func (f *FNP) pop(sh *shard) (Delivery, bool) {
 	if sh.phead == len(sh.pending) {
-		sh.mu.Unlock()
 		return Delivery{}, false
 	}
 	id := sh.pending[sh.phead]
@@ -343,7 +350,6 @@ func (f *FNP) Next(shIdx int) (Delivery, bool) {
 	if lat > sh.latMax {
 		sh.latMax = lat
 	}
-	sh.mu.Unlock()
 	return Delivery{Conn: int(id), Data: data, Latency: lat}, true
 }
 
@@ -356,20 +362,32 @@ func (f *FNP) Credit(connID int) {
 	if connID < 0 || connID >= len(f.conns) {
 		return
 	}
-	if f.meter != nil {
-		f.meter.AddBody(bodyCredit, hw.PLI)
-	}
+	f.meter.AddBody(bodyCredit, hw.PLI)
 	sh := &f.shards[f.ShardOf(connID)]
 	sh.mu.Lock()
+	credits, ok := f.credit(sh, connID)
+	sh.mu.Unlock()
+	if ok {
+		f.credited(connID, credits)
+	}
+}
+
+// credit returns one credit to connID on its shard sh, reporting the
+// line's window afterwards and whether a credit was returned at all.
+// Called with the shard lock held.
+func (f *FNP) credit(sh *shard, connID int) (int64, bool) {
 	c := &f.conns[connID]
 	if c.credits == RingSlots {
-		sh.mu.Unlock()
-		return
+		return 0, false
 	}
 	c.credits++
-	credits := int64(c.credits)
 	sh.credits++
-	sh.mu.Unlock()
+	return int64(c.credits), true
+}
+
+// credited follows a returned credit, after the shard lock is
+// released.
+func (f *FNP) credited(connID int, credits int64) {
 	// The credit-return window the sweeps deviate at: the window slot
 	// is open but no new frame has claimed it yet.
 	schedsim.Yield(schedsim.PointMark, "fnp-credit")
@@ -383,20 +401,33 @@ func (f *FNP) Credit(connID int) {
 
 // Drain pops every queued delivery from a shard, handing each to fn
 // and returning its credit afterwards. It reports how many frames it
-// delivered.
+// delivered. Each frame's credit and the next frame's pop share one
+// hold of the shard lock, so draining n frames takes n+1 holds where a
+// Next and Credit loop takes 2n+1. The charges, latencies and events
+// are that loop's, in its order: the credit's charge comes before the
+// hold, and its fnp-credit mark and event after it.
 func (f *FNP) Drain(shIdx int, fn func(Delivery)) int {
+	sh := &f.shards[shIdx]
+	sh.mu.Lock()
+	d, ok := f.pop(sh)
+	sh.mu.Unlock()
 	n := 0
-	for {
-		d, ok := f.Next(shIdx)
-		if !ok {
-			return n
-		}
+	for ok {
 		if fn != nil {
 			fn(d)
 		}
-		f.Credit(d.Conn)
 		n++
+		conn := d.Conn
+		f.meter.AddBody(bodyCredit, hw.PLI)
+		sh.mu.Lock()
+		credits, credited := f.credit(sh, conn)
+		d, ok = f.pop(sh)
+		sh.mu.Unlock()
+		if credited {
+			f.credited(conn, credits)
+		}
 	}
+	return n
 }
 
 // Stats are the plane-wide counters.

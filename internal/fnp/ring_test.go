@@ -3,10 +3,12 @@ package fnp
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"multics/internal/hw"
+	"multics/internal/schedsim"
 	"multics/internal/trace"
 )
 
@@ -469,4 +471,93 @@ func (f *refFNP) LatencyPercentile(p float64) int64 {
 		}
 	}
 	return hi
+}
+
+// TestDrainTakesOneHoldPerFrame pins the drain's lock traffic: each
+// frame's credit and the next frame's pop share one hold of the shard
+// lock, so draining n frames on a deterministic-executor task makes
+// n+1 "fnp-shard" lock decisions where a Next and Credit loop makes
+// 2n+1. Nothing else may move: a twin plane drained by that loop must
+// see the same deliveries with the same latencies, and the same
+// events (credit events included) at the same meter readings.
+func TestDrainTakesOneHoldPerFrame(t *testing.T) {
+	const n = 9
+	type plane struct {
+		f     *FNP
+		meter *hw.CostMeter
+		rec   *trace.Recorder
+	}
+	build := func() plane {
+		meter := &hw.CostMeter{}
+		rec := trace.NewRecorder(0, meter)
+		f, err := New(Config{Connections: 8, Shards: 2, Meter: meter, Trace: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// n frames on shard 0's four lines, up to three on a line, the
+		// meter moving between them so every latency differs.
+		for i := 0; i < n; i++ {
+			if !f.Enqueue(2*(i%4), []hw.Word{hw.Word(i)}) {
+				t.Fatalf("enqueue %d refused", i)
+			}
+			meter.Add(int64(11 * (i + 1)))
+		}
+		return plane{f, meter, rec}
+	}
+	// onTask runs fn as the only task of a recorded schedule and
+	// returns how many shard-lock decisions it made.
+	onTask := func(name string, fn func()) int {
+		rec := schedsim.Record(schedsim.Sticky())
+		ex := schedsim.New(schedsim.Config{Name: name, Strategy: rec})
+		ex.Go(name, fn)
+		if err := ex.Run(); err != nil {
+			t.Fatal(err)
+		}
+		holds := 0
+		for _, d := range rec.Decisions() {
+			if d.Point == schedsim.PointLock && d.Detail == "fnp-shard" {
+				holds++
+			}
+		}
+		return holds
+	}
+	a, b := build(), build()
+	var got, want []Delivery
+	drainHolds := onTask("drain", func() {
+		if m := a.f.Drain(0, func(d Delivery) {
+			got = append(got, d)
+			a.meter.Add(int64(5 * len(got)))
+		}); m != n {
+			t.Errorf("Drain delivered %d frames, want %d", m, n)
+		}
+	})
+	loopHolds := onTask("loop", func() {
+		for d, ok := b.f.Next(0); ok; d, ok = b.f.Next(0) {
+			want = append(want, d)
+			b.meter.Add(int64(5 * len(want)))
+			b.f.Credit(d.Conn)
+		}
+	})
+	if drainHolds != n+1 || loopHolds != 2*n+1 {
+		t.Errorf("draining %d frames took %d shard-lock holds (want %d); the Next and Credit loop %d (want %d)",
+			n, drainHolds, n+1, loopHolds, 2*n+1)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Drain delivered %d frames, the loop %d", len(got), len(want))
+	}
+	for i := range got {
+		if g, w := got[i], want[i]; g.Conn != w.Conn || g.Latency != w.Latency || !slices.Equal(g.Data, w.Data) {
+			t.Errorf("delivery %d: Drain %+v, loop %+v", i, got[i], want[i])
+		}
+	}
+	if ga, gb := a.rec.Events(), b.rec.Events(); !slices.Equal(ga, gb) {
+		t.Errorf("Drain emitted %v\nthe loop emitted %v", ga, gb)
+	}
+	if credits := len(eventsOf(a.rec, trace.EvNetCredit)); credits != n {
+		t.Errorf("%d credit events, want %d", credits, n)
+	}
+	if a.meter.Cycles() != b.meter.Cycles() || a.f.Stats() != b.f.Stats() {
+		t.Errorf("Drain left meter %d and %+v; the loop meter %d and %+v",
+			a.meter.Cycles(), a.f.Stats(), b.meter.Cycles(), b.f.Stats())
+	}
 }

@@ -18,7 +18,10 @@ package netmux
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"multics/internal/hw"
 	"multics/internal/trace"
@@ -137,43 +140,74 @@ type Stats struct {
 type Mux struct {
 	Mode  Mode
 	meter *hw.CostMeter
+	trace *trace.Recorder
 
-	mu sync.Mutex
-	// attached maps each network's name to its attachment, so a frame
-	// costs one lookup.
-	attached  map[string]*attachment
-	order     []string
+	// routes is the attachment set Deliver reads without a lock: an
+	// immutable snapshot that Attach and Subscribe replace, under mu,
+	// with a copy.
+	routes    atomic.Pointer[routeTable]
+	delivered atomic.Int64
+
+	// mu serialises Attach and Subscribe and guards the unsubscribed
+	// networks' queues and the error counters.
+	mu        sync.Mutex
 	queueCap  int
-	delivered int64
 	dropped   int64
 	protoErrs int64
-	trace     *trace.Recorder
 }
 
-// An attachment is one attached network with its delivery state. net
-// is fixed at Attach; queue and sub are guarded by the mux lock.
+// A routeTable is one published attachment set. It is never modified
+// after it is published.
+type routeTable struct {
+	// byName maps each network's name to its route, so a frame costs
+	// one lookup.
+	byName map[string]route
+	order  []string
+}
+
+// A route is one attached network: its attachment and its delivery
+// subscriber. When sub is set, deliveries bypass the queues and go
+// straight to the consumer (the front-end processor's connection
+// plane).
+type route struct {
+	*attachment
+	sub func(Delivery)
+}
+
+// An attachment is one attached network's delivery state. net is
+// fixed at Attach; queue is guarded by the mux lock.
 type attachment struct {
 	net Network
 	// queue holds delivered data per channel, each bounded by
 	// queueCap.
 	queue map[int][]Delivery
-	// sub is the network's delivery subscriber: when set, deliveries
-	// bypass the queues and go straight to the consumer (the
-	// front-end processor's connection plane).
-	sub func(Delivery)
 }
 
 // New returns a mux in the given organization. Its frame and drop
 // events go to rec (nil when untraced); they carry ModuleName, which
 // the caller registers with the recorder.
 func New(mode Mode, meter *hw.CostMeter, rec *trace.Recorder) *Mux {
-	return &Mux{
+	m := &Mux{
 		Mode:     mode,
 		meter:    meter,
 		trace:    rec,
-		attached: make(map[string]*attachment),
 		queueCap: DefaultQueueCap,
 	}
+	m.routes.Store(&routeTable{byName: map[string]route{}})
+	return m
+}
+
+// publish replaces the attachment set with a copy of it in which name
+// routes to r, appending name to the order when it is new. Called
+// with m.mu held.
+func (m *Mux) publish(name string, r route) {
+	old := m.routes.Load()
+	t := &routeTable{byName: maps.Clone(old.byName), order: old.order}
+	if _, ok := old.byName[name]; !ok {
+		t.order = append(slices.Clip(old.order), name)
+	}
+	t.byName[name] = r
+	m.routes.Store(t)
 }
 
 // Subscribe registers fn as the network's delivery consumer:
@@ -184,14 +218,15 @@ func New(mode Mode, meter *hw.CostMeter, rec *trace.Recorder) *Mux {
 func (m *Mux) Subscribe(network string, fn func(Delivery)) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	a, ok := m.attached[network]
+	r, ok := m.routes.Load().byName[network]
 	if !ok {
 		return fmt.Errorf("netmux: no network %s", network)
 	}
-	if a.sub != nil {
+	if r.sub != nil {
 		return fmt.Errorf("netmux: network %s already subscribed", network)
 	}
-	a.sub = fn
+	r.sub = fn
+	m.publish(network, r)
 	return nil
 }
 
@@ -199,40 +234,35 @@ func (m *Mux) Subscribe(network string, fn func(Delivery)) error {
 func (m *Mux) Attach(n Network) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.attached[n.Name()]; ok {
+	if _, ok := m.routes.Load().byName[n.Name()]; ok {
 		return fmt.Errorf("netmux: network %s already attached", n.Name())
 	}
-	m.attached[n.Name()] = &attachment{net: n, queue: make(map[int][]Delivery)}
-	m.order = append(m.order, n.Name())
+	m.publish(n.Name(), route{attachment: &attachment{net: n, queue: make(map[int][]Delivery)}})
 	return nil
 }
 
 // Networks returns the attached network names in attachment order.
 func (m *Mux) Networks() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]string(nil), m.order...)
+	return append([]string(nil), m.routes.Load().order...)
 }
 
 // KernelLines reports the kernel bulk of the current attachment set.
 func (m *Mux) KernelLines() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return KernelLines(m.Mode, len(m.attached))
+	return KernelLines(m.Mode, len(m.routes.Load().byName))
 }
 
 // Deliver processes one arriving frame. In the original organization
 // the whole protocol runs in the kernel; in the redesign the kernel
 // only demultiplexes, and the protocol body runs in the user ring
-// (cpu, which may be nil, carries the ring crossings).
+// (cpu, which may be nil, carries the ring crossings). A frame for a
+// subscribed network takes no lock here: the route comes from the
+// published attachment set.
 func (m *Mux) Deliver(cpu *hw.Processor, network string, f Frame) error {
-	m.mu.Lock()
-	a, ok := m.attached[network]
-	m.mu.Unlock()
+	r, ok := m.routes.Load().byName[network]
 	if !ok {
 		return fmt.Errorf("netmux: no network %s", network)
 	}
-	n := a.net
+	n := r.net
 	if f.Channel < 0 || f.Channel >= n.Channels() {
 		return fmt.Errorf("%w: %s channel %d", ErrBadChannel, network, f.Channel)
 	}
@@ -268,10 +298,9 @@ func (m *Mux) Deliver(cpu *hw.Processor, network string, f Frame) error {
 		// rather than vanishing with the error return.
 		m.mu.Lock()
 		m.protoErrs++
-		tr := m.trace
 		m.mu.Unlock()
-		if tr != nil {
-			tr.Emit(trace.Event{
+		if m.trace != nil {
+			m.trace.Emit(trace.Event{
 				Kind: trace.EvNetDrop, Module: ModuleName, Cost: kernelCost,
 				Arg0: int64(f.Channel), Arg1: DropProtocol, Arg2: int64(len(f.Payload)),
 			})
@@ -279,11 +308,9 @@ func (m *Mux) Deliver(cpu *hw.Processor, network string, f Frame) error {
 		return err
 	}
 	d := Delivery{Network: network, Channel: f.Channel, Data: data}
-	m.mu.Lock()
-	sub := a.sub
-	tr := m.trace
-	if sub == nil {
-		q := a.queue
+	if r.sub == nil {
+		m.mu.Lock()
+		q := r.queue
 		if len(q[f.Channel]) >= m.queueCap {
 			// The channel's consumer fell behind: its own queue is
 			// full, its own frame is lost. Other channels are
@@ -291,8 +318,8 @@ func (m *Mux) Deliver(cpu *hw.Processor, network string, f Frame) error {
 			m.dropped++
 			depth := len(q[f.Channel])
 			m.mu.Unlock()
-			if tr != nil {
-				tr.Emit(trace.Event{
+			if m.trace != nil {
+				m.trace.Emit(trace.Event{
 					Kind: trace.EvNetDrop, Module: ModuleName, Cost: kernelCost,
 					Arg0: int64(f.Channel), Arg1: DropQueueFull, Arg2: int64(depth),
 				})
@@ -300,21 +327,21 @@ func (m *Mux) Deliver(cpu *hw.Processor, network string, f Frame) error {
 			return nil
 		}
 		q[f.Channel] = append(q[f.Channel], d)
+		m.mu.Unlock()
 	}
-	m.delivered++
-	m.mu.Unlock()
-	if tr != nil {
+	m.delivered.Add(1)
+	if m.trace != nil {
 		consumed := int64(0)
-		if sub != nil {
+		if r.sub != nil {
 			consumed = 1
 		}
-		tr.Emit(trace.Event{
+		m.trace.Emit(trace.Event{
 			Kind: trace.EvNetFrame, Module: ModuleName, Cost: kernelCost,
 			Arg0: int64(f.Channel), Arg1: int64(len(data)), Arg2: consumed,
 		})
 	}
-	if sub != nil {
-		sub(d)
+	if r.sub != nil {
+		r.sub(d)
 	}
 	return nil
 }
@@ -329,29 +356,28 @@ func (m *Mux) gate(cpu *hw.Processor, fn func() error) error {
 
 // Receive pops the next delivery for a connection.
 func (m *Mux) Receive(network string, channel int) (Delivery, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	a, ok := m.attached[network]
-	if !ok || len(a.queue[channel]) == 0 {
+	r, ok := m.routes.Load().byName[network]
+	if !ok {
 		return Delivery{}, false
 	}
-	q := a.queue[channel]
-	a.queue[channel] = q[1:]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	q := r.queue[channel]
+	if len(q) == 0 {
+		return Delivery{}, false
+	}
+	r.queue[channel] = q[1:]
 	return q[0], true
 }
 
 // Delivered reports the total frames delivered.
-func (m *Mux) Delivered() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.delivered
-}
+func (m *Mux) Delivered() int64 { return m.delivered.Load() }
 
 // MuxStats reports the delivery counters.
 func (m *Mux) MuxStats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return Stats{Delivered: m.delivered, Dropped: m.dropped, ProtocolErrors: m.protoErrs}
+	return Stats{Delivered: m.delivered.Load(), Dropped: m.dropped, ProtocolErrors: m.protoErrs}
 }
 
 // Arpanet is a simulated ARPANET attachment: frames carry a host-link

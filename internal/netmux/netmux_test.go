@@ -2,11 +2,14 @@ package netmux
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"multics/internal/hw"
+	"multics/internal/schedsim"
 	"multics/internal/trace"
 )
 
@@ -394,4 +397,162 @@ drained:
 	if received.Load() != st.Delivered {
 		t.Fatalf("received %d != delivered %d: frames lost silently", received.Load(), st.Delivered)
 	}
+}
+
+// TestSubscribedDeliverAllocatesNothing: a frame for a subscribed
+// network routes through the published attachment set, with no lock
+// and no allocation, through the gate or without one, and the
+// counters stay exact.
+func TestSubscribedDeliverAllocatesNothing(t *testing.T) {
+	m, meter := newMux(t, GenericKernel, nil)
+	var consumed int64
+	if err := m.Subscribe("front-end", func(Delivery) { consumed++ }); err != nil {
+		t.Fatal(err)
+	}
+	cpu := hw.NewProcessor(0, hw.NewMemory(1), meter)
+	f := feFrame(5, 'x')
+	for _, c := range []*hw.Processor{nil, cpu} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := m.Deliver(c, "front-end", f); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("Deliver (processor %v) allocates %.1f times per frame, want 0", c != nil, allocs)
+		}
+	}
+	// AllocsPerRun runs its function once more than it measures.
+	if want := int64(2 * 101); consumed != want || m.MuxStats() != (Stats{Delivered: want}) {
+		t.Errorf("subscriber saw %d frames, MuxStats %+v, want %d delivered", consumed, m.MuxStats(), want)
+	}
+}
+
+// TestAttachSubscribeDuringDeliverStorm attaches and subscribes a
+// network while other goroutines deliver to a subscribed one, as a
+// node's first internode link does once its terminals are flowing.
+// Under -race no access may race, and every frame must be counted
+// exactly once: delivered to the subscriber, or queued before the
+// subscription and still receivable after it.
+func TestAttachSubscribeDuringDeliverStorm(t *testing.T) {
+	m, _ := newMux(t, GenericKernel, nil)
+	var terminal, inter atomic.Int64
+	if err := m.Subscribe("front-end", func(Delivery) { terminal.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	// Each producer delivers until the late network is wired, and at
+	// least perProd frames.
+	const producers, perProd = 2, 1000
+	var sent atomic.Int64
+	var wired atomic.Bool
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perProd || !wired.Load(); i++ {
+				if err := m.Deliver(nil, "front-end", feFrame(i%8, hw.Word(p))); err != nil {
+					t.Error(err)
+					return
+				}
+				sent.Add(1)
+			}
+		}(p)
+	}
+	for terminal.Load() == 0 && !t.Failed() {
+		runtime.Gosched()
+	}
+	// The late network: attached mid-storm, fed one frame before its
+	// subscription and one after.
+	link := Internode{Links: 2}
+	if err := m.Attach(link); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Deliver(nil, "internode", Frame{Channel: 0, Payload: []hw.Word{0}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Subscribe("internode", func(Delivery) { inter.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Deliver(nil, "internode", Frame{Channel: 1, Payload: []hw.Word{1}}); err != nil {
+		t.Fatal(err)
+	}
+	wired.Store(true)
+	wg.Wait()
+	if _, ok := m.Receive("internode", 0); !ok {
+		t.Error("the frame queued before the subscription was lost")
+	}
+	if got := m.Networks(); len(got) != 3 || got[2] != "internode" {
+		t.Errorf("Networks = %v", got)
+	}
+	want := sent.Load() + 2
+	if terminal.Load() != sent.Load() || inter.Load() != 1 || m.MuxStats() != (Stats{Delivered: want}) {
+		t.Errorf("front-end subscriber %d, internode %d, MuxStats %+v, want %d delivered",
+			terminal.Load(), inter.Load(), m.MuxStats(), want)
+	}
+}
+
+// TestSweepAttachSubscribeDuringDeliver explores the interleavings of
+// a front-end deliverer with a task that attaches, feeds and
+// subscribes the internode network, at every step of both. In every
+// schedule each frame lands exactly once: a subscribed front-end
+// frame at its subscriber, the internode frame delivered before the
+// subscription in its queue (which the new attachment set keeps), and
+// the one after at the new subscriber.
+func TestSweepAttachSubscribeDuringDeliver(t *testing.T) {
+	maxSched, maxPre := schedsim.EnvBudget(64, 2)
+	const frames = 4
+	rep, err := schedsim.Sweep(schedsim.SweepConfig{
+		MaxSchedules:   maxSched,
+		MaxPreemptions: maxPre,
+		Window: func(d schedsim.Decision) bool {
+			return d.Point == schedsim.PointYield && d.Detail == "netmux-step"
+		},
+	}, func(strat schedsim.Strategy) error {
+		m := New(GenericKernel, &hw.CostMeter{}, nil)
+		if err := m.Attach(FrontEnd{Terminals: 8}); err != nil {
+			return err
+		}
+		var terminal, inter int
+		if err := m.Subscribe("front-end", func(Delivery) { terminal++ }); err != nil {
+			return err
+		}
+		var errs []error
+		step := func(err error) {
+			if err != nil {
+				errs = append(errs, err)
+			}
+			schedsim.Yield(schedsim.PointYield, "netmux-step")
+		}
+		ex := schedsim.New(schedsim.Config{Name: "netmux-attach", Strategy: strat})
+		ex.Go("terminals", func() {
+			for i := 0; i < frames; i++ {
+				step(m.Deliver(nil, "front-end", feFrame(i, 'a')))
+			}
+		})
+		ex.Go("internode", func() {
+			step(m.Attach(Internode{Links: 2}))
+			step(m.Deliver(nil, "internode", Frame{Channel: 0, Payload: []hw.Word{0}}))
+			step(m.Subscribe("internode", func(Delivery) { inter++ }))
+			step(m.Deliver(nil, "internode", Frame{Channel: 1, Payload: []hw.Word{1}}))
+		})
+		if err := ex.Run(); err != nil {
+			return err
+		}
+		if len(errs) > 0 {
+			return errs[0]
+		}
+		if _, ok := m.Receive("internode", 0); !ok {
+			return errors.New("the frame queued before the subscription was lost")
+		}
+		if terminal != frames || inter != 1 || m.MuxStats() != (Stats{Delivered: frames + 2}) {
+			return fmt.Errorf("front-end subscriber %d, internode %d, MuxStats %+v", terminal, inter, m.MuxStats())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WindowDecisions == 0 {
+		t.Fatalf("sweep vacuous over %d schedules", rep.Schedules)
+	}
+	t.Logf("%d schedules, %d in-window decisions, truncated=%v", rep.Schedules, rep.WindowDecisions, rep.Truncated)
 }
