@@ -314,13 +314,13 @@ func p1() {
 				segno, err := k.OpenPath(cpu, p, []string{"lib", sym})
 				return linker.Target{Segno: segno}, err
 			})
-			k.Meter.Reset()
+			start := k.Meter.Snapshot()
 			lk := linker.NewLinkage()
 			for i := 0; i < 32; i++ {
 				_, err := l.Reference(cpu, lk, fmt.Sprintf("s%d_", i))
 				check(err)
 			}
-			perRef = k.Meter.Cycles() / 32
+			perRef = k.Meter.Since(start) / 32
 		})
 		return perRef
 	}
@@ -345,18 +345,18 @@ func p2() {
 		_, err := k.CreateFile(cpu, p, path, "leaf", directory.Public(hw.Read), aim.Bottom)
 		check(err)
 		full := append(path, "leaf")
-		k.Meter.Reset()
+		start := k.Meter.Snapshot()
 		for i := 0; i < 100; i++ {
 			_, err := k.WalkPath(cpu, p, full)
 			check(err)
 		}
-		walk = k.Meter.Cycles() / 100
-		k.Meter.Reset()
+		walk = k.Meter.Since(start) / 100
+		start = k.Meter.Snapshot()
 		for i := 0; i < 100; i++ {
 			_, err := k.ResolveKernel(cpu, p, full)
 			check(err)
 		}
-		buried = k.Meter.Cycles() / 100
+		buried = k.Meter.Since(start) / 100
 	})
 	fmt.Printf("P2 pathname resolve:   in-kernel %6d cyc, user-ring %6d cyc (%s)  [paper: somewhat faster when removed]\n",
 		buried, walk, ratio(walk, buried))
@@ -368,13 +368,13 @@ func p3() {
 		meter := &hw.CostMeter{}
 		svc := answering.New(mode, meter, func(string, aim.Label) (any, error) { return 1, nil })
 		check(svc.Register("u.x", "pw", aim.Top))
-		meter.Reset()
+		start := meter.Snapshot()
 		for i := 0; i < 50; i++ {
 			sess, err := svc.Login("u.x", "pw", aim.Bottom)
 			check(err)
 			check(svc.Logout(sess, 1))
 		}
-		return meter.Cycles() / 50
+		return meter.Since(start) / 50
 	}
 	mono, split := cost(answering.Monolithic), cost(answering.Split)
 	fmt.Printf("P3 login:              monolithic %4d cyc, split %4d cyc (%s)  [paper: about 3%% slower]\n",

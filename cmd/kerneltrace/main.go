@@ -126,8 +126,8 @@ func main() {
 	report := audit.Run(k)
 	fmt.Printf("audit: clean=%v, %d findings, audit pass itself cost %d cycles\n\n", report.Clean(), len(report.Findings), report.Cycles)
 
+	snap := rec.Snapshot()
 	events := rec.Events()
-	emitted := int(rec.Snapshot().Events)
 	retained := len(events)
 	if wanted != nil {
 		var kept []trace.Event
@@ -142,16 +142,15 @@ func main() {
 	sample := min(eventSample, n)
 	if wanted != nil {
 		fmt.Printf("event stream: %d events emitted, %d retained, %d overwritten; %d match -kind %s, last %d:\n",
-			emitted, retained, int(rec.Dropped()), n, *kindFilter, sample)
+			snap.Events, retained, snap.Dropped, n, *kindFilter, sample)
 	} else {
 		fmt.Printf("event stream: %d events emitted, %d retained, %d overwritten; last %d:\n",
-			emitted, retained, int(rec.Dropped()), sample)
+			snap.Events, retained, snap.Dropped, sample)
 	}
-	fmt.Println("         seq      cycle kind          module                     cost  args")
+	fmt.Println("         seq      cycle kind          module                     args")
 	fmt.Print(trace.FormatEvents(events[n-sample:]))
 	fmt.Println()
 
-	snap := rec.Snapshot()
 	fmt.Print(snap.Table(k.CertificationOrder()))
 	fmt.Println()
 	if *showSpans {
@@ -174,16 +173,7 @@ func failOnUnknown(rec *trace.Recorder) {
 // histograms and a decomposition of each compound operation's cycles
 // into its child spans' shares, computed from the retained spans.
 func printSpans(rec *trace.Recorder, snap trace.Snapshot) {
-	keys := make([]trace.SpanKey, 0, len(snap.Spans))
-	for key := range snap.Spans {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Module != keys[j].Module {
-			return keys[i].Module < keys[j].Module
-		}
-		return keys[i].Kind < keys[j].Kind
-	})
+	keys := snap.SpanKeys()
 	fmt.Println("span latency by (module, kind) — p50/p99 are log2 bucket upper bounds:")
 	for _, key := range keys {
 		h := snap.Spans[key]

@@ -179,18 +179,18 @@ func main() {
 	fmt.Println("    clean: every module invariant and the accounting balance hold")
 }
 
-// topTalkers prints the processes that cost the kernel the most,
-// from the span tracer's per-process accounting: the self-time of
-// every span that completed while the process was running on the
-// span's processor.
+// topTalkers prints the processes that cost the machine the most, from
+// their ledger accounts; the no-process account (pid 0) is left out.
 func topTalkers(k *core.Kernel) {
 	snap := k.Trace.Snapshot()
-	if len(snap.Procs) == 0 {
-		return
-	}
 	pids := make([]uint64, 0, len(snap.Procs))
 	for pid := range snap.Procs {
-		pids = append(pids, pid)
+		if pid != 0 {
+			pids = append(pids, pid)
+		}
+	}
+	if len(pids) == 0 {
+		return
 	}
 	sort.Slice(pids, func(i, j int) bool {
 		a, b := snap.Procs[pids[i]], snap.Procs[pids[j]]
@@ -200,7 +200,7 @@ func topTalkers(k *core.Kernel) {
 		return pids[i] < pids[j]
 	})
 	const top = 10
-	fmt.Println("\nTop talkers (kernel span self-cycles attributed to the running process):")
+	fmt.Println("\nTop talkers (cycles charged while the process ran):")
 	for i, pid := range pids {
 		if i >= top {
 			fmt.Printf("    ... and %d more\n", len(pids)-top)

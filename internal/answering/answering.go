@@ -25,6 +25,9 @@ import (
 	"multics/internal/hw"
 )
 
+// ModuleName is the answering service's account in the cycle ledger.
+const ModuleName = "answering-service"
+
 // Mode selects the configuration.
 type Mode int
 
@@ -199,13 +202,13 @@ func (s *Service) Login(principal, password string, label aim.Label) (*Session, 
 	start := s.meter.Snapshot()
 	switch s.Mode {
 	case Monolithic:
-		s.meter.AddBody(bodyLoginTotal, hw.PLI)
+		s.meter.AddBody(ModuleName, bodyLoginTotal, hw.PLI)
 	case Split:
 		// The untrusted half runs the dialog, then messages the
 		// trusted half, which authenticates and replies.
-		s.meter.AddBody(bodyLoginTotal-bodyTrustedShare, hw.PLI)
-		s.meter.Add(splitMessages * hw.CycIPC)
-		s.meter.AddBody(bodyTrustedShare, hw.PLI)
+		s.meter.AddBody(ModuleName, bodyLoginTotal-bodyTrustedShare, hw.PLI)
+		s.meter.Add(ModuleName, splitMessages*hw.CycIPC)
+		s.meter.AddBody(ModuleName, bodyTrustedShare, hw.PLI)
 	}
 	s.mu.Lock()
 	u, ok := s.users[principal]

@@ -137,11 +137,11 @@ func TestSplitIsAboutThreePercentSlower(t *testing.T) {
 	// implementation, ran about 3% slower.
 	loginCost := func(mode Mode) int64 {
 		s, meter := newService(t, mode)
-		meter.Reset()
+		start := meter.Snapshot()
 		if _, err := s.Login("alice.sys", "hunter2", aim.Bottom); err != nil {
 			t.Fatal(err)
 		}
-		return meter.Cycles()
+		return meter.Since(start)
 	}
 	mono := loginCost(Monolithic)
 	split := loginCost(Split)

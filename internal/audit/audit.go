@@ -131,7 +131,7 @@ func Balance(k *core.Kernel) (charged, allocated int, problems []string) {
 		pack.EachEntry(func(idx disk.TOCIndex, e disk.TOCEntry) {
 			// The auditor's table probe is metered like any other
 			// reference.
-			k.Meter.Add(hw.CycMemRef)
+			k.Meter.Add(core.ModAudit, hw.CycMemRef)
 			if !e.Quota.Valid {
 				return
 			}

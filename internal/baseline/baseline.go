@@ -287,7 +287,7 @@ func (s *Supervisor) resolveLocked(principal, path string) (*entry, error) {
 	cur := s.root
 	parts := splitPath(path)
 	for i, name := range parts {
-		s.Meter.AddBody(bodyResolve, hw.PLI)
+		s.Meter.AddBody(ModDirCtl, bodyResolve, hw.PLI)
 		child, ok := cur.children[name]
 		if !ok {
 			return nil, ErrNoAccess

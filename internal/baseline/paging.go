@@ -178,8 +178,8 @@ func (s *Supervisor) handleMissingPage(cpu *hw.Processor, p *Process, f hw.Fault
 	s.mu.Lock()
 	s.Retranslations++
 	s.mu.Unlock()
-	s.Meter.AddBody(bodyRetranslate, hw.ASM)
-	s.Meter.Add(2 * hw.CycTableWalk)
+	s.Meter.AddBody(ModPageCtl, bodyRetranslate, hw.ASM)
+	s.Meter.Add(ModPageCtl, 2*hw.CycTableWalk)
 	a, ok := p.segs[f.Seg]
 	if !ok {
 		return fmt.Errorf("baseline: fault in unknown segment %d", f.Seg)
@@ -192,7 +192,7 @@ func (s *Supervisor) handleMissingPage(cpu *hw.Processor, p *Process, f hw.Fault
 		return nil // another processor got here first
 	}
 
-	s.Meter.AddBody(bodyFaultService, hw.ASM)
+	s.Meter.AddBody(ModPageCtl, bodyFaultService, hw.ASM)
 	pack, err := s.Vols.Pack(a.ent.addr.Pack)
 	if err != nil {
 		return err
@@ -228,7 +228,7 @@ func (s *Supervisor) handleMissingPage(cpu *hw.Processor, p *Process, f hw.Fault
 	s.mu.Lock()
 	s.QuotaWalkHops += int64(hops)
 	s.mu.Unlock()
-	s.Meter.AddBody(int64(hops)*bodyQuotaHop, hw.ASM)
+	s.Meter.AddBody(ModPageCtl, int64(hops)*bodyQuotaHop, hw.ASM)
 	if qd == nil {
 		return errors.New("baseline: no superior quota directory")
 	}
@@ -402,7 +402,7 @@ func (s *Supervisor) writeBack(info frameInfo, frame int) error {
 		s.mu.Lock()
 		s.QuotaWalkHops += int64(hops)
 		s.mu.Unlock()
-		s.Meter.AddBody(int64(hops)*bodyQuotaHop, hw.ASM)
+		s.Meter.AddBody(ModPageCtl, int64(hops)*bodyQuotaHop, hw.ASM)
 		if qd != nil && qd.quotaUsed > 0 {
 			qd.quotaUsed--
 		}
@@ -515,7 +515,7 @@ func (s *Supervisor) Dispatch() (*Process, error) {
 		if p != nil && p.ready {
 			p.ready = false
 			s.swaps++
-			s.Meter.Add(hw.CycProcessSwap + hw.CycDispatch)
+			s.Meter.Add(ModProcCtl, hw.CycProcessSwap+hw.CycDispatch)
 			return p, nil
 		}
 	}
@@ -529,7 +529,7 @@ func (s *Supervisor) Preempt(p *Process) {
 	p.ready = true
 	s.ready = append(s.ready, p.id)
 	s.swaps++
-	s.Meter.Add(hw.CycProcessSwap)
+	s.Meter.Add(ModProcCtl, hw.CycProcessSwap)
 }
 
 // RunQuantum dispatches up to n processes round-robin.

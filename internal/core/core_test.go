@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"multics/internal/aim"
+	"multics/internal/answering"
 	"multics/internal/directory"
 	"multics/internal/hw"
+	"multics/internal/linker"
 	"multics/internal/quota"
 	"multics/internal/uproc"
 )
@@ -322,18 +324,18 @@ func TestUserRingWalkVsKernelResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := []string{"a", "b", "f"}
-	k.Meter.Reset()
+	start := k.Meter.Snapshot()
 	idWalk, err := k.WalkPath(cpu, p, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	walkCost := k.Meter.Cycles()
-	k.Meter.Reset()
+	walkCost := k.Meter.Since(start)
+	start = k.Meter.Snapshot()
 	idKernel, err := k.ResolveKernel(cpu, p, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kernelCost := k.Meter.Cycles()
+	kernelCost := k.Meter.Since(start)
 	if idWalk != idKernel {
 		t.Fatalf("resolvers disagree: %v vs %v", idWalk, idKernel)
 	}
@@ -572,5 +574,14 @@ func TestReusedAddressSpaceKeepsItsConnections(t *testing.T) {
 	}
 	if got, err := k.Read(cpu, b, segno, 0); err != nil || got != 2 {
 		t.Errorf("read of g = %d, %v; want 2", got, err)
+	}
+}
+
+// TestLedgerAccountNamesMatchServices: the kernel spells the user-ring
+// services' ledger accounts itself, since it imports neither service;
+// the names must be theirs, or their charges land in unknown modules.
+func TestLedgerAccountNamesMatchServices(t *testing.T) {
+	if ModLinker != linker.ModuleName || ModAnswering != answering.ModuleName {
+		t.Errorf("kernel accounts %q, %q; services %q, %q", ModLinker, ModAnswering, linker.ModuleName, answering.ModuleName)
 	}
 }

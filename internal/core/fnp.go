@@ -159,17 +159,23 @@ func appendPath(buf []hw.Word, path []string) []hw.Word {
 	return buf
 }
 
-// decodePath is appendPath's inverse.
-func decodePath(words []hw.Word) []string {
+// decodePath is appendPath's inverse. A word that is not a character
+// (a byte, as appendPath writes one) is refused: truncated, it would
+// read as another character, a '>' among them, and name a path its
+// words do not spell.
+func decodePath(words []hw.Word) ([]string, error) {
 	if len(words) == 0 {
-		return nil
+		return nil, nil
 	}
 	var b strings.Builder
 	b.Grow(len(words))
 	for _, w := range words {
+		if w > 0xff {
+			return nil, fmt.Errorf("core: remote path word %#o is not a character", w)
+		}
 		b.WriteByte(byte(w))
 	}
-	return strings.Split(b.String(), ">")
+	return strings.Split(b.String(), ">"), nil
 }
 
 // RemoteSegServe is the remote-segment gate: the single entry through
@@ -180,13 +186,16 @@ func decodePath(words []hw.Word) []string {
 // uses. The reply frame carries a status word and the data; it is
 // written over reply's storage (grown when too small) and returned.
 func (k *Kernel) RemoteSegServe(cpu *hw.Processor, p *uproc.Process, req, reply []hw.Word) ([]hw.Word, error) {
-	k.Meter.AddBody(bodyRemoteServe, hw.PLI)
+	k.Meter.AddBody(InternodeModule, bodyRemoteServe, hw.PLI)
 	refuse := append(reply[:0], opReply, 1)
 	if len(req) < 3 || req[0] != opRead {
 		return refuse, errors.New("core: malformed remote segment request")
 	}
 	off, n := int(req[1]), int(req[2])
-	path := decodePath(req[3:])
+	path, err := decodePath(req[3:])
+	if err != nil {
+		return refuse, err
+	}
 	if n < 0 || n > hw.PageWords*16 {
 		return refuse, fmt.Errorf("core: remote read of %d words refused", n)
 	}
@@ -205,7 +214,7 @@ func (k *Kernel) RemoteSegServe(cpu *hw.Processor, p *uproc.Process, req, reply 
 	}
 	if k.Trace != nil {
 		k.Trace.Emit(trace.Event{
-			Kind: trace.EvRemoteSeg, Module: InternodeModule, Cost: bodyRemoteServe,
+			Kind: trace.EvRemoteSeg, Module: InternodeModule,
 			Arg0: opRead, Arg1: int64(n), Arg2: chanRequest,
 		})
 	}

@@ -31,6 +31,15 @@ const (
 	ModSalvage  = salvage.ModuleName
 )
 
+// Ledger accounts outside the lattice: the user-ring services (which
+// the kernel does not import; a test holds the names equal to theirs)
+// and the auditor.
+const (
+	ModLinker    = "linker"
+	ModAnswering = "answering-service"
+	ModAudit     = "audit"
+)
+
 // BuildGraph constructs the dependency structure of the redesigned
 // kernel: every module is an object manager, every dependency is one
 // of the five disciplined kinds, and the result is loop-free. Boot

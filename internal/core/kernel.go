@@ -217,9 +217,12 @@ func Boot(cfg Config) (*Kernel, error) {
 	lockrank.SetModuleLayer(GateModule, len(layers))
 	if cfg.TraceEvents > 0 {
 		// The recorder exists before the disk level boots so that
-		// salvage repairs are on the record.
+		// salvage repairs are on the record, and is the meter's
+		// ledger before the first charge.
 		k.Trace = trace.NewRecorder(cfg.TraceEvents, k.Meter)
 		k.Trace.Register(k.Graph.Modules()...)
+		k.Trace.Register(hw.UserModule, ModLinker, ModAnswering, ModAudit)
+		k.Meter.Attach(k.Trace)
 	}
 
 	// Level 0: core segments, fixed at initialization.
@@ -377,7 +380,7 @@ func Boot(cfg Config) (*Kernel, error) {
 // it. Access, bounds and gate violations have no kernel service — they
 // are returned to the process that erred — so they are charged to the
 // user process manager, which owns that delivery.
-var faultModules = map[hw.FaultKind]string{
+var faultModules = [hw.NumFaultKinds]string{
 	hw.FaultMissingSegment:   ModKnownSeg,
 	hw.FaultMissingPage:      ModFrame,
 	hw.FaultLockedDescriptor: ModFrame,

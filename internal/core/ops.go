@@ -80,7 +80,7 @@ func (k *Kernel) Search(cpu *hw.Processor, p *uproc.Process, dirID directory.Ide
 func (k *Kernel) WalkPath(cpu *hw.Processor, p *uproc.Process, path []string) (directory.Identifier, error) {
 	id := k.Dirs.RootID()
 	for _, name := range path {
-		k.Meter.AddBody(bodyUserWalk, hw.PLI)
+		k.Meter.AddBody(hw.UserModule, bodyUserWalk, hw.PLI)
 		next, err := k.Search(cpu, p, id, name)
 		if err != nil {
 			return 0, err

@@ -54,7 +54,7 @@ func (s *Segment) Read(off int) (hw.Word, error) {
 	if off < 0 || off >= s.Words() {
 		return 0, fmt.Errorf("coreseg: read offset %d outside %s of %d words", off, s.name, s.Words())
 	}
-	s.meter.Add(hw.CycMemRef)
+	s.meter.Add(ModuleName, hw.CycMemRef)
 	return s.mem.Read(s.mem.FrameBase(s.base) + off)
 }
 
@@ -63,7 +63,7 @@ func (s *Segment) Write(off int, w hw.Word) error {
 	if off < 0 || off >= s.Words() {
 		return fmt.Errorf("coreseg: write offset %d outside %s of %d words", off, s.name, s.Words())
 	}
-	s.meter.Add(hw.CycMemRef)
+	s.meter.Add(ModuleName, hw.CycMemRef)
 	return s.mem.Write(s.mem.FrameBase(s.base)+off, w)
 }
 

@@ -252,7 +252,7 @@ func modifiable(p Principal, plabel aim.Label, d *dirNode) bool {
 // entitled to), mythical otherwise. The caller cannot distinguish the
 // cases; pathname expansion above the kernel builds on exactly this.
 func (m *Manager) Search(p Principal, plabel aim.Label, dirID Identifier, name string) (Identifier, error) {
-	m.meter.AddBody(bodySearch, m.Lang)
+	m.meter.AddBody(ModuleName, bodySearch, m.Lang)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	entry, isReal := m.byID[dirID]
@@ -305,7 +305,7 @@ func (m *Manager) nodeFor(e *Entry) *dirNode {
 // identifier, a missing object, and a forbidden object all yield the
 // same ErrNoAccess.
 func (m *Manager) Initiate(p Principal, plabel aim.Label, id Identifier) (Grant, error) {
-	m.meter.AddBody(bodyInitiate, m.Lang)
+	m.meter.AddBody(ModuleName, bodyInitiate, m.Lang)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	entry, ok := m.byID[id]
@@ -447,7 +447,7 @@ func (m *Manager) Create(p Principal, plabel aim.Label, dirID Identifier, name s
 // List returns the names in a directory, sorted, for callers with
 // read access.
 func (m *Manager) List(p Principal, plabel aim.Label, dirID Identifier) ([]string, error) {
-	m.meter.AddBody(bodySearch, m.Lang)
+	m.meter.AddBody(ModuleName, bodySearch, m.Lang)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	entry, ok := m.byID[dirID]
@@ -780,7 +780,7 @@ func (m *Manager) releaseFrom(cell quota.CellName, n int) error {
 func (m *Manager) ResolvePathKernel(p Principal, plabel aim.Label, path []string) (Identifier, error) {
 	id := m.rootID
 	for _, name := range path {
-		m.meter.AddBody(bodyResolveKernel, m.Lang)
+		m.meter.AddBody(ModuleName, bodyResolveKernel, m.Lang)
 		m.mu.Lock()
 		entry, ok := m.byID[id]
 		if !ok {

@@ -344,10 +344,10 @@ func (p *Pack) ReadRecord(r RecordAddr, dst []hw.Word) error {
 		p.noteInjected(int64(OpRead), err)
 		return err
 	}
-	p.meter.Add(hw.CycDiskSeek + hw.CycDiskRecord)
+	p.meter.Add(ModuleName, hw.CycDiskSeek+hw.CycDiskRecord)
 	p.head = r
 	if p.trace != nil {
-		p.trace.Emit(trace.Event{Kind: trace.EvDiskRead, Module: ModuleName, Cost: hw.CycDiskSeek + hw.CycDiskRecord, Arg0: int64(r)})
+		p.trace.Emit(trace.Event{Kind: trace.EvDiskRead, Module: ModuleName, Arg0: int64(r)})
 	}
 	if d, ok := p.data[r]; ok {
 		copy(dst, d)
@@ -378,10 +378,10 @@ func (p *Pack) WriteRecord(r RecordAddr, src []hw.Word) error {
 		return err
 	}
 	p.dirty = true
-	p.meter.Add(hw.CycDiskSeek + hw.CycDiskRecord)
+	p.meter.Add(ModuleName, hw.CycDiskSeek+hw.CycDiskRecord)
 	p.head = r
 	if p.trace != nil {
-		p.trace.Emit(trace.Event{Kind: trace.EvDiskWrite, Module: ModuleName, Cost: hw.CycDiskSeek + hw.CycDiskRecord, Arg0: int64(r)})
+		p.trace.Emit(trace.Event{Kind: trace.EvDiskWrite, Module: ModuleName, Arg0: int64(r)})
 	}
 	d, ok := p.data[r]
 	if !ok {

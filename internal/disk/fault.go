@@ -237,6 +237,6 @@ func Retry(meter *hw.CostMeter, fn func() error) error {
 		if err == nil || !errors.Is(err, ErrTransient) || attempt == MaxRetries {
 			return err
 		}
-		meter.Add(retryBackoffCycles << attempt)
+		meter.Add(ModuleName, retryBackoffCycles<<attempt)
 	}
 }

@@ -222,7 +222,7 @@ func (p *Pack) enqueue(t *Ticket) *Ticket {
 	d.mu.Unlock()
 	// The submitter pays only the enqueue bookkeeping; the transfer
 	// itself is device work.
-	p.meter.Add(hw.CycDiskQueue)
+	p.meter.Add(ModuleName, hw.CycDiskQueue)
 	p.mu.Lock()
 	tr := p.trace
 	p.mu.Unlock()
@@ -232,7 +232,7 @@ func (p *Pack) enqueue(t *Ticket) *Ticket {
 			spec = 1
 		}
 		tr.Emit(trace.Event{
-			Kind: trace.EvDiskQueue, Module: ModuleName, Cost: hw.CycDiskQueue,
+			Kind: trace.EvDiskQueue, Module: ModuleName,
 			Arg0: int64(r.recs[0]), Arg1: int64(depth), Arg2: spec,
 		})
 	}
@@ -372,7 +372,7 @@ func (p *Pack) headPos() RecordAddr {
 // (but no processor account) and to the pack's device account.
 // Caller holds p.mu.
 func (p *Pack) chargeDevice(n int64) {
-	p.meter.AddUnbound(n)
+	p.meter.AddUnbound(ModuleName, n)
 	d := &p.dev
 	d.mu.Lock()
 	d.cycles += n
@@ -400,7 +400,7 @@ func (p *Pack) service(r *request) error {
 		p.head = rec
 		p.chargeDevice(cost)
 		if p.trace != nil {
-			p.trace.Emit(trace.Event{Kind: trace.EvDiskRead, Module: ModuleName, Cost: cost, Arg0: int64(rec)})
+			p.trace.Emit(trace.Event{Kind: trace.EvDiskRead, Module: ModuleName, Arg0: int64(rec)})
 		}
 		if d, ok := p.data[rec]; ok {
 			copy(r.bufs[0], d)
@@ -421,7 +421,7 @@ func (p *Pack) service(r *request) error {
 			p.head = rec
 			p.chargeDevice(cost)
 			if p.trace != nil {
-				p.trace.Emit(trace.Event{Kind: trace.EvDiskWrite, Module: ModuleName, Cost: cost, Arg0: int64(rec)})
+				p.trace.Emit(trace.Event{Kind: trace.EvDiskWrite, Module: ModuleName, Arg0: int64(rec)})
 			}
 			d, ok := p.data[rec]
 			if !ok {

@@ -229,7 +229,7 @@ func (f *FNP) Enqueue(connID int, data []hw.Word) bool {
 		return false
 	}
 	if f.meter != nil {
-		f.meter.AddBody(bodyRoute, hw.PLI)
+		f.meter.AddBody(ModuleName, bodyRoute, hw.PLI)
 	}
 	sh := &f.shards[f.ShardOf(connID)]
 	sh.mu.Lock()
@@ -241,7 +241,7 @@ func (f *FNP) Enqueue(connID int, data []hw.Word) bool {
 		sh.mu.Unlock()
 		if f.trace != nil {
 			f.trace.Emit(trace.Event{
-				Kind: trace.EvNetDrop, Module: ModuleName, Cost: bodyRoute,
+				Kind: trace.EvNetDrop, Module: ModuleName,
 				Arg0: int64(connID), Arg1: netmux.DropNoCredit, Arg2: credits,
 			})
 		}
@@ -267,7 +267,7 @@ func (f *FNP) Enqueue(connID int, data []hw.Word) bool {
 	sh.ec.Advance()
 	if f.trace != nil {
 		f.trace.Emit(trace.Event{
-			Kind: trace.EvNetFrame, Module: ModuleName, Cost: bodyRoute,
+			Kind: trace.EvNetFrame, Module: ModuleName,
 			Arg0: int64(connID), Arg1: int64(len(data)), Arg2: 1,
 		})
 	}
@@ -362,7 +362,7 @@ func (f *FNP) Credit(connID int) {
 	if connID < 0 || connID >= len(f.conns) {
 		return
 	}
-	f.meter.AddBody(bodyCredit, hw.PLI)
+	f.meter.AddBody(ModuleName, bodyCredit, hw.PLI)
 	sh := &f.shards[f.ShardOf(connID)]
 	sh.mu.Lock()
 	credits, ok := f.credit(sh, connID)
@@ -393,7 +393,7 @@ func (f *FNP) credited(connID int, credits int64) {
 	schedsim.Yield(schedsim.PointMark, "fnp-credit")
 	if f.trace != nil {
 		f.trace.Emit(trace.Event{
-			Kind: trace.EvNetCredit, Module: ModuleName, Cost: bodyCredit,
+			Kind: trace.EvNetCredit, Module: ModuleName,
 			Arg0: int64(connID), Arg1: credits,
 		})
 	}
@@ -418,7 +418,7 @@ func (f *FNP) Drain(shIdx int, fn func(Delivery)) int {
 		}
 		n++
 		conn := d.Conn
-		f.meter.AddBody(bodyCredit, hw.PLI)
+		f.meter.AddBody(ModuleName, bodyCredit, hw.PLI)
 		sh.mu.Lock()
 		credits, credited := f.credit(sh, conn)
 		d, ok = f.pop(sh)

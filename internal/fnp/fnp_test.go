@@ -186,7 +186,7 @@ func TestLatencyPercentiles(t *testing.T) {
 	// Enqueue, burn metered cycles, then deliver: latency is the
 	// burned span.
 	f.Enqueue(0, []hw.Word{'x'})
-	meter.Add(1000)
+	meter.Add(ModuleName, 1000)
 	d, ok := f.Next(0)
 	if !ok {
 		t.Fatal("frame missing")

@@ -148,8 +148,8 @@ func TestPendingCompactionMatchesReference(t *testing.T) {
 		if step%7 == 0 {
 			enqueue(d.Conn)
 		}
-		meter.Add(int64(step % 13))
-		ref.meter.Add(int64(step % 13))
+		meter.Add(ModuleName, int64(step%13))
+		ref.meter.Add(ModuleName, int64(step%13))
 		checkSlab(t, f, peak)
 	}
 	if got, want := f.Stats(), ref.Stats(); got != want {
@@ -229,8 +229,8 @@ func runReferenceSequence(t *testing.T, seed int64) {
 			}
 		default:
 			k := r.Int63n(5000)
-			meter.Add(k)
-			ref.meter.Add(k)
+			meter.Add(ModuleName, k)
+			ref.meter.Add(ModuleName, k)
 		}
 		checkSlab(t, f, peak)
 		if got, want := f.Stats(), ref.Stats(); got != want {
@@ -342,7 +342,7 @@ func (f *refFNP) Enqueue(id int, data []hw.Word) bool {
 	if id < 0 || id >= len(f.conns) {
 		return false
 	}
-	f.meter.AddBody(bodyRoute, hw.PLI)
+	f.meter.AddBody(ModuleName, bodyRoute, hw.PLI)
 	sh, c := f.shardOf(id), &f.conns[id]
 	if c.credits == 0 {
 		c.drops++
@@ -399,7 +399,7 @@ func (f *refFNP) Credit(id int) {
 	if id < 0 || id >= len(f.conns) {
 		return
 	}
-	f.meter.AddBody(bodyCredit, hw.PLI)
+	f.meter.AddBody(ModuleName, bodyCredit, hw.PLI)
 	c := &f.conns[id]
 	if c.credits == RingSlots {
 		return
@@ -500,7 +500,7 @@ func TestDrainTakesOneHoldPerFrame(t *testing.T) {
 			if !f.Enqueue(2*(i%4), []hw.Word{hw.Word(i)}) {
 				t.Fatalf("enqueue %d refused", i)
 			}
-			meter.Add(int64(11 * (i + 1)))
+			meter.Add(ModuleName, int64(11*(i+1)))
 		}
 		return plane{f, meter, rec}
 	}
@@ -526,7 +526,7 @@ func TestDrainTakesOneHoldPerFrame(t *testing.T) {
 	drainHolds := onTask("drain", func() {
 		if m := a.f.Drain(0, func(d Delivery) {
 			got = append(got, d)
-			a.meter.Add(int64(5 * len(got)))
+			a.meter.Add(ModuleName, int64(5*len(got)))
 		}); m != n {
 			t.Errorf("Drain delivered %d frames, want %d", m, n)
 		}
@@ -534,7 +534,7 @@ func TestDrainTakesOneHoldPerFrame(t *testing.T) {
 	loopHolds := onTask("loop", func() {
 		for d, ok := b.f.Next(0); ok; d, ok = b.f.Next(0) {
 			want = append(want, d)
-			b.meter.Add(int64(5 * len(want)))
+			b.meter.Add(ModuleName, int64(5*len(want)))
 			b.f.Credit(d.Conn)
 		}
 	})

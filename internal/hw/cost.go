@@ -98,32 +98,47 @@ const MeterCPUs = 64
 // also charged to that processor, so a parallel run's makespan — the
 // busiest processor's cycles — is measurable. Unbound accrual (the
 // single-processor mode and the goroutine executor's goroutines) goes
-// to the total only, for one extra atomic load.
+// to the total only, for one extra atomic load. Every charge names the
+// module it is for; a traced kernel's meter posts each to its ledger
+// (Attach), the one record module and process cycles are read from.
 type CostMeter struct {
 	cycles atomic.Int64
 	percpu [MeterCPUs]atomic.Int64
+	ledger *trace.Recorder
 }
 
-// Add accrues n simulated cycles.
-func (m *CostMeter) Add(n int64) {
+// Attach makes rec the meter's ledger, before the first charge; every
+// later charge is posted to its accounts.
+func (m *CostMeter) Attach(rec *trace.Recorder) { m.ledger = rec }
+
+// Add accrues n simulated cycles of processor work for module.
+func (m *CostMeter) Add(module string, n int64) {
 	if m != nil {
 		m.cycles.Add(n)
-		if c := trace.BoundCPU(); c > 0 {
+		c := trace.BoundCPU()
+		if c > 0 {
 			m.percpu[int(c-1)%MeterCPUs].Add(n)
+		}
+		if m.ledger != nil {
+			m.ledger.Charge(attributed(module), c, n)
 		}
 	}
 }
 
-// AddUnbound accrues n simulated cycles to the global total only,
-// never to a processor's account: work a device performs on its own
-// engine (a disk pack positioning its heads and transferring records
-// from its queue) rather than work done by whichever processor happens
-// to run the device service loop. Keeping it off the per-processor
-// accounts is what lets a makespan be modeled as the busier of the
+// AddUnbound accrues n simulated cycles of device work for module to
+// the global total only, never to a processor's account: work a device
+// performs on its own engine (a disk pack positioning its heads and
+// transferring records from its queue) rather than work done by
+// whichever processor happens to run the device service loop. Keeping
+// it off the per-processor accounts (and, in the ledger, off every
+// process's) is what lets a makespan be modeled as the busier of the
 // busiest processor and the busiest device.
-func (m *CostMeter) AddUnbound(n int64) {
+func (m *CostMeter) AddUnbound(module string, n int64) {
 	if m != nil {
 		m.cycles.Add(n)
+		if m.ledger != nil {
+			m.ledger.Charge(attributed(module), trace.DeviceWork, n)
+		}
 	}
 }
 
@@ -135,10 +150,10 @@ func (m *CostMeter) CPUCycles(id int) int64 {
 	return m.percpu[id%MeterCPUs].Load()
 }
 
-// AddBody accrues the cost of an algorithm body of base assembly
-// cycles implemented in lang.
-func (m *CostMeter) AddBody(base int64, lang Language) {
-	m.Add(BodyCycles(base, lang))
+// AddBody accrues, for module, the cost of an algorithm body of base
+// assembly cycles implemented in lang.
+func (m *CostMeter) AddBody(module string, base int64, lang Language) {
+	m.Add(module, BodyCycles(base, lang))
 }
 
 // Cycles reports the total simulated cycles accrued so far.
@@ -147,16 +162,6 @@ func (m *CostMeter) Cycles() int64 {
 		return 0
 	}
 	return m.cycles.Load()
-}
-
-// Reset zeroes the meter, including every per-processor account.
-func (m *CostMeter) Reset() {
-	if m != nil {
-		m.cycles.Store(0)
-		for i := range m.percpu {
-			m.percpu[i].Store(0)
-		}
-	}
 }
 
 // A MeterSnapshot is the meter's reading at one instant. Taking one

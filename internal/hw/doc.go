@@ -23,5 +23,7 @@
 // Every simulated memory reference, table walk, fault, ring crossing
 // and disk transfer accrues simulated machine cycles on a CostMeter,
 // so that the paper's relative performance claims can be reproduced
-// deterministically.
+// deterministically. Every charge names the module it is for, and a
+// traced kernel's meter posts it to the recorder's cycle ledger, the
+// one record module and process cycles are read from.
 package hw

@@ -31,6 +31,9 @@ const (
 	FaultBounds
 	// FaultGate: a cross-ring transfer did not enter through a gate.
 	FaultGate
+
+	// NumFaultKinds is the size of per-kind arrays.
+	NumFaultKinds = int(FaultGate) + 1
 )
 
 var faultNames = map[FaultKind]string{

@@ -118,19 +118,20 @@ func TestBodyCycles(t *testing.T) {
 
 func TestCostMeter(t *testing.T) {
 	var m CostMeter
-	m.Add(5)
-	m.AddBody(10, PLI)
+	m.Add("a", 5)
+	m.AddBody("a", 10, PLI)
 	want := int64(5) + BodyCycles(10, PLI)
 	if m.Cycles() != want {
 		t.Errorf("Cycles = %d, want %d", m.Cycles(), want)
 	}
-	m.Reset()
-	if m.Cycles() != 0 {
-		t.Errorf("after Reset, Cycles = %d", m.Cycles())
+	start := m.Snapshot()
+	m.AddUnbound("b", 7)
+	if got := m.Since(start); got != 7 {
+		t.Errorf("Since = %d, want 7", got)
 	}
 	// A nil meter is usable (metering disabled).
 	var nilMeter *CostMeter
-	nilMeter.Add(3)
+	nilMeter.Add("a", 3)
 	if nilMeter.Cycles() != 0 {
 		t.Error("nil meter accrued cycles")
 	}

@@ -13,12 +13,25 @@ func init() {
 	trace.SetFaultNamer(func(kind int) string { return FaultKind(kind).String() })
 }
 
-// UnattributedModule is the module name stamped on trace events when
-// the kernel has not told the processor whom to charge (a missing
-// FaultModules entry or an unset GateModule). It is deliberately not
-// a dependency-graph module name, so the unknown-module lint catches
-// instrumentation that drifted out of sync.
+// UnattributedModule is the module of a charge or event that names
+// none (a missing FaultModules entry or an unset GateModule, say). It
+// is deliberately not a dependency-graph module name, so the
+// unknown-module lint catches instrumentation that drifted out of
+// sync.
 const UnattributedModule = "unattributed"
+
+// attributed returns mod, or UnattributedModule when it is empty.
+func attributed(mod string) string {
+	if mod == "" {
+		return UnattributedModule
+	}
+	return mod
+}
+
+// UserModule is the account of the processor's references for user
+// code, made outside ring zero: no kernel module, but registered with
+// the recorder like one.
+const UserModule = "user-computation"
 
 // NRings is the number of protection rings (Multics hardware provides
 // eight).
@@ -76,12 +89,14 @@ type Processor struct {
 
 	// Trace receives fault and ring-crossing events when non-nil.
 	Trace *trace.Recorder
-	// FaultModules attributes each fault kind to the module that
-	// services it; the kernel fills it from its dependency graph.
-	FaultModules map[FaultKind]string
+	// FaultModules attributes each fault kind, its cycles and its
+	// event, to the module that services it; the kernel fills it from
+	// its dependency graph.
+	FaultModules [NumFaultKinds]string
 	// GateModule is the module the current gate call is attributed
-	// to; the kernel's gate wrapper sets it per processor before
-	// each GateCall, so no cross-processor race exists.
+	// to, its crossings and its ring-zero references; the kernel's
+	// gate wrapper sets it per processor before each GateCall, so no
+	// cross-processor race exists.
 	GateModule string
 
 	// Assoc, when non-nil, is this processor's associative memory:
@@ -109,37 +124,24 @@ func NewProcessor(id int, mem *Memory, meter *CostMeter) *Processor {
 	return &Processor{ID: id, Mem: mem, Meter: meter, Ring: KernelRing}
 }
 
-// emitFault traces one taken fault, charged the cycles the hardware
-// actually metered for it. The module charged is the one the kernel
-// registered to service that fault kind.
-func (p *Processor) emitFault(f *Fault, cost int64) {
-	if p.Trace == nil {
-		return
+// emit traces one processor event, attributed to mod.
+func (p *Processor) emit(kind trace.Kind, mod string, arg0, arg1, arg2 int) {
+	if p.Trace != nil {
+		p.Trace.Emit(trace.Event{
+			Kind: kind, Module: attributed(mod), CPU: int32(p.ID) + 1,
+			Arg0: int64(arg0), Arg1: int64(arg1), Arg2: int64(arg2),
+		})
 	}
-	mod := p.FaultModules[f.Kind]
-	if mod == "" {
-		mod = UnattributedModule
-	}
-	p.Trace.Emit(trace.Event{
-		Kind: trace.EvFault, Module: mod, CPU: int32(p.ID) + 1, Cost: cost,
-		Arg0: int64(f.Kind), Arg1: int64(f.Seg), Arg2: int64(f.Page),
-	})
 }
 
-// emitCross traces one ring crossing, attributed to the module the
-// kernel's gate wrapper named.
-func (p *Processor) emitCross(from, to int) {
-	if p.Trace == nil {
-		return
+// refModule is the account of the processor's own translations and
+// memory references: user computation outside ring zero, the module
+// whose gate is running inside it.
+func (p *Processor) refModule() string {
+	if p.Ring > KernelRing {
+		return UserModule
 	}
-	mod := p.GateModule
-	if mod == "" {
-		mod = UnattributedModule
-	}
-	p.Trace.Emit(trace.Event{
-		Kind: trace.EvGateCross, Module: mod, CPU: int32(p.ID) + 1, Cost: CycRingCross,
-		Arg0: int64(from), Arg1: int64(to),
-	})
+	return p.GateModule
 }
 
 // tableFor selects the descriptor table and reports whether the
@@ -170,33 +172,33 @@ func (p *Processor) translate(segno, offset int, mode AccessMode) (addr int, f F
 		if offset >= 0 {
 			pg = PageOf(offset)
 		}
-		p.emitAssoc(trace.EvAssocMiss, CycTableWalk, segno, pg, 0)
+		p.emit(trace.EvAssocMiss, p.AssocModule, segno, pg, 0)
 	}
-	p.Meter.Add(CycTableWalk)
+	p.Meter.Add(p.refModule(), CycTableWalk)
 	p.xlats.Add(1)
 	p.xlatCycles.Add(CycTableWalk)
 	dt, system := p.tableFor(segno)
 	if dt == nil {
-		return p.fault(Fault{Kind: FaultMissingSegment, Seg: segno, Offset: offset, Ring: p.Ring}, 0)
+		return p.fault(Fault{Kind: FaultMissingSegment, Seg: segno, Offset: offset, Ring: p.Ring})
 	}
 	sdw, err := dt.Get(segno)
 	if err != nil || !sdw.Present || sdw.Table == nil {
-		return p.fault(Fault{Kind: FaultMissingSegment, Seg: segno, Offset: offset, Ring: p.Ring}, 0)
+		return p.fault(Fault{Kind: FaultMissingSegment, Seg: segno, Offset: offset, Ring: p.Ring})
 	}
 	if system && p.Ring > KernelRing {
 		// System segment numbers are not visible outside ring 0.
-		return p.fault(Fault{Kind: FaultAccess, Seg: segno, Offset: offset, Ring: p.Ring}, 0)
+		return p.fault(Fault{Kind: FaultAccess, Seg: segno, Offset: offset, Ring: p.Ring})
 	}
 	if p.Ring > sdw.MaxRing || !sdw.Access.Has(mode) || (mode.Has(Write) && p.Ring > sdw.WriteRing) {
-		return p.fault(Fault{Kind: FaultAccess, Seg: segno, Offset: offset, Write: mode.Has(Write), Ring: p.Ring}, 0)
+		return p.fault(Fault{Kind: FaultAccess, Seg: segno, Offset: offset, Write: mode.Has(Write), Ring: p.Ring})
 	}
 	if offset < 0 {
-		return p.fault(Fault{Kind: FaultBounds, Seg: segno, Offset: offset, Ring: p.Ring}, 0)
+		return p.fault(Fault{Kind: FaultBounds, Seg: segno, Offset: offset, Ring: p.Ring})
 	}
 	page := PageOf(offset)
 	ptw, kind, faulted, locked := sdw.Table.translate(page, mode.Has(Write), p.DescriptorLockHW)
 	if faulted {
-		p.Meter.Add(CycFault)
+		p.Meter.Add(p.FaultModules[kind], CycFault)
 		if kind == FaultLockedDescriptor || (kind == FaultMissingPage && locked) {
 			p.lockedSeg.Store(int64(segno))
 			p.lockedPage.Store(int64(page))
@@ -204,9 +206,9 @@ func (p *Processor) translate(segno, offset int, mode AccessMode) (addr int, f F
 		return p.fault(Fault{
 			Kind: kind, Seg: segno, Offset: offset, Page: page,
 			Write: mode.Has(Write), Ring: p.Ring, Locked: locked,
-		}, CycFault)
+		})
 	}
-	p.Meter.Add(CycMemRef)
+	p.Meter.Add(p.refModule(), CycMemRef)
 	if p.Assoc != nil {
 		p.Assoc.fillLocked(dt, segno, page, ptw.Frame, sdw, system)
 	}
@@ -257,26 +259,11 @@ func (p *Processor) assocLookup(segno, offset int, mode AccessMode) (int, bool) 
 		return 0, false
 	}
 	a.hits++
-	p.Meter.Add(CycAssocHit + CycMemRef)
+	p.Meter.Add(p.refModule(), CycAssocHit+CycMemRef)
 	p.xlats.Add(1)
 	p.xlatCycles.Add(CycAssocHit)
-	p.emitAssoc(trace.EvAssocHit, CycAssocHit, segno, page, 0)
+	p.emit(trace.EvAssocHit, p.AssocModule, segno, page, 0)
 	return p.Mem.FrameBase(frame) + offset%PageWords, true
-}
-
-// emitAssoc traces one associative-memory event.
-func (p *Processor) emitAssoc(kind trace.Kind, cost int64, arg0, arg1, arg2 int) {
-	if p.Trace == nil {
-		return
-	}
-	mod := p.AssocModule
-	if mod == "" {
-		mod = UnattributedModule
-	}
-	p.Trace.Emit(trace.Event{
-		Kind: kind, Module: mod, CPU: int32(p.ID) + 1, Cost: cost,
-		Arg0: int64(arg0), Arg1: int64(arg1), Arg2: int64(arg2),
-	})
 }
 
 // SwitchUserDT installs the descriptor table of a newly dispatched
@@ -294,7 +281,7 @@ func (p *Processor) SwitchUserDT(dt *DescriptorTable) {
 		p.Assoc.mu.Lock()
 		n := p.Assoc.clearUserLocked()
 		p.Assoc.mu.Unlock()
-		p.emitAssoc(trace.EvAssocClear, 0, 2, -1, n)
+		p.emit(trace.EvAssocClear, p.AssocModule, 2, -1, n)
 	}
 	p.UserDT, p.userGen = dt, gen
 }
@@ -307,10 +294,10 @@ func (p *Processor) TranslationStats() (count, cycles int64) {
 	return p.xlats.Load(), p.xlatCycles.Load()
 }
 
-// fault traces f (charged the cycles the hardware metered for it) and
-// returns it as translate's faulting result.
-func (p *Processor) fault(f Fault, cost int64) (int, Fault, bool) {
-	p.emitFault(&f, cost)
+// fault traces f, attributed to the module the kernel registered to
+// service its kind, and returns it as translate's faulting result.
+func (p *Processor) fault(f Fault) (int, Fault, bool) {
+	p.emit(trace.EvFault, p.FaultModules[f.Kind], int(f.Kind), f.Seg, f.Page)
 	return 0, f, true
 }
 
@@ -370,29 +357,25 @@ func (p *Processor) GateCall(to int, gate bool, fn func() error) error {
 		return fmt.Errorf("hw: gate call to ring %d", to)
 	}
 	if to < p.Ring && !gate {
-		p.Meter.Add(CycFault)
+		p.Meter.Add(p.FaultModules[FaultGate], CycFault)
 		f := Fault{Kind: FaultGate, Ring: p.Ring}
-		p.emitFault(&f, CycFault)
+		p.emit(trace.EvFault, p.FaultModules[FaultGate], int(FaultGate), f.Seg, f.Page)
 		return f.Err()
 	}
 	from := p.Ring
 	// The gate span covers both crossings and the kernel body between
 	// them, attributed like the crossing events.
 	if to != from {
-		mod := p.GateModule
-		if mod == "" {
-			mod = UnattributedModule
-		}
-		p.Trace.BeginSpan(trace.SpanGate, mod, int64(to))
-		p.Meter.Add(CycRingCross)
-		p.emitCross(from, to)
+		p.Trace.BeginSpan(trace.SpanGate, attributed(p.GateModule), int64(to))
+		p.Meter.Add(p.GateModule, CycRingCross)
+		p.emit(trace.EvGateCross, p.GateModule, from, to, 0)
 	}
 	p.Ring = to
 	err := fn()
 	p.Ring = from
 	if to != from {
-		p.Meter.Add(CycRingCross)
-		p.emitCross(to, from)
+		p.Meter.Add(p.GateModule, CycRingCross)
+		p.emit(trace.EvGateCross, p.GateModule, to, from, 0)
 		p.Trace.EndSpan(trace.SpanGate)
 	}
 	return err

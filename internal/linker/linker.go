@@ -26,6 +26,10 @@ import (
 	"multics/internal/hw"
 )
 
+// ModuleName is the linker's account in the kernel's cycle ledger, in
+// either configuration, and the module its gate calls are attributed to.
+const ModuleName = "linker"
+
 // Mode selects where the linker lives.
 type Mode int
 
@@ -143,13 +147,13 @@ func (l *Linker) Reference(cpu *hw.Processor, lk *Linkage, symbol string) (Targe
 	if ln.snapped {
 		t := ln.target
 		lk.mu.Unlock()
-		l.Meter.Add(hw.CycMemRef) // indirect through the snapped link
+		l.Meter.Add(ModuleName, hw.CycMemRef) // indirect through the snapped link
 		return t, nil
 	}
 	lk.mu.Unlock()
 
 	// Link fault.
-	l.Meter.Add(hw.CycFault)
+	l.Meter.Add(ModuleName, hw.CycFault)
 	l.mu.Lock()
 	l.faults++
 	l.mu.Unlock()
@@ -161,7 +165,7 @@ func (l *Linker) Reference(cpu *hw.Processor, lk *Linkage, symbol string) (Targe
 		// One entry into ring zero covers the whole snap; the
 		// resolution happens as local calls inside the kernel.
 		err = l.gate(cpu, func() error {
-			l.Meter.AddBody(bodySnapKernel, hw.PLI)
+			l.Meter.AddBody(ModuleName, bodySnapKernel, hw.PLI)
 			var rerr error
 			target, rerr = l.Resolve(symbol)
 			return rerr
@@ -170,7 +174,7 @@ func (l *Linker) Reference(cpu *hw.Processor, lk *Linkage, symbol string) (Targe
 		// The fault is reflected back to the user ring; the
 		// user-ring linker body runs there and makes separate
 		// gate calls for the kernel's part of the work.
-		l.Meter.AddBody(bodySnapUser, hw.PLI)
+		l.Meter.AddBody(ModuleName, bodySnapUser, hw.PLI)
 		for i := 0; i < userRingGateCalls-1; i++ {
 			// Extra kernel round trips beyond the single one the
 			// resolver itself performs.
@@ -201,6 +205,7 @@ func (l *Linker) gate(cpu *hw.Processor, fn func() error) error {
 	if cpu == nil {
 		return fn()
 	}
+	cpu.GateModule = ModuleName
 	return cpu.GateCall(hw.KernelRing, true, fn)
 }
 

@@ -16,7 +16,7 @@ func stubResolver(meter *hw.CostMeter, fail map[string]bool) Resolver {
 	targets := map[string]Target{}
 	var mu sync.Mutex
 	return func(symbol string) (Target, error) {
-		meter.Add(300) // directory search + initiate
+		meter.Add("directory-manager", 300) // search + initiate
 		mu.Lock()
 		defer mu.Unlock()
 		if fail[symbol] {
@@ -142,13 +142,13 @@ func TestSnappedReferencesCostTheSameInBothModes(t *testing.T) {
 		if _, err := l.Reference(cpu, lk, "hot_"); err != nil {
 			t.Fatal(err)
 		}
-		meter.Reset()
+		start := meter.Snapshot()
 		for i := 0; i < 1000; i++ {
 			if _, err := l.Reference(cpu, lk, "hot_"); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return meter.Cycles()
+		return meter.Since(start)
 	}
 	if a, b := run(InKernel), run(UserRing); a != b {
 		t.Errorf("snapped reference cost differs: %d vs %d", a, b)

@@ -268,40 +268,37 @@ func (m *Mux) Deliver(cpu *hw.Processor, network string, f Frame) error {
 	}
 	var data []hw.Word
 	var err error
-	var kernelCost int64
 	switch m.Mode {
 	case PerNetworkKernel:
 		// Everything in ring zero: one handler per network.
-		kernelCost = bodyProtocol
 		err = m.gate(cpu, func() error {
-			m.meter.AddBody(bodyProtocol, hw.PLI)
+			m.meter.AddBody(ModuleName, bodyProtocol, hw.PLI)
 			data, err = n.Process(f)
 			return err
 		})
 	case GenericKernel:
 		// The kernel routes; the protocol runs as user code, then
 		// hands the connection data back through a gate.
-		kernelCost = bodyDemux
 		if gerr := m.gate(cpu, func() error {
-			m.meter.AddBody(bodyDemux, hw.PLI)
+			m.meter.AddBody(ModuleName, bodyDemux, hw.PLI)
 			return nil
 		}); gerr != nil {
 			return gerr
 		}
-		m.meter.AddBody(bodyProtocol, hw.PLI)
+		m.meter.AddBody(hw.UserModule, bodyProtocol, hw.PLI)
 		data, err = n.Process(f)
 	}
 	if err != nil {
 		// The frame's cost is already on the meter (the demux routed
 		// it and the protocol body ran before rejecting); count and
-		// trace the failure so the spent cycles are attributable
-		// rather than vanishing with the error return.
+		// trace the failure so it does not vanish with the error
+		// return.
 		m.mu.Lock()
 		m.protoErrs++
 		m.mu.Unlock()
 		if m.trace != nil {
 			m.trace.Emit(trace.Event{
-				Kind: trace.EvNetDrop, Module: ModuleName, Cost: kernelCost,
+				Kind: trace.EvNetDrop, Module: ModuleName,
 				Arg0: int64(f.Channel), Arg1: DropProtocol, Arg2: int64(len(f.Payload)),
 			})
 		}
@@ -320,7 +317,7 @@ func (m *Mux) Deliver(cpu *hw.Processor, network string, f Frame) error {
 			m.mu.Unlock()
 			if m.trace != nil {
 				m.trace.Emit(trace.Event{
-					Kind: trace.EvNetDrop, Module: ModuleName, Cost: kernelCost,
+					Kind: trace.EvNetDrop, Module: ModuleName,
 					Arg0: int64(f.Channel), Arg1: DropQueueFull, Arg2: int64(depth),
 				})
 			}
@@ -336,7 +333,7 @@ func (m *Mux) Deliver(cpu *hw.Processor, network string, f Frame) error {
 			consumed = 1
 		}
 		m.trace.Emit(trace.Event{
-			Kind: trace.EvNetFrame, Module: ModuleName, Cost: kernelCost,
+			Kind: trace.EvNetFrame, Module: ModuleName,
 			Arg0: int64(f.Channel), Arg1: int64(len(data)), Arg2: consumed,
 		})
 	}

@@ -138,13 +138,13 @@ func TestGenericKernelSpendsLessKernelTime(t *testing.T) {
 		// Count only ring-zero work: measure with a second meter
 		// attached to the gate path by differencing total minus
 		// known user-side body.
-		meter.Reset()
+		start := meter.Snapshot()
 		for i := 0; i < 100; i++ {
 			if err := m.Deliver(cpu, "arpanet", arpaFrame(0, hw.Word(i))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return meter.Cycles()
+		return meter.Since(start)
 	}
 	oldTotal := kernelCycles(PerNetworkKernel)
 	newTotal := kernelCycles(GenericKernel)
@@ -182,7 +182,8 @@ func TestErrorPathsAreCountedAndTraced(t *testing.T) {
 	for _, mode := range []Mode{PerNetworkKernel, GenericKernel} {
 		t.Run(mode.String(), func(t *testing.T) {
 			rec := trace.NewRecorder(0, nil)
-			m, _ := newMux(t, mode, rec)
+			m, meter := newMux(t, mode, rec)
+			meter.Attach(rec)
 			// ErrBadChannel: rejected before any protocol work, so no
 			// protocol-error counter moves.
 			if err := m.Deliver(nil, "arpanet", arpaFrame(99, 1)); !errors.Is(err, ErrBadChannel) {
@@ -217,9 +218,9 @@ func TestErrorPathsAreCountedAndTraced(t *testing.T) {
 				if e.Module != ModuleName {
 					t.Errorf("drop module = %q", e.Module)
 				}
-				if e.Cost == 0 {
-					t.Error("protocol failure traced with zero cost: the metered work is invisible")
-				}
+			}
+			if rec.Snapshot().Modules[ModuleName].TotalCycles() == 0 {
+				t.Error("protocol failures charged the demux nothing: the metered work is invisible")
 			}
 		})
 	}
@@ -230,12 +231,11 @@ func TestGenericProtocolFailureIsMetered(t *testing.T) {
 	// leave its cost on the meter (demux + protocol body), not vanish
 	// with the early return.
 	m, meter := newMux(t, GenericKernel, nil)
-	meter.Reset()
-	before := meter.Cycles()
+	start := meter.Snapshot()
 	if err := m.Deliver(nil, "front-end", Frame{Channel: 0, Payload: []hw.Word{'x'}}); err == nil {
 		t.Fatal("unterminated block accepted")
 	}
-	spent := meter.Cycles() - before
+	spent := meter.Since(start)
 	if spent == 0 {
 		t.Fatal("protocol failure cost nothing: the demux and protocol work disappeared")
 	}

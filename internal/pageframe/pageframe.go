@@ -388,7 +388,7 @@ func (m *Manager) LoadPage(req PageReq, out []Evicted) ([]Evicted, error) {
 	tr := m.tracer()
 	tr.BeginSpan(trace.SpanFaultService, ModuleName, int64(req.Page))
 	defer tr.EndSpan(trace.SpanFaultService)
-	m.meter.AddBody(bodyFaultService, m.Lang)
+	m.meter.AddBody(ModuleName, bodyFaultService, m.Lang)
 
 	cur, err := req.PT.Get(req.Page)
 	if err != nil {
@@ -460,7 +460,6 @@ func (m *Manager) LoadPage(req PageReq, out []Evicted) ([]Evicted, error) {
 		}
 		m.trace.Emit(trace.Event{
 			Kind: trace.EvPageFetch, Module: ModuleName,
-			Cost: hw.BodyCycles(bodyFaultService, m.Lang),
 			Arg0: int64(req.UID), Arg1: int64(req.Page), Arg2: from,
 		})
 	}
@@ -507,7 +506,7 @@ func (m *Manager) AddPage(req PageReq, out []Evicted) (disk.RecordAddr, []Evicte
 	tr := m.tracer()
 	tr.BeginSpan(trace.SpanFaultService, ModuleName, int64(req.Page))
 	defer tr.EndSpan(trace.SpanFaultService)
-	m.meter.AddBody(bodyFaultService, m.Lang)
+	m.meter.AddBody(ModuleName, bodyFaultService, m.Lang)
 	var rec disk.RecordAddr
 	if err := disk.Retry(m.meter, func() error {
 		var aerr error
@@ -543,7 +542,6 @@ func (m *Manager) AddPage(req PageReq, out []Evicted) (disk.RecordAddr, []Evicte
 	if m.trace != nil {
 		m.trace.Emit(trace.Event{
 			Kind: trace.EvPageFetch, Module: ModuleName,
-			Cost: hw.BodyCycles(bodyFaultService, m.Lang),
 			Arg0: int64(req.UID), Arg1: int64(req.Page), Arg2: 2, // never-before-used
 		})
 	}
@@ -618,8 +616,8 @@ func (m *Manager) WaitUnlock(proc *hw.Processor, pt *hw.PageTable, page int) err
 	if !d.Lock {
 		return nil // already serviced
 	}
-	m.meter.Add(hw.CycLockWait)
-	m.emit(trace.Event{Kind: trace.EvLockSpin, Module: ModuleName, Cost: hw.CycLockWait, Arg0: int64(page)})
+	m.meter.Add(ModuleName, hw.CycLockWait)
+	m.emit(trace.Event{Kind: trace.EvLockSpin, Module: ModuleName, Arg0: int64(page)})
 	tr.BeginSpan(trace.SpanLockWait, ModuleName, int64(page))
 	m.vps.Wait(proc, ec, target)
 	tr.EndSpan(trace.SpanLockWait)

@@ -586,7 +586,7 @@ func TestDaemonModeCostsMore(t *testing.T) {
 	run := func(daemons bool) int64 {
 		f := newFixture(t, 1)
 		f.m.Daemons = daemons
-		f.meter.Reset()
+		start := f.meter.Snapshot()
 		pt := hw.NewPageTable(tablePages)
 		if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: 0, Pack: f.pack}, nil); err != nil {
 			t.Fatal(err)
@@ -605,7 +605,7 @@ func TestDaemonModeCostsMore(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return f.meter.Cycles()
+		return f.meter.Since(start)
 	}
 	inline := run(false)
 	daemon := run(true)
@@ -801,14 +801,14 @@ func TestPLIBodyCostsMoreThanASM(t *testing.T) {
 	run := func(lang hw.Language) int64 {
 		f := newFixture(t, 4)
 		f.m.Lang = lang
-		f.meter.Reset()
+		start := f.meter.Snapshot()
 		pt := hw.NewPageTable(tablePages)
 		for i := 0; i < 4; i++ {
 			if _, _, err := f.m.AddPage(PageReq{UID: 1, PT: pt, Page: i, Pack: f.pack}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return f.meter.Cycles()
+		return f.meter.Since(start)
 	}
 	asm, pli := run(hw.ASM), run(hw.PLI)
 	if pli <= asm {

@@ -255,10 +255,10 @@ func (m *Manager) Charge(name CellName, n int) error {
 	if !ok {
 		return ErrNotActive
 	}
-	m.meter.Add(hw.CycMemRef) // one table probe: the O(1) the redesign buys
+	m.meter.Add(ModuleName, hw.CycMemRef) // one table probe: the O(1) the redesign buys
 	if m.trace != nil {
 		m.trace.Emit(trace.Event{
-			Kind: trace.EvQuotaCheck, Module: ModuleName, Cost: hw.CycMemRef,
+			Kind: trace.EvQuotaCheck, Module: ModuleName,
 			Arg0: int64(n), Arg1: int64(c.used), Arg2: int64(c.limit),
 		})
 	}

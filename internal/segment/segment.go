@@ -999,7 +999,7 @@ func (m *Manager) WriteWord(uid uint64, off int, w hw.Word) error {
 	if _, err := a.pt.Update(page, func(p *hw.PTW) { p.Modified = true; p.Used = true }); err != nil {
 		return err
 	}
-	m.meter.Add(hw.CycMemRef)
+	m.meter.Add(ModuleName, hw.CycMemRef)
 	return m.frames.Mem().Write(m.frames.Mem().FrameBase(d.Frame)+off%hw.PageWords, w)
 }
 
@@ -1022,7 +1022,7 @@ func (m *Manager) ReadWord(uid uint64, off int) (hw.Word, error) {
 	if _, err := a.pt.Update(page, func(p *hw.PTW) { p.Used = true }); err != nil {
 		return 0, err
 	}
-	m.meter.Add(hw.CycMemRef)
+	m.meter.Add(ModuleName, hw.CycMemRef)
 	return m.frames.Mem().Read(m.frames.Mem().FrameBase(d.Frame) + off%hw.PageWords)
 }
 

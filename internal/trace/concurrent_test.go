@@ -71,7 +71,7 @@ func TestConcurrentRingWrap(t *testing.T) {
 	}
 	wg.Wait()
 
-	if d := r.Dropped(); d != total-capacity {
+	if d := r.Snapshot().Dropped; d != total-capacity {
 		t.Errorf("Dropped = %d, want %d", d, total-capacity)
 	}
 	ev := r.Events()

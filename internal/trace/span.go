@@ -7,14 +7,17 @@
 // stream supports a critical-path decomposition and a folded-stack
 // (flamegraph) export.
 //
-// Instrumented code calls BeginSpan, EndSpan and SetRunningProcess
-// on its *Recorder directly: they are nil-safe, so an untraced
-// manager (nil recorder) pays one branch inside the call. Begin/End
-// write into preallocated fixed-size structures — per-slot stacks of
-// fixed depth, a preallocated span ring, and 64-bucket log₂
-// histograms whose stat blocks are allocated once per (module, kind).
+// Instrumented code calls BeginSpan and EndSpan on its *Recorder
+// directly: they are nil-safe, so an untraced manager (nil recorder)
+// pays one branch inside the call. Begin/End write into preallocated
+// fixed-size structures — per-slot stacks of fixed depth, a
+// preallocated span ring, and 64-bucket log₂ histograms whose stat
+// blocks are allocated once per (module, kind).
 // Durations are simulated cycles, so single-processor runs are
-// byte-deterministic.
+// byte-deterministic. A span's duration is read from the shared meter,
+// so it is a latency: while it is open, other processors' charges
+// advance the same clock. No account is derived from durations; the
+// ledger (see ledger.go) holds where the cycles went.
 package trace
 
 import (
@@ -217,18 +220,6 @@ func (h SpanStats) sub(prev SpanStats) SpanStats {
 	return out
 }
 
-// ProcStats is one user process's share of the meters: the self-time
-// (span cycles minus child-span cycles, so nothing is double-counted)
-// of every span that ended while the process was running.
-type ProcStats struct {
-	Cycles int64
-	Spans  int64
-}
-
-func (p ProcStats) sub(prev ProcStats) ProcStats {
-	return ProcStats{Cycles: p.Cycles - prev.Cycles, Spans: p.Spans - prev.Spans}
-}
-
 // spanSlots is one per-processor span stack per possible BindCPU
 // binding, plus slot 0 for unbound contexts.
 const spanSlots = 65
@@ -265,17 +256,14 @@ type spanState struct {
 	dropped    uint64 // completed spans overwritten by ring wrap
 	mismatched uint64 // ends with no matching begin
 
-	stacks  [spanSlots]spanStack
-	curProc [spanSlots]uint64
+	stacks [spanSlots]spanStack
 
 	stats map[SpanKey]*SpanStats
-	procs map[uint64]*ProcStats
 }
 
 func (s *spanState) init(capacity int) {
 	s.buf = make([]Span, capacity)
 	s.stats = make(map[SpanKey]*SpanStats)
-	s.procs = make(map[uint64]*ProcStats)
 }
 
 // BeginSpan opens a span of the given kind on the calling context's
@@ -303,9 +291,9 @@ func (r *Recorder) BeginSpan(kind SpanKind, module string, arg int64) {
 }
 
 // EndSpan closes the innermost open span on the calling context's
-// processor slot, which must be of the given kind: the duration is
-// charged to the (module, kind) histogram, to the enclosing span's
-// child time, and — self-time only — to the running user process. A
+// processor slot, which must be of the given kind: the duration goes
+// to the (module, kind) histogram and to the enclosing span's child
+// time, and the span is counted to the running user process. A
 // mismatched end is counted and otherwise ignored.
 func (r *Recorder) EndSpan(kind SpanKind) {
 	if r == nil {
@@ -337,7 +325,7 @@ func (r *Recorder) EndSpan(kind SpanKind) {
 		p.child += dur
 		p.children++
 	}
-	pid := r.sp.curProc[slot]
+	pid := r.running[slot]
 	sp := Span{
 		ID: f.id, Parent: parent, CPU: int32(slot), Kind: kind, Module: f.module,
 		Proc: pid, Start: f.start, End: end, Child: f.child, Children: f.children, Arg: f.arg,
@@ -352,12 +340,7 @@ func (r *Recorder) EndSpan(kind SpanKind) {
 		s.n++
 	}
 	s.done++
-	key := SpanKey{Module: f.module, Kind: kind}
-	h, ok := s.stats[key]
-	if !ok {
-		h = new(SpanStats)
-		s.stats[key] = h
-	}
+	h := entry(s.stats, SpanKey{Module: f.module, Kind: kind})
 	h.Count++
 	h.Cycles += dur
 	h.Child += f.child
@@ -366,48 +349,8 @@ func (r *Recorder) EndSpan(kind SpanKind) {
 	}
 	h.Buckets[bucketOf(dur)]++
 	if pid != 0 {
-		pa, ok := s.procs[pid]
-		if !ok {
-			pa = new(ProcStats)
-			s.procs[pid] = pa
-		}
-		pa.Cycles += dur - f.child
-		pa.Spans++
+		entry(r.procs, pid).Spans++
 	}
-}
-
-// SetRunningProcess records which user process processor cpu is
-// running; span self-time on that processor's slot (the spans of the
-// task BindCPU(cpu) bound) is attributed to it until the next call.
-// Zero means none; cpu -1 names the slot of spans begun off any task.
-// The processor is named, not taken from the caller's binding, so a
-// process attached from off any task is still charged on its
-// processor.
-func (r *Recorder) SetRunningProcess(cpu int, pid uint64) {
-	if r == nil {
-		return
-	}
-	slot := (cpu + 1) % spanSlots
-	r.mu.Lock()
-	r.sp.curProc[slot] = pid
-	r.mu.Unlock()
-}
-
-// SwapRunningProcess makes pid the user process charged with span
-// self-time on the calling context's slot, the slot its spans are
-// kept on, and returns the process it replaces (zero: none). The
-// kernel sets a process aside with it for work done on no process's
-// behalf, then puts it back.
-func (r *Recorder) SwapRunningProcess(pid uint64) uint64 {
-	if r == nil {
-		return 0
-	}
-	slot := int(BoundCPU()) % spanSlots
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	prev := r.sp.curProc[slot]
-	r.sp.curProc[slot] = pid
-	return prev
 }
 
 // Spans returns the retained completed spans, completion order,
@@ -447,9 +390,9 @@ func (r *Recorder) SpanMismatches() uint64 {
 	return r.sp.mismatched
 }
 
-// spanKeys returns the snapshot's histogram keys sorted by module
-// then kind.
-func (s Snapshot) spanKeys() []SpanKey {
+// SpanKeys returns the snapshot's histogram keys sorted by module then
+// kind.
+func (s Snapshot) SpanKeys() []SpanKey {
 	keys := make([]SpanKey, 0, len(s.Spans))
 	for key := range s.Spans {
 		keys = append(keys, key)

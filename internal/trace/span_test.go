@@ -76,6 +76,10 @@ func TestSpanNestingAndLinkage(t *testing.T) {
 // TestSpanProcessAttribution checks that span self-time — and only
 // self-time, so nothing is double-counted — is charged to the process
 // the processor was running, and that pid zero charges nobody.
+// TestSpanProcessAttribution: a process's account holds the charges
+// made while it ran, and counts the spans that ended then; span
+// durations add nothing to it, and device work and work with no
+// process running go to the no-process account.
 func TestSpanProcessAttribution(t *testing.T) {
 	clk := &fakeClock{}
 	r := NewRecorder(16, clk)
@@ -84,51 +88,59 @@ func TestSpanProcessAttribution(t *testing.T) {
 	r.SetRunningProcess(offTask, 9)
 	clk.c = 0
 	r.BeginSpan(SpanGate, "m", 1)
+	r.Charge("m", 0, 30)
 	clk.c = 40
 	r.BeginSpan(SpanDiskRead, "m", 2)
+	r.Charge("m", DeviceWork, 100)
 	clk.c = 140
 	r.EndSpan(SpanDiskRead)
-	clk.c = 200
+	r.Charge("m", 0, 70)
+	clk.c = 200 // the clock moves; only charges land in accounts
 	r.EndSpan(SpanGate)
 
 	r.SetRunningProcess(offTask, 0)
 	clk.c = 300
 	r.BeginSpan(SpanGate, "m", 3)
+	r.Charge("m", 0, 5)
 	clk.c = 400
 	r.EndSpan(SpanGate)
 
 	s := r.Snapshot()
-	if len(s.Procs) != 1 {
-		t.Fatalf("got %d process entries, want 1: %v", len(s.Procs), s.Procs)
+	if len(s.Procs) != 2 {
+		t.Fatalf("got %d process entries, want 2: %v", len(s.Procs), s.Procs)
 	}
-	pa := s.Procs[9]
-	// Self-times: disk-read 100, gate 200-100 = 100; total 200 over 2 spans.
-	if pa.Cycles != 200 || pa.Spans != 2 {
-		t.Errorf("process 9 accounting = %+v, want 200 cycles over 2 spans", pa)
+	if pa := s.Procs[9]; pa.Cycles != 100 || pa.Spans != 2 {
+		t.Errorf("process 9 account = %+v, want 100 cycles over 2 spans", pa)
+	}
+	if pa := s.Procs[0]; pa.Cycles != 105 || pa.Spans != 0 {
+		t.Errorf("no-process account = %+v, want 105 cycles and no spans", pa)
+	}
+	if got := s.Modules["m"].TotalCycles(); got != 205 {
+		t.Errorf("module account = %d, want 205", got)
 	}
 }
 
 // TestRunningProcessSetOffTask names a processor from off any task:
-// the spans that processor's task then opens are charged to the
-// process, and spans off any task are not.
+// the charges and spans that processor's task then makes are counted
+// to the process, and those off any task are not.
 func TestRunningProcessSetOffTask(t *testing.T) {
 	clk := &fakeClock{}
 	r := NewRecorder(16, clk)
 	r.Register("m")
 	r.SetRunningProcess(1, 7)
 	r.BeginSpan(SpanGate, "m", 0)
-	clk.c = 10
+	r.Charge("m", BoundCPU(), 10)
 	r.EndSpan(SpanGate)
 	runBound(t, 2, schedsim.Random(1), func(i int) {
 		if i == 1 {
 			r.BeginSpan(SpanGate, "m", 1)
-			clk.c += 100
+			r.Charge("m", BoundCPU(), 100)
 			r.EndSpan(SpanGate)
 		}
 	})
 	s := r.Snapshot()
-	if got := s.Procs[7]; got.Cycles != 100 || got.Spans != 1 || len(s.Procs) != 1 {
-		t.Errorf("process accounting %v, want process 7 charged 100 cycles over 1 span", s.Procs)
+	if got := s.Procs[7]; got.Cycles != 100 || got.Spans != 1 || len(s.Procs) != 2 || s.Procs[0].Cycles != 10 {
+		t.Errorf("process accounts %v, want process 7 charged 100 cycles over 1 span and 10 cycles to no process", s.Procs)
 	}
 }
 
@@ -298,13 +310,15 @@ func TestSpanHotPathAllocationFree(t *testing.T) {
 	r := NewRecorder(64, clk)
 	r.Register("m")
 	r.SetRunningProcess(offTask, 3)
-	// Warm up: allocate the stat block and the process entry once.
+	// Warm up: allocate the stat blocks and the process entry once.
 	r.BeginSpan(SpanFaultService, "m", 0)
+	r.Charge("m", 0, 1)
 	r.EndSpan(SpanFaultService)
 
 	allocs := testing.AllocsPerRun(200, func() {
 		clk.c++
 		r.BeginSpan(SpanFaultService, "m", 1)
+		r.Charge("m", 0, 1)
 		clk.c++
 		r.EndSpan(SpanFaultService)
 	})
@@ -315,7 +329,7 @@ func TestSpanHotPathAllocationFree(t *testing.T) {
 	// The event path makes the same promise.
 	r.Emit(Event{Kind: EvPageFetch, Module: "m"})
 	allocs = testing.AllocsPerRun(200, func() {
-		r.Emit(Event{Kind: EvPageFetch, Module: "m", Cost: 10})
+		r.Emit(Event{Kind: EvPageFetch, Module: "m"})
 	})
 	if allocs != 0 {
 		t.Errorf("event hot path allocates %.1f objects per emit, want 0", allocs)
@@ -423,16 +437,19 @@ func TestPromTextGolden(t *testing.T) {
 	r.Register("alpha", "beta")
 
 	clk.c = 10
-	r.Emit(Event{Kind: EvGateCross, Module: "beta", Cost: 40})
+	r.Emit(Event{Kind: EvGateCross, Module: "beta"})
+	r.Charge("beta", 0, 40)
 	clk.c = 20
-	r.Emit(Event{Kind: EvPageFetch, Module: "alpha", Cost: 330})
-	r.Emit(Event{Kind: EvPageFetch, Module: "alpha", Cost: 330})
+	r.Emit(Event{Kind: EvPageFetch, Module: "alpha"})
+	r.Emit(Event{Kind: EvPageFetch, Module: "alpha"})
 
 	r.SetRunningProcess(offTask, 5)
 	r.BeginSpan(SpanFaultService, "alpha", 0)
+	r.Charge("alpha", 0, 330)
 	clk.c = 120 // duration 100: bucket 7
 	r.EndSpan(SpanFaultService)
 	r.BeginSpan(SpanFaultService, "alpha", 0)
+	r.Charge("alpha", 0, 330)
 	clk.c = 123 // duration 3: bucket 2
 	r.EndSpan(SpanFaultService)
 	r.SetRunningProcess(offTask, 0)
@@ -443,10 +460,8 @@ func TestPromTextGolden(t *testing.T) {
 		`multics_trace_dropped_total 0`,
 		`multics_sim_cycles_total 200`,
 		`multics_module_cycles_total{module="alpha"} 660`,
-		`multics_module_cycles_total{module="alpha",kind="page-fetch"} 660`,
 		`multics_module_ops_total{module="alpha",kind="page-fetch"} 2`,
 		`multics_module_cycles_total{module="beta"} 40`,
-		`multics_module_cycles_total{module="beta",kind="gate-cross"} 40`,
 		`multics_module_ops_total{module="beta",kind="gate-cross"} 1`,
 		`multics_span_cycles_bucket{module="alpha",span="fault-service",le="0"} 0`,
 		`multics_span_cycles_bucket{module="alpha",span="fault-service",le="1"} 0`,
@@ -459,7 +474,9 @@ func TestPromTextGolden(t *testing.T) {
 		`multics_span_cycles_bucket{module="alpha",span="fault-service",le="+Inf"} 2`,
 		`multics_span_cycles_sum{module="alpha",span="fault-service"} 103`,
 		`multics_span_cycles_count{module="alpha",span="fault-service"} 2`,
-		`multics_process_cycles_total{pid="5"} 103`,
+		`multics_process_cycles_total{pid="0"} 40`,
+		`multics_process_spans_total{pid="0"} 0`,
+		`multics_process_cycles_total{pid="5"} 660`,
 		`multics_process_spans_total{pid="5"} 2`,
 		``,
 	}, "\n")
@@ -479,6 +496,7 @@ func TestSnapshotSinceSpans(t *testing.T) {
 	emit := func(d int64) {
 		start := clk.c
 		r.BeginSpan(SpanDiskWrite, "m", 0)
+		r.Charge("m", 0, d)
 		clk.c = start + d
 		r.EndSpan(SpanDiskWrite)
 	}

@@ -6,8 +6,12 @@
 // simulation observable the same way: every object manager emits
 // typed events into a fixed-capacity ring buffer, each stamped with
 // the simulated cycle clock and the emitting module's name from the
-// dependency graph, and per-module counters attribute cycles to the
-// module that spent them.
+// dependency graph, and the recorder keeps the cycle ledger: every
+// charge on the kernel's cost meter names its module and is posted
+// here to that module's account and to the account of the process the
+// charging processor runs (see Charge). Module and process cycles are
+// read from those accounts and nowhere else; events count operations,
+// and spans time them.
 //
 // The discipline is deliberately cheap. Instrumented code holds a
 // *Recorder that is nil when tracing is off, and every emission site
@@ -19,9 +23,10 @@
 //	}
 //
 // When tracing is on, Emit writes one fixed-size Event value into a
-// preallocated ring and bumps integer counters — no allocation on the
-// hot path (a module's counter block is allocated once, the first
-// time the module is seen).
+// preallocated ring and bumps integer counters, and Charge adds to two
+// accounts — no allocation on the hot path (a module's counter block
+// and a process's account are allocated once, the first time each is
+// seen).
 //
 // Everything is deterministic: two identical boots running identical
 // workloads produce byte-identical event streams and snapshots,
@@ -215,9 +220,6 @@ type Event struct {
 	// Module is the emitting module's name in the dependency
 	// graph.
 	Module string
-	// Cost is the simulated cycles the metered operation charged;
-	// the attribution table sums it per module.
-	Cost int64
 	// Arg0, Arg1, Arg2 are kind-specific (see the Kind constants).
 	Arg0, Arg1, Arg2 int64
 }
@@ -227,8 +229,8 @@ func (e Event) String() string {
 	if e.CPU > 0 {
 		cpu = fmt.Sprintf("%d", e.CPU-1)
 	}
-	return fmt.Sprintf("%8d %10d p%-2s %-13s %-26s cost=%-5d %d %d %d",
-		e.Seq, e.Cycle, cpu, e.Kind, e.Module, e.Cost, e.Arg0, e.Arg1, e.Arg2)
+	return fmt.Sprintf("%8d %10d p%-2s %-13s %-26s %d %d %d",
+		e.Seq, e.Cycle, cpu, e.Kind, e.Module, e.Arg0, e.Arg1, e.Arg2)
 }
 
 // A Clock supplies the simulated cycle stamp for events. The
@@ -237,15 +239,16 @@ type Clock interface {
 	Cycles() int64
 }
 
-// ModuleStats is one module's share of the meters: event counts and
-// attributed cycles by kind, and fault counts by fault type.
+// ModuleStats is one module's share of the meters: its account in the
+// cycle ledger, event counts by kind, and fault counts by fault type.
 type ModuleStats struct {
 	// Ops counts events by kind.
 	Ops [NumKinds]int64
-	// Cycles sums attributed cycles by kind.
-	Cycles [NumKinds]int64
 	// Faults counts EvFault events by fault kind (Arg0).
 	Faults [MaxFaultKinds]int64
+	// cycles is the module's ledger account: every meter charge that
+	// named it.
+	cycles int64
 }
 
 // TotalOps reports the module's event count across all kinds.
@@ -257,21 +260,14 @@ func (m ModuleStats) TotalOps() int64 {
 	return n
 }
 
-// TotalCycles reports the cycles attributed to the module across all
-// kinds.
-func (m ModuleStats) TotalCycles() int64 {
-	var n int64
-	for _, v := range m.Cycles {
-		n += v
-	}
-	return n
-}
+// TotalCycles reports the module's ledger account: the cycles of
+// every meter charge that named it.
+func (m ModuleStats) TotalCycles() int64 { return m.cycles }
 
 func (m ModuleStats) sub(prev ModuleStats) ModuleStats {
-	var out ModuleStats
+	out := ModuleStats{cycles: m.cycles - prev.cycles}
 	for i := range m.Ops {
 		out.Ops[i] = m.Ops[i] - prev.Ops[i]
-		out.Cycles[i] = m.Cycles[i] - prev.Cycles[i]
 	}
 	for i := range m.Faults {
 		out.Faults[i] = m.Faults[i] - prev.Faults[i]
@@ -294,7 +290,10 @@ type Recorder struct {
 
 	stats      map[string]*ModuleStats
 	registered map[string]bool
-	unknown    map[string]bool
+
+	// The ledger's process side (see ledger.go), guarded by mu.
+	running [spanSlots]uint64
+	procs   map[uint64]*ProcStats
 
 	// sp is the span machinery (see span.go), guarded by mu.
 	sp spanState
@@ -316,7 +315,7 @@ func NewRecorder(capacity int, clock Clock) *Recorder {
 		buf:        make([]Event, capacity),
 		stats:      make(map[string]*ModuleStats),
 		registered: make(map[string]bool),
-		unknown:    make(map[string]bool),
+		procs:      make(map[uint64]*ProcStats),
 	}
 	r.sp.init(capacity)
 	return r
@@ -333,9 +332,7 @@ func (r *Recorder) Register(names ...string) {
 	defer r.mu.Unlock()
 	for _, name := range names {
 		r.registered[name] = true
-		if _, ok := r.stats[name]; !ok {
-			r.stats[name] = new(ModuleStats)
-		}
+		entry(r.stats, name)
 	}
 }
 
@@ -363,20 +360,23 @@ func (r *Recorder) Emit(e Event) {
 		r.buf[(r.start+r.n)%len(r.buf)] = e
 		r.n++
 	}
-	st, ok := r.stats[e.Module]
-	if !ok {
-		st = new(ModuleStats)
-		r.stats[e.Module] = st
-	}
-	if !r.registered[e.Module] {
-		r.unknown[e.Module] = true
-	}
+	st := entry(r.stats, e.Module)
 	st.Ops[e.Kind]++
-	st.Cycles[e.Kind] += e.Cost
 	if e.Kind == EvFault && e.Arg0 >= 0 && e.Arg0 < MaxFaultKinds {
 		st.Faults[e.Arg0]++
 	}
 	r.mu.Unlock()
+}
+
+// entry returns m[k], allocating it the first time k is seen: a
+// module's or a process's counters, a span histogram.
+func entry[K comparable, V any](m map[K]*V, k K) *V {
+	v, ok := m[k]
+	if !ok {
+		v = new(V)
+		m[k] = v
+	}
+	return v
 }
 
 // Events returns the retained events, oldest first.
@@ -393,9 +393,9 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// Unknown returns, sorted, every module name that emitted without
-// being registered. A non-empty result means instrumentation has
-// drifted from the dependency graph.
+// Unknown returns, sorted, every module name that emitted or was
+// charged without being registered. A non-empty result means
+// instrumentation has drifted from the dependency graph.
 func (r *Recorder) Unknown() []string {
 	if r == nil {
 		return nil
@@ -403,21 +403,13 @@ func (r *Recorder) Unknown() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []string
-	for name := range r.unknown {
-		out = append(out, name)
+	for name := range r.stats {
+		if !r.registered[name] {
+			out = append(out, name)
+		}
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Dropped reports how many events the ring has overwritten.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }
 
 // A Snapshot is a consistent copy of the meters at one instant,
@@ -435,8 +427,8 @@ type Snapshot struct {
 	// Spans maps each (module, span kind) seen to its latency
 	// histogram.
 	Spans map[SpanKey]SpanStats
-	// Procs maps each user process that had span cycles attributed to
-	// its accounting.
+	// Procs maps each process charged in the ledger to its account;
+	// pid 0 is the no-process account.
 	Procs map[uint64]ProcStats
 }
 
@@ -463,7 +455,7 @@ func (r *Recorder) Snapshot() Snapshot {
 	for key, h := range r.sp.stats {
 		s.Spans[key] = *h
 	}
-	for pid, pa := range r.sp.procs {
+	for pid, pa := range r.procs {
 		s.Procs[pid] = *pa
 	}
 	return s
@@ -497,7 +489,8 @@ func (s Snapshot) Since(prev Snapshot) Snapshot {
 	return out
 }
 
-// TotalCycles sums the attributed cycles across every module.
+// TotalCycles sums the module accounts: every cycle charged while the
+// recorder was the meter's ledger.
 func (s Snapshot) TotalCycles() int64 {
 	var n int64
 	for _, st := range s.Modules {
@@ -518,9 +511,10 @@ func (s Snapshot) moduleNames() []string {
 
 // Table renders the human cycle-attribution table. Layers gives the
 // module certification order (bottom layer first), as computed from
-// the dependency graph; modules the snapshot saw that appear in no
-// layer are appended at the end, marked unregistered, so drifted
-// instrumentation is visible rather than silently dropped.
+// the dependency graph; accounts outside every layer (user
+// computation, the user-ring services, the auditor, a module the graph
+// does not know) follow at the end, marked outside, so every cycle of
+// the ledger has a row.
 func (s Snapshot) Table(layers [][]string) string {
 	var b strings.Builder
 	total := s.TotalCycles()
@@ -556,19 +550,13 @@ func (s Snapshot) Table(layers [][]string) string {
 	}
 	for _, name := range s.moduleNames() {
 		if !listed[name] {
-			writeRow("UNREGISTERED  ", name)
+			writeRow("outside  ", name)
 		}
 	}
 	if s.Dropped > 0 {
 		fmt.Fprintf(&b, "    (ring overwrote %d oldest events)\n", s.Dropped)
 	}
 	return b.String()
-}
-
-// String renders the table with every module in one nameless layer,
-// sorted, for callers without a dependency graph at hand.
-func (s Snapshot) String() string {
-	return s.Table([][]string{s.moduleNames()})
 }
 
 // PromText renders the meters as Prometheus-style text exposition
@@ -582,12 +570,6 @@ func (s Snapshot) PromText() string {
 		st := s.Modules[name]
 		fmt.Fprintf(&b, "multics_module_cycles_total{module=%q} %d\n", name, st.TotalCycles())
 		for kind := 0; kind < NumKinds; kind++ {
-			if st.Cycles[kind] == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "multics_module_cycles_total{module=%q,kind=%q} %d\n", name, Kind(kind), st.Cycles[kind])
-		}
-		for kind := 0; kind < NumKinds; kind++ {
 			if st.Ops[kind] == 0 {
 				continue
 			}
@@ -599,7 +581,7 @@ func (s Snapshot) PromText() string {
 			}
 		}
 	}
-	for _, key := range s.spanKeys() {
+	for _, key := range s.SpanKeys() {
 		h := s.Spans[key]
 		top := 0
 		for i := 0; i < SpanBuckets; i++ {

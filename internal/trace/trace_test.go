@@ -15,9 +15,11 @@ func TestRecorderStampsAndCounts(t *testing.T) {
 	r.Register("page-frame-manager", "disk-record-manager")
 
 	clk.c = 100
-	r.Emit(Event{Kind: EvPageFetch, Module: "page-frame-manager", Cost: 330})
+	r.Emit(Event{Kind: EvPageFetch, Module: "page-frame-manager"})
 	clk.c = 250
-	r.Emit(Event{Kind: EvDiskRead, Module: "disk-record-manager", Cost: 3000})
+	r.Emit(Event{Kind: EvDiskRead, Module: "disk-record-manager"})
+	r.Charge("page-frame-manager", 1, 330)
+	r.Charge("disk-record-manager", DeviceWork, 3000)
 
 	ev := r.Events()
 	if len(ev) != 2 {
@@ -35,11 +37,19 @@ func TestRecorderStampsAndCounts(t *testing.T) {
 		t.Errorf("snapshot events = %d, want 2", s.Events)
 	}
 	pf := s.Modules["page-frame-manager"]
-	if pf.Ops[EvPageFetch] != 1 || pf.Cycles[EvPageFetch] != 330 {
+	if pf.Ops[EvPageFetch] != 1 || pf.TotalCycles() != 330 {
 		t.Errorf("page-frame stats wrong: %+v", pf)
 	}
 	if got := s.TotalCycles(); got != 3330 {
 		t.Errorf("TotalCycles = %d, want 3330", got)
+	}
+	// No process was running: both charges are the no-process
+	// account's.
+	if got := s.Procs[0].Cycles; got != 3330 {
+		t.Errorf("no-process account = %d, want 3330", got)
+	}
+	if len(r.Unknown()) != 0 {
+		t.Errorf("registered modules flagged unknown: %v", r.Unknown())
 	}
 }
 
@@ -56,8 +66,8 @@ func TestRingDropsOldest(t *testing.T) {
 	if ev[0].Arg0 != 2 || ev[2].Arg0 != 4 {
 		t.Errorf("ring kept wrong events: %+v", ev)
 	}
-	if r.Dropped() != 2 {
-		t.Errorf("Dropped = %d, want 2", r.Dropped())
+	if d := r.Snapshot().Dropped; d != 2 {
+		t.Errorf("Dropped = %d, want 2", d)
 	}
 	// Counters survive the drop.
 	if s := r.Snapshot(); s.Modules["m"].Ops[EvIPC] != 5 {
@@ -96,20 +106,23 @@ func TestSnapshotSince(t *testing.T) {
 	r := NewRecorder(16, clk)
 	r.Register("a", "b")
 	clk.c = 10
-	r.Emit(Event{Kind: EvFault, Module: "a", Cost: 50, Arg0: 1})
+	r.Emit(Event{Kind: EvFault, Module: "a", Arg0: 1})
+	r.Charge("a", 0, 50)
 	before := r.Snapshot()
 	clk.c = 40
-	r.Emit(Event{Kind: EvFault, Module: "a", Cost: 50, Arg0: 1})
-	r.Emit(Event{Kind: EvDispatch, Module: "b", Cost: 80})
+	r.Emit(Event{Kind: EvFault, Module: "a", Arg0: 1})
+	r.Charge("a", 0, 50)
+	r.Emit(Event{Kind: EvDispatch, Module: "b"})
+	r.Charge("b", 0, 80)
 	diff := r.Snapshot().Since(before)
 	if diff.Events != 2 || diff.Cycle != 30 {
 		t.Errorf("diff events=%d cycle=%d, want 2, 30", diff.Events, diff.Cycle)
 	}
 	a := diff.Modules["a"]
-	if a.Ops[EvFault] != 1 || a.Cycles[EvFault] != 50 || a.Faults[1] != 1 {
+	if a.Ops[EvFault] != 1 || a.TotalCycles() != 50 || a.Faults[1] != 1 {
 		t.Errorf("diff module a = %+v", a)
 	}
-	if diff.Modules["b"].Cycles[EvDispatch] != 80 {
+	if diff.Modules["b"].TotalCycles() != 80 || diff.Procs[0].Cycles != 130 {
 		t.Errorf("diff module b = %+v", diff.Modules["b"])
 	}
 }
@@ -120,9 +133,11 @@ func TestTableAndPromDeterministic(t *testing.T) {
 		r := NewRecorder(16, clk)
 		r.Register("low", "high", "idle")
 		clk.c = 5
-		r.Emit(Event{Kind: EvDiskRead, Module: "low", Cost: 3000})
+		r.Emit(Event{Kind: EvDiskRead, Module: "low"})
+		r.Charge("low", DeviceWork, 3000)
 		clk.c = 9
-		r.Emit(Event{Kind: EvGateCross, Module: "high", Cost: 30})
+		r.Emit(Event{Kind: EvGateCross, Module: "high"})
+		r.Charge("high", 1, 30)
 		return r.Snapshot()
 	}
 	s1, s2 := build(), build()
@@ -154,7 +169,7 @@ func TestTableAndPromDeterministic(t *testing.T) {
 
 func TestFormatEventsStable(t *testing.T) {
 	ev := []Event{
-		{Seq: 1, Cycle: 10, Kind: EvFault, Module: "m", Cost: 50, Arg0: 1, Arg1: 2, Arg2: 3},
+		{Seq: 1, Cycle: 10, Kind: EvFault, Module: "m", Arg0: 1, Arg1: 2, Arg2: 3},
 		{Seq: 2, Cycle: 20, Kind: EvAdvance, Module: "m", Arg0: 7},
 	}
 	a, b := FormatEvents(ev), FormatEvents(ev)

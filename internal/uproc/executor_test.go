@@ -27,13 +27,13 @@ func TestSimTasksChargeTheirOwnProcessor(t *testing.T) {
 		per := int64(10 * (cpu.ID + 1))
 		for i := 0; i < rounds; i++ {
 			rec.BeginSpan(trace.SpanFaultService, "pageframe", int64(cpu.ID))
-			meter.Add(per)
+			meter.Add(ModuleName, per)
 			schedsim.Yield(schedsim.PointYield, "between charges")
 			if trace.BoundCPU() != int32(cpu.ID)+1 {
 				t.Errorf("cpu%d: bound to %d after a switch", cpu.ID, trace.BoundCPU()-1)
 			}
 			switches++
-			meter.Add(per)
+			meter.Add(ModuleName, per)
 			rec.EndSpan(trace.SpanFaultService)
 		}
 	})
@@ -101,7 +101,7 @@ func TestGoroutineExecutorBindsNothing(t *testing.T) {
 	var bound [2]int32
 	err := GoroutineExecutor{}.Run(cpus, func(cpu *hw.Processor) {
 		bound[cpu.ID] = trace.BoundCPU()
-		meter.Add(10)
+		meter.Add(ModuleName, 10)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestWorkerUnbindsItsProcessor(t *testing.T) {
 	before := rec.Snapshot().Procs[p.ID()]
 	if err := ex.Run(cpus, func(*hw.Processor) {
 		rec.BeginSpan(trace.SpanFaultService, "pageframe", 0)
-		f.meter.Add(100)
+		f.meter.Add(ModuleName, 100)
 		rec.EndSpan(trace.SpanFaultService)
 	}); err != nil {
 		t.Fatal(err)

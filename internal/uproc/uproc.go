@@ -275,9 +275,9 @@ func (q *Queue) Post(m Message) error {
 		return err
 	}
 	q.n++
-	q.meter.Add(hw.CycIPC)
+	q.meter.Add(ModuleName, hw.CycIPC)
 	if q.trace != nil {
-		q.trace.Emit(trace.Event{Kind: trace.EvIPC, Module: ModuleName, Cost: hw.CycIPC, Arg0: int64(m.Kind), Arg1: int64(m.Process)})
+		q.trace.Emit(trace.Event{Kind: trace.EvIPC, Module: ModuleName, Arg0: int64(m.Kind), Arg1: int64(m.Process)})
 	}
 	q.posted.Advance()
 	return nil
@@ -583,7 +583,7 @@ func (m *Manager) Dispatch() (*Process, uint64, error) {
 			m.requeueFront(p, gen)
 			return nil, 0, err
 		}
-		m.meter.Add(hw.CycProcessSwap)
+		m.meter.Add(ModuleName, hw.CycProcessSwap)
 
 		p.pmu.Lock()
 		if p.gen != gen || p.state != Ready {
@@ -603,7 +603,7 @@ func (m *Manager) Dispatch() (*Process, uint64, error) {
 		m.dispatches.Add(1)
 		if m.trace != nil {
 			// Arg1 = 0: a state load through the virtual memory.
-			m.trace.Emit(trace.Event{Kind: trace.EvProcessSwap, Module: ModuleName, Cost: hw.CycProcessSwap, Arg0: int64(pid)})
+			m.trace.Emit(trace.Event{Kind: trace.EvProcessSwap, Module: ModuleName, Arg0: int64(pid)})
 		}
 		return p, epoch, nil
 	}
@@ -739,10 +739,10 @@ func (m *Manager) finishUnbind(u unbinding, vp *vproc.VP, to State) error {
 		}
 		return err
 	}
-	m.meter.Add(hw.CycProcessSwap)
+	m.meter.Add(ModuleName, hw.CycProcessSwap)
 	if m.trace != nil {
 		// Arg1 = 1: a state store through the virtual memory.
-		m.trace.Emit(trace.Event{Kind: trace.EvProcessSwap, Module: ModuleName, Cost: hw.CycProcessSwap, Arg0: int64(u.id), Arg1: 1})
+		m.trace.Emit(trace.Event{Kind: trace.EvProcessSwap, Module: ModuleName, Arg0: int64(u.id), Arg1: 1})
 	}
 	return m.vps.ReleaseUser(vp)
 }

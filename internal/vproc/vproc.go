@@ -200,9 +200,9 @@ func (m *Manager) Enqueue(module string, work func()) error {
 	if !ok {
 		return fmt.Errorf("vproc: no virtual processor bound to module %s", module)
 	}
-	m.meter.Add(hw.CycIPC)
+	m.meter.Add(ModuleName, hw.CycIPC)
 	if m.trace != nil {
-		m.trace.Emit(trace.Event{Kind: trace.EvIPC, Module: ModuleName, Cost: hw.CycIPC, Arg0: int64(v.id)})
+		m.trace.Emit(trace.Event{Kind: trace.EvIPC, Module: ModuleName, Arg0: int64(v.id)})
 	}
 	v.queue = append(v.queue, work)
 	return m.saveState(v)
@@ -228,10 +228,10 @@ func (m *Manager) RunPending() int {
 		}
 		tr := m.trace
 		if owner != nil {
-			m.meter.Add(hw.CycDispatch)
+			m.meter.Add(ModuleName, hw.CycDispatch)
 			m.dispatches++
 			if m.trace != nil {
-				m.trace.Emit(trace.Event{Kind: trace.EvDispatch, Module: ModuleName, Cost: hw.CycDispatch, Arg0: int64(owner.id)})
+				m.trace.Emit(trace.Event{Kind: trace.EvDispatch, Module: ModuleName, Arg0: int64(owner.id)})
 			}
 			_ = m.saveState(owner)
 		}
@@ -264,9 +264,9 @@ func (m *Manager) AcquireUser(user uint64) (*VP, error) {
 	}
 	v.binding = UserBound
 	v.user = user
-	m.meter.Add(hw.CycDispatch)
+	m.meter.Add(ModuleName, hw.CycDispatch)
 	if m.trace != nil {
-		m.trace.Emit(trace.Event{Kind: trace.EvDispatch, Module: ModuleName, Cost: hw.CycDispatch, Arg0: int64(v.id), Arg1: int64(user)})
+		m.trace.Emit(trace.Event{Kind: trace.EvDispatch, Module: ModuleName, Arg0: int64(v.id), Arg1: int64(user)})
 	}
 	return v, m.saveState(v)
 }

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"multics/internal/hw"
 	"multics/internal/trace"
 	"multics/internal/uproc"
 	"multics/internal/workload"
@@ -69,8 +70,9 @@ func traceScenarios() []workload.Scenario {
 // memories and deeply equal snapshots. It then boots the scenario once
 // more untraced and requires the same cycle meter, in total and per
 // processor: tracing is free, so a nil recorder and a live one drive
-// the same seeded schedule. Together the scenarios must reach exactly
-// the modules and kinds of traceCoverage.
+// the same seeded schedule. The traced run's cycle ledger must balance
+// (checkLedger). Together the scenarios must reach exactly the modules
+// and kinds of traceCoverage.
 func TestTraceDeterminism(t *testing.T) {
 	scenarios := traceScenarios()
 	reached := make(map[string]bool) // "module event kind", "module span kind"
@@ -124,6 +126,7 @@ func TestTraceDeterminism(t *testing.T) {
 			if !reflect.DeepEqual(snap1, snap2) {
 				t.Errorf("snapshots differ between identical runs:\nrun1:\n%srun2:\n%s", snap1.PromText(), snap2.PromText())
 			}
+			checkLedger(t, traced, snap1)
 			for module, st := range snap1.Modules {
 				for kind, n := range st.Ops {
 					if n > 0 {
@@ -172,6 +175,43 @@ func TestTraceDeterminism(t *testing.T) {
 			t.Errorf("the scenarios reach %s, which traceCoverage does not pin", key)
 		}
 	}
+}
+
+// checkLedger requires k's cycle ledger, read in snap at the end of a
+// run, to balance: the module accounts sum to the meter, and so do the
+// process accounts with the no-process account; no charge went
+// unattributed; and the processor and device accounts together hold
+// no more than the meter. What they do not hold was charged off any
+// processor, and is logged.
+func checkLedger(t *testing.T, k *Kernel, snap trace.Snapshot) {
+	t.Helper()
+	total := k.Meter.Cycles()
+	if got := snap.TotalCycles(); got != total {
+		t.Errorf("module accounts sum to %d cycles, the meter reads %d", got, total)
+	}
+	var procs int64
+	for _, pa := range snap.Procs {
+		procs += pa.Cycles
+	}
+	if procs != total {
+		t.Errorf("process accounts sum to %d cycles, the meter reads %d", procs, total)
+	}
+	if n := snap.Modules[hw.UnattributedModule].TotalCycles(); n != 0 {
+		t.Errorf("%d cycles charged with no module named", n)
+	}
+	var held int64
+	for _, cpu := range k.CPUs {
+		held += k.Meter.CPUCycles(cpu.ID)
+	}
+	for _, id := range k.Vols.Packs() {
+		if p, err := k.Vols.Pack(id); err == nil {
+			held += p.DeviceCycles()
+		}
+	}
+	if held > total {
+		t.Errorf("processor and device accounts hold %d cycles, the meter reads %d", held, total)
+	}
+	t.Logf("ledger balances at %d cycles; %d charged off any processor", total, total-held)
 }
 
 // assocFingerprint renders every processor's associative-memory state
